@@ -61,7 +61,8 @@ benchdiff:
 		echo "fewer than two BENCH_*.json snapshots; run make bench"; \
 	fi
 
-# Short deterministic fuzz smoke over the RMI wire codec. Each target
+# Short deterministic fuzz smoke over the RMI wire codec, the shard
+# partitioner, the event queue and the bit-parallel stuck-at sweep. Each target
 # must run in its own invocation (go test allows one -fuzz at a time).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxFaultyConn$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzPartitionCircuit$$' -fuzztime=$(FUZZTIME) ./internal/shard/
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueOrdering$$' -fuzztime=$(FUZZTIME) ./internal/sim/
+	$(GO) test -run='^$$' -fuzz='^FuzzSweepStuckAt$$' -fuzztime=$(FUZZTIME) ./internal/gate/
 
 # Deterministic chaos sweep under the race detector: seeded replica
 # fault schedules (kill, partition, slow-drip, flap) across replica

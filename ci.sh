@@ -40,6 +40,7 @@ go test -run='^$' -fuzz='^FuzzMuxResponses$' -fuzztime="${FUZZTIME}" ./internal/
 go test -run='^$' -fuzz='^FuzzMuxFaultyConn$' -fuzztime="${FUZZTIME}" ./internal/rmi/
 go test -run='^$' -fuzz='^FuzzPartitionCircuit$' -fuzztime="${FUZZTIME}" ./internal/shard/
 go test -run='^$' -fuzz='^FuzzQueueOrdering$' -fuzztime="${FUZZTIME}" ./internal/sim/
+go test -run='^$' -fuzz='^FuzzSweepStuckAt$' -fuzztime="${FUZZTIME}" ./internal/gate/
 
 echo "==> benchmark smoke"
 go test -run='^$' -bench='SchedulerThroughput|VirtualVsSerialFaultSim|Figure4VirtualFaultSim' -benchmem -benchtime=100x .

@@ -83,10 +83,13 @@ type RemotePowerEstimator struct {
 	dispatch func(batch [][]signal.Bit, skip bool) ([]float64, error)
 
 	// method names the remote batch method; it seeds the cache
-	// fingerprint. reqBytes sizes the encoded request for one batch, for
-	// the cache's bytes-saved accounting.
-	method   string
-	reqBytes func(batch [][]signal.Bit) int
+	// fingerprint. appendReq appends the binary encoding of one batch's
+	// request envelope, for the cache's bytes-saved accounting; reqBuf is
+	// its scratch, reused under reqMu.
+	method    string
+	appendReq func(b []byte, batch [][]signal.Bit) []byte
+	reqMu     sync.Mutex
+	reqBuf    []byte
 
 	// Content-addressed estimation cache (EnableCache). The session
 	// carries this estimator's rolling history chain; cacheOff latches
@@ -196,14 +199,20 @@ func NewRemotePowerEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOff
 		Nonblocking: nonblocking,
 		method:      iplib.MethodPowerBatch,
 	}
-	e.reqBytes = func(batch [][]signal.Bit) int {
-		b, err := rmi.Encode(iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch})
-		if err != nil {
-			return 0
-		}
-		return len(b)
+	e.appendReq = func(b []byte, batch [][]signal.Bit) []byte {
+		return iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
 	}
 	return e
+}
+
+// reqBytes returns the size of one batch's request payload in the binary
+// wire format: the payload tag byte plus the envelope's AppendTo
+// encoding. A cache hit counts these bytes as saved.
+func (e *RemotePowerEstimator) reqBytes(batch [][]signal.Bit) int {
+	e.reqMu.Lock()
+	defer e.reqMu.Unlock()
+	e.reqBuf = e.appendReq(e.reqBuf[:0], batch)
+	return 1 + len(e.reqBuf)
 }
 
 // EnableCache attaches a shared content-addressed estimation cache. The
@@ -344,10 +353,7 @@ func (e *RemotePowerEstimator) prepareJob(batch [][]signal.Bit) batchJob {
 	}
 	vals, keys, hit := e.cache.lookup(batch)
 	if hit {
-		saved := 0
-		if e.reqBytes != nil {
-			saved = e.reqBytes(batch)
-		}
+		saved := e.reqBytes(batch)
 		e.cacheHits.Add(1)
 		e.cacheSaved.Add(int64(saved))
 		e.cacheStore.hits.Add(1)
@@ -639,7 +645,8 @@ type PowerReport struct {
 	LostBatches int
 	// CacheHits/CacheMisses count batch lookups served locally versus sent
 	// remote when an estimation cache is enabled (both zero otherwise);
-	// CacheBytesSaved approximates the request traffic the hits avoided.
+	// CacheBytesSaved counts the request payload bytes the hits kept off
+	// the wire, sized in the binary codec's payload format.
 	CacheHits       int64
 	CacheMisses     int64
 	CacheBytesSaved int64
@@ -681,12 +688,8 @@ func NewRemoteTimingEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOf
 		return inst.TimingBatch(batch)
 	}
 	e.method = iplib.MethodTimingBatch
-	e.reqBytes = func(batch [][]signal.Bit) int {
-		b, err := rmi.Encode(iplib.TimingBatchReq{Instance: inst.ID(), Patterns: batch})
-		if err != nil {
-			return 0
-		}
-		return len(b)
+	e.appendReq = func(b []byte, batch [][]signal.Bit) []byte {
+		return iplib.TimingBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
 	}
 	return e
 }

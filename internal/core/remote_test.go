@@ -9,6 +9,7 @@ import (
 	"repro/internal/module"
 	"repro/internal/netsim"
 	"repro/internal/provider"
+	"repro/internal/rmi"
 	"repro/internal/signal"
 )
 
@@ -231,5 +232,65 @@ func TestRemoteTimingEstimatorEndToEnd(t *testing.T) {
 	// license 50 + power 12*0.1 + timing 12*0.05 = 51.8
 	if fees < 51.79 || fees > 51.81 {
 		t.Errorf("fees = %v, want 51.8", fees)
+	}
+}
+
+// TestCacheBytesSavedIsBinaryPayloadLength pins the bytes a cache hit
+// reports as saved to the length of the request payload the binary
+// codec would have sent: one tag byte plus the envelope's AppendTo
+// encoding.
+func TestCacheBytesSavedIsBinaryPayloadLength(t *testing.T) {
+	inst, _ := bindMult(t, 4)
+	for _, c := range []struct {
+		name  string
+		build func() *RemotePowerEstimator
+		req   func(batch [][]signal.Bit) any
+	}{
+		{"power", func() *RemotePowerEstimator {
+			return NewRemotePowerEstimator(inst, remoteOffer(t, inst), 2, false)
+		}, func(batch [][]signal.Bit) any {
+			return iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch}
+		}},
+		{"timing", func() *RemotePowerEstimator {
+			return NewRemoteTimingEstimator(inst, timingOffer(t, inst), 2, false)
+		}, func(batch [][]signal.Bit) any {
+			return iplib.TimingBatchReq{Instance: inst.ID(), Patterns: batch}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store := NewEstimationCache()
+			run := func() PowerReport {
+				e := c.build()
+				e.EnableCache(store)
+				for i := uint64(0); i < 6; i++ {
+					if _, err := e.Estimate(evalCtx(4, i, 15-i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return e.Report()
+			}
+			if cold := run(); cold.CacheHits != 0 || cold.CacheBytesSaved != 0 {
+				t.Fatalf("cold run: %d hits, %d bytes saved", cold.CacheHits, cold.CacheBytesSaved)
+			}
+			warm := run()
+			want := 0
+			for i := uint64(0); i < 6; i += 2 {
+				batch := [][]signal.Bit{
+					wordsToBits(nil, signal.WordFromUint64(i, 4), signal.WordFromUint64(15-i, 4)),
+					wordsToBits(nil, signal.WordFromUint64(i+1, 4), signal.WordFromUint64(14-i, 4)),
+				}
+				payload, err := rmi.EncodePayload(c.req(batch), rmi.CodecBinary)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += len(payload)
+			}
+			if warm.CacheHits != 3 || warm.CacheBytesSaved != int64(want) {
+				t.Errorf("warm run: %d hits saving %d bytes, want 3 hits saving %d", warm.CacheHits, warm.CacheBytesSaved, want)
+			}
+		})
 	}
 }

@@ -44,11 +44,7 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 		return nil, err
 	}
 	reps := Collapse(nl)
-	golden, err := nl.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	faulty, err := nl.NewEvaluator()
+	ev, err := nl.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +62,7 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 				pattern[i] = signal.B1
 			}
 		}
-		detected, err := detectAny(golden, faulty, pattern, alive)
+		detected, err := detectAny(ev, pattern, alive)
 		if err != nil {
 			return nil, err
 		}
@@ -90,26 +86,19 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 	return &TestSet{Patterns: kept, Coverage: res.Coverage(), Candidates: candidates}, nil
 }
 
-// detectAny returns the alive faults the pattern detects.
-func detectAny(golden, faulty *gate.Evaluator, pattern []signal.Bit, alive []gate.Fault) ([]gate.Fault, error) {
-	goodOut, err := golden.Eval(pattern)
-	if err != nil {
-		return nil, err
-	}
-	good := append([]signal.Bit(nil), goodOut...)
+// detectAny returns the alive faults the pattern detects, from one
+// bit-parallel sweep of the pattern over every alive fault.
+func detectAny(ev *gate.Evaluator, pattern []signal.Bit, alive []gate.Fault) ([]gate.Fault, error) {
+	var good []signal.Bit
 	var out []gate.Fault
-	for _, f := range alive {
-		faulty.ClearFaults()
-		faulty.SetFault(f)
-		bad, err := faulty.Eval(pattern)
-		if err != nil {
-			return nil, err
+	err := ev.SweepStuckAt(pattern, alive, func(i int, bad []signal.Bit) {
+		if i < 0 {
+			good = bad
+		} else if knownDiff(good, bad) {
+			out = append(out, alive[i])
 		}
-		if knownDiff(good, bad) {
-			out = append(out, f)
-		}
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // removeFaults filters detected faults out of the alive list.

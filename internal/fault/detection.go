@@ -100,19 +100,37 @@ type TestabilityService interface {
 // LocalTestability serves testability queries from a private netlist —
 // the code that runs on the IP provider's server. Construction
 // precomputes the collapsed fault list; each DetectionTable call runs one
-// fault simulation sweep over the component alone.
+// bit-parallel stuck-at sweep over the component alone.
 type LocalTestability struct {
 	nl   *gate.Netlist
 	list *SymbolicList
-	// cacheMu guards cache: one service instance may be shared across
-	// hosts, and the virtual simulator queries hosts concurrently.
-	cacheMu sync.Mutex
+	// faults holds the internal fault behind each symbolic name, in
+	// publication order.
+	faults []gate.Fault
+	// mu guards everything below: one service instance may be shared
+	// across hosts, and the virtual simulator queries hosts concurrently.
+	mu sync.Mutex
+	// ev is the sweep evaluator, created on the first query and reused.
+	ev *gate.Evaluator
 	// cache maps packed input words to computed tables; detection tables
 	// depend only on the input configuration, so the provider can serve
 	// repeated patterns (the paper's example: patterns 1100 and 1101 lead
-	// to the same component inputs) without recomputation.
+	// to the same component inputs) without recomputation. It holds at
+	// most detectionCacheCap tables: order lists the keys in insertion
+	// order and next indexes the oldest once the cache is full.
 	cache map[string]*DetectionTable
+	order []string
+	next  int
+	// key is scratch for the packed cache key, so a cache hit allocates
+	// nothing.
+	key []byte
 }
+
+// detectionCacheCap bounds the detection tables one LocalTestability
+// keeps. The service is shared process-wide by a provider, so without a
+// bound a long-running server would keep a table for every input
+// configuration any client ever asked for.
+const detectionCacheCap = 1024
 
 // NewLocalTestability returns a testability service over the netlist.
 // With internalOnly set, the published fault list excludes pure port
@@ -122,10 +140,16 @@ func NewLocalTestability(nl *gate.Netlist, policy Naming, internalOnly bool) (*L
 	if err := nl.Build(); err != nil {
 		return nil, err
 	}
+	list := buildSymbolicList(nl, policy, internalOnly)
+	faults := make([]gate.Fault, len(list.names))
+	for i, name := range list.names {
+		faults[i] = list.toFault[name]
+	}
 	return &LocalTestability{
-		nl:    nl,
-		list:  buildSymbolicList(nl, policy, internalOnly),
-		cache: make(map[string]*DetectionTable),
+		nl:     nl,
+		list:   list,
+		faults: faults,
+		cache:  make(map[string]*DetectionTable),
 	}, nil
 }
 
@@ -145,56 +169,72 @@ func (lt *LocalTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable
 			lt.nl.Name, len(lt.nl.Inputs()), len(inputs))
 	}
 	// The whole computation runs under the lock: concurrent callers with
-	// the same pattern coalesce on one sweep, and the netlist's memoized
-	// build is never raced.
-	lt.cacheMu.Lock()
-	defer lt.cacheMu.Unlock()
-	key := packBits(inputs)
-	if dt, ok := lt.cache[key]; ok {
+	// the same pattern coalesce on one sweep, and the evaluator and
+	// scratch are never raced.
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	lt.key = appendLevels(lt.key[:0], inputs)
+	if dt, ok := lt.cache[string(lt.key)]; ok {
 		return dt, nil
 	}
-	ev, err := lt.nl.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ev.Eval(inputs); err != nil {
-		return nil, err
-	}
-	good := ev.OutputWord()
-	inWord := signal.Word{Bits: append([]signal.Bit(nil), inputs...)}
-	dt := &DetectionTable{Input: inWord, FaultFree: good.Clone()}
-	rowIdx := make(map[string]int)
-	for _, name := range lt.list.names {
-		f := lt.list.toFault[name]
-		ev.ClearFaults()
-		ev.SetFault(f)
-		if _, err := ev.Eval(inputs); err != nil {
+	if lt.ev == nil {
+		ev, err := lt.nl.NewEvaluator()
+		if err != nil {
 			return nil, err
 		}
-		bad := ev.OutputWord()
+		lt.ev = ev
+	}
+	dt := &DetectionTable{Input: signal.Word{Bits: append([]signal.Bit(nil), inputs...)}}
+	var good signal.Word
+	var rowKey []byte
+	rowIdx := make(map[string]int) // packed erroneous output → row
+	err := lt.ev.SweepStuckAt(inputs, lt.faults, func(i int, out []signal.Bit) {
+		bad := signal.Word{Bits: out}
+		if i < 0 {
+			good = bad
+			dt.FaultFree = bad.Clone()
+			return
+		}
 		if bad.Equal(good) || !bad.Known() {
-			continue // fault not excited (or unresolvable) by this input
+			return // fault not excited (or unresolvable) by this input
 		}
-		k := bad.String()
-		if i, ok := rowIdx[k]; ok {
-			dt.Rows[i].Faults = append(dt.Rows[i].Faults, name)
-		} else {
-			rowIdx[k] = len(dt.Rows)
-			dt.Rows = append(dt.Rows, DetectionRow{Output: bad.Clone(), Faults: []string{name}})
+		name := lt.list.names[i]
+		rowKey = appendLevels(rowKey[:0], out)
+		if r, ok := rowIdx[string(rowKey)]; ok {
+			dt.Rows[r].Faults = append(dt.Rows[r].Faults, name)
+			return
 		}
+		rowIdx[string(rowKey)] = len(dt.Rows)
+		dt.Rows = append(dt.Rows, DetectionRow{Output: bad.Clone(), Faults: []string{name}})
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range dt.Rows {
 		sort.Strings(dt.Rows[i].Faults)
 	}
-	lt.cache[key] = dt
+	lt.remember(string(lt.key), dt)
 	return dt, nil
 }
 
-// packBits renders a bit slice as a compact cache key.
-func packBits(bits []signal.Bit) string {
-	b := make([]byte, len(bits))
-	for i, v := range bits {
-		b[i] = "01XZ"[v&3]
+// remember caches a computed table, evicting the oldest once the cache
+// holds detectionCacheCap tables. The caller holds lt.mu.
+func (lt *LocalTestability) remember(key string, dt *DetectionTable) {
+	if len(lt.order) < detectionCacheCap {
+		lt.order = append(lt.order, key)
+	} else {
+		delete(lt.cache, lt.order[lt.next])
+		lt.order[lt.next] = key
+		lt.next = (lt.next + 1) % detectionCacheCap
 	}
-	return string(b)
+	lt.cache[key] = dt
+}
+
+// appendLevels appends one byte per bit ("0", "1", "X" or "Z") to b: a
+// compact map key for a bit vector.
+func appendLevels(b []byte, bits []signal.Bit) []byte {
+	for _, v := range bits {
+		b = append(b, "01XZ"[v&3])
+	}
+	return b
 }

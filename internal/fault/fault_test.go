@@ -213,6 +213,46 @@ func TestDetectionTableCaching(t *testing.T) {
 	}
 }
 
+// TestDetectionTableCacheBounded: the table cache holds at most
+// detectionCacheCap entries, evicting the oldest first, and a table
+// recomputed after eviction equals the one evicted.
+func TestDetectionTableCacheBounded(t *testing.T) {
+	nl := gate.RandomCombinational(11, 30, 2, 3)
+	lt, err := NewLocalTestability(nl, NetNames, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := lt.DetectionTable(nl.InputWord(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *DetectionTable
+	for v := uint64(1); v < detectionCacheCap+10; v++ {
+		if last, err = lt.DetectionTable(nl.InputWord(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(lt.cache); n != detectionCacheCap {
+		t.Fatalf("cache holds %d tables, want %d", n, detectionCacheCap)
+	}
+	if again, _ := lt.DetectionTable(nl.InputWord(detectionCacheCap + 9)); again != last {
+		t.Error("newest table evicted")
+	}
+	again, err := lt.DetectionTable(nl.InputWord(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Error("oldest table still cached past the bound")
+	}
+	if again.ParamString() != first.ParamString() {
+		t.Errorf("recomputed table %s, evicted %s", again.ParamString(), first.ParamString())
+	}
+	if n := len(lt.cache); n != detectionCacheCap {
+		t.Fatalf("cache holds %d tables after a refill, want %d", n, detectionCacheCap)
+	}
+}
+
 func TestDetectionTableWrongArity(t *testing.T) {
 	nl := gate.HalfAdderIP()
 	lt, _ := NewLocalTestability(nl, NetNames, true)

@@ -150,7 +150,7 @@ func (q *QuorumTestability) FaultList() ([]string, error) {
 // one input configuration.
 func (q *QuorumTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable, error) {
 	tables := make([]*DetectionTable, len(q.svcs))
-	winner, err := q.vote(packBits(inputs), func(i int) (string, error) {
+	winner, err := q.vote(string(appendLevels(nil, inputs)), func(i int) (string, error) {
 		dt, err := q.svcs[i].DetectionTable(inputs)
 		if err != nil {
 			return "", err

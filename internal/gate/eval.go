@@ -63,6 +63,10 @@ type Evaluator struct {
 	bridges []Bridge
 	driven  map[NetID]signal.Bit
 
+	// sw is SweepStuckAt's plane and force-mask scratch, allocated on
+	// the first sweep.
+	sw *sweepScratch
+
 	// toggle counting state
 	prev        []signal.Bit
 	toggles     []uint64
