@@ -35,7 +35,7 @@ vet:
 # escape analysis sees benchmark conditions.
 lint:
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) run ./cmd/gocad-lint -timings ./...
-	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|CodecParity' ./internal/lint/... ./internal/core/
+	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/
 
 # Non-blocking dependency-vulnerability advisory; skipped silently when
 # govulncheck is not installed (it is not vendored).
@@ -65,8 +65,6 @@ benchdiff:
 # partitioner, the event queue and the bit-parallel stuck-at sweep. Each target
 # must run in its own invocation (go test allows one -fuzz at a time).
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
-	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryCodec$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryDecode$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxResponses$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
@@ -105,7 +103,7 @@ profile:
 
 # Full benchmark sweep with allocation stats, archived as a dated JSON
 # snapshot (one go-test event per line) for regression comparison.
-# internal/sim rides along so the kernel's arena/pool delivery
+# internal/sim rides along so the kernel's arena token delivery
 # benchmarks land in the snapshot — ci.sh's blocking kernel gate
 # compares them.
 bench:

@@ -190,9 +190,9 @@ func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 }
 
 // BenchmarkSchedulerThroughput measures raw kernel token delivery. The
-// sub-benchmarks isolate the queue cost itself (post/pop of preallocated
-// tokens through the inlined heap) and the pooled signal-token path,
-// whose steady state allocates nothing per event.
+// post-pop sub-benchmark isolates the queue cost itself (post/pop of
+// preallocated tokens); internal/sim's BenchmarkArenaTokenDelivery
+// covers the recycled signal-token path.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	h := &nullHandler{}
 	b.Run("run1000", func(b *testing.B) {
@@ -225,21 +225,6 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 				s.Post(toks[j])
 			}
 			if err := s.Run(nil, sim.RunOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pooled-signal-tokens", func(b *testing.B) {
-		s := sim.NewScheduler()
-		// Pre-boxed value: modules hold signal.Value interfaces already,
-		// so the kernel path proper adds no allocation per event.
-		var v signal.Value = signal.BitValue{B: signal.B1}
-		ctx := s.NewContext()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Post(sim.AcquireSignalToken(s.Now()+1, h, 0, v, "bench"))
-			if err := s.Run(ctx, sim.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -32,8 +32,6 @@ echo "==> sharded-execution determinism matrix under -race"
 go test -race -count=1 -run='Shard|Partition|Generate' ./internal/shard/ ./internal/core/
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"
-go test -run='^$' -fuzz='^FuzzFrameRoundTrip$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime="${FUZZTIME}" ./internal/rmi/
 go test -run='^$' -fuzz='^FuzzBinaryCodec$' -fuzztime="${FUZZTIME}" ./internal/rmi/
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime="${FUZZTIME}" ./internal/rmi/
 go test -run='^$' -fuzz='^FuzzMuxResponses$' -fuzztime="${FUZZTIME}" ./internal/rmi/

@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/provider"
-	"repro/internal/rmi"
 	"repro/internal/security"
 )
 
@@ -47,7 +46,6 @@ func main() {
 			"concurrent request dispatch per session (1 = serial, matches pre-pipelining behavior)")
 		drain = flag.Duration("drain-timeout", 5*time.Second,
 			"on SIGTERM/interrupt, let in-flight requests finish for up to this long before force-closing")
-		codecs      = flag.String("codec", "auto", "accepted wire codecs (auto|binary|gob); auto detects per connection")
 		maxSessions = flag.Int("max-sessions", gateway.DefaultMaxSessions,
 			"admission control: max concurrent sessions across all tenants")
 		tenantConns = flag.Int("max-conns-per-tenant", gateway.DefaultMaxConnsPerTenant,
@@ -65,14 +63,9 @@ func main() {
 		ledgerPath = flag.String("ledger", "", "append-only billing ledger file (empty keeps fees in memory)")
 	)
 	flag.Parse()
-	policy, err := rmi.ParseCodecPolicy(*codecs)
-	if err != nil {
-		fatal(err)
-	}
 
 	p := provider.New(*name)
 	p.Server.SessionWorkers = *workers
-	p.Server.Codecs = policy
 	if err := p.Register(provider.MultFastLowPower()); err != nil {
 		fatal(err)
 	}

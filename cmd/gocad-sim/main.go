@@ -73,13 +73,8 @@ func main() {
 		hedge    = flag.Duration("hedge-after", 0, "re-issue a still-unanswered estimation batch to a second replica after this long (0 disables; requires -local -replicas ≥ 2)")
 		shards   = flag.Int("shards", 1, "partition the design across N concurrent schedulers (bit-identical results at any N)")
 		shardWin = flag.Int("shard-window", 0, "conservative synchronization window for sharded runs (0 = default)")
-		codecStr = flag.String("codec", "binary", "RMI wire codec (binary|gob); servers auto-detect, results are identical")
 	)
 	flag.Parse()
-	codec, err := rmi.ParseCodec(*codecStr)
-	if err != nil {
-		fatal(err)
-	}
 	if *replicas > 1 && !*local {
 		fatal(errors.New("-replicas needs -local: a live deployment has one server address per process"))
 	}
@@ -109,7 +104,7 @@ func main() {
 				ps[i] = p
 				dials[i] = core.PipeDialer(p)
 			}
-			conn, set, err := core.ConnectReplicated(ps, *client, netProfile, dials, replica.BreakerConfig{}, nil, core.WithCodec(codec))
+			conn, set, err := core.ConnectReplicated(ps, *client, netProfile, dials, replica.BreakerConfig{}, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -123,7 +118,7 @@ func main() {
 			if err := p.Register(provider.MultFastLowPower()); err != nil {
 				fatal(err)
 			}
-			conn, err := core.ConnectInProcess(p, *client, netProfile, core.WithCodec(codec))
+			conn, err := core.ConnectInProcess(p, *client, netProfile)
 			if err != nil {
 				fatal(err)
 			}
@@ -141,7 +136,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("bad key file: %w", err))
 		}
-		rpc, err := rmi.DialWith(*addr, *client, security.Key(key), rmi.Config{Codec: codec})
+		rpc, err := rmi.Dial(*addr, *client, security.Key(key))
 		if err != nil {
 			fatal(err)
 		}

@@ -58,29 +58,6 @@ func (c *Connection) Harden(r Resilience) {
 	}
 }
 
-// ConnectOption adjusts how a Connection is established.
-type ConnectOption func(*connectConfig)
-
-type connectConfig struct {
-	codec rmi.Codec
-}
-
-func applyConnectOptions(opts []ConnectOption) connectConfig {
-	var cfg connectConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// WithCodec selects the wire codec of the session (the zero value is the
-// binary codec; rmi.CodecGob keeps the legacy gob framing). The server
-// side auto-detects per connection, so the option only steers the
-// client.
-func WithCodec(c rmi.Codec) ConnectOption {
-	return func(cfg *connectConfig) { cfg.codec = c }
-}
-
 // PipeDialer returns a dial function that opens an in-process pipe to
 // the provider's server — the loopback transport of the performance
 // study, also usable as a redial target for reconnect tests.
@@ -97,8 +74,8 @@ func PipeDialer(p *provider.Provider) func() (net.Conn, error) {
 // policy) with the given emulated network profile. This is
 // the deployment the performance study uses: one host, real protocol,
 // emulated transfer delays.
-func ConnectInProcess(p *provider.Provider, clientName string, profile netsim.Profile, opts ...ConnectOption) (*Connection, error) {
-	return ConnectVia(p, clientName, profile, PipeDialer(p), opts...)
+func ConnectInProcess(p *provider.Provider, clientName string, profile netsim.Profile) (*Connection, error) {
+	return ConnectVia(p, clientName, profile, PipeDialer(p))
 }
 
 // ConnectVia wires a client to a provider through an arbitrary dial
@@ -106,8 +83,7 @@ func ConnectInProcess(p *provider.Provider, clientName string, profile netsim.Pr
 // The dialer is also installed as the client's Redial, so a broken
 // connection heals on the next call (session state is re-established
 // only when recovery is armed via Harden).
-func ConnectVia(p *provider.Provider, clientName string, profile netsim.Profile, dial func() (net.Conn, error), opts ...ConnectOption) (*Connection, error) {
-	cfg := applyConnectOptions(opts)
+func ConnectVia(p *provider.Provider, clientName string, profile netsim.Profile, dial func() (net.Conn, error)) (*Connection, error) {
 	key, err := security.NewKey()
 	if err != nil {
 		return nil, err
@@ -117,7 +93,7 @@ func ConnectVia(p *provider.Provider, clientName string, profile netsim.Profile,
 	if err != nil {
 		return nil, err
 	}
-	rpc, err := rmi.NewClientWith(conn, clientName, key, rmi.Config{Codec: cfg.codec})
+	rpc, err := rmi.NewClient(conn, clientName, key)
 	if err != nil {
 		return nil, err
 	}
@@ -141,8 +117,7 @@ func ConnectVia(p *provider.Provider, clientName string, profile netsim.Profile,
 // healthy one. dials[i] is replica i's transport (chaos tests interpose
 // scripted fault dialers); brCfg and clock tune the breakers (zero
 // values and nil clock use production defaults).
-func ConnectReplicated(ps []*provider.Provider, clientName string, profile netsim.Profile, dials []func() (net.Conn, error), brCfg replica.BreakerConfig, clock replica.Clock, opts ...ConnectOption) (*Connection, *replica.Set, error) {
-	cfg := applyConnectOptions(opts)
+func ConnectReplicated(ps []*provider.Provider, clientName string, profile netsim.Profile, dials []func() (net.Conn, error), brCfg replica.BreakerConfig, clock replica.Clock) (*Connection, *replica.Set, error) {
 	if len(ps) == 0 || len(ps) != len(dials) {
 		return nil, nil, fmt.Errorf("core: %d providers with %d dialers", len(ps), len(dials))
 	}
@@ -169,7 +144,7 @@ func ConnectReplicated(ps []*provider.Provider, clientName string, profile netsi
 		if err != nil {
 			return nil, nil, err
 		}
-		rpc, err = rmi.NewClientWith(conn, clientName, key, rmi.Config{Codec: cfg.codec})
+		rpc, err = rmi.NewClient(conn, clientName, key)
 		if err == nil {
 			break
 		}
@@ -194,8 +169,7 @@ func ConnectReplicated(ps []*provider.Provider, clientName string, profile netsi
 
 // ConnectTCP wires a client to a provider over real loopback TCP — used
 // by the cmd/ tools when client and server run as separate processes.
-func ConnectTCP(p *provider.Provider, clientName string, profile netsim.Profile, opts ...ConnectOption) (*Connection, error) {
-	cfg := applyConnectOptions(opts)
+func ConnectTCP(p *provider.Provider, clientName string, profile netsim.Profile) (*Connection, error) {
 	key, err := security.NewKey()
 	if err != nil {
 		return nil, err
@@ -205,7 +179,7 @@ func ConnectTCP(p *provider.Provider, clientName string, profile netsim.Profile,
 	if err != nil {
 		return nil, err
 	}
-	rpc, err := rmi.DialWith(addr, clientName, key, rmi.Config{Codec: cfg.codec})
+	rpc, err := rmi.Dial(addr, clientName, key)
 	if err != nil {
 		return nil, err
 	}

@@ -646,7 +646,7 @@ type PowerReport struct {
 	// CacheHits/CacheMisses count batch lookups served locally versus sent
 	// remote when an estimation cache is enabled (both zero otherwise);
 	// CacheBytesSaved counts the request payload bytes the hits kept off
-	// the wire, sized in the binary codec's payload format.
+	// the wire, sized in the wire-format-v1 payload encoding.
 	CacheHits       int64
 	CacheMisses     int64
 	CacheBytesSaved int64
@@ -753,7 +753,7 @@ func (m *RemoteMult) ProcessInputEvent(ctx *module.Ctx, ev *module.PortEvent) {
 		*bufp = pattern[:0]
 		patternPool.Put(bufp)
 		if err == nil {
-			// out is freshly decoded per call (both codecs), so the word
+			// out is freshly decoded per call, so the word
 			// can take ownership instead of copying.
 			ctx.Drive(m.o, signal.WordValue{W: signal.Word{Bits: out}}, 1)
 			return

@@ -236,8 +236,8 @@ func TestRemoteTimingEstimatorEndToEnd(t *testing.T) {
 }
 
 // TestCacheBytesSavedIsBinaryPayloadLength pins the bytes a cache hit
-// reports as saved to the length of the request payload the binary
-// codec would have sent: one tag byte plus the envelope's AppendTo
+// reports as saved to the length of the request payload the wire
+// would have carried: one tag byte plus the envelope's AppendTo
 // encoding.
 func TestCacheBytesSavedIsBinaryPayloadLength(t *testing.T) {
 	inst, _ := bindMult(t, 4)
@@ -282,7 +282,7 @@ func TestCacheBytesSavedIsBinaryPayloadLength(t *testing.T) {
 					wordsToBits(nil, signal.WordFromUint64(i, 4), signal.WordFromUint64(15-i, 4)),
 					wordsToBits(nil, signal.WordFromUint64(i+1, 4), signal.WordFromUint64(14-i, 4)),
 				}
-				payload, err := rmi.EncodePayload(c.req(batch), rmi.CodecBinary)
+				payload, err := rmi.EncodePayload(c.req(batch))
 				if err != nil {
 					t.Fatal(err)
 				}

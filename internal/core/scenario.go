@@ -122,11 +122,6 @@ type Config struct {
 	// ShardWorkers bounds the shard engine's per-round delivery pool:
 	// 0 one worker per CPU, 1 serial. Identical results at any count.
 	ShardWorkers int
-	// Codec selects the RMI wire framing for the remote scenarios: the
-	// zero value is the binary codec (wire format v1), rmi.CodecGob the
-	// legacy gob framing. Results are bit-identical under either codec —
-	// the codec parity matrix enforces Result.Fingerprint equality.
-	Codec rmi.Codec
 }
 
 // DefaultConfig returns the paper's experimental parameters.
@@ -254,7 +249,7 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 				}
 			}
 			var err error
-			conn, rset, err = ConnectReplicated(provs, "designer", cfg.Profile, dials, cfg.Breaker, cfg.BreakerClock, WithCodec(cfg.Codec))
+			conn, rset, err = ConnectReplicated(provs, "designer", cfg.Profile, dials, cfg.Breaker, cfg.BreakerClock)
 			if err != nil {
 				return nil, err
 			}
@@ -269,7 +264,7 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 				dial = cfg.DialVia(prov)
 			}
 			var err error
-			conn, err = ConnectVia(prov, "designer", cfg.Profile, dial, WithCodec(cfg.Codec))
+			conn, err = ConnectVia(prov, "designer", cfg.Profile, dial)
 			if err != nil {
 				return nil, err
 			}
@@ -302,7 +297,7 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 			// plain pipe, never the failover transport (which chaos tests
 			// script) — so a hedge can answer even while the primary path
 			// is mid-reconnect.
-			hconn, err := ConnectVia(hedgeProv, "designer-hedge", cfg.Profile, PipeDialer(hedgeProv), WithCodec(cfg.Codec))
+			hconn, err := ConnectVia(hedgeProv, "designer-hedge", cfg.Profile, PipeDialer(hedgeProv))
 			if err != nil {
 				return nil, err
 			}

@@ -8,8 +8,8 @@ import (
 
 // AppendTo appends the table's wire-format-v1 encoding to b: the input
 // and fault-free words as packed bit vectors, then a length-prefixed row
-// vector of (output word, fault-name list) pairs. Used by the rmi binary
-// codec's FaultTableResp payload (DESIGN.md §12).
+// vector of (output word, fault-name list) pairs. Used by the rmi
+// FaultTableResp payload (DESIGN.md §12).
 //
 //gocad:noalloc
 func (dt *DetectionTable) AppendTo(b []byte) []byte {

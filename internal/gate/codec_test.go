@@ -64,6 +64,31 @@ func TestUnmarshalCorruptIndicesRejected(t *testing.T) {
 	}
 }
 
+func TestUnmarshalTruncatedRejected(t *testing.T) {
+	blob, _ := RippleAdder(2).MarshalBinary()
+	for cut := 0; cut < len(blob); cut++ {
+		if err := NewNetlist("").UnmarshalBinary(blob[:cut]); err == nil {
+			t.Fatalf("%d/%d-byte prefix accepted", cut, len(blob))
+		}
+	}
+	if err := NewNetlist("").UnmarshalBinary(append(blob, 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+}
+
+func TestUnmarshalHostileCountsRejected(t *testing.T) {
+	for name, blob := range map[string][]byte{
+		"net count":  {0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"gate count": {0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"gate kind":  {0, 0, 1, 42, 0, 0},
+		"net ref":    {0, 1, 1, 'a', 1, 0, 1, byte(Not), 1, 0, 7},
+	} {
+		if err := NewNetlist("").UnmarshalBinary(blob); err == nil {
+			t.Errorf("%s: hostile snapshot accepted", name)
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	orig := HalfAdderIP()
 	c := orig.Clone()

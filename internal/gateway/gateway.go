@@ -145,13 +145,13 @@ func New(srv *rmi.Server, cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		Server:    srv,
-		cfg:       cfg,
-		ledger:    ledger,
-		now:       time.Now,
-		sleep:     time.Sleep,
-		tenants:   make(map[string]*tenantState),
-		conns: make(chan struct{}, cfg.MaxSessions+cfg.AcceptQueue),
+		Server:  srv,
+		cfg:     cfg,
+		ledger:  ledger,
+		now:     time.Now,
+		sleep:   time.Sleep,
+		tenants: make(map[string]*tenantState),
+		conns:   make(chan struct{}, cfg.MaxSessions+cfg.AcceptQueue),
 		// The fast-reject lane costs one goroutine writing one frame per
 		// connection, so it is sized well past the serving capacity: a
 		// storm several times MaxSessions still gets typed rejections,
@@ -381,8 +381,8 @@ func (g *Gateway) afterCall(sess *rmi.Session, method string, payloadBytes int, 
 
 // Serve accepts connections until the listener closes, bounding total
 // in-flight connections at MaxSessions+AcceptQueue. Overflow is
-// fast-failed: the dialer receives a typed queue-full rejection in its
-// own codec within the handshake timeout. If even the rejection lane
+// fast-failed: the dialer receives a typed queue-full rejection within
+// the handshake timeout. If even the rejection lane
 // is saturated, the connection is closed immediately — the one thing
 // the gateway never does is hang a client silently.
 func (g *Gateway) Serve(ln net.Listener) error {

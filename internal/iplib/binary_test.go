@@ -72,9 +72,9 @@ func binaryPairs() []pair {
 }
 
 // TestBinaryPayloadRoundTrip proves every hand-written payload codec is
-// the identity through the rmi payload path: EncodePayload under the
-// binary codec must produce a binary-tagged payload, and Decode must
-// reconstruct the envelope exactly.
+// the identity through the rmi payload path: EncodePayload must produce
+// a binary-tagged payload, and Decode must reconstruct the envelope
+// exactly.
 func TestBinaryPayloadRoundTrip(t *testing.T) {
 	for _, p := range binaryPairs() {
 		t.Run(p.name, func(t *testing.T) {
@@ -84,7 +84,7 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 			if _, ok := p.out.(rmi.BinaryDecoder); !ok {
 				t.Fatalf("%T does not implement rmi.BinaryDecoder", p.out)
 			}
-			raw, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
+			raw, err := rmi.EncodePayload(p.in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,50 +102,16 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryPayloadGobParity proves codec interchangeability at the
-// payload level: the same envelope travels through gob (as on a
-// gob-codec connection) and through the binary codec, and both decodes
-// agree field for field.
-func TestBinaryPayloadGobParity(t *testing.T) {
-	for _, p := range binaryPairs() {
-		t.Run(p.name, func(t *testing.T) {
-			viaGob, err := rmi.EncodePayload(p.in, rmi.CodecGob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(viaGob) > 0 && viaGob[0] == 0x00 {
-				t.Fatalf("gob payload carries the binary tag: % x", viaGob)
-			}
-			gobOut := reflect.New(reflect.TypeOf(p.in))
-			if err := rmi.Decode(viaGob, gobOut.Interface()); err != nil {
-				t.Fatal(err)
-			}
-			viaBin, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			binOut := reflect.New(reflect.TypeOf(p.in))
-			if err := rmi.Decode(viaBin, binOut.Interface()); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gobOut.Elem().Interface(), binOut.Elem().Interface()) {
-				t.Errorf("codecs decode differently:\ngob: %#v\nbin: %#v",
-					gobOut.Elem().Interface(), binOut.Elem().Interface())
-			}
-		})
-	}
-}
-
 // TestBinaryPayloadTruncationErrors feeds every proper prefix of every
 // encoding to the decoder: each must fail cleanly — no panic, no silent
 // success on a short buffer.
 func TestBinaryPayloadTruncationErrors(t *testing.T) {
 	for _, p := range binaryPairs() {
-		raw, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
+		raw, err := rmi.EncodePayload(p.in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := raw[1:] // strip the codec tag; DecodeFrom sees the body
+		body := raw[1:] // strip the payload tag; DecodeFrom sees the body
 		dec := p.out.(rmi.BinaryDecoder)
 		for cut := 0; cut < len(body); cut++ {
 			if err := dec.DecodeFrom(body[:cut]); err == nil {
@@ -161,7 +127,7 @@ func TestBinaryPayloadTruncationErrors(t *testing.T) {
 // encoding must be rejected, keeping the encoding canonical.
 func TestBinaryPayloadTrailingBytesError(t *testing.T) {
 	for _, p := range binaryPairs() {
-		raw, err := rmi.EncodePayload(p.in, rmi.CodecBinary)
+		raw, err := rmi.EncodePayload(p.in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,6 +49,7 @@ var SandboxPackages = []string{
 	"repro/internal/signal",
 	"repro/internal/estim",
 	"repro/internal/sim",
+	"repro/internal/wire",
 }
 
 // BlessedImports is the single sanctioned capability seam: the
@@ -62,7 +63,8 @@ var BlessedImports = []string{
 // never depend on (prefix match, so "os" also covers os/exec and
 // os/signal). They grant filesystem, process, network, or
 // type-system-escape capabilities the paper's sandbox denies to
-// downloaded parts.
+// downloaded parts. encoding/gob is reflective decoding of untrusted
+// bytes; sandboxed code serializes through internal/wire.
 var forbiddenPrefixes = []string{
 	"os",
 	"net",
@@ -71,6 +73,7 @@ var forbiddenPrefixes = []string{
 	"reflect",
 	"plugin",
 	"io/ioutil",
+	"encoding/gob",
 }
 
 // wallClockFuncs are the package-level time functions that read or

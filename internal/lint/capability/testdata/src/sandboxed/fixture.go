@@ -7,7 +7,8 @@
 package fixture
 
 import (
-	"os" // want `forbidden capability for downloaded-part code`
+	_ "encoding/gob" // want `forbidden capability for downloaded-part code`
+	"os"             // want `forbidden capability for downloaded-part code`
 	"time"
 
 	// The multi-tenant gateway is provider-operator machinery (admission

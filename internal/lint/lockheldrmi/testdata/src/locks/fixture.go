@@ -69,5 +69,5 @@ func serverSideOK(sess *rmi.Session, mu *sync.Mutex) {
 func encodeOK(mu *sync.Mutex, v any) ([]byte, error) {
 	mu.Lock()
 	defer mu.Unlock()
-	return rmi.Encode(v)
+	return rmi.EncodePayload(v)
 }

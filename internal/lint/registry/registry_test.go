@@ -1,6 +1,8 @@
 package registry_test
 
 import (
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -28,6 +30,31 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
+	}
+}
+
+// TestNoGobImports keeps the reflective gob codec out of the module:
+// wire format v1 (DESIGN.md §12) is the only serialization, and a
+// second decoder would be a second attack surface to fuzz. Test files
+// are checked too.
+func TestNoGobImports(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f",
+		`{{.ImportPath}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}`,
+		"repro/...").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) < 10 {
+		t.Fatalf("suspiciously few packages listed: %d", len(lines))
+	}
+	for _, line := range lines {
+		fields := strings.Fields(line)
+		for _, imp := range fields[1:] {
+			if imp == "encoding/gob" {
+				t.Errorf("%s imports encoding/gob", fields[0])
+			}
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package fixture exercises the tokenpool analyzer against the real
-// sim package's pooled-token API.
+// sim package's arena-token API.
 package fixture
 
 import (
@@ -14,54 +14,14 @@ func (sink) HandleToken(*sim.Context, sim.Token) {}
 
 type holder struct{ tok *sim.SignalToken }
 
-func postOK(s *sim.Scheduler) {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	s.Post(tok)
-}
-
-func doublePost(s *sim.Scheduler) {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	s.Post(tok)
-	s.Post(tok) // want "posted twice"
-}
-
-func useAfterPost(s *sim.Scheduler) sim.Time {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	s.Post(tok)
-	return tok.When() // want "used after Post"
-}
-
-func escapeReturn() *sim.SignalToken {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	return tok // want "returned"
-}
-
-func escapeStore(h *holder, s *sim.Scheduler) {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	h.tok = tok // want "stored in a field or container element"
-	s.Post(tok)
-}
-
-func escapeSend(ch chan *sim.SignalToken) {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	ch <- tok // want "sent on a channel"
-}
-
 func handBuiltOK(h *holder) *sim.SignalToken {
 	tok := &sim.SignalToken{}
 	h.tok = tok
 	return tok
 }
 
-func reacquireOK(s *sim.Scheduler) {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	s.Post(tok)
-	tok = sim.AcquireSignalToken(2, sink{}, 0, signal.BitValue{B: signal.B0}, "src")
-	s.Post(tok)
-}
-
-// Arena API: (*sim.Context).AcquireSignal hands out arena-owned tokens
-// with the same post-transfers-ownership contract as the pool.
+// (*sim.Context).AcquireSignal hands out arena-owned tokens: Post
+// transfers ownership to the scheduler.
 
 func arenaPostOK(ctx *sim.Context) {
 	tok := ctx.AcquireSignal(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
@@ -91,6 +51,11 @@ func arenaEscapeStore(ctx *sim.Context, h *holder) {
 	ctx.Post(tok)
 }
 
+func arenaEscapeSend(ctx *sim.Context, ch chan *sim.SignalToken) {
+	tok := ctx.AcquireSignal(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
+	ch <- tok // want "sent on a channel"
+}
+
 func arenaReacquireOK(ctx *sim.Context) {
 	tok := ctx.AcquireSignal(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
 	ctx.Post(tok)
@@ -102,12 +67,6 @@ func arenaReacquireOK(ctx *sim.Context) {
 // into struct-of-arrays lanes at Post and releases the carrier, any
 // code that parks the carrier itself in a container is holding a token
 // the scheduler will recycle under it.
-
-func escapeSliceIndex(s *sim.Scheduler, held []*sim.SignalToken) {
-	tok := sim.AcquireSignalToken(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")
-	held[0] = tok // want "stored in a field or container element"
-	s.Post(tok)
-}
 
 func arenaEscapeSliceIndex(ctx *sim.Context, held []*sim.SignalToken) {
 	tok := ctx.AcquireSignal(1, sink{}, 0, signal.BitValue{B: signal.B1}, "src")

@@ -1,21 +1,18 @@
-// Package tokenpool enforces the lifecycle rules of pooled SignalTokens
-// documented on sim.AcquireSignalToken: the scheduler recycles a pooled
-// token automatically after delivery, so the poster must treat Post as a
-// transfer of ownership. Concretely, within a function:
+// Package tokenpool enforces the lifecycle rules of arena SignalTokens
+// documented on (*sim.Context).AcquireSignal: the delivering scheduler
+// releases an arena token into its free list after delivery, so the
+// poster must treat Post as a transfer of ownership. Concretely, within
+// a function:
 //
-//   - a variable holding the result of AcquireSignalToken must not be
-//     used again (read, re-posted, passed anywhere) after it has been
-//     passed to Post/PostSignal — the scheduler may already have zeroed
-//     and recycled it, so the access races with an unrelated event;
-//   - a pooled token must not escape the posting function (returned,
+//   - a variable holding the result of AcquireSignal must not be used
+//     again (read, re-posted, passed anywhere) after it has been passed
+//     to Post/PostSignal — the scheduler may already have zeroed and
+//     reissued it, so the access races with an unrelated event;
+//   - an arena token must not escape the posting function (returned,
 //     stored in a field, slice, map or composite literal, or sent on a
 //     channel) — retention past delivery is exactly the use-after-free
-//     the pool's contract forbids. Hand-built &sim.SignalToken{} values
+//     the arena's contract forbids. Hand-built &sim.SignalToken{} values
 //     are never recycled and may be retained freely.
-//
-// The same rules cover the slab-arena API (*sim.Context).AcquireSignal:
-// delivery releases arena tokens into the delivering scheduler's free
-// list, so a token must not be retained or touched after Post.
 //
 // The analysis is lexical within one function: events are ordered by
 // source position, which matches execution order for straight-line code
@@ -31,22 +28,22 @@ import (
 	"repro/internal/lint"
 )
 
-// simPkg is the package whose pool contract we enforce.
+// simPkg is the package whose token contract we enforce.
 const simPkg = "repro/internal/sim"
 
 // Analyzer is the tokenpool check.
 var Analyzer = &lint.Analyzer{
 	Name: "tokenpool",
-	Doc: "forbid retaining or reusing a pooled *sim.SignalToken after it has been " +
-		"posted (the scheduler recycles pooled tokens on delivery)",
+	Doc: "forbid retaining or reusing an arena *sim.SignalToken after it has been " +
+		"posted (the scheduler recycles arena tokens on delivery)",
 	Run: run,
 }
 
-// eventKind orders what can happen to a pooled token variable.
+// eventKind orders what can happen to an arena token variable.
 type eventKind int
 
 const (
-	evAcquire eventKind = iota // var (re)bound to AcquireSignalToken result
+	evAcquire eventKind = iota // var (re)bound to AcquireSignal result
 	evPost                     // var passed to Post/PostSignal
 	evUse                      // any other read of the var
 	evEscape                   // var stored/returned/sent beyond the function
@@ -68,11 +65,11 @@ func run(pass *lint.Pass) error {
 }
 
 func checkFunc(pass *lint.Pass, body *ast.BlockStmt) {
-	pooled := findAcquisitions(pass, body)
-	if len(pooled) == 0 {
+	owned := findAcquisitions(pass, body)
+	if len(owned) == 0 {
 		return
 	}
-	events := collectEvents(pass, body, pooled)
+	events := collectEvents(pass, body, owned)
 	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
 
 	active := map[types.Object]bool{}
@@ -87,25 +84,25 @@ func checkFunc(pass *lint.Pass, body *ast.BlockStmt) {
 			}
 			if posted[e.obj] {
 				pass.Reportf(e.pos,
-					"pooled SignalToken %s posted twice: the first delivery recycles it", e.obj.Name())
+					"arena SignalToken %s posted twice: the first delivery recycles it", e.obj.Name())
 			}
 			posted[e.obj] = true
 		case evUse:
 			if active[e.obj] && posted[e.obj] {
 				pass.Reportf(e.pos,
-					"pooled SignalToken %s used after Post: the scheduler recycles pooled tokens on delivery", e.obj.Name())
+					"arena SignalToken %s used after Post: the scheduler recycles arena tokens on delivery", e.obj.Name())
 			}
 		case evEscape:
 			if active[e.obj] {
 				pass.Reportf(e.pos,
-					"pooled SignalToken %s %s: pooled tokens must not outlive their post; hand-build &sim.SignalToken{} for retained tokens", e.obj.Name(), e.how)
+					"arena SignalToken %s %s: arena tokens must not outlive their post; hand-build &sim.SignalToken{} for retained tokens", e.obj.Name(), e.how)
 			}
 		}
 	}
 }
 
 // findAcquisitions returns the objects of variables ever assigned the
-// result of sim.AcquireSignalToken within body.
+// result of (*sim.Context).AcquireSignal within body.
 func findAcquisitions(pass *lint.Pass, body *ast.BlockStmt) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -126,21 +123,14 @@ func findAcquisitions(pass *lint.Pass, body *ast.BlockStmt) map[types.Object]boo
 	return out
 }
 
-// isAcquireCall reports whether e is a call that hands out a recycled
-// token: the pooled sim.AcquireSignalToken, or the arena-owned
-// (*sim.Context).AcquireSignal. Both transfer ownership on Post — the
-// scheduler releases arena tokens into the delivering scheduler's free
-// list exactly as it recycles pooled tokens — so the same lifecycle
-// rules apply.
+// isAcquireCall reports whether e is a call to (*sim.Context).AcquireSignal,
+// the one API that hands out recycled tokens.
 func isAcquireCall(pass *lint.Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	fn := lint.Callee(pass.TypesInfo, call)
-	if lint.IsPkgFunc(fn, simPkg, "AcquireSignalToken") {
-		return true
-	}
 	if fn == nil || fn.Name() != "AcquireSignal" {
 		return false
 	}
@@ -156,20 +146,20 @@ func identObj(pass *lint.Pass, id *ast.Ident) types.Object {
 	return pass.TypesInfo.Defs[id]
 }
 
-// collectEvents walks body and records every touch of a pooled variable,
+// collectEvents walks body and records every touch of an arena variable,
 // classifying the context it appears in.
-func collectEvents(pass *lint.Pass, body *ast.BlockStmt, pooled map[types.Object]bool) []event {
+func collectEvents(pass *lint.Pass, body *ast.BlockStmt, owned map[types.Object]bool) []event {
 	var events []event
 	// consumed marks identifiers already claimed by a structured event so
 	// the generic ident walk does not double-report them.
 	consumed := map[*ast.Ident]bool{}
-	pooledIdent := func(e ast.Expr) (*ast.Ident, types.Object) {
+	ownedIdent := func(e ast.Expr) (*ast.Ident, types.Object) {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
 			return nil, nil
 		}
 		obj := identObj(pass, id)
-		if obj == nil || !pooled[obj] {
+		if obj == nil || !owned[obj] {
 			return nil, nil
 		}
 		return id, obj
@@ -192,7 +182,7 @@ func collectEvents(pass *lint.Pass, body *ast.BlockStmt, pooled map[types.Object
 					}
 					continue
 				}
-				id, obj := pooledIdent(rhs)
+				id, obj := ownedIdent(rhs)
 				if id == nil {
 					continue
 				}
@@ -202,9 +192,9 @@ func collectEvents(pass *lint.Pass, body *ast.BlockStmt, pooled map[types.Object
 					events = append(events, event{pos: id.Pos(), kind: evEscape, obj: obj,
 						how: "stored in a field or container element"})
 				case *ast.Ident:
-					// Aliasing: the alias inherits pooled semantics.
+					// Aliasing: the alias inherits arena semantics.
 					if aliasObj := identObj(pass, lhs); aliasObj != nil {
-						pooled[aliasObj] = true
+						owned[aliasObj] = true
 						consumed[id] = true
 						events = append(events, event{pos: id.Pos(), kind: evUse, obj: obj})
 						events = append(events, event{pos: id.Pos() + 1, kind: evAcquire, obj: aliasObj})
@@ -214,7 +204,7 @@ func collectEvents(pass *lint.Pass, body *ast.BlockStmt, pooled map[types.Object
 		case *ast.CallExpr:
 			if isPostCall(pass, n) {
 				for _, arg := range n.Args {
-					if id, obj := pooledIdent(arg); id != nil {
+					if id, obj := ownedIdent(arg); id != nil {
 						consumed[id] = true
 						events = append(events, event{pos: id.Pos(), kind: evPost, obj: obj})
 					}
@@ -222,14 +212,14 @@ func collectEvents(pass *lint.Pass, body *ast.BlockStmt, pooled map[types.Object
 			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
-				if id, obj := pooledIdent(r); id != nil {
+				if id, obj := ownedIdent(r); id != nil {
 					consumed[id] = true
 					events = append(events, event{pos: id.Pos(), kind: evEscape, obj: obj,
 						how: "returned"})
 				}
 			}
 		case *ast.SendStmt:
-			if id, obj := pooledIdent(n.Value); id != nil {
+			if id, obj := ownedIdent(n.Value); id != nil {
 				consumed[id] = true
 				events = append(events, event{pos: id.Pos(), kind: evEscape, obj: obj,
 					how: "sent on a channel"})
@@ -239,7 +229,7 @@ func collectEvents(pass *lint.Pass, body *ast.BlockStmt, pooled map[types.Object
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					elt = kv.Value
 				}
-				if id, obj := pooledIdent(elt); id != nil {
+				if id, obj := ownedIdent(elt); id != nil {
 					consumed[id] = true
 					events = append(events, event{pos: id.Pos(), kind: evEscape, obj: obj,
 						how: "stored in a composite literal"})
@@ -249,7 +239,7 @@ func collectEvents(pass *lint.Pass, body *ast.BlockStmt, pooled map[types.Object
 			if consumed[n] {
 				return true
 			}
-			if obj := identObj(pass, n); obj != nil && pooled[obj] && pass.TypesInfo.Uses[n] != nil {
+			if obj := identObj(pass, n); obj != nil && owned[obj] && pass.TypesInfo.Uses[n] != nil {
 				events = append(events, event{pos: n.Pos(), kind: evUse, obj: obj})
 			}
 		}

@@ -8,6 +8,19 @@ import (
 	"testing"
 )
 
+// fuzzSeedFrames covers every frame kind plus edge shapes, so the fuzzer
+// starts from the real protocol vocabulary.
+func fuzzSeedFrames() []frame {
+	return []frame{
+		{Kind: kindHello, Client: "user", Nonce: []byte{1, 2, 3, 4}, Tag: "aabbcc"},
+		{Kind: kindWelcome, Session: "sess-1"},
+		{Kind: kindRequest, ID: 7, Session: "sess-1", Method: "power.batch", Payload: []byte{0x42, 0x00, 0xff}},
+		{Kind: kindResponse, ID: 7, Payload: []byte("payload-bytes")},
+		{Kind: kindResponse, ID: 9, Err: "unknown method"},
+		{}, // all-zero frame
+	}
+}
+
 // FuzzBinaryCodec asserts the wire-format-v1 framing is the identity
 // for arbitrary field contents: whatever appendFrame emits, the binary
 // reader must reconstruct field for field, including section boundaries
@@ -18,6 +31,9 @@ func FuzzBinaryCodec(f *testing.F) {
 		f.Add(fr.Kind, fr.ID, fr.Session, fr.Method, fr.Payload, fr.Err, fr.Client, fr.Nonce, fr.Tag)
 	}
 	f.Add(uint8(0xff), uint64(1)<<63, "\x00", "\x00\xd5\x01", []byte{0x00, 0xd5}, "e", "c", []byte{}, "t")
+	for _, fr := range parityFrames() {
+		f.Add(fr.Kind, fr.ID, fr.Session, fr.Method, fr.Payload, fr.Err, fr.Client, fr.Nonce, fr.Tag)
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, id uint64, session, method string, payload []byte, errStr, client string, nonce []byte, tag string) {
 		in := frame{Kind: kind, ID: id, Session: session, Method: method,
 			Payload: payload, Err: errStr, Client: client, Nonce: nonce, Tag: tag}
@@ -111,7 +127,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			t.Fatalf("decode/encode/decode not a fixpoint:\n first: %#v\nsecond: %#v", fr, again)
 		}
 		// The payload dispatcher must be equally robust against the raw
-		// input (binary-tagged or gob alike).
+		// input, tagged or not.
 		var env echoReq
 		_ = Decode(data, &env)
 	})

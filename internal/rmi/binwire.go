@@ -2,7 +2,6 @@ package rmi
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -13,7 +12,7 @@ import (
 // header followed by a varint-encoded body.
 //
 //	offset  size  field
-//	0       1     magic0 = 0x00  (a gob stream can never start with 0x00)
+//	0       1     magic0 = 0x00
 //	1       1     magic1 = 0xD5
 //	2       1     version = 1
 //	3       1     kind (hello/welcome/request/response)
@@ -43,71 +42,12 @@ const (
 	maxInternedMethods = 256
 )
 
-// Codec selects the wire framing of a connection. The zero value is the
-// binary codec (wire format v1); CodecGob keeps the legacy reflective
-// gob framing for migration tests and old peers.
-type Codec uint8
-
-// The available codecs.
-const (
-	CodecBinary Codec = iota
-	CodecGob
-)
-
-// String names the codec as accepted by ParseCodec.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	}
-	return fmt.Sprintf("Codec(%d)", uint8(c))
-}
-
-// ParseCodec maps a -codec flag value to a Codec. The empty string
-// selects the default binary codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return 0, fmt.Errorf("rmi: unknown codec %q (want binary or gob)", s)
-}
-
-// frameEncoder writes one frame to the connection; frameDecoder reads
-// one. Exactly one goroutine owns each direction after the mux pumps
-// start, which is what lets the binary implementations keep reusable
-// buffers without locks.
-type frameEncoder interface {
-	writeFrame(f *frame) error
-}
-
-type frameDecoder interface {
-	readFrame(f *frame) error
-}
-
-// gobFrameCodec is the legacy framing: one gob stream per direction.
-type gobFrameCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (g *gobFrameCodec) writeFrame(f *frame) error { return g.enc.Encode(f) }
-
-// readFrame resets f before decoding: frames are reused across reads,
-// and gob omits zero-valued fields on the wire, so a stale field from a
-// previous frame would otherwise survive into this one.
-func (g *gobFrameCodec) readFrame(f *frame) error {
-	*f = frame{}
-	return g.dec.Decode(f)
-}
-
 // binFrameWriter encodes frames into one reusable buffer and writes each
 // frame with a single Write call. Steady-state framing allocates nothing:
-// the buffer grows to the largest frame seen and stays.
+// the buffer grows to the largest frame seen and stays. Exactly one
+// goroutine owns each direction of a connection after the mux pumps
+// start, which is what lets the writer and binFrameReader keep their
+// buffers without locks.
 type binFrameWriter struct {
 	w   io.Writer
 	buf []byte
@@ -115,12 +55,29 @@ type binFrameWriter struct {
 
 //gocad:noalloc
 func (bw *binFrameWriter) writeFrame(f *frame) error {
+	if err := bw.encode(f); err != nil {
+		return err
+	}
+	return bw.flush()
+}
+
+// encode replaces the buffer's contents with the wire form of f; flush
+// writes them. The mux writer splits the two so it can record a request's
+// size before the request reaches the peer.
+//
+//gocad:noalloc
+func (bw *binFrameWriter) encode(f *frame) error {
 	b, err := appendFrame(bw.buf[:0], f)
 	if err != nil {
 		return err
 	}
 	bw.buf = b
-	_, err = bw.w.Write(b)
+	return nil
+}
+
+//gocad:noalloc
+func (bw *binFrameWriter) flush() error {
+	_, err := bw.w.Write(bw.buf)
 	return err
 }
 

@@ -2,7 +2,6 @@ package rmi
 
 import (
 	"crypto/rand"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	mrand "math/rand/v2"
@@ -23,33 +22,27 @@ var errSuperseded = errors.New("rmi: connection superseded")
 // HandshakeError is the server's explicit refusal of a connection
 // handshake: the welcome frame arrived but carried an error instead of
 // a session. Unlike a transport fault, the refusal text is the server
-// speaking deliberately — authentication failure, codec policy, or the
-// gateway's typed admission rejections (which internal/gateway
-// classifies from Msg via Reason). Callers unwrap it with errors.As.
+// speaking deliberately — authentication failure or the gateway's typed
+// admission rejections (which internal/gateway classifies from Msg via
+// Reason). Callers unwrap it with errors.As.
 type HandshakeError struct{ Msg string }
 
 // Error implements error.
 func (e *HandshakeError) Error() string { return e.Msg }
 
-// countingConn wraps a net.Conn and tracks bytes in each direction, so
-// the client can compute per-call transfer sizes for the network
-// emulator. After the pumps start, written is touched only by the writer
-// goroutine and read only by the reader goroutine, so the per-frame
-// deltas need no further synchronization.
+// countingConn wraps a net.Conn and counts the bytes read, so the
+// client can compute per-call response sizes for the network emulator
+// (request sizes come from the encoded frames). After the pumps start,
+// read is touched only by the reader goroutine, so the per-frame deltas
+// need no further synchronization.
 type countingConn struct {
 	net.Conn
-	read, written int64
+	read int64
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.read += int64(n)
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.written += int64(n)
 	return n, err
 }
 
@@ -131,8 +124,7 @@ type Client struct {
 	// uses it to feed per-replica EWMA latency.
 	OnAttempt func(method string, rtt time.Duration, err error)
 
-	key   security.Key // for session re-handshake on reconnect
-	codec Codec        // wire framing, fixed at construction
+	key security.Key // for session re-handshake on reconnect
 
 	nextID atomic.Uint64 // call IDs; monotonic across transport epochs
 
@@ -152,30 +144,15 @@ type Client struct {
 	termOnce sync.Once
 }
 
-// Config carries the construction-time options of a client — the knobs
-// that must be fixed before the handshake runs. Post-handshake knobs
-// stay plain Client fields.
-type Config struct {
-	// Codec selects the wire framing; the zero value is the binary codec
-	// (wire format v1). The server detects the codec per connection, so
-	// no out-of-band agreement is needed.
-	Codec Codec
-}
-
 // Dial connects to a provider server over TCP and authenticates with the
 // shared key. The returned client can redial the same address, so
 // setting Retry is enough to make it resilient.
 func Dial(addr, clientName string, key security.Key) (*Client, error) {
-	return DialWith(addr, clientName, key, Config{})
-}
-
-// DialWith is Dial with construction-time options.
-func DialWith(addr, clientName string, key security.Key, cfg Config) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewClientWith(conn, clientName, key, cfg)
+	c, err := NewClient(conn, clientName, key)
 	if err != nil {
 		return nil, err
 	}
@@ -187,15 +164,9 @@ func DialWith(addr, clientName string, key security.Key, cfg Config) (*Client, e
 // in-process loopback deployments, or any emulated transport) and starts
 // the transport pumps.
 func NewClient(conn net.Conn, clientName string, key security.Key) (*Client, error) {
-	return NewClientWith(conn, clientName, key, Config{})
-}
-
-// NewClientWith is NewClient with construction-time options.
-func NewClientWith(conn net.Conn, clientName string, key security.Key, cfg Config) (*Client, error) {
 	c := &Client{
 		Name:   clientName,
 		key:    key,
-		codec:  cfg.Codec,
 		jitter: mrand.New(mrand.NewPCG(0x90cad, 0x1999)),
 		term:   make(chan struct{}),
 	}
@@ -215,7 +186,10 @@ func NewClientWith(conn net.Conn, clientName string, key security.Key, cfg Confi
 // state is untouched.
 func (c *Client) attach(conn net.Conn) (*mux, error) {
 	cc := &countingConn{Conn: conn}
-	fw, fr := c.newFrameCodec(cc)
+	// The reader may alias payloads into its reusable buffer: the mux
+	// reader decodes each response payload into the caller's reply
+	// synchronously, before reading the next frame.
+	fw, fr := &binFrameWriter{w: cc}, &binFrameReader{r: cc, aliasPayload: true}
 	if c.Timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.Timeout))
 	}
@@ -243,18 +217,6 @@ func (c *Client) attach(conn net.Conn) (*mux, error) {
 		_ = conn.SetDeadline(time.Time{})
 	}
 	return newMux(c, cc, fw, fr, welcome.Session), nil
-}
-
-// newFrameCodec builds the per-connection frame encoder/decoder pair for
-// the client's codec. The binary reader may alias payloads into its
-// reusable buffer: the mux reader decodes each response payload into the
-// caller's reply synchronously, before reading the next frame.
-func (c *Client) newFrameCodec(cc *countingConn) (frameEncoder, frameDecoder) {
-	if c.codec == CodecGob {
-		g := &gobFrameCodec{enc: gob.NewEncoder(cc), dec: gob.NewDecoder(cc)}
-		return g, g
-	}
-	return &binFrameWriter{w: cc}, &binFrameReader{r: cc, aliasPayload: true}
 }
 
 // depth normalizes MaxInFlight to the effective in-flight bound.
@@ -349,7 +311,7 @@ func (c *Client) call(method string, args PortData, reply any, meterBlocked bool
 	if err := checkOutbound(policy, args); err != nil {
 		return err
 	}
-	payload, err := EncodePayload(args, c.codec)
+	payload, err := EncodePayload(args)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func TestHandshakeDeadlineStalledDialer(t *testing.T) {
 }
 
 // TestHandshakeDeadlinePartialHello stalls one byte into the protocol
-// (enough to select a codec, not enough to form a hello frame): the
+// (a frame header's first byte, not enough to form a hello frame): the
 // deadline must still cut the connection loose.
 func TestHandshakeDeadlinePartialHello(t *testing.T) {
 	leakcheck.Check(t)
@@ -73,6 +73,86 @@ func TestHandshakeDeadlinePartialHello(t *testing.T) {
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("server kept a stalled half-handshake open past the deadline")
 	}
+}
+
+// gobHello is the opening of a hello frame as a gob-speaking peer sends
+// it: the gob type descriptor of the frame struct. Its first byte is a
+// gob message length, never wire format v1's 0x00 magic.
+var gobHello = []byte{0x6a, 0x7f, 0x03, 0x01, 0x01, 0x05, 'f', 'r', 'a', 'm', 'e', 0x01, 0xff, 0x80, 0x00, 0x01}
+
+// refusedPromptly writes gobHello on conn and asserts the peer hangs up
+// without a welcome frame well inside timeout: the frame reader's magic
+// check refuses the stream at the first header, not at the deadline.
+func refusedPromptly(t *testing.T, conn net.Conn, timeout time.Duration) {
+	t.Helper()
+	start := time.Now()
+	if _, err := conn.Write(gobHello); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 1)
+	if n, err := conn.Read(buf); err == nil {
+		t.Fatalf("peer answered a gob stream with %d byte(s)", n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("peer kept a gob stream open")
+	}
+	if elapsed := time.Since(start); elapsed >= timeout {
+		t.Fatalf("gob stream refused after %v, want well inside the %v handshake timeout", elapsed, timeout)
+	}
+}
+
+// TestServeRefusesGobStream: a dialer speaking gob framing is dropped
+// by ServeConn on its first header, with no session opened and no
+// goroutine left behind.
+func TestServeRefusesGobStream(t *testing.T) {
+	leakcheck.Check(t)
+	const timeout = 2 * time.Second
+	srv := NewServer("prov")
+	srv.HandshakeTimeout = timeout
+	key, _ := security.NewKey()
+	srv.Authorize("user", key)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	refusedPromptly(t, conn, timeout)
+	if n := len(srv.Sessions()); n != 0 {
+		t.Errorf("%d session(s) opened for a gob stream", n)
+	}
+}
+
+// TestRespondRejectRefusesGobStream: the gateway's fast-reject lane
+// drops a gob dialer the same way, returning before its timeout.
+func TestRespondRejectRefusesGobStream(t *testing.T) {
+	leakcheck.Check(t)
+	const timeout = 2 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		RespondReject(conn, timeout, "queue full")
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	refusedPromptly(t, conn, timeout)
+	<-done
 }
 
 // TestSessionRetiredOnDisconnect: the session table must not grow one

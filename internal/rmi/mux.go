@@ -51,8 +51,8 @@ type pendingCall struct {
 type mux struct {
 	c       *Client
 	conn    *countingConn
-	fw      frameEncoder
-	fr      frameDecoder
+	fw      *binFrameWriter
+	fr      *binFrameReader
 	session string
 
 	mu       sync.Mutex
@@ -74,7 +74,7 @@ type mux struct {
 // newMux wraps a freshly handshaken connection. The pumps are not
 // started: reconnect runs the session replay serially on the bare
 // frame codec first (see Client.reconnectLocked), then calls start.
-func newMux(c *Client, conn *countingConn, fw frameEncoder, fr frameDecoder, session string) *mux {
+func newMux(c *Client, conn *countingConn, fw *binFrameWriter, fr *binFrameReader, session string) *mux {
 	m := &mux{
 		c:       c,
 		conn:    conn,
@@ -189,12 +189,18 @@ func (m *mux) writer() {
 		m.queue = m.queue[1:]
 		m.mu.Unlock()
 
-		w0 := m.conn.written
-		if err := m.fw.writeFrame(&pc.frame); err != nil {
+		if err := m.fw.encode(&pc.frame); err != nil {
 			m.fail(fmt.Errorf("rmi: send %s: %w", pc.method, err))
 			return
 		}
-		pc.sent.Store(m.conn.written - w0)
+		// Recorded before the write: once the request is on the wire
+		// the response can complete the call, and the caller reads sent
+		// as soon as done closes.
+		pc.sent.Store(int64(len(m.fw.buf)))
+		if err := m.fw.flush(); err != nil {
+			m.fail(fmt.Errorf("rmi: send %s: %w", pc.method, err))
+			return
+		}
 	}
 }
 
@@ -205,9 +211,9 @@ func (m *mux) writer() {
 // confused peer): the epoch is poisoned so no caller can be handed
 // another call's data.
 func (m *mux) reader() {
-	// One response frame for the life of the pump: both codecs reset it
-	// on read, and complete() consumes it synchronously before the next
-	// readFrame can overwrite it.
+	// One response frame for the life of the pump: readFrame resets it,
+	// and complete() consumes it synchronously before the next readFrame
+	// can overwrite it.
 	var resp frame
 	for {
 		r0 := m.conn.read
@@ -308,7 +314,7 @@ func (m *mux) fail(err error) error {
 // session replay uses. No emulation, metering, or recording applies:
 // recovery overhead is not part of the workload's traffic accounting.
 func (m *mux) directCall(method string, args PortData, reply any) error {
-	payload, err := EncodePayload(args, m.c.codec)
+	payload, err := EncodePayload(args)
 	if err != nil {
 		return err
 	}

@@ -125,7 +125,7 @@ func TestPipelineCorrelatesOutOfOrderResponses(t *testing.T) {
 // rogueStaleMidPipeline reads three pipelined requests, answers the
 // first correctly, then desynchronizes the stream with a bogus response
 // ID while two calls are still in flight.
-func rogueStaleMidPipeline(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32) {
+func rogueStaleMidPipeline(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32) {
 	var reqs []frame
 	for i := 0; i < 3; i++ {
 		var req frame
@@ -285,45 +285,25 @@ func TestCloseInterruptsBackoff(t *testing.T) {
 
 // TestDepthOneMatchesStopAndWaitBytes pins wire compatibility: the
 // pipelined transport at depth 1 must meter exactly the same call and
-// byte counts as a fresh serial exchange of the same payloads. The
-// assertion is codec-relative — each codec is compared against itself
-// at both depths, never against the other codec's frame sizes — and
-// then the binary framing must come in strictly leaner than gob for
-// the same traffic.
+// byte counts as a fresh serial exchange of the same payloads.
 func TestDepthOneMatchesStopAndWaitBytes(t *testing.T) {
-	wide := make([]signal.Bit, 1024)
-	for i := range wide {
-		wide[i] = signal.Bit(i % 4)
-	}
-	run := func(codec Codec, depth int, bits []signal.Bit) (int64, int64) {
+	run := func(depth int) (int64, int64) {
 		var meter netsim.Meter
-		_, cli := newTestPairCodec(t, codec, nil)
+		_, cli := newTestPair(t, nil)
 		cli.Meter = &meter
 		cli.MaxInFlight = depth
 		for i := 0; i < 5; i++ {
 			var resp echoResp
-			if err := cli.Call("echo", echoReq{Bits: bits, Note: "x"}, &resp); err != nil {
+			if err := cli.Call("echo", echoReq{Bits: []signal.Bit{signal.B1, signal.B0}, Note: "x"}, &resp); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return meter.Calls(), meter.Bytes()
 	}
-	perCodec := map[Codec]int64{}
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		c1, b1 := run(codec, 1, []signal.Bit{signal.B1, signal.B0})
-		cN, bN := run(codec, 8, []signal.Bit{signal.B1, signal.B0})
-		if c1 != cN || b1 != bN {
-			t.Errorf("%v: depth 1 metered calls=%d bytes=%d, depth 8 calls=%d bytes=%d; wire accounting diverged",
-				codec, c1, b1, cN, bN)
-		}
-		_, perCodec[codec] = run(codec, 1, wide)
-	}
-	// At pattern widths that matter (the Table 2 batch payloads), the
-	// packed binary encoding must beat gob's byte-per-bit slices. Tiny
-	// payloads may tip the other way — gob amortizes type descriptors —
-	// so the leanness claim is pinned at width, not at the minimum.
-	if perCodec[CodecBinary] >= perCodec[CodecGob] {
-		t.Errorf("binary framing metered %d bytes, gob %d on 1024-bit patterns; binary must be leaner",
-			perCodec[CodecBinary], perCodec[CodecGob])
+	c1, b1 := run(1)
+	cN, bN := run(8)
+	if c1 != cN || b1 != bN {
+		t.Errorf("depth 1 metered calls=%d bytes=%d, depth 8 calls=%d bytes=%d; wire accounting diverged",
+			c1, b1, cN, bN)
 	}
 }

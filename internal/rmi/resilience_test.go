@@ -1,10 +1,7 @@
 package rmi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"io"
 	mrand "math/rand/v2"
 	"net"
 	"strings"
@@ -162,14 +159,11 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 	}
 }
 
-// rogueBehavior scripts one rogue connection, speaking raw frames in
-// whatever codec the connecting client chose.
-type rogueBehavior func(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32)
+// rogueBehavior scripts one rogue connection, speaking raw frames.
+type rogueBehavior func(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32)
 
 // rogueServer speaks raw frames so tests can script protocol-level
-// misbehavior: ambiguous mid-call failures and stale-response desync. It
-// sniffs the codec per connection exactly like the real server, so the
-// same misbehavior scripts run under both codecs.
+// misbehavior: ambiguous mid-call failures and stale-response desync.
 type rogueServer struct {
 	ln       net.Listener
 	requests atomic.Int32
@@ -197,10 +191,7 @@ func startRogue(t *testing.T, behave ...rogueBehavior) *rogueServer {
 			}
 			go func() {
 				defer conn.Close()
-				fw, fr, err := sniffTestCodec(conn)
-				if err != nil {
-					return
-				}
+				fw, fr := &binFrameWriter{w: conn}, &binFrameReader{r: conn}
 				var hello frame
 				if err := fr.readFrame(&hello); err != nil {
 					return
@@ -215,25 +206,10 @@ func startRogue(t *testing.T, behave ...rogueBehavior) *rogueServer {
 	return r
 }
 
-// sniffTestCodec reproduces the server's per-connection codec detection
-// for hand-rolled test peers.
-func sniffTestCodec(conn net.Conn) (frameEncoder, frameDecoder, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, nil, err
-	}
-	r := io.MultiReader(bytes.NewReader(first[:]), conn)
-	if first[0] == binMagic0 {
-		return &binFrameWriter{w: conn}, &binFrameReader{r: r}, nil
-	}
-	g := &gobFrameCodec{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(r)}
-	return g, g, nil
-}
-
 func (r *rogueServer) addr() string { return r.ln.Addr().String() }
 
 // rogueEcho answers every request correctly.
-func rogueEcho(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32) {
+func rogueEcho(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32) {
 	for {
 		var req frame
 		if err := fr.readFrame(&req); err != nil {
@@ -248,7 +224,7 @@ func rogueEcho(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic
 
 // rogueDropAfterRead reads one request and slams the connection shut —
 // the canonical ambiguous failure (did it execute?).
-func rogueDropAfterRead(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32) {
+func rogueDropAfterRead(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32) {
 	var req frame
 	if fr.readFrame(&req) == nil {
 		requests.Add(1)
@@ -258,7 +234,7 @@ func rogueDropAfterRead(conn net.Conn, fw frameEncoder, fr frameDecoder, request
 
 // rogueStaleID answers the first request with a mismatched response ID —
 // the stream-desynchronization case — then echoes correctly.
-func rogueStaleID(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *atomic.Int32) {
+func rogueStaleID(conn net.Conn, fw *binFrameWriter, fr *binFrameReader, requests *atomic.Int32) {
 	var req frame
 	if fr.readFrame(&req) != nil {
 		return
@@ -271,13 +247,8 @@ func rogueStaleID(conn net.Conn, fw frameEncoder, fr frameDecoder, requests *ato
 }
 
 func rogueClient(t *testing.T, r *rogueServer) *Client {
-	return rogueClientCodec(t, r, CodecBinary)
-}
-
-// rogueClientCodec dials the rogue server under an explicit wire codec.
-func rogueClientCodec(t *testing.T, r *rogueServer, codec Codec) *Client {
 	t.Helper()
-	cli, err := DialWith(r.addr(), "user", testKey(t), Config{Codec: codec})
+	cli, err := Dial(r.addr(), "user", testKey(t))
 	if err != nil {
 		t.Fatal(err)
 	}

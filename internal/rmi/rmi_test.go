@@ -22,9 +22,8 @@ type echoReq struct {
 
 func (r echoReq) PortData() []any { return []any{r.Bits, r.Note} }
 
-// echoReq and echoResp implement the binary payload interfaces so the
-// in-package tests exercise the tagged AppendTo/DecodeFrom dispatch,
-// not just the gob fallback inside binary frames.
+// echoReq and echoResp implement the payload interfaces every envelope
+// crossing the wire needs.
 func (r echoReq) AppendTo(b []byte) []byte {
 	b = wire.AppendBits(b, r.Bits)
 	return wire.AppendString(b, r.Note)
@@ -82,14 +81,8 @@ type leakResp struct {
 func (r leakResp) PortData() []any { return []any{r.Secret} }
 
 // newTestPair starts a server with an echo method and returns a
-// connected, authenticated client speaking the default (binary) codec.
+// connected, authenticated client.
 func newTestPair(t *testing.T, configure func(*Server)) (*Server, *Client) {
-	t.Helper()
-	return newTestPairCodec(t, CodecBinary, configure)
-}
-
-// newTestPairCodec is newTestPair under an explicit wire codec.
-func newTestPairCodec(t *testing.T, codec Codec, configure func(*Server)) (*Server, *Client) {
 	t.Helper()
 	srv := NewServer("prov")
 	key, err := security.NewKey()
@@ -121,7 +114,7 @@ func newTestPairCodec(t *testing.T, codec Codec, configure func(*Server)) (*Serv
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	cli, err := DialWith(addr, "user", key, Config{Codec: codec})
+	cli, err := Dial(addr, "user", key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +334,7 @@ func TestClosedClientRejectsCalls(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := echoReq{Bits: []signal.Bit{signal.B0, signal.B1, signal.BZ}, Note: "n"}
-	b, err := Encode(in)
+	b, err := EncodePayload(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,6 +344,27 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if out.Note != in.Note || len(out.Bits) != 3 || out.Bits[2] != signal.BZ {
 		t.Errorf("round trip = %+v", out)
+	}
+}
+
+// TestDecodeRejectsUntaggedPayload: a payload that does not open with
+// the binary tag — empty, or a legacy gob stream — is an error, never a
+// panic or a silent fallback.
+func TestDecodeRejectsUntaggedPayload(t *testing.T) {
+	for _, raw := range [][]byte{nil, {}, {0x0c, 0xff, 0x81}, {0xff, 0x00}} {
+		var out echoReq
+		if err := Decode(raw, &out); err == nil {
+			t.Errorf("Decode(% x) succeeded", raw)
+		}
+	}
+}
+
+// TestEncodePayloadRequiresAppendTo: an envelope that declares its port
+// data but has no AppendTo encoding cannot be serialized.
+func TestEncodePayloadRequiresAppendTo(t *testing.T) {
+	var pd PortData = echoReqWithSecret{Bits: []signal.Bit{signal.B1}}
+	if raw, err := EncodePayload(pd); err == nil {
+		t.Fatalf("EncodePayload(%T) = % x, want an error", pd, raw)
 	}
 }
 

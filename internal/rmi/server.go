@@ -1,9 +1,7 @@
 package rmi
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -16,40 +14,15 @@ import (
 	"repro/internal/security"
 )
 
-// CodecPolicy restricts which wire codecs a server accepts. The zero
-// value sniffs the codec per connection (wire-format-v1 frames open with
-// a magic byte no gob stream can produce) and accepts both.
-type CodecPolicy int
-
-// The accepted-codec policies.
-const (
-	CodecAuto CodecPolicy = iota
-	CodecBinaryOnly
-	CodecGobOnly
-)
-
-// ParseCodecPolicy maps a server -codec flag value to a policy.
-func ParseCodecPolicy(s string) (CodecPolicy, error) {
-	switch s {
-	case "", "auto":
-		return CodecAuto, nil
-	case "binary":
-		return CodecBinaryOnly, nil
-	case "gob":
-		return CodecGobOnly, nil
-	}
-	return 0, fmt.Errorf("rmi: unknown codec policy %q (want auto, binary or gob)", s)
-}
-
 // Handler serves one remote method: it decodes its arguments from the
 // payload and returns a response envelope (which must implement PortData
 // so the provider-side marshalling policy can vet it).
 type Handler func(sess *Session, payload []byte) (any, error)
 
 // DefaultHandshakeTimeout bounds the pre-session phase of a connection
-// — first byte, hello frame, welcome write — when no explicit
-// HandshakeTimeout is configured. A client that connects and never
-// speaks must not park a server goroutine forever.
+// — hello frame, welcome write — when no explicit HandshakeTimeout is
+// configured. A client that connects and never speaks must not park a
+// server goroutine forever.
 const DefaultHandshakeTimeout = 15 * time.Second
 
 // DefaultLogBurst is how many diagnostic lines per second logf emits
@@ -64,9 +37,9 @@ const DefaultLogBurst = 50
 // Lifecycle guarantees: when Admit returns nil, the session opens and
 // SessionOpen fires exactly once; SessionClose then fires exactly once
 // when the connection ends, on every exit path (clean EOF, read/write
-// error, idle or write timeout, codec refusal, drain). An Admit error
-// rejects the handshake: its text travels to the client in the welcome
-// frame and no session hooks fire.
+// error, idle or write timeout, drain). An Admit error rejects the
+// handshake: its text travels to the client in the welcome frame and no
+// session hooks fire.
 type ServerHooks struct {
 	// Admit vets an authenticated hello before its session opens. It
 	// runs after HMAC verification, so client is a trusted identity.
@@ -142,8 +115,8 @@ type Server struct {
 	// clients cannot pin goroutines forever. Clients reconnect
 	// transparently when resilient.
 	IdleTimeout time.Duration
-	// HandshakeTimeout bounds the pre-session phase (codec byte, hello
-	// frame, welcome write). Zero selects DefaultHandshakeTimeout — the
+	// HandshakeTimeout bounds the pre-session phase (hello frame,
+	// welcome write). Zero selects DefaultHandshakeTimeout — the
 	// hang a never-speaking dialer used to cause is closed by default;
 	// negative disables the deadline (trusted in-process transports).
 	HandshakeTimeout time.Duration
@@ -169,11 +142,6 @@ type Server struct {
 	// Methods registered through HandleOrdered always execute in arrival
 	// order relative to one another, regardless of this setting.
 	SessionWorkers int
-	// Codecs restricts the wire codecs this server accepts; the zero
-	// value auto-detects per connection. A connection speaking a refused
-	// codec is answered with an error welcome in its own codec and
-	// dropped.
-	Codecs CodecPolicy
 
 	mu       sync.Mutex
 	methods  map[string]Handler
@@ -441,36 +409,16 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 	defer s.unregister(conn)
 
-	// The whole pre-session phase — codec byte, hello frame, welcome
-	// write — runs under the handshake deadline, so a dialer that never
-	// speaks (or never reads the welcome) cannot park this goroutine.
+	// The whole pre-session phase — hello frame, welcome write — runs
+	// under the handshake deadline, so a dialer that never speaks (or
+	// never reads the welcome) cannot park this goroutine.
 	if d := s.handshakeTimeout(); d > 0 {
 		_ = conn.SetDeadline(time.Now().Add(d))
 	}
-
-	// Codec detection: the first byte of a wire-format-v1 frame is the
-	// 0x00 magic, which no gob stream can open with (gob's leading byte
-	// is a message length in 1..127 or a negated byte count near 0xFF).
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return
-	}
-	codec := CodecGob
-	if first[0] == binMagic0 {
-		codec = CodecBinary
-	}
-	r := io.MultiReader(bytes.NewReader(first[:]), conn)
-	var fw frameEncoder
-	var fr frameDecoder
-	if codec == CodecBinary {
-		fw = &binFrameWriter{w: conn}
-		// Payloads may alias the reader buffer only on the serial loop,
-		// where dispatch completes before the next frame is read.
-		fr = &binFrameReader{r: r, aliasPayload: s.SessionWorkers <= 1}
-	} else {
-		g := &gobFrameCodec{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(r)}
-		fw, fr = g, g
-	}
+	fw := &binFrameWriter{w: conn}
+	// Payloads may alias the reader buffer only on the serial loop,
+	// where dispatch completes before the next frame is read.
+	fr := &binFrameReader{r: conn, aliasPayload: s.SessionWorkers <= 1}
 
 	// Handshake.
 	var hello frame
@@ -478,9 +426,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 		return
 	}
 	sess, err := s.handshake(&hello, conn.RemoteAddr())
-	if err == nil && !s.codecAccepted(codec) {
-		err = fmt.Errorf("rmi: server does not accept the %s codec", codec)
-	}
 	welcome := frame{Kind: kindWelcome}
 	if err != nil {
 		if sess != nil {
@@ -501,7 +446,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	_ = conn.SetDeadline(time.Time{})
 
 	if s.SessionWorkers > 1 {
-		s.serveConcurrent(conn, st, fr, fw, sess, codec)
+		s.serveConcurrent(conn, st, fr, fw, sess)
 		return
 	}
 	req := getFrame()
@@ -517,7 +462,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return
 		}
 		st.inflight.Add(1)
-		resp := s.dispatch(sess, req, codec)
+		resp := s.dispatch(sess, req)
 		if s.WriteTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
@@ -542,17 +487,6 @@ func (s *Server) handshakeTimeout() time.Duration {
 	}
 }
 
-// codecAccepted applies the server's codec policy.
-func (s *Server) codecAccepted(c Codec) bool {
-	switch s.Codecs {
-	case CodecBinaryOnly:
-		return c == CodecBinary
-	case CodecGobOnly:
-		return c == CodecGob
-	}
-	return true
-}
-
 // serveConcurrent runs the post-handshake request loop with per-session
 // concurrent dispatch: this goroutine decodes requests and routes them,
 // a bounded worker pool executes unordered handlers in parallel, a
@@ -560,7 +494,7 @@ func (s *Server) codecAccepted(c Codec) bool {
 // and one response writer serializes all responses back onto the framed
 // stream in completion order (the pipelined client correlates them by
 // frame ID, so response order is free).
-func (s *Server) serveConcurrent(conn net.Conn, st *connState, fr frameDecoder, fw frameEncoder, sess *Session, codec Codec) {
+func (s *Server) serveConcurrent(conn net.Conn, st *connState, fr *binFrameReader, fw *binFrameWriter, sess *Session) {
 	workers := s.SessionWorkers
 	respCh := make(chan *frame, workers+1)
 	workCh := make(chan *frame)
@@ -595,7 +529,7 @@ func (s *Server) serveConcurrent(conn net.Conn, st *connState, fr frameDecoder, 
 		go func() {
 			defer wg.Done()
 			for req := range workCh {
-				resp := s.dispatch(sess, req, codec)
+				resp := s.dispatch(sess, req)
 				putFrame(req)
 				respCh <- resp
 			}
@@ -605,7 +539,7 @@ func (s *Server) serveConcurrent(conn net.Conn, st *connState, fr frameDecoder, 
 	go func() { // ordered lane: arrival-order execution for stateful methods
 		defer wg.Done()
 		for req := range orderCh {
-			resp := s.dispatch(sess, req, codec)
+			resp := s.dispatch(sess, req)
 			putFrame(req)
 			respCh <- resp
 		}
@@ -694,38 +628,25 @@ func (s *Server) closeSession(sess *Session) {
 }
 
 // RespondReject answers an incoming connection's handshake with a
-// rejection in the connection's own codec and closes it, without
-// touching the server's session machinery. It is the gateway's
-// fast-fail path for connections that exceed the bounded accept queue:
-// the dialer gets a loud, typed wire error within the timeout instead
-// of a silent hang or an unexplained reset. The hello is read (and
-// discarded unverified — this path exists precisely because the server
-// is too loaded to do per-connection work) so the rejection arrives
-// where the client's handshake is listening for the welcome frame.
+// rejection and closes it, without touching the server's session
+// machinery. It is the gateway's fast-fail path for connections that
+// exceed the bounded accept queue: the dialer gets a loud, typed wire
+// error within the timeout instead of a silent hang or an unexplained
+// reset. The hello is read (and discarded unverified — this path exists
+// precisely because the server is too loaded to do per-connection work)
+// so the rejection arrives where the client's handshake is listening
+// for the welcome frame.
 func RespondReject(conn net.Conn, timeout time.Duration, msg string) {
 	defer conn.Close()
 	if timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 	}
-	var first [1]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return
-	}
-	r := io.MultiReader(bytes.NewReader(first[:]), conn)
-	var fw frameEncoder
-	var fr frameDecoder
-	if first[0] == binMagic0 {
-		fw = &binFrameWriter{w: conn}
-		fr = &binFrameReader{r: r, aliasPayload: true}
-	} else {
-		g := &gobFrameCodec{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(r)}
-		fw, fr = g, g
-	}
+	fr := &binFrameReader{r: conn, aliasPayload: true}
 	var hello frame
 	if err := fr.readFrame(&hello); err != nil {
 		return
 	}
-	_ = fw.writeFrame(&frame{Kind: kindWelcome, Err: msg})
+	_ = (&binFrameWriter{w: conn}).writeFrame(&frame{Kind: kindWelcome, Err: msg})
 }
 
 // framePool recycles request and response frames (and their payload
@@ -738,9 +659,8 @@ var framePool = sync.Pool{New: func() any { return new(frame) }}
 func getFrame() *frame { return framePool.Get().(*frame) }
 
 // putFrame resets a frame for reuse, keeping the payload buffer's
-// capacity (the binary reader and the payload encoder both append into
-// it). Every non-payload field is zeroed so a pooled frame can go
-// straight into a gob decode, which leaves absent fields untouched.
+// capacity (the frame reader and the payload encoder both append into
+// it).
 func putFrame(f *frame) {
 	pl := f.Payload
 	*f = frame{}
@@ -749,11 +669,9 @@ func putFrame(f *frame) {
 }
 
 // dispatch runs one request through its handler, vetting the response
-// against the provider's marshalling policy. The reply payload is
-// encoded under the connection's codec, so binary peers get the
-// hand-written encodings and gob peers the legacy bytes. The returned
-// frame comes from framePool; the caller releases it after writing.
-func (s *Server) dispatch(sess *Session, req *frame, codec Codec) *frame {
+// against the provider's marshalling policy. The returned frame comes
+// from framePool; the caller releases it after writing.
+func (s *Server) dispatch(sess *Session, req *frame) *frame {
 	resp := getFrame()
 	resp.Kind, resp.ID = kindResponse, req.ID
 	if req.Kind != kindRequest || req.Session != sess.ID {
@@ -768,16 +686,16 @@ func (s *Server) dispatch(sess *Session, req *frame, codec Codec) *frame {
 		return resp
 	}
 	if hooks := s.Hooks; hooks != nil && (hooks.BeforeCall != nil || hooks.AfterCall != nil) {
-		return s.dispatchHooked(hooks, sess, req, codec, h)
+		return s.dispatchHooked(hooks, sess, req, h)
 	}
-	return s.dispatchCall(sess, req, codec, h)
+	return s.dispatchCall(sess, req, h)
 }
 
 // dispatchHooked wraps dispatchCall with the gateway's per-call vetting
 // and metering hooks: BeforeCall may throttle (it blocks) or reject
 // (its error becomes the call's remote error), AfterCall observes every
 // outcome with the dispatch latency.
-func (s *Server) dispatchHooked(hooks *ServerHooks, sess *Session, req *frame, codec Codec, h Handler) *frame {
+func (s *Server) dispatchHooked(hooks *ServerHooks, sess *Session, req *frame, h Handler) *frame {
 	payloadBytes := len(req.Payload)
 	method := req.Method
 	start := time.Now()
@@ -792,7 +710,7 @@ func (s *Server) dispatchHooked(hooks *ServerHooks, sess *Session, req *frame, c
 			return resp
 		}
 	}
-	resp := s.dispatchCall(sess, req, codec, h)
+	resp := s.dispatchCall(sess, req, h)
 	if hooks.AfterCall != nil {
 		hooks.AfterCall(sess, method, payloadBytes, time.Since(start), resp.Err != "")
 	}
@@ -800,7 +718,7 @@ func (s *Server) dispatchHooked(hooks *ServerHooks, sess *Session, req *frame, c
 }
 
 // dispatchCall runs the handler and vets/encodes its response.
-func (s *Server) dispatchCall(sess *Session, req *frame, codec Codec, h Handler) *frame {
+func (s *Server) dispatchCall(sess *Session, req *frame, h Handler) *frame {
 	resp := getFrame()
 	resp.Kind, resp.ID = kindResponse, req.ID
 	reply, err := func() (reply any, err error) {
@@ -828,7 +746,7 @@ func (s *Server) dispatchCall(sess *Session, req *frame, codec Codec, h Handler)
 		resp.Err = err.Error()
 		return resp
 	}
-	payload, err := appendPayload(resp.Payload[:0], reply, codec)
+	payload, err := appendPayload(resp.Payload[:0], reply)
 	if err != nil {
 		resp.Err = err.Error()
 		resp.Payload = resp.Payload[:0]

@@ -7,22 +7,15 @@
 // secure channel between IP user and IP provider, and per-call overhead
 // that pattern buffering must amortize.
 //
-// Two wire codecs are supported (DESIGN.md §12). The default binary
-// codec frames every message in hand-rolled wire format v1 — fixed
-// little-endian header, varint fields, length-prefixed sections, pooled
-// buffers — so steady-state framing allocates nothing; payload types
-// that implement BinaryAppender/BinaryDecoder bypass reflection
-// entirely. CodecGob keeps the original reflective gob framing: the
-// server auto-detects the codec per connection, so old peers keep
-// working and migration tests can prove the two codecs semantically
-// equivalent byte for byte.
+// Every message is framed in hand-rolled wire format v1 (DESIGN.md §12)
+// — fixed little-endian header, varint fields, length-prefixed
+// sections, pooled buffers — so steady-state framing allocates nothing.
+// Payloads are the envelopes' own AppendTo/DecodeFrom encodings behind a
+// one-byte tag; no reflection touches the wire.
 package rmi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"repro/internal/security"
 )
@@ -48,44 +41,12 @@ type frame struct {
 	Tag     string
 }
 
-// encBufPool recycles the gob scratch buffers of Encode. Batch payloads
-// run to tens of kilobytes; without pooling every Encode re-grows a
-// fresh bytes.Buffer through the doubling ladder. With the pool the
-// scratch storage is amortized to zero allocations: steady-state encodes
-// pay only the returned copy (sized exactly) and the per-stream gob
-// encoder state, independent of payload size.
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// decReaderPool recycles the bytes.Reader wrappers of Decode.
-var decReaderPool = sync.Pool{New: func() any { return new(bytes.Reader) }}
-
-// Encode gob-serializes a payload value for transport.
-func Encode(v any) ([]byte, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		encBufPool.Put(buf)
-		return nil, fmt.Errorf("rmi: encode %T: %w", v, err)
-	}
-	out := append([]byte(nil), buf.Bytes()...)
-	encBufPool.Put(buf)
-	return out, nil
-}
-
-// binPayloadTag marks a payload encoded with the type's own
-// AppendTo/DecodeFrom methods instead of gob. The tag byte is 0x00,
-// which can never begin a gob stream (gob's leading byte is a message
-// length in 1..127 or a negated byte count near 0xFF), so payloads stay
-// self-describing: Decode dispatches on the first byte, and mixed
-// streams — binary framing with gob payloads for cold setup types —
-// decode correctly.
+// binPayloadTag opens every payload: the envelope's AppendTo encoding
+// follows it. Decode rejects a payload that does not start with it.
 const binPayloadTag = 0x00
 
-// BinaryAppender is implemented by payload envelopes with a hand-written
-// binary encoding: AppendTo appends the type's wire form to b and
-// returns the extended slice. Hot batch types (pattern batches,
-// power/timing samples, detection-table rows) implement it so the
-// reflective gob path disappears from the steady state.
+// BinaryAppender is implemented by every payload envelope: AppendTo
+// appends the type's wire form to b and returns the extended slice.
 type BinaryAppender interface {
 	AppendTo(b []byte) []byte
 }
@@ -98,48 +59,35 @@ type BinaryDecoder interface {
 	DecodeFrom(b []byte) error
 }
 
-// EncodePayload serializes a payload envelope for transport under the
-// given codec: types implementing BinaryAppender get their hand-written
-// encoding (tagged self-describing) under the binary codec; everything
-// else — and everything on a gob connection, preserving the legacy
-// byte-exact wire — goes through gob.
-func EncodePayload(v any, codec Codec) ([]byte, error) {
-	return appendPayload(nil, v, codec)
+// EncodePayload serializes a payload envelope for transport: the tag
+// byte, then the envelope's AppendTo encoding. A type without AppendTo
+// cannot cross the wire.
+func EncodePayload(v any) ([]byte, error) {
+	return appendPayload(nil, v)
 }
 
-// appendPayload is EncodePayload into a caller-provided buffer: the
-// binary fast path appends in place (the server's pooled response
-// frames recycle their payload buffers through here), while the gob
-// path always returns a fresh buffer — gob owns its encoder buffering.
-func appendPayload(dst []byte, v any, codec Codec) ([]byte, error) {
-	if codec == CodecBinary {
-		if ap, ok := v.(BinaryAppender); ok {
-			return ap.AppendTo(append(dst, binPayloadTag)), nil
-		}
+// appendPayload is EncodePayload into a caller-provided buffer; the
+// server's pooled response frames recycle their payload buffers through
+// here.
+func appendPayload(dst []byte, v any) ([]byte, error) {
+	ap, ok := v.(BinaryAppender)
+	if !ok {
+		return nil, fmt.Errorf("rmi: payload %T does not implement AppendTo", v)
 	}
-	return Encode(v)
+	return ap.AppendTo(append(dst, binPayloadTag)), nil
 }
 
-// Decode deserializes a payload into v (a pointer), dispatching on the
-// self-describing first byte: binary-tagged payloads decode through the
-// type's DecodeFrom, everything else through gob.
+// Decode deserializes a tagged payload into v, a pointer implementing
+// BinaryDecoder.
 func Decode(b []byte, v any) error {
-	if len(b) > 0 && b[0] == binPayloadTag {
-		bd, ok := v.(BinaryDecoder)
-		if !ok {
-			return fmt.Errorf("rmi: binary-tagged payload for %T, which does not implement DecodeFrom", v)
-		}
-		if err := bd.DecodeFrom(b[1:]); err != nil {
-			return fmt.Errorf("rmi: decode into %T: %w", v, err)
-		}
-		return nil
+	if len(b) == 0 || b[0] != binPayloadTag {
+		return fmt.Errorf("rmi: payload for %T lacks the binary tag", v)
 	}
-	r := decReaderPool.Get().(*bytes.Reader)
-	r.Reset(b)
-	err := gob.NewDecoder(r).Decode(v)
-	r.Reset(nil) // drop the payload reference before pooling
-	decReaderPool.Put(r)
-	if err != nil {
+	bd, ok := v.(BinaryDecoder)
+	if !ok {
+		return fmt.Errorf("rmi: payload for %T, which does not implement DecodeFrom", v)
+	}
+	if err := bd.DecodeFrom(b[1:]); err != nil {
 		return fmt.Errorf("rmi: decode into %T: %w", v, err)
 	}
 	return nil

@@ -15,9 +15,9 @@
 //     functional model deliberately does not expose, whereas virtual
 //     simulation serves them from the provider's server.
 //
-// Mechanically: the netlist snapshot (gate's binary codec) is encrypted
-// with AES-256-GCM; Open authenticates and decrypts it into an evaluator
-// whose API is evaluation-only.
+// Mechanically: the netlist snapshot (gate.Netlist.MarshalBinary) is
+// encrypted with AES-256-GCM; Open authenticates and decrypts it into an
+// evaluator whose API is evaluation-only.
 package sealed
 
 import (

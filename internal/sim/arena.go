@@ -2,9 +2,9 @@ package sim
 
 // tokenArena is a per-scheduler slab allocator for SignalTokens: tokens
 // are carved from contiguous slabs and recycled through a free list, so
-// a scheduler's steady-state token traffic touches no global state (the
-// process-wide sync.Pool of AcquireSignalToken) and allocates nothing
-// once the slabs have grown to the design's live-token high-water mark.
+// a scheduler's steady-state token traffic touches no global state and
+// allocates nothing once the slabs have grown to the design's
+// live-token high-water mark.
 //
 // An arena is confined to its scheduler exactly as the scheduler is
 // confined to one goroutine, so neither acquire nor release locks.

@@ -6,9 +6,23 @@ import (
 	"repro/internal/signal"
 )
 
-// TestArenaSignalTokenDelivery mirrors the pooled-token contract for
-// arena tokens: acquired fields deliver intact, and free-list recycling
-// across many events never cross-contaminates deliveries.
+// recordingHandler copies the fields of every SignalToken it receives —
+// the contract for handlers of arena tokens (never retain the token).
+type recordingHandler struct {
+	ports  []int
+	values []signal.Value
+}
+
+func (*recordingHandler) HandlerName() string { return "rec" }
+func (h *recordingHandler) HandleToken(_ *Context, tok Token) {
+	st := tok.(*SignalToken)
+	h.ports = append(h.ports, st.Port)
+	h.values = append(h.values, st.Value)
+}
+
+// TestArenaSignalTokenDelivery: arena tokens deliver exactly the fields
+// they were acquired with, and free-list recycling across many events
+// never cross-contaminates deliveries.
 func TestArenaSignalTokenDelivery(t *testing.T) {
 	h := &recordingHandler{}
 	s := NewScheduler()
@@ -108,6 +122,22 @@ func TestArenaCrossSchedulerRelease(t *testing.T) {
 	}
 }
 
+// TestHandBuiltSignalTokenSurvivesDelivery: tokens built with a plain
+// composite literal are not recycled — callers that retain them (tests,
+// traces) must find the fields intact after the run.
+func TestHandBuiltSignalTokenSurvivesDelivery(t *testing.T) {
+	h := &recordingHandler{}
+	s := NewScheduler()
+	tok := &SignalToken{T: 5, Dst: h, Port: 3, Value: signal.BitValue{B: signal.B1}, Src: "keep"}
+	s.Post(tok)
+	if err := s.Run(nil, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if tok.T != 5 || tok.Port != 3 || tok.Src != "keep" || tok.Dst != Handler(h) {
+		t.Errorf("hand-built token mutated after delivery: %+v", tok)
+	}
+}
+
 // TestHandBuiltTokenNotArenaReleased: plain &SignalToken{} values must
 // survive delivery untouched even on a scheduler with an active arena.
 func TestHandBuiltTokenNotArenaReleased(t *testing.T) {
@@ -168,8 +198,7 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkArenaTokenDelivery measures the steady-state delivery cycle
-// under the slab arena; the companion pooled benchmark covers the legacy
-// global pool. Run with -benchmem: the arena row must report 0 allocs/op.
+// under the slab arena. Run with -benchmem: it must report 0 allocs/op.
 func BenchmarkArenaTokenDelivery(b *testing.B) {
 	s := NewScheduler()
 	s.ReserveTokens(16)
@@ -185,28 +214,6 @@ func BenchmarkArenaTokenDelivery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.left = 8
 		ctx.Post(ctx.AcquireSignal(s.Now()+1, h, 0, signal.BitValue{}, "seed"))
-		if err := s.Run(ctx, RunOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPooledTokenDelivery is the legacy global-pool baseline for
-// the arena benchmark above.
-func BenchmarkPooledTokenDelivery(b *testing.B) {
-	s := NewScheduler()
-	ctx := s.NewContext()
-	h := &recordingHandler{}
-	s.Post(AcquireSignalToken(1, h, 0, signal.BitValue{}, "seed"))
-	if err := s.Run(ctx, RunOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ports = h.ports[:0]
-		h.values = h.values[:0]
-		s.Post(AcquireSignalToken(s.Now()+1, h, 0, signal.BitValue{}, "seed"))
 		if err := s.Run(ctx, RunOptions{}); err != nil {
 			b.Fatal(err)
 		}

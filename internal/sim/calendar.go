@@ -171,8 +171,6 @@ func (s *Scheduler) enqueue(tok Token, seq uint64) {
 		// after delivery — the lanes carry the payload from here on.
 		if st.arenaOwned {
 			s.arena.release(st)
-		} else if st.pooled {
-			st.recycle()
 		}
 	} else {
 		s.spill.push(scheduledToken{tok: tok, seq: seq})
@@ -285,7 +283,7 @@ func (s *Scheduler) sigMinTime() (Time, bool) {
 
 // popBucket consumes the bucket's head entry, materializing it into the
 // scheduler's scratch SignalToken (the delivery loop owns it only until
-// the handler returns, exactly the pooled-token contract). The consumed
+// the handler returns, exactly the arena-token contract). The consumed
 // lane entries are zeroed so they pin neither values nor source
 // strings.
 //
@@ -293,9 +291,9 @@ func (s *Scheduler) sigMinTime() (Time, bool) {
 func (s *Scheduler) popBucket(b *sigBucket) (*SignalToken, uint64) {
 	i := b.head
 	seq := b.seqs[i]
-	// Field-wise fill: popScratch's pooled/arenaOwned flags are false by
-	// construction and nothing flips them, so the two bools (and their
-	// padding) need no re-zeroing per pop.
+	// Field-wise fill: popScratch's arenaOwned flag is false by
+	// construction and nothing flips it, so the bool (and its padding)
+	// needs no re-zeroing per pop.
 	s.popScratch.T = b.time
 	s.popScratch.Dst = s.interned[b.dsts[i]]
 	s.popScratch.Port = b.ports[i]

@@ -145,8 +145,8 @@ type Scheduler struct {
 
 	// popScratch is the delivery carrier for calendar-stored signal
 	// tokens: popBucket materializes lane entries into it, deliver hands
-	// it to the handler, and the next pop overwrites it. It is neither
-	// pooled nor arena-owned, so deliver's release path leaves it alone.
+	// it to the handler, and the next pop overwrites it. It is not
+	// arena-owned, so deliver's release path leaves it alone.
 	popScratch SignalToken
 
 	// overrides replaces the event handling of specific handlers for this
@@ -302,8 +302,8 @@ func (s *Scheduler) PopDue(t Time) (Token, uint64, bool) {
 }
 
 // Deliver dispatches one token exactly as the run loop would: overrides
-// and tracing are honoured, the delivered counter advances, and pooled
-// signal tokens are recycled. ctx must belong to this scheduler (nil
+// and tracing are honoured, the delivered counter advances, and arena
+// signal tokens are released. ctx must belong to this scheduler (nil
 // uses a fresh context).
 func (s *Scheduler) Deliver(ctx *Context, tok Token) {
 	if ctx == nil {
@@ -355,12 +355,12 @@ func (c *Context) Post(tok Token) { c.sched.Post(tok) }
 // PostSignal is a convenience wrapper building and posting a SignalToken.
 func (c *Context) PostSignal(t *SignalToken) { c.sched.Post(t) }
 
-// AcquireSignal returns a SignalToken from the scheduler's slab arena —
-// the zero-allocation steady-state replacement for AcquireSignalToken.
-// The same two rules bind its users: the receiving handler must not
-// retain the token past HandleToken (the delivering scheduler releases
-// it back to its arena), and the poster must not re-post a token it has
-// already posted.
+// AcquireSignal returns a SignalToken from the scheduler's slab arena,
+// allocation-free in the steady state. Two rules bind its users: the
+// receiving handler must not retain the token past HandleToken (the
+// delivering scheduler releases it back to its arena), and the poster
+// must not re-post a token it has already posted. Hand-built
+// &SignalToken{} values remain valid and are never recycled.
 //
 //gocad:noalloc
 func (c *Context) AcquireSignal(t Time, dst Handler, port int, v signal.Value, src string) *SignalToken {
@@ -396,8 +396,6 @@ func (s *Scheduler) deliver(ctx *Context, tok Token) {
 			// that migrated across a shard boundary, ownership moves with
 			// them, keeping every arena single-writer.
 			s.arena.release(st)
-		} else if st.pooled {
-			st.recycle()
 		}
 	}
 }
@@ -405,7 +403,7 @@ func (s *Scheduler) deliver(ctx *Context, tok Token) {
 // deliverScratch is deliver specialized for the calendar's materialized
 // carrier: popBucket has just filled s.popScratch, so the destination
 // is already in hand (no Target call) and no release applies (the
-// scratch token is neither pooled nor arena-owned).
+// scratch token is not arena-owned).
 //
 //gocad:noalloc
 func (s *Scheduler) deliverScratch(ctx *Context) {

@@ -15,7 +15,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/signal"
 )
@@ -63,42 +62,10 @@ type SignalToken struct {
 	Value signal.Value // the new signal value
 	Src   string       // producing module, for traces
 
-	// pooled marks tokens drawn from the shared pool (AcquireSignalToken);
-	// the scheduler returns them after delivery.
-	pooled bool
 	// arenaOwned marks tokens drawn from a scheduler's slab arena
 	// (Context.AcquireSignal); the delivering scheduler releases them to
 	// its own arena after delivery.
 	arenaOwned bool
-}
-
-// signalTokenPool recycles SignalTokens across simulation runs. Signal
-// tokens dominate the kernel's allocation profile — every port drive in
-// every concurrent scheduler creates one — and their lifetime is strictly
-// bounded by delivery, so pooling them removes the dominant per-event
-// allocation.
-var signalTokenPool = sync.Pool{New: func() any { return new(SignalToken) }}
-
-// AcquireSignalToken returns a SignalToken drawn from a process-wide pool.
-// The scheduler recycles pooled tokens automatically after delivery, so
-// two rules bind their users: the receiving handler must not retain the
-// token past HandleToken (copy the fields it needs), and the poster must
-// not re-post a token it has already posted. Hand-built &SignalToken{}
-// values remain valid and are never recycled.
-func AcquireSignalToken(t Time, dst Handler, port int, v signal.Value, src string) *SignalToken {
-	tok := signalTokenPool.Get().(*SignalToken)
-	*tok = SignalToken{T: t, Dst: dst, Port: port, Value: v, Src: src, pooled: true}
-	return tok
-}
-
-// recycle returns a pooled token for reuse; hand-built tokens are left
-// alone.
-func (t *SignalToken) recycle() {
-	if !t.pooled {
-		return
-	}
-	*t = SignalToken{}
-	signalTokenPool.Put(t)
 }
 
 // When returns the scheduled time.
