@@ -35,7 +35,7 @@ vet:
 # escape analysis sees benchmark conditions.
 lint:
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) run ./cmd/gocad-lint -timings ./...
-	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/
+	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/
 
 # Non-blocking dependency-vulnerability advisory; skipped silently when
 # govulncheck is not installed (it is not vendored).

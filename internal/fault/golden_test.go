@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -81,17 +83,93 @@ func goldenCorpus(t *testing.T) []byte {
 // `go test ./internal/fault -run TestGoldenProviderAnswers -update` to
 // regenerate it after a deliberate change.
 func TestGoldenProviderAnswers(t *testing.T) {
-	got := goldenCorpus(t)
+	checkGolden(t, goldenTables, goldenCorpus(t))
+}
+
+const goldenVirtual = "testdata/golden/virtual_results.txt"
+
+// orderedPatterns returns the 2ⁿ exhaustive patterns in the order a
+// seeded permutation draws them — the benchmark's fault-2ip ordering.
+func orderedPatterns(n int, seed int64) [][]signal.Bit {
+	all := exhaustivePatterns(n)
+	out := make([][]signal.Bit, len(all))
+	for i, v := range rand.New(rand.NewSource(seed)).Perm(len(all)) {
+		out[i] = all[v]
+	}
+	return out
+}
+
+// virtualCorpus renders the virtual fault simulator's full answer —
+// Result.Total, Detected, the ordered PerPattern lists and the protocol
+// VirtualStats — for Figure 4 over exhaustive patterns and for four
+// seeded two-IP designs under two seeded pattern orders, each at one and
+// two workers.
+func virtualCorpus(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	render := func(label string, build func() (*IPDesign, error), patterns [][]signal.Bit) {
+		for _, workers := range []int{1, 2} {
+			d, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := d.NewVirtual()
+			vs.Workers = workers
+			res, err := vs.Run(patterns)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", label, workers, err)
+			}
+			tag := fmt.Sprintf("%s workers=%d", label, workers)
+			fmt.Fprintf(&buf, "%s total=%d detected=%d stats=%+v\n", tag, res.Total, len(res.Detected), vs.Stats)
+			names := make([]string, 0, len(res.Detected))
+			for n := range res.Detected {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			for _, n := range names {
+				fmt.Fprintf(&buf, "%s detected %s=%d\n", tag, n, res.Detected[n])
+			}
+			for pi, fs := range res.PerPattern {
+				fmt.Fprintf(&buf, "%s pattern %d %s:", tag, pi, signal.Word{Bits: patterns[pi]})
+				for _, f := range fs {
+					buf.WriteString(" " + f)
+				}
+				buf.WriteByte('\n')
+			}
+		}
+	}
+	render("fig4 exhaustive", Figure4Design, exhaustivePatterns(4))
+	for seed := int64(1999); seed <= 2002; seed++ {
+		build := func() (*IPDesign, error) { return RandomTwoIPDesign(120, seed) }
+		for _, order := range []int64{21, 22} {
+			render(fmt.Sprintf("twoip%d order=%d", seed, order), build, orderedPatterns(4, order))
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenVirtualResults pins virtual fault simulation end to end to
+// testdata/golden/virtual_results.txt: the detections, their per-pattern
+// order and the protocol work counters. Regenerate with -update only
+// after a deliberate change to what the protocol computes.
+func TestGoldenVirtualResults(t *testing.T) {
+	checkGolden(t, goldenVirtual, virtualCorpus(t))
+}
+
+// checkGolden compares got against the committed golden file at path,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenTables), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenTables, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenTables)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
@@ -101,8 +179,8 @@ func TestGoldenProviderAnswers(t *testing.T) {
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d differs:\n got  %s\n want %s", goldenTables, i+1, gl[i], wl[i])
+			t.Fatalf("%s line %d differs:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("%s: got %d lines, want %d", goldenTables, len(gl), len(wl))
+	t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
 }

@@ -3,9 +3,12 @@ package fault
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/module"
 	"repro/internal/signal"
+	"repro/internal/sim"
 )
 
 // runWithWorkers builds a fresh instance of the design via build and runs
@@ -87,48 +90,43 @@ func TestVirtualDeterministicWithBogusProvider(t *testing.T) {
 	requireIdenticalResults(t, serial, parallel)
 }
 
-// stateLens returns the per-scheduler state table size of every leaf
-// module that exposes one.
-func stateLens(d *IPDesign) map[string]int {
-	out := make(map[string]int)
-	for _, m := range d.Circuit.Leaves() {
-		if sl, ok := m.(interface {
-			HandlerName() string
-			StateLen() int
-		}); ok {
-			out[sl.HandlerName()] = sl.StateLen()
-		}
-	}
-	return out
-}
-
-// TestVirtualRunReleasesAllState is the state-release regression test: a
-// Run spins up hundreds of single-use schedulers (one per fault-free run
-// and one per injection), and every one of them must release its module
-// state and primary-output history — otherwise the per-scheduler LUTs
-// grow without bound across a long fault-simulation campaign.
+// TestVirtualRunReleasesAllState is the state-release regression test.
+// Module state cannot outlive a Run — it lives in the Run's recycled
+// schedulers — but every simulation records primary-output history in
+// the design under its own SchedulerID. Each of the Run's hundreds of
+// simulations must observe under a fresh ID (recycling renews it) and
+// release that history, or histories grow without bound across a long
+// fault-simulation campaign.
 func TestVirtualRunReleasesAllState(t *testing.T) {
 	d, err := Figure4Design()
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := stateLens(d)
-	for name, n := range baseline {
-		if n != 0 {
-			t.Fatalf("module %s starts with %d state entries", name, n)
-		}
+	var mu sync.Mutex
+	runs := make(map[sim.SchedulerID]bool)
+	d.Outputs[0].OnValue = func(ctx *module.Ctx, _ module.Observation) {
+		mu.Lock()
+		runs[ctx.Sim.SchedulerID()] = true
+		mu.Unlock()
 	}
 	vs := d.NewVirtual()
 	vs.Workers = 4
 	if _, err := vs.Run(exhaustivePatterns(4)); err != nil {
 		t.Fatal(err)
 	}
-	if got := stateLens(d); !reflect.DeepEqual(baseline, got) {
-		t.Errorf("module state not back to baseline after Run:\n  before: %v\n  after:  %v", baseline, got)
+	if want := vs.Stats.FaultFreeRuns + vs.Stats.InjectionRuns; len(runs) != want {
+		t.Errorf("outputs observed %d distinct run IDs, want one per simulation (%d)", len(runs), want)
 	}
+	requireNoHistories(t, d, "after Run")
+}
+
+// requireNoHistories fails if any output of the design still holds a
+// scheduler's observation history.
+func requireNoHistories(t *testing.T, d *IPDesign, when string) {
+	t.Helper()
 	for _, po := range d.Outputs {
 		if n := po.HistoryCount(); n != 0 {
-			t.Errorf("output %s still holds %d scheduler histories after Run", po.ModuleName(), n)
+			t.Errorf("output %s still holds %d scheduler histories %s", po.ModuleName(), n, when)
 		}
 	}
 }
@@ -142,23 +140,36 @@ func (failingService) DetectionTable([]signal.Bit) (*DetectionTable, error) {
 	return nil, errors.New("provider down")
 }
 
-// TestVirtualRunReleasesHistoriesOnError: the fault-free run's history is
-// recorded before the detection-table query fails, so an erroring Run
-// used to leak it permanently. The deferred cleanup must reclaim it.
+// TestVirtualRunReleasesHistoriesOnError: a Run abandoned on an error
+// path must still release the histories of every simulation it ran —
+// whether the provider fails after the fault-free run recorded its
+// outputs, or a simulation itself fails (event limit).
 func TestVirtualRunReleasesHistoriesOnError(t *testing.T) {
-	d, err := Figure4Design()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Hosts[0].Service = failingService{}
-	vs := d.NewVirtual()
-	if _, err := vs.Run(exhaustivePatterns(4)); err == nil {
-		t.Fatal("failing provider not reported")
-	}
-	for _, po := range d.Outputs {
-		if n := po.HistoryCount(); n != 0 {
-			t.Errorf("output %s leaked %d scheduler histories on the error path", po.ModuleName(), n)
-		}
+	for _, tc := range []struct {
+		name string
+		prep func(*IPDesign) *VirtualSimulator
+	}{
+		{"provider", func(d *IPDesign) *VirtualSimulator {
+			d.Hosts[0].Service = failingService{}
+			return d.NewVirtual()
+		}},
+		{"event-limit", func(d *IPDesign) *VirtualSimulator {
+			vs := d.NewVirtual()
+			vs.EventLimit = 3
+			return vs
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := Figure4Design()
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := tc.prep(d)
+			if _, err := vs.Run(exhaustivePatterns(4)); err == nil {
+				t.Fatal("error not reported")
+			}
+			requireNoHistories(t, d, "on the error path")
+		})
 	}
 }
 
@@ -182,4 +193,53 @@ func TestSerialSimulateWorkersEquivalence(t *testing.T) {
 		}
 		requireIdenticalResults(t, serial, parallel)
 	}
+}
+
+// TestConcurrentRunsShareDesign: VirtualSimulators over ONE design,
+// running at the same time, must each reach their serial Result. Each
+// Run owns only the primary-output histories of its own schedulers, so a
+// short Run finishing must not wipe the histories a long one is still
+// reading.
+func TestConcurrentRunsShareDesign(t *testing.T) {
+	d, err := RandomTwoIPDesign(120, 1999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := exhaustivePatterns(4)
+	short := long[:2]
+	serial := func(patterns [][]signal.Bit) *Result {
+		vs := d.NewVirtual()
+		vs.Workers = 1
+		res, err := vs.Run(patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := [2]*Result{serial(long), serial(short)}
+	for iter := 0; iter < 50; iter++ {
+		var got [2]*Result
+		var errs [2]error
+		var wg sync.WaitGroup
+		for k, patterns := range [2][][]signal.Bit{long, short} {
+			wg.Add(1)
+			go func(k int, patterns [][]signal.Bit) {
+				defer wg.Done()
+				vs := d.NewVirtual()
+				vs.Workers = 2
+				got[k], errs[k] = vs.Run(patterns)
+			}(k, patterns)
+		}
+		wg.Wait()
+		for k := range got {
+			if errs[k] != nil {
+				t.Fatalf("iteration %d run %d: %v", iter, k, errs[k])
+			}
+			if !reflect.DeepEqual(want[k].Detected, got[k].Detected) || !reflect.DeepEqual(want[k].PerPattern, got[k].PerPattern) {
+				t.Fatalf("iteration %d run %d diverged from its serial Result:\n  serial: %v\n  got:    %v",
+					iter, k, want[k].PerPattern, got[k].PerPattern)
+			}
+		}
+	}
+	requireNoHistories(t, d, "after the concurrent Runs")
 }

@@ -15,7 +15,7 @@ import (
 // it, including the remote IP proxies in internal/core.
 type HostModule interface {
 	module.Module
-	PortValues(id sim.SchedulerID, dir module.Direction) []signal.Value
+	PortValues(ctx *sim.Context, dir module.Direction) []signal.Value
 	InputPorts() []*module.Port
 	OutputPorts() []*module.Port
 	// Base returns the embedded skeleton — the actual token delivery
@@ -51,13 +51,15 @@ type VirtualStats struct {
 //     inputs is made available to its provider, which returns the
 //     corresponding detection table. For every erroneous output pattern s
 //     containing still-undetected faults, s is injected at the
-//     component's outputs on a FRESH single-use scheduler whose
-//     event-handling for the component is overridden (no reset or
-//     save/restore of the fault-free run is needed — scheduler state
-//     isolation guarantees non-interference), the effects are propagated
-//     through the fault-free remainder of the design, and if any primary
-//     output differs every fault associated with s is detected and
-//     dropped from the fault list.
+//     component's outputs on a scheduler whose event-handling for the
+//     component is overridden, the effects are propagated through the
+//     fault-free remainder of the design, and if any primary output
+//     differs every fault associated with s is detected and dropped from
+//     the fault list. No save/restore of the fault-free run is needed:
+//     every injection runs on its own recycled scheduler, which is
+//     observationally a new one (fresh SchedulerID, empty event store,
+//     module state re-initialized), so scheduler state isolation
+//     guarantees non-interference.
 type VirtualSimulator struct {
 	circuit *module.Circuit
 	inputs  []*module.Connector
@@ -71,10 +73,10 @@ type VirtualSimulator struct {
 	// Workers bounds the concurrency of the per-pattern fan-out: the
 	// detection-table queries to all hosts and the per-row injection runs.
 	// 0 uses one worker per CPU, 1 reproduces the serial legacy path.
-	// Every injection already runs on a fresh single-use scheduler, so
-	// state isolation — not save/restore — guarantees non-interference,
-	// and results are merged in host/row order, making Result bit-identical
-	// across worker counts.
+	// Each worker keeps one scheduler for the whole Run and recycles it
+	// for every simulation it performs, so state isolation — not
+	// save/restore — guarantees non-interference, and results are merged
+	// in host/row order, making Result bit-identical across worker counts.
 	Workers int
 }
 
@@ -131,18 +133,42 @@ func (vs *VirtualSimulator) buildFaultList() ([]globalFault, error) {
 	return out, nil
 }
 
-// controller builds a fresh kernel controller over the design's leaves,
-// seeded with one input pattern at time 1.
-func (vs *VirtualSimulator) controller(pattern []signal.Bit) *sim.Controller {
+// virtualRun is the working set of one Run: the design's leaf handlers,
+// collected once, and one scheduler per pool worker, recycled for every
+// simulation that worker performs.
+type virtualRun struct {
+	*VirtualSimulator
+	handlers []sim.Handler
+	scheds   []*sim.Scheduler
+}
+
+// newRun collects the design's leaves for a Run.
+func (vs *VirtualSimulator) newRun() *virtualRun {
 	leaves := vs.circuit.Leaves()
 	handlers := make([]sim.Handler, len(leaves))
 	for i, m := range leaves {
 		handlers[i] = m
 	}
-	c := sim.NewController(handlers...)
-	c.EventLimit = vs.EventLimit
+	return &virtualRun{VirtualSimulator: vs, handlers: handlers, scheds: make([]*sim.Scheduler, vs.pool().Size())}
+}
+
+// sched returns pool worker w's scheduler. The fault-free run uses
+// worker 0's, between fan-outs, so no two goroutines share one.
+func (r *virtualRun) sched(w int) *sim.Scheduler {
+	if r.scheds[w] == nil {
+		r.scheds[w] = sim.NewScheduler()
+	}
+	return r.scheds[w]
+}
+
+// controller builds a kernel controller over the design's leaves, seeded
+// with one input pattern at time 1. It is read-only while runs start, so
+// the fault-free run and every injection of the pattern share it.
+func (r *virtualRun) controller(pattern []signal.Bit) *sim.Controller {
+	c := sim.NewController(r.handlers...)
+	c.EventLimit = r.EventLimit
 	c.Seed = func(ctx *sim.Context) {
-		for i, conn := range vs.inputs {
+		for i, conn := range r.inputs {
 			dst := conn.InputEnd()
 			if dst == nil {
 				continue
@@ -156,21 +182,23 @@ func (vs *VirtualSimulator) controller(pattern []signal.Bit) *sim.Controller {
 // pool returns the worker pool bounding this simulator's fan-outs.
 func (vs *VirtualSimulator) pool() sim.Pool { return sim.Pool{Workers: vs.Workers} }
 
-// finalOutputs reads the settled value of every primary output for one
-// scheduler's run (nil entries mean the output was never driven), then
-// releases that scheduler's history: each internal run is single-use and
-// its outputs are consumed exactly once, so holding the observations any
-// longer only grows the per-Run memory footprint.
-func (vs *VirtualSimulator) finalOutputs(id sim.SchedulerID) []signal.Value {
+// simulate runs one simulation on sched and returns the settled value of
+// every primary output (nil entries mean the output was never driven).
+// It releases the run's output histories on every path, error included:
+// the run's outputs are consumed exactly once, and the histories of
+// other runs — this Run's other workers, or another Run over the same
+// design — are not this run's to touch.
+func (vs *VirtualSimulator) simulate(ctrl *sim.Controller, sched *sim.Scheduler, configure func(*sim.Scheduler)) ([]signal.Value, error) {
+	st := ctrl.StartOn(sched, nil, configure)
 	out := make([]signal.Value, len(vs.outputs))
 	for i, po := range vs.outputs {
-		h := po.History(id)
+		h := po.History(st.Scheduler)
 		if len(h) > 0 {
 			out[i] = h[len(h)-1].Value
 		}
-		po.ReleaseHistory(id)
+		po.ReleaseHistory(st.Scheduler)
 	}
-	return out
+	return out, st.Err
 }
 
 // outputsDiffer reports whether two primary-output snapshots differ in a
@@ -253,15 +281,13 @@ func (vs *VirtualSimulator) Run(patterns [][]signal.Bit) (*Result, error) {
 		}
 		m[gf.name] = true
 	}
-	// Histories of successful runs are released as their outputs are
-	// consumed; the deferred sweep covers runs abandoned on error paths.
-	defer vs.clearHistories()
+	r := vs.newRun()
 	for pi, pattern := range patterns {
 		if len(pattern) != len(vs.inputs) {
 			return nil, fmt.Errorf("fault: pattern %d has %d bits, design has %d inputs",
 				pi, len(pattern), len(vs.inputs))
 		}
-		if err := vs.runPattern(pi, pattern, alive, res); err != nil {
+		if err := r.runPattern(pi, pattern, alive, res); err != nil {
 			return nil, err
 		}
 		done := true
@@ -304,38 +330,37 @@ type injectionJob struct {
 
 // runPattern performs the fault-free simulation, detection-table
 // exchange, and injection runs for one test pattern. The detection-table
-// queries (one RMI round trip per host) and the injection runs (one fresh
-// scheduler per erroneous row) are independent, so both fan out over the
-// simulator's worker pool; detections are then merged in the serial
-// host/row order.
-func (vs *VirtualSimulator) runPattern(pi int, pattern []signal.Bit, alive map[*Host]map[string]bool, res *Result) error {
+// queries (one RMI round trip per host) and the injection runs (one per
+// erroneous row, each on its worker's recycled scheduler) are
+// independent, so both fan out over the simulator's worker pool;
+// detections are then merged in the serial host/row order.
+func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, alive map[*Host]map[string]bool, res *Result) error {
 	// Fault-free simulation, capturing each host's settled input values.
-	ctrl := vs.controller(pattern)
-	captured := make(map[*Host][]signal.Value, len(vs.hosts))
-	stats := ctrl.Start(nil, func(sched *sim.Scheduler) {
+	ctrl := r.controller(pattern)
+	captured := make(map[*Host][]signal.Value, len(r.hosts))
+	golden, err := r.simulate(ctrl, r.sched(0), func(sched *sim.Scheduler) {
 		sched.AddInstantHook(func(ctx *sim.Context, _ sim.Time) {
-			for _, h := range vs.hosts {
-				captured[h] = h.Module.PortValues(ctx.SchedulerID(), module.In)
+			for _, h := range r.hosts {
+				captured[h] = h.Module.PortValues(ctx, module.In)
 			}
 		})
 	})
-	if stats.Err != nil {
-		return stats.Err
+	if err != nil {
+		return err
 	}
-	vs.Stats.FaultFreeRuns++
-	golden := vs.finalOutputs(stats.Scheduler)
+	r.Stats.FaultFreeRuns++
 
 	// Phase A: fetch the detection tables of every host that still has
 	// live faults, concurrently — each query goes to a different provider.
-	live := make([]*Host, 0, len(vs.hosts))
-	for _, h := range vs.hosts {
+	live := make([]*Host, 0, len(r.hosts))
+	for _, h := range r.hosts {
 		if len(alive[h]) > 0 {
 			live = append(live, h)
 		}
 	}
 	tables := make([]*DetectionTable, len(live))
 	var tableCalls atomic.Int64
-	err := vs.pool().For(len(live), func(i int) error {
+	err = r.pool().For(len(live), func(i int) error {
 		h := live[i]
 		dt, err := h.Service.DetectionTable(hostInputBits(captured[h]))
 		if err != nil {
@@ -345,7 +370,7 @@ func (vs *VirtualSimulator) runPattern(pi int, pattern []signal.Bit, alive map[*
 		tables[i] = dt
 		return nil
 	})
-	vs.Stats.DetectionTableCalls += int(tableCalls.Load())
+	r.Stats.DetectionTableCalls += int(tableCalls.Load())
 	if err != nil {
 		return err
 	}
@@ -369,16 +394,23 @@ func (vs *VirtualSimulator) runPattern(pi int, pattern []signal.Bit, alive map[*
 			}
 		}
 	}
+	// Each injection overrides the host's event handling to force the
+	// row's erroneous output configuration, replays the pattern at the
+	// primary inputs on its worker's scheduler, and compares the primary
+	// outputs against the fault-free run.
 	var injections atomic.Int64
-	err = vs.pool().For(len(jobs), func(i int) error {
-		detected, err := vs.inject(pattern, jobs[i].host, jobs[i].output, golden, &injections)
+	err = r.pool().ForWorker(len(jobs), func(w, i int) error {
+		faulty, err := r.simulate(ctrl, r.sched(w), func(sched *sim.Scheduler) {
+			sched.Override(jobs[i].host.Module.Base(), &forcer{host: jobs[i].host, pattern: jobs[i].output})
+		})
 		if err != nil {
 			return err
 		}
-		jobs[i].detected = detected
+		injections.Add(1)
+		jobs[i].detected = outputsDiffer(golden, faulty)
 		return nil
 	})
-	vs.Stats.InjectionRuns += int(injections.Load())
+	r.Stats.InjectionRuns += int(injections.Load())
 	if err != nil {
 		return err
 	}
@@ -401,30 +433,4 @@ func (vs *VirtualSimulator) runPattern(pi int, pattern []signal.Bit, alive map[*
 		}
 	}
 	return nil
-}
-
-// inject runs the single-injection simulation: the host's event handling
-// is overridden to force the erroneous output configuration, the current
-// test pattern is replayed at the primary inputs, and the design's
-// primary outputs are compared against the fault-free run.
-func (vs *VirtualSimulator) inject(pattern []signal.Bit, h *Host, bad signal.Word, golden []signal.Value, counter *atomic.Int64) (bool, error) {
-	ctrl := vs.controller(pattern)
-	f := &forcer{host: h, pattern: bad}
-	stats := ctrl.Start(nil, func(sched *sim.Scheduler) {
-		sched.Override(h.Module.Base(), f)
-	})
-	if stats.Err != nil {
-		return false, stats.Err
-	}
-	counter.Add(1)
-	faulty := vs.finalOutputs(stats.Scheduler)
-	return outputsDiffer(golden, faulty), nil
-}
-
-// clearHistories drops accumulated primary-output observations so
-// repeated Runs do not grow memory without bound.
-func (vs *VirtualSimulator) clearHistories() {
-	for _, po := range vs.outputs {
-		po.ClearHistory()
-	}
 }

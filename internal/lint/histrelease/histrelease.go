@@ -3,8 +3,9 @@
 // scheduler run's primary-output history (PrimaryOutput.History) owns
 // that history and must release it (ReleaseHistory or ClearHistory) on
 // every path out of the function — otherwise each of the thousands of
-// single-use injection schedulers a fault-simulation run creates leaves
-// its observations behind, and memory grows without bound.
+// injection runs a fault simulation performs, each under its own
+// SchedulerID, leaves its observations behind, and memory grows without
+// bound.
 //
 // The check is lexical within one function: after a History call, a
 // release must appear before any return statement; alternatively a

@@ -61,9 +61,13 @@ type ResetBehavior interface {
 	Reset(ctx *Ctx)
 }
 
-// runState is a module's per-scheduler mutable state: current and
-// previous values on every port, plus behavior-private state.
+// runState is a module's per-run mutable state: current and previous
+// values on every port, plus behavior-private state. It lives in the
+// running scheduler's state slot for the module (sim.Context.Slot) and
+// is reused when that scheduler is recycled; run stamps the run it was
+// last initialized for.
 type runState struct {
+	run     sim.SchedulerID
 	in      []signal.Value
 	prevIn  []signal.Value
 	out     []signal.Value
@@ -90,8 +94,6 @@ type Skeleton struct {
 	name     string
 	behavior Behavior
 	ports    []*Port
-
-	state sim.StateTable
 
 	estMu      sync.RWMutex
 	candidates map[estim.Parameter][]estim.Estimator
@@ -155,37 +157,54 @@ func (sk *Skeleton) Port(name string) *Port {
 // containers (Circuit) override this.
 func (sk *Skeleton) Children() []Module { return nil }
 
-// stateFor returns (creating on demand) the per-scheduler run state.
-func (sk *Skeleton) stateFor(id sim.SchedulerID) *runState {
-	return sk.state.GetOrCreate(id, func() any {
+// stateFor returns the module's run state from ctx's scheduler slot:
+// created on first use, re-initialized when the slot still holds the
+// state of an earlier run of a recycled scheduler. No lock — the slot
+// belongs to the one goroutine running that scheduler.
+func (sk *Skeleton) stateFor(ctx *sim.Context) *runState {
+	slot := ctx.Slot(sk)
+	rs, _ := (*slot).(*runState)
+	if rs == nil {
 		n := len(sk.ports)
-		return &runState{
+		rs = &runState{
 			in:      make([]signal.Value, n),
 			prevIn:  make([]signal.Value, n),
 			out:     make([]signal.Value, n),
 			prevOut: make([]signal.Value, n),
+			run:     ctx.SchedulerID(),
 		}
-	}).(*runState)
+		*slot = rs
+	} else if rs.run != ctx.SchedulerID() {
+		rs.reset(ctx.SchedulerID())
+	}
+	return rs
 }
 
-// ResetState implements sim.Resettable: it discards stale per-scheduler
-// state and runs the behavior's Reset hook.
+// reset returns a reused run state to what a new one holds: no port
+// values and no behavior-private state (which is dropped, never reset
+// in place). The estimation scratch keeps its capacity — it is rebuilt
+// for every estimation round anyway.
+func (rs *runState) reset(run sim.SchedulerID) {
+	rs.run = run
+	clear(rs.in)
+	clear(rs.prevIn)
+	clear(rs.out)
+	clear(rs.prevOut)
+	rs.user = nil
+	rs.dirty = false
+	rs.mctx = Ctx{}
+	rs.pev = PortEvent{}
+}
+
+// ResetState implements sim.Resettable: it re-initializes the module's
+// run state in ctx's scheduler slot and runs the behavior's Reset hook.
 func (sk *Skeleton) ResetState(ctx *sim.Context) {
-	sk.state.Delete(ctx.SchedulerID())
-	sk.stateFor(ctx.SchedulerID())
+	rs := sk.stateFor(ctx)
+	rs.reset(ctx.SchedulerID())
 	if rb, ok := sk.behavior.(ResetBehavior); ok {
-		rb.Reset(&Ctx{Sim: ctx, sk: sk})
+		rb.Reset(&Ctx{Sim: ctx, sk: sk, rs: rs})
 	}
 }
-
-// ReleaseState implements sim.StateHolder.
-func (sk *Skeleton) ReleaseState(id sim.SchedulerID) { sk.state.Delete(id) }
-
-// StateLen returns the number of schedulers currently holding run state in
-// the module's state table — the leak-audit hook: after every simulation
-// of a design completes, each module's StateLen must return to its
-// pre-run baseline.
-func (sk *Skeleton) StateLen() int { return sk.state.Len() }
 
 // HandleToken implements sim.Handler: it dispatches signal tokens to the
 // behavior, estimation tokens to the selected estimators, and self and
@@ -196,13 +215,13 @@ func (sk *Skeleton) HandleToken(ctx *sim.Context, tok sim.Token) {
 		if t.Port < 0 || t.Port >= len(sk.ports) {
 			panic(fmt.Sprintf("module: %s has no port %d", sk.name, t.Port))
 		}
-		rs := sk.stateFor(ctx.SchedulerID())
+		rs := sk.stateFor(ctx)
 		prev := rs.in[t.Port]
 		rs.prevIn[t.Port] = prev
 		rs.in[t.Port] = t.Value
 		rs.dirty = true
 		if sk.behavior != nil {
-			rs.mctx = Ctx{Sim: ctx, sk: sk}
+			rs.mctx = Ctx{Sim: ctx, sk: sk, rs: rs}
 			rs.pev = PortEvent{Port: sk.ports[t.Port], Value: t.Value, Prev: prev}
 			sk.behavior.ProcessInputEvent(&rs.mctx, &rs.pev)
 		}
@@ -216,14 +235,14 @@ func (sk *Skeleton) HandleToken(ctx *sim.Context, tok sim.Token) {
 		}
 	case *sim.SelfToken:
 		if sb, ok := sk.behavior.(SelfBehavior); ok {
-			rs := sk.stateFor(ctx.SchedulerID())
-			rs.mctx = Ctx{Sim: ctx, sk: sk}
+			rs := sk.stateFor(ctx)
+			rs.mctx = Ctx{Sim: ctx, sk: sk, rs: rs}
 			sb.ProcessSelfEvent(&rs.mctx, t)
 		}
 	case *sim.ControlToken:
 		if cb, ok := sk.behavior.(ControlBehavior); ok {
-			rs := sk.stateFor(ctx.SchedulerID())
-			rs.mctx = Ctx{Sim: ctx, sk: sk}
+			rs := sk.stateFor(ctx)
+			rs.mctx = Ctx{Sim: ctx, sk: sk, rs: rs}
 			cb.ProcessControl(&rs.mctx, t)
 		}
 	}
@@ -239,7 +258,7 @@ func (sk *Skeleton) runEstimators(ctx *sim.Context, setup *estim.Setup) {
 	if len(sel) == 0 {
 		return
 	}
-	rs := sk.stateFor(ctx.SchedulerID())
+	rs := sk.stateFor(ctx)
 	if !rs.dirty {
 		return
 	}
@@ -311,12 +330,12 @@ func (sk *Skeleton) SelectedEstimator(s *estim.Setup, p estim.Parameter) (estim.
 }
 
 // PortValues snapshots the current values held by the module's ports of
-// the given direction for one scheduler, in port-index order. Fault
+// the given direction in ctx's run, in port-index order. Fault
 // simulation uses this to capture the signal configuration at an IP
 // component's inputs — the only design information forwarded to the
 // provider.
-func (sk *Skeleton) PortValues(id sim.SchedulerID, dir Direction) []signal.Value {
-	rs := sk.stateFor(id)
+func (sk *Skeleton) PortValues(ctx *sim.Context, dir Direction) []signal.Value {
+	rs := sk.stateFor(ctx)
 	var out []signal.Value
 	for i, p := range sk.ports {
 		if p.Dir == dir || p.Dir == InOut {
@@ -367,6 +386,17 @@ func (sk *Skeleton) EstimationParams() []estim.Parameter {
 type Ctx struct {
 	Sim *sim.Context
 	sk  *Skeleton
+	// rs caches the module's run state for the whole delivery, so port
+	// reads and drives skip the slot lookup; nil resolves on demand.
+	rs *runState
+}
+
+// state returns the module's run state in this context's run.
+func (c *Ctx) state() *runState {
+	if c.rs == nil {
+		c.rs = c.sk.stateFor(c.Sim)
+	}
+	return c.rs
 }
 
 // Now returns the current simulation time.
@@ -392,7 +422,7 @@ func (c *Ctx) Drive(port *Port, value signal.Value, delay sim.Time) {
 			panic(err)
 		}
 	}
-	rs := c.sk.stateFor(c.Sim.SchedulerID())
+	rs := c.state()
 	rs.prevOut[port.Index] = rs.out[port.Index]
 	rs.out[port.Index] = value
 	if port.conn == nil {
@@ -412,14 +442,14 @@ func (c *Ctx) ScheduleSelf(delay sim.Time, tag string, payload any) {
 
 // Input returns the current value on a port (nil if never driven).
 func (c *Ctx) Input(port *Port) signal.Value {
-	return c.sk.stateFor(c.Sim.SchedulerID()).in[port.Index]
+	return c.state().in[port.Index]
 }
 
-// State returns the behavior-private per-scheduler state.
-func (c *Ctx) State() any { return c.sk.stateFor(c.Sim.SchedulerID()).user }
+// State returns the behavior-private per-run state.
+func (c *Ctx) State() any { return c.state().user }
 
-// SetState stores behavior-private per-scheduler state.
-func (c *Ctx) SetState(v any) { c.sk.stateFor(c.Sim.SchedulerID()).user = v }
+// SetState stores behavior-private per-run state.
+func (c *Ctx) SetState(v any) { c.state().user = v }
 
 // InputWordOn reads the port's current value as a word, reporting whether
 // a known word of the port's width is present.

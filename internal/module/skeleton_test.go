@@ -1,9 +1,11 @@
 package module
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/estim"
+	"repro/internal/gate"
 	"repro/internal/signal"
 	"repro/internal/sim"
 )
@@ -64,8 +66,8 @@ func TestPortValuesSnapshots(t *testing.T) {
 	var lastIn, lastOut []signal.Value
 	st := s.StartConfigured(nil, func(sched *sim.Scheduler) {
 		sched.AddInstantHook(func(ctx *sim.Context, _ sim.Time) {
-			lastIn = reg.PortValues(ctx.SchedulerID(), In)
-			lastOut = reg.PortValues(ctx.SchedulerID(), Out)
+			lastIn = reg.PortValues(ctx, In)
+			lastOut = reg.PortValues(ctx, Out)
 		})
 	})
 	if st.Err != nil {
@@ -253,4 +255,42 @@ func TestFuncBitModuleWrongArityPanics(t *testing.T) {
 		}
 	}()
 	s.Start(nil)
+}
+
+// TestRecycledSchedulerResetsUnlistedModules: a module reached by tokens
+// but absent from the controller's handler list never gets ResetState,
+// yet on a recycled scheduler it must still start from fresh state — its
+// run state is re-initialized when the run's SchedulerID changes. Here a
+// stale gate would remember driving 1 and suppress the second run's
+// output.
+func TestRecycledSchedulerResetsUnlistedModules(t *testing.T) {
+	a := NewBitConnector("a")
+	b := NewBitConnector("b")
+	o := NewBitConnector("o")
+	g := NewGateModule("g", gate.And, []*Connector{a, b}, o)
+	po := NewPrimaryOutput("po", 1, o)
+	ctrl := sim.NewController()
+	ctrl.Seed = func(ctx *sim.Context) {
+		one := signal.BitValue{B: signal.B1}
+		ctx.Post(ctx.AcquireSignal(1, g.Skeleton, 0, one, "a"))
+		ctx.Post(ctx.AcquireSignal(1, g.Skeleton, 1, one, "b"))
+	}
+	sched := sim.NewScheduler()
+	var first []Observation
+	for run := 0; run < 2; run++ {
+		st := ctrl.StartOn(sched, nil, nil)
+		if st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		h := po.History(st.Scheduler)
+		po.ReleaseHistory(st.Scheduler)
+		if n := len(h); n == 0 || h[n-1].Value != (signal.BitValue{B: signal.B1}) {
+			t.Fatalf("run %d observed %v, want it to settle at 1", run, h)
+		}
+		if run == 0 {
+			first = h
+		} else if !reflect.DeepEqual(h, first) {
+			t.Fatalf("recycled run observed %v, first run %v", h, first)
+		}
+	}
 }

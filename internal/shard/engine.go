@@ -171,15 +171,6 @@ func Run(c *module.Circuit, opts Options) Stats {
 		for _, s := range e.shards {
 			s.sched.SetPostIntercept(nil)
 		}
-		// Release per-scheduler module state, mirroring the controller;
-		// observation histories survive for the caller to harvest.
-		for _, s := range e.shards {
-			for _, m := range plan.Leaves {
-				if sh, ok := m.(sim.StateHolder); ok {
-					sh.ReleaseState(s.sched.ID())
-				}
-			}
-		}
 	}()
 	e.run()
 	for _, s := range e.shards {

@@ -205,28 +205,31 @@ func TestShardUntilBound(t *testing.T) {
 	}
 }
 
-// TestShardStateReleased: after a sharded run every leaf's per-scheduler
-// state table is back to its pre-run size (the leak audit the controller
-// provides for single runs).
+// TestShardStateReleased: a sharded run leaves nothing behind in the
+// design but its product. Module state lives in the shard schedulers'
+// slots and is dropped with them; what remains is exactly one
+// observation history per output, recorded under the output's owning
+// shard, and releasing it returns every output to its pre-run baseline.
 func TestShardStateReleased(t *testing.T) {
-	circuit, _ := buildStaggered(10)
-	type stateLener interface{ StateLen() int }
-	before := make(map[string]int)
-	for _, m := range circuit.Leaves() {
-		if sl, ok := m.(stateLener); ok {
-			before[m.ModuleName()] = sl.StateLen()
-		}
+	circuit, outs := buildStaggered(10)
+	before := make([]int, len(outs))
+	for i, out := range outs {
+		before[i] = out.HistoryCount()
 	}
 	stats := Run(circuit, Options{Shards: 3})
 	if stats.Err != nil {
 		t.Fatal(stats.Err)
 	}
-	for _, m := range circuit.Leaves() {
-		if sl, ok := m.(stateLener); ok {
-			if got := sl.StateLen(); got != before[m.ModuleName()] {
-				t.Fatalf("%s holds %d scheduler states after run, want %d",
-					m.ModuleName(), got, before[m.ModuleName()])
-			}
+	for i, out := range outs {
+		if got := out.HistoryCount(); got != before[i]+1 {
+			t.Fatalf("%s holds %d histories after the run, want %d", out.ModuleName(), got, before[i]+1)
+		}
+		if len(out.History(stats.OwnerOf(out))) == 0 {
+			t.Fatalf("%s recorded nothing under its owning shard", out.ModuleName())
+		}
+		out.ReleaseHistory(stats.OwnerOf(out))
+		if got := out.HistoryCount(); got != before[i] {
+			t.Fatalf("%s holds %d histories after release, want %d", out.ModuleName(), got, before[i])
 		}
 	}
 }

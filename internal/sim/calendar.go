@@ -114,8 +114,9 @@ func (s *Scheduler) internHandler(h Handler) uint32 {
 	return s.internMiss(h)
 }
 
-// internMiss registers a handler first seen by this scheduler. Outlined
-// so the map/slice growth stays off internHandler's steady-state path.
+// internMiss registers a handler first seen by this scheduler, with an
+// empty state slot. Outlined so the map/slice growth stays off
+// internHandler's steady-state path.
 //
 //go:noinline
 func (s *Scheduler) internMiss(h Handler) uint32 {
@@ -124,6 +125,7 @@ func (s *Scheduler) internMiss(h Handler) uint32 {
 	}
 	idx := uint32(len(s.interned))
 	s.interned = append(s.interned, h)
+	s.slots = append(s.slots, nil)
 	s.internIdx[h] = idx
 	s.internLastH, s.internLastIdx = h, idx
 	return idx
@@ -295,7 +297,11 @@ func (s *Scheduler) popBucket(b *sigBucket) (*SignalToken, uint64) {
 	// construction and nothing flips it, so the bool (and its padding)
 	// needs no re-zeroing per pop.
 	s.popScratch.T = b.time
-	s.popScratch.Dst = s.interned[b.dsts[i]]
+	idx := b.dsts[i]
+	s.popScratch.Dst = s.interned[idx]
+	// Prime the intern cache with the destination: the handler's state
+	// slot lookup (Context.Slot) during this delivery is then a compare.
+	s.internLastH, s.internLastIdx = s.popScratch.Dst, idx
 	s.popScratch.Port = b.ports[i]
 	s.popScratch.Value = b.vals[i]
 	s.popScratch.Src = b.srcs[i]

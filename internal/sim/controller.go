@@ -13,10 +13,11 @@ type Stats struct {
 // handlers (the design's modules). One controller can run a single
 // simulation, or many concurrent simulations of the same design — each on
 // its own scheduler and goroutine, each with its own setup — without any
-// interference, because module state is keyed by scheduler ID.
+// interference, because module state lives in the running scheduler's
+// state slots (Context.Slot).
 type Controller struct {
 	handlers []Handler
-	// Seed populates a fresh scheduler with initial stimuli before the
+	// Seed populates the run's scheduler with initial stimuli before the
 	// run starts (primary-input tokens, first clock edges, ...). It runs
 	// after module ResetState hooks.
 	Seed func(ctx *Context)
@@ -37,13 +38,23 @@ func (c *Controller) Handlers() []Handler { return c.handlers }
 // AddHandlers appends more handlers (e.g. after elaborating a hierarchy).
 func (c *Controller) AddHandlers(hs ...Handler) { c.handlers = append(c.handlers, hs...) }
 
-// Start runs one simulation to completion on a fresh scheduler and
-// returns its statistics. setup is attached to the run's context and
-// travels with every token delivery (nil for estimation-free runs);
-// configure, if non-nil, may register instant hooks or overrides on the
-// scheduler before the run starts.
+// Start runs one simulation to completion on a new scheduler and returns
+// its statistics; see StartOn.
 func (c *Controller) Start(setup any, configure func(*Scheduler)) Stats {
-	sched := NewScheduler()
+	return c.StartOn(NewScheduler(), setup, configure)
+}
+
+// StartOn runs one simulation to completion on sched, recycling it first
+// so the run is observationally one on a new scheduler (fresh
+// SchedulerID, empty event store, no overrides or hooks) while reusing
+// its storage. A caller running many short simulations — virtual fault
+// simulation's injections — keeps one scheduler per goroutine and passes
+// it to every run. setup is attached to the run's context and travels
+// with every token delivery (nil for estimation-free runs); configure,
+// if non-nil, may register instant hooks or overrides on the scheduler
+// before the run starts.
+func (c *Controller) StartOn(sched *Scheduler, setup any, configure func(*Scheduler)) Stats {
+	sched.recycle()
 	sched.EventLimit = c.EventLimit
 	// Size the token arena from the design: at one instant every handler
 	// can drive a few ports, so a small multiple of the handler count
@@ -59,15 +70,13 @@ func (c *Controller) Start(setup any, configure func(*Scheduler)) Stats {
 		c.Seed(ctx)
 	}
 	err := sched.Run(ctx, c.Options)
-	st := Stats{
+	return Stats{
 		Scheduler: sched.ID(),
 		EndTime:   sched.Now(),
 		Delivered: sched.Delivered(),
 		MaxQueue:  sched.MaxQueueLen(),
 		Err:       err,
 	}
-	c.release(sched.ID())
-	return st
 }
 
 // StartConcurrent launches n independent simulations of the same design,
@@ -98,19 +107,4 @@ func (c *Controller) StartPool(pool Pool, n int, setups func(i int) any, configu
 		return nil
 	})
 	return stats
-}
-
-// StateHolder is implemented by handlers that keep per-scheduler state
-// tables and can release a scheduler's entry after its run completes.
-type StateHolder interface {
-	ReleaseState(id SchedulerID)
-}
-
-// release frees per-scheduler state on every handler that supports it.
-func (c *Controller) release(id SchedulerID) {
-	for _, h := range c.handlers {
-		if sh, ok := h.(StateHolder); ok {
-			sh.ReleaseState(id)
-		}
-	}
 }

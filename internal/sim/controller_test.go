@@ -41,11 +41,10 @@ func TestControllerSetupTravelsWithContext(t *testing.T) {
 	}
 }
 
-// counterModule keeps per-scheduler counters in a StateTable, to verify
-// scheduler isolation under concurrency.
+// counterModule keeps its per-run counter in the scheduler's state slot,
+// to verify scheduler isolation under concurrency.
 type counterModule struct {
 	name  string
-	state StateTable
 	limit Time
 }
 
@@ -54,19 +53,25 @@ type counterState struct{ n int }
 func (m *counterModule) HandlerName() string { return m.name }
 
 func (m *counterModule) HandleToken(ctx *Context, tok Token) {
-	st := m.state.GetOrCreate(ctx.SchedulerID(), func() any { return &counterState{} }).(*counterState)
+	slot := ctx.Slot(m)
+	st, _ := (*slot).(*counterState)
+	if st == nil {
+		st = &counterState{}
+		*slot = st
+	}
 	st.n++
 	if ctx.Now() < m.limit {
 		ctx.Post(&SelfToken{T: ctx.Now() + 1, Dst: m})
 	}
 }
 
-func (m *counterModule) countFor(id SchedulerID) int {
-	v, ok := m.state.Get(id)
+// countOn reads the counter a scheduler's slot holds for m (-1 if none).
+func (m *counterModule) countOn(s *Scheduler) int {
+	st, ok := (*s.NewContext().Slot(m)).(*counterState)
 	if !ok {
 		return -1
 	}
-	return v.(*counterState).n
+	return st.n
 }
 
 func TestControllerConcurrentSchedulersDoNotInterfere(t *testing.T) {
@@ -75,73 +80,74 @@ func TestControllerConcurrentSchedulersDoNotInterfere(t *testing.T) {
 	c.Seed = func(ctx *Context) { ctx.Post(&SelfToken{T: 1, Dst: m}) }
 
 	const runs = 8
-	var mu sync.Mutex
-	counts := make(map[SchedulerID]uint64)
-	stats := c.StartConcurrent(runs, nil, func(i int, s *Scheduler) {
-		mu.Lock()
-		counts[s.ID()] = 0
-		mu.Unlock()
-	})
-	for _, st := range stats {
+	scheds := make([]*Scheduler, runs)
+	stats := c.StartConcurrent(runs, nil, func(i int, s *Scheduler) { scheds[i] = s })
+	for i, st := range stats {
 		if st.Err != nil {
 			t.Fatal(st.Err)
 		}
 		if st.Delivered != 1000 {
 			t.Errorf("scheduler %d delivered %d tokens, want 1000", st.Scheduler, st.Delivered)
 		}
-	}
-	// State must have been released after each run.
-	if m.state.Len() != 0 {
-		t.Errorf("state table holds %d entries after release, want 0", m.state.Len())
-	}
-}
-
-func (m *counterModule) ReleaseState(id SchedulerID) { m.state.Delete(id) }
-
-func TestStateTableBasics(t *testing.T) {
-	var st StateTable
-	if _, ok := st.Get(1); ok {
-		t.Error("empty table reported a value")
-	}
-	created := 0
-	v := st.GetOrCreate(1, func() any { created++; return "a" })
-	if v != "a" || created != 1 {
-		t.Error("GetOrCreate first call wrong")
-	}
-	v = st.GetOrCreate(1, func() any { created++; return "b" })
-	if v != "a" || created != 1 {
-		t.Error("GetOrCreate must not re-create")
-	}
-	st.Set(2, "c")
-	if got, _ := st.Get(2); got != "c" {
-		t.Error("Set/Get wrong")
-	}
-	if st.Len() != 2 {
-		t.Errorf("Len = %d, want 2", st.Len())
-	}
-	st.Delete(1)
-	if _, ok := st.Get(1); ok {
-		t.Error("Delete did not remove entry")
+		// Each scheduler's slot counted its own run's deliveries only.
+		if n := m.countOn(scheds[i]); n != 1000 {
+			t.Errorf("run %d: slot counted %d deliveries, want 1000", i, n)
+		}
 	}
 }
 
-func TestStateTableConcurrentAccess(t *testing.T) {
-	var st StateTable
+// TestSchedulerSlotBasics: a slot starts nil, keeps what is stored in it
+// for the handler it belongs to, is distinct per handler, and is
+// invisible to every other scheduler.
+func TestSchedulerSlotBasics(t *testing.T) {
+	a, b := &recorder{name: "a"}, &recorder{name: "b"}
+	s1, s2 := NewScheduler(), NewScheduler()
+	c1, c2 := s1.NewContext(), s2.NewContext()
+	if *c1.Slot(a) != nil {
+		t.Fatal("new slot not nil")
+	}
+	*c1.Slot(a) = "a1"
+	*c1.Slot(b) = "b1"
+	// Interning more handlers may move the slot storage; the stored
+	// values must follow.
+	for i := 0; i < 100; i++ {
+		c1.Slot(&recorder{name: "filler"})
+	}
+	if got := *c1.Slot(a); got != "a1" {
+		t.Errorf("slot a = %v, want a1", got)
+	}
+	if got := *c1.Slot(b); got != "b1" {
+		t.Errorf("slot b = %v, want b1", got)
+	}
+	if got := *c2.Slot(a); got != nil {
+		t.Errorf("other scheduler sees slot a = %v", got)
+	}
+}
+
+// TestSchedulerSlotsConcurrentRuns: many schedulers over one handler,
+// each on its own goroutine, each writing its own slot — no locks, no
+// shared entry (run under -race in CI).
+func TestSchedulerSlotsConcurrentRuns(t *testing.T) {
+	h := &recorder{name: "h"}
+	scheds := make([]*Scheduler, 32)
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := range scheds {
+		scheds[i] = NewScheduler()
 		wg.Add(1)
-		go func(i int) {
+		go func(s *Scheduler) {
 			defer wg.Done()
-			id := SchedulerID(i % 4)
+			ctx := s.NewContext()
 			for j := 0; j < 100; j++ {
-				st.GetOrCreate(id, func() any { return new(int) })
-				st.Get(id)
+				n, _ := (*ctx.Slot(h)).(int)
+				*ctx.Slot(h) = n + 1
 			}
-		}(i)
+		}(scheds[i])
 	}
 	wg.Wait()
-	if st.Len() != 4 {
-		t.Errorf("Len = %d, want 4", st.Len())
+	for i, s := range scheds {
+		if n := *s.NewContext().Slot(h); n != 100 {
+			t.Errorf("scheduler %d slot = %v, want 100", i, n)
+		}
 	}
 }
 

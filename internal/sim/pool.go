@@ -7,7 +7,7 @@ import (
 )
 
 // Pool is the kernel's bounded parallel-execution layer. The paper's
-// scheduler-confinement design (per-scheduler state LUTs, tokens joined
+// scheduler-confinement design (scheduler-owned state slots, tokens joined
 // to the scheduler that delivered them) makes independent simulations of
 // one design trivially parallel: a Pool turns that property into wall
 // clock, fanning a batch of independent work items over a bounded set of

@@ -28,8 +28,8 @@ func (q oracleQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q oracleQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *oracleQueue) Push(x any)        { *q = append(*q, x.(oracleItem)) }
+func (q oracleQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *oracleQueue) Push(x any)   { *q = append(*q, x.(oracleItem)) }
 func (q *oracleQueue) Pop() any {
 	old := *q
 	n := len(old) - 1
@@ -85,7 +85,13 @@ func fuzzPopOne(t *testing.T, s *Scheduler, oracle *oracleQueue) {
 // time offset (spanning the calendar window and the spill region), and
 // c[2] the high bits of a PostSequenced stamp (low bits take the op
 // index, keeping stamps unique while letting c[2] force out-of-order
-// arrivals that exercise the bucket's lazy sort).
+// arrivals that exercise the bucket's lazy sort). Bit 1 of c[0] draws a
+// signal token from the scheduler's arena instead of building one.
+//
+// The script runs twice on one scheduler with a recycle between: the
+// first pass stops without draining, so the recycle meets pending
+// calendar entries and spilled arena tokens, and the second pass must
+// match a fresh oracle exactly.
 func FuzzQueueOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 5, 200, 0, 5, 100, 2, 5, 150})
@@ -94,29 +100,42 @@ func FuzzQueueOrdering(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s := NewScheduler()
 		s.ReserveTokens(32)
+		ctx := s.NewContext()
 		h := &fuzzNullHandler{}
-		oracle := &oracleQueue{}
 		var v signal.Value = signal.BitValue{B: signal.B1}
-		for i := 0; i+2 < len(script); i += 3 {
-			op, dt, hi := script[i], script[i+1], script[i+2]
-			tt := s.Now() + Time(dt%96)
-			seq := (uint64(hi) << 32) | uint64(i)
-			isSignal := op&1 == 0
-			if isSignal {
-				s.PostSequenced(&SignalToken{T: tt, Dst: h, Port: i, Value: v, Src: "fuzz"}, seq)
-			} else {
-				s.PostSequenced(&SelfToken{T: tt, Dst: h, Payload: i}, seq)
+		run := func() *oracleQueue {
+			oracle := &oracleQueue{}
+			for i := 0; i+2 < len(script); i += 3 {
+				op, dt, hi := script[i], script[i+1], script[i+2]
+				tt := s.Now() + Time(dt%96)
+				seq := (uint64(hi) << 32) | uint64(i)
+				isSignal := op&1 == 0
+				switch {
+				case isSignal && op&2 != 0:
+					s.PostSequenced(ctx.AcquireSignal(tt, h, i, v, "fuzz"), seq)
+				case isSignal:
+					s.PostSequenced(&SignalToken{T: tt, Dst: h, Port: i, Value: v, Src: "fuzz"}, seq)
+				default:
+					s.PostSequenced(&SelfToken{T: tt, Dst: h, Payload: i}, seq)
+				}
+				heap.Push(oracle, oracleItem{t: tt, seq: seq, id: i, signal: isSignal})
+				if s.Pending() != oracle.Len() {
+					t.Fatalf("Pending() = %d after post, oracle holds %d", s.Pending(), oracle.Len())
+				}
+				// High bit interleaves a pop mid-script, advancing the clock
+				// so buckets recycle under the posts that follow.
+				if op&0x80 != 0 && oracle.Len() > 0 {
+					fuzzPopOne(t, s, oracle)
+				}
 			}
-			heap.Push(oracle, oracleItem{t: tt, seq: seq, id: i, signal: isSignal})
-			if s.Pending() != oracle.Len() {
-				t.Fatalf("Pending() = %d after post, oracle holds %d", s.Pending(), oracle.Len())
-			}
-			// High bit interleaves a pop mid-script, advancing the clock
-			// so buckets recycle under the posts that follow.
-			if op&0x80 != 0 && oracle.Len() > 0 {
-				fuzzPopOne(t, s, oracle)
-			}
+			return oracle
 		}
+		run()
+		s.recycle()
+		if s.Pending() != 0 || s.Now() != 0 {
+			t.Fatalf("recycled scheduler: pending=%d now=%d", s.Pending(), s.Now())
+		}
+		oracle := run()
 		for oracle.Len() > 0 {
 			fuzzPopOne(t, s, oracle)
 		}
@@ -131,5 +150,5 @@ func FuzzQueueOrdering(f *testing.F) {
 
 type fuzzNullHandler struct{}
 
-func (*fuzzNullHandler) HandlerName() string          { return "fuzz-null" }
+func (*fuzzNullHandler) HandlerName() string         { return "fuzz-null" }
 func (*fuzzNullHandler) HandleToken(*Context, Token) {}

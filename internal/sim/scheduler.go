@@ -3,15 +3,18 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/signal"
 )
 
-// SchedulerID uniquely identifies a scheduler instance for the lifetime of
-// the process. Modules use it to address their per-scheduler state tables,
-// which is what lets many schedulers run over the same design without
-// interference.
+// SchedulerID uniquely identifies one scheduler run for the lifetime of
+// the process: NewScheduler draws one, and recycling a scheduler for its
+// next run draws another. Observers that outlive a run (primary-output
+// histories) key what they record by it, so two runs — concurrent, or
+// consecutive on one recycled scheduler — never see each other's
+// results.
 type SchedulerID uint64
 
 var schedulerIDs atomic.Uint64
@@ -143,6 +146,12 @@ type Scheduler struct {
 	internLastH   Handler
 	internLastIdx uint32
 
+	// slots is the scheduler-owned state table: slots[i] holds the
+	// per-run state of handler interned[i] (Context.Slot). Indexed by the
+	// same dense handler index as the calendar lanes, so a lookup is a
+	// slice load, and only this scheduler's Context can reach it.
+	slots []any
+
 	// popScratch is the delivery carrier for calendar-stored signal
 	// tokens: popBucket materializes lane entries into it, deliver hands
 	// it to the handler, and the next pop overwrites it. It is not
@@ -203,8 +212,9 @@ func (s *Scheduler) MaxQueueLen() int { return s.maxQueue }
 // Override replaces target's event handling with replacement for this
 // scheduler only. Passing a nil replacement removes the override. Other
 // schedulers running over the same design are unaffected — this is the
-// property that lets virtual fault simulation inject faults on a fresh
-// scheduler with no reset or save/restore of the fault-free one.
+// property that lets virtual fault simulation inject faults on its own
+// scheduler with no save/restore of the fault-free run. Recycling the
+// scheduler removes every override.
 func (s *Scheduler) Override(target, replacement Handler) {
 	if replacement == nil {
 		delete(s.overrides, target)
@@ -343,8 +353,28 @@ type Context struct {
 	Trace func(string)
 }
 
-// SchedulerID returns the identifier modules key their state tables by.
+// SchedulerID returns the identifier of the run this context delivers
+// for.
 func (c *Context) SchedulerID() SchedulerID { return c.sched.id }
+
+// Slot returns the scheduler's state slot for handler h: the place a
+// handler keeps its mutable per-run state (the paper's per-scheduler
+// lookup table, keyed here by handler inside the scheduler instead of by
+// scheduler inside the module). A slot starts nil and is reachable only
+// through this scheduler's contexts, so runs on different schedulers
+// cannot see each other's state.
+//
+// Slots survive recycling (Controller.StartOn) so their contents can be
+// reused; a handler that reuses them must re-initialize them when
+// SchedulerID changes. The pointer is valid until the scheduler next
+// meets a handler it has not seen — load or store through it at once,
+// never retain it.
+//
+//gocad:noalloc
+func (c *Context) Slot(h Handler) *any {
+	s := c.sched
+	return &s.slots[s.internHandler(h)]
+}
 
 // Now returns the current simulation time.
 func (c *Context) Now() Time { return c.sched.now }
@@ -533,8 +563,8 @@ func eventLimitError(limit uint64, now Time) error {
 func (s *Scheduler) NewContext() *Context { return &Context{sched: s} }
 
 // Reset invokes ResetState on every handler that supports it, giving
-// autonomous modules the chance to seed their first self-trigger for this
-// scheduler.
+// modules the chance to (re)initialize their state slot and autonomous
+// modules the chance to seed their first self-trigger for this run.
 func (s *Scheduler) Reset(ctx *Context, handlers []Handler) {
 	if ctx == nil {
 		ctx = s.NewContext()
@@ -544,4 +574,37 @@ func (s *Scheduler) Reset(ctx *Context, handlers []Handler) {
 			r.ResetState(ctx)
 		}
 	}
+}
+
+// recycle prepares a used scheduler for its next run so that the run is
+// observationally one on a NewScheduler: a fresh SchedulerID, an empty
+// event store, a zero clock, sequence and counters, and no overrides,
+// hooks, intercept or event limit. Pending calendar entries are zeroed
+// and pending arena tokens in the spill heap go back to the arena. What
+// it keeps is storage: calendar lanes and slab, the token arena, the
+// handler intern table and the state slots (whose owners re-initialize
+// them on the ID change, see Context.Slot).
+func (s *Scheduler) recycle() {
+	s.id = SchedulerID(schedulerIDs.Add(1))
+	for m := s.sigMask; m != 0; m &= m - 1 {
+		b := &s.sig[bits.TrailingZeros64(m)]
+		clear(b.vals[b.head:b.n])
+		clear(b.srcs[b.head:b.n])
+		b.reset()
+	}
+	s.sigMask = 0
+	for i, it := range s.spill {
+		if st, ok := it.tok.(*SignalToken); ok && st.arenaOwned {
+			s.arena.release(st)
+		}
+		s.spill[i] = scheduledToken{}
+	}
+	s.spill = s.spill[:0]
+	s.popScratch = SignalToken{}
+	clear(s.overrides)
+	clear(s.hooks)
+	s.hooks = s.hooks[:0]
+	s.intercept = nil
+	s.seq, s.now, s.started, s.pending = 0, 0, false, 0
+	s.delivered, s.maxQueue, s.EventLimit = 0, 0, 0
 }

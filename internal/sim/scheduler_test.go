@@ -16,7 +16,6 @@ type recorder struct {
 	got      []Token
 	times    []Time
 	onToken  func(ctx *Context, tok Token)
-	state    StateTable
 	resetRan int
 }
 
@@ -37,8 +36,6 @@ func (r *recorder) ResetState(ctx *Context) {
 	defer r.mu.Unlock()
 	r.resetRan++
 }
-
-func (r *recorder) ReleaseState(id SchedulerID) { r.state.Delete(id) }
 
 func (r *recorder) count() int {
 	r.mu.Lock()

@@ -4,8 +4,8 @@
 // The superclass for any event is a token; a scheduler handles scheduling
 // and delivery of all tokens. Multiple schedulers can be instantiated and
 // run in concurrent goroutines over the same design without interference:
-// every module stores its per-scheduler state in a lookup table addressed
-// by the scheduler's unique identifier, and a module can schedule a new
+// every module keeps its per-run state in a slot owned by the scheduler
+// running it (Context.Slot), and a module can schedule a new
 // token only while it is handling one — the newly created token is
 // automatically joined to the same scheduler. Tokens are not only
 // functional events (changes of signal values): they also implement a
@@ -25,9 +25,9 @@ type Time int64
 
 // Handler is anything that can receive tokens from a scheduler — in
 // practice, design modules. Handlers must be safe for concurrent use by
-// multiple schedulers: all mutable simulation state must live in
-// per-scheduler state tables (see StateTable), never in the handler
-// itself.
+// multiple schedulers: all mutable simulation state must live in the
+// delivering scheduler's state slot for the handler (Context.Slot),
+// never in the handler itself.
 type Handler interface {
 	// HandlerName identifies the handler in diagnostics and traces.
 	HandlerName() string
@@ -36,11 +36,11 @@ type Handler interface {
 	HandleToken(ctx *Context, tok Token)
 }
 
-// Resettable is implemented by handlers that need per-scheduler
-// initialization before a simulation run starts — e.g. autonomous
-// modules (clock generators) that must seed their first self-trigger.
+// Resettable is implemented by handlers that need per-run initialization
+// before a simulation run starts — e.g. autonomous modules (clock
+// generators) that must seed their first self-trigger.
 type Resettable interface {
-	// ResetState initializes the handler's state for ctx's scheduler.
+	// ResetState initializes the handler's state slot for ctx's run.
 	ResetState(ctx *Context)
 }
 
