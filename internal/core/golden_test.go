@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,17 +68,62 @@ func fingerprintCorpus(t *testing.T) []byte {
 // `go test ./internal/core -run TestGoldenFingerprints -update` to
 // regenerate it after a deliberate change to what a run computes.
 func TestGoldenFingerprints(t *testing.T) {
-	got := fingerprintCorpus(t)
+	checkGolden(t, goldenFingerprints, fingerprintCorpus(t))
+}
+
+const goldenGenerated = "testdata/golden/generated.txt"
+
+// generatedCorpus renders ClassicCircuitFingerprint for seeded generated
+// designs: seeds {1, 2, 3} under the default GenSpec and a wider one,
+// then the ~10x design of the gen-al benchmark workload (seed 1999).
+// The digest covers every primary output's full observation history,
+// so any change to what the kernel or the modules compute shows here.
+func generatedCorpus(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	emit := func(label string, seed int64, spec GenSpec) {
+		c, outs := GenerateCircuitRand(rand.New(rand.NewSource(seed)), spec)
+		fp, err := ClassicCircuitFingerprint(c, outs, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		fmt.Fprintf(&buf, "%s leaves=%d %s\n", label, len(c.Leaves()), fp)
+	}
+	specs := []GenSpec{
+		{}, // defaults: 4 inputs, 3 layers, 4 ops each
+		{Inputs: 6, Layers: 4, LayerOps: 6, Width: 12, Patterns: 60},
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		for si, spec := range specs {
+			emit(fmt.Sprintf("seed=%d/spec=%d", seed, si), seed, spec)
+		}
+	}
+	emit("gen-al/seed=1999", 1999, GenSpec{Inputs: 8, Layers: 5, LayerOps: 8, Width: 16, Patterns: 60})
+	return buf.Bytes()
+}
+
+// TestGoldenGeneratedDesigns pins generated-design simulations to
+// testdata/golden/generated.txt. Run
+// `go test ./internal/core -run TestGoldenGeneratedDesigns -update` to
+// regenerate it after a deliberate change to what a run computes.
+func TestGoldenGeneratedDesigns(t *testing.T) {
+	checkGolden(t, goldenGenerated, generatedCorpus(t))
+}
+
+// checkGolden compares got against the committed golden file at path,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenFingerprints), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenFingerprints, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenFingerprints)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
@@ -87,10 +133,10 @@ func TestGoldenFingerprints(t *testing.T) {
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d differs:\n got  %s\n want %s", goldenFingerprints, i+1, gl[i], wl[i])
+			t.Fatalf("%s line %d differs:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("%s: got %d lines, want %d", goldenFingerprints, len(gl), len(wl))
+	t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
 }
 
 const goldenCodecParity = "testdata/golden/codecparity.txt"
