@@ -10,7 +10,7 @@ BENCHDATE := $(shell date +%Y-%m-%d)
 # conditions the benchmarks measure.
 BENCH_GOFLAGS ?=
 
-.PHONY: all build test race fuzz vet lint vuln bench benchdiff smoke-bench loadgen profile chaos shards ci clean
+.PHONY: all build test race fuzz vet lint vuln bench benchdiff smoke-bench loadgen profile chaos ci clean
 
 all: build test
 
@@ -61,15 +61,14 @@ benchdiff:
 		echo "fewer than two BENCH_*.json snapshots; run make bench"; \
 	fi
 
-# Short deterministic fuzz smoke over the RMI wire codec, the shard
-# partitioner, the event queue and the bit-parallel stuck-at sweep. Each target
-# must run in its own invocation (go test allows one -fuzz at a time).
+# Short deterministic fuzz smoke over the RMI wire codec, the event
+# queue and the bit-parallel stuck-at sweep. Each target must run in
+# its own invocation (go test allows one -fuzz at a time).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryCodec$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryDecode$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxResponses$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxFaultyConn$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
-	$(GO) test -run='^$$' -fuzz='^FuzzPartitionCircuit$$' -fuzztime=$(FUZZTIME) ./internal/shard/
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueOrdering$$' -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepStuckAt$$' -fuzztime=$(FUZZTIME) ./internal/gate/
 
@@ -82,13 +81,6 @@ fuzz:
 chaos:
 	$(GO) test -race -count=1 -run='Chaos|Hedged|Failover|Quorum' ./internal/core/ ./internal/netsim/ ./internal/fault/
 	$(GO) test -race -count=1 ./internal/replica/
-
-# Sharded-execution determinism gate under the race detector: the shard
-# engine's unit matrix plus the scenario-level determinism matrix —
-# every cell asserts byte-identical results against the single-scheduler
-# baseline across shard counts, worker counts and window sizes.
-shards:
-	$(GO) test -race -count=1 -run='Shard|Partition|Generate' ./internal/shard/ ./internal/core/
 
 # CPU and heap profiles of the hottest Table 2 scenario (MR on the
 # emulated-local profile: full simulator client, real RMI marshalling,
@@ -125,7 +117,7 @@ smoke-bench:
 loadgen:
 	$(GO) run ./cmd/gocad-loadgen -selftest
 
-ci: build vet lint test race chaos shards fuzz smoke-bench loadgen vuln
+ci: build vet lint test race chaos fuzz smoke-bench loadgen vuln
 
 clean:
 	$(GO) clean ./...

@@ -14,7 +14,6 @@ package gocad_test
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/ppp"
 	"repro/internal/security"
-	"repro/internal/shard"
 	"repro/internal/signal"
 	"repro/internal/sim"
 )
@@ -65,30 +63,6 @@ func BenchmarkTable2Scenarios(b *testing.B) {
 				}
 				if res.Products == 0 {
 					b.Fatal("no products")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardedSimulation runs one seeded generated design — roughly
-// ten times the size of the paper's Figure 2 benchmark — through the
-// shard engine at increasing shard counts. Results are bit-identical at
-// every count (the shard determinism matrix proves that); this measures
-// what partitioning buys and what barriers cost.
-func BenchmarkShardedSimulation(b *testing.B) {
-	spec := core.GenSpec{Inputs: 8, Layers: 5, LayerOps: 8, Width: 16, Patterns: 60}
-	circuit, _ := core.GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
-	b.Logf("generated design: %d leaf modules", len(circuit.Leaves()))
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				stats := shard.Run(circuit, shard.Options{Shards: shards})
-				if stats.Err != nil {
-					b.Fatal(stats.Err)
-				}
-				if stats.Delivered == 0 {
-					b.Fatal("empty run")
 				}
 			}
 		})

@@ -28,15 +28,11 @@ echo "==> chaos sweep (seeded replica fault schedules under -race)"
 go test -race -count=1 -run='Chaos|Hedged|Failover|Quorum' ./internal/core/ ./internal/netsim/ ./internal/fault/
 go test -race -count=1 ./internal/replica/
 
-echo "==> sharded-execution determinism matrix under -race"
-go test -race -count=1 -run='Shard|Partition|Generate' ./internal/shard/ ./internal/core/
-
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 go test -run='^$' -fuzz='^FuzzBinaryCodec$' -fuzztime="${FUZZTIME}" ./internal/rmi/
 go test -run='^$' -fuzz='^FuzzBinaryDecode$' -fuzztime="${FUZZTIME}" ./internal/rmi/
 go test -run='^$' -fuzz='^FuzzMuxResponses$' -fuzztime="${FUZZTIME}" ./internal/rmi/
 go test -run='^$' -fuzz='^FuzzMuxFaultyConn$' -fuzztime="${FUZZTIME}" ./internal/rmi/
-go test -run='^$' -fuzz='^FuzzPartitionCircuit$' -fuzztime="${FUZZTIME}" ./internal/shard/
 go test -run='^$' -fuzz='^FuzzQueueOrdering$' -fuzztime="${FUZZTIME}" ./internal/sim/
 go test -run='^$' -fuzz='^FuzzSweepStuckAt$' -fuzztime="${FUZZTIME}" ./internal/gate/
 

@@ -39,7 +39,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size for experiment fan-out (0 = one per CPU, 1 = serial)")
 		inflight = flag.Int("inflight", 0, "max pipelined RMI calls in flight (0 = default, 1 = stop-and-wait)")
 		estcache = flag.Bool("est-cache", false, "share a content-addressed estimation cache across runs (quantifies repeat-batch savings)")
-		shards   = flag.Int("shards", 1, "partition each design across N concurrent schedulers (bit-identical results at any N)")
 	)
 	flag.Parse()
 	if !(*table1 || *table2 || *figure3 || *figure4 || *all) {
@@ -60,7 +59,7 @@ func main() {
 		runTable1(*width)
 	}
 	if *table2 {
-		runTable2(*width, *patterns, *buffer, *workers, *inflight, *shards, cache)
+		runTable2(*width, *patterns, *buffer, *workers, *inflight, cache)
 	}
 	if *figure3 {
 		runFigure3(*width, *patterns, *workers, *inflight, cache)
@@ -94,24 +93,19 @@ func runTable1(width int) {
 	fmt.Println()
 }
 
-func runTable2(width, patterns, buffer, workers, inflight, shards int, cache *core.EstimationCache) {
+func runTable2(width, patterns, buffer, workers, inflight int, cache *core.EstimationCache) {
 	cfg := core.DefaultConfig()
 	cfg.Width = width
 	cfg.Patterns = patterns
 	cfg.BufferSize = buffer
 	cfg.Workers = workers
 	cfg.InFlight = inflight
-	cfg.Shards = shards
 	cfg.Cache = cache
 	rows, err := core.RunTable2(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("Table 2 — %d random patterns, buffer %d, %d-bit MULT", patterns, buffer, width)
-	if shards > 1 {
-		fmt.Printf(", %d shards", shards)
-	}
-	fmt.Println()
+	fmt.Printf("Table 2 — %d random patterns, buffer %d, %d-bit MULT\n", patterns, buffer, width)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "design\thost\tCPU time\treal time\tRMI calls\tbytes\tfees (¢)")
 	for _, r := range rows {

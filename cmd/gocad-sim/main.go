@@ -48,8 +48,6 @@ import (
 	"repro/internal/replica"
 	"repro/internal/rmi"
 	"repro/internal/security"
-	"repro/internal/shard"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -71,8 +69,6 @@ func main() {
 		estcache = flag.Bool("est-cache", false, "short-circuit repeated estimation batches with a content-addressed cache")
 		replicas = flag.Int("replicas", 1, "equivalent in-process provider replicas behind health-gated failover (requires -local)")
 		hedge    = flag.Duration("hedge-after", 0, "re-issue a still-unanswered estimation batch to a second replica after this long (0 disables; requires -local -replicas ≥ 2)")
-		shards   = flag.Int("shards", 1, "partition the design across N concurrent schedulers (bit-identical results at any N)")
-		shardWin = flag.Int("shard-window", 0, "conservative synchronization window for sharded runs (0 = default)")
 	)
 	flag.Parse()
 	if *replicas > 1 && !*local {
@@ -228,23 +224,9 @@ func main() {
 	}
 
 	start := time.Now()
-	// outID names the scheduler whose history holds OUT's products — the
-	// single scheduler classically, OUT's owning shard otherwise.
-	var outID sim.SchedulerID
-	if *shards > 1 {
-		sst := shard.Run(circuit, shard.Options{Shards: *shards, Window: *shardWin, Setup: setup})
-		if sst.Err != nil {
-			fatal(sst.Err)
-		}
-		outID = sst.OwnerOf(out)
-		fmt.Printf("sharded across %d schedulers: cut cost %d, %d cross-shard tokens, %d barriers, %d solo turns\n",
-			len(sst.Schedulers), sst.CutCost, sst.CrossTokens, sst.Barriers, sst.SoloTurns)
-	} else {
-		stats := simu.Start(setup)
-		if stats.Err != nil {
-			fatal(stats.Err)
-		}
-		outID = stats.Scheduler
+	stats := simu.Start(setup)
+	if stats.Err != nil {
+		fatal(stats.Err)
 	}
 	if err := est.Close(); err != nil {
 		fatal(err)
@@ -258,7 +240,7 @@ func main() {
 		mode = "MR"
 	}
 	fmt.Printf("\nsimulated %d patterns (%s): %d products observed\n",
-		*patterns, mode, len(out.History(outID)))
+		*patterns, mode, len(out.History(stats.Scheduler)))
 	fmt.Printf("  remote power: %d samples, avg %.1f µW, peak %.1f µW\n",
 		len(rep.Samples), rep.AvgPower, rep.PeakPower)
 	fmt.Printf("  CPU time %v, real time %v (blocked on network %v, %d calls, %d bytes)\n",

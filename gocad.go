@@ -33,7 +33,6 @@ import (
 	"repro/internal/provider"
 	"repro/internal/replica"
 	"repro/internal/sealed"
-	"repro/internal/shard"
 	"repro/internal/signal"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -315,27 +314,13 @@ var (
 	RunFigure4            = core.RunFigure4
 )
 
-// Sharded execution (DESIGN.md §11): one design partitioned across N
-// concurrent schedulers with deterministic cross-shard event exchange —
-// results are bit-identical to the single-scheduler run at any N.
-type (
-	// ShardPlan is a validated partition of a circuit's leaf modules.
-	ShardPlan = shard.Plan
-	// ShardOptions parameterizes a sharded run (count, window, workers).
-	ShardOptions = shard.Options
-	// ShardStats summarizes a sharded run (barriers, solo turns, cut).
-	ShardStats = shard.Stats
-	// GenerateSpec sizes a seeded random hierarchical design.
-	GenerateSpec = core.GenSpec
-)
+// GenerateSpec sizes a seeded random hierarchical design, for workloads
+// larger than the paper's examples.
+type GenerateSpec = core.GenSpec
 
-// Sharded-execution entry points.
-var (
-	PartitionCircuit    = shard.PartitionCircuit
-	RunShardedCircuit   = shard.Run
-	RunShardedScenario  = core.RunSharded
-	GenerateCircuitRand = core.GenerateCircuitRand
-)
+// GenerateCircuitRand builds the design a GenerateSpec describes, drawing
+// all randomness from the caller's generator.
+var GenerateCircuitRand = core.GenerateCircuitRand
 
 // Sequential circuits and general fault models (the paper's "feasible
 // extensions", implemented).

@@ -24,8 +24,7 @@ type GenSpec struct {
 	// Patterns is the number of stimulus patterns per generator (50).
 	Patterns int
 	// Period is the base stimulus period (10); generators are staggered
-	// across Period..Period+2 so simulation instants interleave — the
-	// shape that exercises a sharded run's conservative windows.
+	// across Period..Period+2 so simulation instants interleave.
 	Period sim.Time
 }
 

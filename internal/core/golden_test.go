@@ -73,7 +73,7 @@ func TestGoldenFingerprints(t *testing.T) {
 
 const goldenGenerated = "testdata/golden/generated.txt"
 
-// generatedCorpus renders ClassicCircuitFingerprint for seeded generated
+// generatedCorpus renders CircuitFingerprint for seeded generated
 // designs: seeds {1, 2, 3} under the default GenSpec and a wider one,
 // then the ~10x design of the gen-al benchmark workload (seed 1999).
 // The digest covers every primary output's full observation history,
@@ -83,7 +83,7 @@ func generatedCorpus(t *testing.T) []byte {
 	var buf bytes.Buffer
 	emit := func(label string, seed int64, spec GenSpec) {
 		c, outs := GenerateCircuitRand(rand.New(rand.NewSource(seed)), spec)
-		fp, err := ClassicCircuitFingerprint(c, outs, 0)
+		fp, err := CircuitFingerprint(c, outs, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -142,10 +142,10 @@ func checkGolden(t *testing.T, path string, got []byte) {
 const goldenCodecParity = "testdata/golden/codecparity.txt"
 
 // TestCodecParityMatrix is the bit-identical guarantee of wire format v1:
-// for every Table 2 scenario and across the transport and engine knobs
-// that change wire traffic shape — pipeline depth, estimation cache,
-// shard count, shard workers — a run must produce exactly the
-// fingerprint recorded in testdata/golden/codecparity.txt. That corpus
+// for every Table 2 scenario and across the transport knobs that change
+// wire traffic shape — pipeline depth and estimation cache — a run must
+// produce exactly the fingerprint recorded in
+// testdata/golden/codecparity.txt. That corpus
 // was recorded under the reflective gob codec while both codecs were
 // still proven identical cell by cell, so it stays the oracle for what
 // the binary codec may never change: what the simulation computes.
@@ -160,30 +160,23 @@ func TestCodecParityMatrix(t *testing.T) {
 	}{{"AL", AllLocal}, {"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
 		for _, depth := range []int{1, 8} {
 			for _, cached := range []bool{false, true} {
-				for _, shards := range []int{1, 4} {
-					for _, workers := range []int{1, 0} {
-						name := fmt.Sprintf("%s/depth=%d/cache=%v/shards=%d/workers=%d",
-							sc.name, depth, cached, shards, workers)
-						t.Run(name, func(t *testing.T) {
-							cfg := smallConfig()
-							cfg.InFlight = depth
-							cfg.Shards = shards
-							cfg.ShardWorkers = workers
-							if cached {
-								// A fresh cache per cell: the matrix covers the
-								// cold-path traffic; the warm path is
-								// TestCodecParityWarmCache.
-								cfg.Cache = NewEstimationCache()
-							}
-							res, err := Run(sc.scenario, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							fmt.Fprintf(&got, "%s %s\n", name, res.Fingerprint())
-							checkGoldenPrint(t, want, name, res.Fingerprint())
-						})
+				name := fmt.Sprintf("%s/depth=%d/cache=%v", sc.name, depth, cached)
+				t.Run(name, func(t *testing.T) {
+					cfg := smallConfig()
+					cfg.InFlight = depth
+					if cached {
+						// A fresh cache per cell: the matrix covers the
+						// cold-path traffic; the warm path is
+						// TestCodecParityWarmCache.
+						cfg.Cache = NewEstimationCache()
 					}
-				}
+					res, err := Run(sc.scenario, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&got, "%s %s\n", name, res.Fingerprint())
+					checkGoldenPrint(t, want, name, res.Fingerprint())
+				})
 			}
 		}
 	}

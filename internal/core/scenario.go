@@ -12,7 +12,6 @@ import (
 	"repro/internal/provider"
 	"repro/internal/replica"
 	"repro/internal/rmi"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -109,19 +108,6 @@ type Config struct {
 	// batch unanswered after this duration is re-issued to a second
 	// replica and the first answer wins. 0 disables hedging.
 	HedgeAfter time.Duration
-	// Shards partitions the design across N concurrent schedulers
-	// (internal/shard) cut by connector cost: 0 or 1 run the classic
-	// single-scheduler path, N > 1 the sharded engine. Results are
-	// bit-identical at any count — the shard determinism matrix enforces
-	// Result.Fingerprint equality against the 1-shard baseline.
-	Shards int
-	// ShardWindow is the conservative synchronization window for sharded
-	// runs (instants of solo runahead between barriers); 0 uses
-	// shard.DefaultWindow. Any value yields identical results.
-	ShardWindow int
-	// ShardWorkers bounds the shard engine's per-round delivery pool:
-	// 0 one worker per CPU, 1 serial. Identical results at any count.
-	ShardWorkers int
 }
 
 // DefaultConfig returns the paper's experimental parameters.
@@ -341,26 +327,9 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 	}
 	//lint:ignore simdeterminism the Table 2/3 wall-clock columns measure the host; the timings never feed signal values.
 	start := time.Now()
-	// outID is the scheduler whose history holds the run's products: the
-	// single scheduler classically, the output's owning shard otherwise.
-	var outID sim.SchedulerID
-	if cfg.Shards > 1 {
-		sst := shard.Run(circuit, shard.Options{
-			Shards:  cfg.Shards,
-			Window:  cfg.ShardWindow,
-			Workers: cfg.ShardWorkers,
-			Setup:   setup,
-		})
-		if sst.Err != nil {
-			return nil, sst.Err
-		}
-		outID = sst.OwnerOf(out)
-	} else {
-		stats := simu.Start(setup)
-		if stats.Err != nil {
-			return nil, stats.Err
-		}
-		outID = stats.Scheduler
+	stats := simu.Start(setup)
+	if stats.Err != nil {
+		return nil, stats.Err
 	}
 	//lint:ignore simdeterminism wall-clock metering for the RealTime/SimTime report columns only.
 	simDone := time.Now()
@@ -373,8 +342,8 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 	end := time.Now()
 	wall := end.Sub(start)
 
-	products := len(out.History(outID))
-	out.ReleaseHistory(outID)
+	products := len(out.History(stats.Scheduler))
+	out.ReleaseHistory(stats.Scheduler)
 	res := &Result{
 		Scenario:  s,
 		Host:      cfg.Profile.Name,

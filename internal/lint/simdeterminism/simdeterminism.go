@@ -35,7 +35,6 @@ var TargetPackages = []string{
 	"repro/internal/fault",
 	"repro/internal/core",
 	"repro/internal/replica",
-	"repro/internal/shard",
 }
 
 // randConstructors are the math/rand functions that build explicitly

@@ -19,14 +19,6 @@ func TestReplicaScope(t *testing.T) {
 	analysistest.Run(t, "testdata/src/breaker", "repro/internal/replica/fixture", simdeterminism.Analyzer)
 }
 
-// TestShardScope pins the shard engine into the determinism scope: the
-// partitioner and barrier loop must stay free of wall clocks, global
-// randomness, and map-order-dependent merges — the invariants the
-// bit-identity matrix relies on.
-func TestShardScope(t *testing.T) {
-	analysistest.Run(t, "testdata/src/shardpkg", "repro/internal/shard/fixture", simdeterminism.Analyzer)
-}
-
 func TestOutOfScope(t *testing.T) {
 	analysistest.Run(t, "testdata/src/outofscope", "repro/internal/trace/fixture", simdeterminism.Analyzer)
 }

@@ -9,11 +9,9 @@ package sim
 // An arena is confined to its scheduler exactly as the scheduler is
 // confined to one goroutine, so neither acquire nor release locks.
 // Token ownership follows DELIVERY, not origin: a token acquired from
-// scheduler A's arena and migrated across a shard boundary is released
-// into the arena of the scheduler that delivers it. That keeps release
-// single-writer under the shard engine — each scheduler's arena is only
-// touched by whichever worker is running that scheduler's instant, and
-// the engine's round barrier orders the rounds.
+// scheduler A's arena but delivered by scheduler B is released into B's
+// arena. That keeps release single-writer — each arena is only touched
+// by the goroutine running its own scheduler.
 type tokenArena struct {
 	free []*SignalToken
 	slab []SignalToken

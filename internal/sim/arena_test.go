@@ -106,19 +106,28 @@ func TestArenaReserveCoversRun(t *testing.T) {
 }
 
 // TestArenaCrossSchedulerRelease: a token acquired from scheduler A but
-// delivered by scheduler B must be released into B's arena — ownership
-// follows delivery, which is what keeps shard-migrated tokens race-free.
+// posted to and delivered by scheduler B is released into B's arena —
+// ownership follows delivery, so each arena is only touched by the
+// goroutine running its own scheduler. Both lanes are covered: the
+// calendar takes the carrier over at post, the spill heap after
+// delivery.
 func TestArenaCrossSchedulerRelease(t *testing.T) {
-	a, b := NewScheduler(), NewScheduler()
-	ctxA, ctxB := a.NewContext(), b.NewContext()
-	tok := ctxA.AcquireSignal(1, &recordingHandler{}, 0, signal.BitValue{}, "migrant")
-	b.AdvanceTo(1)
-	b.Deliver(ctxB, tok)
-	if len(b.arena.free) != 1 || b.arena.free[0] != tok {
-		t.Error("migrated token not released into the delivering scheduler's arena")
-	}
-	if len(a.arena.free) != 0 {
-		t.Error("origin arena received the migrated token")
+	for _, when := range []Time{1, sigWindow + 1} {
+		a, b := NewScheduler(), NewScheduler()
+		tok := a.NewContext().AcquireSignal(when, &recordingHandler{}, 0, signal.BitValue{}, "handoff")
+		b.Post(tok)
+		if err := b.Run(nil, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if b.Delivered() != 1 {
+			t.Fatalf("t=%d: delivered %d tokens, want 1", when, b.Delivered())
+		}
+		if len(b.arena.free) != 1 || b.arena.free[0] != tok {
+			t.Errorf("t=%d: token not released into the delivering scheduler's arena", when)
+		}
+		if len(a.arena.free) != 0 {
+			t.Errorf("t=%d: origin arena received the token back", when)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/signal"
 )
@@ -19,14 +18,14 @@ import (
 // signal tokens beyond the window — goes to the spill lane, the binary
 // min-heap the kernel always had. Delivery order is the exact (time,
 // seq) total order of the heap-only kernel: buckets index distinct
-// instants, lane appends are sequence-ascending (with a lazy sort for
-// the one caller that can violate it, PostSequenced), and a pop at time
-// t merges the t-bucket head against the spill head by stamp.
+// instants, lane appends are sequence-ascending (Post stamps from one
+// counter), and a pop at time t merges the t-bucket head against the
+// spill head by stamp.
 
 // sigBuckets is the calendar size: one bucket per simulation instant in
 // the near-future window. A power of two so the bucket index is a mask,
-// and 64 so bucket occupancy fits one machine word — NextEventTime is a
-// rotate plus a trailing-zero count.
+// and 64 so bucket occupancy fits one machine word — the earliest
+// calendar time is a rotate plus a trailing-zero count (sigMinTime).
 const sigBuckets = 64
 
 // sigWindow is the calendar's reach: signal tokens scheduled at
@@ -42,10 +41,9 @@ const sigWindow = Time(sigBuckets)
 // one integer instead of five slice headers. head is the next
 // undelivered entry; entries before head are consumed and zeroed.
 type sigBucket struct {
-	time     Time
-	head     int
-	n        int  // used entries; [head, n) are undelivered
-	unsorted bool // a PostSequenced stamp broke ascending order
+	time Time
+	head int
+	n    int // used entries; [head, n) are undelivered
 
 	seqs  []uint64
 	dsts  []uint32 // interned handler indices (Scheduler.interned)
@@ -54,38 +52,12 @@ type sigBucket struct {
 	srcs  []string
 }
 
-// sort.Interface over the undelivered tail [head:n], co-swapping all
-// lanes: the lazy reorder that repairs arbitrary PostSequenced stamps.
-func (b *sigBucket) Len() int { return b.n - b.head }
-func (b *sigBucket) Less(i, j int) bool {
-	return b.seqs[b.head+i] < b.seqs[b.head+j]
-}
-func (b *sigBucket) Swap(i, j int) {
-	i, j = b.head+i, b.head+j
-	b.seqs[i], b.seqs[j] = b.seqs[j], b.seqs[i]
-	b.dsts[i], b.dsts[j] = b.dsts[j], b.dsts[i]
-	b.ports[i], b.ports[j] = b.ports[j], b.ports[i]
-	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
-	b.srcs[i], b.srcs[j] = b.srcs[j], b.srcs[i]
-}
-
-// sortBucket restores ascending stamp order on the undelivered tail.
-// Outlined and kept out of the inliner: it runs only after an
-// out-of-order PostSequenced, never on the steady-state drain path.
-//
-//go:noinline
-func sortBucket(b *sigBucket) {
-	sort.Sort(b)
-	b.unsorted = false
-}
-
 // reset returns an emptied bucket to its zero occupancy. Lane backing
 // arrays are retained for reuse; consumed entries were already zeroed
 // entry-by-entry at pop, so nothing is pinned.
 func (b *sigBucket) reset() {
 	b.head = 0
 	b.n = 0
-	b.unsorted = false
 }
 
 // bucketFor returns the calendar bucket addressing time t. Valid only
@@ -150,13 +122,8 @@ func (s *Scheduler) enqueue(tok Token, seq uint64) {
 			// already clean — only the time stamp and mask bit are set.
 			b.time = st.T
 			s.sigMask |= 1 << uint(st.T&(sigBuckets-1))
-		} else {
-			if b.time != st.T {
-				bucketCollisionPanic(b.time, st.T)
-			}
-			if seq < b.seqs[n-1] {
-				b.unsorted = true
-			}
+		} else if b.time != st.T {
+			bucketCollisionPanic(b.time, st.T)
 		}
 		// One length check covers all five lanes: they are sized in
 		// lockstep, so equal length is a bucket invariant.
@@ -290,9 +257,8 @@ func (s *Scheduler) sigMinTime() (Time, bool) {
 // strings.
 //
 //gocad:noalloc
-func (s *Scheduler) popBucket(b *sigBucket) (*SignalToken, uint64) {
+func (s *Scheduler) popBucket(b *sigBucket) {
 	i := b.head
-	seq := b.seqs[i]
 	// Field-wise fill: popScratch's arenaOwned flag is false by
 	// construction and nothing flips it, so the bool (and its padding)
 	// needs no re-zeroing per pop.
@@ -313,5 +279,4 @@ func (s *Scheduler) popBucket(b *sigBucket) (*SignalToken, uint64) {
 		s.sigMask &^= 1 << uint(b.time&(sigBuckets-1))
 	}
 	s.pending--
-	return &s.popScratch, seq
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestQueueAccountingAcrossLanes pins Pending and MaxQueueLen on a
-// scripted post/pop sequence that spans both storage lanes: in-window
+// scripted post/drain sequence that spans both storage lanes: in-window
 // signal tokens land in calendar buckets, far-future signal tokens and
 // generic tokens land in the spill heap. The counters must reflect the
 // SUM across lanes at every step — a regression to per-lane counting
@@ -46,23 +46,15 @@ func TestQueueAccountingAcrossLanes(t *testing.T) {
 	assertCounts("3 spill posts", 6, 6)
 
 	// Drain t=3: two bucketed events leave; the high-water mark stays.
-	s.AdvanceTo(3)
-	for i := 0; i < 2; i++ {
-		tok, _, ok := s.PopDue(3)
-		if !ok {
-			t.Fatalf("PopDue(3) #%d returned nothing", i)
-		}
-		s.Deliver(ctx, tok)
+	if err := s.Run(ctx, RunOptions{MaxInstants: 1}); err != nil {
+		t.Fatal(err)
 	}
 	assertCounts("after draining t=3", 4, 6)
 
 	// Drain t=4 (spill lane) — Pending must drop across lanes, not just
 	// the bucketed one.
-	s.AdvanceTo(4)
-	if tok, _, ok := s.PopDue(4); !ok {
-		t.Fatal("PopDue(4) returned nothing")
-	} else {
-		s.Deliver(ctx, tok)
+	if err := s.Run(ctx, RunOptions{MaxInstants: 1}); err != nil {
+		t.Fatal(err)
 	}
 	assertCounts("after draining t=4", 3, 6)
 

@@ -38,55 +38,74 @@ func (q *oracleQueue) Pop() any {
 	return it
 }
 
-// fuzzPopOne pops the earliest event from both the scheduler and the
-// oracle and fails on any divergence in time, stamp, or event identity.
-func fuzzPopOne(t *testing.T, s *Scheduler, oracle *oracleQueue) {
+// fuzzDelivery is one token as the scheduler delivered it.
+type fuzzDelivery struct {
+	t      Time
+	id     int
+	signal bool
+}
+
+// fuzzRecorder copies every delivery's identity (never the token, which
+// may be the calendar's scratch carrier or an arena token).
+type fuzzRecorder struct{ got []fuzzDelivery }
+
+func (*fuzzRecorder) HandlerName() string { return "fuzz-rec" }
+func (r *fuzzRecorder) HandleToken(ctx *Context, tok Token) {
+	switch tk := tok.(type) {
+	case *SignalToken:
+		r.got = append(r.got, fuzzDelivery{t: ctx.Now(), id: tk.Port, signal: true})
+	case *SelfToken:
+		r.got = append(r.got, fuzzDelivery{t: ctx.Now(), id: tk.Payload.(int)})
+	default:
+		panic("fuzz-rec: unexpected token type")
+	}
+}
+
+// fuzzDrain runs the scheduler for at most instants instants (0 drains
+// everything), pops the same instants off the oracle, and fails on any
+// divergence in delivery time, order or event identity.
+func fuzzDrain(t *testing.T, s *Scheduler, ctx *Context, r *fuzzRecorder, oracle *oracleQueue, instants int) {
 	t.Helper()
-	nt, ok := s.NextEventTime()
+	nt, ok := s.nextEventTime()
 	if !ok {
 		t.Fatalf("scheduler empty with %d oracle events pending", oracle.Len())
 	}
-	want := heap.Pop(oracle).(oracleItem)
-	if nt != want.t {
-		t.Fatalf("NextEventTime = %d, oracle head at %d", nt, want.t)
+	if head := (*oracle)[0].t; nt != head {
+		t.Fatalf("nextEventTime = %d, oracle head at %d", nt, head)
 	}
-	s.AdvanceTo(nt)
-	tok, seq, ok := s.PopDue(nt)
-	if !ok {
-		t.Fatalf("PopDue(%d) returned nothing, oracle head at %d", nt, want.t)
+	r.got = r.got[:0]
+	if err := s.Run(ctx, RunOptions{MaxInstants: instants}); err != nil {
+		t.Fatal(err)
 	}
-	if seq != want.seq {
-		t.Fatalf("popped seq %d at t=%d, oracle expects seq %d", seq, nt, want.seq)
+	var want []oracleItem
+	for done := 0; oracle.Len() > 0 && (instants == 0 || done < instants); done++ {
+		at := (*oracle)[0].t
+		for oracle.Len() > 0 && (*oracle)[0].t == at {
+			want = append(want, heap.Pop(oracle).(oracleItem))
+		}
 	}
-	switch tk := tok.(type) {
-	case *SignalToken:
-		if !want.signal {
-			t.Fatalf("popped signal token (seq %d), oracle expects generic id %d", seq, want.id)
+	if len(r.got) != len(want) {
+		t.Fatalf("drained %d tokens over %d instants, oracle expects %d", len(r.got), instants, len(want))
+	}
+	for i, w := range want {
+		if g := r.got[i]; g.t != w.t || g.id != w.id || g.signal != w.signal {
+			t.Fatalf("delivery %d: got (t=%d id=%d signal=%v), oracle expects (t=%d id=%d signal=%v seq=%d)",
+				i, g.t, g.id, g.signal, w.t, w.id, w.signal, w.seq)
 		}
-		if tk.T != want.t || tk.Port != want.id {
-			t.Fatalf("signal token (t=%d id=%d), oracle expects (t=%d id=%d)", tk.T, tk.Port, want.t, want.id)
-		}
-	case *SelfToken:
-		if want.signal {
-			t.Fatalf("popped generic token (seq %d), oracle expects signal id %d", seq, want.id)
-		}
-		if tk.T != want.t || tk.Payload.(int) != want.id {
-			t.Fatalf("self token (t=%d id=%v), oracle expects (t=%d id=%d)", tk.T, tk.Payload, want.t, want.id)
-		}
-	default:
-		t.Fatalf("unexpected token type %T", tok)
+	}
+	if s.Pending() != oracle.Len() {
+		t.Fatalf("Pending() = %d after drain, oracle holds %d", s.Pending(), oracle.Len())
 	}
 }
 
 // FuzzQueueOrdering differentially tests the calendar+spill event store
-// against a container/heap oracle: random (time, seq) post/pop scripts
-// must produce byte-identical pop order. Each 3-byte chunk is one op:
-// c[0] selects token kind and whether to interleave a pop, c[1] the
-// time offset (spanning the calendar window and the spill region), and
-// c[2] the high bits of a PostSequenced stamp (low bits take the op
-// index, keeping stamps unique while letting c[2] force out-of-order
-// arrivals that exercise the bucket's lazy sort). Bit 1 of c[0] draws a
-// signal token from the scheduler's arena instead of building one.
+// against a container/heap oracle: random post/drain scripts must
+// deliver in exactly the oracle's (time, seq) order, where seq is the
+// posting order. Each 3-byte chunk is one op: c[0] selects token kind
+// and whether to interleave a partial drain, c[1] the time offset
+// (spanning the calendar window and the spill region), and c[2] how
+// many instants that drain runs (1 to 3). Bit 1 of c[0] draws a signal
+// token from the scheduler's arena instead of building one.
 //
 // The script runs twice on one scheduler with a recycle between: the
 // first pass stops without draining, so the recycle meets pending
@@ -101,31 +120,33 @@ func FuzzQueueOrdering(f *testing.F) {
 		s := NewScheduler()
 		s.ReserveTokens(32)
 		ctx := s.NewContext()
-		h := &fuzzNullHandler{}
+		h := &fuzzRecorder{}
 		var v signal.Value = signal.BitValue{B: signal.B1}
 		run := func() *oracleQueue {
 			oracle := &oracleQueue{}
+			var seq uint64
 			for i := 0; i+2 < len(script); i += 3 {
-				op, dt, hi := script[i], script[i+1], script[i+2]
+				op, dt, depth := script[i], script[i+1], script[i+2]
 				tt := s.Now() + Time(dt%96)
-				seq := (uint64(hi) << 32) | uint64(i)
 				isSignal := op&1 == 0
 				switch {
 				case isSignal && op&2 != 0:
-					s.PostSequenced(ctx.AcquireSignal(tt, h, i, v, "fuzz"), seq)
+					s.Post(ctx.AcquireSignal(tt, h, i, v, "fuzz"))
 				case isSignal:
-					s.PostSequenced(&SignalToken{T: tt, Dst: h, Port: i, Value: v, Src: "fuzz"}, seq)
+					s.Post(&SignalToken{T: tt, Dst: h, Port: i, Value: v, Src: "fuzz"})
 				default:
-					s.PostSequenced(&SelfToken{T: tt, Dst: h, Payload: i}, seq)
+					s.Post(&SelfToken{T: tt, Dst: h, Payload: i})
 				}
+				seq++
 				heap.Push(oracle, oracleItem{t: tt, seq: seq, id: i, signal: isSignal})
 				if s.Pending() != oracle.Len() {
 					t.Fatalf("Pending() = %d after post, oracle holds %d", s.Pending(), oracle.Len())
 				}
-				// High bit interleaves a pop mid-script, advancing the clock
-				// so buckets recycle under the posts that follow.
-				if op&0x80 != 0 && oracle.Len() > 0 {
-					fuzzPopOne(t, s, oracle)
+				// High bit interleaves a partial drain mid-script,
+				// advancing the clock so buckets recycle under the posts
+				// that follow.
+				if op&0x80 != 0 {
+					fuzzDrain(t, s, ctx, h, oracle, 1+int(depth%3))
 				}
 			}
 			return oracle
@@ -135,15 +156,14 @@ func FuzzQueueOrdering(f *testing.F) {
 		if s.Pending() != 0 || s.Now() != 0 {
 			t.Fatalf("recycled scheduler: pending=%d now=%d", s.Pending(), s.Now())
 		}
-		oracle := run()
-		for oracle.Len() > 0 {
-			fuzzPopOne(t, s, oracle)
+		if oracle := run(); oracle.Len() > 0 {
+			fuzzDrain(t, s, ctx, h, oracle, 0)
 		}
 		if s.Pending() != 0 {
 			t.Fatalf("scheduler still has %d pending after oracle drained", s.Pending())
 		}
-		if nt, ok := s.NextEventTime(); ok {
-			t.Fatalf("NextEventTime reports %d on an empty store", nt)
+		if nt, ok := s.nextEventTime(); ok {
+			t.Fatalf("nextEventTime reports %d on an empty store", nt)
 		}
 	})
 }

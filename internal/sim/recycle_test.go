@@ -13,8 +13,8 @@ import (
 // ResetState) and posts exactly one follow-up chosen by that count: an
 // in-window arena signal token to its peer (calendar lane), an arena
 // signal token beyond the calendar window (spill lane), or a self token
-// (spill lane). A stale slot, a leftover token, override, hook or
-// intercept therefore all change the recorded trace.
+// (spill lane). A stale slot, a leftover token, override or hook
+// therefore all change the recorded trace.
 type relay struct {
 	name  string
 	peer  *relay
@@ -92,8 +92,7 @@ func arenaSpilled(s *Scheduler) int {
 
 // TestRecycledSchedulerMatchesFresh: a run cut short — by MaxInstants,
 // Until, or the event limit — leaves calendar entries, spill tokens and
-// arena tokens pending, with an override, a hook and an intercept still
-// installed. Recycling must make the scheduler's next run identical to
+// arena tokens pending, with an override and a hook still installed. Recycling must make the scheduler's next run identical to
 // one on a NewScheduler: same delivery trace, Delivered, MaxQueue and
 // EndTime, and nothing of the cut run left over.
 func TestRecycledSchedulerMatchesFresh(t *testing.T) {
@@ -128,8 +127,6 @@ func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 			st := cutCtrl.StartOn(sched, nil, func(s *Scheduler) {
 				s.Override(b, twin)
 				s.AddInstantHook(func(ctx *Context, now Time) { got = append(got, fmt.Sprintf("hook t=%d", now)) })
-				k := 0
-				s.SetPostIntercept(func(Token) bool { k++; return k == 5 })
 			})
 			if (st.Err != nil) != cut.errors {
 				t.Fatalf("cut run error = %v, want error %v", st.Err, cut.errors)
@@ -145,11 +142,11 @@ func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 			if sched.ID() == cutID {
 				t.Error("recycled scheduler kept its SchedulerID")
 			}
-			if _, ok := sched.NextEventTime(); ok || sched.Pending() != 0 || sched.Now() != 0 {
+			if _, ok := sched.nextEventTime(); ok || sched.Pending() != 0 || sched.Now() != 0 {
 				t.Errorf("recycled store not empty: pending=%d now=%d", sched.Pending(), sched.Now())
 			}
-			if len(sched.overrides) != 0 || len(sched.hooks) != 0 || sched.intercept != nil {
-				t.Error("recycled scheduler kept an override, hook or intercept")
+			if len(sched.overrides) != 0 || len(sched.hooks) != 0 {
+				t.Error("recycled scheduler kept an override or hook")
 			}
 			if sched.Delivered() != 0 || sched.MaxQueueLen() != 0 || sched.seq != 0 || sched.EventLimit != 0 {
 				t.Error("recycled scheduler kept its counters")

@@ -115,10 +115,9 @@ type InstantHook func(ctx *Context, completed Time)
 // key, so delivery order — and with it every fingerprint — is identical
 // to the heap-only kernel's.
 type Scheduler struct {
-	id      SchedulerID
-	seq     uint64
-	now     Time
-	started bool
+	id  SchedulerID
+	seq uint64
+	now Time
 
 	// sig is the calendar: bucket i holds the signal tokens of the unique
 	// time t in [now, now+sigWindow) with t%64 == i, decomposed into flat
@@ -164,13 +163,6 @@ type Scheduler struct {
 	overrides map[Handler]Handler
 
 	hooks []InstantHook
-
-	// intercept, when non-nil, sees every token entering Post after the
-	// causality check. Returning true consumes the token: it is neither
-	// sequenced nor enqueued, and ownership passes to the intercept. A
-	// sharding coordinator installs one to capture cross-scheduler posts
-	// and re-inject them with globally assigned sequence stamps.
-	intercept func(Token) bool
 
 	// arena slab-allocates this scheduler's signal tokens
 	// (Context.AcquireSignal); sized up front by ReserveTokens.
@@ -234,40 +226,16 @@ func (s *Scheduler) Post(tok Token) {
 	if tok.When() < s.now {
 		panic(fmt.Sprintf("sim: token scheduled at %d, before current time %d", tok.When(), s.now))
 	}
-	if s.intercept != nil && s.intercept(tok) {
-		return
-	}
 	s.seq++
 	s.enqueue(tok, s.seq)
 }
 
-// SetPostIntercept installs (or, with nil, removes) the scheduler's post
-// intercept. While installed, every token passing the causality check is
-// offered to fn before sequencing; fn returning true consumes it.
-func (s *Scheduler) SetPostIntercept(fn func(Token) bool) { s.intercept = fn }
-
-// PostSequenced enqueues a token under a caller-assigned sequence stamp,
-// bypassing the scheduler's own counter and the post intercept. This is
-// the injection half of the sharding protocol: a coordinator that merged
-// captured posts from several schedulers re-posts each one here with its
-// globally agreed (time, seq) rank, so same-instant delivery order is
-// identical to the order one scheduler would have produced. Stamps must
-// be unique per (time, seq) pair; the causality rule still applies.
-func (s *Scheduler) PostSequenced(tok Token, seq uint64) {
-	if tok.When() < s.now {
-		panic(fmt.Sprintf("sim: token scheduled at %d, before current time %d", tok.When(), s.now))
-	}
-	s.enqueue(tok, seq)
-}
-
-// NextEventTime returns the time of the earliest pending token, or
-// ok=false when the store is empty — the lower-bound timestamp a
-// conservative synchronization window is computed from. The earliest
-// time is the minimum of the calendar's occupancy scan and the spill
-// heap's root.
+// nextEventTime returns the time of the earliest pending token, or
+// ok=false when the store is empty: the minimum of the calendar's
+// occupancy scan and the spill heap's root.
 //
 //gocad:noalloc
-func (s *Scheduler) NextEventTime() (Time, bool) {
+func (s *Scheduler) nextEventTime() (Time, bool) {
 	ct, cok := s.sigMinTime()
 	if len(s.spill) == 0 {
 		return ct, cok
@@ -277,61 +245,6 @@ func (s *Scheduler) NextEventTime() (Time, bool) {
 		return ht, true
 	}
 	return ct, true
-}
-
-// PopDue removes and returns the earliest pending token together with
-// its sequence stamp, provided it is scheduled exactly at t; ok=false
-// when the store is empty or the head is later. Combined with Deliver
-// this is the bounded-step API: an external coordinator drains one
-// instant of one scheduler without ceding control of global time.
-//
-// When both lanes hold tokens due at t, the lower sequence stamp wins —
-// the merge that keeps two-lane delivery order identical to the single
-// heap's (time, seq) order.
-//
-//gocad:noalloc
-func (s *Scheduler) PopDue(t Time) (Token, uint64, bool) {
-	b := s.bucketFor(t)
-	bucketDue := b.head < b.n && b.time == t
-	spillDue := len(s.spill) > 0 && s.spill[0].tok.When() == t
-	if bucketDue {
-		if b.unsorted {
-			sortBucket(b)
-		}
-		if !spillDue || b.seqs[b.head] < s.spill[0].seq {
-			tok, seq := s.popBucket(b)
-			return tok, seq, true
-		}
-	}
-	if !spillDue {
-		return nil, 0, false
-	}
-	it := s.spill.popMin()
-	s.pending--
-	return it.tok, it.seq, true
-}
-
-// Deliver dispatches one token exactly as the run loop would: overrides
-// and tracing are honoured, the delivered counter advances, and arena
-// signal tokens are released. ctx must belong to this scheduler (nil
-// uses a fresh context).
-func (s *Scheduler) Deliver(ctx *Context, tok Token) {
-	if ctx == nil {
-		ctx = s.NewContext()
-	}
-	s.deliver(ctx, tok)
-}
-
-// AdvanceTo moves the scheduler's clock to t without delivering
-// anything. Coordinators call it before stepping an instant so that
-// handlers observing ctx.Now() — and the causality check guarding Post —
-// see the global time. Moving the clock backwards panics.
-func (s *Scheduler) AdvanceTo(t Time) {
-	if s.started && t < s.now {
-		panic(fmt.Sprintf("sim: AdvanceTo(%d) behind current time %d", t, s.now))
-	}
-	s.started = true
-	s.now = t
 }
 
 // Pending returns the number of tokens waiting across both lanes of the
@@ -422,9 +335,8 @@ func (s *Scheduler) deliver(ctx *Context, tok Token) {
 	dst.HandleToken(ctx, tok)
 	if st, ok := tok.(*SignalToken); ok {
 		if st.arenaOwned {
-			// Release into the DELIVERING scheduler's arena: for tokens
-			// that migrated across a shard boundary, ownership moves with
-			// them, keeping every arena single-writer.
+			// Release into the DELIVERING scheduler's arena: ownership
+			// follows delivery, keeping every arena single-writer.
 			s.arena.release(st)
 		}
 	}
@@ -501,24 +413,19 @@ func (s *Scheduler) drain(ctx *Context, opts RunOptions, limit uint64) error {
 	budget := limit
 	instants := 0
 	for s.pending > 0 {
-		next, _ := s.NextEventTime()
+		next, _ := s.nextEventTime()
 		if opts.Until != 0 && next > opts.Until {
 			return nil
 		}
-		if next > s.now || !s.started {
-			s.started = true
-			s.now = next
-		}
-		// The bucket addressing s.now is stable for the whole instant, so
-		// the merged bucket-vs-spill pop is inlined here rather than
-		// calling hasDue+PopDue per token (PopDue stays the API for
-		// external coordinators; this is the same merge, fused).
+		// Post refuses past-time tokens, so next >= now.
+		s.now = next
+		// The bucket addressing s.now is stable for the whole instant.
+		// When both lanes hold tokens due now, the lower sequence stamp
+		// wins — the merge that keeps two-lane delivery order identical
+		// to the single heap's (time, seq) order.
 		b := s.bucketFor(s.now)
 		for {
 			bucketDue := b.head < b.n && b.time == s.now
-			if bucketDue && b.unsorted {
-				sortBucket(b)
-			}
 			spillDue := len(s.spill) > 0 && s.spill[0].tok.When() == s.now
 			if !bucketDue && !spillDue {
 				break
@@ -579,8 +486,8 @@ func (s *Scheduler) Reset(ctx *Context, handlers []Handler) {
 // recycle prepares a used scheduler for its next run so that the run is
 // observationally one on a NewScheduler: a fresh SchedulerID, an empty
 // event store, a zero clock, sequence and counters, and no overrides,
-// hooks, intercept or event limit. Pending calendar entries are zeroed
-// and pending arena tokens in the spill heap go back to the arena. What
+// hooks or event limit. Pending calendar entries are zeroed and pending
+// arena tokens in the spill heap go back to the arena. What
 // it keeps is storage: calendar lanes and slab, the token arena, the
 // handler intern table and the state slots (whose owners re-initialize
 // them on the ID change, see Context.Slot).
@@ -604,7 +511,6 @@ func (s *Scheduler) recycle() {
 	clear(s.overrides)
 	clear(s.hooks)
 	s.hooks = s.hooks[:0]
-	s.intercept = nil
-	s.seq, s.now, s.started, s.pending = 0, 0, false, 0
+	s.seq, s.now, s.pending = 0, 0, 0
 	s.delivered, s.maxQueue, s.EventLimit = 0, 0, 0
 }

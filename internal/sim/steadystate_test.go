@@ -8,7 +8,8 @@ import (
 
 // TestPostDeliverZeroAlloc gates the kernel's steady-state hot path at
 // exactly zero allocations per event: acquire an arena signal token,
-// post it into a calendar bucket, advance, pop, deliver, release. The
+// post it into a calendar bucket, then Run — the real drain loop
+// advances the clock, pops and delivers it. The
 // warm-up cycle interns the handler, claims the bucket lanes, and
 // seeds the arena; after that, every cycle must reuse the same storage.
 // This is the invariant the //gocad:noalloc lint annotations promise
@@ -27,18 +28,14 @@ func TestPostDeliverZeroAlloc(t *testing.T) {
 	var v signal.Value = signal.BitValue{B: signal.B1}
 
 	cycle := func() {
-		tok := ctx.AcquireSignal(s.Now()+1, h, 0, v, "steady")
-		s.Post(tok)
-		nt, ok := s.NextEventTime()
-		if !ok {
-			t.Fatal("posted token not visible to NextEventTime")
+		before := s.Delivered()
+		s.Post(ctx.AcquireSignal(s.Now()+1, h, 0, v, "steady"))
+		if err := s.Run(ctx, RunOptions{}); err != nil {
+			t.Fatal(err)
 		}
-		s.AdvanceTo(nt)
-		popped, _, ok := s.PopDue(nt)
-		if !ok {
-			t.Fatal("posted token not due at its own time")
+		if s.Delivered() != before+1 {
+			t.Fatal("posted token was not delivered")
 		}
-		s.Deliver(ctx, popped)
 	}
 
 	// Warm up: intern the handler, fault in the bucket lanes, populate
