@@ -145,10 +145,10 @@ const goldenCodecParity = "testdata/golden/codecparity.txt"
 // for every Table 2 scenario and across the transport knobs that change
 // wire traffic shape — pipeline depth and estimation cache — a run must
 // produce exactly the fingerprint recorded in
-// testdata/golden/codecparity.txt. That corpus
-// was recorded under the reflective gob codec while both codecs were
-// still proven identical cell by cell, so it stays the oracle for what
-// the binary codec may never change: what the simulation computes.
+// testdata/golden/codecparity.txt. That corpus was recorded under the
+// reflective gob codec while both codecs were still proven identical
+// cell by cell, so it stays the oracle for what the binary codec may
+// never change: what the simulation computes.
 // Run `go test ./internal/core -run TestCodecParity -update` to
 // regenerate it after a deliberate change to what a run computes.
 func TestCodecParityMatrix(t *testing.T) {
