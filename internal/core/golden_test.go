@@ -149,6 +149,13 @@ const goldenCodecParity = "testdata/golden/codecparity.txt"
 // reflective gob codec while both codecs were still proven identical
 // cell by cell, so it stays the oracle for what the binary codec may
 // never change: what the simulation computes.
+//
+// The corpus also recorded a shard count and a shard-worker count per
+// cell, from when a design could be split across several schedulers.
+// Every run now uses one scheduler, so the four shards/workers cells of
+// a (scenario, depth, cache) point are four independent runs of the same
+// configuration. They keep their recorded names and hashes, and
+// together they also check that repeated runs agree.
 // Run `go test ./internal/core -run TestCodecParity -update` to
 // regenerate it after a deliberate change to what a run computes.
 func TestCodecParityMatrix(t *testing.T) {
@@ -160,23 +167,28 @@ func TestCodecParityMatrix(t *testing.T) {
 	}{{"AL", AllLocal}, {"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
 		for _, depth := range []int{1, 8} {
 			for _, cached := range []bool{false, true} {
-				name := fmt.Sprintf("%s/depth=%d/cache=%v", sc.name, depth, cached)
-				t.Run(name, func(t *testing.T) {
-					cfg := smallConfig()
-					cfg.InFlight = depth
-					if cached {
-						// A fresh cache per cell: the matrix covers the
-						// cold-path traffic; the warm path is
-						// TestCodecParityWarmCache.
-						cfg.Cache = NewEstimationCache()
+				for _, shards := range []int{1, 4} {
+					for _, workers := range []int{1, 0} {
+						name := fmt.Sprintf("%s/depth=%d/cache=%v/shards=%d/workers=%d",
+							sc.name, depth, cached, shards, workers)
+						t.Run(name, func(t *testing.T) {
+							cfg := smallConfig()
+							cfg.InFlight = depth
+							if cached {
+								// A fresh cache per cell: the matrix covers the
+								// cold-path traffic; the warm path is
+								// TestCodecParityWarmCache.
+								cfg.Cache = NewEstimationCache()
+							}
+							res, err := Run(sc.scenario, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							fmt.Fprintf(&got, "%s %s\n", name, res.Fingerprint())
+							checkGoldenPrint(t, want, name, res.Fingerprint())
+						})
 					}
-					res, err := Run(sc.scenario, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fmt.Fprintf(&got, "%s %s\n", name, res.Fingerprint())
-					checkGoldenPrint(t, want, name, res.Fingerprint())
-				})
+				}
 			}
 		}
 	}
