@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/netsim"
 	"repro/internal/provider"
 	"repro/internal/replica"
@@ -72,6 +73,7 @@ func assertSameRun(t *testing.T, base, got *Result) {
 // run heals through failover with results bit-identical to the clean
 // single-provider baseline.
 func TestChaosSweepBitIdentical(t *testing.T) {
+	leakcheck.Check(t)
 	base, err := Run(EstimatorRemote, chaosCfg(1, 1))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
@@ -112,6 +114,7 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 // TestChaosMultiplierRemote runs one chaos cell through the MR scenario,
 // where every functional evaluation crosses the faulty transport too.
 func TestChaosMultiplierRemote(t *testing.T) {
+	leakcheck.Check(t)
 	base, err := Run(MultiplierRemote, chaosCfg(1, 1))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
@@ -130,6 +133,7 @@ func TestChaosMultiplierRemote(t *testing.T) {
 // worth of config must agree (each run builds its own providers and
 // schedules, so runs are independent by construction).
 func TestChaosTable2Workers(t *testing.T) {
+	leakcheck.Check(t)
 	var prev *Result
 	for _, workers := range []int{1, 4} {
 		cfg := chaosCfg(2, 8)
@@ -150,6 +154,7 @@ func TestChaosTable2Workers(t *testing.T) {
 // first-adopted replica must surface a nonzero failover count and a
 // per-replica status snapshot.
 func TestChaosFailoverObservable(t *testing.T) {
+	leakcheck.Check(t)
 	cfg := chaosCfg(2, 8)
 	cfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
 		// Binary framing is one write per frame (hello + 8 requests in a
@@ -183,6 +188,7 @@ func TestChaosFailoverObservable(t *testing.T) {
 // reported degradation — never a hang, an error, or silently full
 // results.
 func TestChaosAllReplicasDead(t *testing.T) {
+	leakcheck.Check(t)
 	base, err := Run(EstimatorRemote, chaosCfg(1, 1))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
@@ -222,40 +228,60 @@ func TestChaosAllReplicasDead(t *testing.T) {
 // batch responses are scripted slow: the hedge replica answers first for
 // at least one batch, and the recorded values are still bit-identical to
 // the clean baseline (replicas are deterministic — whoever answers,
-// the values match).
+// the values match). The warm cell first warms a shared cache with a
+// half-length run, so the run opens on cache hits: the primary and the
+// hedge both lag the pattern stream, and each send must catch its own
+// instance up.
 func TestHedgedRunBitIdentical(t *testing.T) {
+	leakcheck.Check(t)
 	base, err := Run(EstimatorRemote, chaosCfg(1, 1))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	cfg := chaosCfg(2, 8)
-	cfg.HedgeAfter = 2 * time.Millisecond
-	cfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
-		// Stall a swath of the primary's responses well past HedgeAfter so
-		// some batch responses certainly arrive late.
-		var rules []netsim.FaultRule
-		for n := 3; n <= 14; n++ {
-			rules = append(rules, netsim.FaultRule{Op: netsim.OnRead, Nth: n, Kind: netsim.FaultDelay, Delay: 30 * time.Millisecond})
-		}
-		slow := &netsim.FaultPlan{Rules: rules}
-		cs := netsim.ScriptedSchedule(1,
-			netsim.ReplicaScript{Kind: netsim.ChaosSlowDrip, Plan: slow, RefuseFrom: -1},
-			netsim.ReplicaScript{Kind: netsim.ChaosNone, RefuseFrom: -1},
-		)
-		return []func() (net.Conn, error){
-			cs.Dialer(0, PipeDialer(provs[0])),
-			cs.Dialer(1, PipeDialer(provs[1])),
-		}
-	}
-	res, err := Run(EstimatorRemote, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRun(t, base, res)
-	if res.HedgedBatches < 1 {
-		t.Errorf("hedged batches = %d, want ≥ 1 (the scripted delays never tripped the hedge)", res.HedgedBatches)
-	}
-	if res.HedgeWins < 1 {
-		t.Errorf("hedge wins = %d, want ≥ 1", res.HedgeWins)
+	for _, warm := range []bool{false, true} {
+		t.Run(map[bool]string{false: "cache=none", true: "cache=warm"}[warm], func(t *testing.T) {
+			cfg := chaosCfg(2, 8)
+			cfg.HedgeAfter = 2 * time.Millisecond
+			if warm {
+				cfg.Cache = NewEstimationCache()
+				warmCfg := chaosCfg(1, 1)
+				warmCfg.Patterns /= 2
+				warmCfg.Cache = cfg.Cache
+				if _, err := Run(EstimatorRemote, warmCfg); err != nil {
+					t.Fatalf("warm-up: %v", err)
+				}
+			}
+			cfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
+				// Stall a swath of the primary's responses well past HedgeAfter so
+				// some batch responses certainly arrive late.
+				var rules []netsim.FaultRule
+				for n := 3; n <= 14; n++ {
+					rules = append(rules, netsim.FaultRule{Op: netsim.OnRead, Nth: n, Kind: netsim.FaultDelay, Delay: 30 * time.Millisecond})
+				}
+				slow := &netsim.FaultPlan{Rules: rules}
+				cs := netsim.ScriptedSchedule(1,
+					netsim.ReplicaScript{Kind: netsim.ChaosSlowDrip, Plan: slow, RefuseFrom: -1},
+					netsim.ReplicaScript{Kind: netsim.ChaosNone, RefuseFrom: -1},
+				)
+				return []func() (net.Conn, error){
+					cs.Dialer(0, PipeDialer(provs[0])),
+					cs.Dialer(1, PipeDialer(provs[1])),
+				}
+			}
+			res, err := Run(EstimatorRemote, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRun(t, base, res)
+			if warm && (res.CacheHits != 3 || res.CacheMisses != 3) {
+				t.Errorf("cache hits %d, misses %d; want 3 and 3 (the warm-up covers half the stream)", res.CacheHits, res.CacheMisses)
+			}
+			if res.HedgedBatches < 1 {
+				t.Errorf("hedged batches = %d, want ≥ 1 (the scripted delays never tripped the hedge)", res.HedgedBatches)
+			}
+			if res.HedgeWins < 1 {
+				t.Errorf("hedge wins = %d, want ≥ 1", res.HedgeWins)
+			}
+		})
 	}
 }

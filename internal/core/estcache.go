@@ -84,17 +84,12 @@ func chainNext(chain cacheKey, pattern []signal.Bit) cacheKey {
 }
 
 // cacheSession is one estimator's view of a shared EstimationCache: the
-// rolling chain over its own pattern history, plus the patterns already
-// answered from the cache that the provider has not yet executed. A
-// session is used serially by its estimator's dispatch path.
+// rolling chain over its own pattern history. A session is used serially
+// by its estimator's dispatch path; the patterns a hit kept off the wire
+// stay in the estimator's pattern log until the next miss carries them.
 type cacheSession struct {
 	cache *EstimationCache
 	chain cacheKey
-	// replay holds cache-hit patterns the provider never saw. The
-	// provider's simulator state must track the full history for
-	// later-miss values to be right, so the next miss transmits these as
-	// a catch-up prefix (results discarded) ahead of the new batch.
-	replay [][]signal.Bit
 }
 
 // newSession opens a session whose chain is seeded with the estimation
@@ -107,7 +102,7 @@ func (c *EstimationCache) newSession(fingerprint string) *cacheSession {
 // pattern's value is cached (all-or-nothing: partial hits still pay the
 // round trip, and the full batch is transmitted for provider-state
 // consistency). The returned keys address the batch's patterns for a
-// later commit. On a hit the batch joins the replay debt.
+// later commit.
 func (s *cacheSession) lookup(batch [][]signal.Bit) (vals []float64, keys []cacheKey, hit bool) {
 	keys = make([]cacheKey, len(batch))
 	ch := s.chain
@@ -131,13 +126,5 @@ func (s *cacheSession) lookup(batch [][]signal.Bit) (vals []float64, keys []cach
 	if !hit {
 		return nil, keys, false
 	}
-	s.replay = append(s.replay, batch...)
 	return vals, keys, true
-}
-
-// takeReplay returns and clears the catch-up debt.
-func (s *cacheSession) takeReplay() [][]signal.Bit {
-	r := s.replay
-	s.replay = nil
-	return r
 }

@@ -43,8 +43,8 @@ func TestEstimationCacheChainKeys(t *testing.T) {
 
 // TestEstimationCacheHitAndReplayDebt walks the miss→commit→hit cycle:
 // a committed batch is served locally by a later session with the same
-// history, and the served patterns accumulate as replay debt for the
-// next miss to transmit.
+// history. The served patterns are replay debt the next miss transmits;
+// the estimator's pattern log keeps it (TestHedgedCatchUpLogAfterClose).
 func TestEstimationCacheHitAndReplayDebt(t *testing.T) {
 	c := NewEstimationCache()
 	batch := [][]signal.Bit{pat(signal.B0, signal.B1), pat(signal.B1, signal.B1)}
@@ -66,12 +66,6 @@ func TestEstimationCacheHitAndReplayDebt(t *testing.T) {
 	}
 	if vals[0] != 1.5 || vals[1] != 2.5 {
 		t.Errorf("hit values = %v", vals)
-	}
-	if got := s2.takeReplay(); len(got) != 2 {
-		t.Errorf("replay debt = %d patterns, want 2", len(got))
-	}
-	if got := s2.takeReplay(); len(got) != 0 {
-		t.Error("replay debt not cleared by take")
 	}
 
 	// Partial coverage is all-or-nothing: extending the history past the

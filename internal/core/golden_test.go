@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/netsim"
@@ -18,11 +19,12 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/ from the curre
 const goldenFingerprints = "testdata/golden/fingerprints.txt"
 
 // fingerprintCorpus renders Result.Fingerprint for a fixed set of runs:
-// the three local-host Table 2 rows at DefaultConfig, then ER and MR at
-// smallConfig across pipeline depth {1, 8} and estimation cache {none,
-// cold, warm} — the knobs that reshape wire traffic. A warm run reuses
-// the cache its cold twin just filled. Any change to the wire protocol
-// or the remote estimation path must leave this text unchanged.
+// the three local-host Table 2 rows at DefaultConfig, AL at smallConfig,
+// then ER and MR at smallConfig across pipeline depth {1, 8} and
+// estimation cache {none, cold, warm} — the knobs that reshape wire
+// traffic. A warm run reuses the cache its cold twin just filled. Any
+// change to the wire protocol or the remote estimation path must leave
+// this text unchanged.
 func fingerprintCorpus(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -46,6 +48,7 @@ func fingerprintCorpus(t *testing.T) []byte {
 		cfg.Profile = row.profile
 		emit(fmt.Sprintf("table2/%s/%s", row.name, row.profile.Name), row.sc, cfg)
 	}
+	emit("small/AL", AllLocal, smallConfig())
 	for _, sc := range []struct {
 		name     string
 		scenario Scenario
@@ -69,6 +72,122 @@ func fingerprintCorpus(t *testing.T) []byte {
 // regenerate it after a deliberate change to what a run computes.
 func TestGoldenFingerprints(t *testing.T) {
 	checkGolden(t, goldenFingerprints, fingerprintCorpus(t))
+}
+
+// TestCodecParityMatrix keeps the cell names of the parity matrix that
+// once varied the wire codec and the shard engine. Both are gone, so
+// each (scenario, depth, cache) point names four sequential repeat runs
+// of one configuration; every run must reproduce its pinned row of
+// testdata/golden/fingerprints.txt (all AL cells the small/AL row, the
+// ER and MR cells small/<scenario>/inflight=<depth>/cache={none,cold}).
+// A cached cell gets a fresh cache, so it covers the cold path; the warm
+// path is TestCodecParityWarmCache.
+func TestCodecParityMatrix(t *testing.T) {
+	want := readGoldenPrints(t, goldenFingerprints)
+	for _, sc := range []struct {
+		name     string
+		scenario Scenario
+	}{{"AL", AllLocal}, {"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
+		for _, depth := range []int{1, 8} {
+			for _, cached := range []bool{false, true} {
+				for _, shards := range []int{1, 4} {
+					for _, workers := range []int{1, 0} {
+						name := fmt.Sprintf("%s/depth=%d/cache=%v/shards=%d/workers=%d",
+							sc.name, depth, cached, shards, workers)
+						t.Run(name, func(t *testing.T) {
+							cfg := smallConfig()
+							cfg.InFlight = depth
+							if cached {
+								cfg.Cache = NewEstimationCache()
+							}
+							res, err := Run(sc.scenario, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							checkGoldenPrint(t, want, smallRowLabel(sc.name, depth, cached), res.Fingerprint())
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// smallRowLabel names the fingerprints.txt row of a smallConfig run
+// without a warm cache.
+func smallRowLabel(scenario string, depth int, cached bool) string {
+	if scenario == "AL" {
+		return "small/AL"
+	}
+	cache := "none"
+	if cached {
+		cache = "cold"
+	}
+	return fmt.Sprintf("small/%s/inflight=%d/cache=%s", scenario, depth, cache)
+}
+
+// TestCodecParityWarmCache covers the warm-cache wire path: a second run
+// against an already-warmed shared cache serves estimation batches off
+// the cache instead of the provider, and that reshaped traffic must
+// still reproduce the pinned small/ER/inflight=1/cache=warm row.
+func TestCodecParityWarmCache(t *testing.T) {
+	want := readGoldenPrints(t, goldenFingerprints)
+	cfg := smallConfig()
+	cfg.InFlight = 1
+	cfg.Cache = NewEstimationCache()
+	if _, err := Run(EstimatorRemote, cfg); err != nil {
+		t.Fatalf("warmup: %v", err)
+	}
+	res, err := Run(EstimatorRemote, cfg)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	checkGoldenPrint(t, want, "small/ER/inflight=1/cache=warm", res.Fingerprint())
+}
+
+// TestGoldenRepeatRuns runs each small ER and MR row of
+// testdata/golden/fingerprints.txt without a warm cache — pipeline depth
+// {1, 8}, estimation cache {none, cold} — four times concurrently, and
+// requires every run to reproduce its pinned row. Each run builds its
+// own providers and, for a cold row, its own cache, so the runs share
+// nothing. The sequential repeats are the TestCodecParityMatrix cells.
+func TestGoldenRepeatRuns(t *testing.T) {
+	want := readGoldenPrints(t, goldenFingerprints)
+	for _, sc := range []struct {
+		name     string
+		scenario Scenario
+	}{{"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
+		for _, depth := range []int{1, 8} {
+			for _, cached := range []bool{false, true} {
+				label := smallRowLabel(sc.name, depth, cached)
+				t.Run(label, func(t *testing.T) {
+					prints := make([]string, 4)
+					var wg sync.WaitGroup
+					for i := range prints {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							cfg := smallConfig()
+							cfg.InFlight = depth
+							if cached {
+								cfg.Cache = NewEstimationCache()
+							}
+							res, err := Run(sc.scenario, cfg)
+							if err != nil {
+								t.Errorf("run %d: %v", i, err)
+								return
+							}
+							prints[i] = res.Fingerprint()
+						}()
+					}
+					wg.Wait()
+					for _, fp := range prints {
+						checkGoldenPrint(t, want, label, fp)
+					}
+				})
+			}
+		}
+	}
 }
 
 const goldenGenerated = "testdata/golden/generated.txt"
@@ -137,93 +256,6 @@ func checkGolden(t *testing.T, path string, got []byte) {
 		}
 	}
 	t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
-}
-
-const goldenCodecParity = "testdata/golden/codecparity.txt"
-
-// TestCodecParityMatrix is the bit-identical guarantee of wire format v1:
-// for every Table 2 scenario and across the transport knobs that change
-// wire traffic shape — pipeline depth and estimation cache — a run must
-// produce exactly the fingerprint recorded in
-// testdata/golden/codecparity.txt. That corpus was recorded under the
-// reflective gob codec while both codecs were still proven identical
-// cell by cell, so it stays the oracle for what the binary codec may
-// never change: what the simulation computes.
-//
-// The corpus also recorded a shard count and a shard-worker count per
-// cell, from when a design could be split across several schedulers.
-// Every run now uses one scheduler, so the four shards/workers cells of
-// a (scenario, depth, cache) point are four independent runs of the same
-// configuration. They keep their recorded names and hashes, and
-// together they also check that repeated runs agree.
-// Run `go test ./internal/core -run TestCodecParity -update` to
-// regenerate it after a deliberate change to what a run computes.
-func TestCodecParityMatrix(t *testing.T) {
-	want := readGoldenPrints(t, goldenCodecParity)
-	var got bytes.Buffer
-	for _, sc := range []struct {
-		name     string
-		scenario Scenario
-	}{{"AL", AllLocal}, {"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
-		for _, depth := range []int{1, 8} {
-			for _, cached := range []bool{false, true} {
-				for _, shards := range []int{1, 4} {
-					for _, workers := range []int{1, 0} {
-						name := fmt.Sprintf("%s/depth=%d/cache=%v/shards=%d/workers=%d",
-							sc.name, depth, cached, shards, workers)
-						t.Run(name, func(t *testing.T) {
-							cfg := smallConfig()
-							cfg.InFlight = depth
-							if cached {
-								// A fresh cache per cell: the matrix covers the
-								// cold-path traffic; the warm path is
-								// TestCodecParityWarmCache.
-								cfg.Cache = NewEstimationCache()
-							}
-							res, err := Run(sc.scenario, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							fmt.Fprintf(&got, "%s %s\n", name, res.Fingerprint())
-							checkGoldenPrint(t, want, name, res.Fingerprint())
-						})
-					}
-				}
-			}
-		}
-	}
-	warm := warmCacheFingerprint(t)
-	fmt.Fprintf(&got, "%s %s\n", warmCacheLabel, warm)
-	if *update {
-		if err := os.WriteFile(goldenCodecParity, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-const warmCacheLabel = "ER/warm"
-
-// TestCodecParityWarmCache extends the parity corpus to the warm-cache
-// wire path: a second run against an already-warmed shared cache serves
-// estimation batches off the cache instead of the provider, and that
-// reshaped traffic must still reproduce its recorded fingerprint.
-func TestCodecParityWarmCache(t *testing.T) {
-	want := readGoldenPrints(t, goldenCodecParity)
-	checkGoldenPrint(t, want, warmCacheLabel, warmCacheFingerprint(t))
-}
-
-func warmCacheFingerprint(t *testing.T) string {
-	t.Helper()
-	cfg := smallConfig()
-	cfg.Cache = NewEstimationCache()
-	if _, err := Run(EstimatorRemote, cfg); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
-	res, err := Run(EstimatorRemote, cfg)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	return res.Fingerprint()
 }
 
 // readGoldenPrints loads a "label fingerprint" corpus; under -update it

@@ -113,24 +113,29 @@ type RemotePowerEstimator struct {
 
 	// Hedged estimation (EnableHedge): a second bound instance on its own
 	// clean session. A primary batch unanswered after hedgeAfter is
-	// re-issued there — with the full pattern history the hedge has not
-	// yet executed as a catch-up prefix, since power values depend on
-	// history — and the first answer is recorded. hedgeHist is the
-	// complete logical pattern stream in batch order; hedgePos is the
-	// prefix the hedge instance has executed. A hedge error marks the
-	// hedge broken for the rest of the run and never fails the batch.
-	hedgeInst   *iplib.BoundInstance
-	hedgeAfter  time.Duration
-	hedgeMu     sync.Mutex
-	hedgeHist   [][]signal.Bit
-	hedgePos    int
-	hedgeBroken bool
+	// re-issued there and the first answer is recorded. A hedge error
+	// retires the hedge for the rest of the run, never failing the batch.
+	hedgeInst  *iplib.BoundInstance
+	hedgeAfter time.Duration
+
+	// The pattern log, kept while a cache or a hedge is armed: power
+	// values depend on history, so an instance that skipped patterns
+	// (cache hits, unhedged batches) must execute them before its next
+	// answer is right. log holds the stream from logBase, the lowest
+	// position a live instance has not executed; primaryPos and hedgePos
+	// (−1 when no hedge is live) are the instances' cursors. logMu also
+	// guards pendingPrimary.
+	logMu      sync.Mutex
+	log        [][]signal.Bit
+	logBase    int
+	primaryPos int
+	hedgePos   int
 	// pendingPrimary holds the in-flight outcome of a primary batch the
 	// hedge outran. At most one primary is ever outstanding: the next
 	// hedged batch (and Close) consumes it before enqueueing another, so
 	// power batches stay strictly serialized on the wire — the property
 	// the reconnect journal replay depends on.
-	pendingPrimary chan primaryOutcome
+	pendingPrimary chan outcome
 
 	// Nonblocking batches flow through a single ordered dispatcher
 	// goroutine: batches reach the wire — and their results are recorded
@@ -155,27 +160,28 @@ type RemotePowerEstimator struct {
 // the cache chain advances in simulation order) and executed either
 // inline (blocking mode) or by the ordered dispatcher (nonblocking).
 type batchJob struct {
-	// send is the pattern sequence to transmit; nil for a pure cache hit.
+	// send is the pattern sequence to transmit — the batch, led by any
+	// catch-up prefix; nil for a pure cache hit.
 	send [][]signal.Bit
 	// vals are the locally resolved values of a cache hit.
 	vals []float64
-	// prefix counts leading catch-up patterns in send whose reply values
-	// are discarded (cache-hit history the provider had not executed).
-	prefix int
-	// keys address the trailing len(keys) reply values for cache commit.
+	// n is the batch's own pattern count: every reply keeps its trailing
+	// n values.
+	n int
+	// keys address the batch's values for cache commit.
 	keys []cacheKey
 	// epoch is the cache-consistency epoch the job was prepared under; a
 	// failed batch bumps the epoch, invalidating commits from jobs that
 	// straddle the failure.
 	epoch uint64
-	// hedgeEnd is the hedge-history length including this batch (0 when
-	// hedging is off).
-	hedgeEnd int
+	// end is the log position just past the batch (0 when no log is
+	// kept); a hedged send catches the hedge up to it.
+	end int
 }
 
-// primaryOutcome is the deferred result of a primary batch the hedge
-// outran.
-type primaryOutcome struct {
+// outcome is the result of one remote batch call, handed across
+// goroutines.
+type outcome struct {
 	vals []float64
 	err  error
 }
@@ -198,6 +204,7 @@ func NewRemotePowerEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOff
 		BufferSize:  bufferSize,
 		Nonblocking: nonblocking,
 		method:      iplib.MethodPowerBatch,
+		hedgePos:    -1,
 	}
 	e.appendReq = func(b []byte, batch [][]signal.Bit) []byte {
 		return iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
@@ -243,6 +250,7 @@ func (e *RemotePowerEstimator) EnableHedge(inst *iplib.BoundInstance, after time
 	}
 	e.hedgeInst = inst
 	e.hedgeAfter = after
+	e.hedgePos = 0
 }
 
 // Estimate implements estim.Estimator: it snapshots the component's input
@@ -333,47 +341,67 @@ func (e *RemotePowerEstimator) dispatchTaken(batch [][]signal.Bit) {
 
 // prepareJob consults the estimation cache for one batch. On a full hit
 // the job carries the locally resolved values and nothing goes on the
-// wire; on a miss the job transmits any accumulated cache-hit replay debt
-// as a catch-up prefix ahead of the batch, so the provider's stateful
-// simulator sees the complete pattern history.
+// wire; otherwise it transmits the batch led by the cache hits the
+// primary has not executed, so the provider's stateful simulator sees the
+// complete pattern history. With neither cache nor hedge, no log is kept.
 func (e *RemotePowerEstimator) prepareJob(batch [][]signal.Bit) batchJob {
-	hedgeEnd := 0
-	if e.hedgeInst != nil && !e.SkipCompute {
-		// The hedge history is the logical batch stream — including
-		// batches the cache later resolves locally, because a hedged miss
-		// must still present the complete history to the hedge replica's
-		// stateful simulator.
-		e.hedgeMu.Lock()
-		e.hedgeHist = append(e.hedgeHist, batch...)
-		hedgeEnd = len(e.hedgeHist)
-		e.hedgeMu.Unlock()
+	j := batchJob{send: batch, n: len(batch), epoch: e.cacheEpoch.Load()}
+	if e.SkipCompute || (e.cache == nil && e.hedgeInst == nil) {
+		return j
 	}
-	if e.cache == nil || e.SkipCompute || e.cacheOff.Load() {
-		return batchJob{send: batch, epoch: e.cacheEpoch.Load(), hedgeEnd: hedgeEnd}
-	}
-	vals, keys, hit := e.cache.lookup(batch)
-	if hit {
-		saved := e.reqBytes(batch)
-		e.cacheHits.Add(1)
-		e.cacheSaved.Add(int64(saved))
-		e.cacheStore.hits.Add(1)
-		e.cacheStore.saved.Add(int64(saved))
-		if m := e.inst.Meter(); m != nil {
-			m.AddCacheHit(saved)
+	e.logMu.Lock()
+	e.log = append(e.log, batch...)
+	j.end = e.logBase + len(e.log)
+	e.logMu.Unlock()
+	if e.cache != nil && !e.cacheOff.Load() {
+		vals, keys, hit := e.cache.lookup(batch)
+		if hit {
+			saved := e.reqBytes(batch)
+			e.cacheHits.Add(1)
+			e.cacheSaved.Add(int64(saved))
+			e.cacheStore.hits.Add(1)
+			e.cacheStore.saved.Add(int64(saved))
+			if m := e.inst.Meter(); m != nil {
+				m.AddCacheHit(saved)
+			}
+			return batchJob{vals: vals} // primaryPos stays behind the hit
 		}
-		return batchJob{vals: vals}
+		e.cacheMiss.Add(1)
+		e.cacheStore.misses.Add(1)
+		if m := e.inst.Meter(); m != nil {
+			m.AddCacheMiss()
+		}
+		j.keys = keys
 	}
-	e.cacheMiss.Add(1)
-	e.cacheStore.misses.Add(1)
-	if m := e.inst.Meter(); m != nil {
-		m.AddCacheMiss()
+	j.send = e.catchUp(&e.primaryPos, j.end)
+	return j
+}
+
+// catchUp builds every catch-up send, a primary miss's and a hedged
+// batch's alike: it returns log[*cursor:end], moves the cursor to end and
+// trims the log. A retired cursor (−1) yields nil.
+func (e *RemotePowerEstimator) catchUp(cursor *int, end int) [][]signal.Bit {
+	e.logMu.Lock()
+	defer e.logMu.Unlock()
+	if *cursor < 0 {
+		return nil
 	}
-	replay := e.cache.takeReplay()
-	send := batch
-	if len(replay) > 0 {
-		send = append(append(make([][]signal.Bit, 0, len(replay)+len(batch)), replay...), batch...)
+	send := e.log[*cursor-e.logBase : end-e.logBase : end-e.logBase]
+	*cursor = end
+	e.trimLogLocked()
+	return send
+}
+
+// trimLogLocked drops the patterns every live instance has executed; the
+// caller holds logMu. Sends handed out stay intact: the log never
+// rewrites a slot, it only reslices its front and appends at its end.
+func (e *RemotePowerEstimator) trimLogLocked() {
+	low := e.primaryPos
+	if e.hedgePos >= 0 {
+		low = min(low, e.hedgePos)
 	}
-	return batchJob{send: send, prefix: len(replay), keys: keys, epoch: e.cacheEpoch.Load(), hedgeEnd: hedgeEnd}
+	e.log = e.log[low-e.logBase:]
+	e.logBase = low
 }
 
 // startDispatcher lazily launches the single ordered-dispatch goroutine.
@@ -397,7 +425,7 @@ func (e *RemotePowerEstimator) runJob(j batchJob) {
 		e.recordBatch(j.vals, nil)
 		return
 	}
-	vals, fromHedge, err := e.execBatchMaybeHedged(j)
+	vals, err := e.execBatchMaybeHedged(j)
 	if err != nil {
 		// The provider's simulator state is now unknown relative to our
 		// history chain; later cache hits against it would be unsound —
@@ -410,11 +438,8 @@ func (e *RemotePowerEstimator) runJob(j batchJob) {
 		e.recordBatch(nil, err)
 		return
 	}
-	if fromHedge {
-		// The hedge already returned exactly the batch's values; the
-		// catch-up prefix was trimmed by runHedge.
-	} else if j.prefix > 0 && len(vals) >= j.prefix {
-		vals = vals[j.prefix:] // discard catch-up values (already served from cache)
+	if k := len(vals) - j.n; k > 0 {
+		vals = vals[k:] // drop the catch-up values: they were served already
 	}
 	if e.cache != nil && len(j.keys) > 0 && !e.cacheOff.Load() && j.epoch == e.cacheEpoch.Load() {
 		e.cacheStore.commit(j.keys, vals)
@@ -424,66 +449,55 @@ func (e *RemotePowerEstimator) runJob(j batchJob) {
 
 // execBatchMaybeHedged runs one job's pattern sequence, racing a hedge
 // replica against a slow primary when hedging is armed. It returns the
-// winning values and whether they came from the hedge (hedge values are
-// already trimmed to the batch; primary values still carry the catch-up
-// prefix).
-func (e *RemotePowerEstimator) execBatchMaybeHedged(j batchJob) ([]float64, bool, error) {
-	if e.hedgeInst == nil || e.SkipCompute || j.hedgeEnd == 0 {
-		vals, err := e.execBatch(j.send)
-		return vals, false, err
+// winning reply, catch-up values included.
+func (e *RemotePowerEstimator) execBatchMaybeHedged(j batchJob) ([]float64, error) {
+	if e.hedgeInst == nil || e.SkipCompute {
+		return e.execBatch(j.send)
 	}
 	// Serialize primary batches: a primary the previous hedge outran may
 	// still be on the wire, and the provider's ordered batch methods —
 	// and the reconnect journal replay — require one outstanding power
 	// batch at a time.
 	e.drainPendingPrimary()
-	prim := make(chan primaryOutcome, 1)
-	send := j.send
+	prim := make(chan outcome, 1)
 	go func() {
-		vals, err := e.execBatch(send)
-		prim <- primaryOutcome{vals: vals, err: err}
+		vals, err := e.execBatch(j.send)
+		prim <- outcome{vals: vals, err: err}
 	}()
 	timer := time.NewTimer(e.hedgeAfter)
 	select {
 	case r := <-prim:
 		timer.Stop()
-		return r.vals, false, r.err
+		return r.vals, r.err
 	case <-timer.C:
 	}
+	// With no usable hedge (retired, or it failed), wait out the primary.
+	// If the primary answered while the hedge ran, prefer it — that keeps
+	// the pending-primary handoff empty. Identical values either way:
+	// replicas are deterministic.
 	hvals, ok := e.runHedge(j)
-	meter := e.inst.Meter()
+	var r outcome
+	won := false
 	if !ok {
-		// No usable hedge (broken, or it failed): wait out the primary.
-		if meter != nil {
-			meter.AddHedgedBatch(false)
+		r = <-prim
+	} else {
+		select {
+		case r = <-prim:
+			won = r.err != nil
+		default:
+			won = true
+			e.logMu.Lock()
+			e.pendingPrimary = prim
+			e.logMu.Unlock()
 		}
-		r := <-prim
-		return r.vals, false, r.err
 	}
-	// If the primary answered while the hedge ran, prefer it — that
-	// keeps the pending-primary handoff empty. Identical values either
-	// way: replicas are deterministic.
-	select {
-	case r := <-prim:
-		if r.err == nil {
-			if meter != nil {
-				meter.AddHedgedBatch(false)
-			}
-			return r.vals, false, nil
-		}
-		if meter != nil {
-			meter.AddHedgedBatch(true)
-		}
-		return hvals, true, nil
-	default:
+	if m := e.inst.Meter(); m != nil {
+		m.AddHedgedBatch(won)
 	}
-	if meter != nil {
-		meter.AddHedgedBatch(true)
+	if won {
+		return hvals, nil
 	}
-	e.hedgeMu.Lock()
-	e.pendingPrimary = prim
-	e.hedgeMu.Unlock()
-	return hvals, true, nil
+	return r.vals, r.err
 }
 
 // drainPendingPrimary waits out a primary batch a previous hedge outran.
@@ -491,40 +505,33 @@ func (e *RemotePowerEstimator) execBatchMaybeHedged(j batchJob) ([]float64, bool
 // equally moot — the epoch poison it caused heals through the normal
 // reconnect path on the next call.
 func (e *RemotePowerEstimator) drainPendingPrimary() {
-	e.hedgeMu.Lock()
+	e.logMu.Lock()
 	prim := e.pendingPrimary
 	e.pendingPrimary = nil
-	e.hedgeMu.Unlock()
+	e.logMu.Unlock()
 	if prim != nil {
 		<-prim
 	}
 }
 
-// runHedge issues one hedged batch: the slice of the logical pattern
-// history the hedge instance has not yet executed (catch-up prefix plus
-// the batch itself), trimmed to the batch's trailing values on success.
-// Failure marks the hedge broken for the rest of the run — hedging is a
+// runHedge issues one hedged batch: everything the hedge instance has
+// not executed up to the batch's end, catch-up prefix included. Failure
+// retires the hedge's cursor for the rest of the run — hedging is a
 // latency optimization, never a correctness dependency.
 func (e *RemotePowerEstimator) runHedge(j batchJob) ([]float64, bool) {
-	e.hedgeMu.Lock()
-	if e.hedgeBroken || j.hedgeEnd <= e.hedgePos {
-		e.hedgeMu.Unlock()
+	seq := e.catchUp(&e.hedgePos, j.end)
+	if seq == nil {
 		return nil, false
 	}
-	seq := append([][]signal.Bit(nil), e.hedgeHist[e.hedgePos:j.hedgeEnd]...)
-	e.hedgeMu.Unlock()
 	vals, err := e.hedgeInst.PowerBatch(seq, false)
-	batchLen := len(j.send) - j.prefix
-	if err != nil || len(vals) < batchLen {
-		e.hedgeMu.Lock()
-		e.hedgeBroken = true
-		e.hedgeMu.Unlock()
+	if err != nil || len(vals) != len(seq) {
+		e.logMu.Lock()
+		e.hedgePos = -1
+		e.trimLogLocked()
+		e.logMu.Unlock()
 		return nil, false
 	}
-	e.hedgeMu.Lock()
-	e.hedgePos = j.hedgeEnd
-	e.hedgeMu.Unlock()
-	return vals[len(vals)-batchLen:], true
+	return vals, true
 }
 
 // recordBatch takes the lock and records one completed batch.
@@ -540,22 +547,27 @@ func (e *RemotePowerEstimator) recordBatch(vals []float64, err error) {
 // wait is pipelining headroom, not caller-visible blocked time, so it
 // stays out of the meter's blocked-time accounting.
 func (e *RemotePowerEstimator) execBatch(batch [][]signal.Bit) ([]float64, error) {
-	if e.dispatch != nil {
-		return e.dispatch(batch, e.SkipCompute)
-	}
-	if e.Nonblocking {
-		type res struct {
-			vals []float64
-			err  error
-		}
-		ch := make(chan res, 1)
+	var vals []float64
+	var err error
+	switch {
+	case e.dispatch != nil:
+		vals, err = e.dispatch(batch, e.SkipCompute)
+	case e.Nonblocking:
+		ch := make(chan outcome, 1)
 		e.inst.PowerBatchAsync(batch, e.SkipCompute, func(vals []float64, err error) {
-			ch <- res{vals, err}
+			ch <- outcome{vals, err}
 		})
 		r := <-ch
-		return r.vals, r.err
+		vals, err = r.vals, r.err
+	default:
+		vals, err = e.inst.PowerBatch(batch, e.SkipCompute)
 	}
-	return e.inst.PowerBatch(batch, e.SkipCompute)
+	// A miscounted reply would shift every later sample: fail the batch.
+	// A SkipCompute acknowledgement carries no values.
+	if err == nil && len(vals) != len(batch) && !(e.SkipCompute && len(vals) == 0) {
+		err = fmt.Errorf("core: estimator %s sent %d patterns, got %d values", e.Name, len(batch), len(vals))
+	}
+	return vals, err
 }
 
 // recordLocked appends batch results; the caller holds e.mu. A batch

@@ -2,10 +2,13 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/estim"
 	"repro/internal/iplib"
+	"repro/internal/leakcheck"
 	"repro/internal/module"
 	"repro/internal/netsim"
 	"repro/internal/provider"
@@ -290,6 +293,117 @@ func TestCacheBytesSavedIsBinaryPayloadLength(t *testing.T) {
 			}
 			if warm.CacheHits != 3 || warm.CacheBytesSaved != int64(want) {
 				t.Errorf("warm run: %d hits saving %d bytes, want 3 hits saving %d", warm.CacheHits, warm.CacheBytesSaved, want)
+			}
+		})
+	}
+}
+
+// TestRemoteEstimatorRejectsMiscountedReply: a batch reply whose value
+// count differs from the patterns sent fails the batch — it latches the
+// cache off and counts in Close's error — instead of recording samples
+// that shift every later one.
+func TestRemoteEstimatorRejectsMiscountedReply(t *testing.T) {
+	inst, _ := bindMult(t, 4)
+	for _, c := range []struct {
+		name  string
+		delta int
+	}{{"short", -1}, {"long", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			store := NewEstimationCache()
+			e := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 2, false)
+			e.EnableCache(store)
+			e.dispatch = func(batch [][]signal.Bit, _ bool) ([]float64, error) {
+				return make([]float64, len(batch)+c.delta), nil
+			}
+			for i := uint64(0); i < 6; i++ {
+				if _, err := e.Estimate(evalCtx(4, i, 15-i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := e.Close()
+			if err == nil || !strings.Contains(err.Error(), "3 remote estimation batches failed") {
+				t.Fatalf("Close() = %v, want all 3 batches failed", err)
+			}
+			if r := e.Report(); r.Sent != 6 || len(r.Samples) != 0 {
+				t.Errorf("sent %d, recorded %d samples; want 6 sent, none recorded", r.Sent, len(r.Samples))
+			}
+			if !e.cacheOff.Load() || store.Size() != 0 {
+				t.Errorf("cache armed=%v holding %d values after a miscounted reply", !e.cacheOff.Load(), store.Size())
+			}
+		})
+	}
+}
+
+// TestHedgedCatchUpLogAfterClose reads the pattern log after Close: it
+// holds exactly the patterns past the lowest live cursor — nothing
+// without cache or hedge, the hits since the last miss with a cache, the
+// patterns a lagging hedge never executed, and only the primary's debt
+// once the hedge has errored. Six patterns go out in batches of two;
+// warmFrom caches the stream from a given pattern on, so the batches
+// before it miss and the rest hit.
+func TestHedgedCatchUpLogAfterClose(t *testing.T) {
+	leakcheck.Check(t)
+	stream := make([][]signal.Bit, 6)
+	for i := range stream {
+		stream[i] = wordsToBits(nil, signal.WordFromUint64(uint64(i), 4), signal.WordFromUint64(15-uint64(i), 4))
+	}
+	for _, c := range []struct {
+		name      string
+		warmFrom  int // -1: no cache
+		hedge     string
+		slowFirst bool // the first primary call outlasts the hedge delay
+		want      int
+	}{
+		{"none", -1, "", false, 0},
+		{"cache", 2, "", false, 4},
+		{"cache+hedge/lagging", 4, "live", false, 6},
+		{"cache+hedge/hedged", 4, "live", true, 4},
+		{"cache+hedge/errored", 4, "dead", true, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inst, _ := bindMult(t, 4)
+			e := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 2, false)
+			if c.warmFrom >= 0 {
+				store := NewEstimationCache()
+				e.EnableCache(store)
+				probe := *e.cache
+				_, keys, _ := probe.lookup(stream)
+				store.commit(keys[c.warmFrom:], make([]float64, len(stream)-c.warmFrom))
+			}
+			if c.hedge != "" {
+				hinst, hconn := bindMult(t, 4)
+				if c.hedge == "dead" {
+					_ = hconn.Close()
+				}
+				e.EnableHedge(hinst, 100*time.Millisecond)
+			}
+			hedgeFired := func() bool {
+				e.logMu.Lock()
+				defer e.logMu.Unlock()
+				return e.hedgePos != 0
+			}
+			var calls atomic.Int32
+			e.dispatch = func(batch [][]signal.Bit, _ bool) ([]float64, error) {
+				if calls.Add(1) == 1 && c.slowFirst {
+					for !hedgeFired() {
+						time.Sleep(time.Millisecond)
+					}
+				}
+				return make([]float64, len(batch)), nil
+			}
+			for i := uint64(0); i < 6; i++ {
+				if _, err := e.Estimate(evalCtx(4, i, 15-i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(e.Report().Samples); n != 6 {
+				t.Fatalf("recorded %d samples, want 6", n)
+			}
+			if got := len(e.log); got != c.want {
+				t.Errorf("log holds %d patterns after Close, want %d (primary at %d, hedge at %d)", got, c.want, e.primaryPos, e.hedgePos)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/estim"
+	"repro/internal/leakcheck"
 	"repro/internal/netsim"
 	"repro/internal/provider"
 )
@@ -34,6 +35,7 @@ func faultDialer(plans []*netsim.FaultPlan) (*netsim.FaultyDialer, func(p *provi
 // operation count, and the run must complete through retry + reconnect +
 // session replay with results identical to the fault-free run.
 func TestFaultedRunMatchesFaultFree(t *testing.T) {
+	leakcheck.Check(t)
 	for _, s := range []Scenario{EstimatorRemote, MultiplierRemote} {
 		t.Run(s.String(), func(t *testing.T) {
 			base, err := Run(s, resilientCfg())
@@ -86,6 +88,7 @@ func TestFaultedRunMatchesFaultFree(t *testing.T) {
 // reconnect attempts: the run must complete with partial estimates and a
 // degradation record instead of failing.
 func TestRunDegradesWhenProviderDies(t *testing.T) {
+	leakcheck.Check(t)
 	for _, s := range []Scenario{EstimatorRemote, MultiplierRemote} {
 		t.Run(s.String(), func(t *testing.T) {
 			base, err := Run(s, resilientCfg())
@@ -130,6 +133,7 @@ func TestRunDegradesWhenProviderDies(t *testing.T) {
 // TestSetupMarkDegraded covers the degradation bookkeeping the OnDegrade
 // hooks feed: first report per (module, parameter) warns, repeats dedupe.
 func TestSetupMarkDegraded(t *testing.T) {
+	leakcheck.Check(t)
 	s := estim.NewSetup("t")
 	if s.Degraded() {
 		t.Fatal("fresh setup already degraded")
