@@ -76,10 +76,12 @@ fuzz:
 # fault schedules (kill, partition, slow-drip, flap) across replica
 # counts, pipeline depths and cache settings, every cell asserting
 # bit-identical results while one replica stays healthy and explicit
-# degradation when none does. Seeded and bounded — a red run is a real
-# regression, never flake.
+# degradation when none does. The Faulted tests kill one provider
+# connection at scripted writes and assert the session replay heals it
+# bit-identically. Seeded and bounded — a red run is a real regression,
+# never flake.
 chaos:
-	$(GO) test -race -count=1 -run='Chaos|Hedged|Failover|Quorum' ./internal/core/ ./internal/netsim/ ./internal/fault/
+	$(GO) test -race -count=1 -run='Chaos|Hedged|Failover|Quorum|Faulted' ./internal/core/ ./internal/netsim/ ./internal/fault/
 	$(GO) test -race -count=1 ./internal/replica/
 
 # CPU and heap profiles of the hottest Table 2 scenario (MR on the

@@ -25,7 +25,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> chaos sweep (seeded replica fault schedules under -race)"
-go test -race -count=1 -run='Chaos|Hedged|Failover|Quorum' ./internal/core/ ./internal/netsim/ ./internal/fault/
+go test -race -count=1 -run='Chaos|Hedged|Failover|Quorum|Faulted' ./internal/core/ ./internal/netsim/ ./internal/fault/
 go test -race -count=1 ./internal/replica/
 
 echo "==> fuzz smoke (${FUZZTIME} per target)"

@@ -23,7 +23,7 @@
 // The replication knobs (both -local only): -replicas N runs the design
 // against N equivalent in-process providers behind health-gated circuit
 // breakers — a connection loss fails over to the next healthy replica
-// with the session journal replayed there — and -hedge-after D re-issues
+// with the session replayed there — and -hedge-after D re-issues
 // a batch still unanswered after D to a second replica, first answer
 // wins. Replica estimators are deterministic, so neither changes any
 // estimate value either.

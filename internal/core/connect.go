@@ -32,14 +32,15 @@ func (c *Connection) Close() error {
 
 // Resilience bundles the transport-resilience knobs of a provider
 // session: per-call deadlines, backoff retry for idempotent calls, and
-// session recovery (automatic reconnect with bind/batch replay).
+// session recovery (automatic reconnect with session replay).
 type Resilience struct {
 	// Timeout bounds each call attempt and reconnect handshake.
 	Timeout time.Duration
 	// Retry is the backoff policy for idempotent calls.
 	Retry rmi.RetryPolicy
-	// Recover arms the session journal: after a reconnect, binds and
-	// estimation batches are replayed so results match a fault-free run.
+	// Recover arms session replay: after a reconnect, the journaled
+	// binds and each estimator's pattern history are replayed so results
+	// match a fault-free run.
 	Recover bool
 }
 
@@ -113,7 +114,7 @@ func ConnectVia(p *provider.Provider, clientName string, profile netsim.Profile,
 // replica, the replica set picks the endpoint (circuit breakers plus a
 // last-resort probe pass), and the rmi client's redial, per-attempt, and
 // epoch-failure seams are wired into the set so a poisoned epoch charges
-// the dead replica's breaker and the journal replay lands on the next
+// the dead replica's breaker and the session replay lands on the next
 // healthy one. dials[i] is replica i's transport (chaos tests interpose
 // scripted fault dialers); brCfg and clock tune the breakers (zero
 // values and nil clock use production defaults).

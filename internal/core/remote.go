@@ -78,14 +78,15 @@ type RemotePowerEstimator struct {
 	// the estimator.
 	OnDegrade func(reason string)
 
-	// dispatch runs one batch remotely; the default is the power-batch
-	// method, NewRemoteTimingEstimator substitutes the timing method.
+	// dispatch, when non-nil, replaces the remote batch call (a test
+	// seam).
 	dispatch func(batch [][]signal.Bit, skip bool) ([]float64, error)
 
-	// method names the remote batch method; it seeds the cache
-	// fingerprint. appendReq appends the binary encoding of one batch's
-	// request envelope, for the cache's bytes-saved accounting; reqBuf is
-	// its scratch, reused under reqMu.
+	// method names the remote batch method, power or timing; it selects
+	// the call execBatch makes and seeds the cache fingerprint. appendReq
+	// appends the binary encoding of one batch's request envelope, for
+	// the cache's bytes-saved accounting; reqBuf is its scratch, reused
+	// under reqMu.
 	method    string
 	appendReq func(b []byte, batch [][]signal.Bit) []byte
 	reqMu     sync.Mutex
@@ -99,7 +100,7 @@ type RemotePowerEstimator struct {
 	// batch is lost, the provider-side history chain has irrecoverably
 	// diverged from ours, so no later provider state can be trusted to
 	// match our keys again. (Transport faults the rmi layer heals —
-	// retry, reconnect, journal replay, replica failover — never surface
+	// retry, reconnect, session replay, replica failover — never surface
 	// here as errors and leave the cache armed.) cacheEpoch guards the
 	// window between a batch's preparation and its commit: a job prepared
 	// before a failure must not commit values computed after it.
@@ -118,23 +119,29 @@ type RemotePowerEstimator struct {
 	hedgeInst  *iplib.BoundInstance
 	hedgeAfter time.Duration
 
-	// The pattern log, kept while a cache or a hedge is armed: power
-	// values depend on history, so an instance that skipped patterns
-	// (cache hits, unhedged batches) must execute them before its next
-	// answer is right. log holds the stream from logBase, the lowest
-	// position a live instance has not executed; primaryPos and hedgePos
-	// (−1 when no hedge is live) are the instances' cursors. logMu also
+	// The pattern log, kept while a cache, a hedge or session recovery
+	// is armed: estimates depend on history, so an instance that skipped
+	// patterns (cache hits, unhedged batches, a reconnect's fresh
+	// session) must execute them before its next answer is right. log
+	// holds the stream from logBase, the lowest position a live instance
+	// has not executed; primaryPos and hedgePos (−1 when no hedge is
+	// live) are the instances' cursors. With recovering (fixed at
+	// construction) the log is kept from position 0, since a reconnect
+	// resets the primary to nothing, and acked, the log end of the last
+	// primary reply, bounds the history a reconnect replays. logMu also
 	// guards pendingPrimary.
 	logMu      sync.Mutex
 	log        [][]signal.Bit
 	logBase    int
 	primaryPos int
 	hedgePos   int
+	acked      int
+	recovering bool
 	// pendingPrimary holds the in-flight outcome of a primary batch the
 	// hedge outran. At most one primary is ever outstanding: the next
 	// hedged batch (and Close) consumes it before enqueueing another, so
-	// power batches stay strictly serialized on the wire — the property
-	// the reconnect journal replay depends on.
+	// batches stay strictly serialized on the wire — the property acked
+	// and the reconnect replay depend on.
 	pendingPrimary chan outcome
 
 	// Nonblocking batches flow through a single ordered dispatcher
@@ -175,7 +182,8 @@ type batchJob struct {
 	// straddle the failure.
 	epoch uint64
 	// end is the log position just past the batch (0 when no log is
-	// kept); a hedged send catches the hedge up to it.
+	// kept); a hedged send catches the hedge up to it, and a primary
+	// reply acknowledges the log up to it.
 	end int
 }
 
@@ -188,6 +196,16 @@ type outcome struct {
 
 // NewRemotePowerEstimator builds the estimator from a provider offer.
 func NewRemotePowerEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool) *RemotePowerEstimator {
+	return newRemoteEstimator(inst, offer, bufferSize, nonblocking, iplib.MethodPowerBatch,
+		func(b []byte, batch [][]signal.Bit) []byte {
+			return iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
+		})
+}
+
+// newRemoteEstimator builds an estimator over one remote batch method
+// and registers its history for session replay.
+func newRemoteEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool,
+	method string, appendReq func(b []byte, batch [][]signal.Bit) []byte) *RemotePowerEstimator {
 	if bufferSize < 1 {
 		bufferSize = 1
 	}
@@ -203,13 +221,21 @@ func NewRemotePowerEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOff
 		inst:        inst,
 		BufferSize:  bufferSize,
 		Nonblocking: nonblocking,
-		method:      iplib.MethodPowerBatch,
+		method:      method,
+		appendReq:   appendReq,
 		hedgePos:    -1,
 	}
-	e.appendReq = func(b []byte, batch [][]signal.Bit) []byte {
-		return iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
-	}
+	e.recovering = inst.OnReplay(method, e.history)
 	return e
+}
+
+// history returns the patterns the primary instance has acknowledged:
+// what a reconnect's fresh session must re-drive before the retried
+// in-flight batch, which starts exactly at acked.
+func (e *RemotePowerEstimator) history() [][]signal.Bit {
+	e.logMu.Lock()
+	defer e.logMu.Unlock()
+	return e.log[:e.acked:e.acked]
 }
 
 // reqBytes returns the size of one batch's request payload in the binary
@@ -343,10 +369,11 @@ func (e *RemotePowerEstimator) dispatchTaken(batch [][]signal.Bit) {
 // the job carries the locally resolved values and nothing goes on the
 // wire; otherwise it transmits the batch led by the cache hits the
 // primary has not executed, so the provider's stateful simulator sees the
-// complete pattern history. With neither cache nor hedge, no log is kept.
+// complete pattern history. With no cache, hedge or recovery, no log is
+// kept.
 func (e *RemotePowerEstimator) prepareJob(batch [][]signal.Bit) batchJob {
 	j := batchJob{send: batch, n: len(batch), epoch: e.cacheEpoch.Load()}
-	if e.SkipCompute || (e.cache == nil && e.hedgeInst == nil) {
+	if e.SkipCompute || (e.cache == nil && e.hedgeInst == nil && !e.recovering) {
 		return j
 	}
 	e.logMu.Lock()
@@ -393,9 +420,13 @@ func (e *RemotePowerEstimator) catchUp(cursor *int, end int) [][]signal.Bit {
 }
 
 // trimLogLocked drops the patterns every live instance has executed; the
-// caller holds logMu. Sends handed out stay intact: the log never
-// rewrites a slot, it only reslices its front and appends at its end.
+// caller holds logMu. Sends and histories handed out stay intact: the log
+// never rewrites a slot, it only reslices its front and appends at its
+// end. A recovering estimator never trims.
 func (e *RemotePowerEstimator) trimLogLocked() {
+	if e.recovering {
+		return
+	}
 	low := e.primaryPos
 	if e.hedgePos >= 0 {
 		low = min(low, e.hedgePos)
@@ -452,16 +483,16 @@ func (e *RemotePowerEstimator) runJob(j batchJob) {
 // winning reply, catch-up values included.
 func (e *RemotePowerEstimator) execBatchMaybeHedged(j batchJob) ([]float64, error) {
 	if e.hedgeInst == nil || e.SkipCompute {
-		return e.execBatch(j.send)
+		return e.execBatch(j)
 	}
 	// Serialize primary batches: a primary the previous hedge outran may
 	// still be on the wire, and the provider's ordered batch methods —
-	// and the reconnect journal replay — require one outstanding power
-	// batch at a time.
+	// and the acked cursor the reconnect replay reads — require one
+	// outstanding primary batch at a time.
 	e.drainPendingPrimary()
 	prim := make(chan outcome, 1)
 	go func() {
-		vals, err := e.execBatch(j.send)
+		vals, err := e.execBatch(j)
 		prim <- outcome{vals: vals, err: err}
 	}()
 	timer := time.NewTimer(e.hedgeAfter)
@@ -541,17 +572,22 @@ func (e *RemotePowerEstimator) recordBatch(vals []float64, err error) {
 	e.recordLocked(vals, err)
 }
 
-// execBatch runs one pattern sequence through the configured remote
-// method. In nonblocking mode the power path goes through the async stub
-// and waits on its completion here, on the dispatcher goroutine — the
-// wait is pipelining headroom, not caller-visible blocked time, so it
-// stays out of the meter's blocked-time accounting.
-func (e *RemotePowerEstimator) execBatch(batch [][]signal.Bit) ([]float64, error) {
+// execBatch runs one job's pattern sequence through the configured remote
+// method on the primary instance. In nonblocking mode the power path goes
+// through the async stub and waits on its completion here, on the
+// dispatcher goroutine — the wait is pipelining headroom, not
+// caller-visible blocked time, so it stays out of the meter's
+// blocked-time accounting. A reply acknowledges the log up to the job's
+// end, on this goroutine and so before the next primary send.
+func (e *RemotePowerEstimator) execBatch(j batchJob) ([]float64, error) {
+	batch := j.send
 	var vals []float64
 	var err error
 	switch {
 	case e.dispatch != nil:
 		vals, err = e.dispatch(batch, e.SkipCompute)
+	case e.method == iplib.MethodTimingBatch:
+		vals, err = e.inst.TimingBatch(batch)
 	case e.Nonblocking:
 		ch := make(chan outcome, 1)
 		e.inst.PowerBatchAsync(batch, e.SkipCompute, func(vals []float64, err error) {
@@ -566,6 +602,11 @@ func (e *RemotePowerEstimator) execBatch(batch [][]signal.Bit) ([]float64, error
 	// A SkipCompute acknowledgement carries no values.
 	if err == nil && len(vals) != len(batch) && !(e.SkipCompute && len(vals) == 0) {
 		err = fmt.Errorf("core: estimator %s sent %d patterns, got %d values", e.Name, len(batch), len(vals))
+	}
+	if e.recovering && err == nil {
+		e.logMu.Lock()
+		e.acked = j.end
+		e.logMu.Unlock()
 	}
 	return vals, err
 }
@@ -695,15 +736,10 @@ func (e *RemotePowerEstimator) Report() PowerReport {
 // drain machinery; SkipCompute is not supported by the timing method and
 // is ignored.
 func NewRemoteTimingEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool) *RemotePowerEstimator {
-	e := NewRemotePowerEstimator(inst, offer, bufferSize, nonblocking)
-	e.dispatch = func(batch [][]signal.Bit, _ bool) ([]float64, error) {
-		return inst.TimingBatch(batch)
-	}
-	e.method = iplib.MethodTimingBatch
-	e.appendReq = func(b []byte, batch [][]signal.Bit) []byte {
-		return iplib.TimingBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
-	}
-	return e
+	return newRemoteEstimator(inst, offer, bufferSize, nonblocking, iplib.MethodTimingBatch,
+		func(b []byte, batch [][]signal.Bit) []byte {
+			return iplib.TimingBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
+		})
 }
 
 // RemoteMult is the paper's MULT as a remote module. The instantiation is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -238,6 +239,93 @@ func TestRemoteTimingEstimatorEndToEnd(t *testing.T) {
 	}
 }
 
+// runPowerAndTiming drives remote power and timing estimators on one
+// instance, nonblocking, over a recovering session dialed through dial,
+// and returns both sample streams.
+func runPowerAndTiming(t *testing.T, prov *provider.Provider, dial func() (net.Conn, error)) (power, timing []float64) {
+	t.Helper()
+	conn, err := ConnectVia(prov, "u", netsim.InProcess, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Harden(DefaultResilience())
+	inst, err := conn.Client.Bind("MultFastLowPower", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 4, true)
+	te := NewRemoteTimingEstimator(inst, timingOffer(t, inst), 4, true)
+
+	a := module.NewWordConnector("A", 8)
+	ar := module.NewWordConnector("AR", 8)
+	b := module.NewWordConnector("B", 8)
+	br := module.NewWordConnector("BR", 8)
+	o := module.NewWordConnector("O", 16)
+	ina := module.NewRandomPrimaryInput("INA", 8, 1, 40, 10, a)
+	rega := module.NewRegister("REGA", 8, a, ar)
+	inb := module.NewRandomPrimaryInput("INB", 8, 2, 40, 10, b)
+	regb := module.NewRegister("REGB", 8, b, br)
+	mult := module.NewMult("MULT", 8, ar, br, o)
+	mult.AddEstimator(pe)
+	mult.AddEstimator(te)
+	out := module.NewPrimaryOutput("OUT", 16, o)
+	simu := module.NewSimulation(module.NewCircuit("c", ina, rega, inb, regb, mult, out))
+	setup := estim.NewSetup("both")
+	setup.Set(estim.ParamAvgPower, estim.Criteria{Prefer: estim.PreferAccuracy})
+	setup.Set(estim.ParamDelay, estim.Criteria{Prefer: estim.PreferAccuracy})
+	if st := simu.Start(setup); st.Err != nil {
+		t.Fatal(st.Err)
+	}
+	for _, e := range []*RemotePowerEstimator{pe, te} {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if e.Degraded() {
+			t.Fatalf("%s degraded; a single transient fault must heal", e.Name)
+		}
+	}
+	return pe.Report().Samples, te.Report().Samples
+}
+
+// TestFaultedTimingRunMatchesFaultFree kills the connection under
+// pipelined power and timing batches at several points: the reconnect
+// must replay both estimators' histories, so both sample streams stay
+// bit-identical to a fault-free run.
+func TestFaultedTimingRunMatchesFaultFree(t *testing.T) {
+	leakcheck.Check(t)
+	newProvider := func() *provider.Provider {
+		prov := provider.New("p")
+		if err := prov.Register(provider.MultFastLowPower()); err != nil {
+			t.Fatal(err)
+		}
+		return prov
+	}
+	prov := newProvider()
+	basePower, baseTiming := runPowerAndTiming(t, prov, PipeDialer(prov))
+	for _, n := range []int{5, 9, 14, 20} {
+		dialer, via := faultDialer([]*netsim.FaultPlan{netsim.ResetAfterWrites(n), nil})
+		prov := newProvider()
+		power, timing := runPowerAndTiming(t, prov, via(prov))
+		if fired := dialer.Conn(0).Fired(); len(fired) != 1 || dialer.Dials() < 2 {
+			t.Fatalf("n=%d: fault fired %v with %d dials; the run saw no reconnect", n, fired, dialer.Dials())
+		}
+		for _, s := range []struct {
+			name      string
+			got, want []float64
+		}{{"power", power, basePower}, {"timing", timing, baseTiming}} {
+			if len(s.got) != len(s.want) {
+				t.Fatalf("n=%d: %s samples %d, fault-free %d", n, s.name, len(s.got), len(s.want))
+			}
+			for i := range s.want {
+				if s.got[i] != s.want[i] {
+					t.Fatalf("n=%d %s %d differs: faulted %v, fault-free %v", n, s.name, i, s.got[i], s.want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestCacheBytesSavedIsBinaryPayloadLength pins the bytes a cache hit
 // reports as saved to the length of the request payload the wire
 // would have carried: one tag byte plus the envelope's AppendTo
@@ -338,9 +426,10 @@ func TestRemoteEstimatorRejectsMiscountedReply(t *testing.T) {
 // holds exactly the patterns past the lowest live cursor — nothing
 // without cache or hedge, the hits since the last miss with a cache, the
 // patterns a lagging hedge never executed, and only the primary's debt
-// once the hedge has errored. Six patterns go out in batches of two;
-// warmFrom caches the stream from a given pattern on, so the batches
-// before it miss and the rest hit.
+// once the hedge has errored — and, under session recovery, the whole
+// stream, all of it acknowledged history. Six patterns go out in batches
+// of two; warmFrom caches the stream from a given pattern on, so the
+// batches before it miss and the rest hit.
 func TestHedgedCatchUpLogAfterClose(t *testing.T) {
 	leakcheck.Check(t)
 	stream := make([][]signal.Bit, 6)
@@ -352,16 +441,26 @@ func TestHedgedCatchUpLogAfterClose(t *testing.T) {
 		warmFrom  int // -1: no cache
 		hedge     string
 		slowFirst bool // the first primary call outlasts the hedge delay
+		recover   bool // session recovery armed before the bind
 		want      int
+		history   int
 	}{
-		{"none", -1, "", false, 0},
-		{"cache", 2, "", false, 4},
-		{"cache+hedge/lagging", 4, "live", false, 6},
-		{"cache+hedge/hedged", 4, "live", true, 4},
-		{"cache+hedge/errored", 4, "dead", true, 2},
+		{"none", -1, "", false, false, 0, 0},
+		{"cache", 2, "", false, false, 4, 0},
+		{"cache+hedge/lagging", 4, "live", false, false, 6, 0},
+		{"cache+hedge/hedged", 4, "live", true, false, 4, 0},
+		{"cache+hedge/errored", 4, "dead", true, false, 2, 0},
+		{"recover", -1, "", false, true, 6, 6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			inst, _ := bindMult(t, 4)
+			inst, conn := bindMult(t, 4)
+			if c.recover {
+				conn.Harden(DefaultResilience())
+				var err error
+				if inst, err = conn.Client.Bind("MultFastLowPower", 4, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
 			e := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 2, false)
 			if c.warmFrom >= 0 {
 				store := NewEstimationCache()
@@ -404,6 +503,9 @@ func TestHedgedCatchUpLogAfterClose(t *testing.T) {
 			}
 			if got := len(e.log); got != c.want {
 				t.Errorf("log holds %d patterns after Close, want %d (primary at %d, hedge at %d)", got, c.want, e.primaryPos, e.hedgePos)
+			}
+			if got := len(e.history()); got != c.history {
+				t.Errorf("history holds %d patterns after Close, want %d", got, c.history)
 			}
 		})
 	}

@@ -88,7 +88,7 @@ type Config struct {
 	// Replicas is the provider replica count for the remote scenarios:
 	// 0 or 1 runs the classic single provider, N > 1 stands up N
 	// equivalent providers behind health-gated failover (ConnectReplicated)
-	// so a dying provider re-routes the session — journal replay included —
+	// so a dying provider re-routes the session — its replay included —
 	// to the next healthy replica. Results are bit-identical at any count
 	// while at least one replica stays reachable.
 	Replicas int

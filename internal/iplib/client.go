@@ -18,7 +18,8 @@ type IPClient struct {
 	RPC *rmi.Client
 
 	// journal, when armed via EnableRecovery, replays session state
-	// (binds, estimation batches) after an automatic reconnect.
+	// (binds, registered estimation histories) after an automatic
+	// reconnect.
 	journal *sessionJournal
 }
 
@@ -38,9 +39,12 @@ func (c *IPClient) Catalogue() ([]ComponentSpec, error) {
 // models (nil = all offered) and returns the bound instance.
 func (c *IPClient) Bind(component string, width int, models []string) (*BoundInstance, error) {
 	var resp BindResp
-	err := c.RPC.Call(MethodBind, BindReq{Component: component, Width: width, Models: models}, &resp)
-	if err != nil {
+	req := BindReq{Component: component, Width: width, Models: models}
+	if err := c.RPC.Call(MethodBind, req, &resp); err != nil {
 		return nil, err
+	}
+	if c.journal != nil {
+		c.journal.bind(resp.Instance, req)
 	}
 	return &BoundInstance{client: c, id: resp.Instance, component: component, width: width, enabled: resp.Enabled}, nil
 }

@@ -1,10 +1,13 @@
 package iplib
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/rmi"
+	"repro/internal/signal"
 )
 
 // Idempotent reports whether an RMI method of the IP protocol may safely
@@ -30,77 +33,73 @@ func Idempotent(method string) bool {
 	return false
 }
 
-// journalEntry is one replayable call of the session journal.
-type journalEntry struct {
-	method string
-	args   rmi.PortData
-	// boundID is, for bind entries, the instance handle the original
-	// call returned; the replayed bind must reproduce it exactly for
-	// outstanding BoundInstance stubs to stay valid.
-	boundID uint64
+// replayChunk bounds the patterns per replayed batch: a long history
+// goes out as several frames, each far below the wire's frame-size cap.
+const replayChunk = 4096
+
+// history is one estimation history registered through
+// BoundInstance.OnReplay.
+type history struct {
+	instance uint64
+	method   string
+	patterns func() [][]signal.Bit
 }
 
-// sessionJournal records, in exact wire order, the calls that establish
-// or advance provider-side session state: binds (instance handles) and
-// estimation batches (the provider's gate-level simulators are stateful
-// — each pattern's power depends on the previous pattern, so recreating
-// an instance is not enough; its pattern history must be re-driven for
-// post-reconnect results to match a fault-free run bit for bit).
+// bound is one successful bind: the request and the instance handle it
+// returned.
+type bound struct {
+	id  uint64
+	req BindReq
+}
+
+// sessionJournal re-establishes provider session state on a fresh
+// connection. It keeps only the successful binds; the estimation history
+// — the provider's gate-level simulators are stateful, each pattern's
+// value depends on the previous pattern — is not copied here but read
+// back from the estimators that own it, through the histories they
+// register.
 type sessionJournal struct {
-	mu      sync.Mutex
-	entries []journalEntry
+	mu        sync.Mutex
+	binds     []bound
+	histories []history
 }
 
-// record observes one successful call (it runs under the RPC connection
-// lock, so append order is wire order) and journals it if it affects
-// session state.
-func (j *sessionJournal) record(method string, args rmi.PortData, reply any) {
-	var e journalEntry
-	switch method {
-	case MethodBind:
-		resp, ok := reply.(*BindResp)
-		if !ok {
-			return
-		}
-		e = journalEntry{method: method, args: args, boundID: resp.Instance}
-	case MethodPowerBatch, MethodTimingBatch:
-		e = journalEntry{method: method, args: args}
-	default:
-		return
-	}
+// bind journals one successful bind.
+func (j *sessionJournal) bind(id uint64, req BindReq) {
 	j.mu.Lock()
-	j.entries = append(j.entries, e)
+	j.binds = append(j.binds, bound{id, req})
 	j.mu.Unlock()
 }
 
-// replay re-establishes the session on a fresh connection by re-issuing
-// every journaled call in original order. Instance handles are
-// session-scoped counters, so replaying binds in order reproduces the
-// original IDs; replaying batches re-drives the simulators through the
-// same pattern history. Any failure aborts the replay — the transport
-// layer treats it as a failed reconnect and backs off.
+// replay re-establishes the session on a fresh connection. It re-issues
+// the binds in instance-handle order: the provider numbers instances from
+// a per-session counter, so the replay reproduces the original handles.
+// It then re-drives every registered history, in chunks of replayChunk
+// patterns. Any failure aborts the replay — the transport layer treats it
+// as a failed reconnect and backs off.
 func (j *sessionJournal) replay(do func(method string, args rmi.PortData, reply any) error) error {
 	j.mu.Lock()
-	entries := append([]journalEntry(nil), j.entries...)
+	binds, hists := slices.Clone(j.binds), slices.Clone(j.histories)
 	j.mu.Unlock()
-	for _, e := range entries {
-		switch e.method {
-		case MethodBind:
-			var resp BindResp
-			if err := do(e.method, e.args, &resp); err != nil {
-				return err
+	slices.SortFunc(binds, func(a, b bound) int { return cmp.Compare(a.id, b.id) })
+	for _, b := range binds {
+		var resp BindResp
+		if err := do(MethodBind, b.req, &resp); err != nil {
+			return err
+		}
+		if resp.Instance != b.id {
+			return fmt.Errorf("iplib: replayed bind returned instance %d, original was %d", resp.Instance, b.id)
+		}
+	}
+	for _, h := range hists {
+		for pats := h.patterns(); len(pats) > 0; {
+			chunk := pats[:min(len(pats), replayChunk)]
+			pats = pats[len(chunk):]
+			var req rmi.PortData = PowerBatchReq{Instance: h.instance, Patterns: chunk}
+			if h.method == MethodTimingBatch {
+				req = TimingBatchReq{Instance: h.instance, Patterns: chunk}
 			}
-			if resp.Instance != e.boundID {
-				return fmt.Errorf("iplib: replayed bind returned instance %d, original was %d", resp.Instance, e.boundID)
-			}
-		case MethodPowerBatch:
-			var resp PowerBatchResp
-			if err := do(e.method, e.args, &resp); err != nil {
-				return err
-			}
-		case MethodTimingBatch:
-			var resp TimingBatchResp
-			if err := do(e.method, e.args, &resp); err != nil {
+			if err := do(h.method, req, nil); err != nil {
 				return err
 			}
 		}
@@ -108,20 +107,13 @@ func (j *sessionJournal) replay(do func(method string, args rmi.PortData, reply 
 	return nil
 }
 
-// Entries returns how many calls the journal holds (for tests and
-// observability).
-func (j *sessionJournal) Entries() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
-}
-
 // EnableRecovery arms transparent session re-establishment on the
 // underlying RPC client: the protocol's idempotency table gates retry,
-// and a session journal replays binds and estimation batches after every
-// automatic reconnect, so a provider connection killed mid-simulation
-// heals with results identical to a fault-free run. The replayed session
-// is billed afresh by the provider (fees restart with the new session).
+// and after every automatic reconnect the session journal replays the
+// binds made from then on and the estimation histories registered
+// through OnReplay, so a provider connection killed mid-simulation heals
+// with results identical to a fault-free run. The replayed session is
+// billed afresh by the provider (fees restart with the new session).
 func (c *IPClient) EnableRecovery() {
 	if c.journal != nil {
 		return
@@ -129,15 +121,21 @@ func (c *IPClient) EnableRecovery() {
 	j := &sessionJournal{}
 	c.journal = j
 	c.RPC.Idempotent = Idempotent
-	c.RPC.Recorder = j.record
 	c.RPC.OnReconnect = j.replay
 }
 
-// JournalLen reports the size of the recovery journal (zero when
-// recovery is disabled).
-func (c *IPClient) JournalLen() int {
-	if c.journal == nil {
-		return 0
+// OnReplay registers the estimation history of this instance for one
+// batch method (MethodPowerBatch or MethodTimingBatch): after every
+// reconnect, the patterns the callback returns are re-driven through the
+// fresh session's instance. It reports whether recovery is armed; when it
+// is not, nothing is registered and the caller need keep no history.
+func (b *BoundInstance) OnReplay(method string, patterns func() [][]signal.Bit) bool {
+	j := b.client.journal
+	if j == nil {
+		return false
 	}
-	return c.journal.Entries()
+	j.mu.Lock()
+	j.histories = append(j.histories, history{instance: b.id, method: method, patterns: patterns})
+	j.mu.Unlock()
+	return true
 }

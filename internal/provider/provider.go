@@ -321,8 +321,12 @@ func (p *Provider) handleBind(sess *rmi.Session, payload []byte) (any, error) {
 			enabled = append(enabled, offer)
 		}
 	}
+	// Binds run on concurrent session workers: the handle is allocated
+	// and published under one lock, so no two binds share a handle.
+	p.mu.Lock()
 	id := nextInstanceID(sess)
 	sess.Put(instKey(id), inst)
+	p.mu.Unlock()
 	sess.Charge(comp.Spec.LicenseCents)
 	return iplib.BindResp{Instance: id, LicenseCents: comp.Spec.LicenseCents, Enabled: enabled}, nil
 }
@@ -377,7 +381,8 @@ func (p *Provider) testabilityFor(nl *gate.Netlist) (*fault.LocalTestability, er
 	return t.(*fault.LocalTestability), nil
 }
 
-// nextInstanceID allocates a session-unique instance handle.
+// nextInstanceID allocates a session-unique instance handle; the caller
+// holds p.mu.
 func nextInstanceID(sess *rmi.Session) uint64 {
 	v, _ := sess.Get("nextInstance")
 	id, _ := v.(uint64)

@@ -2,8 +2,8 @@
 // equivalent provider endpoints for one IP component, with per-replica
 // health accounting (EWMA latency, consecutive failures), a three-state
 // circuit breaker per replica, and a failover dialer that re-routes a
-// poisoned transport epoch — and the session journal replay it triggers
-// — to the next healthy replica instead of hammering a dead one.
+// poisoned transport epoch — and the session replay it triggers — to
+// the next healthy replica instead of hammering a dead one.
 //
 // The package sits below internal/core and plugs into internal/rmi
 // through three seams:

@@ -28,7 +28,7 @@ type Status struct {
 // Set holds N equivalent provider endpoints for one IP component with a
 // breaker and health record per replica. Its Dialer is the failover
 // policy: installed as rmi.Client.Redial, it makes every reconnect —
-// including the journal replay that restores session state — land on
+// including the session replay that restores provider state — land on
 // the next healthy replica rather than the one that just died.
 type Set struct {
 	// OnFailover, when non-nil, observes each adoption of a different

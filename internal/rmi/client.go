@@ -99,12 +99,6 @@ type Client struct {
 	// accepts pipelined calls; it must issue calls only through the
 	// supplied do function, never through Call/Go.
 	OnReconnect func(do func(method string, args PortData, reply any) error) error
-	// Recorder, when non-nil, observes each successful call in exact
-	// wire order. With pipelined calls completing out of order, a
-	// sequence gate re-establishes send order before invoking the hook,
-	// so the session-replay journal hanging off it stays a faithful wire
-	// transcript. Replayed calls are not re-recorded.
-	Recorder func(method string, args PortData, reply any)
 	// MaxInFlight bounds how many calls may be in flight on the
 	// connection at once: 0 selects DefaultInFlight, 1 serializes calls
 	// (the legacy stop-and-wait behavior, and the determinism baseline).
@@ -328,7 +322,7 @@ func (c *Client) call(method string, args PortData, reply any, meterBlocked bool
 				return err
 			}
 		}
-		sent, recvd, err := c.exchange(method, args, payload, reply)
+		sent, recvd, err := c.exchange(method, payload, reply)
 		if err == nil {
 			if c.Meter != nil {
 				if meterBlocked {
@@ -413,7 +407,7 @@ func (c *Client) transport(method string) (*mux, error) {
 // transfer delay for the call's actual byte volume. Concurrent in-flight
 // calls each sleep their own delay — the emulation overlaps like a real
 // pipelined link instead of summing under a transport lock.
-func (c *Client) exchange(method string, args PortData, payload []byte, reply any) (sent, recvd int, err error) {
+func (c *Client) exchange(method string, payload []byte, reply any) (sent, recvd int, err error) {
 	m, err := c.transport(method)
 	if err != nil {
 		return 0, 0, err
@@ -422,7 +416,7 @@ func (c *Client) exchange(method string, args PortData, payload []byte, reply an
 		return 0, 0, fmt.Errorf("rmi: %s: %w", method, err)
 	}
 	defer m.release()
-	pc, err := m.enqueue(method, args, payload, reply)
+	pc, err := m.enqueue(method, payload, reply)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -20,10 +20,8 @@ const DefaultInFlight = 8
 // the reader fills in when the matching response frame arrives.
 type pendingCall struct {
 	id     uint64
-	seq    uint64 // wire-order sequence (send-queue position) for the recorder gate
 	method string
-	frame  frame    // request frame, embedded so a call costs one allocation
-	args   PortData // retained for the Recorder hook
+	frame  frame // request frame, embedded so a call costs one allocation
 	reply  any
 
 	timer *time.Timer // per-call deadline; fires into mux.fail
@@ -62,13 +60,10 @@ type mux struct {
 	pending  map[uint64]*pendingCall
 	active   int // calls holding an in-flight slot
 	peak     int // high-water mark of active (observability/tests)
-	nextSeq  uint64
 	failed   bool
 	failErr  error
 
 	done chan struct{} // closed on fail; read by slot waiters and pumps
-
-	gate recorderGate
 }
 
 // newMux wraps a freshly handshaken connection. The pumps are not
@@ -86,7 +81,6 @@ func newMux(c *Client, conn *countingConn, fw *binFrameWriter, fr *binFrameReade
 	}
 	m.slotFree = sync.NewCond(&m.mu)
 	m.sendRdy = sync.NewCond(&m.mu)
-	m.gate.held = make(map[uint64]func())
 	return m
 }
 
@@ -134,13 +128,10 @@ func (m *mux) release() {
 
 // enqueue registers a call in the pending table and appends its frame to
 // the send queue. The caller already holds an in-flight slot. Queue
-// position is the call's wire order; the recorder gate releases journal
-// records in exactly this order even when responses complete out of
-// order.
-func (m *mux) enqueue(method string, args PortData, payload []byte, reply any) (*pendingCall, error) {
+// position is the call's wire order.
+func (m *mux) enqueue(method string, payload []byte, reply any) (*pendingCall, error) {
 	pc := &pendingCall{
 		method: method,
-		args:   args,
 		reply:  reply,
 		done:   make(chan struct{}),
 	}
@@ -151,8 +142,6 @@ func (m *mux) enqueue(method string, args PortData, payload []byte, reply any) (
 		return nil, fmt.Errorf("rmi: %s: %w", method, err)
 	}
 	pc.id = m.c.nextCallID()
-	pc.seq = m.nextSeq
-	m.nextSeq++
 	pc.frame = frame{Kind: kindRequest, ID: pc.id, Session: m.session, Method: method, Payload: payload}
 	if d := m.c.Timeout; d > 0 {
 		// The per-call deadline spans queue wait, transmission, and the
@@ -247,8 +236,7 @@ func (m *mux) reader() {
 }
 
 // complete resolves one answered call: remote errors, payload decode,
-// then the recorder gate (successful calls journal in wire order) and
-// the caller wake-up.
+// then the caller wake-up.
 func (m *mux) complete(pc *pendingCall, resp *frame) {
 	if resp.Err != "" {
 		pc.err = &RemoteError{Method: pc.method, Msg: resp.Err}
@@ -259,21 +247,12 @@ func (m *mux) complete(pc *pendingCall, resp *frame) {
 			pc.err = &permanentError{err: err}
 		}
 	}
-	if rec := m.c.Recorder; rec != nil && pc.err == nil {
-		pc := pc
-		m.gate.done(pc.seq, func() { rec(pc.method, pc.args, pc.reply) })
-	} else {
-		m.gate.done(pc.seq, nil)
-	}
 	close(pc.done)
 }
 
 // fail poisons the epoch: the first fault wins, the connection closes
 // (unblocking both pumps), and every pending call — queued or on the
-// wire — resolves with the fault. Their recorder-gate slots are released
-// empty so the journal stays contiguous; by the time the owning Client
-// reconnects and replays, the gate has fully drained and the journal is
-// exactly the successful-call prefix in wire order.
+// wire — resolves with the fault.
 func (m *mux) fail(err error) error {
 	m.mu.Lock()
 	if m.failed {
@@ -303,7 +282,6 @@ func (m *mux) fail(err error) error {
 			pc.timer.Stop()
 		}
 		pc.err = fmt.Errorf("rmi: %s: %w", pc.method, err)
-		m.gate.done(pc.seq, nil)
 		close(pc.done)
 	}
 	return closeErr
@@ -311,7 +289,7 @@ func (m *mux) fail(err error) error {
 
 // directCall runs one serial request/response round trip on the bare
 // connection, before the pumps have started — the restricted surface
-// session replay uses. No emulation, metering, or recording applies:
+// session replay uses. No emulation or metering applies:
 // recovery overhead is not part of the workload's traffic accounting.
 func (m *mux) directCall(method string, args PortData, reply any) error {
 	payload, err := EncodePayload(args)
@@ -346,37 +324,4 @@ func (m *mux) directCall(method string, args PortData, reply any) error {
 		return &permanentError{err: err}
 	}
 	return nil
-}
-
-// recorderGate releases per-call completion callbacks in wire (send
-// queue) order, even though the reader resolves responses in arrival
-// order. Each enqueued call owns one sequence slot and reports exactly
-// once — with its journal callback on success, empty otherwise — and the
-// gate runs the contiguous resolved prefix. This re-establishes the
-// stop-and-wait guarantee the session journal replay depends on: journal
-// append order is wire order.
-type recorderGate struct {
-	mu   sync.Mutex
-	next uint64
-	held map[uint64]func()
-}
-
-// done reports sequence slot seq resolved; fn (which may be nil) runs
-// once every earlier slot has resolved. Callbacks run under the gate
-// lock, serializing journal appends in order.
-func (g *recorderGate) done(seq uint64, fn func()) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.held[seq] = fn
-	for {
-		f, ok := g.held[g.next]
-		if !ok {
-			return
-		}
-		delete(g.held, g.next)
-		g.next++
-		if f != nil {
-			f()
-		}
-	}
 }

@@ -10,7 +10,7 @@ import (
 
 // This file is the poisoning matrix: every protocol-level fault that
 // must poison the mux epoch — wrong frame kind, unknown response ID,
-// mid-frame truncation — and the client must heal through journal
+// mid-frame truncation — and the client must heal through session
 // replay. The matrix reuses the rogue-server scripts from
 // resilience_test.go.
 
