@@ -83,14 +83,12 @@ type RemotePowerEstimator struct {
 	dispatch func(batch [][]signal.Bit, skip bool) ([]float64, error)
 
 	// method names the remote batch method, power or timing; it selects
-	// the call execBatch makes and seeds the cache fingerprint. appendReq
-	// appends the binary encoding of one batch's request envelope, for
-	// the cache's bytes-saved accounting; reqBuf is its scratch, reused
-	// under reqMu.
-	method    string
-	appendReq func(b []byte, batch [][]signal.Bit) []byte
-	reqMu     sync.Mutex
-	reqBuf    []byte
+	// the call execBatch makes and seeds the cache fingerprint. reqBuf is
+	// the scratch for the cache's bytes-saved accounting, reused under
+	// reqMu.
+	method string
+	reqMu  sync.Mutex
+	reqBuf []byte
 
 	// Content-addressed estimation cache (EnableCache). The session
 	// carries this estimator's rolling history chain; cacheOff latches
@@ -196,16 +194,12 @@ type outcome struct {
 
 // NewRemotePowerEstimator builds the estimator from a provider offer.
 func NewRemotePowerEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool) *RemotePowerEstimator {
-	return newRemoteEstimator(inst, offer, bufferSize, nonblocking, iplib.MethodPowerBatch,
-		func(b []byte, batch [][]signal.Bit) []byte {
-			return iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
-		})
+	return newRemoteEstimator(inst, offer, bufferSize, nonblocking, iplib.MethodPowerBatch)
 }
 
 // newRemoteEstimator builds an estimator over one remote batch method
 // and registers its history for session replay.
-func newRemoteEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool,
-	method string, appendReq func(b []byte, batch [][]signal.Bit) []byte) *RemotePowerEstimator {
+func newRemoteEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool, method string) *RemotePowerEstimator {
 	if bufferSize < 1 {
 		bufferSize = 1
 	}
@@ -222,7 +216,6 @@ func newRemoteEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, b
 		BufferSize:  bufferSize,
 		Nonblocking: nonblocking,
 		method:      method,
-		appendReq:   appendReq,
 		hedgePos:    -1,
 	}
 	e.recovering = inst.OnReplay(method, e.history)
@@ -242,9 +235,10 @@ func (e *RemotePowerEstimator) history() [][]signal.Bit {
 // wire format: the payload tag byte plus the envelope's AppendTo
 // encoding. A cache hit counts these bytes as saved.
 func (e *RemotePowerEstimator) reqBytes(batch [][]signal.Bit) int {
+	req := iplib.BatchReq(e.method, e.inst.ID(), batch, false)
 	e.reqMu.Lock()
 	defer e.reqMu.Unlock()
-	e.reqBuf = e.appendReq(e.reqBuf[:0], batch)
+	e.reqBuf = req.AppendTo(e.reqBuf[:0])
 	return 1 + len(e.reqBuf)
 }
 
@@ -573,40 +567,36 @@ func (e *RemotePowerEstimator) recordBatch(vals []float64, err error) {
 }
 
 // execBatch runs one job's pattern sequence through the configured remote
-// method on the primary instance. In nonblocking mode the power path goes
-// through the async stub and waits on its completion here, on the
-// dispatcher goroutine — the wait is pipelining headroom, not
-// caller-visible blocked time, so it stays out of the meter's
-// blocked-time accounting. A reply acknowledges the log up to the job's
-// end, on this goroutine and so before the next primary send.
+// method on the primary instance. In nonblocking mode the call runs on an
+// RPC worker and is waited on here, on the dispatcher goroutine — the
+// wait is pipelining headroom, not caller-visible blocked time, so it
+// stays out of the meter's blocked-time accounting. While recovering,
+// the reply acknowledges the log up to the job's end: on the transport's
+// receive path, before this call returns and before any reconnect can
+// read history.
 func (e *RemotePowerEstimator) execBatch(j batchJob) ([]float64, error) {
 	batch := j.send
+	var ack func()
+	if e.recovering {
+		ack = func() {
+			e.logMu.Lock()
+			e.acked = j.end
+			e.logMu.Unlock()
+		}
+	}
 	var vals []float64
 	var err error
-	switch {
-	case e.dispatch != nil:
-		vals, err = e.dispatch(batch, e.SkipCompute)
-	case e.method == iplib.MethodTimingBatch:
-		vals, err = e.inst.TimingBatch(batch)
-	case e.Nonblocking:
-		ch := make(chan outcome, 1)
-		e.inst.PowerBatchAsync(batch, e.SkipCompute, func(vals []float64, err error) {
-			ch <- outcome{vals, err}
-		})
-		r := <-ch
-		vals, err = r.vals, r.err
-	default:
-		vals, err = e.inst.PowerBatch(batch, e.SkipCompute)
+	if e.dispatch != nil {
+		if vals, err = e.dispatch(batch, e.SkipCompute); err == nil && ack != nil {
+			ack()
+		}
+	} else {
+		vals, err = e.inst.EstimateBatch(e.method, batch, e.SkipCompute, e.Nonblocking, ack)
 	}
 	// A miscounted reply would shift every later sample: fail the batch.
 	// A SkipCompute acknowledgement carries no values.
 	if err == nil && len(vals) != len(batch) && !(e.SkipCompute && len(vals) == 0) {
 		err = fmt.Errorf("core: estimator %s sent %d patterns, got %d values", e.Name, len(batch), len(vals))
-	}
-	if e.recovering && err == nil {
-		e.logMu.Lock()
-		e.acked = j.end
-		e.logMu.Unlock()
 	}
 	return vals, err
 }
@@ -736,10 +726,7 @@ func (e *RemotePowerEstimator) Report() PowerReport {
 // drain machinery; SkipCompute is not supported by the timing method and
 // is ignored.
 func NewRemoteTimingEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool) *RemotePowerEstimator {
-	return newRemoteEstimator(inst, offer, bufferSize, nonblocking, iplib.MethodTimingBatch,
-		func(b []byte, batch [][]signal.Bit) []byte {
-			return iplib.TimingBatchReq{Instance: inst.ID(), Patterns: batch}.AppendTo(b)
-		})
+	return newRemoteEstimator(inst, offer, bufferSize, nonblocking, iplib.MethodTimingBatch)
 }
 
 // RemoteMult is the paper's MULT as a remote module. The instantiation is

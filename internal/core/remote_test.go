@@ -240,11 +240,11 @@ func TestRemoteTimingEstimatorEndToEnd(t *testing.T) {
 }
 
 // runPowerAndTiming drives remote power and timing estimators on one
-// instance, nonblocking, over a recovering session dialed through dial,
-// and returns both sample streams.
-func runPowerAndTiming(t *testing.T, prov *provider.Provider, dial func() (net.Conn, error)) (power, timing []float64) {
+// instance, nonblocking, over a recovering session dialed through dial
+// under the given network profile, and returns both sample streams.
+func runPowerAndTiming(t *testing.T, prov *provider.Provider, profile netsim.Profile, dial func() (net.Conn, error)) (power, timing []float64) {
 	t.Helper()
-	conn, err := ConnectVia(prov, "u", netsim.InProcess, dial)
+	conn, err := ConnectVia(prov, "u", profile, dial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,19 +294,30 @@ func runPowerAndTiming(t *testing.T, prov *provider.Provider, dial func() (net.C
 // bit-identical to a fault-free run.
 func TestFaultedTimingRunMatchesFaultFree(t *testing.T) {
 	leakcheck.Check(t)
-	newProvider := func() *provider.Provider {
-		prov := provider.New("p")
-		if err := prov.Register(provider.MultFastLowPower()); err != nil {
-			t.Fatal(err)
-		}
-		return prov
-	}
-	prov := newProvider()
-	basePower, baseTiming := runPowerAndTiming(t, prov, PipeDialer(prov))
+	checkFaultedPowerAndTiming(t, netsim.InProcess)
+}
+
+// TestFaultedRunUnderDelayMatchesFaultFree repeats the timing check
+// under the WAN profile. A reply then reaches its caller a whole
+// emulated round trip after it left the wire — far longer than the first
+// retry backoff — so the other estimator's call can reconnect and replay
+// in between. The replay must still include the batch that reply
+// answered.
+func TestFaultedRunUnderDelayMatchesFaultFree(t *testing.T) {
+	leakcheck.Check(t)
+	checkFaultedPowerAndTiming(t, netsim.WAN)
+}
+
+// checkFaultedPowerAndTiming compares a fault-free power-and-timing run
+// with runs whose first connection resets after n writes.
+func checkFaultedPowerAndTiming(t *testing.T, profile netsim.Profile) {
+	t.Helper()
+	prov := multProvider(t)
+	basePower, baseTiming := runPowerAndTiming(t, prov, profile, PipeDialer(prov))
 	for _, n := range []int{5, 9, 14, 20} {
 		dialer, via := faultDialer([]*netsim.FaultPlan{netsim.ResetAfterWrites(n), nil})
-		prov := newProvider()
-		power, timing := runPowerAndTiming(t, prov, via(prov))
+		prov := multProvider(t)
+		power, timing := runPowerAndTiming(t, prov, profile, via(prov))
 		if fired := dialer.Conn(0).Fired(); len(fired) != 1 || dialer.Dials() < 2 {
 			t.Fatalf("n=%d: fault fired %v with %d dials; the run saw no reconnect", n, fired, dialer.Dials())
 		}
@@ -323,6 +334,60 @@ func TestFaultedTimingRunMatchesFaultFree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// multProvider returns a provider offering MultFastLowPower.
+func multProvider(t *testing.T) *provider.Provider {
+	t.Helper()
+	prov := provider.New("p")
+	if err := prov.Register(provider.MultFastLowPower()); err != nil {
+		t.Fatal(err)
+	}
+	return prov
+}
+
+// TestFaultedBindReplaysAcrossConcurrentReconnect resets the connection
+// under a second caller while a bind's reply is already back but its
+// caller still sleeps the emulated round trip. That caller's reconnect
+// must replay the bind, so the instance Bind returns exists on the fresh
+// session.
+func TestFaultedBindReplaysAcrossConcurrentReconnect(t *testing.T) {
+	leakcheck.Check(t)
+	prov := multProvider(t)
+	// Write 1 is the handshake, 2 the bind, 3 the catalogue call.
+	dialer, via := faultDialer([]*netsim.FaultPlan{netsim.ResetAfterWrites(3), nil})
+	conn, err := ConnectVia(prov, "u", netsim.Profile{Name: "slow", OneWay: 20 * time.Millisecond}, via(prov))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.Harden(DefaultResilience())
+	// OnAttempt fires once the reply is back, before the emulated wait.
+	answered := make(chan struct{})
+	conn.Client.RPC.OnAttempt = func(method string, _ time.Duration, err error) {
+		if method == iplib.MethodBind && err == nil {
+			close(answered)
+		}
+	}
+	catalogue := make(chan error, 1)
+	go func() {
+		<-answered
+		_, err := conn.Client.Catalogue()
+		catalogue <- err
+	}()
+	inst, err := conn.Client.Bind("MultFastLowPower", 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-catalogue; err != nil {
+		t.Fatal(err)
+	}
+	if dialer.Dials() < 2 {
+		t.Fatalf("dials = %d; the catalogue call saw no reconnect", dialer.Dials())
+	}
+	if _, err := inst.Eval(make([]signal.Bit, 8)); err != nil {
+		t.Fatalf("bound instance after the reconnect: %v", err)
 	}
 }
 

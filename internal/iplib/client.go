@@ -40,11 +40,14 @@ func (c *IPClient) Catalogue() ([]ComponentSpec, error) {
 func (c *IPClient) Bind(component string, width int, models []string) (*BoundInstance, error) {
 	var resp BindResp
 	req := BindReq{Component: component, Width: width, Models: models}
-	if err := c.RPC.Call(MethodBind, req, &resp); err != nil {
-		return nil, err
+	var ack func()
+	if j := c.journal; j != nil {
+		// Journaled as the reply arrives, so a reconnect by another
+		// caller replays this bind even before Bind returns.
+		ack = func() { j.bind(resp.Instance, req) }
 	}
-	if c.journal != nil {
-		c.journal.bind(resp.Instance, req)
+	if err := c.RPC.Invoke(MethodBind, req, &resp, true, ack); err != nil {
+		return nil, err
 	}
 	return &BoundInstance{client: c, id: resp.Instance, component: component, width: width, enabled: resp.Enabled}, nil
 }
@@ -106,42 +109,51 @@ func (b *BoundInstance) Eval(inputs []signal.Bit) ([]signal.Bit, error) {
 	return resp.Outputs, nil
 }
 
+// BatchRequest is the request envelope of an estimation batch method.
+type BatchRequest interface {
+	rmi.PortData
+	rmi.BinaryAppender
+}
+
+// BatchReq builds the request envelope of an estimation batch method,
+// MethodPowerBatch or MethodTimingBatch; the timing method has no
+// SkipCompute.
+func BatchReq(method string, instance uint64, patterns [][]signal.Bit, skipCompute bool) BatchRequest {
+	if method == MethodTimingBatch {
+		return TimingBatchReq{Instance: instance, Patterns: patterns}
+	}
+	return PowerBatchReq{Instance: instance, Patterns: patterns, SkipCompute: skipCompute}
+}
+
+// EstimateBatch runs a buffered pattern sequence through an estimation
+// batch method, MethodPowerBatch (per-pattern power) or MethodTimingBatch
+// (per-pattern switching delay, ps). A nonblocking caller waits on a
+// worker goroutine, so its wait is not metered as blocked time. ack, when
+// non-nil, runs as soon as the provider has answered: before
+// EstimateBatch returns and before a reconnect can replay the session
+// (see rmi.Client.Invoke).
+func (b *BoundInstance) EstimateBatch(method string, patterns [][]signal.Bit, skipCompute, nonblocking bool, ack func()) ([]float64, error) {
+	req := BatchReq(method, b.id, patterns, skipCompute)
+	if method == MethodTimingBatch {
+		var resp TimingBatchResp
+		err := b.client.RPC.Invoke(method, req, &resp, !nonblocking, ack)
+		return resp.DelayPerPattern, err
+	}
+	var resp PowerBatchResp
+	err := b.client.RPC.Invoke(method, req, &resp, !nonblocking, ack)
+	return resp.PowerPerPattern, err
+}
+
 // PowerBatch runs the provider's gate-level power estimator over a
 // buffered pattern sequence, returning per-pattern power.
 func (b *BoundInstance) PowerBatch(patterns [][]signal.Bit, skipCompute bool) ([]float64, error) {
-	var resp PowerBatchResp
-	req := PowerBatchReq{Instance: b.id, Patterns: patterns, SkipCompute: skipCompute}
-	if err := b.client.RPC.Call(MethodPowerBatch, req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.PowerPerPattern, nil
-}
-
-// PowerBatchAsync is PowerBatch on a worker goroutine — the nonblocking
-// estimation path. The callback runs when the batch completes.
-func (b *BoundInstance) PowerBatchAsync(patterns [][]signal.Bit, skipCompute bool, done func([]float64, error)) {
-	resp := new(PowerBatchResp)
-	req := PowerBatchReq{Instance: b.id, Patterns: patterns, SkipCompute: skipCompute}
-	p := b.client.RPC.Go(MethodPowerBatch, req, resp)
-	go func() {
-		<-p.Done
-		if err := p.Err(); err != nil {
-			done(nil, err)
-			return
-		}
-		done(resp.PowerPerPattern, nil)
-	}()
+	return b.EstimateBatch(MethodPowerBatch, patterns, skipCompute, false, nil)
 }
 
 // TimingBatch runs the provider's input-dependent timing analysis over a
 // buffered pattern sequence, returning per-pattern switching delay (ps).
 func (b *BoundInstance) TimingBatch(patterns [][]signal.Bit) ([]float64, error) {
-	var resp TimingBatchResp
-	req := TimingBatchReq{Instance: b.id, Patterns: patterns}
-	if err := b.client.RPC.Call(MethodTimingBatch, req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.DelayPerPattern, nil
+	return b.EstimateBatch(MethodTimingBatch, patterns, false, false, nil)
 }
 
 // Static returns a static metric computed from the private implementation

@@ -163,14 +163,10 @@ func TestClientPowerBatchStub(t *testing.T) {
 	if err != nil || len(ack) != 0 {
 		t.Fatalf("skip-compute = %v, %v", ack, err)
 	}
-	done := make(chan struct{})
-	b.PowerBatchAsync([][]signal.Bit{{signal.B1}}, false, func(vals []float64, err error) {
-		if err != nil || len(vals) != 1 {
-			t.Errorf("async = %v, %v", vals, err)
-		}
-		close(done)
-	})
-	<-done
+	vals, err = b.EstimateBatch(MethodPowerBatch, [][]signal.Bit{{signal.B1}}, false, true, nil)
+	if err != nil || len(vals) != 1 {
+		t.Fatalf("nonblocking = %v, %v", vals, err)
+	}
 }
 
 func TestClientStaticStub(t *testing.T) {

@@ -95,11 +95,7 @@ func (j *sessionJournal) replay(do func(method string, args rmi.PortData, reply 
 		for pats := h.patterns(); len(pats) > 0; {
 			chunk := pats[:min(len(pats), replayChunk)]
 			pats = pats[len(chunk):]
-			var req rmi.PortData = PowerBatchReq{Instance: h.instance, Patterns: chunk}
-			if h.method == MethodTimingBatch {
-				req = TimingBatchReq{Instance: h.instance, Patterns: chunk}
-			}
-			if err := do(h.method, req, nil); err != nil {
+			if err := do(h.method, BatchReq(h.method, h.instance, chunk, false), nil); err != nil {
 				return err
 			}
 		}

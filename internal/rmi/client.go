@@ -289,15 +289,21 @@ func (c *Client) Close() error {
 // delay for the call's actual byte volume is injected, and the total
 // time blocked is metered.
 func (c *Client) Call(method string, args PortData, reply any) error {
-	return c.call(method, args, reply, true)
+	return c.Invoke(method, args, reply, true, nil)
 }
 
-// call implements Call; meterBlocked distinguishes synchronous calls
-// (whose wait stalls the caller and counts as blocked time) from
-// nonblocking worker-goroutine calls (whose wait overlaps useful work —
-// only the byte/call counters apply; any end-of-run drain is metered by
-// the caller).
-func (c *Client) call(method string, args PortData, reply any, meterBlocked bool) error {
+// Invoke is the general form of Call and Go. meterBlocked distinguishes
+// synchronous calls (whose wait stalls the caller and counts as blocked
+// time) from nonblocking worker-goroutine calls (whose wait overlaps
+// useful work — only the byte/call counters apply; any end-of-run drain
+// is metered by the caller). ack, when non-nil, runs once the reply has
+// arrived and decoded, on the connection's receive goroutine: before
+// Invoke returns, and before any reconnect can replay session state
+// through OnReconnect. A caller that records what the provider session
+// has executed records it in ack, so a replay never misses a call the
+// old session answered. A retried call acknowledges once, for the
+// attempt that succeeded. ack must not call back into the Client.
+func (c *Client) Invoke(method string, args PortData, reply any, meterBlocked bool, ack func()) error {
 	policy := c.Policy
 	if policy == nil {
 		policy = &security.DefaultPolicy
@@ -322,7 +328,7 @@ func (c *Client) call(method string, args PortData, reply any, meterBlocked bool
 				return err
 			}
 		}
-		sent, recvd, err := c.exchange(method, payload, reply)
+		sent, recvd, err := c.exchange(method, payload, reply, ack)
 		if err == nil {
 			if c.Meter != nil {
 				if meterBlocked {
@@ -407,7 +413,7 @@ func (c *Client) transport(method string) (*mux, error) {
 // transfer delay for the call's actual byte volume. Concurrent in-flight
 // calls each sleep their own delay — the emulation overlaps like a real
 // pipelined link instead of summing under a transport lock.
-func (c *Client) exchange(method string, payload []byte, reply any) (sent, recvd int, err error) {
+func (c *Client) exchange(method string, payload []byte, reply any, ack func()) (sent, recvd int, err error) {
 	m, err := c.transport(method)
 	if err != nil {
 		return 0, 0, err
@@ -416,7 +422,7 @@ func (c *Client) exchange(method string, payload []byte, reply any) (sent, recvd
 		return 0, 0, fmt.Errorf("rmi: %s: %w", method, err)
 	}
 	defer m.release()
-	pc, err := m.enqueue(method, payload, reply)
+	pc, err := m.enqueue(method, payload, reply, ack)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -469,8 +475,11 @@ func (c *Client) reconnectLocked() error {
 		// Idempotent if the epoch already failed; otherwise this fails
 		// any stragglers and closes the old conn. errSuperseded is
 		// filtered from the OnEpochFail hook: replacement is not a
-		// replica failure.
+		// replica failure. Then wait out the old reader: a reply it has
+		// already taken off the wire completes, acknowledgement included,
+		// before the replay reads session state.
 		_ = c.tr.fail(errSuperseded)
+		<-c.tr.readerDone
 	}
 	conn, err := c.Redial()
 	if err != nil {
@@ -512,7 +521,7 @@ func (c *Client) Go(method string, args PortData, reply any) *Pending {
 	p := &Pending{Done: make(chan struct{})}
 	go func() {
 		defer close(p.Done)
-		p.err = c.call(method, args, reply, false)
+		p.err = c.Invoke(method, args, reply, false, nil)
 	}()
 	return p
 }

@@ -23,6 +23,7 @@ type pendingCall struct {
 	method string
 	frame  frame // request frame, embedded so a call costs one allocation
 	reply  any
+	ack    func() // run by the reader on success, before done closes
 
 	timer *time.Timer // per-call deadline; fires into mux.fail
 
@@ -63,7 +64,8 @@ type mux struct {
 	failed   bool
 	failErr  error
 
-	done chan struct{} // closed on fail; read by slot waiters and pumps
+	done       chan struct{} // closed on fail; read by slot waiters and pumps
+	readerDone chan struct{} // closed when the reader pump returns
 }
 
 // newMux wraps a freshly handshaken connection. The pumps are not
@@ -71,13 +73,14 @@ type mux struct {
 // frame codec first (see Client.reconnectLocked), then calls start.
 func newMux(c *Client, conn *countingConn, fw *binFrameWriter, fr *binFrameReader, session string) *mux {
 	m := &mux{
-		c:       c,
-		conn:    conn,
-		fw:      fw,
-		fr:      fr,
-		session: session,
-		pending: make(map[uint64]*pendingCall),
-		done:    make(chan struct{}),
+		c:          c,
+		conn:       conn,
+		fw:         fw,
+		fr:         fr,
+		session:    session,
+		pending:    make(map[uint64]*pendingCall),
+		done:       make(chan struct{}),
+		readerDone: make(chan struct{}),
 	}
 	m.slotFree = sync.NewCond(&m.mu)
 	m.sendRdy = sync.NewCond(&m.mu)
@@ -129,10 +132,11 @@ func (m *mux) release() {
 // enqueue registers a call in the pending table and appends its frame to
 // the send queue. The caller already holds an in-flight slot. Queue
 // position is the call's wire order.
-func (m *mux) enqueue(method string, payload []byte, reply any) (*pendingCall, error) {
+func (m *mux) enqueue(method string, payload []byte, reply any, ack func()) (*pendingCall, error) {
 	pc := &pendingCall{
 		method: method,
 		reply:  reply,
+		ack:    ack,
 		done:   make(chan struct{}),
 	}
 	m.mu.Lock()
@@ -200,6 +204,7 @@ func (m *mux) writer() {
 // confused peer): the epoch is poisoned so no caller can be handed
 // another call's data.
 func (m *mux) reader() {
+	defer close(m.readerDone)
 	// One response frame for the life of the pump: readFrame resets it,
 	// and complete() consumes it synchronously before the next readFrame
 	// can overwrite it.
@@ -236,7 +241,10 @@ func (m *mux) reader() {
 }
 
 // complete resolves one answered call: remote errors, payload decode,
-// then the caller wake-up.
+// the call's acknowledgement on success, then the caller wake-up. The
+// acknowledgement runs here, on the reader, so a reconnect — which waits
+// for the old epoch's reader to return — replays session state that
+// includes every call the old session answered.
 func (m *mux) complete(pc *pendingCall, resp *frame) {
 	if resp.Err != "" {
 		pc.err = &RemoteError{Method: pc.method, Msg: resp.Err}
@@ -246,6 +254,9 @@ func (m *mux) complete(pc *pendingCall, resp *frame) {
 			// return the same undecodable payload.
 			pc.err = &permanentError{err: err}
 		}
+	}
+	if pc.err == nil && pc.ack != nil {
+		pc.ack()
 	}
 	close(pc.done)
 }

@@ -5,6 +5,7 @@ import (
 	mrand "math/rand/v2"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -432,5 +433,87 @@ func TestZeroPolicyKeepsLegacyBehavior(t *testing.T) {
 	}
 	if errors.Is(cli.Call("m", echoReq{}, nil), ErrProviderDead) {
 		t.Error("broken (not dead) client returned ErrProviderDead")
+	}
+}
+
+// TestAckRunsBeforeConcurrentReconnect pins Invoke's ack ordering: a reply
+// already off the wire is acknowledged before another caller's reconnect
+// replays session state, although its own caller is still sleeping the
+// emulated round trip. A call that fails is never acknowledged.
+func TestAckRunsBeforeConcurrentReconnect(t *testing.T) {
+	// Write 1 is the handshake, 2 the acknowledged call, 3 the other one.
+	cli, dialer, _ := newFaultServer(t, []*netsim.FaultPlan{netsim.ResetAfterWrites(3), nil})
+	cli.Profile = netsim.Profile{Name: "slow", OneWay: 20 * time.Millisecond}
+	var acks atomic.Int32
+	replayedAcks := make(chan int32, 1)
+	cli.OnReconnect = func(func(string, PortData, any) error) error {
+		select {
+		case replayedAcks <- acks.Load():
+		default:
+		}
+		return nil
+	}
+	answered := make(chan struct{})
+	var once sync.Once
+	cli.OnAttempt = func(string, time.Duration, error) { once.Do(func() { close(answered) }) }
+	other := make(chan error, 1)
+	go func() {
+		<-answered
+		other <- cli.Call("echo", echoReq{Note: "other"}, &echoResp{})
+	}()
+	if err := cli.Invoke("echo", echoReq{Note: "acked"}, &echoResp{}, true, func() { acks.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-other; err != nil {
+		t.Fatal(err)
+	}
+	if dialer.Dials() != 2 {
+		t.Fatalf("dials = %d, want 2", dialer.Dials())
+	}
+	if got := <-replayedAcks; got != 1 {
+		t.Errorf("acks seen by the reconnect replay = %d, want 1", got)
+	}
+	err := cli.Invoke("nosuch", echoReq{}, &echoResp{}, true, func() { acks.Add(1) })
+	if err == nil || acks.Load() != 1 {
+		t.Errorf("failed call: err %v, acks %d; want an error and no ack", err, acks.Load())
+	}
+}
+
+// TestReconnectWaitsForRunningAck fails the epoch through another call's
+// deadline while the reader is still inside an acknowledgement: the
+// reconnect must wait for that acknowledgement before it replays.
+func TestReconnectWaitsForRunningAck(t *testing.T) {
+	cli, _, _ := newFaultServer(t, nil)
+	cli.Timeout = 30 * time.Millisecond
+	var acks atomic.Int32
+	replayedAcks := make(chan int32, 1)
+	cli.OnReconnect = func(func(string, PortData, any) error) error {
+		select {
+		case replayedAcks <- acks.Load():
+		default:
+		}
+		return nil
+	}
+	inAck := make(chan struct{})
+	other := make(chan error, 1)
+	go func() {
+		<-inAck
+		// The reader is busy, so this call times out, poisons the epoch
+		// and reconnects on its retry.
+		other <- cli.Call("echo", echoReq{Note: "other"}, &echoResp{})
+	}()
+	err := cli.Invoke("echo", echoReq{Note: "acked"}, &echoResp{}, true, func() {
+		close(inAck)
+		time.Sleep(100 * time.Millisecond)
+		acks.Add(1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-other; err != nil {
+		t.Fatal(err)
+	}
+	if got := <-replayedAcks; got != 1 {
+		t.Errorf("acks seen by the reconnect replay = %d, want 1", got)
 	}
 }
