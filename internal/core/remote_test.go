@@ -291,46 +291,34 @@ func runPowerAndTiming(t *testing.T, prov *provider.Provider, profile netsim.Pro
 // TestFaultedTimingRunMatchesFaultFree kills the connection under
 // pipelined power and timing batches at several points: the reconnect
 // must replay both estimators' histories, so both sample streams stay
-// bit-identical to a fault-free run.
+// bit-identical to a fault-free run. Under the WAN profile a reply
+// reaches its caller a whole emulated round trip after it left the wire
+// — far longer than the first retry backoff — so the other estimator's
+// call can reconnect and replay in between; the replay must still
+// include the batch that reply answered.
 func TestFaultedTimingRunMatchesFaultFree(t *testing.T) {
 	leakcheck.Check(t)
-	checkFaultedPowerAndTiming(t, netsim.InProcess)
-}
-
-// TestFaultedRunUnderDelayMatchesFaultFree repeats the timing check
-// under the WAN profile. A reply then reaches its caller a whole
-// emulated round trip after it left the wire — far longer than the first
-// retry backoff — so the other estimator's call can reconnect and replay
-// in between. The replay must still include the batch that reply
-// answered.
-func TestFaultedRunUnderDelayMatchesFaultFree(t *testing.T) {
-	leakcheck.Check(t)
-	checkFaultedPowerAndTiming(t, netsim.WAN)
-}
-
-// checkFaultedPowerAndTiming compares a fault-free power-and-timing run
-// with runs whose first connection resets after n writes.
-func checkFaultedPowerAndTiming(t *testing.T, profile netsim.Profile) {
-	t.Helper()
-	prov := multProvider(t)
-	basePower, baseTiming := runPowerAndTiming(t, prov, profile, PipeDialer(prov))
-	for _, n := range []int{5, 9, 14, 20} {
-		dialer, via := faultDialer([]*netsim.FaultPlan{netsim.ResetAfterWrites(n), nil})
+	for _, profile := range []netsim.Profile{netsim.InProcess, netsim.WAN} {
 		prov := multProvider(t)
-		power, timing := runPowerAndTiming(t, prov, profile, via(prov))
-		if fired := dialer.Conn(0).Fired(); len(fired) != 1 || dialer.Dials() < 2 {
-			t.Fatalf("n=%d: fault fired %v with %d dials; the run saw no reconnect", n, fired, dialer.Dials())
-		}
-		for _, s := range []struct {
-			name      string
-			got, want []float64
-		}{{"power", power, basePower}, {"timing", timing, baseTiming}} {
-			if len(s.got) != len(s.want) {
-				t.Fatalf("n=%d: %s samples %d, fault-free %d", n, s.name, len(s.got), len(s.want))
+		basePower, baseTiming := runPowerAndTiming(t, prov, profile, PipeDialer(prov))
+		for _, n := range []int{5, 9, 14, 20} {
+			dialer, via := faultDialer([]*netsim.FaultPlan{netsim.ResetAfterWrites(n), nil})
+			prov := multProvider(t)
+			power, timing := runPowerAndTiming(t, prov, profile, via(prov))
+			if fired := dialer.Conn(0).Fired(); len(fired) != 1 || dialer.Dials() < 2 {
+				t.Fatalf("%s n=%d: fault fired %v with %d dials; the run saw no reconnect", profile.Name, n, fired, dialer.Dials())
 			}
-			for i := range s.want {
-				if s.got[i] != s.want[i] {
-					t.Fatalf("n=%d %s %d differs: faulted %v, fault-free %v", n, s.name, i, s.got[i], s.want[i])
+			for _, s := range []struct {
+				name      string
+				got, want []float64
+			}{{"power", power, basePower}, {"timing", timing, baseTiming}} {
+				if len(s.got) != len(s.want) {
+					t.Fatalf("%s n=%d: %s samples %d, fault-free %d", profile.Name, n, s.name, len(s.got), len(s.want))
+				}
+				for i := range s.want {
+					if s.got[i] != s.want[i] {
+						t.Fatalf("%s n=%d %s %d differs: faulted %v, fault-free %v", profile.Name, n, s.name, i, s.got[i], s.want[i])
+					}
 				}
 			}
 		}
