@@ -3,14 +3,14 @@ FUZZTIME ?= 15s
 BENCHTIME ?= 1s
 BENCHDATE := $(shell date +%Y-%m-%d)
 
-# BENCH_GOFLAGS is the GOFLAGS value shared by `make bench` and
-# `make lint`: the noalloc analyzer shells out to `go build -gcflags=-m`
-# with the inherited environment, so running both under the same flags
-# keeps the escape analysis the lint gate sees identical to the
-# conditions the benchmarks measure.
+# BENCH_GOFLAGS is the GOFLAGS value shared by `make bench`,
+# `make profile` and `make lint`: the noalloc analyzer shells out to
+# `go build -gcflags=-m` with the inherited environment, so running all
+# three under the same flags keeps the escape analysis the lint gate
+# sees identical to the conditions the benchmarks measure.
 BENCH_GOFLAGS ?=
 
-.PHONY: all build test race fuzz vet lint vuln bench benchdiff smoke-bench loadgen profile chaos ci clean
+.PHONY: all build test race fuzz vet lint vuln bench benchgate smoke-bench loadgen profile chaos ci clean
 
 all: build test
 
@@ -46,24 +46,19 @@ vuln:
 		echo "govulncheck not installed; skipping advisory scan"; \
 	fi
 
-# Benchmark regression diff: compares the two most recent BENCH_*.json
-# snapshots (see `make bench`) and exits 1 when any benchmark is more
-# than 20% worse on ns/op or allocs/op. ci.sh runs it as a non-blocking
-# advisory over all benchmarks and then as a BLOCKING gate over the
-# low-noise event-kernel benchmarks (SKIP_KERNEL_BENCH_GATE=1 bypasses
-# the gate); run it by hand with explicit files to gate a change:
-#   go run ./cmd/benchdiff BENCH_old.json BENCH_new.json
-benchdiff:
-	@set -- $$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -2); \
-	if [ "$$#" -eq 2 ]; then \
-		$(GO) run ./cmd/benchdiff "$$1" "$$2"; \
-	else \
-		echo "fewer than two BENCH_*.json snapshots; run make bench"; \
-	fi
+# Live benchmark gate: gen-al on the merge-base with origin/main and on
+# the working tree, six alternating pairs on this host, judged by
+# `benchmark/run.sh compare` under BENCHMARK.json's bounds (exit 1 on a
+# REGRESSION). It resolves kernel and module slowdowns larger than the
+# 20% op_ms_p10 bound. Needs the base commit in the local history.
+benchgate:
+	bash benchgate.sh
 
 # Short deterministic fuzz smoke over the RMI wire codec, the event
-# queue and the bit-parallel stuck-at sweep. Each target must run in
-# its own invocation (go test allows one -fuzz at a time).
+# queue, the bit-parallel stuck-at sweep, provider dispatch of untrusted
+# payloads and the gateway's tenant config. This is the one fuzz list:
+# ci.sh and the workflow call `make fuzz FUZZTIME=...`. Each target must
+# run in its own invocation (go test allows one -fuzz at a time).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryCodec$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryDecode$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
@@ -71,6 +66,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxFaultyConn$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueOrdering$$' -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepStuckAt$$' -fuzztime=$(FUZZTIME) ./internal/gate/
+	$(GO) test -run='^$$' -fuzz='^FuzzProviderDispatch$$' -fuzztime=$(FUZZTIME) ./internal/provider/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadTenantConfig$$' -fuzztime=$(FUZZTIME) ./internal/gateway/
 
 # Deterministic chaos sweep under the race detector: seeded replica
 # fault schedules (kill, partition, slow-drip, flap) across replica
@@ -95,15 +92,14 @@ profile:
 		-benchtime=$(BENCHTIME) -cpuprofile=profiles/cpu.out -memprofile=profiles/heap.out .
 	@echo "profiles written to profiles/cpu.out and profiles/heap.out"
 
-# Full benchmark sweep with allocation stats, archived as a dated JSON
-# snapshot (one go-test event per line) for regression comparison.
-# internal/sim rides along so the kernel's arena token delivery
-# benchmarks land in the snapshot — ci.sh's blocking kernel gate
-# compares them.
+# The repo benchmark (benchmark/, BENCHMARK.json): every workload in
+# BENCHMARK.json order at its default size, each result record appended
+# to one dated JSON-lines file that `bash benchmark/run.sh compare` reads.
 bench:
-	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json . ./internal/sim/ | tee BENCH_$(BENCHDATE).json
-	@echo "benchmark snapshot written to BENCH_$(BENCHDATE).json"
-	$(GO) run ./cmd/gocad-loadgen -selftest
+	@for w in mr-local er-wan gen-al fault-2ip gw-sessions; do \
+		GOFLAGS="$(BENCH_GOFLAGS)" bash benchmark/run.sh --workload $$w --out .bench_build/bench-$(BENCHDATE).jsonl || exit 1; \
+	done
+	@echo "benchmark records appended to .bench_build/bench-$(BENCHDATE).jsonl"
 
 # Quick CI smoke: the kernel and fault-simulation benchmarks only, one
 # short iteration each — catches crashes and gross regressions, not noise.
@@ -119,7 +115,7 @@ smoke-bench:
 loadgen:
 	$(GO) run ./cmd/gocad-loadgen -selftest
 
-ci: build vet lint test race chaos fuzz smoke-bench loadgen vuln
+ci: build vet lint test race chaos fuzz smoke-bench loadgen benchgate vuln
 
 clean:
 	$(GO) clean ./...

@@ -229,6 +229,34 @@ func TestGoldenGeneratedDesigns(t *testing.T) {
 	checkGolden(t, goldenGenerated, generatedCorpus(t))
 }
 
+const goldenTable1 = "testdata/golden/table1.txt"
+
+// table1Corpus renders every RunTable1(DefaultTable1Config()) row's
+// error and cost columns at %.6g, a precision on which architectures
+// that fuse multiply-adds agree. CPUPerPattern is a timing and stays
+// out.
+func table1Corpus(t *testing.T) []byte {
+	t.Helper()
+	rows, err := RunTable1(DefaultTable1Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, r := range rows {
+		fmt.Fprintf(&buf, "%s avg_err_pct=%.6g rms_err_pct=%.6g cost_cents=%.6g\n",
+			r.Estimator, r.AvgErrPct, r.RMSErrPct, r.CostPerPatternCents)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenTable1 pins the Table 1 error and cost columns to
+// testdata/golden/table1.txt. Run
+// `go test ./internal/core -run TestGoldenTable1 -update` to regenerate
+// it after a deliberate change to the estimators or their calibration.
+func TestGoldenTable1(t *testing.T) {
+	checkGolden(t, goldenTable1, table1Corpus(t))
+}
+
 // checkGolden compares got against the committed golden file at path,
 // or rewrites the file under -update.
 func checkGolden(t *testing.T, path string, got []byte) {

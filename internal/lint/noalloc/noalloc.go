@@ -1,5 +1,5 @@
-// Package noalloc turns PR 7's zero-allocation guarantees from a
-// benchdiff advisory into a hard lint gate. A hot-path function is
+// Package noalloc turns PR 7's zero-allocation guarantees from an
+// advisory benchmark diff into a hard lint gate. A hot-path function is
 // annotated
 //
 //	//gocad:noalloc
@@ -20,8 +20,8 @@
 // body itself performs zero heap allocations in steady state.
 //
 // The build runs with the process environment's GOFLAGS, so CI invokes
-// the gate under the same flags as make bench and the escape analysis
-// matches benchmark conditions. Build caching makes repeat runs cheap:
+// the gate (make lint) under the same flags as make bench and make
+// profile, and the escape analysis matches benchmark conditions. Build caching makes repeat runs cheap:
 // the go tool replays -m diagnostics from the cache.
 package noalloc
 
