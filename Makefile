@@ -35,7 +35,7 @@ vet:
 # escape analysis sees benchmark conditions.
 lint:
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) run ./cmd/gocad-lint -timings ./...
-	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/
+	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/ ./internal/ppp/
 
 # Non-blocking dependency-vulnerability advisory; skipped silently when
 # govulncheck is not installed (it is not vendored).
@@ -55,8 +55,9 @@ benchgate:
 	bash benchgate.sh
 
 # Short deterministic fuzz smoke over the RMI wire codec, the event
-# queue, the bit-parallel stuck-at sweep, provider dispatch of untrusted
-# payloads and the gateway's tenant config. This is the one fuzz list:
+# queue, the bit-parallel stuck-at sweep, the batched power and timing
+# steps, provider dispatch of untrusted payloads and the gateway's
+# tenant config. This is the one fuzz list:
 # ci.sh and the workflow call `make fuzz FUZZTIME=...`. Each target must
 # run in its own invocation (go test allows one -fuzz at a time).
 fuzz:
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxFaultyConn$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueOrdering$$' -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepStuckAt$$' -fuzztime=$(FUZZTIME) ./internal/gate/
+	$(GO) test -run='^$$' -fuzz='^FuzzStepBatch$$' -fuzztime=$(FUZZTIME) ./internal/ppp/
 	$(GO) test -run='^$$' -fuzz='^FuzzProviderDispatch$$' -fuzztime=$(FUZZTIME) ./internal/provider/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadTenantConfig$$' -fuzztime=$(FUZZTIME) ./internal/gateway/
 

@@ -248,6 +248,35 @@ func BenchmarkPowerStep(b *testing.B) {
 	}
 }
 
+// BenchmarkPowerBatch measures one PPP power batch over the 16-bit
+// multiplier at 1, 5 and 64 patterns (the provider-side cost of one
+// PowerBatch call). Patterns share lane passes, so the cost per pattern
+// falls with the batch size.
+func BenchmarkPowerBatch(b *testing.B) {
+	nl := gate.ArrayMultiplier(16)
+	for _, n := range []int{1, 5, gate.Lanes} {
+		b.Run(fmt.Sprintf("patterns=%d", n), func(b *testing.B) {
+			s, err := ppp.NewSimulator(nl, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := make([][]signal.Bit, n)
+			for i := range batch {
+				batch[i] = nl.InputWord(uint64(i) * 0x9E37_79B9)
+			}
+			out := make([]float64, 0, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out, err = s.StepBatch(batch, out[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pattern")
+		})
+	}
+}
+
 // BenchmarkDetectionTable measures building one detection table for the
 // 8-bit multiplier — the provider-side cost of one phase-two query.
 func BenchmarkDetectionTable(b *testing.B) {

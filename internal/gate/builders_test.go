@@ -200,32 +200,6 @@ func TestEvaluatorFaultOnPrimaryInput(t *testing.T) {
 	}
 }
 
-func TestEvaluatorToggleCounting(t *testing.T) {
-	nl := NewNetlist("tog")
-	a := nl.AddInput("a")
-	o := nl.AddGate(Not, "o", a)
-	nl.MarkOutput(o)
-	ev, _ := nl.NewEvaluator()
-	ev.CountToggle = true
-	seq := []signal.Bit{signal.B0, signal.B1, signal.B0, signal.B0, signal.B1}
-	for _, b := range seq {
-		if _, err := ev.Eval([]signal.Bit{b}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// a toggles 0->1->0->0->1: 3 transitions; o mirrors them: 3 more.
-	if got := ev.Toggles(a); got != 3 {
-		t.Errorf("input toggles = %d, want 3", got)
-	}
-	if got := ev.TotalToggles(); got != 6 {
-		t.Errorf("total toggles = %d, want 6", got)
-	}
-	ev.ResetToggles()
-	if ev.TotalToggles() != 0 {
-		t.Error("ResetToggles did not clear")
-	}
-}
-
 func TestEvaluatorOutputWord(t *testing.T) {
 	nl := RippleAdder(2)
 	ev, _ := nl.NewEvaluator()

@@ -66,12 +66,6 @@ type Evaluator struct {
 	// sw is SweepStuckAt's plane and force-mask scratch, allocated on
 	// the first sweep.
 	sw *sweepScratch
-
-	// toggle counting state
-	prev        []signal.Bit
-	toggles     []uint64
-	havePrev    bool
-	CountToggle bool
 }
 
 // NewEvaluator builds (levelizes) the netlist and returns a fresh
@@ -80,12 +74,7 @@ func (n *Netlist) NewEvaluator() (*Evaluator, error) {
 	if err := n.build(); err != nil {
 		return nil, err
 	}
-	return &Evaluator{
-		n:       n,
-		values:  make([]signal.Bit, len(n.nets)),
-		prev:    make([]signal.Bit, len(n.nets)),
-		toggles: make([]uint64, len(n.nets)),
-	}, nil
+	return &Evaluator{n: n, values: make([]signal.Bit, len(n.nets))}, nil
 }
 
 // SetFault injects a stuck-at fault for subsequent evaluations.
@@ -149,17 +138,13 @@ func (e *Evaluator) resolveBridged(id NetID, drivenVal signal.Bit) signal.Bit {
 }
 
 // Eval evaluates one input pattern and returns the primary-output values.
-// The returned slice is reused across calls; copy it to retain it. With
-// CountToggle set, per-net known-value transitions versus the previous
-// pattern are accumulated (the raw material of toggle-based power
-// estimation).
+// The returned slice is freshly allocated. Eval is the scalar
+// four-valued reference that the lane kernel (LaneEvaluator,
+// SweepStuckAt) is tested against.
 func (e *Evaluator) Eval(inputs []signal.Bit) ([]signal.Bit, error) {
 	n := e.n
 	if len(inputs) != len(n.inputs) {
 		return nil, fmt.Errorf("gate: %s: got %d input values, want %d", n.Name, len(inputs), len(n.inputs))
-	}
-	if e.CountToggle && e.havePrev {
-		copy(e.prev, e.values)
 	}
 	// Undriven nets read as X.
 	for i := range e.values {
@@ -181,16 +166,6 @@ func (e *Evaluator) Eval(inputs []signal.Bit) ([]signal.Bit, error) {
 			e.driven = make(map[NetID]signal.Bit, 2*len(e.bridges))
 			e.pass(inputs)
 		}
-	}
-	if e.CountToggle {
-		if e.havePrev {
-			for i := range e.values {
-				if e.values[i].Known() && e.prev[i].Known() && e.values[i] != e.prev[i] {
-					e.toggles[i]++
-				}
-			}
-		}
-		e.havePrev = true
 	}
 	out := make([]signal.Bit, len(n.outputs))
 	for i, id := range n.outputs {
@@ -248,29 +223,6 @@ func (e *Evaluator) gateValue(g *Gate) signal.Bit {
 func (e *Evaluator) Value(id NetID) signal.Bit {
 	e.n.checkNet(id)
 	return e.values[id]
-}
-
-// Toggles returns the accumulated toggle count of a net.
-func (e *Evaluator) Toggles(id NetID) uint64 {
-	e.n.checkNet(id)
-	return e.toggles[id]
-}
-
-// TotalToggles sums toggle counts across all nets.
-func (e *Evaluator) TotalToggles() uint64 {
-	var t uint64
-	for _, v := range e.toggles {
-		t += v
-	}
-	return t
-}
-
-// ResetToggles clears toggle counters and pattern history.
-func (e *Evaluator) ResetToggles() {
-	for i := range e.toggles {
-		e.toggles[i] = 0
-	}
-	e.havePrev = false
 }
 
 // OutputWord packs the primary-output values of the last Eval into a Word

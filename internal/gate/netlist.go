@@ -1,10 +1,11 @@
 // Package gate implements structural gate-level netlists: the abstraction
 // level at which IP providers hold the accurate—and IP-protected—view of
 // their components. Netlists support levelized four-valued evaluation,
-// evaluation under injected stuck-at faults, and per-net toggle counting;
-// they are the substrate under the PPP-style power estimator
-// (internal/ppp), the fault machinery (internal/fault), and the
-// gate-level design modules (internal/module).
+// evaluation under injected stuck-at faults, and a compiled lane kernel
+// that evaluates 64 patterns or faulty machines per pass; they are the
+// substrate under the PPP-style power estimator (internal/ppp), the
+// fault machinery (internal/fault), and the gate-level design modules
+// (internal/module).
 package gate
 
 import (
@@ -120,6 +121,11 @@ type Netlist struct {
 
 	levels  []int // gate indices in topological order (valid when built)
 	ordered bool
+
+	// ops is the lane kernel's op table, compiled from levels over
+	// slots planes: the nets, then temporaries of wide gates (see op).
+	ops   []op
+	slots int
 }
 
 // NewNetlist returns an empty netlist.
@@ -165,10 +171,14 @@ func (n *Netlist) AddGate(k Kind, outName string, in ...NetID) NetID {
 }
 
 // AddGateTo instantiates a primitive gate driving an existing undriven
-// net. It panics on arity violations, unknown nets, or double drivers —
-// structural errors that would otherwise surface as silent X values.
+// net. It panics on unknown kinds, arity violations, unknown nets, or
+// double drivers — structural errors that would otherwise surface as
+// silent X values.
 func (n *Netlist) AddGateTo(k Kind, out NetID, in ...NetID) {
 	n.checkNet(out)
+	if k < Buf || k > Xnor {
+		panic(fmt.Sprintf("gate: gate %q has unknown kind %v", n.nets[out].name, k))
+	}
 	if len(in) < k.minInputs() {
 		panic(fmt.Sprintf("gate: %s gate %q needs at least %d inputs, got %d",
 			k, n.nets[out].name, k.minInputs(), len(in)))
@@ -280,6 +290,7 @@ func (n *Netlist) build() error {
 		return fmt.Errorf("gate: %s: combinational loop detected", n.Name)
 	}
 	n.levels = order
+	n.compile()
 	n.ordered = true
 	return nil
 }
@@ -288,3 +299,13 @@ func (n *Netlist) build() error {
 // called automatically by the evaluation entry points; exposing it lets
 // construction code fail fast.
 func (n *Netlist) Build() error { return n.build() }
+
+// Levelized builds the netlist and returns its gate indices (into
+// Gates) in topological order: every gate follows the gates driving its
+// inputs. The slice is read-only.
+func (n *Netlist) Levelized() ([]int, error) {
+	if err := n.build(); err != nil {
+		return nil, err
+	}
+	return n.levels, nil
+}

@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/signal"
@@ -73,12 +74,14 @@ func TestNetlistDoubleDriverPanics(t *testing.T) {
 func TestNetlistArityPanics(t *testing.T) {
 	nl := NewNetlist("t")
 	a := nl.AddInput("a")
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		k  Kind
 		in []NetID
 	}{
 		{And, []NetID{a}},
 		{Not, []NetID{a, a}},
+		{Kind(99), []NetID{a, a}},
+		{Kind(-1), []NetID{a}},
 	} {
 		func() {
 			defer func() {
@@ -86,7 +89,7 @@ func TestNetlistArityPanics(t *testing.T) {
 					t.Errorf("%v with %d inputs did not panic", tc.k, len(tc.in))
 				}
 			}()
-			nl.AddGate(tc.k, "bad", tc.in...)
+			nl.AddGateTo(tc.k, nl.AddNet(fmt.Sprintf("bad%d", i)), tc.in...)
 		}()
 	}
 }

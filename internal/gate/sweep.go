@@ -9,15 +9,7 @@ import (
 // faultsPerPass is how many faulty machines one SweepStuckAt pass
 // carries: a machine word has 64 lanes and lane 0 is the fault-free
 // machine.
-const faultsPerPass = 63
-
-// plane is one net's value across the 64 lanes of a sweep pass, in
-// dual-rail form: a lane's known bit says the level is 0 or 1 and its
-// value bit says which. An unknown lane is X when its value bit is clear
-// and Z when it is set; gate outputs never produce Z.
-type plane struct {
-	known, value uint64
-}
+const faultsPerPass = Lanes - 1
 
 // force is one net's stuck-at overrides for a sweep pass: the lanes in
 // mask take the dual-rail level (known, value) instead of the level the
@@ -29,8 +21,8 @@ type force struct {
 // sweepScratch is the reusable state of SweepStuckAt, kept on the
 // Evaluator so repeated sweeps allocate nothing.
 type sweepScratch struct {
-	planes []plane // per net
-	forces []force // per net; all zero between passes
+	planes []Plane // per slot (see op)
+	forces []force // per slot; all zero between passes
 	good   []signal.Bit
 	out    []signal.Bit
 }
@@ -59,9 +51,9 @@ func broadcast(b signal.Bit) (known, value uint64) {
 // out is overwritten by the next call. The outputs are identical to Eval
 // after ClearFaults and SetFault(faults[i]), for all four levels.
 //
-// The sweep leaves the state Eval reads and writes alone (net values,
-// toggle counts), and refuses to run while faults or bridges are
-// installed on the evaluator.
+// The sweep leaves the net values Eval reads and writes alone, and
+// refuses to run while faults or bridges are installed on the
+// evaluator.
 func (e *Evaluator) SweepStuckAt(inputs []signal.Bit, faults []Fault, visit func(i int, out []signal.Bit)) error {
 	n := e.n
 	if len(inputs) != len(n.inputs) {
@@ -77,8 +69,8 @@ func (e *Evaluator) SweepStuckAt(inputs []signal.Bit, faults []Fault, visit func
 	}
 	if e.sw == nil {
 		e.sw = &sweepScratch{
-			planes: make([]plane, len(n.nets)),
-			forces: make([]force, len(n.nets)),
+			planes: make([]Plane, n.slots),
+			forces: make([]force, n.slots),
 			good:   make([]signal.Bit, len(n.outputs)),
 			out:    make([]signal.Bit, len(n.outputs)),
 		}
@@ -108,11 +100,11 @@ func (e *Evaluator) sweep(inputs []signal.Bit, faults []Fault, visit func(i int,
 			s.forces[f.Net] = force{}
 		}
 		if start == 0 {
-			e.readLane(s.good, 0)
+			e.n.readLane(s.planes, s.good, 0)
 			visit(-1, s.good)
 		}
 		for l := range batch {
-			e.readLane(s.out, l+1)
+			e.n.readLane(s.planes, s.out, l+1)
 			visit(start+l, s.out)
 		}
 		if end == len(faults) {
@@ -121,10 +113,10 @@ func (e *Evaluator) sweep(inputs []signal.Bit, faults []Fault, visit func(i int,
 	}
 }
 
-// sweepPass runs one levelized pass over all 64 lanes: primary inputs
-// are broadcast, then every gate is evaluated in topological order, and
-// each net's forced lanes are overridden as soon as the net is driven.
-// Undriven nets are never written, so their planes stay all-X.
+// sweepPass runs one lane pass over all 64 lanes: primary inputs are
+// broadcast, then the netlist's compiled op table runs with each net's
+// forced lanes overridden as soon as the net is driven. Undriven nets
+// are never written, so their planes stay all-X.
 //
 //gocad:noalloc
 func (e *Evaluator) sweepPass(inputs []signal.Bit) {
@@ -136,77 +128,7 @@ func (e *Evaluator) sweepPass(inputs []signal.Bit) {
 			k = k&^fc.mask | fc.known
 			v = v&^fc.mask | fc.value
 		}
-		planes[id] = plane{k, v}
+		planes[id] = Plane{k, v}
 	}
-	for _, gi := range n.levels {
-		g := &n.gates[gi]
-		p := g.Kind.sweep(g.In, planes)
-		if fc := forces[g.Out]; fc.mask != 0 {
-			p.known = p.known&^fc.mask | fc.known
-			p.value = p.value&^fc.mask | fc.value
-		}
-		planes[g.Out] = p
-	}
-}
-
-// sweep is eval over dual-rail planes: each input's lanes split into
-// "is 1" and "is 0" masks, so Z and X inputs both read as unknown, and
-// the result is a gate output (never Z).
-func (k Kind) sweep(in []NetID, planes []plane) plane {
-	switch k {
-	case Buf, Not:
-		p := planes[in[0]]
-		one, zero := p.known&p.value, p.known&^p.value
-		if k == Not {
-			one, zero = zero, one
-		}
-		return plane{one | zero, one}
-	case And, Nand:
-		one, zero := ^uint64(0), uint64(0)
-		for _, id := range in {
-			p := planes[id]
-			one &= p.known & p.value
-			zero |= p.known &^ p.value
-		}
-		if k == Nand {
-			one, zero = zero, one
-		}
-		return plane{one | zero, one}
-	case Or, Nor:
-		one, zero := uint64(0), ^uint64(0)
-		for _, id := range in {
-			p := planes[id]
-			one |= p.known & p.value
-			zero &= p.known &^ p.value
-		}
-		if k == Nor {
-			one, zero = zero, one
-		}
-		return plane{one | zero, one}
-	case Xor, Xnor:
-		known, value := ^uint64(0), uint64(0)
-		for _, id := range in {
-			p := planes[id]
-			known &= p.known
-			value ^= p.value
-		}
-		if k == Xnor {
-			value = ^value
-		}
-		return plane{known, value & known}
-	}
-	return plane{}
-}
-
-// readLane decodes one lane of the primary outputs into out.
-//
-//gocad:noalloc
-func (e *Evaluator) readLane(out []signal.Bit, lane int) {
-	planes := e.sw.planes
-	for j, id := range e.n.outputs {
-		p := planes[id]
-		k := p.known >> lane & 1
-		v := p.value >> lane & 1
-		out[j] = signal.Bit((k^1)<<1 | v)
-	}
+	n.lanePass(planes, forces)
 }

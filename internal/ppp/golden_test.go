@@ -65,26 +65,51 @@ func oracleStream(nl *gate.Netlist, seed int64, n int) [][]signal.Bit {
 	return out
 }
 
-// oracleCorpus evaluates every oracle circuit's stream pattern by
-// pattern: the scalar evaluator's outputs, the power simulator's energy
-// and the timing simulator's delay (floats as IEEE-754 bits), then the
-// power report totals and the static critical path.
-func oracleCorpus(t *testing.T) []byte {
+// oracleCorpus evaluates every oracle circuit's stream: the outputs,
+// the power simulator's energy and the timing simulator's delay of each
+// pattern (floats as IEEE-754 bits), then the power report totals and
+// the static critical path. With chunk 1 it runs the scalar Evaluator
+// and one Step per pattern, as the corpus was generated; otherwise it
+// runs the lane kernel, StepBatch and Run over chunks of that size.
+func oracleCorpus(t *testing.T, chunk int) []byte {
+	t.Helper()
 	var b bytes.Buffer
 	for ci, nl := range oracleCircuits() {
+		stream := oracleStream(nl, int64(100+ci), oraclePatterns)
+		outs, energies, delays, rep := oracleRun(t, nl, stream, chunk)
+		for i, p := range stream {
+			fmt.Fprintf(&b, "%s %d %s %s %016x %016x\n", nl.Name, i,
+				signal.Word{Bits: p}, signal.Word{Bits: outs[i]}, math.Float64bits(energies[i]), math.Float64bits(delays[i]))
+		}
+		cp, err := CriticalPath(nl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s report patterns=%d toggles=%d energy=%016x avg=%016x peak=%016x critical=%016x\n",
+			nl.Name, rep.Patterns, rep.TotalToggles, math.Float64bits(rep.TotalEnergy),
+			math.Float64bits(rep.AvgPower), math.Float64bits(rep.PeakPower), math.Float64bits(cp))
+	}
+	return b.Bytes()
+}
+
+// oracleRun applies stream to nl's evaluator and estimators (see
+// oracleCorpus for chunk).
+func oracleRun(t *testing.T, nl *gate.Netlist, stream [][]signal.Bit, chunk int) (outs [][]signal.Bit, energies, delays []float64, rep Report) {
+	t.Helper()
+	ps, err := NewSimulator(nl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := NewTimingSimulator(nl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunk == 1 {
 		ev, err := nl.NewEvaluator()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := NewSimulator(nl, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, err := NewTimingSimulator(nl, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range oracleStream(nl, int64(100+ci), oraclePatterns) {
+		for _, p := range stream {
 			out, err := ev.Eval(p)
 			if err != nil {
 				t.Fatal(err)
@@ -97,28 +122,77 @@ func oracleCorpus(t *testing.T) []byte {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, "%s %d %s %s %016x %016x\n", nl.Name, i,
-				signal.Word{Bits: p}, signal.Word{Bits: out}, math.Float64bits(e), math.Float64bits(d))
+			outs, energies, delays = append(outs, out), append(energies, e), append(delays, d)
 		}
-		rep := ps.Report()
-		cp, err := CriticalPath(nl, nil)
-		if err != nil {
+		return outs, energies, delays, ps.Report()
+	}
+	le, err := nl.NewLaneEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := 0; start < len(stream); start += chunk {
+		c := stream[start:min(start+chunk, len(stream))]
+		for lo := 0; lo < len(c); lo += gate.Lanes {
+			lanes := c[lo:min(lo+gate.Lanes, len(c))]
+			if err := le.EvalBatch(lanes); err != nil {
+				t.Fatal(err)
+			}
+			for l := range lanes {
+				out := make([]signal.Bit, len(nl.Outputs()))
+				le.ReadOutputs(out, l)
+				outs = append(outs, out)
+			}
+		}
+		if energies, err = ps.StepBatch(c, energies); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "%s report patterns=%d toggles=%d energy=%016x avg=%016x peak=%016x critical=%016x\n",
-			nl.Name, rep.Patterns, rep.TotalToggles, math.Float64bits(rep.TotalEnergy),
-			math.Float64bits(rep.AvgPower), math.Float64bits(rep.PeakPower), math.Float64bits(cp))
+		if delays, err = ts.StepBatch(c, delays); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return b.Bytes()
+	// Run over the whole stream must report the same totals, and a
+	// series of the same energies as power.
+	run, err := NewSimulator(nl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = run.Run(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ps.Report()
+	if rep.Patterns != want.Patterns || rep.TotalToggles != want.TotalToggles || rep.TotalEnergy != want.TotalEnergy ||
+		rep.AvgPower != want.AvgPower || rep.PeakPower != want.PeakPower || len(rep.PerPattern) != len(stream) {
+		t.Fatalf("%s: Run report %+v, StepBatch report %+v", nl.Name, rep, want)
+	}
+	for i, pw := range rep.PerPattern {
+		if pw != energies[i]/run.lib.CycleTime {
+			t.Fatalf("%s: Run series[%d] = %v, want %v", nl.Name, i, pw, energies[i]/run.lib.CycleTime)
+		}
+	}
+	return outs, energies, delays, rep
 }
 
 // TestGoldenOracle pins the gate-level oracle — per-pattern Eval outputs,
 // power energies and timing delays over four-valued pattern streams —
-// to testdata/golden/oracle.txt. Run
+// to testdata/golden/oracle.txt, which was generated by the scalar
+// per-pattern estimators. Run
 // `go test ./internal/ppp -run TestGoldenOracle -update` to regenerate
 // it after a deliberate change to the evaluator or the estimators.
 func TestGoldenOracle(t *testing.T) {
-	checkGolden(t, goldenOracle, oracleCorpus(t))
+	checkGolden(t, goldenOracle, oracleCorpus(t, 1))
+}
+
+// TestGoldenOracleBatched reproduces the oracle corpus through the lane
+// kernel and the batch steps, at chunk sizes that split the stream
+// unevenly across lane passes.
+func TestGoldenOracleBatched(t *testing.T) {
+	if *update {
+		t.Skip("-update writes the corpus from the per-pattern path")
+	}
+	for _, chunk := range []int{5, 63, 64, 65, oraclePatterns} {
+		checkGolden(t, goldenOracle, oracleCorpus(t, chunk))
+	}
 }
 
 // checkGolden compares got against the committed golden file at path,

@@ -12,7 +12,7 @@ package ppp
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math/bits"
 
 	"repro/internal/gate"
 	"repro/internal/signal"
@@ -74,45 +74,64 @@ type Report struct {
 	Patterns     int
 	AvgPower     float64   // average power per pattern, µW
 	PeakPower    float64   // maximum per-pattern power, µW
-	PerPattern   []float64 // per-pattern power series, µW
+	PerPattern   []float64 // power series of the patterns applied by Run, µW
 	TotalToggles uint64
 	TotalEnergy  float64 // fJ
 }
 
-// Simulator runs cell-based power estimation over one netlist. It is not
-// safe for concurrent use; create one per goroutine.
+// Simulator runs cell-based power estimation over one netlist, up to
+// gate.Lanes patterns per lane pass. It is not safe for concurrent use;
+// create one per goroutine.
 type Simulator struct {
-	nl  *gate.Netlist
-	ev  *gate.Evaluator
-	lib *Library
+	lanes *gate.LaneEvaluator
+	lib   *Library
 
 	// perNetEnergy caches energy-per-toggle for each net's driving cell,
 	// including fanout load.
 	perNetEnergy []float64
-	prev         []signal.Bit
-	havePrev     bool
-	patterns     int
-	totalEnergy  float64
-	peak         float64
-	series       []float64
-	toggles      uint64
+	// prev is each net's level after the last applied pattern: the lane
+	// before lane 0 of the next batch.
+	prev        []signal.Bit
+	havePrev    bool
+	patterns    int
+	totalEnergy float64
+	peak        float64
+	toggles     uint64
+	// series holds the power of every pattern applied by Run; Step and
+	// StepBatch do not grow it, so a long-lived simulator stays flat.
+	series []float64
+	energy [gate.Lanes]float64 // per-lane scratch of one batch
 }
 
 // NewSimulator builds a power simulator over the netlist with the given
 // library (nil selects DefaultLibrary).
 func NewSimulator(nl *gate.Netlist, lib *Library) (*Simulator, error) {
-	if lib == nil {
-		lib = DefaultLibrary()
-	}
-	ev, err := nl.NewEvaluator()
+	lanes, err := nl.NewLaneEvaluator()
 	if err != nil {
 		return nil, fmt.Errorf("ppp: %w", err)
 	}
-	s := &Simulator{nl: nl, ev: ev, lib: lib}
+	return NewSimulatorOn(lanes, lib)
+}
+
+// NewSimulatorOn builds a power simulator that evaluates on lanes, which
+// it may share with other users whose calls are serialized with its own.
+func NewSimulatorOn(lanes *gate.LaneEvaluator, lib *Library) (*Simulator, error) {
+	if lib == nil {
+		lib = DefaultLibrary()
+	}
+	nl := lanes.Netlist()
+	var kindEnergy [gate.Xnor + 1]float64
+	for k := range kindEnergy {
+		kindEnergy[k] = -1
+		if e, ok := lib.EnergyPerToggle[gate.Kind(k)]; ok {
+			kindEnergy[k] = e
+		}
+	}
+	s := &Simulator{lanes: lanes, lib: lib}
 	s.perNetEnergy = make([]float64, nl.NumNets())
 	for _, g := range nl.Gates() {
-		e, ok := lib.EnergyPerToggle[g.Kind]
-		if !ok {
+		e := kindEnergy[g.Kind]
+		if e < 0 {
 			return nil, fmt.Errorf("ppp: library %s has no energy for %v", lib.Name, g.Kind)
 		}
 		s.perNetEnergy[g.Out] = e + lib.LoadEnergyPerFanout*float64(nl.Fanout(g.Out))
@@ -127,49 +146,107 @@ func NewSimulator(nl *gate.Netlist, lib *Library) (*Simulator, error) {
 
 // Step applies one input pattern and returns the energy (fJ) dissipated
 // by the transition from the previous pattern. The first pattern
-// establishes the initial state and dissipates zero energy.
+// establishes the initial state and dissipates zero energy. Step is a
+// batch of one.
 func (s *Simulator) Step(inputs []signal.Bit) (float64, error) {
-	if _, err := s.ev.Eval(inputs); err != nil {
+	one := [1][]signal.Bit{inputs}
+	var e [1]float64
+	out, err := s.StepBatch(one[:], e[:0])
+	if err != nil {
 		return 0, err
 	}
-	var energy float64
-	if s.havePrev {
-		for id := 0; id < s.nl.NumNets(); id++ {
-			cur := s.ev.Value(gate.NetID(id))
-			if cur.Known() && s.prev[id].Known() && cur != s.prev[id] {
-				energy += s.perNetEnergy[id]
-				s.toggles++
-			}
-		}
-	}
-	for id := 0; id < s.nl.NumNets(); id++ {
-		s.prev[id] = s.ev.Value(gate.NetID(id))
-	}
-	s.havePrev = true
-	s.patterns++
-	s.totalEnergy += energy
-	power := energy / s.lib.CycleTime // fJ / ns = µW
-	s.series = append(s.series, power)
-	if power > s.peak {
-		s.peak = power
-	}
-	return energy, nil
+	return out[0], nil
 }
 
-// Run simulates a whole pattern sequence and returns the report.
+// StepBatch applies the patterns in order and appends each one's energy
+// (fJ), as Step would return it, to energies. A malformed pattern fails
+// the whole batch before any pattern is applied.
+func (s *Simulator) StepBatch(patterns [][]signal.Bit, energies []float64) ([]float64, error) {
+	if err := s.lanes.CheckPatterns(patterns); err != nil {
+		return energies, fmt.Errorf("ppp: %w", err)
+	}
+	for len(patterns) > 0 {
+		k := min(len(patterns), gate.Lanes)
+		if err := s.lanes.EvalBatch(patterns[:k]); err != nil {
+			return energies, err
+		}
+		s.account(k)
+		for _, e := range s.energy[:k] {
+			s.patterns++
+			s.totalEnergy += e
+			if power := e / s.lib.CycleTime; power > s.peak { // fJ / ns = µW
+				s.peak = power
+			}
+			energies = append(energies, e)
+		}
+		patterns = patterns[k:]
+	}
+	return energies, nil
+}
+
+// account sums the energy of the first k lanes of the last lane pass
+// into s.energy and carries lane k-1 into prev. A net toggles in lane l
+// when it holds a known level there that differs from a known level in
+// lane l-1. Each lane's sum runs in net-id order, the order of the
+// scalar per-pattern loop, so every energy is bit-identical to it.
+//
+//gocad:noalloc
+func (s *Simulator) account(k int) {
+	valid := ^uint64(0) >> (gate.Lanes - k)
+	if !s.havePrev {
+		valid &^= 1 // the first pattern only establishes state
+	}
+	s.havePrev = true
+	s.energy = [gate.Lanes]float64{}
+	planes, prev := s.lanes.Planes(), s.prev
+	for id, p := range planes {
+		pk, pv := shiftIn(p, prev[id])
+		prev[id] = laneLevel(p, k-1)
+		t := p.Known & pk & (p.Value ^ pv) & valid
+		if t == 0 {
+			continue
+		}
+		s.toggles += uint64(bits.OnesCount64(t))
+		e := s.perNetEnergy[id]
+		for ; t != 0; t &= t - 1 {
+			s.energy[bits.TrailingZeros64(t)] += e
+		}
+	}
+}
+
+// shiftIn returns a net's planes one lane later: lane l holds what lane
+// l-1 of p held, and lane 0 the level before the batch.
+func shiftIn(p gate.Plane, before signal.Bit) (known, value uint64) {
+	return p.Known<<1 | uint64(before>>1&1^1), p.Value<<1 | uint64(before&1)
+}
+
+// laneLevel decodes one lane of a plane.
+func laneLevel(p gate.Plane, lane int) signal.Bit {
+	lane &= gate.Lanes - 1 // lets the shifts compile without a range check
+	return signal.Bit((p.Known>>lane&1^1)<<1 | p.Value>>lane&1)
+}
+
+// Run simulates a whole pattern sequence, in batches of gate.Lanes,
+// records each pattern's power in the report series, and returns the
+// report.
 func (s *Simulator) Run(patterns [][]signal.Bit) (Report, error) {
 	if len(patterns) == 0 {
 		return Report{}, errors.New("ppp: empty pattern sequence")
 	}
-	for _, p := range patterns {
-		if _, err := s.Step(p); err != nil {
-			return Report{}, err
-		}
+	start := len(s.series)
+	series, err := s.StepBatch(patterns, s.series)
+	if err != nil {
+		return Report{}, err
 	}
+	// StepBatch appended energies; the series holds power.
+	for i := start; i < len(series); i++ {
+		series[i] /= s.lib.CycleTime
+	}
+	s.series = series
 	return s.Report(), nil
 }
 
-// Report summarizes all Steps so far.
+// Report summarizes all patterns applied so far.
 func (s *Simulator) Report() Report {
 	r := Report{
 		Patterns:     s.patterns,
@@ -193,7 +270,6 @@ func (s *Simulator) Reset() {
 	s.peak = 0
 	s.series = s.series[:0]
 	s.toggles = 0
-	s.ev.ResetToggles()
 }
 
 // AreaOf returns the total cell area of the netlist in equivalent gates.
@@ -210,25 +286,21 @@ func AreaOf(nl *gate.Netlist, lib *Library) float64 {
 
 // CriticalPath returns the worst-case propagation delay of the netlist in
 // picoseconds under the library's cell delays and fanout loading.
+// Arrival times are max-plus sums, so the result does not depend on
+// which topological order the gates are walked in.
 func CriticalPath(nl *gate.Netlist, lib *Library) (float64, error) {
 	if lib == nil {
 		lib = DefaultLibrary()
 	}
-	if err := nl.Build(); err != nil {
+	order, err := nl.Levelized()
+	if err != nil {
 		return 0, err
 	}
 	arrival := make([]float64, nl.NumNets())
 	var worst float64
-	// Walk gates in topological order via repeated evaluation order: the
-	// netlist's levelized order is exposed through Gates() plus Build
-	// guarantees; recompute a topological order locally from driver
-	// structure.
-	order, err := topoOrder(nl)
-	if err != nil {
-		return 0, err
-	}
+	gates := nl.Gates()
 	for _, gi := range order {
-		g := nl.Gates()[gi]
+		g := &gates[gi]
 		var in float64
 		for _, id := range g.In {
 			if arrival[id] > in {
@@ -253,144 +325,140 @@ func CriticalPath(nl *gate.Netlist, lib *Library) (float64, error) {
 // be disclosed to the IP user"): unlike the static critical path, the
 // per-pattern delay reflects which paths actually switch.
 type TimingSimulator struct {
-	nl    *gate.Netlist
-	ev    *gate.Evaluator
-	lib   *Library
-	order []int
+	lanes *gate.LaneEvaluator
+	order []int     // the netlist's levelized gate order
 	delay []float64 // per-gate cell+load delay
 
+	// prev is each net's level after the last applied pattern.
 	prev     []signal.Bit
 	havePrev bool
+	// changed is, per net, the lanes of the current batch whose level
+	// differs from the lane before; arrival is one pattern's per-net
+	// arrival times, reused across patterns (see delays).
+	changed []uint64
+	arrival []float64
+	delays  [gate.Lanes]float64 // per-lane scratch of one batch
 }
 
 // NewTimingSimulator builds a timing simulator over the netlist.
 func NewTimingSimulator(nl *gate.Netlist, lib *Library) (*TimingSimulator, error) {
+	lanes, err := nl.NewLaneEvaluator()
+	if err != nil {
+		return nil, err
+	}
+	return NewTimingSimulatorOn(lanes, lib)
+}
+
+// NewTimingSimulatorOn builds a timing simulator that evaluates on
+// lanes, which it may share with other users whose calls are serialized
+// with its own.
+func NewTimingSimulatorOn(lanes *gate.LaneEvaluator, lib *Library) (*TimingSimulator, error) {
 	if lib == nil {
 		lib = DefaultLibrary()
 	}
-	ev, err := nl.NewEvaluator()
+	nl := lanes.Netlist()
+	order, err := nl.Levelized()
 	if err != nil {
 		return nil, err
 	}
-	order, err := topoOrder(nl)
-	if err != nil {
-		return nil, err
-	}
-	ts := &TimingSimulator{nl: nl, ev: ev, lib: lib, order: order}
+	ts := &TimingSimulator{lanes: lanes, order: order}
 	ts.delay = make([]float64, nl.NumGates())
 	for gi, g := range nl.Gates() {
 		ts.delay[gi] = lib.Delay[g.Kind] + lib.LoadDelayPerFanout*float64(nl.Fanout(g.Out))
 	}
 	ts.prev = make([]signal.Bit, nl.NumNets())
+	ts.changed = make([]uint64, nl.NumNets())
+	ts.arrival = make([]float64, nl.NumNets())
 	return ts, nil
 }
 
 // Step applies one pattern and returns the pattern's propagation delay in
 // picoseconds: the latest arrival among nets that changed value (0 when
 // nothing switched, and for the first pattern, which only establishes
-// state).
+// state). Step is a batch of one.
 func (t *TimingSimulator) Step(inputs []signal.Bit) (float64, error) {
-	if _, err := t.ev.Eval(inputs); err != nil {
+	one := [1][]signal.Bit{inputs}
+	var d [1]float64
+	out, err := t.StepBatch(one[:], d[:0])
+	if err != nil {
 		return 0, err
 	}
-	var worst float64
-	if t.havePrev {
-		arrival := make([]float64, t.nl.NumNets())
-		changed := make([]bool, t.nl.NumNets())
-		for id := 0; id < t.nl.NumNets(); id++ {
-			cur := t.ev.Value(gate.NetID(id))
-			if cur != t.prev[id] {
-				changed[id] = true
-			}
+	return out[0], nil
+}
+
+// StepBatch applies the patterns in order and appends each one's delay
+// (ps), as Step would return it, to delays. A malformed pattern fails
+// the whole batch before any pattern is applied.
+func (t *TimingSimulator) StepBatch(patterns [][]signal.Bit, delays []float64) ([]float64, error) {
+	if err := t.lanes.CheckPatterns(patterns); err != nil {
+		return delays, err
+	}
+	for len(patterns) > 0 {
+		k := min(len(patterns), gate.Lanes)
+		if err := t.lanes.EvalBatch(patterns[:k]); err != nil {
+			return delays, err
 		}
-		gates := t.nl.Gates()
+		t.propagate(k)
+		delays = append(delays, t.delays[:k]...)
+		patterns = patterns[k:]
+	}
+	return delays, nil
+}
+
+// propagate computes the delays of the first k lanes of the last lane
+// pass into t.delays and carries lane k-1 into prev. A net changes in
+// lane l when its four-valued level differs from lane l-1's. Each lane
+// walks the gates in levelized order: a changed gate output arrives one
+// cell delay after its latest-arriving changed input (inputs that did
+// not change do not gate the event). The arrival buffer needs no
+// clearing between lanes: a lane reads a net's arrival only where the
+// net changed in that lane, which for a gate output means the walk has
+// already written it, and primary inputs are never written, so they
+// stay at 0.
+//
+//gocad:noalloc
+func (t *TimingSimulator) propagate(k int) {
+	valid := ^uint64(0) >> (gate.Lanes - k)
+	if !t.havePrev {
+		valid &^= 1 // the first pattern only establishes state
+	}
+	t.havePrev = true
+	planes, prev, changed := t.lanes.Planes(), t.prev, t.changed
+	var any uint64
+	for id, p := range planes {
+		pk, pv := shiftIn(p, prev[id])
+		prev[id] = laneLevel(p, k-1)
+		c := ((p.Known ^ pk) | (p.Value ^ pv)) & valid
+		changed[id] = c
+		any |= c
+	}
+	nl := t.lanes.Netlist()
+	gates, outputs, arrival := nl.Gates(), nl.Outputs(), t.arrival
+	for l := 0; l < k; l++ {
+		t.delays[l] = 0
+		bit := uint64(1) << l
+		if any&bit == 0 {
+			continue
+		}
 		for _, gi := range t.order {
-			g := gates[gi]
-			if !changed[g.Out] {
+			g := &gates[gi]
+			if changed[g.Out]&bit == 0 {
 				continue
 			}
-			// The transition launches from the latest-arriving changed
-			// input (inputs that did not change do not gate the event).
 			var in float64
-			for _, inNet := range g.In {
-				if changed[inNet] && arrival[inNet] > in {
-					in = arrival[inNet]
+			for _, id := range g.In {
+				if changed[id]&bit != 0 && arrival[id] > in {
+					in = arrival[id]
 				}
 			}
 			arrival[g.Out] = in + t.delay[gi]
 		}
-		for _, id := range t.nl.Outputs() {
-			if changed[id] && arrival[id] > worst {
+		var worst float64
+		for _, id := range outputs {
+			if changed[id]&bit != 0 && arrival[id] > worst {
 				worst = arrival[id]
 			}
 		}
+		t.delays[l] = worst
 	}
-	for id := 0; id < t.nl.NumNets(); id++ {
-		t.prev[id] = t.ev.Value(gate.NetID(id))
-	}
-	t.havePrev = true
-	return worst, nil
-}
-
-// topoCache memoizes topological orders by netlist pointer identity.
-// The provider hands out one canonical, pre-built netlist per bind
-// shape, so every timing simulator and critical-path query over a shape
-// shares one order; the returned slice is read-only by contract. The
-// cache is bounded by the number of distinct netlists analyzed in the
-// process.
-var topoCache sync.Map // *gate.Netlist → []int
-
-// topoOrder returns gate indices in topological order, memoized per
-// netlist (see topoCache).
-func topoOrder(nl *gate.Netlist) ([]int, error) {
-	if v, ok := topoCache.Load(nl); ok {
-		return v.([]int), nil
-	}
-	order, err := computeTopoOrder(nl)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := topoCache.LoadOrStore(nl, order)
-	return v.([]int), nil
-}
-
-// computeTopoOrder is the uncached Kahn walk behind topoOrder.
-func computeTopoOrder(nl *gate.Netlist) ([]int, error) {
-	gates := nl.Gates()
-	driver := make(map[gate.NetID]int, len(gates))
-	for gi, g := range gates {
-		driver[g.Out] = gi
-	}
-	indeg := make([]int, len(gates))
-	consumers := make(map[gate.NetID][]int)
-	for gi, g := range gates {
-		for _, in := range g.In {
-			if _, driven := driver[in]; driven {
-				indeg[gi]++
-			}
-			consumers[in] = append(consumers[in], gi)
-		}
-	}
-	queue := make([]int, 0, len(gates))
-	for gi, d := range indeg {
-		if d == 0 {
-			queue = append(queue, gi)
-		}
-	}
-	order := make([]int, 0, len(gates))
-	for len(queue) > 0 {
-		gi := queue[0]
-		queue = queue[1:]
-		order = append(order, gi)
-		for _, ci := range consumers[gates[gi].Out] {
-			indeg[ci]--
-			if indeg[ci] == 0 {
-				queue = append(queue, ci)
-			}
-		}
-	}
-	if len(order) != len(gates) {
-		return nil, errors.New("ppp: combinational loop")
-	}
-	return order, nil
 }

@@ -266,3 +266,54 @@ func TestTimingSimulatorNeverExceedsStatic(t *testing.T) {
 		}
 	}
 }
+
+// TestStepBatchAllocationFree: power and timing batches into a buffer
+// with room allocate nothing, and Step keeps no per-pattern state.
+func TestStepBatchAllocationFree(t *testing.T) {
+	nl := gate.ArrayMultiplier(8)
+	ps, err := NewSimulator(nl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := NewTimingSimulator(nl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]signal.Bit, 2*gate.Lanes+5)
+	for i := range batch {
+		batch[i] = nl.InputWord(uint64(i * 977))
+	}
+	out := make([]float64, 0, len(batch))
+	if n := testing.AllocsPerRun(20, func() {
+		out, _ = ps.StepBatch(batch, out[:0])
+		out, _ = ts.StepBatch(batch, out[:0])
+		_, _ = ps.Step(batch[0])
+		_, _ = ts.Step(batch[1])
+	}); n != 0 {
+		t.Errorf("%v allocs per batch, want 0", n)
+	}
+	if rep := ps.Report(); len(rep.PerPattern) != 0 {
+		t.Errorf("StepBatch grew the report series to %d", len(rep.PerPattern))
+	}
+}
+
+// TestStepBatchRejectsWholeBatch: a malformed pattern fails the batch
+// before any pattern is applied.
+func TestStepBatchRejectsWholeBatch(t *testing.T) {
+	nl := gate.RippleAdder(2)
+	s, _ := NewSimulator(nl, nil)
+	bad := [][]signal.Bit{nl.InputWord(0), nl.InputWord(0xF), {signal.B0}}
+	if _, err := s.StepBatch(bad, nil); err == nil {
+		t.Fatal("short pattern accepted")
+	}
+	if rep := s.Report(); rep.Patterns != 0 {
+		t.Errorf("failed batch applied %d patterns", rep.Patterns)
+	}
+	ts, _ := NewTimingSimulator(nl, nil)
+	if _, err := ts.StepBatch(bad, nil); err == nil {
+		t.Fatal("short pattern accepted by timing")
+	}
+	if d, _ := ts.Step(nl.InputWord(0xF)); d != 0 {
+		t.Errorf("first applied pattern after a failed batch has delay %v, want 0", d)
+	}
+}

@@ -3,6 +3,9 @@ package provider
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/gate"
+	"repro/internal/signal"
 )
 
 // mallocsDuring runs fn and returns the process-wide Mallocs delta
@@ -51,5 +54,45 @@ func TestBindShapeCacheAmortizesFaultPath(t *testing.T) {
 	t.Logf("bind width %d: cold %d mallocs, warm %d mallocs", width, cold, warm)
 	if warm*10 >= cold {
 		t.Fatalf("warm bind = %d mallocs, want < 10%% of cold bind (%d)", warm, cold)
+	}
+}
+
+// heapAfterGC returns the live heap after a full collection.
+func heapAfterGC() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestInstanceMemoryFlatAcrossBatches: a bound instance keeps no
+// per-pattern state, so a session's live heap does not grow with the
+// number of patterns it has estimated. 64,000 patterns would retain at
+// least 500 KB if the power simulator kept a per-pattern series.
+func TestInstanceMemoryFlatAcrossBatches(t *testing.T) {
+	_, c := startProvider(t)
+	b, err := c.Bind("MultFastLowPower", 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := gate.ArrayMultiplier(4)
+	batch := make([][]signal.Bit, gate.Lanes)
+	for i := range batch {
+		batch[i] = nl.InputWord(uint64(i * 37))
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := b.PowerBatch(batch, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(100)
+	before := heapAfterGC()
+	send(1000)
+	after := heapAfterGC()
+	t.Logf("live heap %d -> %d bytes over 64,000 patterns", before, after)
+	if after > before+256<<10 {
+		t.Fatalf("live heap grew %d bytes over 1000 batches, want < 256 KB", after-before)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // so the catalogue itself hands out one canonical, pre-built netlist
 // per shape. Every consumer treats built netlists as read-only, and
 // sharing by pointer identity is what lets the provider's testability
-// cache and ppp's topological-order memo key by *gate.Netlist.
+// cache key by *gate.Netlist.
 var canonicalNetlists sync.Map // catalogShape → *gate.Netlist
 
 // catalogShape identifies one canonical catalogue netlist.

@@ -4,8 +4,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/gate"
 	"repro/internal/iplib"
 	"repro/internal/rmi"
+	"repro/internal/signal"
 )
 
 // TestConcurrentBindsGetUniqueHandles binds many instances at once on
@@ -50,4 +52,77 @@ func TestConcurrentBindsGetUniqueHandles(t *testing.T) {
 			seen[id] = true
 		}
 	}
+}
+
+// TestConcurrentEstimatesShareOneInstance runs Evals, power batches and
+// timing batches on one bound instance at once, as the session workers
+// dispatch them: all three share the instance's lane evaluator, so
+// every Eval must still return a·b.
+func TestConcurrentEstimatesShareOneInstance(t *testing.T) {
+	p := New("provider1")
+	if err := p.Register(MultFastLowPower()); err != nil {
+		t.Fatal(err)
+	}
+	sess := &rmi.Session{}
+	bind, err := rmi.EncodePayload(iplib.BindReq{Component: "MultFastLowPower", Width: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.handleBind(sess, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := resp.(iplib.BindResp).Instance
+	nl := gate.ArrayMultiplier(4)
+	batch := make([][]signal.Bit, 5)
+	for i := range batch {
+		batch[i] = nl.InputWord(uint64(i * 53))
+	}
+	power, err := rmi.EncodePayload(iplib.PowerBatchReq{Instance: inst, Patterns: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing, err := rmi.EncodePayload(iplib.TimingBatchReq{Instance: inst, Patterns: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := uint64(g); v < 256; v += 4 {
+				eval, err := rmi.EncodePayload(iplib.EvalReq{Instance: inst, Inputs: nl.InputWord(v)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out, err := p.handleEval(sess, eval)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, ok := (signal.Word{Bits: out.(iplib.EvalResp).Outputs}).Uint64()
+				if want := (v & 15) * (v >> 4); !ok || got != want {
+					t.Errorf("eval %d*%d = %d (known %v), want %d", v&15, v>>4, got, ok, want)
+				}
+			}
+		}()
+	}
+	for _, req := range []struct {
+		h       func(*rmi.Session, []byte) (any, error)
+		payload []byte
+	}{{p.handlePowerBatch, power}, {p.handleTimingBatch, timing}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 64; i++ {
+				if _, err := req.h(sess, req.payload); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

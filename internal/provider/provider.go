@@ -42,15 +42,16 @@ type Component struct {
 	TimingFeeCents float64
 }
 
-// instance is the per-session state of one bound component.
+// instance is the per-session state of one bound component. Eval, power
+// and timing all run on one lane evaluator, serialized by mu.
 type instance struct {
 	mu     sync.Mutex
 	comp   *Component
 	width  int
 	nl     *gate.Netlist
-	ev     *gate.Evaluator
+	lanes  *gate.LaneEvaluator
 	power  *ppp.Simulator
-	timing *ppp.TimingSimulator
+	timing *ppp.TimingSimulator // built on the first TimingBatch
 	test   *fault.LocalTestability
 	lib    *ppp.Library
 }
@@ -73,10 +74,10 @@ type Provider struct {
 	// deterministically from the width and every consumer — evaluators,
 	// power/timing simulators, testability, ATPG — treats a built netlist
 	// as read-only, so all sessions binding the same shape share one
-	// instance. Netlists are pre-levelized (Netlist.Build) before they are
-	// published, which also makes the shape's fault-path and topological
-	// analyses cacheable by netlist pointer identity (testabilityCache
-	// here, topoOrder's memo in internal/ppp).
+	// instance. Netlists are pre-levelized (Netlist.Build, which also
+	// compiles the lane kernel's op table) before they are published,
+	// which also makes the shape's fault-path analysis cacheable by
+	// netlist pointer identity (testabilityCache).
 	nlCache map[shapeKey]*gate.Netlist
 }
 
@@ -289,19 +290,15 @@ func (p *Provider) handleBind(sess *rmi.Session, payload []byte) (any, error) {
 	if lib == nil {
 		lib = ppp.DefaultLibrary()
 	}
-	ev, err := nl.NewEvaluator()
+	lanes, err := nl.NewLaneEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	power, err := ppp.NewSimulator(nl, lib)
+	power, err := ppp.NewSimulatorOn(lanes, lib)
 	if err != nil {
 		return nil, err
 	}
-	timing, err := ppp.NewTimingSimulator(nl, lib)
-	if err != nil {
-		return nil, err
-	}
-	inst := &instance{comp: comp, width: req.Width, nl: nl, ev: ev, power: power, timing: timing, lib: lib}
+	inst := &instance{comp: comp, width: req.Width, nl: nl, lanes: lanes, power: power, lib: lib}
 	if comp.Spec.Testability {
 		test, err := p.testabilityFor(nl)
 		if err != nil {
@@ -409,14 +406,19 @@ func (p *Provider) handleEval(sess *rmi.Session, payload []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	one := [1][]signal.Bit{req.Inputs}
+	out := make([]signal.Bit, len(inst.nl.Outputs()))
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	out, err := inst.ev.Eval(req.Inputs)
+	err = inst.lanes.EvalBatch(one[:])
+	if err == nil {
+		inst.lanes.ReadOutputs(out, 0)
+	}
+	inst.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	sess.Charge(inst.comp.EvalFeeCents)
-	return iplib.EvalResp{Outputs: append([]signal.Bit(nil), out...)}, nil
+	return iplib.EvalResp{Outputs: out}, nil
 }
 
 func (p *Provider) handlePowerBatch(sess *rmi.Session, payload []byte) (any, error) {
@@ -436,14 +438,13 @@ func (p *Provider) handlePowerBatch(sess *rmi.Session, payload []byte) (any, err
 		return iplib.PowerBatchResp{FeeCents: fee}, nil
 	}
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	out := make([]float64, 0, len(req.Patterns))
-	for _, pat := range req.Patterns {
-		energy, err := inst.power.Step(pat)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, energy/inst.lib.CycleTime)
+	out, err := inst.power.StepBatch(req.Patterns, make([]float64, 0, len(req.Patterns)))
+	inst.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	for i, energy := range out {
+		out[i] = energy / inst.lib.CycleTime
 	}
 	return iplib.PowerBatchResp{PowerPerPattern: out, FeeCents: fee}, nil
 }
@@ -461,13 +462,14 @@ func (p *Provider) handleTimingBatch(sess *rmi.Session, payload []byte) (any, er
 	sess.Charge(fee)
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	out := make([]float64, 0, len(req.Patterns))
-	for _, pat := range req.Patterns {
-		d, err := inst.timing.Step(pat)
-		if err != nil {
+	if inst.timing == nil {
+		if inst.timing, err = ppp.NewTimingSimulatorOn(inst.lanes, inst.lib); err != nil {
 			return nil, err
 		}
-		out = append(out, d)
+	}
+	out, err := inst.timing.StepBatch(req.Patterns, make([]float64, 0, len(req.Patterns)))
+	if err != nil {
+		return nil, err
 	}
 	return iplib.TimingBatchResp{DelayPerPattern: out, FeeCents: fee}, nil
 }
