@@ -56,8 +56,8 @@ benchgate:
 
 # Short deterministic fuzz smoke over the RMI wire codec, the event
 # queue, the bit-parallel stuck-at sweep, the batched power and timing
-# steps, provider dispatch of untrusted payloads and the gateway's
-# tenant config. This is the one fuzz list:
+# steps, provider dispatch of untrusted payloads, client decoding of
+# untrusted responses and the gateway's tenant config. This is the one fuzz list:
 # ci.sh and the workflow call `make fuzz FUZZTIME=...`. Each target must
 # run in its own invocation (go test allows one -fuzz at a time).
 fuzz:
@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepStuckAt$$' -fuzztime=$(FUZZTIME) ./internal/gate/
 	$(GO) test -run='^$$' -fuzz='^FuzzStepBatch$$' -fuzztime=$(FUZZTIME) ./internal/ppp/
 	$(GO) test -run='^$$' -fuzz='^FuzzProviderDispatch$$' -fuzztime=$(FUZZTIME) ./internal/provider/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResponses$$' -fuzztime=$(FUZZTIME) ./internal/iplib/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadTenantConfig$$' -fuzztime=$(FUZZTIME) ./internal/gateway/
 
 # Deterministic chaos sweep under the race detector: seeded replica

@@ -14,6 +14,7 @@ package gocad_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -444,6 +445,32 @@ func BenchmarkFigure2Simulation(b *testing.B) {
 			b.Fatal(st.Err)
 		}
 	}
+}
+
+// BenchmarkGeneratedDesign measures one run of a reused Simulation over
+// a generated word-level design of the gen-al benchmark workload's size
+// (8 inputs, 5 layers of 8 operators, width 16, 200 patterns): kernel
+// and module evaluation only, with no remote parts. It reports the
+// delivered events per run and the time per event.
+func BenchmarkGeneratedDesign(b *testing.B) {
+	spec := core.GenSpec{Inputs: 8, Layers: 5, LayerOps: 8, Width: 16, Patterns: 200}
+	c, outs := core.GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
+	simu := module.NewSimulation(c)
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := simu.Start(nil)
+		if st.Err != nil {
+			b.Fatal(st.Err)
+		}
+		for _, out := range outs {
+			out.ReleaseHistory(st.Scheduler)
+		}
+		events = st.Delivered
+	}
+	b.ReportMetric(float64(events), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 }
 
 // BenchmarkConcurrentSetups measures the kernel's concurrent-scheduler

@@ -43,7 +43,7 @@ import (
 type (
 	// Bit is a four-valued logic level (B0, B1, BX, BZ).
 	Bit = signal.Bit
-	// Word is a fixed-width vector of bits.
+	// Word is a fixed-width vector of up to 64 four-valued bits.
 	Word = signal.Word
 	// Value is any payload a connector can carry.
 	Value = signal.Value

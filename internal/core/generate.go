@@ -54,8 +54,8 @@ func (s GenSpec) withDefaults() GenSpec {
 }
 
 // genWordOps are the width-preserving operator behaviors generated
-// designs are built from; every operator masks to the datapath width so
-// results are well-defined at any width.
+// designs are built from; WordFromUint64 masks every result to the
+// datapath width, so results are well-defined at any width.
 var genWordOps = []func(x, y uint64) uint64{
 	func(x, y uint64) uint64 { return x + y },
 	func(x, y uint64) uint64 { return x ^ y },
@@ -99,7 +99,6 @@ func GenerateCircuitRand(rng *rand.Rand, spec GenSpec) (*module.Circuit, []*modu
 		avail = append(avail, c)
 	}
 
-	mask := uint64(1)<<uint(w) - 1
 	nmod := 0
 	for layer := 0; layer < spec.Layers; layer++ {
 		sub := module.NewCircuit(fmt.Sprintf("L%d", layer))
@@ -114,10 +113,10 @@ func GenerateCircuitRand(rng *rand.Rand, spec GenSpec) (*module.Circuit, []*modu
 			case 0, 1: // binary word operator
 				fn := genWordOps[rng.Intn(len(genWordOps))]
 				a, b, o := take(), take(), newConn()
-				sub.Add(module.NewFuncWordModule(name, func(in []signal.Word) []signal.Word {
+				sub.Add(module.NewFuncWordModule(name, func(in, out []signal.Word) {
 					x, _ := in[0].Uint64()
 					y, _ := in[1].Uint64()
-					return []signal.Word{signal.WordFromUint64(fn(x, y)&mask, w)}
+					out[0] = signal.WordFromUint64(fn(x, y), w)
 				}, []int{w, w}, []int{w}, []*module.Connector{a, b}, []*module.Connector{o}))
 				avail = append(avail, o)
 			case 2: // register
@@ -131,10 +130,9 @@ func GenerateCircuitRand(rng *rand.Rand, spec GenSpec) (*module.Circuit, []*modu
 			case 4: // unary mixer
 				rot := uint(1 + rng.Intn(w-1))
 				in, out := take(), newConn()
-				sub.Add(module.NewFuncWordModule(name, func(in []signal.Word) []signal.Word {
+				sub.Add(module.NewFuncWordModule(name, func(in, out []signal.Word) {
 					x, _ := in[0].Uint64()
-					v := (x>>rot | x<<(uint(w)-rot)) & mask
-					return []signal.Word{signal.WordFromUint64(v^mask, w)}
+					out[0] = signal.WordFromUint64(^(x>>rot | x<<(uint(w)-rot)), w)
 				}, []int{w}, []int{w}, []*module.Connector{in}, []*module.Connector{out}))
 				avail = append(avail, out)
 			default: // explicit fan-out (connectors are point-to-point)

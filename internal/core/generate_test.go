@@ -54,3 +54,32 @@ func TestGenerateCircuitShape(t *testing.T) {
 			spec.Inputs, spec.Layers*spec.LayerOps)
 	}
 }
+
+// TestGeneratedDesignAllocationBudget pins the allocation cost of the
+// word-level kernel path on a reused Simulation of a generated design
+// shaped like the gen-al benchmark workload: at most 0.6 allocations per
+// delivered event. Word values are packed and operator scratch is
+// per-run, so what remains is about one boxed WordValue per driven word.
+func TestGeneratedDesignAllocationBudget(t *testing.T) {
+	spec := GenSpec{Inputs: 8, Layers: 5, LayerOps: 8, Width: 16, Patterns: 200}
+	c, outs := GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
+	simu := module.NewSimulation(c)
+	var events uint64
+	run := func() {
+		st := simu.Start(nil)
+		if st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		for _, out := range outs {
+			out.ReleaseHistory(st.Scheduler)
+		}
+		events = st.Delivered
+	}
+	run() // warm the recycled scheduler and the per-run module state
+	allocs := testing.AllocsPerRun(5, run)
+	if per := allocs / float64(events); per > 0.6 {
+		t.Errorf("%.0f allocations for %d events: %.3f per event, budget 0.6", allocs, events, per)
+	} else {
+		t.Logf("%.0f allocations for %d events: %.3f per event", allocs, events, per)
+	}
+}

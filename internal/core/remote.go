@@ -29,7 +29,7 @@ import (
 // buffer) own the result.
 func wordsToBits(dst []signal.Bit, words ...signal.Word) []signal.Bit {
 	for _, w := range words {
-		dst = append(dst, w.Bits...)
+		dst = w.AppendBits(dst)
 	}
 	return dst
 }
@@ -277,18 +277,17 @@ func (e *RemotePowerEstimator) EnableHedge(inst *iplib.BoundInstance, after time
 // pattern into the buffer, flushing a full buffer to the provider, and
 // returns the deferred (null) value.
 func (e *RemotePowerEstimator) Estimate(ec *estim.EvalContext) (estim.ParamValue, error) {
-	var words []signal.Word
+	var pattern []signal.Bit
 	for _, v := range ec.Inputs {
 		switch x := v.(type) {
 		case signal.WordValue:
-			words = append(words, x.W)
+			pattern = x.W.AppendBits(pattern)
 		case signal.BitValue:
-			words = append(words, signal.Word{Bits: []signal.Bit{x.B}})
+			pattern = append(pattern, x.B)
 		case nil:
 			return estim.NullValue{}, nil // inputs not yet driven
 		}
 	}
-	pattern := wordsToBits(nil, words...)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -787,10 +786,11 @@ func (m *RemoteMult) ProcessInputEvent(ctx *module.Ctx, ev *module.PortEvent) {
 		out, err := m.inst.Eval(pattern)
 		*bufp = pattern[:0]
 		patternPool.Put(bufp)
+		if err == nil && len(out) != 2*m.width {
+			err = fmt.Errorf("provider returned %d output bits, want %d", len(out), 2*m.width)
+		}
 		if err == nil {
-			// out is freshly decoded per call, so the word
-			// can take ownership instead of copying.
-			ctx.Drive(m.o, signal.WordValue{W: signal.Word{Bits: out}}, 1)
+			ctx.Drive(m.o, signal.WordValue{W: signal.WordFromBits(out)}, 1)
 			return
 		}
 		if !errors.Is(err, rmi.ErrProviderDead) {
@@ -802,11 +802,7 @@ func (m *RemoteMult) ProcessInputEvent(ctx *module.Ctx, ev *module.PortEvent) {
 	}
 	av, _ := aw.Uint64()
 	bv, _ := bw.Uint64()
-	prod := av * bv
-	if 2*m.width < 64 {
-		prod &= (1 << uint(2*m.width)) - 1
-	}
-	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(prod, 2*m.width)}, 1)
+	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(av*bv, 2*m.width)}, 1)
 }
 
 // Degraded reports whether remote evaluation has fallen back to the

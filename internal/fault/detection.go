@@ -112,18 +112,15 @@ type LocalTestability struct {
 	mu sync.Mutex
 	// ev is the sweep evaluator, created on the first query and reused.
 	ev *gate.Evaluator
-	// cache maps packed input words to computed tables; detection tables
+	// cache maps input words to computed tables; detection tables
 	// depend only on the input configuration, so the provider can serve
 	// repeated patterns (the paper's example: patterns 1100 and 1101 lead
 	// to the same component inputs) without recomputation. It holds at
 	// most detectionCacheCap tables: order lists the keys in insertion
 	// order and next indexes the oldest once the cache is full.
-	cache map[string]*DetectionTable
-	order []string
+	cache map[signal.Word]*DetectionTable
+	order []signal.Word
 	next  int
-	// key is scratch for the packed cache key, so a cache hit allocates
-	// nothing.
-	key []byte
 }
 
 // detectionCacheCap bounds the detection tables one LocalTestability
@@ -135,10 +132,16 @@ const detectionCacheCap = 1024
 // NewLocalTestability returns a testability service over the netlist.
 // With internalOnly set, the published fault list excludes pure port
 // faults (the usual configuration: port faults belong to the user's side
-// of the boundary).
+// of the boundary). Input and output configurations are words, so a
+// netlist with more than signal.MaxWordWidth inputs or outputs is an
+// error.
 func NewLocalTestability(nl *gate.Netlist, policy Naming, internalOnly bool) (*LocalTestability, error) {
 	if err := nl.Build(); err != nil {
 		return nil, err
+	}
+	if in, out := len(nl.Inputs()), len(nl.Outputs()); in > signal.MaxWordWidth || out > signal.MaxWordWidth {
+		return nil, fmt.Errorf("fault: component %s has %d inputs and %d outputs; detection tables hold at most %d of each",
+			nl.Name, in, out, signal.MaxWordWidth)
 	}
 	list := buildSymbolicList(nl, policy, internalOnly)
 	faults := make([]gate.Fault, len(list.names))
@@ -149,7 +152,7 @@ func NewLocalTestability(nl *gate.Netlist, policy Naming, internalOnly bool) (*L
 		nl:     nl,
 		list:   list,
 		faults: faults,
-		cache:  make(map[string]*DetectionTable),
+		cache:  make(map[signal.Word]*DetectionTable),
 	}, nil
 }
 
@@ -173,8 +176,8 @@ func (lt *LocalTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable
 	// scratch are never raced.
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	lt.key = appendLevels(lt.key[:0], inputs)
-	if dt, ok := lt.cache[string(lt.key)]; ok {
+	key := signal.WordFromBits(inputs)
+	if dt, ok := lt.cache[key]; ok {
 		return dt, nil
 	}
 	if lt.ev == nil {
@@ -184,28 +187,24 @@ func (lt *LocalTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable
 		}
 		lt.ev = ev
 	}
-	dt := &DetectionTable{Input: signal.Word{Bits: append([]signal.Bit(nil), inputs...)}}
-	var good signal.Word
-	var rowKey []byte
-	rowIdx := make(map[string]int) // packed erroneous output → row
+	dt := &DetectionTable{Input: key}
+	rowIdx := make(map[signal.Word]int) // erroneous output → row
 	err := lt.ev.SweepStuckAt(inputs, lt.faults, func(i int, out []signal.Bit) {
-		bad := signal.Word{Bits: out}
+		bad := signal.WordFromBits(out)
 		if i < 0 {
-			good = bad
-			dt.FaultFree = bad.Clone()
+			dt.FaultFree = bad
 			return
 		}
-		if bad.Equal(good) || !bad.Known() {
+		if bad == dt.FaultFree || !bad.Known() {
 			return // fault not excited (or unresolvable) by this input
 		}
 		name := lt.list.names[i]
-		rowKey = appendLevels(rowKey[:0], out)
-		if r, ok := rowIdx[string(rowKey)]; ok {
+		if r, ok := rowIdx[bad]; ok {
 			dt.Rows[r].Faults = append(dt.Rows[r].Faults, name)
 			return
 		}
-		rowIdx[string(rowKey)] = len(dt.Rows)
-		dt.Rows = append(dt.Rows, DetectionRow{Output: bad.Clone(), Faults: []string{name}})
+		rowIdx[bad] = len(dt.Rows)
+		dt.Rows = append(dt.Rows, DetectionRow{Output: bad, Faults: []string{name}})
 	})
 	if err != nil {
 		return nil, err
@@ -213,13 +212,13 @@ func (lt *LocalTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable
 	for i := range dt.Rows {
 		sort.Strings(dt.Rows[i].Faults)
 	}
-	lt.remember(string(lt.key), dt)
+	lt.remember(key, dt)
 	return dt, nil
 }
 
 // remember caches a computed table, evicting the oldest once the cache
 // holds detectionCacheCap tables. The caller holds lt.mu.
-func (lt *LocalTestability) remember(key string, dt *DetectionTable) {
+func (lt *LocalTestability) remember(key signal.Word, dt *DetectionTable) {
 	if len(lt.order) < detectionCacheCap {
 		lt.order = append(lt.order, key)
 	} else {
@@ -228,13 +227,4 @@ func (lt *LocalTestability) remember(key string, dt *DetectionTable) {
 		lt.next = (lt.next + 1) % detectionCacheCap
 	}
 	lt.cache[key] = dt
-}
-
-// appendLevels appends one byte per bit ("0", "1", "X" or "Z") to b: a
-// compact map key for a bit vector.
-func appendLevels(b []byte, bits []signal.Bit) []byte {
-	for _, v := range bits {
-		b = append(b, "01XZ"[v&3])
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -261,6 +262,32 @@ func TestDetectionTableWrongArity(t *testing.T) {
 	}
 }
 
+// TestLocalTestabilityTooWide: detection tables hold input and output
+// configurations as words, so a component with more than
+// signal.MaxWordWidth inputs or outputs is refused at construction.
+func TestLocalTestabilityTooWide(t *testing.T) {
+	buf := func(ins, outs int) *gate.Netlist {
+		nl := gate.NewNetlist(fmt.Sprintf("buf%dx%d", ins, outs))
+		var in []gate.NetID
+		for i := 0; i < ins; i++ {
+			in = append(in, nl.AddInput(fmt.Sprintf("i%d", i)))
+		}
+		for o := 0; o < outs; o++ {
+			nl.MarkOutput(nl.AddGate(gate.Buf, fmt.Sprintf("o%d", o), in[o%ins]))
+		}
+		return nl
+	}
+	for _, c := range []struct {
+		ins, outs int
+		ok        bool
+	}{{64, 64, true}, {65, 1, false}, {1, 65, false}} {
+		_, err := NewLocalTestability(buf(c.ins, c.outs), NetNames, true)
+		if (err == nil) != c.ok {
+			t.Errorf("%d inputs, %d outputs: err = %v, want ok=%v", c.ins, c.outs, err, c.ok)
+		}
+	}
+}
+
 func TestDetectionTableAccessors(t *testing.T) {
 	nl := gate.HalfAdderIP()
 	lt, _ := NewLocalTestability(nl, NetNames, true)
@@ -274,7 +301,7 @@ func TestDetectionTableAccessors(t *testing.T) {
 	if len(dt.Faults()) == 0 {
 		t.Error("Faults() empty")
 	}
-	if _, ok := dt.Row(signal.Word{Bits: []signal.Bit{signal.BX, signal.BX}}); ok {
+	if _, ok := dt.Row(signal.WordFromBits([]signal.Bit{signal.BX, signal.BX})); ok {
 		t.Error("Row matched nonexistent output")
 	}
 	for _, row := range dt.Rows {

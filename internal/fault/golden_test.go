@@ -72,7 +72,7 @@ func goldenCorpus(t *testing.T) []byte {
 		fmt.Fprintf(&buf, "atpg %s seed=%d coverage=%v candidates=%d patterns=%d\n",
 			nl.Name, c.seed, ts.Coverage, ts.Candidates, len(ts.Patterns))
 		for _, p := range ts.Patterns {
-			fmt.Fprintf(&buf, "atpg %s %s\n", nl.Name, signal.Word{Bits: p})
+			fmt.Fprintf(&buf, "atpg %s %s\n", nl.Name, signal.WordFromBits(p))
 		}
 	}
 	return buf.Bytes()
@@ -130,7 +130,7 @@ func virtualCorpus(t *testing.T) []byte {
 				fmt.Fprintf(&buf, "%s detected %s=%d\n", tag, n, res.Detected[n])
 			}
 			for pi, fs := range res.PerPattern {
-				fmt.Fprintf(&buf, "%s pattern %d %s:", tag, pi, signal.Word{Bits: patterns[pi]})
+				fmt.Fprintf(&buf, "%s pattern %d %s:", tag, pi, signal.WordFromBits(patterns[pi]))
 				for _, f := range fs {
 					buf.WriteString(" " + f)
 				}

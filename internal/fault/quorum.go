@@ -178,3 +178,12 @@ func fingerprintTable(dt *DetectionTable) string {
 	sort.Strings(rows)
 	return "table|good=" + dt.FaultFree.String() + "|" + strings.Join(rows, ";")
 }
+
+// appendLevels appends one byte per bit ("0", "1", "X" or "Z"), LSB
+// first, to b: the pattern label divergence reports carry.
+func appendLevels(b []byte, bits []signal.Bit) []byte {
+	for _, v := range bits {
+		b = append(b, "01XZ"[v&3])
+	}
+	return b
+}

@@ -288,10 +288,10 @@ func (bogusService) FaultList() ([]string, error) {
 }
 
 func (bogusService) DetectionTable(inputs []signal.Bit) (*DetectionTable, error) {
-	good := signal.Word{Bits: []signal.Bit{signal.B0, signal.B0}}
-	bad := signal.Word{Bits: []signal.Bit{signal.B1, signal.B1}}
+	good := signal.WordFromBits([]signal.Bit{signal.B0, signal.B0})
+	bad := signal.WordFromBits([]signal.Bit{signal.B1, signal.B1})
 	return &DetectionTable{
-		Input:     signal.Word{Bits: append([]signal.Bit(nil), inputs...)},
+		Input:     signal.WordFromBits(inputs),
 		FaultFree: good,
 		Rows: []DetectionRow{
 			{Output: bad, Faults: []string{"ghost_sa0", "unlisted_fault"}},

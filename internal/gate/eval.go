@@ -226,11 +226,12 @@ func (e *Evaluator) Value(id NetID) signal.Bit {
 }
 
 // OutputWord packs the primary-output values of the last Eval into a Word
-// (bit i = output i).
+// (bit i = output i). It panics for a netlist with more than
+// signal.MaxWordWidth outputs.
 func (e *Evaluator) OutputWord() signal.Word {
 	w := signal.NewWord(len(e.n.outputs))
 	for i, id := range e.n.outputs {
-		w.Bits[i] = e.values[id]
+		w = w.WithBit(i, e.values[id])
 	}
 	return w
 }

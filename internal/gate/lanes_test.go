@@ -32,9 +32,9 @@ func checkEvalBatch(t *testing.T, nl *Netlist, patterns [][]signal.Bit, size int
 				t.Fatal(err)
 			}
 			le.ReadOutputs(got, l)
-			if !(signal.Word{Bits: got}).Equal(signal.Word{Bits: want}) {
+			if !signal.WordFromBits(got).Equal(signal.WordFromBits(want)) {
 				t.Fatalf("%s inputs %s (lane %d of %d): batch %s, scalar %s",
-					nl.Name, signal.Word{Bits: p}, l, len(batch), signal.Word{Bits: got}, signal.Word{Bits: want})
+					nl.Name, signal.WordFromBits(p), l, len(batch), signal.WordFromBits(got), signal.WordFromBits(want))
 			}
 		}
 	}

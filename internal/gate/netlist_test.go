@@ -121,12 +121,12 @@ func evalBits(t *testing.T, nl *Netlist, in string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ParseWord is MSB-first; inputs are listed LSB-first in w.Bits order
-	// reversed. Here we interpret in[0] of the string as input 0 for
-	// readability, so reverse.
+	// ParseWord is MSB-first, so w's bit order is the string's reversed.
+	// Here we interpret in[0] of the string as input 0 for readability,
+	// so reverse.
 	bits := make([]signal.Bit, len(in))
 	for i := range bits {
-		bits[i] = w.Bits[len(in)-1-i]
+		bits[i] = w.Bit(len(in) - 1 - i)
 	}
 	out, err := nl.Eval(bits)
 	if err != nil {

@@ -46,9 +46,9 @@ func checkSweep(t *testing.T, nl *Netlist, inputs []signal.Bit, faults []Fault) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := (signal.Word{Bits: out}); !got.Equal(signal.Word{Bits: want}) {
+		if got := signal.WordFromBits(out); !got.Equal(signal.WordFromBits(want)) {
 			t.Fatalf("%s inputs %s machine %s: sweep %s, scalar %s",
-				nl.Name, signal.Word{Bits: inputs}, name, got, signal.Word{Bits: want})
+				nl.Name, signal.WordFromBits(inputs), name, got, signal.WordFromBits(want))
 		}
 	})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestSweepStuckAtZRule(t *testing.T) {
 	}
 	var got []string
 	err = ev.SweepStuckAt([]signal.Bit{signal.BZ, signal.B0}, faults, func(_ int, out []signal.Bit) {
-		w := signal.Word{Bits: append([]signal.Bit(nil), out...)}
+		w := signal.WordFromBits(out)
 		got = append(got, w.String())
 	})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestSweepStuckAtNoFaults(t *testing.T) {
 	calls := 0
 	err = ev.SweepStuckAt(nl.InputWord(3), nil, func(i int, out []signal.Bit) {
 		calls++
-		if i != -1 || (signal.Word{Bits: out}).String() != "10" {
+		if i != -1 || signal.WordFromBits(out).String() != "10" {
 			t.Errorf("visit(%d, %v)", i, out)
 		}
 	})
@@ -198,7 +198,7 @@ func TestSweepStuckAtAllocationFree(t *testing.T) {
 			good = out
 			return
 		}
-		if !(signal.Word{Bits: out}).Equal(signal.Word{Bits: good}) {
+		if !signal.WordFromBits(out).Equal(signal.WordFromBits(good)) {
 			detected++
 		}
 	}

@@ -21,10 +21,10 @@ func binaryPairs() []pair {
 	bits := []signal.Bit{signal.B0, signal.B1, signal.BX, signal.BZ, signal.B1}
 	patterns := [][]signal.Bit{bits, {signal.B1}, nil, {signal.B0, signal.B0, signal.B0, signal.B0}}
 	table := fault.DetectionTable{
-		Input:     signal.Word{Bits: bits},
-		FaultFree: signal.Word{Bits: []signal.Bit{signal.B1, signal.B0}},
+		Input:     signal.WordFromBits(bits),
+		FaultFree: signal.WordFromBits([]signal.Bit{signal.B1, signal.B0}),
 		Rows: []fault.DetectionRow{
-			{Output: signal.Word{Bits: []signal.Bit{signal.B0, signal.B1}}, Faults: []string{"f3/sa0", "f7/sa1"}},
+			{Output: signal.WordFromBits([]signal.Bit{signal.B0, signal.B1}), Faults: []string{"f3/sa0", "f7/sa1"}},
 			{Output: signal.Word{}, Faults: nil},
 		},
 	}

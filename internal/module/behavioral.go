@@ -67,18 +67,26 @@ func (m *FuncBitModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 }
 
 // FuncWordModule is the word-level behavioral counterpart: a function
-// from input words to output words.
+// from input words to output words. fn reads in and writes every element
+// of out; both slices are per-run scratch that the module reuses across
+// events (so fn must not retain them), which keeps an operator event
+// free of slice allocations.
 type FuncWordModule struct {
 	*Skeleton
 	ins   []*Port
 	outs  []*Port
-	fn    func([]signal.Word) []signal.Word
+	fn    func(in, out []signal.Word)
 	Delay sim.Time
 }
 
+// wordState is a FuncWordModule's per-run scratch. It lives in the run's
+// state slot, not on the module, so concurrent runs of one design never
+// share it.
+type wordState struct{ in, out []signal.Word }
+
 // NewFuncWordModule returns a behavioral word-level component; widths[i]
 // gives the width of each port, inputs first.
-func NewFuncWordModule(name string, fn func([]signal.Word) []signal.Word, inWidths, outWidths []int, ins, outs []*Connector) *FuncWordModule {
+func NewFuncWordModule(name string, fn func(in, out []signal.Word), inWidths, outWidths []int, ins, outs []*Connector) *FuncWordModule {
 	if len(inWidths) != len(ins) || len(outWidths) != len(outs) {
 		panic(fmt.Sprintf("module: %s width/connector count mismatch", name))
 	}
@@ -95,19 +103,20 @@ func NewFuncWordModule(name string, fn func([]signal.Word) []signal.Word, inWidt
 
 // ProcessInputEvent recomputes once every input holds a word.
 func (m *FuncWordModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
-	in := make([]signal.Word, len(m.ins))
+	st, _ := ctx.State().(*wordState)
+	if st == nil {
+		st = &wordState{in: make([]signal.Word, len(m.ins)), out: make([]signal.Word, len(m.outs))}
+		ctx.SetState(st)
+	}
 	for i, p := range m.ins {
 		wv, ok := ctx.Input(p).(signal.WordValue)
 		if !ok {
 			return
 		}
-		in[i] = wv.W
+		st.in[i] = wv.W
 	}
-	out := m.fn(in)
-	if len(out) != len(m.outs) {
-		panic(fmt.Sprintf("module: %s function returned %d words, want %d", m.ModuleName(), len(out), len(m.outs)))
-	}
+	m.fn(st.in, st.out)
 	for i, p := range m.outs {
-		ctx.Drive(p, signal.WordValue{W: out[i]}, m.Delay)
+		ctx.Drive(p, signal.WordValue{W: st.out[i]}, m.Delay)
 	}
 }

@@ -30,10 +30,6 @@ func (f videoFrame) EqualValue(o signal.Value) bool {
 	return true
 }
 
-func (f videoFrame) CloneValue() signal.Value {
-	return videoFrame{Seq: f.Seq, Pixels: append([]uint8(nil), f.Pixels...)}
-}
-
 func (f videoFrame) String() string { return fmt.Sprintf("frame#%d(%dpx)", f.Seq, len(f.Pixels)) }
 
 // newVideoConnector enforces the custom semantics: only frames with the
@@ -70,9 +66,9 @@ func (m *dspInvert) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	if !ok {
 		return
 	}
-	g := f.CloneValue().(videoFrame)
-	for i := range g.Pixels {
-		g.Pixels[i] = ^g.Pixels[i]
+	g := videoFrame{Seq: f.Seq, Pixels: make([]uint8, len(f.Pixels))}
+	for i, p := range f.Pixels {
+		g.Pixels[i] = ^p
 	}
 	ctx.Drive(m.out, g, 1)
 }

@@ -56,13 +56,7 @@ func (m *RandomPrimaryInput) ProcessSelfEvent(ctx *Ctx, tok *sim.SelfToken) {
 		return
 	}
 	st.sent++
-	var v uint64
-	if m.width >= 64 {
-		v = st.rng.Uint64()
-	} else {
-		v = st.rng.Uint64() & ((1 << uint(m.width)) - 1)
-	}
-	ctx.Drive(m.out, signal.WordValue{W: signal.WordFromUint64(v, m.width)}, 0)
+	ctx.Drive(m.out, signal.WordValue{W: signal.WordFromUint64(st.rng.Uint64(), m.width)}, 0)
 	if st.sent < m.count {
 		ctx.ScheduleSelf(m.period, "pattern", nil)
 	}

@@ -66,11 +66,7 @@ func (m *binaryOp) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	}
 	av, _ := aw.Uint64()
 	bv, _ := bw.Uint64()
-	v := m.fn(av, bv)
-	if m.outW < 64 {
-		v &= (1 << uint(m.outW)) - 1
-	}
-	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(v, m.outW)}, m.Delay)
+	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(m.fn(av, bv), m.outW)}, m.Delay)
 }
 
 // Mult is the behavioral word-level multiplier: the abstract functional
@@ -206,11 +202,7 @@ func (m *Counter) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 		ctx.SetState(st)
 	}
 	st.v++
-	v := st.v
-	if m.width < 64 {
-		v &= (1 << uint(m.width)) - 1
-	}
-	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(v, m.width)}, m.Delay)
+	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(st.v, m.width)}, m.Delay)
 }
 
 // ClockGen is an autonomous clock generator — the paper's example of a

@@ -1,7 +1,9 @@
 package module
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/estim"
@@ -221,9 +223,9 @@ func TestFuncBitModuleBehavioral(t *testing.T) {
 func TestFuncWordModuleBehavioral(t *testing.T) {
 	a := NewWordConnector("a", 8)
 	o := NewWordConnector("o", 8)
-	sq := NewFuncWordModule("twice", func(in []signal.Word) []signal.Word {
+	sq := NewFuncWordModule("twice", func(in, out []signal.Word) {
 		v, _ := in[0].Uint64()
-		return []signal.Word{signal.WordFromUint64(v*2&0xFF, 8)}
+		out[0] = signal.WordFromUint64(v*2, 8)
 	}, []int{8}, []int{8}, []*Connector{a}, []*Connector{o})
 	in := NewPatternInput("in", 8, []signal.Value{word(21, 8)}, 1, a)
 	out := NewPrimaryOutput("out", 8, o)
@@ -238,6 +240,38 @@ func TestFuncWordModuleBehavioral(t *testing.T) {
 	v, _ := h[0].Value.(signal.WordValue).W.Uint64()
 	if v != 42 {
 		t.Errorf("2*21 = %d", v)
+	}
+}
+
+// TestFuncWordModuleConcurrentRuns: the in/out scratch handed to fn
+// lives in each run's state, so concurrent runs of one design never
+// share it and each reproduces the serial run's output history.
+func TestFuncWordModuleConcurrentRuns(t *testing.T) {
+	a, b, o := NewWordConnector("a", 8), NewWordConnector("b", 8), NewWordConnector("o", 8)
+	add := NewFuncWordModule("add", func(in, out []signal.Word) {
+		x, _ := in[0].Uint64()
+		y, _ := in[1].Uint64()
+		out[0] = signal.WordFromUint64(x+y, 8)
+	}, []int{8, 8}, []int{8}, []*Connector{a, b}, []*Connector{o})
+	ina := NewRandomPrimaryInput("ina", 8, 1, 200, 3, a)
+	inb := NewRandomPrimaryInput("inb", 8, 2, 200, 5, b)
+	out := NewPrimaryOutput("out", 8, o)
+	s := NewSimulation(NewCircuit("t", add, ina, inb, out))
+	render := func(st sim.Stats) string {
+		if st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		var sb strings.Builder
+		for _, obs := range out.History(st.Scheduler) {
+			fmt.Fprintf(&sb, "%d:%s ", obs.Time, obs.Value)
+		}
+		return sb.String()
+	}
+	want := render(s.Start(nil))
+	for i, st := range s.StartConcurrent(make([]*estim.Setup, 4)) {
+		if got := render(st); got != want {
+			t.Errorf("concurrent run %d differs from the serial run:\n got  %.120s\n want %.120s", i, got, want)
+		}
 	}
 }
 

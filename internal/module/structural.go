@@ -269,7 +269,7 @@ func NewBitsToWord(name string, width int, ins []*Connector, out *Connector) *Bi
 func (m *BitsToWord) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	w := signal.UnknownWord(len(m.ins))
 	for i, p := range m.ins {
-		w.Bits[i] = ctx.InputBitOn(p)
+		w = w.WithBit(i, ctx.InputBitOn(p))
 	}
 	ctx.Drive(m.out, signal.WordValue{W: w}, 0)
 }

@@ -152,7 +152,7 @@ func FuzzStepBatch(f *testing.F) {
 			e, d := ref.step(t, p)
 			if energies[i] != e || delays[i] != d {
 				t.Fatalf("pattern %d %s: batch energy %v delay %v, scalar %v %v",
-					i, signal.Word{Bits: p}, energies[i], delays[i], e, d)
+					i, signal.WordFromBits(p), energies[i], delays[i], e, d)
 			}
 		}
 		rep := ps.Report()

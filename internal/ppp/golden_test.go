@@ -79,7 +79,7 @@ func oracleCorpus(t *testing.T, chunk int) []byte {
 		outs, energies, delays, rep := oracleRun(t, nl, stream, chunk)
 		for i, p := range stream {
 			fmt.Fprintf(&b, "%s %d %s %s %016x %016x\n", nl.Name, i,
-				signal.Word{Bits: p}, signal.Word{Bits: outs[i]}, math.Float64bits(energies[i]), math.Float64bits(delays[i]))
+				signal.WordFromBits(p), signal.WordFromBits(outs[i]), math.Float64bits(energies[i]), math.Float64bits(delays[i]))
 		}
 		cp, err := CriticalPath(nl, nil)
 		if err != nil {

@@ -102,7 +102,7 @@ func TestConcurrentEstimatesShareOneInstance(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got, ok := (signal.Word{Bits: out.(iplib.EvalResp).Outputs}).Uint64()
+				got, ok := signal.WordFromBits(out.(iplib.EvalResp).Outputs).Uint64()
 				if want := (v & 15) * (v >> 4); !ok || got != want {
 					t.Errorf("eval %d*%d = %d (known %v), want %d", v&15, v>>4, got, ok, want)
 				}

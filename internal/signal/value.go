@@ -15,8 +15,6 @@ type Value interface {
 	// EqualValue reports whether the payload equals another of the same
 	// dynamic type. Values of different types are never equal.
 	EqualValue(Value) bool
-	// CloneValue returns an independent deep copy.
-	CloneValue() Value
 }
 
 // BitValue adapts a single Bit to the Value interface.
@@ -31,13 +29,12 @@ func (v BitValue) EqualValue(o Value) bool {
 	return ok && ov.B == v.B
 }
 
-// CloneValue returns v itself; BitValue is already immutable.
-func (v BitValue) CloneValue() Value { return v }
-
 // String returns the single-character spelling of the bit.
 func (v BitValue) String() string { return v.B.String() }
 
-// WordValue adapts a Word to the Value interface.
+// WordValue adapts a Word to the Value interface. Its 24 bytes hold no
+// pointers, so a boxed WordValue is a block the garbage collector never
+// scans.
 type WordValue struct{ W Word }
 
 // ValueWidth returns the word width.
@@ -48,9 +45,6 @@ func (v WordValue) EqualValue(o Value) bool {
 	ov, ok := o.(WordValue)
 	return ok && ov.W.Equal(v.W)
 }
-
-// CloneValue deep-copies the underlying word.
-func (v WordValue) CloneValue() Value { return WordValue{W: v.W.Clone()} }
 
 // String returns the MSB-first spelling of the word.
 func (v WordValue) String() string { return v.W.String() }

@@ -2,6 +2,8 @@ package signal
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -61,9 +63,27 @@ func TestWordFromUint64Truncates(t *testing.T) {
 }
 
 func TestWordUint64TooWide(t *testing.T) {
-	w := NewWord(65)
-	if _, ok := w.Uint64(); ok {
-		t.Error("65-bit word converted to uint64")
+	for name, build := range map[string]func(){
+		"NewWord":        func() { NewWord(65) },
+		"UnknownWord":    func() { UnknownWord(65) },
+		"WordFromUint64": func() { WordFromUint64(1, 65) },
+		"WordFromBits":   func() { WordFromBits(make([]Bit, 65)) },
+		"Concat":         func() { NewWord(33).Concat(NewWord(32)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s built a 65-bit word", name)
+				}
+			}()
+			build()
+		}()
+	}
+	if _, err := ParseWord(strings.Repeat("1", 65)); err == nil {
+		t.Error("ParseWord accepted a 65-bit word")
+	}
+	if w, err := ParseWord(strings.Repeat("1", 64)); err != nil || w.Width() != 64 {
+		t.Errorf("ParseWord of 64 bits = %v, %v", w, err)
 	}
 }
 
@@ -77,7 +97,7 @@ func TestParseWordAndString(t *testing.T) {
 	}
 	// MSB-first: "1X0Z" → bit3=1, bit2=X, bit1=0, bit0=Z.
 	if w.Bit(3) != B1 || w.Bit(2) != BX || w.Bit(1) != B0 || w.Bit(0) != BZ {
-		t.Errorf("bit layout wrong: %v", w.Bits)
+		t.Errorf("bit layout wrong: %v", w.AppendBits(nil))
 	}
 	if _, err := ParseWord("10q"); err == nil {
 		t.Error("ParseWord accepted invalid char")
@@ -98,13 +118,21 @@ func TestWordBitOutOfRange(t *testing.T) {
 	}
 }
 
-func TestWordCloneIndependence(t *testing.T) {
+func TestWordWithBitIndependence(t *testing.T) {
 	w := WordFromUint64(5, 4)
-	c := w.Clone()
-	c.Bits[0] = BX
-	if !w.Known() {
-		t.Error("mutating clone affected original")
+	c := w.WithBit(0, BX)
+	if !w.Known() || c.Known() {
+		t.Error("WithBit must return a changed copy and leave the original alone")
 	}
+	if c.String() != "010X" {
+		t.Errorf("WithBit(0, X) of 0101 = %s", c)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("WithBit out of range did not panic")
+		}
+	}()
+	w.WithBit(4, B1)
 }
 
 func TestWordEqual(t *testing.T) {
@@ -195,9 +223,6 @@ func TestBitValueInterface(t *testing.T) {
 	if v.EqualValue(WordValue{W: WordFromUint64(1, 1)}) {
 		t.Error("cross-type equality must be false")
 	}
-	if !v.CloneValue().EqualValue(v) {
-		t.Error("clone must equal original")
-	}
 }
 
 func TestWordValueInterface(t *testing.T) {
@@ -206,10 +231,11 @@ func TestWordValueInterface(t *testing.T) {
 	if v.ValueWidth() != 4 || v.String() != "1001" {
 		t.Error("WordValue basics wrong")
 	}
-	c := v.CloneValue().(WordValue)
-	c.W.Bits[0] = BX
 	if !v.EqualValue(WordValue{W: WordFromUint64(9, 4)}) {
-		t.Error("mutating clone affected original")
+		t.Error("equal words compared unequal")
+	}
+	if v.EqualValue(WordValue{W: w.WithBit(0, BX)}) || v.EqualValue(WordValue{W: WordFromUint64(9, 5)}) {
+		t.Error("a different bit or width compared equal")
 	}
 	if v.EqualValue(BitValue{B: B1}) {
 		t.Error("cross-type equality must be false")
@@ -232,6 +258,58 @@ func TestWordRandomRoundTripProperty(t *testing.T) {
 		parsed, err := ParseWord(w.String())
 		if err != nil || !parsed.Equal(w) {
 			t.Fatalf("string round trip failed for %v", w)
+		}
+	}
+}
+
+// TestWordMatchesBitModel checks the packed rails against a per-bit
+// reference model on seeded four-valued words of every width, including
+// toggle counts between words of different widths.
+func TestWordMatchesBitModel(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	draw := func() []Bit {
+		bits := make([]Bit, r.Intn(MaxWordWidth+1))
+		for i := range bits {
+			bits[i] = randomBit(r)
+		}
+		return bits
+	}
+	for i := 0; i < 500; i++ {
+		a, b := draw(), draw()
+		wa, wb := WordFromBits(a), WordFromBits(b)
+		if got := wa.AppendBits(nil); !slices.Equal(got, a) {
+			t.Fatalf("WordFromBits(%v).AppendBits = %v", a, got)
+		}
+		known, toggles := true, 0
+		var v uint64
+		for j, x := range a {
+			if wa.Bit(j) != x {
+				t.Fatalf("%v: bit %d = %v, want %v", a, j, wa.Bit(j), x)
+			}
+			known = known && x.Known()
+			if x == B1 {
+				v |= 1 << uint(j)
+			}
+			if j < len(b) && x.Known() && b[j].Known() && x != b[j] {
+				toggles++
+			}
+		}
+		if got, ok := wa.Uint64(); wa.Known() != known || ok != known || (known && got != v) {
+			t.Fatalf("%v: Known %v, Uint64 %d/%v; want %v, %d", a, wa.Known(), got, ok, known, v)
+		}
+		if n := wa.ToggleCount(wb); n != toggles {
+			t.Fatalf("%v vs %v: %d toggles, want %d", a, b, n, toggles)
+		}
+		lo := r.Intn(len(a) + 1)
+		hi := lo + r.Intn(len(a)-lo+1)
+		if got := wa.Slice(lo, hi); !got.Equal(WordFromBits(a[lo:hi])) {
+			t.Fatalf("%v: Slice(%d,%d) = %v", a, lo, hi, got)
+		}
+		if len(a)+len(b) <= MaxWordWidth {
+			cat := append(append([]Bit(nil), a...), b...)
+			if got := wa.Concat(wb); !got.Equal(WordFromBits(cat)) {
+				t.Fatalf("%v ++ %v = %v", a, b, got)
+			}
 		}
 	}
 }

@@ -119,7 +119,7 @@ func Float64s(b []byte) ([]float64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if n*8 > uint64(len(b)) {
+	if n > uint64(len(b))/8 {
 		return nil, nil, fmt.Errorf("wire: %d floats, %d bytes left: %w", n, len(b), ErrTruncated)
 	}
 	if n == 0 {
@@ -170,6 +170,10 @@ func Strings(b []byte) ([]string, []byte, error) {
 // Bits are packed four per byte: the four-valued logic (0,1,X,Z) needs
 // two bits per signal. The count prefix carries the exact length.
 
+// packedLen returns the bytes n packed bits occupy, without overflowing
+// for any n a varint can carry.
+func packedLen(n uint64) uint64 { return n/4 + (n%4+3)/4 }
+
 // AppendBits appends a length-prefixed packed bit vector.
 //
 //gocad:noalloc
@@ -195,7 +199,7 @@ func Bits(b []byte) ([]signal.Bit, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	packed := (n + 3) / 4
+	packed := packedLen(n)
 	if packed > uint64(len(b)) {
 		return nil, nil, fmt.Errorf("wire: %d bits need %d bytes, %d left: %w", n, packed, len(b), ErrTruncated)
 	}
@@ -246,16 +250,21 @@ func Patterns(b []byte) ([][]signal.Bit, []byte, error) {
 //
 //gocad:noalloc
 func AppendWord(b []byte, w signal.Word) []byte {
-	return AppendBits(b, w.Bits)
+	var bits [signal.MaxWordWidth]signal.Bit
+	return AppendBits(b, w.AppendBits(bits[:0]))
 }
 
-// Word consumes a signal word.
+// Word consumes a signal word. A width above signal.MaxWordWidth is an
+// error: the bytes may come from an untrusted peer.
 func Word(b []byte) (signal.Word, []byte, error) {
 	bits, rest, err := Bits(b)
 	if err != nil {
 		return signal.Word{}, nil, err
 	}
-	return signal.Word{Bits: bits}, rest, nil
+	if len(bits) > signal.MaxWordWidth {
+		return signal.Word{}, nil, fmt.Errorf("wire: %d-bit word exceeds %d bits", len(bits), signal.MaxWordWidth)
+	}
+	return signal.WordFromBits(bits), rest, nil
 }
 
 // AppendVarint appends v in zigzag signed varint encoding.

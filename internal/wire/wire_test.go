@@ -48,8 +48,8 @@ func codecs() []codec {
 		{"Patterns", [][]signal.Bit{bits, {signal.B1}},
 			func(b []byte) []byte { return AppendPatterns(b, [][]signal.Bit{bits, {signal.B1}}) },
 			func(b []byte) (any, []byte, error) { return wrap(Patterns(b)) }},
-		{"Word", signal.Word{Bits: bits},
-			func(b []byte) []byte { return AppendWord(b, signal.Word{Bits: bits}) },
+		{"Word", signal.WordFromBits(bits),
+			func(b []byte) []byte { return AppendWord(b, signal.WordFromBits(bits)) },
 			func(b []byte) (any, []byte, error) { return wrap(Word(b)) }},
 		{"Bool", true,
 			func(b []byte) []byte { return AppendBool(b, true) },
@@ -133,5 +133,36 @@ func TestLengthPastEnd(t *testing.T) {
 func TestBoolCanonical(t *testing.T) {
 	if _, _, err := Bool([]byte{2}); err == nil {
 		t.Error("boolean byte 2 accepted")
+	}
+}
+
+// TestCountNearOverflow: an element count whose byte size would
+// overflow 64 bits ((n+3)/4 packed bits, 8n float bytes) is a truncation
+// error, not a panic in make.
+func TestCountNearOverflow(t *testing.T) {
+	for _, n := range []uint64{^uint64(0), ^uint64(0) - 1, ^uint64(0) - 2, 1<<61 + 1} {
+		in := append(AppendUvarint(nil, n), make([]byte, 8)...)
+		if _, _, err := Bits(in); !errors.Is(err, ErrTruncated) {
+			t.Errorf("Bits(%d): err = %v, want ErrTruncated", n, err)
+		}
+		if _, _, err := Word(in); !errors.Is(err, ErrTruncated) {
+			t.Errorf("Word(%d): err = %v, want ErrTruncated", n, err)
+		}
+		if _, _, err := Float64s(in); !errors.Is(err, ErrTruncated) {
+			t.Errorf("Float64s(%d): err = %v, want ErrTruncated", n, err)
+		}
+	}
+}
+
+// TestWordTooWide: a word wider than signal.MaxWordWidth decodes to an
+// error, never a panic — the bytes may come from an untrusted peer.
+func TestWordTooWide(t *testing.T) {
+	in := AppendBits(nil, make([]signal.Bit, signal.MaxWordWidth+1))
+	if _, _, err := Word(in); err == nil || errors.Is(err, ErrTruncated) {
+		t.Errorf("65-bit word: err = %v, want a width error", err)
+	}
+	in = AppendBits(nil, make([]signal.Bit, signal.MaxWordWidth))
+	if w, rest, err := Word(in); err != nil || len(rest) != 0 || w.Width() != signal.MaxWordWidth {
+		t.Errorf("64-bit word = %v, %d bytes left, %v", w, len(rest), err)
 	}
 }
