@@ -232,6 +232,8 @@ type Figure3Point struct {
 	CPUTime   time.Duration
 	RealTime  time.Duration
 	Calls     int64
+	// Fingerprint is the run's Result.Fingerprint.
+	Fingerprint string
 }
 
 // RunFigure3 regenerates Figure 3: real and CPU time versus pattern
@@ -258,10 +260,11 @@ func RunFigure3(cfg Config, percents []int) ([]Figure3Point, error) {
 			return fmt.Errorf("core: figure3 at %d%%: %w", pct, err)
 		}
 		out[i] = Figure3Point{
-			BufferPct: pct,
-			CPUTime:   res.CPUTime,
-			RealTime:  res.RealTime,
-			Calls:     res.Calls,
+			BufferPct:   pct,
+			CPUTime:     res.CPUTime,
+			RealTime:    res.RealTime,
+			Calls:       res.Calls,
+			Fingerprint: res.Fingerprint(),
 		}
 		return nil
 	})

@@ -229,6 +229,48 @@ func TestGoldenGeneratedDesigns(t *testing.T) {
 	checkGolden(t, goldenGenerated, generatedCorpus(t))
 }
 
+const goldenTraffic = "testdata/golden/traffic.txt"
+
+// trafficCorpus renders the RMI traffic of the paper's experiments at
+// DefaultConfig: Table 2's Calls and Bytes columns for AL, MR on the
+// local-host profile and ER on WAN, then every Figure 3 buffer point's
+// call count and fingerprint. At pipeline depth 1 these are
+// deterministic run to run, so any change to what crosses the wire
+// shows here.
+func trafficCorpus(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, cell := range []Table2Cell{
+		{AllLocal, netsim.InProcess},
+		{MultiplierRemote, netsim.Local},
+		{EstimatorRemote, netsim.WAN},
+	} {
+		cfg := DefaultConfig()
+		cfg.Profile = cell.Profile
+		res, err := Run(cell.Scenario, cfg)
+		if err != nil {
+			t.Fatalf("table2 %s/%s: %v", cell.Scenario, cell.Profile.Name, err)
+		}
+		fmt.Fprintf(&buf, "table2/%s/%s calls=%d bytes=%d\n", cell.Scenario, cell.Profile.Name, res.Calls, res.Bytes)
+	}
+	points, err := RunFigure3(DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		fmt.Fprintf(&buf, "figure3/%d%% calls=%d %s\n", p.BufferPct, p.Calls, p.Fingerprint)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenTraffic pins the Table 2 traffic columns and the Figure 3
+// points to testdata/golden/traffic.txt. Run
+// `go test ./internal/core -run TestGoldenTraffic -update` to regenerate
+// it after a deliberate change to the protocol.
+func TestGoldenTraffic(t *testing.T) {
+	checkGolden(t, goldenTraffic, trafficCorpus(t))
+}
+
 const goldenTable1 = "testdata/golden/table1.txt"
 
 // table1Corpus renders every RunTable1(DefaultTable1Config()) row's
