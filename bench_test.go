@@ -114,10 +114,10 @@ func BenchmarkFigure4VirtualFaultSim(b *testing.B) {
 
 // BenchmarkVirtualVsSerialFaultSim is the protocol-cost ablation: virtual
 // fault simulation (per-pattern tables + injections) versus flat serial
-// simulation of the same flattened design, each at worker counts 1
-// (legacy serial) and NumCPU. The two-IP design exercises the full
-// fan-out: concurrent detection-table queries to both providers plus the
-// per-row injection pool.
+// simulation of the same flattened design (pattern-parallel on the lane
+// kernel), each at worker counts 1 and NumCPU. The two-IP design
+// exercises the full fan-out: concurrent detection-table queries to both
+// providers plus the per-row injection pool.
 func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 	d, err := fault.RandomTwoIPDesign(60, 11)
 	if err != nil {
@@ -211,21 +211,24 @@ type nullHandler struct{}
 func (*nullHandler) HandlerName() string                 { return "null" }
 func (*nullHandler) HandleToken(*sim.Context, sim.Token) {}
 
-// BenchmarkGateEval measures levelized netlist evaluation of the 16-bit
-// array multiplier (the provider-side cost of one MR functional call).
+// BenchmarkGateEval measures one-lane evaluation of the 16-bit array
+// multiplier on the lane kernel (the provider-side cost of one MR
+// functional call).
 func BenchmarkGateEval(b *testing.B) {
 	nl := gate.ArrayMultiplier(16)
-	ev, err := nl.NewEvaluator()
+	le, err := nl.NewLaneEvaluator()
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := nl.InputWord(0xDEAD_BEEF)
+	batch := [][]signal.Bit{nl.InputWord(0xDEAD_BEEF)}
+	out := make([]signal.Bit, len(nl.Outputs()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.Eval(in); err != nil {
+		if err := le.EvalBatch(batch); err != nil {
 			b.Fatal(err)
 		}
+		le.ReadOutputs(out, 0)
 	}
 }
 
@@ -649,32 +652,45 @@ func BenchmarkAblationGateModuleVsNetlistModule(b *testing.B) {
 }
 
 // BenchmarkAblationBridgeIteration measures the cost of the bounded
-// wired-AND resolution versus plain stuck-at evaluation.
+// wired-AND resolution (one pass over the three-copy unrolled netlist)
+// versus plain stuck-at evaluation, one 64-pattern lane pass each.
 func BenchmarkAblationBridgeIteration(b *testing.B) {
 	nl := gate.ArrayMultiplier(8)
-	in := nl.InputWord(0xBEEF)
-	b.Run("stuck-at", func(b *testing.B) {
-		ev, _ := nl.NewEvaluator()
-		ev.SetFault(gate.Fault{Net: 20, Stuck: signal.B0})
+	batch := make([][]signal.Bit, gate.Lanes)
+	for i := range batch {
+		batch[i] = nl.InputWord(0xBEEF + uint64(i))
+	}
+	run := func(b *testing.B, le *gate.LaneEvaluator, batch [][]signal.Bit) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.Eval(in); err != nil {
+			if err := le.EvalBatch(batch); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("stuck-at", func(b *testing.B) {
+		le, _ := nl.NewLaneEvaluator()
+		if err := le.InjectStuckAt(gate.Fault{Net: 20, Stuck: signal.B0}); err != nil {
+			b.Fatal(err)
+		}
+		run(b, le, batch)
 	})
 	b.Run("bridge", func(b *testing.B) {
-		ev, _ := nl.NewEvaluator()
-		ev.SetBridge(gate.Bridge{A: 20, B: 21})
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.Eval(in); err != nil {
-				b.Fatal(err)
-			}
+		bn, err := nl.Bridged(gate.Bridge{A: 20, B: 21})
+		if err != nil {
+			b.Fatal(err)
 		}
+		le, _ := bn.NewLaneEvaluator()
+		ext := make([][]signal.Bit, len(batch))
+		for i, p := range batch {
+			ext[i] = append(append([]signal.Bit(nil), p...), signal.BX)
+		}
+		run(b, le, ext)
 	})
 }
 
 // BenchmarkScanFaultSim measures full-scan sequential fault simulation of
-// the counter workload.
+// the counter workload (pattern-parallel on the core's lane kernel).
 func BenchmarkScanFaultSim(b *testing.B) {
 	seq, err := gate.SequentialCounter(6)
 	if err != nil {

@@ -40,14 +40,11 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 	if maxCandidates < 1 {
 		return nil, fmt.Errorf("fault: maxCandidates %d", maxCandidates)
 	}
-	if err := nl.Build(); err != nil {
-		return nil, err
-	}
-	reps := Collapse(nl)
-	ev, err := nl.NewEvaluator()
+	ev, err := nl.NewLaneEvaluator()
 	if err != nil {
 		return nil, err
 	}
+	reps := Collapse(nl)
 	nIn := len(nl.Inputs())
 
 	alive := append([]gate.Fault(nil), reps...)
@@ -88,7 +85,7 @@ func GenerateTestsRand(nl *gate.Netlist, maxCandidates int, r *rand.Rand) (*Test
 
 // detectAny returns the alive faults the pattern detects, from one
 // bit-parallel sweep of the pattern over every alive fault.
-func detectAny(ev *gate.Evaluator, pattern []signal.Bit, alive []gate.Fault) ([]gate.Fault, error) {
+func detectAny(ev *gate.LaneEvaluator, pattern []signal.Bit, alive []gate.Fault) ([]gate.Fault, error) {
 	var good []signal.Bit
 	var out []gate.Fault
 	err := ev.SweepStuckAt(pattern, alive, func(i int, bad []signal.Bit) {

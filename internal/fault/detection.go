@@ -110,8 +110,8 @@ type LocalTestability struct {
 	// mu guards everything below: one service instance may be shared
 	// across hosts, and the virtual simulator queries hosts concurrently.
 	mu sync.Mutex
-	// ev is the sweep evaluator, created on the first query and reused.
-	ev *gate.Evaluator
+	// ev is the sweep evaluator, reused by every query.
+	ev *gate.LaneEvaluator
 	// cache maps input words to computed tables; detection tables
 	// depend only on the input configuration, so the provider can serve
 	// repeated patterns (the paper's example: patterns 1100 and 1101 lead
@@ -136,7 +136,8 @@ const detectionCacheCap = 1024
 // netlist with more than signal.MaxWordWidth inputs or outputs is an
 // error.
 func NewLocalTestability(nl *gate.Netlist, policy Naming, internalOnly bool) (*LocalTestability, error) {
-	if err := nl.Build(); err != nil {
+	ev, err := nl.NewLaneEvaluator()
+	if err != nil {
 		return nil, err
 	}
 	if in, out := len(nl.Inputs()), len(nl.Outputs()); in > signal.MaxWordWidth || out > signal.MaxWordWidth {
@@ -150,6 +151,7 @@ func NewLocalTestability(nl *gate.Netlist, policy Naming, internalOnly bool) (*L
 	}
 	return &LocalTestability{
 		nl:     nl,
+		ev:     ev,
 		list:   list,
 		faults: faults,
 		cache:  make(map[signal.Word]*DetectionTable),
@@ -179,13 +181,6 @@ func (lt *LocalTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable
 	key := signal.WordFromBits(inputs)
 	if dt, ok := lt.cache[key]; ok {
 		return dt, nil
-	}
-	if lt.ev == nil {
-		ev, err := lt.nl.NewEvaluator()
-		if err != nil {
-			return nil, err
-		}
-		lt.ev = ev
 	}
 	dt := &DetectionTable{Input: key}
 	rowIdx := make(map[signal.Word]int) // erroneous output → row

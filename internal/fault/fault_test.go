@@ -170,7 +170,7 @@ func TestDetectionTableFigure4InputConfig(t *testing.T) {
 	}
 	// Every row's output must differ from the fault-free pattern, and
 	// every listed fault must reproduce exactly that row's output.
-	ev, _ := nl.NewEvaluator()
+	le, _ := nl.NewLaneEvaluator()
 	for _, row := range dt.Rows {
 		if row.Output.Equal(dt.FaultFree) {
 			t.Error("row equals fault-free output")
@@ -180,13 +180,15 @@ func TestDetectionTableFigure4InputConfig(t *testing.T) {
 			if !ok {
 				t.Fatalf("row fault %q unresolvable", name)
 			}
-			ev.ClearFaults()
-			ev.SetFault(f)
-			if _, err := ev.Eval([]signal.Bit{signal.B1, signal.B0}); err != nil {
+			if err := le.InjectStuckAt(f); err != nil {
 				t.Fatal(err)
 			}
-			if !ev.OutputWord().Equal(row.Output) {
-				t.Errorf("fault %s produces %v, row says %v", name, ev.OutputWord(), row.Output)
+			out, err := le.Eval([]signal.Bit{signal.B1, signal.B0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := signal.WordFromBits(out); !got.Equal(row.Output) {
+				t.Errorf("fault %s produces %v, row says %v", name, got, row.Output)
 			}
 		}
 	}

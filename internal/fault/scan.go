@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/gate"
 	"repro/internal/signal"
+	"repro/internal/sim"
 )
 
 // ScanPattern is one full-scan test: the register contents scanned in
@@ -18,113 +20,46 @@ type ScanPattern struct {
 // assumption — the paper's "extensions to sequential circuits": with
 // every state element directly controllable (scan-in) and observable
 // (scan-out), each test reduces to one combinational evaluation of the
-// core, and both the primary outputs AND the captured next state serve
-// as observation points. The target fault list is the collapsed
-// universe of the combinational core.
+// core over the scanned-in state and the capture inputs, and the core's
+// outputs are exactly the primary outputs plus the captured next state,
+// both of which serve as observation points. The target fault list is
+// the collapsed universe of the combinational core.
 func ScanSimulate(seq *gate.Sequential, patterns []ScanPattern) (*Result, error) {
-	reps := Collapse(seq.Comb)
-	res := &Result{
-		Total:      len(reps),
-		Detected:   make(map[string]int),
-		PerPattern: make([][]string, len(patterns)),
-	}
-	golden, err := seq.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	faulty, err := seq.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	alive := append([]gate.Fault(nil), reps...)
+	vectors := make([][]signal.Bit, len(patterns))
 	for pi, p := range patterns {
-		if err := golden.SetState(p.State); err != nil {
-			return nil, err
-		}
-		goodOut, err := golden.Step(p.Inputs)
+		v, err := seq.CoreInputs(p.State, p.Inputs)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fault: scan pattern %d: %w", pi, err)
 		}
-		goodState := golden.State()
-
-		var next []gate.Fault
-		for _, f := range alive {
-			faulty.ClearFaults()
-			faulty.SetFault(f)
-			if err := faulty.SetState(p.State); err != nil {
-				return nil, err
-			}
-			badOut, err := faulty.Step(p.Inputs)
-			if err != nil {
-				return nil, err
-			}
-			badState := faulty.State()
-			if knownDiff(goodOut, badOut) || knownDiff(goodState, badState) {
-				sym := f.Symbol(seq.Comb)
-				res.Detected[sym] = pi
-				res.PerPattern[pi] = append(res.PerPattern[pi], sym)
-			} else {
-				next = append(next, f)
-			}
-		}
-		alive = next
-		if len(alive) == 0 {
-			break
-		}
+		vectors[pi] = v
 	}
-	return res, nil
+	return SerialSimulateFaults(seq.Comb, Collapse(seq.Comb), vectors)
 }
 
 // SerialSimulateBridges fault-simulates a list of wired-AND bridging
 // faults over a flat combinational netlist — the second "general fault
-// model" beyond single stuck-at. Detection semantics match the stuck-at
-// simulator: a bridge is detected by the first pattern producing a known
-// primary-output difference, and detected bridges are dropped.
+// model" beyond single stuck-at. Each bridge runs the stuck-at
+// simulator's pattern-parallel loop over nl's unrolled bridged netlist
+// (gate.Netlist.Bridged), so detection semantics match: a bridge is
+// detected by the first pattern producing a known primary-output
+// difference, and detected bridges are dropped. A bridge naming a net
+// outside nl is an error.
 func SerialSimulateBridges(nl *gate.Netlist, bridges []gate.Bridge, patterns [][]signal.Bit) (*Result, error) {
-	res := &Result{
-		Total:      len(bridges),
-		Detected:   make(map[string]int),
-		PerPattern: make([][]string, len(patterns)),
+	ext := make([][]signal.Bit, len(patterns)) // plus the bridged netlist's X input
+	for i, p := range patterns {
+		ext[i] = append(p[:len(p):len(p)], signal.BX)
 	}
-	golden, err := nl.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	faulty, err := nl.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	symbol := func(b gate.Bridge) string {
-		return "bridge(" + nl.NetName(b.A) + "," + nl.NetName(b.B) + ")"
-	}
-	alive := append([]gate.Bridge(nil), bridges...)
-	for pi, p := range patterns {
-		goodOut, err := golden.Eval(p)
+	machine := func(_, i int) (*gate.LaneEvaluator, error) {
+		bn, err := nl.Bridged(bridges[i])
 		if err != nil {
 			return nil, err
 		}
-		good := append([]signal.Bit(nil), goodOut...)
-		var next []gate.Bridge
-		for _, b := range alive {
-			faulty.ClearBridges()
-			faulty.SetBridge(b)
-			badOut, err := faulty.Eval(p)
-			if err != nil {
-				return nil, err
-			}
-			if knownDiff(good, badOut) {
-				res.Detected[symbol(b)] = pi
-				res.PerPattern[pi] = append(res.PerPattern[pi], symbol(b))
-			} else {
-				next = append(next, b)
-			}
-		}
-		alive = next
-		if len(alive) == 0 {
-			break
-		}
+		return bn.NewLaneEvaluator()
 	}
-	return res, nil
+	symbol := func(i int) string {
+		return "bridge(" + nl.NetName(bridges[i].A) + "," + nl.NetName(bridges[i].B) + ")"
+	}
+	return simulate(nl, patterns, ext, len(bridges), sim.Pool{}, machine, symbol)
 }
 
 // EnumerateBridges returns candidate wired-AND bridges between distinct

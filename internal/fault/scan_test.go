@@ -162,3 +162,52 @@ func TestSerialSimulateBridgesDropping(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatSimulatorsRejectBadTargets: a target on a net outside the
+// netlist, or a pattern of the wrong width, is an error from every flat
+// simulator — never a silently undetected fault or a panic.
+func TestFlatSimulatorsRejectBadTargets(t *testing.T) {
+	nl := gate.C17()
+	good := [][]signal.Bit{nl.InputWord(0), nl.InputWord(31)}
+	short := [][]signal.Bit{nl.InputWord(0), {signal.B1}}
+	seq, err := gate.SequentialCounter(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := func(net gate.NetID, patterns [][]signal.Bit) func() error {
+		return func() error {
+			_, err := SerialSimulateFaultsWorkers(nl, []gate.Fault{{Net: 1, Stuck: signal.B0}, {Net: net, Stuck: signal.B1}}, patterns, 2)
+			return err
+		}
+	}
+	bridge := func(b gate.Bridge, patterns [][]signal.Bit) func() error {
+		return func() error {
+			_, err := SerialSimulateBridges(nl, []gate.Bridge{{A: 0, B: 1}, b}, patterns)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"stuck-at past the last net", stuck(9999, good)},
+		{"stuck-at on a negative net", stuck(-1, good)},
+		{"stuck-at without patterns", stuck(9999, nil)},
+		{"stuck-at short pattern", stuck(2, short)},
+		{"bridge past the last net", bridge(gate.Bridge{A: 2, B: 9999}, good)},
+		{"bridge on a negative net", bridge(gate.Bridge{A: -1, B: 2}, good)},
+		{"bridge short pattern", bridge(gate.Bridge{A: 2, B: 3}, short)},
+		{"scan short state", func() error {
+			_, err := ScanSimulate(seq, []ScanPattern{{State: make([]signal.Bit, 2), Inputs: make([]signal.Bit, 1)}})
+			return err
+		}},
+		{"scan missing inputs", func() error {
+			_, err := ScanSimulate(seq, []ScanPattern{{State: make([]signal.Bit, 3)}})
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

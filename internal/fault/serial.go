@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/gate"
 	"repro/internal/signal"
@@ -59,83 +60,96 @@ func SerialSimulate(nl *gate.Netlist, patterns [][]signal.Bit) (*Result, error) 
 // SerialSimulateFaults is SerialSimulate over an explicit target fault
 // list instead of the netlist's own collapsed universe — used to compare
 // virtual fault simulation against the flattened reference on exactly the
-// component faults the provider published. The per-pattern injection loop
-// fans out over one worker per CPU; call SerialSimulateFaultsWorkers to
-// bound it (workers=1 reproduces the historical fully serial loop).
+// component faults the provider published. Workers fan out over the
+// faults, one per CPU; call SerialSimulateFaultsWorkers to bound them.
 func SerialSimulateFaults(nl *gate.Netlist, reps []gate.Fault, patterns [][]signal.Bit) (*Result, error) {
 	return SerialSimulateFaultsWorkers(nl, reps, patterns, 0)
 }
 
-// SerialSimulateFaultsWorkers runs the flat reference simulation with a
-// bounded worker pool. Within one pattern every live fault's injection is
-// independent (each worker owns a private evaluator), and the verdicts are
-// merged in fault-list order, so the Result is bit-identical for any
-// worker count.
+// SerialSimulateFaultsWorkers runs the flat reference simulation by
+// parallel-pattern single-fault propagation (Waicukauski et al., 1985):
+// each fault is injected into every lane of the lane kernel and
+// evaluated 64 patterns per pass, until a pass detects it, so its first
+// set lane is its first detecting pattern. Workers fan out over the
+// faults, each with a private evaluator, and the verdicts are merged in
+// fault-list order, so the Result is identical to pattern-by-pattern
+// serial simulation with fault dropping, for any worker count. A fault
+// on a net outside nl, or a pattern of the wrong width, is an error.
 func SerialSimulateFaultsWorkers(nl *gate.Netlist, reps []gate.Fault, patterns [][]signal.Bit, workers int) (*Result, error) {
-	res := &Result{
-		Total:      len(reps),
-		Detected:   make(map[string]int),
-		PerPattern: make([][]string, len(patterns)),
+	pool := sim.Pool{Workers: workers}
+	evs := make([]*gate.LaneEvaluator, pool.Size())
+	for w := range evs {
+		le, err := nl.NewLaneEvaluator()
+		if err != nil {
+			return nil, err
+		}
+		evs[w] = le
 	}
-	golden, err := nl.NewEvaluator()
+	machine := func(w, i int) (*gate.LaneEvaluator, error) {
+		return evs[w], evs[w].InjectStuckAt(reps[i])
+	}
+	symbol := func(i int) string { return reps[i].Symbol(nl) }
+	return simulate(nl, patterns, patterns, len(reps), pool, machine, symbol)
+}
+
+// simulate is the pattern-parallel single-fault loop behind stuck-at
+// and bridging-fault simulation. For each of n faulty machines,
+// machine(worker, i) readies an evaluator that runs machine i over
+// faultyPatterns (patterns as that evaluator's netlist reads them); it
+// then evaluates 64-pattern batches until one shows a known output
+// difference against the fault-free batch of nl. Lanes past the last
+// pattern read all-X inputs, so the fault-free outputs there are X and
+// never differ.
+func simulate(nl *gate.Netlist, patterns, faultyPatterns [][]signal.Bit, n int, pool sim.Pool,
+	machine func(worker, i int) (*gate.LaneEvaluator, error), symbol func(i int) string) (*Result, error) {
+	good, err := nl.NewLaneEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	pool := sim.Pool{Workers: workers}
-	// Evaluators are not concurrency-safe, so each worker gets its own;
-	// they must be built serially here because NewEvaluator memoizes the
-	// netlist's build step.
-	evs := make([]*gate.Evaluator, pool.Size())
-	for i := range evs {
-		ev, err := nl.NewEvaluator()
-		if err != nil {
+	for pi, p := range patterns {
+		if len(p) != len(nl.Inputs()) {
+			return nil, fmt.Errorf("fault: pattern %d: got %d input values, want %d", pi, len(p), len(nl.Inputs()))
+		}
+	}
+	var goodOut [][]gate.Plane // per batch
+	for start := 0; start < len(patterns); start += gate.Lanes {
+		if err := good.EvalBatch(patterns[start:min(start+gate.Lanes, len(patterns))]); err != nil {
 			return nil, err
 		}
-		evs[i] = ev
+		goodOut = append(goodOut, good.OutputPlanes(nil))
 	}
-	alive := append([]gate.Fault(nil), reps...)
-	verdicts := make([]bool, len(alive))
-	for pi, p := range patterns {
-		goodOut, err := golden.Eval(p)
+	first := make([]int, n) // first detecting pattern, or -1
+	err = pool.ForWorker(n, func(w, i int) error {
+		le, err := machine(w, i)
 		if err != nil {
-			return nil, fmt.Errorf("fault: pattern %d: %w", pi, err)
+			return fmt.Errorf("fault: target %d: %w", i, err)
 		}
-		good := append([]signal.Bit(nil), goodOut...)
-		verdicts = verdicts[:len(alive)]
-		err = pool.ForWorker(len(alive), func(worker, i int) error {
-			faulty := evs[worker]
-			faulty.ClearFaults()
-			faulty.SetFault(alive[i])
-			badOut, err := faulty.Eval(p)
-			if err != nil {
+		first[i] = -1
+		for b, out := range goodOut {
+			start := b * gate.Lanes
+			if err := le.EvalBatch(faultyPatterns[start:min(start+gate.Lanes, len(patterns))]); err != nil {
 				return err
 			}
-			verdicts[i] = false
-			for j := range good {
-				if good[j].Known() && badOut[j].Known() && good[j] != badOut[j] {
-					verdicts[i] = true
-					break
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Merge in fault-list order — the order the serial loop recorded.
-		var next []gate.Fault
-		for i, f := range alive {
-			if verdicts[i] {
-				sym := f.Symbol(nl)
-				res.Detected[sym] = pi
-				res.PerPattern[pi] = append(res.PerPattern[pi], sym)
-			} else {
-				next = append(next, f)
+			if diff := le.DiffLanes(out); diff != 0 {
+				first[i] = start + bits.TrailingZeros64(diff)
+				return nil
 			}
 		}
-		alive = next
-		if len(alive) == 0 {
-			break
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Total:      n,
+		Detected:   make(map[string]int),
+		PerPattern: make([][]string, len(patterns)),
+	}
+	for i, pi := range first {
+		if pi >= 0 {
+			sym := symbol(i)
+			res.Detected[sym] = pi
+			res.PerPattern[pi] = append(res.PerPattern[pi], sym)
 		}
 	}
 	return res, nil

@@ -134,52 +134,57 @@ func TestFigure4DesignFaultFree(t *testing.T) {
 	}
 	// IP1's fault-free outputs for IIP1=1, IIP2=0 must be (1,0): the
 	// paper's "fault-free configuration, 10".
-	ev, err := nl.NewEvaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Eval(in); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Value(nl.Net("OIP1")) != signal.B1 || ev.Value(nl.Net("OIP2")) != signal.B0 {
+	le := evalOne(t, nl, in)
+	if laneValue(le, nl.Net("OIP1"), 0) != signal.B1 || laneValue(le, nl.Net("OIP2"), 0) != signal.B0 {
 		t.Errorf("IP1 outputs = %v%v, want 10",
-			ev.Value(nl.Net("OIP1")), ev.Value(nl.Net("OIP2")))
+			laneValue(le, nl.Net("OIP1"), 0), laneValue(le, nl.Net("OIP2"), 0))
 	}
 }
 
+// evalOne evaluates one pattern in a one-lane batch.
+func evalOne(t *testing.T, nl *Netlist, in []signal.Bit) *LaneEvaluator {
+	t.Helper()
+	le, err := nl.NewLaneEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := le.EvalBatch([][]signal.Bit{in}); err != nil {
+		t.Fatal(err)
+	}
+	return le
+}
+
+// TestEvaluatorFaultInjection checks LaneEvaluator.InjectStuckAt on an
+// internal net, ClearStuckAt, and the invalid-net error.
 func TestEvaluatorFaultInjection(t *testing.T) {
 	nl := Figure4Design()
-	ev, err := nl.NewEvaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := nl.InputWord(0b1011) // A=1, B=1, C=0, D=1
-	// Fault-free: O1 = 1.
-	out, err := ev.Eval(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	le := evalOne(t, nl, in)
+	out := make([]signal.Bit, 2)
+	le.ReadOutputs(out, 0)
 	if out[0] != signal.B1 {
 		t.Fatalf("fault-free O1 = %v", out[0])
 	}
-	// Inject I3 stuck-at-0: I4 = NAND(I2, 0) = 1... recompute: with
-	// IIP1=1, IIP2=0: I1=1, I2=NAND(1,1)=0, I3 forced 0, I4=NAND(0,0)=1.
-	// Sum stays 1? No: fault-free I3=NAND(0,1)=1, I4=NAND(0,1)=1. Same.
-	// The observable effect depends on the circuit; we just verify the
-	// injection forces the net itself.
-	ev.SetFault(Fault{Net: nl.Net("I3"), Stuck: signal.B0})
-	if _, err := ev.Eval(in); err != nil {
+	// The observable effect of I3 stuck-at-0 depends on the circuit; the
+	// injection must at least force the net itself.
+	if err := le.InjectStuckAt(Fault{Net: nl.Net("I3"), Stuck: signal.B0}); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Value(nl.Net("I3")) != signal.B0 {
+	if err := le.EvalBatch([][]signal.Bit{in}); err != nil {
+		t.Fatal(err)
+	}
+	if laneValue(le, nl.Net("I3"), 0) != signal.B0 {
 		t.Error("fault injection did not force net value")
 	}
-	ev.ClearFaults()
-	if _, err := ev.Eval(in); err != nil {
+	le.ClearStuckAt()
+	if err := le.EvalBatch([][]signal.Bit{in}); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Value(nl.Net("I3")) != signal.B1 {
-		t.Error("ClearFaults did not restore fault-free value")
+	if laneValue(le, nl.Net("I3"), 0) != signal.B1 {
+		t.Error("ClearStuckAt did not restore fault-free value")
+	}
+	if err := le.InjectStuckAt(Fault{Net: NetID(nl.NumNets()), Stuck: signal.B0}); err == nil {
+		t.Error("fault on an invalid net accepted")
 	}
 }
 
@@ -189,9 +194,11 @@ func TestEvaluatorFaultOnPrimaryInput(t *testing.T) {
 	b := nl.AddInput("b")
 	o := nl.AddGate(And, "o", a, b)
 	nl.MarkOutput(o)
-	ev, _ := nl.NewEvaluator()
-	ev.SetFault(Fault{Net: a, Stuck: signal.B0})
-	out, err := ev.Eval([]signal.Bit{signal.B1, signal.B1})
+	le, _ := nl.NewLaneEvaluator()
+	if err := le.InjectStuckAt(Fault{Net: a, Stuck: signal.B0}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := le.Eval([]signal.Bit{signal.B1, signal.B1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +207,16 @@ func TestEvaluatorFaultOnPrimaryInput(t *testing.T) {
 	}
 }
 
+// TestEvaluatorOutputWord packs one-lane Eval outputs into a word, bit i
+// for output i.
 func TestEvaluatorOutputWord(t *testing.T) {
 	nl := RippleAdder(2)
-	ev, _ := nl.NewEvaluator()
 	// 3 + 1 = 4 -> s0=0, s1=0, cout=1 -> word "100".
-	if _, err := ev.Eval(nl.InputWord(0b0111)); err != nil { // a=3 (bits 0-1), b=1 (bits 2-3)
+	out, err := nl.Eval(nl.InputWord(0b0111)) // a=3 (bits 0-1), b=1 (bits 2-3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.OutputWord().String(); got != "100" {
+	if got := signal.WordFromBits(out).String(); got != "100" {
 		t.Errorf("output word = %q, want 100", got)
 	}
 }
@@ -222,11 +231,9 @@ func TestRandomCombinationalDeterministic(t *testing.T) {
 		t.Fatalf("random circuit invalid: %v", err)
 	}
 	// Same seed, same outputs for a batch of patterns.
-	ea, _ := a.NewEvaluator()
-	eb, _ := b.NewEvaluator()
 	for v := uint64(0); v < 16; v++ {
-		oa, _ := ea.Eval(a.InputWord(v))
-		ob, _ := eb.Eval(b.InputWord(v))
+		oa, _ := a.Eval(a.InputWord(v))
+		ob, _ := b.Eval(b.InputWord(v))
 		for i := range oa {
 			if oa[i] != ob[i] {
 				t.Fatalf("pattern %d output %d differs", v, i)

@@ -111,13 +111,15 @@ func TestEmbedFaultsStayLocalToInstance(t *testing.T) {
 	o2 := top.Embed(sub, []NetID{a, b}, "U2.")
 	top.MarkOutput(o1[0])
 	top.MarkOutput(o2[0])
-	ev, err := top.NewEvaluator()
+	le, err := top.NewLaneEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.SetFault(Fault{Net: top.Net("U1.I1"), Stuck: signal.B0})
+	if err := le.InjectStuckAt(Fault{Net: top.Net("U1.I1"), Stuck: signal.B0}); err != nil {
+		t.Fatal(err)
+	}
 	in := top.InputWord(0b01) // a=1, b=0 -> sum=1
-	out, err := ev.Eval(in)
+	out, err := le.Eval(in)
 	if err != nil {
 		t.Fatal(err)
 	}

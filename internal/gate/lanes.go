@@ -114,10 +114,7 @@ func (n *Netlist) lanePass(planes []Plane, forces []force) {
 		}
 		p := Plane{one | zero, one}
 		if forces != nil {
-			if fc := forces[o.out]; fc.mask != 0 {
-				p.Known = p.Known&^fc.mask | fc.known
-				p.Value = p.Value&^fc.mask | fc.value
-			}
+			p = forces[o.out].apply(p)
 		}
 		planes[o.out] = p
 	}
@@ -136,15 +133,22 @@ func (n *Netlist) readLane(planes []Plane, out []signal.Bit, lane int) {
 }
 
 // LaneEvaluator evaluates up to Lanes input patterns per levelized pass
-// of bitwise operations on machine words, pattern l in lane l. Every
-// lane's outputs equal Eval's on that pattern, for all four levels;
-// levels outside the four defined ones read modulo 4, as in the scalar
-// truth tables. A LaneEvaluator is not safe for concurrent use. Several
-// estimators may share one when their calls are serialized, because
-// each reads the planes only during its own call.
+// of bitwise operations on machine words, pattern l in lane l, for all
+// four levels; levels outside the four defined ones read modulo 4. It is
+// the netlist's only evaluator: one-lane batches serve single patterns,
+// and force masks inject stuck-at faults (InjectStuckAt, SweepStuckAt).
+// A LaneEvaluator is not safe for concurrent use. Several estimators may
+// share one when their calls are serialized, because each reads the
+// planes only during its own call.
 type LaneEvaluator struct {
 	n      *Netlist
-	planes []Plane // per slot, after the last EvalBatch
+	planes []Plane // per slot, after the last pass
+	// forces holds per-slot lane overrides: the injected fault between
+	// passes, plus a sweep's faulty machines during one. Nil until the
+	// first injection or sweep.
+	forces    []force
+	injected  bool
+	good, out []signal.Bit // SweepStuckAt's output scratch
 }
 
 // NewLaneEvaluator builds (levelizes and compiles) the netlist and
@@ -154,6 +158,17 @@ func (n *Netlist) NewLaneEvaluator() (*LaneEvaluator, error) {
 		return nil, err
 	}
 	return &LaneEvaluator{n: n, planes: make([]Plane, n.slots)}, nil
+}
+
+// Eval computes the primary-output values for the given primary-input
+// values (in Inputs() order) in a one-lane batch. It allocates a fresh
+// evaluator; keep a LaneEvaluator for repeated evaluation.
+func (n *Netlist) Eval(inputs []signal.Bit) ([]signal.Bit, error) {
+	le, err := n.NewLaneEvaluator()
+	if err != nil {
+		return nil, err
+	}
+	return le.Eval(inputs)
 }
 
 // Netlist returns the evaluated netlist.
@@ -171,7 +186,8 @@ func (le *LaneEvaluator) CheckPatterns(patterns [][]signal.Bit) error {
 }
 
 // EvalBatch evaluates 1..Lanes patterns in one pass, pattern l in lane
-// l. Lanes past the last pattern evaluate all-X inputs.
+// l, with the injected fault, if any, forced into every lane. Lanes past
+// the last pattern evaluate all-X inputs.
 func (le *LaneEvaluator) EvalBatch(patterns [][]signal.Bit) error {
 	if len(patterns) == 0 || len(patterns) > Lanes {
 		return fmt.Errorf("gate: %s: batch of %d patterns, want 1..%d", le.n.Name, len(patterns), Lanes)
@@ -187,7 +203,7 @@ func (le *LaneEvaluator) EvalBatch(patterns [][]signal.Bit) error {
 //
 //gocad:noalloc
 func (le *LaneEvaluator) evalBatch(patterns [][]signal.Bit) {
-	n, planes := le.n, le.planes
+	n, planes, forces := le.n, le.planes, le.forces
 	for i, id := range n.inputs {
 		var k, v uint64
 		for l, p := range patterns {
@@ -195,17 +211,56 @@ func (le *LaneEvaluator) evalBatch(patterns [][]signal.Bit) {
 			k |= (b>>1&1 ^ 1) << l
 			v |= (b & 1) << l
 		}
-		planes[id] = Plane{k, v}
+		p := Plane{k, v}
+		if forces != nil {
+			p = forces[id].apply(p)
+		}
+		planes[id] = p
 	}
-	n.lanePass(planes, nil)
+	n.lanePass(planes, forces)
 }
 
-// Planes returns every net's plane after the last EvalBatch, indexed by
-// NetID. The slice is read-only and is overwritten by the next batch.
+// Eval evaluates one pattern in a one-lane batch and returns its
+// primary outputs in a fresh slice.
+func (le *LaneEvaluator) Eval(inputs []signal.Bit) ([]signal.Bit, error) {
+	if err := le.EvalBatch([][]signal.Bit{inputs}); err != nil {
+		return nil, err
+	}
+	out := make([]signal.Bit, len(le.n.outputs))
+	le.ReadOutputs(out, 0)
+	return out, nil
+}
+
+// Planes returns every net's plane after the last pass, indexed by
+// NetID. The slice is read-only and is overwritten by the next pass.
 func (le *LaneEvaluator) Planes() []Plane { return le.planes[:len(le.n.nets)] }
 
-// ReadOutputs decodes the primary outputs of one lane of the last
-// EvalBatch into out, which needs one element per output.
+// ReadOutputs decodes the primary outputs of one lane of the last pass
+// into out, which needs one element per output.
 func (le *LaneEvaluator) ReadOutputs(out []signal.Bit, lane int) {
 	le.n.readLane(le.planes, out, lane)
+}
+
+// OutputPlanes appends the primary outputs' planes after the last pass
+// to dst, in Outputs() order, and returns the extended slice.
+func (le *LaneEvaluator) OutputPlanes(dst []Plane) []Plane {
+	for _, id := range le.n.outputs {
+		dst = append(dst, le.planes[id])
+	}
+	return dst
+}
+
+// DiffLanes returns the lanes of the last pass in which some primary
+// output is known both there and in good (output planes in Outputs()
+// order, as OutputPlanes returns them) and the two levels differ: the
+// lanes whose pattern detects the evaluated fault.
+//
+//gocad:noalloc
+func (le *LaneEvaluator) DiffLanes(good []Plane) uint64 {
+	var diff uint64
+	for j, id := range le.n.outputs {
+		p, g := le.planes[id], good[j]
+		diff |= p.Known & g.Known & (p.Value ^ g.Value)
+	}
+	return diff
 }

@@ -40,6 +40,12 @@ func checkEvalBatch(t *testing.T, nl *Netlist, patterns [][]signal.Bit, size int
 	}
 }
 
+// laneValue decodes one lane of a net's plane after the last pass.
+func laneValue(le *LaneEvaluator, id NetID, lane int) signal.Bit {
+	p := le.Planes()[id]
+	return signal.Bit((p.Known>>lane&1^1)<<1 | p.Value>>lane&1)
+}
+
 // allLevels returns every four-valued assignment of n inputs.
 func allLevels(n int) [][]signal.Bit {
 	out := make([][]signal.Bit, 1<<(2*n))

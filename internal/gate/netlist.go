@@ -1,18 +1,14 @@
 // Package gate implements structural gate-level netlists: the abstraction
 // level at which IP providers hold the accurate—and IP-protected—view of
-// their components. Netlists support levelized four-valued evaluation,
-// evaluation under injected stuck-at faults, and a compiled lane kernel
-// that evaluates 64 patterns or faulty machines per pass; they are the
-// substrate under the PPP-style power estimator (internal/ppp), the
-// fault machinery (internal/fault), and the gate-level design modules
-// (internal/module).
+// their components. Netlists evaluate on one compiled lane kernel that
+// carries 64 four-valued patterns or faulty machines per levelized pass,
+// under injected stuck-at faults or an unrolled wired-AND bridge; they
+// are the substrate under the PPP-style power estimator (internal/ppp),
+// the fault machinery (internal/fault), and the gate-level design
+// modules (internal/module).
 package gate
 
-import (
-	"fmt"
-
-	"repro/internal/signal"
-)
+import "fmt"
 
 // Kind enumerates the primitive gate types.
 type Kind int
@@ -38,44 +34,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// eval computes the gate function over four-valued inputs.
-func (k Kind) eval(in []signal.Bit) signal.Bit {
-	switch k {
-	case Buf:
-		return in[0].Or(in[0]) // normalizes Z to X like any gate input
-	case Not:
-		return in[0].Not()
-	case And, Nand:
-		v := in[0]
-		for _, b := range in[1:] {
-			v = v.And(b)
-		}
-		if k == Nand {
-			v = v.Not()
-		}
-		return v
-	case Or, Nor:
-		v := in[0]
-		for _, b := range in[1:] {
-			v = v.Or(b)
-		}
-		if k == Nor {
-			v = v.Not()
-		}
-		return v
-	case Xor, Xnor:
-		v := in[0]
-		for _, b := range in[1:] {
-			v = v.Xor(b)
-		}
-		if k == Xnor {
-			v = v.Not()
-		}
-		return v
-	}
-	return signal.BX
 }
 
 // minInputs returns the arity constraint for the kind.

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/signal"
 )
@@ -24,6 +25,9 @@ type Sequential struct {
 
 	primaryIn  []NetID
 	primaryOut []NetID
+	// inFrom[i] locates core input i: k ≥ 0 is primary input k and
+	// -1-k is state bit k. outTo locates the core outputs alike.
+	inFrom, outTo []int
 }
 
 // NewSequential wraps a combinational core. stateIn must be core primary
@@ -33,35 +37,37 @@ func NewSequential(core *Netlist, stateIn, stateOut []NetID) (*Sequential, error
 	if len(stateIn) != len(stateOut) {
 		return nil, fmt.Errorf("gate: state register width mismatch: %d in, %d out", len(stateIn), len(stateOut))
 	}
-	inSet := make(map[NetID]bool, len(stateIn))
 	for _, id := range stateIn {
 		if !core.IsInput(id) {
 			return nil, fmt.Errorf("gate: state input %s is not a core primary input", core.NetName(id))
 		}
-		inSet[id] = true
 	}
-	outSet := make(map[NetID]bool, len(stateOut))
 	for _, id := range stateOut {
 		if !core.IsOutput(id) {
 			return nil, fmt.Errorf("gate: state output %s is not a core primary output", core.NetName(id))
 		}
-		outSet[id] = true
 	}
 	s := &Sequential{Comb: core, StateIn: stateIn, StateOut: stateOut}
 	for _, id := range core.Inputs() {
-		if !inSet[id] {
-			s.primaryIn = append(s.primaryIn, id)
-		}
+		s.inFrom = append(s.inFrom, locate(id, stateIn, &s.primaryIn))
 	}
 	for _, id := range core.Outputs() {
-		if !outSet[id] {
-			s.primaryOut = append(s.primaryOut, id)
-		}
+		s.outTo = append(s.outTo, locate(id, stateOut, &s.primaryOut))
 	}
 	if err := core.Build(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// locate returns -1-k for the k-th state net, and otherwise appends id
+// to the primary nets and returns its index there.
+func locate(id NetID, state []NetID, primary *[]NetID) int {
+	if k := slices.Index(state, id); k >= 0 {
+		return -1 - k
+	}
+	*primary = append(*primary, id)
+	return len(*primary) - 1
 }
 
 // PrimaryInputs returns the non-state inputs.
@@ -76,37 +82,39 @@ func (s *Sequential) StateWidth() int { return len(s.StateIn) }
 // ResetState returns the all-zero state.
 func (s *Sequential) ResetState() []signal.Bit { return make([]signal.Bit, len(s.StateIn)) }
 
+// CoreInputs returns the core's input values, in Comb.Inputs() order,
+// for a present state and the primary-input values.
+func (s *Sequential) CoreInputs(state, inputs []signal.Bit) ([]signal.Bit, error) {
+	if len(state) != len(s.StateIn) || len(inputs) != len(s.primaryIn) {
+		return nil, fmt.Errorf("gate: %s: state width %d and %d inputs, want %d and %d",
+			s.Comb.Name, len(state), len(inputs), len(s.StateIn), len(s.primaryIn))
+	}
+	v := make([]signal.Bit, len(s.inFrom))
+	for i, k := range s.inFrom {
+		if k >= 0 {
+			v[i] = inputs[k]
+		} else {
+			v[i] = state[-1-k]
+		}
+	}
+	return v, nil
+}
+
 // SeqEvaluator steps a Sequential cycle by cycle.
 type SeqEvaluator struct {
 	seq   *Sequential
-	ev    *Evaluator
+	ev    *LaneEvaluator
 	state []signal.Bit
-
-	inIdx  map[NetID]int // core input net -> position in core input vector
-	outIdx map[NetID]int
 }
 
 // NewEvaluator returns a fresh sequential evaluator starting from the
 // reset (all-zero) state.
 func (s *Sequential) NewEvaluator() (*SeqEvaluator, error) {
-	ev, err := s.Comb.NewEvaluator()
+	ev, err := s.Comb.NewLaneEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	se := &SeqEvaluator{
-		seq:    s,
-		ev:     ev,
-		state:  s.ResetState(),
-		inIdx:  make(map[NetID]int),
-		outIdx: make(map[NetID]int),
-	}
-	for i, id := range s.Comb.Inputs() {
-		se.inIdx[id] = i
-	}
-	for i, id := range s.Comb.Outputs() {
-		se.outIdx[id] = i
-	}
-	return se, nil
+	return &SeqEvaluator{seq: s, ev: ev, state: s.ResetState()}, nil
 }
 
 // State returns the current register contents.
@@ -122,36 +130,25 @@ func (se *SeqEvaluator) SetState(state []signal.Bit) error {
 	return nil
 }
 
-// SetFault injects a stuck-at fault into the combinational core for all
-// subsequent cycles.
-func (se *SeqEvaluator) SetFault(f Fault) { se.ev.SetFault(f) }
-
-// ClearFaults removes injected faults.
-func (se *SeqEvaluator) ClearFaults() { se.ev.ClearFaults() }
-
-// Step applies one clock cycle: the core evaluates over (inputs, state),
-// the primary outputs are returned, and the register latches next state.
+// Step applies one clock cycle: the core evaluates over (inputs, state)
+// as a one-lane batch, the primary outputs are returned, and the
+// register latches next state.
 func (se *SeqEvaluator) Step(inputs []signal.Bit) ([]signal.Bit, error) {
-	if len(inputs) != len(se.seq.primaryIn) {
-		return nil, fmt.Errorf("gate: %d inputs, want %d", len(inputs), len(se.seq.primaryIn))
-	}
-	full := make([]signal.Bit, len(se.seq.Comb.Inputs()))
-	for i, id := range se.seq.primaryIn {
-		full[se.inIdx[id]] = inputs[i]
-	}
-	for i, id := range se.seq.StateIn {
-		full[se.inIdx[id]] = se.state[i]
+	full, err := se.seq.CoreInputs(se.state, inputs)
+	if err != nil {
+		return nil, err
 	}
 	coreOut, err := se.ev.Eval(full)
 	if err != nil {
 		return nil, err
 	}
 	outs := make([]signal.Bit, len(se.seq.primaryOut))
-	for i, id := range se.seq.primaryOut {
-		outs[i] = coreOut[se.outIdx[id]]
-	}
-	for i, id := range se.seq.StateOut {
-		se.state[i] = coreOut[se.outIdx[id]]
+	for i, k := range se.seq.outTo {
+		if k >= 0 {
+			outs[k] = coreOut[i]
+		} else {
+			se.state[-1-k] = coreOut[i]
+		}
 	}
 	return outs, nil
 }

@@ -89,98 +89,3 @@ func TestSeqEvaluatorArityAndStateChecks(t *testing.T) {
 		t.Error("wrong state width accepted")
 	}
 }
-
-func TestBridgeWiredAndBasic(t *testing.T) {
-	// Two independent buffers; bridge their outputs: both read AND.
-	nl := NewNetlist("br")
-	a := nl.AddInput("a")
-	b := nl.AddInput("b")
-	x := nl.AddGate(Buf, "x", a)
-	y := nl.AddGate(Buf, "y", b)
-	nl.MarkOutput(x)
-	nl.MarkOutput(y)
-	ev, err := nl.NewEvaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.SetBridge(Bridge{A: x, B: y})
-	cases := []struct {
-		a, b, want signal.Bit
-	}{
-		{signal.B0, signal.B0, signal.B0},
-		{signal.B0, signal.B1, signal.B0},
-		{signal.B1, signal.B0, signal.B0},
-		{signal.B1, signal.B1, signal.B1},
-	}
-	for _, tc := range cases {
-		out, err := ev.Eval([]signal.Bit{tc.a, tc.b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[0] != tc.want || out[1] != tc.want {
-			t.Errorf("bridge(%v,%v) outputs = %v %v, want %v", tc.a, tc.b, out[0], out[1], tc.want)
-		}
-	}
-	// Clearing restores independence.
-	ev.ClearBridges()
-	out, _ := ev.Eval([]signal.Bit{signal.B1, signal.B0})
-	if out[0] != signal.B1 || out[1] != signal.B0 {
-		t.Error("ClearBridges did not restore")
-	}
-}
-
-func TestBridgePropagatesDownstream(t *testing.T) {
-	// The bridged (lowered) value must feed downstream logic.
-	nl := NewNetlist("brd")
-	a := nl.AddInput("a")
-	b := nl.AddInput("b")
-	x := nl.AddGate(Buf, "x", a)
-	y := nl.AddGate(Buf, "y", b)
-	o := nl.AddGate(Or, "o", x, y)
-	nl.MarkOutput(o)
-	ev, _ := nl.NewEvaluator()
-	ev.SetBridge(Bridge{A: x, B: y})
-	out, err := ev.Eval([]signal.Bit{signal.B1, signal.B0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// x and y both become 0, so OR = 0 (fault-free would be 1).
-	if out[0] != signal.B0 {
-		t.Errorf("downstream of bridge = %v, want 0", out[0])
-	}
-}
-
-func TestBridgeSelfIsNoOp(t *testing.T) {
-	nl := NewNetlist("self")
-	a := nl.AddInput("a")
-	x := nl.AddGate(Buf, "x", a)
-	nl.MarkOutput(x)
-	ev, _ := nl.NewEvaluator()
-	ev.SetBridge(Bridge{A: x, B: x})
-	out, err := ev.Eval([]signal.Bit{signal.B1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != signal.B1 {
-		t.Errorf("self bridge changed value: %v", out[0])
-	}
-}
-
-func TestBridgeOnPrimaryInputs(t *testing.T) {
-	nl := NewNetlist("pibr")
-	a := nl.AddInput("a")
-	b := nl.AddInput("b")
-	oa := nl.AddGate(Buf, "oa", a)
-	ob := nl.AddGate(Buf, "ob", b)
-	nl.MarkOutput(oa)
-	nl.MarkOutput(ob)
-	ev, _ := nl.NewEvaluator()
-	ev.SetBridge(Bridge{A: a, B: b})
-	out, err := ev.Eval([]signal.Bit{signal.B1, signal.B0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != signal.B0 || out[1] != signal.B0 {
-		t.Errorf("PI bridge outputs = %v %v, want 0 0", out[0], out[1])
-	}
-}

@@ -22,7 +22,7 @@ func allStuckAt(nl *Netlist) []Fault {
 // SetFault + Eval, and that each is visited once in order.
 func checkSweep(t *testing.T, nl *Netlist, inputs []signal.Bit, faults []Fault) {
 	t.Helper()
-	sw, err := nl.NewEvaluator()
+	sw, err := nl.NewLaneEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSweepStuckAtZRule(t *testing.T) {
 		{a, signal.B1}, {a, signal.B0}, {b, signal.B1},
 		{a, signal.BX}, {a, signal.BZ}, {nl.Net("dangling"), signal.B1},
 	}
-	ev, err := nl.NewEvaluator()
+	ev, err := nl.NewLaneEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSweepStuckAtZRule(t *testing.T) {
 
 func TestSweepStuckAtNoFaults(t *testing.T) {
 	nl := HalfAdderIP()
-	ev, err := nl.NewEvaluator()
+	ev, err := nl.NewLaneEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSweepStuckAtNoFaults(t *testing.T) {
 
 func TestSweepStuckAtRejects(t *testing.T) {
 	nl := HalfAdderIP()
-	ev, err := nl.NewEvaluator()
+	ev, err := nl.NewLaneEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,42 +150,40 @@ func TestSweepStuckAtRejects(t *testing.T) {
 	if err := ev.SweepStuckAt(nl.InputWord(0), []Fault{{NetID(99), signal.B0}}, nop); err == nil {
 		t.Error("fault on an invalid net accepted")
 	}
-	ev.SetFault(Fault{nl.Inputs()[0], signal.B1})
+	if err := ev.InjectStuckAt(Fault{nl.Inputs()[0], signal.B1}); err != nil {
+		t.Fatal(err)
+	}
 	if err := ev.SweepStuckAt(nl.InputWord(0), nil, nop); err == nil {
 		t.Error("sweep with an injected fault accepted")
 	}
-	ev.ClearFaults()
-	ev.SetBridge(Bridge{nl.Inputs()[0], nl.Inputs()[1]})
-	if err := ev.SweepStuckAt(nl.InputWord(0), nil, nop); err == nil {
-		t.Error("sweep with a bridge accepted")
+	ev.ClearStuckAt()
+	if err := ev.SweepStuckAt(nl.InputWord(0), nil, nop); err != nil {
+		t.Errorf("sweep after ClearStuckAt: %v", err)
 	}
 }
 
-// TestSweepStuckAtLeavesEvalState checks that a sweep neither reads nor
-// disturbs the net values Eval keeps.
+// TestSweepStuckAtLeavesEvalState checks that a sweep leaves no force
+// behind on the evaluator: batches evaluated after it, fault-free and
+// with an injected fault, still match the scalar reference.
 func TestSweepStuckAtLeavesEvalState(t *testing.T) {
 	nl := ArrayMultiplier(2)
-	ev, err := nl.NewEvaluator()
+	le, err := nl.NewLaneEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Eval(nl.InputWord(0x5)); err != nil {
+	if err := le.SweepStuckAt(nl.InputWord(0xf), allStuckAt(nl), func(int, []signal.Bit) {}); err != nil {
 		t.Fatal(err)
 	}
-	before := ev.OutputWord().String()
-	if err := ev.SweepStuckAt(nl.InputWord(0xf), allStuckAt(nl), func(int, []signal.Bit) {}); err != nil {
-		t.Fatal(err)
-	}
-	if after := ev.OutputWord().String(); after != before {
-		t.Errorf("outputs %s -> %s", before, after)
-	}
+	patterns := allLevels(len(nl.Inputs()))[:Lanes]
+	checkInjected(t, le, patterns, nil)
+	checkInjected(t, le, patterns, &Fault{nl.Net("pp0_1"), signal.B1})
 }
 
 // TestSweepStuckAtAllocationFree: once the evaluator's scratch exists, a
 // sweep of any length allocates nothing.
 func TestSweepStuckAtAllocationFree(t *testing.T) {
 	nl := ArrayMultiplier(4)
-	ev, err := nl.NewEvaluator()
+	ev, err := nl.NewLaneEvaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +211,79 @@ func TestSweepStuckAtAllocationFree(t *testing.T) {
 	}
 }
 
-// FuzzSweepStuckAt differentially tests the bit-parallel sweep against
-// scalar SetFault + Eval on random netlists, four-valued inputs, and a
-// seed-shuffled fault list long enough for several passes that holds sa0
-// and sa1 on every net (so primary inputs and outputs are always
-// covered). Flags add a primary input read straight back as an output
-// and an undriven output.
+// checkInjected evaluates patterns (at most Lanes) on le with f
+// injected, or fault-free when f is nil, and compares every lane with
+// scalar SetFault + Eval. It also checks DiffLanes against a fault-free
+// batch: a lane is set exactly when some output is known in both
+// machines and differs.
+func checkInjected(t *testing.T, le *LaneEvaluator, patterns [][]signal.Bit, f *Fault) {
+	t.Helper()
+	nl := le.Netlist()
+	good, err := nl.NewLaneEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.EvalBatch(patterns); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := nl.NewEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	le.ClearStuckAt()
+	name := "fault-free"
+	if f != nil {
+		if err := le.InjectStuckAt(*f); err != nil {
+			t.Fatal(err)
+		}
+		name = f.Symbol(nl)
+	}
+	if err := le.EvalBatch(patterns); err != nil {
+		t.Fatal(err)
+	}
+	diff := le.DiffLanes(good.OutputPlanes(nil))
+	got := make([]signal.Bit, len(nl.Outputs()))
+	for l, p := range patterns {
+		ref.ClearFaults()
+		wantGood, err := ref.Eval(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f != nil {
+			ref.SetFault(*f)
+		}
+		want, err := ref.Eval(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		le.ReadOutputs(got, l)
+		if !signal.WordFromBits(got).Equal(signal.WordFromBits(want)) {
+			t.Fatalf("%s inputs %s machine %s lane %d: lanes %s, scalar %s",
+				nl.Name, signal.WordFromBits(p), name, l, signal.WordFromBits(got), signal.WordFromBits(want))
+		}
+		detected := false
+		for j := range want {
+			detected = detected || want[j].Known() && wantGood[j].Known() && want[j] != wantGood[j]
+		}
+		if diff>>l&1 == 1 != detected {
+			t.Fatalf("%s inputs %s machine %s lane %d: DiffLanes bit %d, scalar detection %v",
+				nl.Name, signal.WordFromBits(p), name, l, diff>>l&1, detected)
+		}
+	}
+	if diff>>len(patterns) != 0 {
+		t.Fatalf("%s machine %s: DiffLanes %#x sets lanes past %d patterns", nl.Name, name, diff, len(patterns))
+	}
+}
+
+// FuzzSweepStuckAt differentially tests the lane kernel's fault paths
+// against the scalar reference on random netlists. The sweep runs one
+// four-valued input over a seed-shuffled fault list long enough for
+// several passes that holds sa0 and sa1 on every net (so primary inputs
+// and outputs are always covered). Then a seeded batch of four-valued
+// patterns checks EvalBatch and DiffLanes under injected faults, and
+// the unrolled netlist of a seeded bridge (possibly a self-bridge or a
+// pair on a feedback path). Flags add a primary input read straight
+// back as an output and an undriven output.
 func FuzzSweepStuckAt(f *testing.F) {
 	f.Add(uint8(3), uint8(40), uint8(2), int64(1), uint64(0x1b), uint8(0))
 	f.Add(uint8(2), uint8(1), uint8(1), int64(7), uint64(0xff), uint8(3))
@@ -243,5 +308,24 @@ func FuzzSweepStuckAt(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		r.Shuffle(len(faults), func(i, j int) { faults[i], faults[j] = faults[j], faults[i] })
 		checkSweep(t, nl, inputs, faults)
+
+		patterns := [][]signal.Bit{inputs}
+		for n := 1 + r.Intn(Lanes); len(patterns) < n; {
+			p := make([]signal.Bit, len(inputs))
+			for i := range p {
+				p[i] = signal.Bit(r.Intn(4))
+			}
+			patterns = append(patterns, p)
+		}
+		le, err := nl.NewLaneEvaluator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range faults[:4] {
+			checkInjected(t, le, patterns, &f)
+		}
+		a := NetID(r.Intn(nl.NumNets()))
+		b := NetID(max(0, int(a)-r.Intn(4)))
+		checkBridged(t, nl, []Bridge{{a, b}, {b, a}}, patterns)
 	})
 }

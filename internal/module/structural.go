@@ -147,10 +147,13 @@ type NetlistModule struct {
 }
 
 // netlistState holds the per-scheduler evaluator (evaluators are not
-// concurrency-safe) plus the last driven outputs for change suppression.
+// concurrency-safe), its one-lane batch and output buffers, and the last
+// driven outputs for change suppression.
 type netlistState struct {
-	ev   *gate.Evaluator
-	last []signal.Bit
+	ev    *gate.LaneEvaluator
+	batch [][]signal.Bit // one pattern: the input buffer
+	out   []signal.Bit
+	last  []signal.Bit
 }
 
 // NewNetlistModule returns a module evaluating nl. ins and outs must
@@ -183,30 +186,34 @@ func (m *NetlistModule) Netlist() *gate.Netlist { return m.nl }
 func (m *NetlistModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	st, _ := ctx.State().(*netlistState)
 	if st == nil {
-		e, err := m.nl.NewEvaluator()
+		e, err := m.nl.NewLaneEvaluator()
 		if err != nil {
 			panic(err)
 		}
-		st = &netlistState{ev: e, last: make([]signal.Bit, len(m.outs))}
+		st = &netlistState{
+			ev:    e,
+			batch: [][]signal.Bit{make([]signal.Bit, len(m.ins))},
+			out:   make([]signal.Bit, len(m.outs)),
+			last:  make([]signal.Bit, len(m.outs)),
+		}
 		for i := range st.last {
 			st.last[i] = signal.BZ // sentinel: never driven
 		}
 		ctx.SetState(st)
 	}
-	in := make([]signal.Bit, len(m.ins))
 	for i, p := range m.ins {
-		in[i] = ctx.InputBitOn(p)
+		st.batch[0][i] = ctx.InputBitOn(p)
 	}
-	out, err := st.ev.Eval(in)
-	if err != nil {
+	if err := st.ev.EvalBatch(st.batch); err != nil {
 		panic(err)
 	}
+	st.ev.ReadOutputs(st.out, 0)
 	for i, p := range m.outs {
-		if out[i] == st.last[i] {
+		if st.out[i] == st.last[i] {
 			continue
 		}
-		st.last[i] = out[i]
-		ctx.Drive(p, signal.BitValue{B: out[i]}, m.Delay)
+		st.last[i] = st.out[i]
+		ctx.Drive(p, signal.BitValue{B: st.out[i]}, m.Delay)
 	}
 }
 

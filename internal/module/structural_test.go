@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gate"
 	"repro/internal/signal"
+	"repro/internal/sim"
 )
 
 func TestGateModuleEval(t *testing.T) {
@@ -163,5 +164,38 @@ func TestBitsToWordUnknownBitsAreX(t *testing.T) {
 	w := h[0].Value.(signal.WordValue).W
 	if w.Bit(1) != signal.BX {
 		t.Errorf("undriven bit = %v, want X", w.Bit(1))
+	}
+}
+
+// TestNetlistModuleEventAllocationFree: once a NetlistModule's run state
+// exists, an input event evaluates the netlist and drives its changed
+// outputs without allocating. The ports are unconnected, so the drives
+// end at the module.
+func TestNetlistModuleEventAllocationFree(t *testing.T) {
+	nl := gate.RandomCombinational(6, 120, 4, 3)
+	m := NewNetlistModule("nl", nl, make([]*Connector, 6), make([]*Connector, 4))
+	ctx := &Ctx{Sim: sim.NewScheduler().NewContext(), sk: m.Skeleton}
+	ev := &PortEvent{Port: m.ins[0]}
+	levels := [...]signal.Value{signal.BitValue{B: signal.B0}, signal.BitValue{B: signal.B1}}
+	in, toggles := ctx.state().in, 0
+	event := func() {
+		toggles++
+		for i := range m.ins {
+			in[i] = levels[toggles>>i&1]
+		}
+		m.ProcessInputEvent(ctx, ev)
+	}
+	event()
+	outs := ctx.state().out[len(m.ins):]
+	before := append([]signal.Value(nil), outs...)
+	if n := testing.AllocsPerRun(100, event); n != 0 {
+		t.Errorf("%v allocs per input event, want 0", n)
+	}
+	changed := false
+	for i := range outs {
+		changed = changed || outs[i] != before[i]
+	}
+	if !changed {
+		t.Error("no output changed; the drive path went unmeasured")
 	}
 }

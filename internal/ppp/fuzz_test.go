@@ -8,13 +8,14 @@ import (
 	"repro/internal/signal"
 )
 
-// scalarRef is the per-pattern reference for the batch steps: the
-// scalar four-valued Evaluator, with energy summed in net-id order over
-// known-to-known level changes and arrival times propagated through the
-// gates of every changed net, one pattern at a time.
+// scalarRef is the per-pattern reference for the batch steps: net
+// values from a levelized walk with the signal package's four-valued
+// operators, energy summed in net-id order over known-to-known level
+// changes, and arrival times propagated through the gates of every
+// changed net, one pattern at a time. It shares no code with the lane
+// kernel under test.
 type scalarRef struct {
 	nl       *gate.Netlist
-	ev       *gate.Evaluator
 	lib      *Library
 	order    []int
 	prev     []signal.Bit
@@ -27,27 +28,50 @@ type scalarRef struct {
 }
 
 func newScalarRef(t *testing.T, nl *gate.Netlist) *scalarRef {
-	ev, err := nl.NewEvaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
 	order, err := nl.Levelized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &scalarRef{nl: nl, ev: ev, lib: DefaultLibrary(), order: order, prev: make([]signal.Bit, nl.NumNets())}
+	return &scalarRef{nl: nl, lib: DefaultLibrary(), order: order, prev: make([]signal.Bit, nl.NumNets())}
+}
+
+// eval returns every net's value under one pattern; undriven nets read
+// X, and a gate input reads Z as X.
+func (r *scalarRef) eval(p []signal.Bit) []signal.Bit {
+	cur := make([]signal.Bit, r.nl.NumNets())
+	for id := range cur {
+		cur[id] = signal.BX
+	}
+	for i, id := range r.nl.Inputs() {
+		cur[id] = p[i]
+	}
+	gates := r.nl.Gates()
+	for _, gi := range r.order {
+		g := gates[gi]
+		v := cur[g.In[0]].Or(cur[g.In[0]]) // BUF and NOT
+		for _, id := range g.In[1:] {
+			switch g.Kind {
+			case gate.And, gate.Nand:
+				v = v.And(cur[id])
+			case gate.Or, gate.Nor:
+				v = v.Or(cur[id])
+			default:
+				v = v.Xor(cur[id])
+			}
+		}
+		switch g.Kind {
+		case gate.Not, gate.Nand, gate.Nor, gate.Xnor:
+			v = v.Not()
+		}
+		cur[g.Out] = v
+	}
+	return cur
 }
 
 // step applies one pattern and returns its energy (fJ) and delay (ps).
-func (r *scalarRef) step(t *testing.T, p []signal.Bit) (energy, delay float64) {
-	if _, err := r.ev.Eval(p); err != nil {
-		t.Fatal(err)
-	}
+func (r *scalarRef) step(p []signal.Bit) (energy, delay float64) {
 	nl, lib := r.nl, r.lib
-	cur := make([]signal.Bit, nl.NumNets())
-	for id := range cur {
-		cur[id] = r.ev.Value(gate.NetID(id))
-	}
+	cur := r.eval(p)
 	if r.havePrev {
 		netEnergy := make([]float64, nl.NumNets())
 		for _, g := range nl.Gates() {
@@ -149,7 +173,7 @@ func FuzzStepBatch(f *testing.F) {
 			start += len(batch)
 		}
 		for i, p := range stream {
-			e, d := ref.step(t, p)
+			e, d := ref.step(p)
 			if energies[i] != e || delays[i] != d {
 				t.Fatalf("pattern %d %s: batch energy %v delay %v, scalar %v %v",
 					i, signal.WordFromBits(p), energies[i], delays[i], e, d)

@@ -105,12 +105,8 @@ func oracleRun(t *testing.T, nl *gate.Netlist, stream [][]signal.Bit, chunk int)
 		t.Fatal(err)
 	}
 	if chunk == 1 {
-		ev, err := nl.NewEvaluator()
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, p := range stream {
-			out, err := ev.Eval(p)
+			out, err := nl.Eval(p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func Seal(nl *gate.Netlist, key []byte) (*Model, error) {
 // or per-net activity — which is precisely why this baseline cannot serve
 // accurate power estimation or detection tables.
 type Evaluator struct {
-	ev   *gate.Evaluator
+	ev   *gate.LaneEvaluator
 	nIn  int
 	nOut int
 	name string
@@ -90,7 +90,7 @@ func Open(m *Model, key []byte) (*Evaluator, error) {
 	if err := nl.UnmarshalBinary(blob); err != nil {
 		return nil, err
 	}
-	ev, err := nl.NewEvaluator()
+	ev, err := nl.NewLaneEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -106,13 +106,10 @@ func (e *Evaluator) NumInputs() int { return e.nIn }
 // NumOutputs returns the output count of the sealed model.
 func (e *Evaluator) NumOutputs() int { return e.nOut }
 
-// Eval evaluates the model functionally.
+// Eval evaluates the model functionally, one pattern per one-lane
+// batch.
 func (e *Evaluator) Eval(inputs []signal.Bit) ([]signal.Bit, error) {
-	out, err := e.ev.Eval(inputs)
-	if err != nil {
-		return nil, err
-	}
-	return append([]signal.Bit(nil), out...), nil
+	return e.ev.Eval(inputs)
 }
 
 func newGCM(key []byte) (cipher.AEAD, error) {
