@@ -12,8 +12,7 @@ type Fault struct {
 	Stuck signal.Bit // B0 for stuck-at-0, B1 for stuck-at-1
 }
 
-// String renders the fault in the paper's symbolic spelling, relative to
-// the given netlist (e.g. "I3sa0").
+// String renders the fault by net id, e.g. "net3sa0".
 func (f Fault) String() string {
 	return fmt.Sprintf("net%d%s", f.Net, f.suffix())
 }
