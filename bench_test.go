@@ -166,8 +166,8 @@ func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 
 // BenchmarkSchedulerThroughput measures raw kernel token delivery. The
 // post-pop sub-benchmark isolates the queue cost itself (post/pop of
-// preallocated tokens); internal/sim's BenchmarkArenaTokenDelivery
-// covers the recycled signal-token path.
+// preallocated tokens); internal/sim's BenchmarkSignalDelivery covers
+// the by-value signal post path.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	h := &nullHandler{}
 	b.Run("run1000", func(b *testing.B) {

@@ -1,9 +1,9 @@
 // Command gocad-lint runs the project's custom static-analysis suite —
 // the machine-checked form of the invariants DESIGN.md §8 and §13
-// document: simulation determinism, the arena-token lifecycle, history
-// release, no RMI under locks, no discarded remote errors, the
-// downloaded-part capability sandbox, wire-codec symmetry, and the
-// //gocad:noalloc hot-path allocation gate.
+// document: simulation determinism, history release, no RMI under
+// locks, no discarded remote errors, the downloaded-part capability
+// sandbox, wire-codec symmetry, and the //gocad:noalloc hot-path
+// allocation gate.
 //
 // Usage:
 //

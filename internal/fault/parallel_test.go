@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -242,4 +243,76 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 		}
 	}
 	requireNoHistories(t, d, "after the concurrent Runs")
+}
+
+// TestVirtualRunBesideReorderedController: virtual fault simulation on
+// two workers (one controller per pattern, built while the other
+// worker runs) races a StartConcurrent fan-out over the same design
+// whose controller lists the handlers in reverse. The design is fresh
+// every iteration, so either side may claim the handlers' slot indices
+// first and the other must fall back to the map. Every Run must match
+// its serial Result, and every reversed-order run must settle to the
+// fault-free outputs of a reference design built from the same seed.
+func TestVirtualRunBesideReorderedController(t *testing.T) {
+	patterns := exhaustivePatterns(4)
+	ref, err := RandomTwoIPDesign(120, 1999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refVS := ref.NewVirtual()
+	refVS.Workers = 1
+	want, err := refVS.Run(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRun := refVS.newRun()
+	wantOut := make([][]signal.Value, len(patterns))
+	for i, p := range patterns {
+		if wantOut[i], err = refVS.simulate(refRun.controller(p), refRun.sched(0), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for iter := 0; iter < 10; iter++ {
+		d, err := RandomTwoIPDesign(120, 1999)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			vs := d.NewVirtual()
+			vs.Workers = 2
+			got, err := vs.Run(patterns)
+			if err != nil {
+				t.Errorf("iteration %d: %v", iter, err)
+				return
+			}
+			if !reflect.DeepEqual(want.Detected, got.Detected) || !reflect.DeepEqual(want.PerPattern, got.PerPattern) {
+				t.Errorf("iteration %d: Run diverged from the serial Result:\n  serial: %v\n  got:    %v", iter, want.PerPattern, got.PerPattern)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			r := d.NewVirtual().newRun()
+			slices.Reverse(r.handlers)
+			for i, p := range patterns {
+				for k, st := range r.controller(p).StartConcurrent(2, nil, nil) {
+					if st.Err != nil {
+						t.Errorf("iteration %d pattern %d run %d: %v", iter, i, k, st.Err)
+					}
+					for j, po := range d.Outputs {
+						h := po.History(st.Scheduler)
+						po.ReleaseHistory(st.Scheduler)
+						if len(h) == 0 || h[len(h)-1].Value != wantOut[i][j] {
+							t.Errorf("iteration %d pattern %d run %d: output %s settled to %v, want %v", iter, i, k, po.ModuleName(), h, wantOut[i][j])
+						}
+					}
+				}
+			}
+		}()
+		wg.Wait()
+		requireNoHistories(t, d, "after the concurrent runs")
+	}
 }

@@ -18,9 +18,6 @@ type HostModule interface {
 	PortValues(ctx *sim.Context, dir module.Direction) []signal.Value
 	InputPorts() []*module.Port
 	OutputPorts() []*module.Port
-	// Base returns the embedded skeleton — the actual token delivery
-	// target that injection overrides must be registered for.
-	Base() *module.Skeleton
 }
 
 // Host couples one component instance in the user's design with the
@@ -142,14 +139,9 @@ type virtualRun struct {
 	scheds   []*sim.Scheduler
 }
 
-// newRun collects the design's leaves for a Run.
+// newRun collects the design's leaf handlers for a Run.
 func (vs *VirtualSimulator) newRun() *virtualRun {
-	leaves := vs.circuit.Leaves()
-	handlers := make([]sim.Handler, len(leaves))
-	for i, m := range leaves {
-		handlers[i] = m
-	}
-	return &virtualRun{VirtualSimulator: vs, handlers: handlers, scheds: make([]*sim.Scheduler, vs.pool().Size())}
+	return &virtualRun{VirtualSimulator: vs, handlers: vs.circuit.Handlers(), scheds: make([]*sim.Scheduler, vs.pool().Size())}
 }
 
 // sched returns pool worker w's scheduler. The fault-free run uses
@@ -173,7 +165,7 @@ func (r *virtualRun) controller(pattern []signal.Bit) *sim.Controller {
 			if dst == nil {
 				continue
 			}
-			ctx.Post(ctx.AcquireSignal(1, dst.Owner(), dst.Index, signal.BitValue{B: pattern[i]}, "PI"))
+			ctx.PostSignal(1, dst.Owner(), dst.Owner().SlotIndex().Load(), dst.Index, signal.BitValue{B: pattern[i]}, "PI")
 		}
 	}
 	return c
@@ -242,7 +234,7 @@ func (f *forcer) HandleToken(ctx *sim.Context, tok sim.Token) {
 		if peer == nil {
 			continue
 		}
-		ctx.Post(ctx.AcquireSignal(ctx.Now()+1, peer.Owner(), peer.Index, signal.BitValue{B: f.pattern.Bit(i)}, f.HandlerName()))
+		ctx.PostSignal(ctx.Now()+1, peer.Owner(), peer.Owner().SlotIndex().Load(), peer.Index, signal.BitValue{B: f.pattern.Bit(i)}, f.HandlerName())
 	}
 }
 

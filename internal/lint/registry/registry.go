@@ -13,7 +13,6 @@ import (
 	"repro/internal/lint/noalloc"
 	"repro/internal/lint/remoteerr"
 	"repro/internal/lint/simdeterminism"
-	"repro/internal/lint/tokenpool"
 	"repro/internal/lint/wiresym"
 )
 
@@ -21,7 +20,6 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		simdeterminism.Analyzer,
-		tokenpool.Analyzer,
 		histrelease.Analyzer,
 		lockheldrmi.Analyzer,
 		remoteerr.Analyzer,

@@ -62,7 +62,7 @@ func TestNoGobImports(t *testing.T) {
 // fails loudly instead of silently weakening CI.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
-		"simdeterminism", "tokenpool", "histrelease", "lockheld-rmi",
+		"simdeterminism", "histrelease", "lockheld-rmi",
 		"remote-err", "capability", "wiresym", "noalloc",
 	}
 	all := registry.All()

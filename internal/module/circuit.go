@@ -50,6 +50,19 @@ func (c *Circuit) Leaves() []Module {
 	return out
 }
 
+// Handlers returns the kernel handlers of the circuit's leaves, in
+// Leaves order: each leaf's skeleton, the target of the tokens its
+// ports receive, so a controller over them fixes the slots those tokens
+// reach (sim.SlotIndex).
+func (c *Circuit) Handlers() []sim.Handler {
+	leaves := c.Leaves()
+	hs := make([]sim.Handler, len(leaves))
+	for i, m := range leaves {
+		hs[i] = m.Base()
+	}
+	return hs
+}
+
 // ApplySetup hierarchically applies an estimation setup to a module and
 // all its submodules — the paper's setup.apply(<module>). Applying to the
 // circuit (the top module) applies the same criteria to every component.
@@ -79,12 +92,7 @@ type Simulation struct {
 
 // NewSimulation returns a simulation controller over the circuit.
 func NewSimulation(c *Circuit) *Simulation {
-	leaves := c.Leaves()
-	handlers := make([]sim.Handler, len(leaves))
-	for i, m := range leaves {
-		handlers[i] = m
-	}
-	return &Simulation{circuit: c, ctrl: sim.NewController(handlers...)}
+	return &Simulation{circuit: c, ctrl: sim.NewController(c.Handlers()...)}
 }
 
 // Circuit returns the design under simulation.

@@ -20,6 +20,10 @@ type Module interface {
 	// Children returns submodules for hierarchical designs; leaf modules
 	// return nil.
 	Children() []Module
+	// Base returns the embedded skeleton: the handler that tokens
+	// addressed to the module's ports are delivered to, and so the one a
+	// controller lists and a scheduler override replaces.
+	Base() *Skeleton
 }
 
 // PortEvent is one input event as seen by a behavior: which port, the new
@@ -94,6 +98,9 @@ type Skeleton struct {
 	name     string
 	behavior Behavior
 	ports    []*Port
+	// slot is the module's fixed index in a run's handler table, claimed
+	// by the first controller listing the skeleton (sim.SlotIndex).
+	slot sim.SlotIndex
 
 	estMu      sync.RWMutex
 	candidates map[estim.Parameter][]estim.Estimator
@@ -130,6 +137,9 @@ func (sk *Skeleton) AddPort(name string, dir Direction, width int, conn *Connect
 // HandlerName implements sim.Handler.
 func (sk *Skeleton) HandlerName() string { return sk.name }
 
+// SlotIndex implements sim.Indexed.
+func (sk *Skeleton) SlotIndex() *sim.SlotIndex { return &sk.slot }
+
 // Base returns the skeleton itself. Signal tokens are addressed to the
 // embedded *Skeleton (ports record it as their owner), so kernel-level
 // operations that key on the delivery target — e.g. per-scheduler handler
@@ -162,7 +172,7 @@ func (sk *Skeleton) Children() []Module { return nil }
 // state of an earlier run of a recycled scheduler. No lock — the slot
 // belongs to the one goroutine running that scheduler.
 func (sk *Skeleton) stateFor(ctx *sim.Context) *runState {
-	slot := ctx.Slot(sk)
+	slot := ctx.SlotAt(sk, sk.slot.Load())
 	rs, _ := (*slot).(*runState)
 	if rs == nil {
 		n := len(sk.ports)
@@ -202,7 +212,8 @@ func (sk *Skeleton) ResetState(ctx *sim.Context) {
 	rs := sk.stateFor(ctx)
 	rs.reset(ctx.SchedulerID())
 	if rb, ok := sk.behavior.(ResetBehavior); ok {
-		rb.Reset(&Ctx{Sim: ctx, sk: sk, rs: rs})
+		rs.mctx = Ctx{Sim: ctx, sk: sk, rs: rs}
+		rb.Reset(&rs.mctx)
 	}
 }
 
@@ -432,7 +443,7 @@ func (c *Ctx) Drive(port *Port, value signal.Value, delay sim.Time) {
 	if peer == nil {
 		return
 	}
-	c.Sim.Post(c.Sim.AcquireSignal(c.Sim.Now()+delay, peer.owner, peer.Index, value, c.sk.name))
+	c.Sim.PostSignal(c.Sim.Now()+delay, peer.owner, peer.owner.slot.Load(), peer.Index, value, c.sk.name)
 }
 
 // ScheduleSelf posts a self-trigger token for the module.

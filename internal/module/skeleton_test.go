@@ -306,8 +306,8 @@ func TestRecycledSchedulerResetsUnlistedModules(t *testing.T) {
 	ctrl := sim.NewController()
 	ctrl.Seed = func(ctx *sim.Context) {
 		one := signal.BitValue{B: signal.B1}
-		ctx.Post(ctx.AcquireSignal(1, g.Skeleton, 0, one, "a"))
-		ctx.Post(ctx.AcquireSignal(1, g.Skeleton, 1, one, "b"))
+		ctx.PostSignal(1, g.Skeleton, sim.NoSlot, 0, one, "a")
+		ctx.PostSignal(1, g.Skeleton, sim.NoSlot, 1, one, "b")
 	}
 	sched := sim.NewScheduler()
 	var first []Observation

@@ -70,20 +70,29 @@ func (s *Scheduler) bucketFor(t Time) *sigBucket {
 
 // internHandler maps a destination handler to its dense index in
 // s.interned, so signal lanes store a 4-byte index instead of a 16-byte
-// interface header. The one-entry cache makes the common run of posts
-// to one module a pointer compare; the map behind it is bounded by the
-// design's handler count.
+// interface header. The map is bounded by the design's handler count;
+// handlers with a fixed index skip it (slotIndex).
 //
 //gocad:noalloc
 func (s *Scheduler) internHandler(h Handler) uint32 {
-	if h == s.internLastH {
-		return s.internLastIdx
-	}
 	if idx, ok := s.internIdx[h]; ok {
-		s.internLastH, s.internLastIdx = h, idx
 		return idx
 	}
 	return s.internMiss(h)
+}
+
+// slotIndex returns h's dense index given its claimed SlotIndex idx:
+// idx itself when the table holds h there, the map's answer otherwise.
+// The check is what makes a stale or foreign index harmless — a handler
+// outside the running controller, or listed by it at another position,
+// fails it and never reaches another handler's lanes or slot.
+//
+//gocad:noalloc
+func (s *Scheduler) slotIndex(h Handler, idx uint32) uint32 {
+	if idx < uint32(len(s.interned)) && s.interned[idx] == h {
+		return idx
+	}
+	return s.internHandler(h)
 }
 
 // internMiss registers a handler first seen by this scheduler, with an
@@ -99,14 +108,12 @@ func (s *Scheduler) internMiss(h Handler) uint32 {
 	s.interned = append(s.interned, h)
 	s.slots = append(s.slots, nil)
 	s.internIdx[h] = idx
-	s.internLastH, s.internLastIdx = h, idx
 	return idx
 }
 
 // enqueue routes one sequenced token into the event store: in-window
-// signal tokens are decomposed into the calendar's lanes (and their
-// carrier released — posting transfers ownership, and the lanes now
-// hold the payload), everything else spills to the heap. Both paths
+// signal tokens are decomposed into the calendar's lanes (the token
+// itself is not kept), everything else spills to the heap. Both paths
 // update the pending count and its high-water mark, so Pending and
 // MaxQueueLen mean "tokens waiting, summed across lanes" exactly as
 // they meant "heap length" before.
@@ -114,36 +121,48 @@ func (s *Scheduler) internMiss(h Handler) uint32 {
 //gocad:noalloc
 func (s *Scheduler) enqueue(tok Token, seq uint64) {
 	if st, ok := tok.(*SignalToken); ok && st.T < s.now+sigWindow {
-		b := s.bucketFor(st.T)
-		n := b.n
-		if n == b.head {
-			// First token of this instant claims the bucket. Emptied
-			// buckets are reset at pop, so a claimable bucket is always
-			// already clean — only the time stamp and mask bit are set.
-			b.time = st.T
-			s.sigMask |= 1 << uint(st.T&(sigBuckets-1))
-		} else if b.time != st.T {
-			bucketCollisionPanic(b.time, st.T)
-		}
-		// One length check covers all five lanes: they are sized in
-		// lockstep, so equal length is a bucket invariant.
-		if n == len(b.seqs) {
-			s.growBucketLanes(b)
-		}
-		b.seqs[n] = seq
-		b.dsts[n] = s.internHandler(st.Dst)
-		b.ports[n] = st.Port
-		b.vals[n] = st.Value
-		b.srcs[n] = st.Src
-		b.n = n + 1
-		// Ownership transferred: recycle the carrier now, instead of
-		// after delivery — the lanes carry the payload from here on.
-		if st.arenaOwned {
-			s.arena.release(st)
-		}
-	} else {
-		s.spill.push(scheduledToken{tok: tok, seq: seq})
+		s.pushLane(st.T, s.internHandler(st.Dst), st.Port, st.Value, st.Src, seq)
+		return
 	}
+	s.spill.push(scheduledToken{tok: tok, seq: seq})
+	s.queued()
+}
+
+// pushLane appends one signal token, field by field, to the calendar
+// bucket of time t, which must lie in [now, now+sigWindow); dst is the
+// destination's dense index.
+//
+//gocad:noalloc
+func (s *Scheduler) pushLane(t Time, dst uint32, port int, v signal.Value, src string, seq uint64) {
+	b := s.bucketFor(t)
+	n := b.n
+	if n == b.head {
+		// First token of this instant claims the bucket. Emptied
+		// buckets are reset at pop, so a claimable bucket is always
+		// already clean — only the time stamp and mask bit are set.
+		b.time = t
+		s.sigMask |= 1 << uint(t&(sigBuckets-1))
+	} else if b.time != t {
+		bucketCollisionPanic(b.time, t)
+	}
+	// One length check covers all five lanes: they are sized in
+	// lockstep, so equal length is a bucket invariant.
+	if n == len(b.seqs) {
+		s.growBucketLanes(b)
+	}
+	b.seqs[n] = seq
+	b.dsts[n] = dst
+	b.ports[n] = port
+	b.vals[n] = v
+	b.srcs[n] = src
+	b.n = n + 1
+	s.queued()
+}
+
+// queued counts one more pending token and tracks the high-water mark.
+//
+//gocad:noalloc
+func (s *Scheduler) queued() {
 	s.pending++
 	if s.pending > s.maxQueue {
 		s.maxQueue = s.pending
@@ -152,8 +171,9 @@ func (s *Scheduler) enqueue(tok Token, seq uint64) {
 
 // laneSlab is the bump allocator behind first-touch bucket lanes: five
 // shared backing arrays carved into per-bucket views, so a scheduler
-// that never called ReserveTokens pays five allocations for its whole
-// calendar instead of five per bucket. off is the carve cursor, shared
+// pays five allocations for its whole calendar instead of five per
+// bucket. Lanes are not pre-carved for all 64 buckets: most runs touch
+// only a handful of distinct instants. off is the carve cursor, shared
 // by all five arrays (they advance in lockstep).
 type laneSlab struct {
 	seqs  []uint64
@@ -252,22 +272,14 @@ func (s *Scheduler) sigMinTime() (Time, bool) {
 
 // popBucket consumes the bucket's head entry, materializing it into the
 // scheduler's scratch SignalToken (the delivery loop owns it only until
-// the handler returns, exactly the arena-token contract). The consumed
-// lane entries are zeroed so they pin neither values nor source
-// strings.
+// the handler returns). The consumed lane entries are zeroed so they
+// pin neither values nor source strings.
 //
 //gocad:noalloc
 func (s *Scheduler) popBucket(b *sigBucket) {
 	i := b.head
-	// Field-wise fill: popScratch's arenaOwned flag is false by
-	// construction and nothing flips it, so the bool (and its padding)
-	// needs no re-zeroing per pop.
 	s.popScratch.T = b.time
-	idx := b.dsts[i]
-	s.popScratch.Dst = s.interned[idx]
-	// Prime the intern cache with the destination: the handler's state
-	// slot lookup (Context.Slot) during this delivery is then a compare.
-	s.internLastH, s.internLastIdx = s.popScratch.Dst, idx
+	s.popScratch.Dst = s.interned[b.dsts[i]]
 	s.popScratch.Port = b.ports[i]
 	s.popScratch.Value = b.vals[i]
 	s.popScratch.Src = b.srcs[i]

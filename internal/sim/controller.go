@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"slices"
+	"sync/atomic"
+)
+
 // Stats summarizes one completed simulation run.
 type Stats struct {
 	Scheduler SchedulerID
@@ -27,16 +32,56 @@ type Controller struct {
 	EventLimit uint64
 }
 
+// NoSlot is the index of a handler without a fixed slot index. It fails
+// every table check, so lookups for it take the map.
+const NoSlot = ^uint32(0)
+
+// SlotIndex is the fixed dense index a handler takes from the first
+// controller built over it: its position in that controller's handler
+// list, which every run of the controller makes its position in the
+// scheduler's handler table (layout). Posts and slot lookups that pass
+// it (Context.PostSignal, Context.SlotAt) then skip the handler map.
+//
+// The zero value is unset. The index is claimed once, by compare-and-
+// swap, because controllers over one design may be built while runs
+// over it are under way (virtual fault simulation builds one per
+// pattern). A handler that a later controller lists at another position
+// keeps its first index; on that controller's runs the table check
+// fails and it takes the map.
+type SlotIndex struct {
+	v atomic.Uint32 // index+1; 0 is unset
+}
+
+// Load returns the claimed index, or NoSlot while none is claimed.
+func (x *SlotIndex) Load() uint32 { return x.v.Load() - 1 }
+
+// Indexed is implemented by handlers that keep a SlotIndex.
+type Indexed interface {
+	Handler
+	SlotIndex() *SlotIndex
+}
+
 // NewController returns a controller over the given handlers.
 func NewController(handlers ...Handler) *Controller {
-	return &Controller{handlers: handlers}
+	c := &Controller{}
+	c.AddHandlers(handlers...)
+	return c
 }
 
 // Handlers returns the handler set the controller resets before each run.
 func (c *Controller) Handlers() []Handler { return c.handlers }
 
 // AddHandlers appends more handlers (e.g. after elaborating a hierarchy).
-func (c *Controller) AddHandlers(hs ...Handler) { c.handlers = append(c.handlers, hs...) }
+// Each Indexed handler claims its list position as its SlotIndex unless
+// it already holds one.
+func (c *Controller) AddHandlers(hs ...Handler) {
+	for i, h := range hs {
+		if ix, ok := h.(Indexed); ok {
+			ix.SlotIndex().v.CompareAndSwap(0, uint32(len(c.handlers)+i)+1)
+		}
+	}
+	c.handlers = append(c.handlers, hs...)
+}
 
 // Start runs one simulation to completion on a new scheduler and returns
 // its statistics; see StartOn.
@@ -55,11 +100,8 @@ func (c *Controller) Start(setup any, configure func(*Scheduler)) Stats {
 // before the run starts.
 func (c *Controller) StartOn(sched *Scheduler, setup any, configure func(*Scheduler)) Stats {
 	sched.recycle()
+	sched.layout(c.handlers)
 	sched.EventLimit = c.EventLimit
-	// Size the token arena from the design: at one instant every handler
-	// can drive a few ports, so a small multiple of the handler count
-	// covers the live-token high-water mark of typical netlists.
-	sched.ReserveTokens(4 * len(c.handlers))
 	if configure != nil {
 		configure(sched)
 	}
@@ -107,4 +149,31 @@ func (c *Controller) StartPool(pool Pool, n int, setups func(i int) any, configu
 		return nil
 	})
 	return stats
+}
+
+// layout fixes the front of the scheduler's handler table to hs, so
+// hs[i] has dense index i and its SlotIndex, if it claimed i, holds on
+// this run. A table that already begins with hs — a recycled
+// scheduler's earlier run of the same list — is kept as it is, and
+// nothing is written. Otherwise the table is rebuilt: listed handlers
+// keep their slot contents, and the rest are dropped (they re-intern
+// with an empty slot if the run meets them). A handler listed twice
+// keeps its first position.
+func (s *Scheduler) layout(hs []Handler) {
+	if len(s.interned) >= len(hs) && slices.Equal(s.interned[:len(hs)], hs) {
+		return
+	}
+	interned := slices.Clone(hs)
+	slots := make([]any, len(hs))
+	idx := make(map[Handler]uint32, len(hs))
+	for i, h := range hs {
+		if _, dup := idx[h]; dup {
+			continue
+		}
+		idx[h] = uint32(i)
+		if j, ok := s.internIdx[h]; ok {
+			slots[i] = s.slots[j]
+		}
+	}
+	s.interned, s.slots, s.internIdx = interned, slots, idx
 }

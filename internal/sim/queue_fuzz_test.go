@@ -46,7 +46,7 @@ type fuzzDelivery struct {
 }
 
 // fuzzRecorder copies every delivery's identity (never the token, which
-// may be the calendar's scratch carrier or an arena token).
+// may be the calendar's scratch carrier).
 type fuzzRecorder struct{ got []fuzzDelivery }
 
 func (*fuzzRecorder) HandlerName() string { return "fuzz-rec" }
@@ -104,23 +104,29 @@ func fuzzDrain(t *testing.T, s *Scheduler, ctx *Context, r *fuzzRecorder, oracle
 // posting order. Each 3-byte chunk is one op: c[0] selects token kind
 // and whether to interleave a partial drain, c[1] the time offset
 // (spanning the calendar window and the spill region), and c[2] how
-// many instants that drain runs (1 to 3). Bit 1 of c[0] draws a signal
-// token from the scheduler's arena instead of building one.
+// many instants that drain runs (1 to 3). Bit 1 of c[0] posts a signal
+// by value (Context.PostSignal) instead of building a token, and bits
+// 2–3 pick the index it passes: none, the recorder's own, a decoy
+// handler's, or one past the table. Only the recorder's own may be
+// trusted; the decoy fails the test if a token reaches it.
 //
 // The script runs twice on one scheduler with a recycle between: the
 // first pass stops without draining, so the recycle meets pending
-// calendar entries and spilled arena tokens, and the second pass must
-// match a fresh oracle exactly.
+// calendar entries and spilled tokens, and the second pass must match a
+// fresh oracle exactly.
 func FuzzQueueOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{1, 5, 200, 0, 5, 100, 2, 5, 150})
 	f.Add([]byte{0, 63, 9, 1, 64, 8, 0, 95, 7, 128, 0, 6})
 	f.Add([]byte{0, 1, 3, 0, 1, 2, 0, 1, 1, 0, 1, 0, 129, 0, 0, 128, 0, 0})
+	f.Add([]byte{6, 5, 0, 10, 90, 0, 14, 3, 0, 0x86, 70, 1, 10, 2, 2, 2, 80, 0, 0x8e, 1, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		s := NewScheduler()
-		s.ReserveTokens(32)
 		ctx := s.NewContext()
 		h := &fuzzRecorder{}
+		// The layout a controller over (decoy, h) fixes: h at index 1.
+		s.layout([]Handler{&fuzzDecoy{t: t}, h})
+		indices := [4]uint32{NoSlot, 1, 0, 7}
 		var v signal.Value = signal.BitValue{B: signal.B1}
 		run := func() *oracleQueue {
 			oracle := &oracleQueue{}
@@ -131,7 +137,7 @@ func FuzzQueueOrdering(f *testing.F) {
 				isSignal := op&1 == 0
 				switch {
 				case isSignal && op&2 != 0:
-					s.Post(ctx.AcquireSignal(tt, h, i, v, "fuzz"))
+					ctx.PostSignal(tt, h, indices[op>>2&3], i, v, "fuzz")
 				case isSignal:
 					s.Post(&SignalToken{T: tt, Dst: h, Port: i, Value: v, Src: "fuzz"})
 				default:
@@ -166,6 +172,14 @@ func FuzzQueueOrdering(f *testing.F) {
 			t.Fatalf("nextEventTime reports %d on an empty store", nt)
 		}
 	})
+}
+
+// fuzzDecoy holds the index a wrongly trusted post would deliver to.
+type fuzzDecoy struct{ t *testing.T }
+
+func (*fuzzDecoy) HandlerName() string { return "fuzz-decoy" }
+func (d *fuzzDecoy) HandleToken(*Context, Token) {
+	d.t.Fatal("token delivered to the decoy: a foreign index was trusted")
 }
 
 type fuzzNullHandler struct{}

@@ -11,8 +11,8 @@ import (
 // relay is a slot-keeping test handler. Every delivery bumps its per-run
 // delivery count (held in the scheduler's state slot, re-initialized by
 // ResetState) and posts exactly one follow-up chosen by that count: an
-// in-window arena signal token to its peer (calendar lane), an arena
-// signal token beyond the calendar window (spill lane), or a self token
+// in-window by-value signal to its peer (calendar lane), a by-value
+// signal beyond the calendar window (spill lane), or a self token
 // (spill lane). A stale slot, a leftover token, override or hook
 // therefore all change the recorded trace.
 type relay struct {
@@ -20,14 +20,16 @@ type relay struct {
 	peer  *relay
 	trace *[]string
 	stop  Time
+	slot  SlotIndex
 }
 
 type relayState struct{ n int }
 
-func (r *relay) HandlerName() string { return r.name }
+func (r *relay) HandlerName() string   { return r.name }
+func (r *relay) SlotIndex() *SlotIndex { return &r.slot }
 
 func (r *relay) ResetState(ctx *Context) {
-	slot := ctx.Slot(r)
+	slot := ctx.SlotAt(r, r.slot.Load())
 	st, _ := (*slot).(*relayState)
 	if st == nil {
 		st = &relayState{}
@@ -37,7 +39,7 @@ func (r *relay) ResetState(ctx *Context) {
 }
 
 func (r *relay) HandleToken(ctx *Context, tok Token) {
-	slot := ctx.Slot(r)
+	slot := ctx.SlotAt(r, r.slot.Load())
 	st, _ := (*slot).(*relayState)
 	if st == nil {
 		st = &relayState{}
@@ -55,9 +57,9 @@ func (r *relay) HandleToken(ctx *Context, tok Token) {
 	v := signal.BitValue{B: signal.Bit(st.n % 2)}
 	switch st.n % 3 {
 	case 0:
-		ctx.Post(ctx.AcquireSignal(ctx.Now()+30, r.peer, st.n, v, r.name))
+		ctx.PostSignal(ctx.Now()+30, r.peer, r.peer.slot.Load(), st.n, v, r.name)
 	case 1:
-		ctx.Post(ctx.AcquireSignal(ctx.Now()+sigWindow+3, r.peer, st.n, v, r.name))
+		ctx.PostSignal(ctx.Now()+sigWindow+3, r.peer, r.peer.slot.Load(), st.n, v, r.name)
 	case 2:
 		ctx.Post(&SelfToken{T: ctx.Now() + 1, Dst: r})
 	}
@@ -72,18 +74,19 @@ func relayDesign(trace *[]string) (*Controller, *relay, *relay) {
 	c := NewController(a, b)
 	c.Seed = func(ctx *Context) {
 		for i := Time(1); i <= 4; i++ {
-			ctx.Post(ctx.AcquireSignal(i, a, 0, signal.BitValue{B: signal.B1}, "seed"))
+			ctx.PostSignal(i, a, a.slot.Load(), 0, signal.BitValue{B: signal.B1}, "seed")
 			ctx.Post(&SelfToken{T: 2 * i, Dst: b})
 		}
 	}
 	return c, a, b
 }
 
-// arenaSpilled counts the arena-owned tokens waiting in the spill heap.
-func arenaSpilled(s *Scheduler) int {
+// signalSpilled counts the signal tokens waiting in the spill heap:
+// by-value posts beyond the calendar window.
+func signalSpilled(s *Scheduler) int {
 	n := 0
 	for _, it := range s.spill {
-		if st, ok := it.tok.(*SignalToken); ok && st.arenaOwned {
+		if _, ok := it.tok.(*SignalToken); ok {
 			n++
 		}
 	}
@@ -91,8 +94,9 @@ func arenaSpilled(s *Scheduler) int {
 }
 
 // TestRecycledSchedulerMatchesFresh: a run cut short — by MaxInstants,
-// Until, or the event limit — leaves calendar entries, spill tokens and
-// arena tokens pending, with an override and a hook still installed. Recycling must make the scheduler's next run identical to
+// Until, or the event limit — leaves calendar entries, spilled signal
+// tokens and self tokens pending, with an override and a hook still
+// installed. Recycling must make the scheduler's next run identical to
 // one on a NewScheduler: same delivery trace, Delivered, MaxQueue and
 // EndTime, and nothing of the cut run left over.
 func TestRecycledSchedulerMatchesFresh(t *testing.T) {
@@ -131,12 +135,12 @@ func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 			if (st.Err != nil) != cut.errors {
 				t.Fatalf("cut run error = %v, want error %v", st.Err, cut.errors)
 			}
-			if sched.Pending() == 0 || sched.sigMask == 0 || arenaSpilled(sched) == 0 {
-				t.Fatalf("cut run left pending=%d calendar mask=%x arena spill=%d; want all nonzero",
-					sched.Pending(), sched.sigMask, arenaSpilled(sched))
+			if sched.Pending() == 0 || sched.sigMask == 0 || signalSpilled(sched) == 0 {
+				t.Fatalf("cut run left pending=%d calendar mask=%x signal spill=%d; want all nonzero",
+					sched.Pending(), sched.sigMask, signalSpilled(sched))
 			}
 			cutID := sched.ID()
-			free := len(sched.arena.free) + arenaSpilled(sched)
+			spilled := sched.spill[:cap(sched.spill)]
 
 			sched.recycle()
 			if sched.ID() == cutID {
@@ -151,8 +155,10 @@ func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 			if sched.Delivered() != 0 || sched.MaxQueueLen() != 0 || sched.seq != 0 || sched.EventLimit != 0 {
 				t.Error("recycled scheduler kept its counters")
 			}
-			if len(sched.arena.free) != free {
-				t.Errorf("arena free list holds %d tokens, want %d (spilled arena tokens released)", len(sched.arena.free), free)
+			for i, it := range spilled {
+				if it.tok != nil {
+					t.Fatalf("spill entry %d still pins a token after recycling", i)
+				}
 			}
 			for i := range sched.sig {
 				bk := &sched.sig[i]

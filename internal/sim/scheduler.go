@@ -138,12 +138,12 @@ type Scheduler struct {
 	pending int
 
 	// interned assigns each destination handler a dense index so signal
-	// lanes store 4-byte indices instead of interface headers. The
-	// one-entry internLast cache keeps repeat posts off the map.
-	interned      []Handler
-	internIdx     map[Handler]uint32
-	internLastH   Handler
-	internLastIdx uint32
+	// lanes store 4-byte indices instead of interface headers. A
+	// controller's run fixes the front of the table to its handler list
+	// (layout), so a handler holding a SlotIndex reaches its entry
+	// without the map; the map serves every other handler.
+	interned  []Handler
+	internIdx map[Handler]uint32
 
 	// slots is the scheduler-owned state table: slots[i] holds the
 	// per-run state of handler interned[i] (Context.Slot). Indexed by the
@@ -153,8 +153,7 @@ type Scheduler struct {
 
 	// popScratch is the delivery carrier for calendar-stored signal
 	// tokens: popBucket materializes lane entries into it, deliver hands
-	// it to the handler, and the next pop overwrites it. It is not
-	// arena-owned, so deliver's release path leaves it alone.
+	// it to the handler, and the next pop overwrites it.
 	popScratch SignalToken
 
 	// overrides replaces the event handling of specific handlers for this
@@ -163,10 +162,6 @@ type Scheduler struct {
 	overrides map[Handler]Handler
 
 	hooks []InstantHook
-
-	// arena slab-allocates this scheduler's signal tokens
-	// (Context.AcquireSignal); sized up front by ReserveTokens.
-	arena tokenArena
 
 	// Stats
 	delivered uint64
@@ -224,10 +219,19 @@ func (s *Scheduler) AddInstantHook(h InstantHook) { s.hooks = append(s.hooks, h)
 // would silently corrupt causality.
 func (s *Scheduler) Post(tok Token) {
 	if tok.When() < s.now {
-		panic(fmt.Sprintf("sim: token scheduled at %d, before current time %d", tok.When(), s.now))
+		pastTimePanic(tok.When(), s.now)
 	}
 	s.seq++
 	s.enqueue(tok, s.seq)
+}
+
+// pastTimePanic reports a token posted before the current time. Outlined
+// behind //go:noinline so its fmt boxing stays off PostSignal's
+// //gocad:noalloc path.
+//
+//go:noinline
+func pastTimePanic(when, now Time) {
+	panic(fmt.Sprintf("sim: token scheduled at %d, before current time %d", when, now))
 }
 
 // nextEventTime returns the time of the earliest pending token, or
@@ -279,14 +283,26 @@ func (c *Context) SchedulerID() SchedulerID { return c.sched.id }
 //
 // Slots survive recycling (Controller.StartOn) so their contents can be
 // reused; a handler that reuses them must re-initialize them when
-// SchedulerID changes. The pointer is valid until the scheduler next
-// meets a handler it has not seen — load or store through it at once,
-// never retain it.
+// SchedulerID changes. A controller's run fixes the table for its
+// handler list when the run starts, so the pointer moves only when the
+// run reaches a handler outside that list (or the scheduler runs with
+// no controller): load or store through it at once, never retain it.
 //
 //gocad:noalloc
 func (c *Context) Slot(h Handler) *any {
 	s := c.sched
 	return &s.slots[s.internHandler(h)]
+}
+
+// SlotAt is Slot for a handler that holds a SlotIndex: idx is its
+// SlotIndex.Load. When the table holds h at idx — every run of a
+// controller listing h where h claimed its index — the lookup is one
+// compare and a slice load; otherwise it falls back to Slot's map.
+//
+//gocad:noalloc
+func (c *Context) SlotAt(h Handler, idx uint32) *any {
+	s := c.sched
+	return &s.slots[s.slotIndex(h, idx)]
 }
 
 // Now returns the current simulation time.
@@ -295,21 +311,34 @@ func (c *Context) Now() Time { return c.sched.now }
 // Post schedules a follow-up token on the same scheduler.
 func (c *Context) Post(tok Token) { c.sched.Post(tok) }
 
-// PostSignal is a convenience wrapper building and posting a SignalToken.
-func (c *Context) PostSignal(t *SignalToken) { c.sched.Post(t) }
-
-// AcquireSignal returns a SignalToken from the scheduler's slab arena,
-// allocation-free in the steady state. Two rules bind its users: the
-// receiving handler must not retain the token past HandleToken (the
-// delivering scheduler releases it back to its arena), and the poster
-// must not re-post a token it has already posted. Hand-built
-// &SignalToken{} values remain valid and are never recycled.
+// PostSignal posts a signal token by value: v arrives at port of dst at
+// time t, from src. idx is dst's SlotIndex.Load, or NoSlot for a handler
+// without one; it only spares the lookup and is checked like SlotAt's.
+// A time inside the calendar window goes straight into the calendar
+// lanes and allocates nothing; a later one spills a heap SignalToken.
+// Like Post, a time before now panics.
 //
 //gocad:noalloc
-func (c *Context) AcquireSignal(t Time, dst Handler, port int, v signal.Value, src string) *SignalToken {
-	tok := c.sched.arena.acquire()
-	tok.T, tok.Dst, tok.Port, tok.Value, tok.Src = t, dst, port, v, src
-	return tok
+func (c *Context) PostSignal(t Time, dst Handler, idx uint32, port int, v signal.Value, src string) {
+	s := c.sched
+	if t < s.now {
+		pastTimePanic(t, s.now)
+	}
+	s.seq++
+	if t >= s.now+sigWindow {
+		s.spillSignal(t, dst, port, v, src)
+		return
+	}
+	s.pushLane(t, s.slotIndex(dst, idx), port, v, src, s.seq)
+}
+
+// spillSignal queues a signal token beyond the calendar window on the
+// spill heap. Outlined behind //go:noinline so the token allocation
+// stays off PostSignal's //gocad:noalloc path.
+//
+//go:noinline
+func (s *Scheduler) spillSignal(t Time, dst Handler, port int, v signal.Value, src string) {
+	s.enqueue(&SignalToken{T: t, Dst: dst, Port: port, Value: v, Src: src}, s.seq)
 }
 
 // Scheduler exposes the underlying scheduler, for controllers that need
@@ -333,19 +362,11 @@ func (s *Scheduler) deliver(ctx *Context, tok Token) {
 		}
 	}
 	dst.HandleToken(ctx, tok)
-	if st, ok := tok.(*SignalToken); ok {
-		if st.arenaOwned {
-			// Release into the DELIVERING scheduler's arena: ownership
-			// follows delivery, keeping every arena single-writer.
-			s.arena.release(st)
-		}
-	}
 }
 
 // deliverScratch is deliver specialized for the calendar's materialized
 // carrier: popBucket has just filled s.popScratch, so the destination
-// is already in hand (no Target call) and no release applies (the
-// scratch token is not arena-owned).
+// is already in hand (no Target call).
 //
 //gocad:noalloc
 func (s *Scheduler) deliverScratch(ctx *Context) {
@@ -360,18 +381,6 @@ func (s *Scheduler) deliverScratch(ctx *Context) {
 		ctx.Trace(s.popScratch.String())
 	}
 	dst.HandleToken(ctx, &s.popScratch)
-}
-
-// ReserveTokens pre-sizes the scheduler's token arena so n signal tokens
-// can be live at once without a mid-run allocation. Controllers call it
-// before a run, sized from the circuit (ports, handlers, queue depth).
-// Calendar bucket lanes are NOT pre-carved here: most runs touch only a
-// handful of distinct instants, so eagerly sizing all 64 buckets
-// multiplied resident bytes (and with them GC pressure) for storage
-// that never held an event. First-touched buckets carve their lanes
-// from the scheduler's shared slab in growBucketLanes instead.
-func (s *Scheduler) ReserveTokens(n int) {
-	s.arena.reserve(n)
 }
 
 // RunOptions bounds a scheduler run.
@@ -486,11 +495,10 @@ func (s *Scheduler) Reset(ctx *Context, handlers []Handler) {
 // recycle prepares a used scheduler for its next run so that the run is
 // observationally one on a NewScheduler: a fresh SchedulerID, an empty
 // event store, a zero clock, sequence and counters, and no overrides,
-// hooks or event limit. Pending calendar entries are zeroed and pending
-// arena tokens in the spill heap go back to the arena. What
-// it keeps is storage: calendar lanes and slab, the token arena, the
-// handler intern table and the state slots (whose owners re-initialize
-// them on the ID change, see Context.Slot).
+// hooks or event limit. Pending calendar entries and spill tokens are
+// zeroed. What it keeps is storage: calendar lanes and slab, the handler
+// intern table and the state slots (whose owners re-initialize them on
+// the ID change, see Context.Slot).
 func (s *Scheduler) recycle() {
 	s.id = SchedulerID(schedulerIDs.Add(1))
 	for m := s.sigMask; m != 0; m &= m - 1 {
@@ -500,12 +508,7 @@ func (s *Scheduler) recycle() {
 		b.reset()
 	}
 	s.sigMask = 0
-	for i, it := range s.spill {
-		if st, ok := it.tok.(*SignalToken); ok && st.arenaOwned {
-			s.arena.release(st)
-		}
-		s.spill[i] = scheduledToken{}
-	}
+	clear(s.spill)
 	s.spill = s.spill[:0]
 	s.popScratch = SignalToken{}
 	clear(s.overrides)

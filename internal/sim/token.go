@@ -53,19 +53,15 @@ type Token interface {
 }
 
 // SignalToken is a functional event: a signal value arriving at a
-// handler's input port. Connectors create these when a module drives its
-// output port.
+// handler's input port. A module driving an output port posts one by
+// value (Context.PostSignal); the delivering scheduler hands the handler
+// a carrier that is valid only until HandleToken returns.
 type SignalToken struct {
 	T     Time
 	Dst   Handler
 	Port  int          // index of the destination port on Dst
 	Value signal.Value // the new signal value
 	Src   string       // producing module, for traces
-
-	// arenaOwned marks tokens drawn from a scheduler's slab arena
-	// (Context.AcquireSignal); the delivering scheduler releases them to
-	// its own arena after delivery.
-	arenaOwned bool
 }
 
 // When returns the scheduled time.
