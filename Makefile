@@ -46,11 +46,12 @@ vuln:
 		echo "govulncheck not installed; skipping advisory scan"; \
 	fi
 
-# Live benchmark gate: gen-al on the merge-base with origin/main and on
-# the working tree, six alternating pairs on this host, judged by
-# `benchmark/run.sh compare` under BENCHMARK.json's bounds (exit 1 on a
-# REGRESSION). It resolves kernel and module slowdowns larger than the
-# 20% op_ms_p10 bound. Needs the base commit in the local history.
+# Live benchmark gate: gen-al and fault-2ip on the merge-base with
+# origin/main and on the working tree, six alternating pairs each on
+# this host, judged by `benchmark/run.sh compare` under BENCHMARK.json's
+# bounds (exit 1 on a REGRESSION). It resolves kernel, module and
+# virtual fault simulation slowdowns larger than the 20% op_ms_p10
+# bound. Needs the base commit in the local history.
 benchgate:
 	bash benchgate.sh
 

@@ -139,6 +139,7 @@ func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 	}{{"workers1", 1}, {"workersNumCPU", 0}}
 	for _, bc := range workerCounts {
 		b.Run("virtual/"+bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d, err := fault.RandomTwoIPDesign(60, 11)
 				if err != nil {
@@ -155,6 +156,7 @@ func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 	for _, bc := range workerCounts {
 		b.Run("serial-flat/"+bc.name, func(b *testing.B) {
 			faults := fault.Collapse(d.Flat)
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := fault.SerialSimulateFaultsWorkers(d.Flat, faults, patterns, bc.workers); err != nil {
 					b.Fatal(err)

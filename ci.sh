@@ -37,7 +37,7 @@ make smoke-bench
 echo "==> make loadgen (gocad-loadgen -selftest: 4x MaxSessions storm)"
 make loadgen
 
-echo "==> make benchgate (gen-al, merge-base vs working tree, 6 alternating pairs)"
+echo "==> make benchgate (gen-al and fault-2ip, merge-base vs working tree, 6 alternating pairs each)"
 make benchgate
 
 echo "==> make vuln (non-blocking advisory)"

@@ -31,26 +31,41 @@ func Enumerate(nl *gate.Netlist) []gate.Fault {
 	return faults
 }
 
-// faultKey indexes a fault in collapse structures.
-type faultKey struct {
-	net   gate.NetID
-	stuck signal.Bit
+// faultIndex is a fault's dense index in the collapse structures,
+// 2·net + stuck: Enumerate's order, so index i is the i-th fault of the
+// universe.
+func faultIndex(net gate.NetID, stuck signal.Bit) int32 { return 2*int32(net) + int32(stuck) }
+
+// faultAt is the fault at dense index i.
+func faultAt(i int) gate.Fault { return gate.Fault{Net: gate.NetID(i / 2), Stuck: signal.Bit(i % 2)} }
+
+// unionFind is a disjoint-set forest over dense fault indices: u[i] is
+// i's parent, and a root is its own parent.
+type unionFind []int32
+
+func newUnionFind(n int) unionFind {
+	u := make(unionFind, n)
+	for i := range u {
+		u[i] = int32(i)
+	}
+	return u
 }
 
-// unionFind is a minimal disjoint-set over fault keys.
-type unionFind map[faultKey]faultKey
-
-func (u unionFind) find(k faultKey) faultKey {
-	r, ok := u[k]
-	if !ok || r == k {
-		return k
+// find returns k's root and points every index on the way at it.
+func (u unionFind) find(k int32) int32 {
+	root := k
+	for u[root] != root {
+		root = u[root]
 	}
-	root := u.find(r)
-	u[k] = root
+	for u[k] != root {
+		next := u[k]
+		u[k] = root
+		k = next
+	}
 	return root
 }
 
-func (u unionFind) union(a, b faultKey) {
+func (u unionFind) union(a, b int32) {
 	ra, rb := u.find(a), u.find(b)
 	if ra != rb {
 		u[ra] = rb
@@ -70,11 +85,14 @@ func (u unionFind) union(a, b faultKey) {
 // net directly even when its downstream effect coincides. (The second
 // condition was caught by the functional-equivalence property test in
 // collapse_test.go.)
+//
+// Which member becomes a class's root is arbitrary; every caller picks
+// the first member in enumeration order as the representative.
 func collapseUnion(nl *gate.Netlist) unionFind {
 	if err := nl.Build(); err != nil {
 		panic(fmt.Sprintf("fault: %v", err))
 	}
-	uf := make(unionFind, 4*len(nl.Gates()))
+	uf := newUnionFind(2 * nl.NumNets())
 	for _, g := range nl.Gates() {
 		for _, in := range g.In {
 			if nl.Fanout(in) != 1 || nl.IsOutput(in) {
@@ -82,19 +100,19 @@ func collapseUnion(nl *gate.Netlist) unionFind {
 			}
 			switch g.Kind {
 			case gate.And:
-				uf.union(faultKey{in, signal.B0}, faultKey{g.Out, signal.B0})
+				uf.union(faultIndex(in, signal.B0), faultIndex(g.Out, signal.B0))
 			case gate.Nand:
-				uf.union(faultKey{in, signal.B0}, faultKey{g.Out, signal.B1})
+				uf.union(faultIndex(in, signal.B0), faultIndex(g.Out, signal.B1))
 			case gate.Or:
-				uf.union(faultKey{in, signal.B1}, faultKey{g.Out, signal.B1})
+				uf.union(faultIndex(in, signal.B1), faultIndex(g.Out, signal.B1))
 			case gate.Nor:
-				uf.union(faultKey{in, signal.B1}, faultKey{g.Out, signal.B0})
+				uf.union(faultIndex(in, signal.B1), faultIndex(g.Out, signal.B0))
 			case gate.Buf:
-				uf.union(faultKey{in, signal.B0}, faultKey{g.Out, signal.B0})
-				uf.union(faultKey{in, signal.B1}, faultKey{g.Out, signal.B1})
+				uf.union(faultIndex(in, signal.B0), faultIndex(g.Out, signal.B0))
+				uf.union(faultIndex(in, signal.B1), faultIndex(g.Out, signal.B1))
 			case gate.Not:
-				uf.union(faultKey{in, signal.B0}, faultKey{g.Out, signal.B1})
-				uf.union(faultKey{in, signal.B1}, faultKey{g.Out, signal.B0})
+				uf.union(faultIndex(in, signal.B0), faultIndex(g.Out, signal.B1))
+				uf.union(faultIndex(in, signal.B1), faultIndex(g.Out, signal.B0))
 			}
 		}
 	}
@@ -107,15 +125,15 @@ func collapseUnion(nl *gate.Netlist) unionFind {
 // representative per class is kept, in deterministic (net, stuck) order.
 func Collapse(nl *gate.Netlist) []gate.Fault {
 	uf := collapseUnion(nl)
-	seen := make(map[faultKey]bool, 2*nl.NumNets())
-	out := make([]gate.Fault, 0, 2*nl.NumNets())
-	for _, f := range Enumerate(nl) {
-		root := uf.find(faultKey{f.Net, f.Stuck})
+	seen := make([]bool, len(uf))
+	out := make([]gate.Fault, 0, len(uf))
+	for i := range uf {
+		root := uf.find(int32(i))
 		if seen[root] {
 			continue
 		}
 		seen[root] = true
-		out = append(out, f)
+		out = append(out, faultAt(i))
 	}
 	return out
 }
@@ -125,22 +143,23 @@ func Collapse(nl *gate.Netlist) []gate.Fault {
 // universe are derived from class sizes.
 func EquivalenceClasses(nl *gate.Netlist) map[gate.Fault][]gate.Fault {
 	uf := collapseUnion(nl)
-	n := 2 * nl.NumNets()
-	classOf := make(map[faultKey][]gate.Fault, n)
-	reps := make(map[faultKey]gate.Fault, n)
 	// One enumeration pass: the first fault reaching a root (in
 	// deterministic (net, stuck) order) is the class representative —
 	// the same choice Collapse makes.
-	for _, f := range Enumerate(nl) {
-		root := uf.find(faultKey{f.Net, f.Stuck})
-		if _, ok := reps[root]; !ok {
-			reps[root] = f
+	byRoot := make([]int32, len(uf)) // class index+1 of each root; 0 unset
+	var classes [][]gate.Fault
+	for i := range uf {
+		root := uf.find(int32(i))
+		if byRoot[root] == 0 {
+			classes = append(classes, nil)
+			byRoot[root] = int32(len(classes))
 		}
-		classOf[root] = append(classOf[root], f)
+		c := byRoot[root] - 1
+		classes[c] = append(classes[c], faultAt(i))
 	}
-	out := make(map[gate.Fault][]gate.Fault, len(classOf))
-	for root, class := range classOf {
-		out[reps[root]] = class
+	out := make(map[gate.Fault][]gate.Fault, len(classes))
+	for _, class := range classes {
+		out[class[0]] = class
 	}
 	return out
 }
@@ -196,18 +215,19 @@ func buildSymbolicList(nl *gate.Netlist, policy Naming, internalOnly bool) *Symb
 		internal bool
 	}
 	isInternal := func(f gate.Fault) bool { return !nl.IsInput(f.Net) && !nl.IsOutput(f.Net) }
-	entries := make([]classEntry, 0, 2*nl.NumNets())
-	byRoot := make(map[faultKey]int, 2*nl.NumNets())
-	for _, f := range Enumerate(nl) {
-		root := uf.find(faultKey{f.Net, f.Stuck})
-		if i, ok := byRoot[root]; ok {
-			if internalOnly && !entries[i].internal && isInternal(f) {
-				entries[i] = classEntry{f: f, internal: true}
+	entries := make([]classEntry, 0, len(uf))
+	byRoot := make([]int32, len(uf)) // entry index+1 of each root; 0 unset
+	for i := range uf {
+		f := faultAt(i)
+		root := uf.find(int32(i))
+		if e := byRoot[root]; e != 0 {
+			if internalOnly && !entries[e-1].internal && isInternal(f) {
+				entries[e-1] = classEntry{f: f, internal: true}
 			}
 			continue
 		}
-		byRoot[root] = len(entries)
 		entries = append(entries, classEntry{f: f, internal: isInternal(f)})
+		byRoot[root] = int32(len(entries))
 	}
 	sl := &SymbolicList{
 		names:   make([]string, 0, len(entries)),

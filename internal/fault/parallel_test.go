@@ -246,9 +246,8 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 }
 
 // TestVirtualRunBesideReorderedController: virtual fault simulation on
-// two workers (one controller per pattern, built while the other
-// worker runs) races a StartConcurrent fan-out over the same design
-// whose controller lists the handlers in reverse. The design is fresh
+// two workers races a StartConcurrent fan-out over the same design
+// whose controllers, one per pattern, list the handlers in reverse. The design is fresh
 // every iteration, so either side may claim the handlers' slot indices
 // first and the other must fall back to the map. Every Run must match
 // its serial Result, and every reversed-order run must settle to the
@@ -268,7 +267,8 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 	refRun := refVS.newRun()
 	wantOut := make([][]signal.Value, len(patterns))
 	for i, p := range patterns {
-		if wantOut[i], err = refVS.simulate(refRun.controller(p), refRun.sched(0), nil); err != nil {
+		refRun.pattern = p
+		if wantOut[i], err = refVS.simulate(refRun.ctrl, refRun.sched(0), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,10 +295,16 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			r := d.NewVirtual().newRun()
-			slices.Reverse(r.handlers)
+			// Not newRun: its controller would claim the slot
+			// indices in list order on this side before the race.
+			r := &virtualRun{VirtualSimulator: d.NewVirtual()}
+			reversed := d.Circuit.Handlers()
+			slices.Reverse(reversed)
 			for i, p := range patterns {
-				for k, st := range r.controller(p).StartConcurrent(2, nil, nil) {
+				ctrl := sim.NewController(reversed...)
+				ctrl.Seed = r.seed
+				r.pattern = p
+				for k, st := range ctrl.StartConcurrent(2, nil, nil) {
 					if st.Err != nil {
 						t.Errorf("iteration %d pattern %d run %d: %v", iter, i, k, st.Err)
 					}

@@ -130,18 +130,35 @@ func (vs *VirtualSimulator) buildFaultList() ([]globalFault, error) {
 	return out, nil
 }
 
-// virtualRun is the working set of one Run: the design's leaf handlers,
-// collected once, and one scheduler per pool worker, recycled for every
-// simulation that worker performs.
+// virtualRun is the working set of one Run: a kernel controller over
+// the design's leaves and each host's forcing targets, built once, and
+// one scheduler per pool worker, recycled for every simulation that
+// worker performs.
 type virtualRun struct {
 	*VirtualSimulator
-	handlers []sim.Handler
-	scheds   []*sim.Scheduler
+	ctrl    *sim.Controller
+	targets map[*Host]*forceTargets
+	scheds  []*sim.Scheduler
+	// pattern is the input pattern every run seeds at time 1. It changes
+	// only between patterns, when no run is under way, so the controller
+	// is read-only while runs start and every run of a pattern shares it.
+	pattern []signal.Bit
 }
 
-// newRun collects the design's leaf handlers for a Run.
+// newRun builds the controller and the hosts' forcing targets for a Run.
 func (vs *VirtualSimulator) newRun() *virtualRun {
-	return &virtualRun{VirtualSimulator: vs, handlers: vs.circuit.Handlers(), scheds: make([]*sim.Scheduler, vs.pool().Size())}
+	r := &virtualRun{
+		VirtualSimulator: vs,
+		ctrl:             sim.NewController(vs.circuit.Handlers()...),
+		targets:          make(map[*Host]*forceTargets, len(vs.hosts)),
+		scheds:           make([]*sim.Scheduler, vs.pool().Size()),
+	}
+	r.ctrl.EventLimit = vs.EventLimit
+	r.ctrl.Seed = r.seed
+	for _, h := range vs.hosts {
+		r.targets[h] = newForceTargets(h)
+	}
+	return r
 }
 
 // sched returns pool worker w's scheduler. The fault-free run uses
@@ -153,22 +170,15 @@ func (r *virtualRun) sched(w int) *sim.Scheduler {
 	return r.scheds[w]
 }
 
-// controller builds a kernel controller over the design's leaves, seeded
-// with one input pattern at time 1. It is read-only while runs start, so
-// the fault-free run and every injection of the pattern share it.
-func (r *virtualRun) controller(pattern []signal.Bit) *sim.Controller {
-	c := sim.NewController(r.handlers...)
-	c.EventLimit = r.EventLimit
-	c.Seed = func(ctx *sim.Context) {
-		for i, conn := range r.inputs {
-			dst := conn.InputEnd()
-			if dst == nil {
-				continue
-			}
-			ctx.PostSignal(1, dst.Owner(), dst.Owner().SlotIndex().Load(), dst.Index, signal.BitValue{B: pattern[i]}, "PI")
+// seed posts the current pattern at the primary inputs at time 1.
+func (r *virtualRun) seed(ctx *sim.Context) {
+	for i, conn := range r.inputs {
+		dst := conn.InputEnd()
+		if dst == nil {
+			continue
 		}
+		ctx.PostSignal(1, dst.Owner(), dst.Owner().SlotIndex().Load(), dst.Index, signal.BitValue{B: r.pattern[i]}, "PI")
 	}
-	return c
 }
 
 // pool returns the worker pool bounding this simulator's fan-outs.
@@ -206,17 +216,37 @@ func outputsDiffer(a, b []signal.Value) bool {
 	return false
 }
 
+// forceTargets is what an injection into one host drives: the source
+// name of the forced posts, and the peer port of each of the host's
+// output ports in output order (nil where the output is unconnected).
+type forceTargets struct {
+	name  string
+	peers []*module.Port
+}
+
+// newForceTargets resolves a host's forcing targets once per Run.
+func newForceTargets(h *Host) *forceTargets {
+	outs := h.Module.OutputPorts()
+	ft := &forceTargets{name: h.Module.ModuleName() + "#forced", peers: make([]*module.Port, len(outs))}
+	for i, p := range outs {
+		if conn := p.Connector(); conn != nil {
+			ft.peers[i] = conn.Peer(p)
+		}
+	}
+	return ft
+}
+
 // forcer replaces a host module's event handling during an injection run:
 // on its first delivery it assigns the faulty output configuration to the
 // module's output ports regardless of input values.
 type forcer struct {
-	host    *Host
+	*forceTargets
 	pattern signal.Word
 	fired   bool
 }
 
 // HandlerName implements sim.Handler.
-func (f *forcer) HandlerName() string { return f.host.Module.ModuleName() + "#forced" }
+func (f *forcer) HandlerName() string { return f.name }
 
 // HandleToken drives the faulty configuration once, then swallows
 // everything else addressed to the module.
@@ -225,16 +255,11 @@ func (f *forcer) HandleToken(ctx *sim.Context, tok sim.Token) {
 		return
 	}
 	f.fired = true
-	for i, p := range f.host.Module.OutputPorts() {
-		conn := p.Connector()
-		if conn == nil {
-			continue
-		}
-		peer := conn.Peer(p)
+	for i, peer := range f.peers {
 		if peer == nil {
 			continue
 		}
-		ctx.PostSignal(ctx.Now()+1, peer.Owner(), peer.Owner().SlotIndex().Load(), peer.Index, signal.BitValue{B: f.pattern.Bit(i)}, f.HandlerName())
+		ctx.PostSignal(ctx.Now()+1, peer.Owner(), peer.Owner().SlotIndex().Load(), peer.Index, signal.BitValue{B: f.pattern.Bit(i)}, f.name)
 	}
 }
 
@@ -309,13 +334,14 @@ func (vs *VirtualSimulator) Run(patterns [][]signal.Bit) (*Result, error) {
 }
 
 // injectionJob is one row of one host's detection table scheduled for an
-// injection run. rowFaults keeps the provider's ORIGINAL fault list for
-// the row: the merge step re-filters it against the live set in serial
-// order, so the recorded detections are bit-identical to the serial path
-// even for degenerate providers whose rows overlap.
+// injection run, with the forcer that injects it. rowFaults keeps the
+// provider's ORIGINAL fault list for the row: the merge step re-filters
+// it against the live set in serial order, so the recorded detections
+// are bit-identical to the serial path even for degenerate providers
+// whose rows overlap.
 type injectionJob struct {
 	host      *Host
-	output    signal.Word
+	force     forcer
 	rowFaults []string
 	detected  bool
 }
@@ -327,34 +353,41 @@ type injectionJob struct {
 // independent, so both fan out over the simulator's worker pool;
 // detections are then merged in the serial host/row order.
 func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, alive map[*Host]map[string]bool, res *Result) error {
-	// Fault-free simulation, capturing each host's settled input values.
-	ctrl := r.controller(pattern)
-	captured := make(map[*Host][]signal.Value, len(r.hosts))
-	golden, err := r.simulate(ctrl, r.sched(0), func(sched *sim.Scheduler) {
-		sched.AddInstantHook(func(ctx *sim.Context, _ sim.Time) {
-			for _, h := range r.hosts {
-				captured[h] = h.Module.PortValues(ctx, module.In)
-			}
-		})
-	})
+	// Fault-free simulation.
+	r.pattern = pattern
+	sched := r.sched(0)
+	golden, err := r.simulate(r.ctrl, sched, nil)
 	if err != nil {
 		return err
 	}
 	r.Stats.FaultFreeRuns++
 
-	// Phase A: fetch the detection tables of every host that still has
-	// live faults, concurrently — each query goes to a different provider.
+	// Capture the settled input values of every host that still has live
+	// faults from the run's final state: the values at the end of its
+	// last instant. A run that delivered nothing completed no instant and
+	// leaves the configuration empty.
 	live := make([]*Host, 0, len(r.hosts))
+	inputs := make([][]signal.Bit, 0, len(r.hosts))
+	ctx := sched.NewContext()
 	for _, h := range r.hosts {
-		if len(alive[h]) > 0 {
-			live = append(live, h)
+		if len(alive[h]) == 0 {
+			continue
 		}
+		var vals []signal.Value
+		if sched.Delivered() > 0 {
+			vals = h.Module.PortValues(ctx, module.In)
+		}
+		live = append(live, h)
+		inputs = append(inputs, hostInputBits(vals))
 	}
+
+	// Phase A: fetch the detection tables of every live host
+	// concurrently — each query goes to a different provider.
 	tables := make([]*DetectionTable, len(live))
 	var tableCalls atomic.Int64
 	err = r.pool().For(len(live), func(i int) error {
 		h := live[i]
-		dt, err := h.Service.DetectionTable(hostInputBits(captured[h]))
+		dt, err := h.Service.DetectionTable(inputs[i])
 		if err != nil {
 			return fmt.Errorf("fault: detection table of %s: %w", h.Module.ModuleName(), err)
 		}
@@ -382,7 +415,11 @@ func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, alive map[*Host]ma
 				}
 			}
 			if hasLive {
-				jobs = append(jobs, injectionJob{host: h, output: row.Output, rowFaults: row.Faults})
+				jobs = append(jobs, injectionJob{
+					host:      h,
+					force:     forcer{forceTargets: r.targets[h], pattern: row.Output},
+					rowFaults: row.Faults,
+				})
 			}
 		}
 	}
@@ -392,8 +429,8 @@ func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, alive map[*Host]ma
 	// outputs against the fault-free run.
 	var injections atomic.Int64
 	err = r.pool().ForWorker(len(jobs), func(w, i int) error {
-		faulty, err := r.simulate(ctrl, r.sched(w), func(sched *sim.Scheduler) {
-			sched.Override(jobs[i].host.Module.Base(), &forcer{host: jobs[i].host, pattern: jobs[i].output})
+		faulty, err := r.simulate(r.ctrl, r.sched(w), func(sched *sim.Scheduler) {
+			sched.Override(jobs[i].host.Module.Base(), &jobs[i].force)
 		})
 		if err != nil {
 			return err

@@ -377,3 +377,27 @@ func TestVirtualFaultSimWithNestedHierarchy(t *testing.T) {
 		}
 	}
 }
+
+// TestVirtualRunAllocationBudget pins the allocation cost of the user's
+// side of virtual fault simulation: one serial Run over the exhaustive
+// patterns of a fault-2ip design, with the providers' detection tables
+// already cached by an earlier Run. The budget is the measured level,
+// 799 allocations; EXPERIMENTS.md records how it was reached.
+func TestVirtualRunAllocationBudget(t *testing.T) {
+	d, err := RandomTwoIPDesign(120, 1999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := exhaustivePatterns(4)
+	run := func() {
+		vs := d.NewVirtual()
+		vs.Workers = 1
+		if _, err := vs.Run(patterns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the providers' table caches
+	if allocs := testing.AllocsPerRun(5, run); allocs > 799 {
+		t.Errorf("%.0f allocations per Run, budget 799", allocs)
+	}
+}

@@ -247,7 +247,7 @@ func (n *Netlist) Embed(sub *Netlist, drivers []NetID, prefix string) []NetID {
 		panic(fmt.Sprintf("gate: Embed of %s needs %d drivers, got %d",
 			sub.Name, len(sub.inputs), len(drivers)))
 	}
-	mapping := make(map[NetID]NetID, sub.NumNets())
+	mapping := make([]NetID, sub.NumNets()) // sub net → net of n
 	for i, id := range sub.inputs {
 		n.checkNet(drivers[i])
 		mapping[id] = drivers[i]

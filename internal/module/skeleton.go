@@ -190,17 +190,29 @@ func (sk *Skeleton) stateFor(ctx *sim.Context) *runState {
 	return rs
 }
 
+// recyclable is behavior-private state that resets in place when its
+// run state is reused, instead of being dropped. Only this package's
+// behaviors implement it (NetlistModule keeps its evaluator); any other
+// behavior's state is dropped.
+type recyclable interface {
+	recycle()
+}
+
 // reset returns a reused run state to what a new one holds: no port
-// values and no behavior-private state (which is dropped, never reset
-// in place). The estimation scratch keeps its capacity — it is rebuilt
-// for every estimation round anyway.
+// values and no behavior-private state (dropped, or reset in place when
+// it is recyclable). The estimation scratch keeps its capacity — it is
+// rebuilt for every estimation round anyway.
 func (rs *runState) reset(run sim.SchedulerID) {
 	rs.run = run
 	clear(rs.in)
 	clear(rs.prevIn)
 	clear(rs.out)
 	clear(rs.prevOut)
-	rs.user = nil
+	if r, ok := rs.user.(recyclable); ok {
+		r.recycle()
+	} else {
+		rs.user = nil
+	}
 	rs.dirty = false
 	rs.mctx = Ctx{}
 	rs.pev = PortEvent{}
@@ -347,7 +359,13 @@ func (sk *Skeleton) SelectedEstimator(s *estim.Setup, p estim.Parameter) (estim.
 // provider.
 func (sk *Skeleton) PortValues(ctx *sim.Context, dir Direction) []signal.Value {
 	rs := sk.stateFor(ctx)
-	var out []signal.Value
+	n := 0
+	for _, p := range sk.ports {
+		if p.Dir == dir || p.Dir == InOut {
+			n++
+		}
+	}
+	out := make([]signal.Value, 0, n)
 	for i, p := range sk.ports {
 		if p.Dir == dir || p.Dir == InOut {
 			out = append(out, rs.in[i])

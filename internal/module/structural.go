@@ -148,12 +148,21 @@ type NetlistModule struct {
 
 // netlistState holds the per-scheduler evaluator (evaluators are not
 // concurrency-safe), its one-lane batch and output buffers, and the last
-// driven outputs for change suppression.
+// driven outputs for change suppression. It survives the recycling of
+// its scheduler: every pass rewrites the planes it reads, so only last
+// needs resetting.
 type netlistState struct {
 	ev    *gate.LaneEvaluator
 	batch [][]signal.Bit // one pattern: the input buffer
 	out   []signal.Bit
 	last  []signal.Bit
+}
+
+// recycle resets the state to a new run's: no output driven yet.
+func (st *netlistState) recycle() {
+	for i := range st.last {
+		st.last[i] = signal.BZ // sentinel: never driven
+	}
 }
 
 // NewNetlistModule returns a module evaluating nl. ins and outs must
@@ -196,9 +205,7 @@ func (m *NetlistModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 			out:   make([]signal.Bit, len(m.outs)),
 			last:  make([]signal.Bit, len(m.outs)),
 		}
-		for i := range st.last {
-			st.last[i] = signal.BZ // sentinel: never driven
-		}
+		st.recycle()
 		ctx.SetState(st)
 	}
 	for i, p := range m.ins {

@@ -2,6 +2,7 @@ package module
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/gate"
@@ -197,5 +198,71 @@ func TestNetlistModuleEventAllocationFree(t *testing.T) {
 	}
 	if !changed {
 		t.Error("no output changed; the drive path went unmeasured")
+	}
+}
+
+// TestNetlistModuleRecycledRunMatchesFresh: a NetlistModule keeps its
+// evaluator when its scheduler is recycled, and the recycled run still
+// matches a run on a new scheduler observation for observation. The
+// last pattern is all X, and so are the outputs of a run's first
+// evaluation (one input bit known), so a kept state that still
+// remembered the previous run's outputs would suppress the recycled
+// run's first drive.
+func TestNetlistModuleRecycledRunMatchesFresh(t *testing.T) {
+	const width = 6
+	wconn := NewWordConnector("w", width)
+	bitConns := make([]*Connector, width)
+	for i := range bitConns {
+		bitConns[i] = NewBitConnector("b" + string(rune('0'+i)))
+	}
+	outBits := make([]*Connector, 4)
+	for i := range outBits {
+		outBits[i] = NewBitConnector("ob" + string(rune('0'+i)))
+	}
+	oconn := NewWordConnector("o", 4)
+	var vals []signal.Value
+	for _, v := range []uint64{0o25, 0o07, 0o70, 0o33} {
+		vals = append(vals, word(v, width))
+	}
+	vals = append(vals, signal.WordValue{W: signal.UnknownWord(width)})
+	nm := NewNetlistModule("rca", gate.RippleAdder(3), bitConns, outBits)
+	out := NewPrimaryOutput("out", 4, oconn)
+	c := NewCircuit("top",
+		NewPatternInput("in", width, vals, 10, wconn),
+		NewWordToBits("split", width, wconn, bitConns),
+		nm,
+		NewBitsToWord("join", 4, outBits, oconn),
+		out)
+	ctrl := sim.NewController(c.Handlers()...)
+	run := func(sched *sim.Scheduler) ([]Observation, *gate.LaneEvaluator) {
+		st := ctrl.StartOn(sched, nil, nil)
+		if st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		h := out.History(st.Scheduler)
+		out.ReleaseHistory(st.Scheduler)
+		ns, _ := nm.stateFor(sched.NewContext()).user.(*netlistState)
+		if ns == nil {
+			t.Fatal("the netlist module kept no state")
+		}
+		return h, ns.ev
+	}
+	fresh, _ := run(sim.NewScheduler())
+	if len(fresh) == 0 {
+		t.Fatal("no outputs observed")
+	}
+	sched := sim.NewScheduler()
+	first, ev := run(sched)
+	for i := 0; i < 2; i++ {
+		again, evAgain := run(sched)
+		if !reflect.DeepEqual(again, fresh) {
+			t.Fatalf("recycled run %d observed %v, a new scheduler %v", i+1, again, fresh)
+		}
+		if evAgain != ev {
+			t.Fatalf("recycled run %d built a new evaluator", i+1)
+		}
+	}
+	if !reflect.DeepEqual(first, fresh) {
+		t.Fatalf("first run observed %v, a new scheduler %v", first, fresh)
 	}
 }

@@ -157,6 +157,14 @@ func Dial(addr, clientName string, key security.Key) (*Client, error) {
 // NewClient runs the handshake over an existing connection (net.Pipe for
 // in-process loopback deployments, or any emulated transport) and starts
 // the transport pumps.
+//
+// NewClient honours a deadline already set on conn: Client.Timeout is
+// still zero during this handshake, so that deadline is the only bound
+// on a hello or welcome that never arrives, and passing it fails the
+// handshake with the conn's timeout error (one wrapping
+// os.ErrDeadlineExceeded for the standard library's conns). NewClient
+// leaves the deadline in place; clear it once NewClient returns, or the
+// calls inherit it.
 func NewClient(conn net.Conn, clientName string, key security.Key) (*Client, error) {
 	c := &Client{
 		Name:   clientName,

@@ -22,6 +22,9 @@ func FuzzMuxFaultyConn(f *testing.F) {
 	f.Add(uint8(netsim.FaultReset), uint8(0), uint8(4), uint8(0))
 	f.Add(uint8(netsim.FaultDrop), uint8(0), uint8(2), uint8(0))
 	f.Add(uint8(netsim.FaultTruncate), uint8(0), uint8(3), uint8(5))
+	// The dropped hello: the client waits for a welcome the peer never
+	// sends, until the handshake deadline below.
+	f.Add(uint8(netsim.FaultDrop), uint8(netsim.OnWrite), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, kind, op, nth, keep uint8) {
 		key, err := security.NewKey()
 		if err != nil {
@@ -65,6 +68,9 @@ func FuzzMuxFaultyConn(f *testing.F) {
 			Keep:  int(keep % 16),
 		}}}
 		fc := plan.Wrap(cliConn)
+		// NewClient honours a deadline already on the conn; it bounds a
+		// handshake whose hello or welcome a fault swallowed.
+		_ = fc.SetDeadline(time.Now().Add(time.Second))
 		cli, err := NewClient(fc, "user", key)
 		if err != nil {
 			fc.Close()
@@ -72,6 +78,7 @@ func FuzzMuxFaultyConn(f *testing.F) {
 			return // a fault during the handshake is a non-event
 		}
 		defer cli.Close()
+		_ = fc.SetDeadline(time.Time{})
 		cli.Timeout = 200 * time.Millisecond
 		cli.MaxInFlight = 4
 		var pending []*Pending

@@ -1,7 +1,10 @@
 package rmi
 
 import (
+	"errors"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
+	"repro/internal/netsim"
 	"repro/internal/security"
 )
 
@@ -228,5 +232,39 @@ func TestLogfUnlimitedOptOut(t *testing.T) {
 	}
 	if got := n.Load(); got != 500 {
 		t.Fatalf("unlimited logf emitted %d of 500 lines", got)
+	}
+}
+
+// TestNewClientHonoursConnDeadline: a fault that swallows the client's
+// hello leaves NewClient waiting for a welcome that never comes. With
+// no Client.Timeout yet, only a deadline already on the conn bounds
+// that wait, and NewClient must end in an error wrapping
+// os.ErrDeadlineExceeded instead of hanging.
+func TestNewClientHonoursConnDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	key, err := security.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvConn, cliConn := net.Pipe()
+	defer srvConn.Close()
+	go func() { _, _ = io.Copy(io.Discard, srvConn) }() // a peer that never answers
+	fc := netsim.DropWrite(1).Wrap(cliConn)
+	_ = fc.SetDeadline(time.Now().Add(50 * time.Millisecond))
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewClient(fc, "user", key)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("NewClient = %v, want an error wrapping os.ErrDeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewClient hung on a dropped hello despite the conn deadline")
+	}
+	if fired := fc.Fired(); len(fired) != 1 || fired[0].Kind != netsim.FaultDrop {
+		t.Fatalf("fired rules %v, want the hello dropped", fired)
 	}
 }

@@ -44,8 +44,9 @@ const NoSlot = ^uint32(0)
 //
 // The zero value is unset. The index is claimed once, by compare-and-
 // swap, because controllers over one design may be built while runs
-// over it are under way (virtual fault simulation builds one per
-// pattern). A handler that a later controller lists at another position
+// over it are under way (each virtual fault simulation Run builds one,
+// and Runs over one design may overlap). A handler that a later
+// controller lists at another position
 // keeps its first index; on that controller's runs the table check
 // fails and it takes the map.
 type SlotIndex struct {
@@ -122,7 +123,8 @@ func (c *Controller) StartOn(sched *Scheduler, setup any, configure func(*Schedu
 }
 
 // StartConcurrent launches n independent simulations of the same design,
-// one goroutine and one scheduler each, and waits for all of them. setups
+// one scheduler each, on a pool of n workers (the calling goroutine is
+// worker 0, see Pool.ForWorker), and waits for all of them. setups
 // supplies the per-run setup (may return nil); configure may adjust each
 // scheduler. The kernel guarantees the runs cannot interfere.
 func (c *Controller) StartConcurrent(n int, setups func(i int) any, configure func(i int, s *Scheduler)) []Stats {

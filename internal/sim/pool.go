@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -18,10 +17,11 @@ import (
 // The zero value is ready to use and runs with one worker per available
 // CPU.
 type Pool struct {
-	// Workers bounds the number of concurrent goroutines:
-	// 0 uses runtime.GOMAXPROCS(0) (the default), 1 runs the batch
-	// serially on the calling goroutine (the legacy path, bit-identical
-	// by construction), and any other value is taken literally.
+	// Workers bounds the number of goroutines running items, the
+	// caller's included: 0 uses runtime.GOMAXPROCS(0) (the default), 1
+	// runs the batch serially on the calling goroutine (the legacy path,
+	// bit-identical by construction), and any other value is taken
+	// literally.
 	Workers int
 }
 
@@ -33,8 +33,9 @@ func (p Pool) Size() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For runs fn(i) for every i in [0, n) on up to Size() workers and waits
-// for all of them. Items are claimed from an atomic cursor, so the
+// For runs fn(i) for every i in [0, n) on up to Size() workers, the
+// calling goroutine among them, and returns when every item has
+// finished (see ForWorker). Items are claimed from an atomic cursor, so the
 // assignment of items to workers is nondeterministic — fn must write its
 // result into a slot owned by index i (never append to a shared slice),
 // which keeps the merged outcome independent of scheduling.
@@ -52,6 +53,15 @@ func (p Pool) For(n int, fn func(i int) error) error {
 // passed alongside the item index, so callers can maintain per-worker
 // scratch state — e.g. one non-concurrency-safe netlist evaluator per
 // worker — without locking.
+//
+// The caller is worker 0: ForWorker starts Size()-1 helpers and claims
+// items on the calling goroutine too, so a fan-out whose items finish
+// quickly costs no hand-off to a parked caller. It returns as soon as
+// the n-th item finishes — whoever finishes it closes done — without
+// waiting for helpers to exit: a helper that finds the cursor exhausted
+// just returns, and no fn call starts after ForWorker returns. An item
+// that blocks (a remote table query) still overlaps with the others,
+// because helpers claim them while the caller waits.
 func (p Pool) ForWorker(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -69,22 +79,25 @@ func (p Pool) ForWorker(n int, fn func(worker, i int) error) error {
 		return nil
 	}
 	errs := make([]error, n)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(worker, i)
+	var cursor, finished atomic.Int64
+	done := make(chan struct{})
+	work := func(worker int) {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}(w)
+			errs[i] = fn(worker, i)
+			if finished.Add(1) == int64(n) {
+				close(done)
+			}
+		}
 	}
-	wg.Wait()
+	for w := 1; w < workers; w++ {
+		go work(w)
+	}
+	work(0)
+	<-done
 	for _, err := range errs {
 		if err != nil {
 			return err
