@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/gate"
+	"repro/internal/module"
 	"repro/internal/signal"
 )
 
@@ -154,6 +156,65 @@ func virtualCorpus(t *testing.T) []byte {
 // after a deliberate change to what the protocol computes.
 func TestGoldenVirtualResults(t *testing.T) {
 	checkGolden(t, goldenVirtual, virtualCorpus(t))
+}
+
+const goldenNetlists = "testdata/golden/netlists.txt"
+
+// netlistCorpus renders the structure of the netlists the fault
+// workloads build: per netlist its size, the SHA-256 of its
+// MarshalBinary snapshot and of its levelized gate order, and for each
+// component of a seeded two-IP design the fault list its
+// LocalTestability publishes.
+func netlistCorpus(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	render := func(label string, nl *gate.Netlist) {
+		snap, err := nl.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels, err := nl.Levelized()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		fmt.Fprintf(&buf, "%s name=%s nets=%d gates=%d snapshot=%x levels=%x\n",
+			label, nl.Name, nl.NumNets(), nl.NumGates(), sha256.Sum256(snap),
+			sha256.Sum256([]byte(fmt.Sprint(levels))))
+	}
+	for seed := int64(1999); seed <= 2002; seed++ {
+		d, err := RandomTwoIPDesign(120, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range d.Hosts {
+			label := fmt.Sprintf("twoip%d/%s", seed, h.Module.ModuleName())
+			render(label, h.Module.(*module.NetlistModule).Netlist())
+			names, err := h.Service.FaultList()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "%s faults=%d %s\n", label, len(names), strings.Join(names, " "))
+		}
+		render(fmt.Sprintf("twoip%d/flat", seed), d.Flat)
+	}
+	render("c17", gate.C17())
+	render("mult16", gate.ArrayMultiplier(16))
+	for _, c := range []struct {
+		nIn, nGates, nOut int
+		seed              int64
+	}{{3, 120, 2, 1999}, {2, 61, 1, 2999}, {5, 60, 3, 7}, {6, 90, 4, 11}, {16, 400, 8, 3}} {
+		render(fmt.Sprintf("rand%d_%d_%d", c.nIn, c.nGates, c.nOut),
+			gate.RandomCombinational(c.nIn, c.nGates, c.nOut, c.seed))
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenNetlists pins the structure of the built netlists — net and
+// gate order, names, pins, levelized order — and the published fault
+// lists to testdata/golden/netlists.txt. How a netlist stores its nets
+// and gates may change; what it holds may not.
+func TestGoldenNetlists(t *testing.T) {
+	checkGolden(t, goldenNetlists, netlistCorpus(t))
 }
 
 // checkGolden compares got against the committed golden file at path,
