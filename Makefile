@@ -56,9 +56,10 @@ benchgate:
 	bash benchgate.sh
 
 # Short deterministic fuzz smoke over the RMI wire codec, the event
-# queue, the bit-parallel stuck-at sweep, the batched power and timing
-# steps, provider dispatch of untrusted payloads, client decoding of
-# untrusted responses and the gateway's tenant config. This is the one fuzz list:
+# queue, the bit-parallel stuck-at sweep, netlist snapshot decoding, the
+# batched power and timing steps, provider dispatch of untrusted
+# payloads, client decoding of untrusted responses and the gateway's
+# tenant config. This is the one fuzz list:
 # ci.sh and the workflow call `make fuzz FUZZTIME=...`. Each target must
 # run in its own invocation (go test allows one -fuzz at a time).
 fuzz:
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMuxFaultyConn$$' -fuzztime=$(FUZZTIME) ./internal/rmi/
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueOrdering$$' -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepStuckAt$$' -fuzztime=$(FUZZTIME) ./internal/gate/
+	$(GO) test -run='^$$' -fuzz='^FuzzNetlistSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/gate/
 	$(GO) test -run='^$$' -fuzz='^FuzzStepBatch$$' -fuzztime=$(FUZZTIME) ./internal/ppp/
 	$(GO) test -run='^$$' -fuzz='^FuzzProviderDispatch$$' -fuzztime=$(FUZZTIME) ./internal/provider/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResponses$$' -fuzztime=$(FUZZTIME) ./internal/iplib/

@@ -166,6 +166,19 @@ func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 	}
 }
 
+// BenchmarkRandomTwoIPDesign measures building one fault-2ip design —
+// both random components with their testability services, the
+// module-level circuit and the flattened reference — which the fault-2ip
+// workload does four times per operation.
+func BenchmarkRandomTwoIPDesign(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := fault.RandomTwoIPDesign(120, 1999+int64(i%4)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSchedulerThroughput measures raw kernel token delivery. The
 // post-pop sub-benchmark isolates the queue cost itself (post/pop of
 // preallocated tokens); internal/sim's BenchmarkSignalDelivery covers

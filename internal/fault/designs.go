@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/gate"
 	"repro/internal/module"
@@ -133,7 +134,7 @@ func RandomIPDesign(nGates int, seed int64) (*IPDesign, error) {
 
 	x := make([]*module.Connector, 5)
 	for i := range x {
-		x[i] = module.NewBitConnector(fmt.Sprintf("x%d", i))
+		x[i] = module.NewBitConnector("x" + strconv.Itoa(i))
 	}
 	x0a := module.NewBitConnector("x0a")
 	x0b := module.NewBitConnector("x0b")
@@ -170,9 +171,12 @@ func RandomIPDesign(nGates int, seed int64) (*IPDesign, error) {
 	}
 
 	flat := gate.NewNetlist("randipflat")
+	// 5 inputs and 5 glue gates around the component's non-input nets
+	// and gates.
+	flat.Reserve(10+comp.NumNets()-len(comp.Inputs()), 5+comp.NumGates())
 	fx := make([]gate.NetID, 5)
 	for i := range fx {
-		fx[i] = flat.AddInput(fmt.Sprintf("x%d", i))
+		fx[i] = flat.AddInput("x" + strconv.Itoa(i))
 	}
 	fg1 := flat.AddGate(gate.And, "g1", fx[0], fx[1])
 	fg2 := flat.AddGate(gate.Or, "g2", fx[2], fx[3])
@@ -206,7 +210,7 @@ func RandomTwoIPDesign(nGates int, seed int64) (*IPDesign, error) {
 
 	y := make([]*module.Connector, 4)
 	for i := range y {
-		y[i] = module.NewBitConnector(fmt.Sprintf("y%d", i))
+		y[i] = module.NewBitConnector("y" + strconv.Itoa(i))
 	}
 	y0a := module.NewBitConnector("y0a")
 	y0b := module.NewBitConnector("y0b")
@@ -248,9 +252,13 @@ func RandomTwoIPDesign(nGates int, seed int64) (*IPDesign, error) {
 	}
 
 	flat := gate.NewNetlist("twoipflat")
+	// 4 inputs and 4 glue gates around both components' non-input nets
+	// and gates.
+	flat.Reserve(8+comp1.NumNets()-len(comp1.Inputs())+comp2.NumNets()-len(comp2.Inputs()),
+		4+comp1.NumGates()+comp2.NumGates())
 	fy := make([]gate.NetID, 4)
 	for i := range fy {
-		fy[i] = flat.AddInput(fmt.Sprintf("y%d", i))
+		fy[i] = flat.AddInput("y" + strconv.Itoa(i))
 	}
 	fh1 := flat.AddGate(gate.And, "h1", fy[0], fy[1])
 	fh2 := flat.AddGate(gate.Xor, "h2", fy[2], fy[3])

@@ -93,7 +93,9 @@ type TestabilityService interface {
 	// FaultList returns the component's symbolic fault list.
 	FaultList() ([]string, error)
 	// DetectionTable returns the detection table for one input
-	// configuration (component inputs in port order).
+	// configuration (component inputs in port order). inputs is valid
+	// only for the duration of the call: the virtual simulator reuses
+	// it for the next pattern.
 	DetectionTable(inputs []signal.Bit) (*DetectionTable, error)
 }
 
@@ -104,14 +106,16 @@ type TestabilityService interface {
 type LocalTestability struct {
 	nl   *gate.Netlist
 	list *SymbolicList
-	// faults holds the internal fault behind each symbolic name, in
-	// publication order.
-	faults []gate.Fault
 	// mu guards everything below: one service instance may be shared
 	// across hosts, and the virtual simulator queries hosts concurrently.
 	mu sync.Mutex
 	// ev is the sweep evaluator, reused by every query.
 	ev *gate.LaneEvaluator
+	// rowOf and rowIdx are query scratch: the row of the table each
+	// fault of the list falls in (-1 when not excited), and the row of
+	// each erroneous output.
+	rowOf  []int32
+	rowIdx map[signal.Word]int32
 	// cache maps input words to computed tables; detection tables
 	// depend only on the input configuration, so the provider can serve
 	// repeated patterns (the paper's example: patterns 1100 and 1101 lead
@@ -145,15 +149,12 @@ func NewLocalTestability(nl *gate.Netlist, policy Naming, internalOnly bool) (*L
 			nl.Name, in, out, signal.MaxWordWidth)
 	}
 	list := buildSymbolicList(nl, policy, internalOnly)
-	faults := make([]gate.Fault, len(list.names))
-	for i, name := range list.names {
-		faults[i] = list.toFault[name]
-	}
 	return &LocalTestability{
 		nl:     nl,
 		ev:     ev,
 		list:   list,
-		faults: faults,
+		rowOf:  make([]int32, len(list.faults)),
+		rowIdx: make(map[signal.Word]int32),
 		cache:  make(map[signal.Word]*DetectionTable),
 	}, nil
 }
@@ -183,29 +184,56 @@ func (lt *LocalTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable
 		return dt, nil
 	}
 	dt := &DetectionTable{Input: key}
-	rowIdx := make(map[signal.Word]int) // erroneous output → row
-	err := lt.ev.SweepStuckAt(inputs, lt.faults, func(i int, out []signal.Bit) {
+	clear(lt.rowIdx)
+	err := lt.ev.SweepStuckAt(inputs, lt.list.faults, func(i int, out []signal.Bit) {
 		bad := signal.WordFromBits(out)
 		if i < 0 {
 			dt.FaultFree = bad
 			return
 		}
+		lt.rowOf[i] = -1
 		if bad == dt.FaultFree || !bad.Known() {
 			return // fault not excited (or unresolvable) by this input
 		}
-		name := lt.list.names[i]
-		if r, ok := rowIdx[bad]; ok {
-			dt.Rows[r].Faults = append(dt.Rows[r].Faults, name)
-			return
+		r, ok := lt.rowIdx[bad]
+		if !ok {
+			r = int32(len(dt.Rows))
+			lt.rowIdx[bad] = r
+			dt.Rows = append(dt.Rows, DetectionRow{Output: bad})
 		}
-		rowIdx[bad] = len(dt.Rows)
-		dt.Rows = append(dt.Rows, DetectionRow{Output: bad, Faults: []string{name}})
+		lt.rowOf[i] = r
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range dt.Rows {
-		sort.Strings(dt.Rows[i].Faults)
+	// The rows' fault lists are consecutive windows of one slice, each
+	// filled in list order and then sorted.
+	ends := make([]int, len(dt.Rows))
+	for _, r := range lt.rowOf {
+		if r >= 0 {
+			ends[r]++
+		}
+	}
+	total := 0
+	for r, n := range ends {
+		total += n
+		ends[r] = total
+	}
+	names := make([]string, total)
+	for i := len(lt.rowOf) - 1; i >= 0; i-- {
+		if r := lt.rowOf[i]; r >= 0 {
+			ends[r]--
+			names[ends[r]] = lt.list.names[i]
+		}
+	}
+	for r := range dt.Rows {
+		end := total
+		if r+1 < len(ends) {
+			end = ends[r+1]
+		}
+		faults := names[ends[r]:end:end]
+		sort.Strings(faults)
+		dt.Rows[r].Faults = faults
 	}
 	lt.remember(key, dt)
 	return dt, nil

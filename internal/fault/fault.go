@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/gate"
 	"repro/internal/signal"
@@ -179,10 +180,11 @@ const (
 )
 
 // SymbolicList is a provider's published fault list: symbolic names in a
-// stable order, with the mapping back to internal faults kept private.
+// stable order, with the internal fault behind each name kept private.
 type SymbolicList struct {
-	names   []string
-	toFault map[string]gate.Fault
+	names []string
+	// faults[i] is the internal fault names[i] stands for.
+	faults []gate.Fault
 }
 
 // NewSymbolicList builds the symbolic fault list for a netlist under the
@@ -210,48 +212,59 @@ func buildSymbolicList(nl *gate.Netlist, policy Naming, internalOnly bool) *Symb
 	// order, the first member of each class is its representative, and
 	// the internal-only filter tracks the first internal member in the
 	// same order a scan of the class slice would have found it.
-	type classEntry struct {
-		f        gate.Fault
-		internal bool
+	isInternal := func(i int32) bool {
+		f := faultAt(int(i))
+		return !nl.IsInput(f.Net) && !nl.IsOutput(f.Net)
 	}
-	isInternal := func(f gate.Fault) bool { return !nl.IsInput(f.Net) && !nl.IsOutput(f.Net) }
-	entries := make([]classEntry, 0, len(uf))
-	byRoot := make([]int32, len(uf)) // entry index+1 of each root; 0 unset
+	reps := make([]int32, 0, len(uf)) // each class's representative
+	byRoot := make([]int32, len(uf))  // rep index+1 of each root; 0 unset
 	for i := range uf {
-		f := faultAt(i)
 		root := uf.find(int32(i))
 		if e := byRoot[root]; e != 0 {
-			if internalOnly && !entries[e-1].internal && isInternal(f) {
-				entries[e-1] = classEntry{f: f, internal: true}
+			if internalOnly && !isInternal(reps[e-1]) && isInternal(int32(i)) {
+				reps[e-1] = int32(i)
 			}
 			continue
 		}
-		entries = append(entries, classEntry{f: f, internal: isInternal(f)})
-		byRoot[root] = int32(len(entries))
+		reps = append(reps, int32(i))
+		byRoot[root] = int32(len(reps))
 	}
-	sl := &SymbolicList{
-		names:   make([]string, 0, len(entries)),
-		toFault: make(map[string]gate.Fault, len(entries)),
-	}
-	idx := 0
-	for _, e := range entries {
-		if internalOnly && !e.internal {
+	kept := reps[:0]
+	size := 0
+	anonLen := len("fsa0") + len(strconv.Itoa(len(reps)))
+	for _, i := range reps {
+		if internalOnly && !isInternal(i) {
 			continue // class holds only port faults: user's responsibility
 		}
-		var name string
+		kept = append(kept, i)
+		if policy == Anonymous {
+			size += anonLen
+		} else {
+			size += len(nl.NetName(faultAt(int(i)).Net)) + len("sa0")
+		}
+	}
+	// Every name is a substring of one buffer, sized up front, so the
+	// list's names cost one allocation rather than one each.
+	var text strings.Builder
+	text.Grow(size)
+	sl := &SymbolicList{
+		names:  make([]string, len(kept)),
+		faults: make([]gate.Fault, len(kept)),
+	}
+	for k, i := range kept {
+		f := faultAt(int(i))
+		start := text.Len()
 		switch policy {
 		case Anonymous:
-			sa := "sa0"
-			if e.f.Stuck == signal.B1 {
-				sa = "sa1"
-			}
-			name = "f" + strconv.Itoa(idx) + sa
+			text.WriteByte('f')
+			text.WriteString(strconv.Itoa(k))
 		default:
-			name = e.f.Symbol(nl)
+			text.WriteString(nl.NetName(f.Net))
 		}
-		idx++
-		sl.names = append(sl.names, name)
-		sl.toFault[name] = e.f
+		text.WriteString("sa")
+		text.WriteByte('0' + byte(f.Stuck))
+		sl.names[k] = text.String()[start:]
+		sl.faults[k] = f
 	}
 	return sl
 }
@@ -261,10 +274,14 @@ func buildSymbolicList(nl *gate.Netlist, policy Naming, internalOnly bool) *Symb
 func (sl *SymbolicList) Names() []string { return append([]string(nil), sl.names...) }
 
 // Fault resolves a symbolic name to the internal fault. Provider-side
-// only: the mapping never leaves the provider.
+// only: the mapping never leaves the provider. It scans the list.
 func (sl *SymbolicList) Fault(name string) (gate.Fault, bool) {
-	f, ok := sl.toFault[name]
-	return f, ok
+	for i, n := range sl.names {
+		if n == name {
+			return sl.faults[i], true
+		}
+	}
+	return gate.Fault{}, false
 }
 
 // Len returns the number of symbolic faults.

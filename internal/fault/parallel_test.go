@@ -268,7 +268,8 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 	wantOut := make([][]signal.Value, len(patterns))
 	for i, p := range patterns {
 		refRun.pattern = p
-		if wantOut[i], err = refVS.simulate(refRun.ctrl, refRun.sched(0), nil); err != nil {
+		wantOut[i] = make([]signal.Value, len(ref.Outputs))
+		if err := refVS.simulate(refRun.ctrl, refRun.sched(0), nil, wantOut[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

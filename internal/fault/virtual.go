@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/module"
@@ -92,71 +93,117 @@ func (vs *VirtualSimulator) AddHost(m HostModule, svc TestabilityService) {
 // Hosts returns the registered hosts.
 func (vs *VirtualSimulator) Hosts() []*Host { return vs.hosts }
 
-// globalFault tracks one symbolic fault of one host in the design-wide
-// fault list.
-type globalFault struct {
-	host *Host
-	name string // provider's symbolic name
-}
-
-// qualified returns the design-wide fault name "<module>.<symbol>".
-func (g globalFault) qualified() string { return g.host.Module.ModuleName() + "." + g.name }
-
 // BuildFaultList performs phase one: the union of the hosts' symbolic
 // fault lists, qualified by instance name.
 func (vs *VirtualSimulator) BuildFaultList() ([]string, error) {
-	gfs, err := vs.buildFaultList()
+	fl, err := vs.buildFaultList()
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(gfs))
-	for i, gf := range gfs {
-		names[i] = gf.qualified()
-	}
-	return names, nil
+	return fl.qualified, nil
 }
 
-func (vs *VirtualSimulator) buildFaultList() ([]globalFault, error) {
-	var out []globalFault
-	for _, h := range vs.hosts {
+// faultList is the design-wide fault list: per host the provider's
+// symbolic names in its order, and every fault's qualified name
+// "<module>.<symbol>", host after host.
+type faultList struct {
+	names     [][]string // per host in vs.hosts order
+	qualified []string
+}
+
+func (vs *VirtualSimulator) buildFaultList() (*faultList, error) {
+	fl := &faultList{names: make([][]string, len(vs.hosts))}
+	total, size := 0, 0
+	for hi, h := range vs.hosts {
 		names, err := h.Service.FaultList()
 		if err != nil {
 			return nil, fmt.Errorf("fault: fault list of %s: %w", h.Module.ModuleName(), err)
 		}
+		fl.names[hi] = names
+		total += len(names)
 		for _, n := range names {
-			out = append(out, globalFault{host: h, name: n})
+			size += len(h.Module.ModuleName()) + 1 + len(n)
 		}
 	}
-	return out, nil
+	// The qualified names are carved from one string.
+	var text strings.Builder
+	text.Grow(size)
+	fl.qualified = make([]string, 0, total)
+	for hi, h := range vs.hosts {
+		for _, n := range fl.names[hi] {
+			start := text.Len()
+			text.WriteString(h.Module.ModuleName())
+			text.WriteByte('.')
+			text.WriteString(n)
+			fl.qualified = append(fl.qualified, text.String()[start:])
+		}
+	}
+	return fl, nil
 }
 
 // virtualRun is the working set of one Run: a kernel controller over
-// the design's leaves and each host's forcing targets, built once, and
-// one scheduler per pool worker, recycled for every simulation that
-// worker performs.
+// the design's leaves and each host's forcing targets, built once, one
+// scheduler per pool worker, recycled for every simulation that worker
+// performs, and the per-pattern scratch, reused by every pattern.
 type virtualRun struct {
 	*VirtualSimulator
 	ctrl    *sim.Controller
-	targets map[*Host]*forceTargets
+	targets []*forceTargets // per host, in vs.hosts order
 	scheds  []*sim.Scheduler
 	// pattern is the input pattern every run seeds at time 1. It changes
 	// only between patterns, when no run is under way, so the controller
 	// is read-only while runs start and every run of a pattern shares it.
 	pattern []signal.Bit
+
+	// alive maps, per host, each still-undetected symbolic fault to its
+	// index in the design-wide list; remaining counts them all.
+	alive     []map[string]int
+	remaining int
+
+	// Per-pattern scratch. ctx reads worker 0's scheduler, which runs
+	// every fault-free simulation. live lists the hosts (by index) with
+	// live faults and tables their detection tables; hostIn holds each
+	// host's captured input configuration. golden and faulty (one per
+	// worker) hold primary-output snapshots.
+	ctx    *sim.Context
+	live   []int
+	hostIn [][]signal.Bit
+	tables []*DetectionTable
+	jobs   []injectionJob
+	golden []signal.Value
+	faulty [][]signal.Value
+
+	// fetch and inject are the bodies of the two per-pattern fan-outs,
+	// bound once per Run; tableCalls and injections count the items they
+	// complete.
+	fetch, inject          func(worker, i int) error
+	tableCalls, injections atomic.Int64
 }
 
-// newRun builds the controller and the hosts' forcing targets for a Run.
+// newRun builds the controller, the hosts' forcing targets and the
+// per-pattern scratch for a Run.
 func (vs *VirtualSimulator) newRun() *virtualRun {
+	workers := vs.pool().Size()
 	r := &virtualRun{
 		VirtualSimulator: vs,
 		ctrl:             sim.NewController(vs.circuit.Handlers()...),
-		targets:          make(map[*Host]*forceTargets, len(vs.hosts)),
-		scheds:           make([]*sim.Scheduler, vs.pool().Size()),
+		targets:          make([]*forceTargets, len(vs.hosts)),
+		scheds:           make([]*sim.Scheduler, workers),
+		live:             make([]int, 0, len(vs.hosts)),
+		hostIn:           make([][]signal.Bit, len(vs.hosts)),
+		tables:           make([]*DetectionTable, 0, len(vs.hosts)),
+		golden:           make([]signal.Value, len(vs.outputs)),
+		faulty:           make([][]signal.Value, workers),
 	}
 	r.ctrl.EventLimit = vs.EventLimit
 	r.ctrl.Seed = r.seed
-	for _, h := range vs.hosts {
-		r.targets[h] = newForceTargets(h)
+	r.fetch, r.inject = r.fetchTable, r.injectRow
+	r.ctx = r.sched(0).NewContext()
+	for hi, h := range vs.hosts {
+		r.targets[hi] = newForceTargets(h)
+	}
+	for w := range r.faulty {
+		r.faulty[w] = make([]signal.Value, len(vs.outputs))
 	}
 	return r
 }
@@ -184,23 +231,19 @@ func (r *virtualRun) seed(ctx *sim.Context) {
 // pool returns the worker pool bounding this simulator's fan-outs.
 func (vs *VirtualSimulator) pool() sim.Pool { return sim.Pool{Workers: vs.Workers} }
 
-// simulate runs one simulation on sched and returns the settled value of
-// every primary output (nil entries mean the output was never driven).
-// It releases the run's output histories on every path, error included:
-// the run's outputs are consumed exactly once, and the histories of
-// other runs — this Run's other workers, or another Run over the same
-// design — are not this run's to touch.
-func (vs *VirtualSimulator) simulate(ctrl *sim.Controller, sched *sim.Scheduler, configure func(*sim.Scheduler)) ([]signal.Value, error) {
+// simulate runs one simulation on sched and stores the settled value of
+// every primary output in out (nil entries mean the output was never
+// driven). Taking each output's last value releases the run's output
+// history, error included: the run's outputs are consumed exactly once,
+// and the histories of other runs — this Run's other workers, or
+// another Run over the same design — are not this run's to touch.
+func (vs *VirtualSimulator) simulate(ctrl *sim.Controller, sched *sim.Scheduler, configure func(*sim.Scheduler), out []signal.Value) error {
 	st := ctrl.StartOn(sched, nil, configure)
-	out := make([]signal.Value, len(vs.outputs))
 	for i, po := range vs.outputs {
-		h := po.History(st.Scheduler)
-		if len(h) > 0 {
-			out[i] = h[len(h)-1].Value
-		}
-		po.ReleaseHistory(st.Scheduler)
+		last, _ := po.TakeLast(st.Scheduler)
+		out[i] = last.Value
 	}
-	return out, st.Err
+	return st.Err
 }
 
 // outputsDiffer reports whether two primary-output snapshots differ in a
@@ -263,58 +306,94 @@ func (f *forcer) HandleToken(ctx *sim.Context, tok sim.Token) {
 	}
 }
 
-// hostInputBits converts a host's captured input port values to bits
-// (X for ports never driven).
-func hostInputBits(vals []signal.Value) []signal.Bit {
-	out := make([]signal.Bit, len(vals))
-	for i, v := range vals {
-		if bv, ok := v.(signal.BitValue); ok {
-			out[i] = bv.B
-		} else {
-			out[i] = signal.BX
-		}
+// fetchTable queries the detection table of live host i for its
+// captured input configuration.
+func (r *virtualRun) fetchTable(_, i int) error {
+	hi := r.live[i]
+	h := r.hosts[hi]
+	dt, err := h.Service.DetectionTable(r.hostIn[hi])
+	if err != nil {
+		return fmt.Errorf("fault: detection table of %s: %w", h.Module.ModuleName(), err)
 	}
-	return out
+	r.tableCalls.Add(1)
+	r.tables[i] = dt
+	return nil
+}
+
+// injectRow runs injection job i on worker w's scheduler: it overrides
+// the host's event handling to force the row's erroneous output
+// configuration, replays the pattern at the primary inputs, and compares
+// the primary outputs against the fault-free run.
+func (r *virtualRun) injectRow(w, i int) error {
+	job := &r.jobs[i]
+	faulty := r.faulty[w]
+	err := r.simulate(r.ctrl, r.sched(w), func(sched *sim.Scheduler) {
+		sched.Override(r.hosts[job.host].Module.Base(), &job.force)
+	}, faulty)
+	if err != nil {
+		return err
+	}
+	r.injections.Add(1)
+	job.detected = outputsDiffer(r.golden, faulty)
+	return nil
+}
+
+// captureInputs converts a host's captured input port values to bits in
+// dst's storage (X for ports never driven).
+func captureInputs(dst []signal.Bit, vals []signal.Value) []signal.Bit {
+	dst = dst[:0]
+	for _, v := range vals {
+		b := signal.BX
+		if bv, ok := v.(signal.BitValue); ok {
+			b = bv.B
+		}
+		dst = append(dst, b)
+	}
+	return dst
 }
 
 // Run executes the full two-phase protocol over the pattern sequence and
 // returns the detection result (same shape as the serial reference).
 func (vs *VirtualSimulator) Run(patterns [][]signal.Bit) (*Result, error) {
-	gfs, err := vs.buildFaultList()
+	fl, err := vs.buildFaultList()
 	if err != nil {
 		return nil, err
 	}
+	total := len(fl.qualified)
 	res := &Result{
-		Total:      len(gfs),
-		Detected:   make(map[string]int),
+		Total:      total,
+		Detected:   make(map[string]int, total),
 		PerPattern: make([][]string, len(patterns)),
 	}
-	alive := make(map[*Host]map[string]bool, len(vs.hosts))
-	for _, gf := range gfs {
-		m := alive[gf.host]
-		if m == nil {
-			m = make(map[string]bool)
-			alive[gf.host] = m
-		}
-		m[gf.name] = true
-	}
 	r := vs.newRun()
+	r.alive = make([]map[string]int, len(vs.hosts))
+	gi := 0
+	for hi, names := range fl.names {
+		m := make(map[string]int, len(names))
+		for _, n := range names {
+			m[n] = gi
+			gi++
+		}
+		r.alive[hi] = m
+		r.remaining += len(m)
+	}
+	// Each fault is detected at most once, so the per-pattern lists are
+	// carved from one slice of the whole list's size.
+	detections := make([]string, 0, total)
 	for pi, pattern := range patterns {
 		if len(pattern) != len(vs.inputs) {
 			return nil, fmt.Errorf("fault: pattern %d has %d bits, design has %d inputs",
 				pi, len(pattern), len(vs.inputs))
 		}
-		if err := r.runPattern(pi, pattern, alive, res); err != nil {
+		start := len(detections)
+		detections, err = r.runPattern(pi, pattern, fl.qualified, detections, res)
+		if err != nil {
 			return nil, err
 		}
-		done := true
-		for _, m := range alive {
-			if len(m) > 0 {
-				done = false
-				break
-			}
+		if end := len(detections); end > start {
+			res.PerPattern[pi] = detections[start:end:end]
 		}
-		if done {
+		if r.remaining == 0 {
 			break
 		}
 	}
@@ -340,25 +419,25 @@ func (vs *VirtualSimulator) Run(patterns [][]signal.Bit) (*Result, error) {
 // are bit-identical to the serial path even for degenerate providers
 // whose rows overlap.
 type injectionJob struct {
-	host      *Host
+	host      int // index in vs.hosts
 	force     forcer
 	rowFaults []string
 	detected  bool
 }
 
 // runPattern performs the fault-free simulation, detection-table
-// exchange, and injection runs for one test pattern. The detection-table
-// queries (one RMI round trip per host) and the injection runs (one per
-// erroneous row, each on its worker's recycled scheduler) are
-// independent, so both fan out over the simulator's worker pool;
-// detections are then merged in the serial host/row order.
-func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, alive map[*Host]map[string]bool, res *Result) error {
+// exchange, and injection runs for one test pattern, and appends the
+// qualified names of the faults it detects to detections. The
+// detection-table queries (one RMI round trip per host) and the
+// injection runs (one per erroneous row, each on its worker's recycled
+// scheduler) are independent, so both fan out over the simulator's
+// worker pool; detections are then merged in the serial host/row order.
+func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, qualified, detections []string, res *Result) ([]string, error) {
 	// Fault-free simulation.
 	r.pattern = pattern
 	sched := r.sched(0)
-	golden, err := r.simulate(r.ctrl, sched, nil)
-	if err != nil {
-		return err
+	if err := r.simulate(r.ctrl, sched, nil, r.golden); err != nil {
+		return detections, err
 	}
 	r.Stats.FaultFreeRuns++
 
@@ -366,100 +445,74 @@ func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, alive map[*Host]ma
 	// faults from the run's final state: the values at the end of its
 	// last instant. A run that delivered nothing completed no instant and
 	// leaves the configuration empty.
-	live := make([]*Host, 0, len(r.hosts))
-	inputs := make([][]signal.Bit, 0, len(r.hosts))
-	ctx := sched.NewContext()
-	for _, h := range r.hosts {
-		if len(alive[h]) == 0 {
+	r.live = r.live[:0]
+	for hi, h := range r.hosts {
+		if len(r.alive[hi]) == 0 {
 			continue
 		}
 		var vals []signal.Value
 		if sched.Delivered() > 0 {
-			vals = h.Module.PortValues(ctx, module.In)
+			vals = h.Module.PortValues(r.ctx, module.In)
 		}
-		live = append(live, h)
-		inputs = append(inputs, hostInputBits(vals))
+		r.live = append(r.live, hi)
+		r.hostIn[hi] = captureInputs(r.hostIn[hi], vals)
 	}
 
 	// Phase A: fetch the detection tables of every live host
 	// concurrently — each query goes to a different provider.
-	tables := make([]*DetectionTable, len(live))
-	var tableCalls atomic.Int64
-	err = r.pool().For(len(live), func(i int) error {
-		h := live[i]
-		dt, err := h.Service.DetectionTable(inputs[i])
-		if err != nil {
-			return fmt.Errorf("fault: detection table of %s: %w", h.Module.ModuleName(), err)
-		}
-		tableCalls.Add(1)
-		tables[i] = dt
-		return nil
-	})
-	r.Stats.DetectionTableCalls += int(tableCalls.Load())
+	r.tables = r.tables[:len(r.live)]
+	err := r.pool().ForWorker(len(r.live), r.fetch)
+	r.Stats.DetectionTableCalls += int(r.tableCalls.Swap(0))
 	if err != nil {
-		return err
+		return detections, err
 	}
 
 	// Phase B: schedule one injection per row still carrying live faults.
 	// The live check is a snapshot — for well-formed providers the rows of
 	// a table partition the host's faults, so the snapshot agrees exactly
 	// with the serial one-row-at-a-time filter.
-	var jobs []injectionJob
-	for i, h := range live {
-		for _, row := range tables[i].Rows {
-			hasLive := false
+	r.jobs = r.jobs[:0]
+	for i, hi := range r.live {
+		alive := r.alive[hi]
+		for _, row := range r.tables[i].Rows {
 			for _, f := range row.Faults {
-				if alive[h][f] {
-					hasLive = true
+				if _, ok := alive[f]; ok {
+					r.jobs = append(r.jobs, injectionJob{
+						host:      hi,
+						force:     forcer{forceTargets: r.targets[hi], pattern: row.Output},
+						rowFaults: row.Faults,
+					})
 					break
 				}
 			}
-			if hasLive {
-				jobs = append(jobs, injectionJob{
-					host:      h,
-					force:     forcer{forceTargets: r.targets[h], pattern: row.Output},
-					rowFaults: row.Faults,
-				})
-			}
 		}
 	}
-	// Each injection overrides the host's event handling to force the
-	// row's erroneous output configuration, replays the pattern at the
-	// primary inputs on its worker's scheduler, and compares the primary
-	// outputs against the fault-free run.
-	var injections atomic.Int64
-	err = r.pool().ForWorker(len(jobs), func(w, i int) error {
-		faulty, err := r.simulate(r.ctrl, r.sched(w), func(sched *sim.Scheduler) {
-			sched.Override(jobs[i].host.Module.Base(), &jobs[i].force)
-		})
-		if err != nil {
-			return err
-		}
-		injections.Add(1)
-		jobs[i].detected = outputsDiffer(golden, faulty)
-		return nil
-	})
-	r.Stats.InjectionRuns += int(injections.Load())
+	// Each injection runs on its worker's recycled scheduler (injectRow).
+	err = r.pool().ForWorker(len(r.jobs), r.inject)
+	r.Stats.InjectionRuns += int(r.injections.Swap(0))
 	if err != nil {
-		return err
+		return detections, err
 	}
 
 	// Merge in serial host/row order, re-filtering each row against the
 	// live set as of this point in the order — exactly what the serial
 	// loop saw — so Result is byte-identical for any worker count.
-	for _, job := range jobs {
+	for _, job := range r.jobs {
 		if !job.detected {
 			continue
 		}
+		alive := r.alive[job.host]
 		for _, f := range job.rowFaults {
-			if !alive[job.host][f] {
+			gi, ok := alive[f]
+			if !ok {
 				continue
 			}
-			delete(alive[job.host], f)
-			q := globalFault{host: job.host, name: f}.qualified()
+			delete(alive, f)
+			r.remaining--
+			q := qualified[gi]
 			res.Detected[q] = pi
-			res.PerPattern[pi] = append(res.PerPattern[pi], q)
+			detections = append(detections, q)
 		}
 	}
-	return nil
+	return detections, nil
 }

@@ -382,7 +382,7 @@ func TestVirtualFaultSimWithNestedHierarchy(t *testing.T) {
 // side of virtual fault simulation: one serial Run over the exhaustive
 // patterns of a fault-2ip design, with the providers' detection tables
 // already cached by an earlier Run. The budget is the measured level,
-// 799 allocations; EXPERIMENTS.md records how it was reached.
+// 149 allocations; EXPERIMENTS.md records how it was reached.
 func TestVirtualRunAllocationBudget(t *testing.T) {
 	d, err := RandomTwoIPDesign(120, 1999)
 	if err != nil {
@@ -397,7 +397,23 @@ func TestVirtualRunAllocationBudget(t *testing.T) {
 		}
 	}
 	run() // fill the providers' table caches
-	if allocs := testing.AllocsPerRun(5, run); allocs > 799 {
-		t.Errorf("%.0f allocations per Run, budget 799", allocs)
+	if allocs := testing.AllocsPerRun(5, run); allocs > 149 {
+		t.Errorf("%.0f allocations per Run, budget 149", allocs)
+	}
+}
+
+// TestRandomTwoIPDesignAllocationBudget pins the allocation cost of
+// building one fault-2ip design: both components, their testability
+// services, the module-level circuit and the flattened reference. The
+// budget is the measured level, 244 allocations; EXPERIMENTS.md records
+// how it was reached.
+func TestRandomTwoIPDesignAllocationBudget(t *testing.T) {
+	build := func() {
+		if _, err := RandomTwoIPDesign(120, 1999); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, build); allocs > 244 {
+		t.Errorf("%.0f allocations per design, budget 244", allocs)
 	}
 }

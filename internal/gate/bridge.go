@@ -41,6 +41,7 @@ func (n *Netlist) Bridged(b Bridge) (*Netlist, error) {
 	cur := make([]NetID, len(n.nets))
 	cur[b.A] = bn.AddInput("x")
 	cur[b.B] = cur[b.A]
+	var in []NetID // one gate's inputs; AddGate copies them
 	for range 3 {
 		driven := map[NetID]NetID{} // this copy's driven values of the pair
 		resolve := func(id, d NetID) NetID {
@@ -59,9 +60,9 @@ func (n *Netlist) Bridged(b Bridge) (*Netlist, error) {
 		}
 		for _, gi := range n.levels {
 			g := &n.gates[gi]
-			in := make([]NetID, len(g.In))
-			for i, id := range g.In {
-				in[i] = cur[id]
+			in = in[:0]
+			for _, id := range g.In {
+				in = append(in, cur[id])
 			}
 			cur[g.Out] = resolve(g.Out, bn.AddGate(g.Kind, name(), in...))
 		}

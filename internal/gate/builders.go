@@ -3,6 +3,8 @@ package gate
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"repro/internal/signal"
 )
@@ -29,22 +31,22 @@ func (n *Netlist) AddFullAdder(prefix string, a, b, cin NetID) (sum, cout NetID)
 // RippleAdder builds an n-bit ripple-carry adder: inputs a[0..n), b[0..n),
 // outputs s[0..n) and carry-out "cout".
 func RippleAdder(width int) *Netlist {
-	nl := NewNetlist(fmt.Sprintf("rca%d", width))
+	nl := NewNetlist("rca" + strconv.Itoa(width))
 	a := make([]NetID, width)
 	b := make([]NetID, width)
 	for i := 0; i < width; i++ {
-		a[i] = nl.AddInput(fmt.Sprintf("a%d", i))
+		a[i] = nl.AddInput("a" + strconv.Itoa(i))
 	}
 	for i := 0; i < width; i++ {
-		b[i] = nl.AddInput(fmt.Sprintf("b%d", i))
+		b[i] = nl.AddInput("b" + strconv.Itoa(i))
 	}
 	var carry NetID = InvalidNet
 	for i := 0; i < width; i++ {
 		var s NetID
 		if i == 0 {
-			s, carry = nl.AddHalfAdder(fmt.Sprintf("fa%d", i), a[i], b[i])
+			s, carry = nl.AddHalfAdder("fa0", a[i], b[i])
 		} else {
-			s, carry = nl.AddFullAdder(fmt.Sprintf("fa%d", i), a[i], b[i], carry)
+			s, carry = nl.AddFullAdder("fa"+strconv.Itoa(i), a[i], b[i], carry)
 		}
 		nl.MarkOutput(s)
 	}
@@ -60,21 +62,21 @@ func ArrayMultiplier(width int) *Netlist {
 	if width < 2 {
 		panic("gate: ArrayMultiplier needs width >= 2")
 	}
-	nl := NewNetlist(fmt.Sprintf("mult%d", width))
+	nl := NewNetlist("mult" + strconv.Itoa(width))
 	a := make([]NetID, width)
 	b := make([]NetID, width)
 	for i := 0; i < width; i++ {
-		a[i] = nl.AddInput(fmt.Sprintf("a%d", i))
+		a[i] = nl.AddInput("a" + strconv.Itoa(i))
 	}
 	for i := 0; i < width; i++ {
-		b[i] = nl.AddInput(fmt.Sprintf("b%d", i))
+		b[i] = nl.AddInput("b" + strconv.Itoa(i))
 	}
 	// Partial products pp[i][j] = a[j] AND b[i], weight i+j.
 	pp := make([][]NetID, width)
 	for i := 0; i < width; i++ {
 		pp[i] = make([]NetID, width)
 		for j := 0; j < width; j++ {
-			pp[i][j] = nl.AddGate(And, fmt.Sprintf("pp%d_%d", i, j), a[j], b[i])
+			pp[i][j] = nl.AddGate(And, "pp"+strconv.Itoa(i)+"_"+strconv.Itoa(j), a[j], b[i])
 		}
 	}
 	// Carry-save reduction: acc holds the running sum bits of the first
@@ -90,7 +92,7 @@ func ArrayMultiplier(width int) *Netlist {
 		var carry NetID = InvalidNet
 		for j := 0; j < width; j++ {
 			k := i + j
-			prefix := fmt.Sprintf("r%d_%d", i, j)
+			prefix := "r" + strconv.Itoa(i) + "_" + strconv.Itoa(j)
 			switch {
 			case acc[k] == InvalidNet && carry == InvalidNet:
 				acc[k] = pp[i][j]
@@ -105,7 +107,7 @@ func ArrayMultiplier(width int) *Netlist {
 		// Propagate the final carry of the row into the accumulator.
 		k := i + width
 		for carry != InvalidNet && k < 2*width {
-			prefix := fmt.Sprintf("r%d_c%d", i, k)
+			prefix := "r" + strconv.Itoa(i) + "_c" + strconv.Itoa(k)
 			if acc[k] == InvalidNet {
 				acc[k] = carry
 				carry = InvalidNet
@@ -207,23 +209,26 @@ func RandomCombinational(nIn, nGates, nOut int, seed int64) *Netlist {
 		panic("gate: RandomCombinational needs nIn>=2, nGates>=1, nOut>=1")
 	}
 	r := rand.New(rand.NewSource(seed))
-	nl := NewNetlist(fmt.Sprintf("rand_%d_%d_%d", nIn, nGates, seed))
+	nl := NewNetlist("rand_" + strconv.Itoa(nIn) + "_" + strconv.Itoa(nGates) + "_" + strconv.FormatInt(seed, 10))
+	nl.Reserve(nIn+nGates, nGates)
+	var names nameBuf
+	names.Grow(nIn*(2+len(strconv.Itoa(nIn))) + nGates*(1+len(strconv.Itoa(nGates))))
 	avail := make([]NetID, 0, nIn+nGates)
 	for i := 0; i < nIn; i++ {
-		avail = append(avail, nl.AddInput(fmt.Sprintf("in%d", i)))
+		avail = append(avail, nl.AddInput(names.indexed("in", i)))
 	}
-	kinds := []Kind{And, Nand, Or, Nor, Xor, Xnor, Not, Buf}
+	kinds := [...]Kind{And, Nand, Or, Nor, Xor, Xnor, Not, Buf}
+	var in [2]NetID
 	for g := 0; g < nGates; g++ {
 		k := kinds[r.Intn(len(kinds))]
-		var in []NetID
+		arity := 2
 		if k == Not || k == Buf {
-			in = []NetID{avail[r.Intn(len(avail))]}
-		} else {
-			x := avail[r.Intn(len(avail))]
-			y := avail[r.Intn(len(avail))]
-			in = []NetID{x, y}
+			arity = 1
 		}
-		avail = append(avail, nl.AddGate(k, fmt.Sprintf("g%d", g), in...))
+		for i := 0; i < arity; i++ {
+			in[i] = avail[r.Intn(len(avail))]
+		}
+		avail = append(avail, nl.AddGate(k, names.indexed("g", g), in[:arity]...))
 	}
 	// Choose outputs among the last gates so most logic is observable.
 	if nOut > nGates {
@@ -247,33 +252,63 @@ func (n *Netlist) Embed(sub *Netlist, drivers []NetID, prefix string) []NetID {
 		panic(fmt.Sprintf("gate: Embed of %s needs %d drivers, got %d",
 			sub.Name, len(sub.inputs), len(drivers)))
 	}
-	mapping := make([]NetID, sub.NumNets()) // sub net → net of n
+	if err := sub.build(); err != nil {
+		panic(fmt.Sprintf("gate: Embed: %v", err))
+	}
+	n.Reserve(len(sub.nets)-len(sub.inputs), len(sub.gates))
+	mapping := make([]NetID, len(sub.nets)) // sub net → net of n
 	for i, id := range sub.inputs {
 		n.checkNet(drivers[i])
 		mapping[id] = drivers[i]
 	}
-	for id := 0; id < sub.NumNets(); id++ {
+	var names nameBuf
+	size := 0
+	for _, ni := range sub.nets {
+		size += len(prefix) + len(ni.name)
+	}
+	names.Grow(size)
+	for id := range sub.nets {
 		if sub.nets[id].isPI {
 			continue
 		}
-		mapping[NetID(id)] = n.AddNet(prefix + sub.nets[id].name)
-	}
-	if err := sub.build(); err != nil {
-		panic(fmt.Sprintf("gate: Embed: %v", err))
+		mapping[id] = n.AddNet(names.concat(prefix, sub.nets[id].name))
 	}
 	for _, gi := range sub.levels {
-		g := sub.gates[gi]
-		in := make([]NetID, len(g.In))
+		g := &sub.gates[gi]
+		in := n.carve(len(g.In))
 		for i, id := range g.In {
 			in[i] = mapping[id]
 		}
-		n.AddGateTo(g.Kind, mapping[g.Out], in...)
+		n.addGate(g.Kind, mapping[g.Out], in)
 	}
 	outs := make([]NetID, len(sub.outputs))
 	for i, id := range sub.outputs {
 		outs[i] = mapping[id]
 	}
 	return outs
+}
+
+// nameBuf carves generated names from one buffer: each name is a
+// substring of the builder's contents, which never change once written,
+// so a builder that grows its buffer up front names n nets with one
+// allocation rather than n.
+type nameBuf struct{ strings.Builder }
+
+// concat returns prefix + name.
+func (b *nameBuf) concat(prefix, name string) string {
+	start := b.Len()
+	b.WriteString(prefix)
+	b.WriteString(name)
+	return b.String()[start:]
+}
+
+// indexed returns prefix followed by i in decimal.
+func (b *nameBuf) indexed(prefix string, i int) string {
+	start := b.Len()
+	b.WriteString(prefix)
+	var digits [20]byte
+	b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	return b.String()[start:]
 }
 
 // InputWord packs a uint64 into an input pattern for a netlist with up to

@@ -70,6 +70,7 @@ func (n *Netlist) unmarshalBinary(b []byte) error {
 	if count > uint64(len(b)) { // each net takes at least three bytes
 		return fmt.Errorf("%d nets, %d bytes left: %w", count, len(b), wire.ErrTruncated)
 	}
+	n.Reserve(int(count), 0)
 	var outputs []NetID
 	for id := NetID(0); uint64(id) < count; id++ {
 		var name string
@@ -98,6 +99,7 @@ func (n *Netlist) unmarshalBinary(b []byte) error {
 	if count > uint64(len(b)) { // each gate takes at least three bytes
 		return fmt.Errorf("%d gates, %d bytes left: %w", count, len(b), wire.ErrTruncated)
 	}
+	n.Reserve(0, int(count))
 	for ; count > 0; count-- {
 		var kind, arity uint64
 		if kind, b, err = wire.Uvarint(b); err != nil {
@@ -112,7 +114,7 @@ func (n *Netlist) unmarshalBinary(b []byte) error {
 		if arity > uint64(len(b)) {
 			return fmt.Errorf("%d gate inputs, %d bytes left: %w", arity, len(b), wire.ErrTruncated)
 		}
-		in := make([]NetID, arity)
+		in := n.carve(int(arity))
 		for i := range in {
 			if in[i], b, err = n.netRef(b); err != nil {
 				return err
@@ -122,7 +124,7 @@ func (n *Netlist) unmarshalBinary(b []byte) error {
 		if out, b, err = n.netRef(b); err != nil {
 			return err
 		}
-		n.AddGateTo(Kind(kind), out, in...)
+		n.addGate(Kind(kind), out, in)
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("%d trailing bytes", len(b))

@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/signal"
@@ -107,4 +108,57 @@ func TestCloneIndependence(t *testing.T) {
 	if _, err := orig.Eval([]signal.Bit{signal.B1, signal.B1}); err != nil {
 		t.Errorf("original broken by clone mutation: %v", err)
 	}
+}
+
+// FuzzNetlistSnapshot decodes arbitrary bytes as a netlist snapshot.
+// Snapshots cross a trust boundary (internal/sealed ships them), so
+// decoding must never panic; a snapshot it accepts must re-encode to
+// bytes that decode and re-encode to themselves, and must evaluate.
+func FuzzNetlistSnapshot(f *testing.F) {
+	wide := NewNetlist("wide")
+	a, b, c := wide.AddInput("a"), wide.AddInput("b"), wide.AddInput("c")
+	wide.MarkOutput(wide.AddGate(Xnor, "x", a, b, c))
+	wide.MarkOutput(wide.AddGate(Nor, "y", a, a))
+	embedded := NewNetlist("top")
+	embedded.MarkOutput(embedded.Embed(HalfAdderIP(), []NetID{embedded.AddInput("p"), embedded.AddInput("q")}, "IP.")[1])
+	for _, nl := range []*Netlist{NewNetlist(""), C17(), RippleAdder(2), wide, embedded, RandomCombinational(3, 20, 2, 9)} {
+		blob, err := nl.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte("not a netlist"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nl := NewNetlist("")
+		if err := nl.UnmarshalBinary(data); err != nil {
+			return
+		}
+		once, err := nl.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := NewNetlist("")
+		if err := again.UnmarshalBinary(once); err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		twice, err := again.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not stable:\n once  %x\n twice %x", once, twice)
+		}
+		le, err := nl.NewLaneEvaluator()
+		if err != nil {
+			t.Fatalf("decoded netlist does not evaluate: %v", err)
+		}
+		in := make([]signal.Bit, len(nl.Inputs()))
+		for i := range in {
+			in[i] = signal.Bit(i % 4)
+		}
+		if err := le.EvalBatch([][]signal.Bit{in}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

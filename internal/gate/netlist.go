@@ -60,8 +60,8 @@ type Gate struct {
 
 type netInfo struct {
 	name   string
-	driver int // index of driving gate, or -1 for a primary input
-	fanout int // number of gate inputs this net feeds
+	driver int32 // index of driving gate, or -1 for a primary input
+	fanout int32 // number of gate inputs this net feeds
 	isPI   bool
 	isPO   bool
 }
@@ -76,6 +76,14 @@ type Netlist struct {
 	inputs  []NetID
 	outputs []NetID
 	byName  map[string]NetID
+	// nameCap is the number of names byName was sized for (see Reserve).
+	nameCap int
+
+	// pins is the slab every gate's In is carved from (see carve): a
+	// netlist keeps its gate inputs in a few large arrays, not one slice
+	// per gate. It only grows; a full slab is replaced, not copied, and
+	// the gates carved from it keep it alive.
+	pins []NetID
 
 	levels  []int // gate indices in topological order (valid when built)
 	ordered bool
@@ -89,6 +97,52 @@ type Netlist struct {
 // NewNetlist returns an empty netlist.
 func NewNetlist(name string) *Netlist {
 	return &Netlist{Name: name, byName: make(map[string]NetID)}
+}
+
+// minPinSlab is the smallest slab carve allocates when the current one
+// is full and no reservation said how many pins are coming.
+const minPinSlab = 64
+
+// Reserve makes room for nets more nets and gates more gates, with two
+// inputs each, so a builder that knows the size of what it builds grows
+// each store once: the net and gate lists, the name index and the pin
+// slab. Reserving is only an optimization; adding past the reservation
+// grows the stores as usual.
+func (n *Netlist) Reserve(nets, gates int) {
+	n.nets = grow(n.nets, nets)
+	n.gates = grow(n.gates, gates)
+	if pins := 2 * gates; cap(n.pins)-len(n.pins) < pins {
+		n.pins = make([]NetID, 0, pins)
+	}
+	if want := len(n.byName) + nets; want > n.nameCap {
+		byName := make(map[string]NetID, want)
+		for name, id := range n.byName {
+			byName[name] = id
+		}
+		n.byName, n.nameCap = byName, want
+	}
+}
+
+// grow returns s with room for n more elements. Unlike slices.Grow it
+// allocates once under the race detector too, so allocation budgets
+// read the same in both builds.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// carve takes k pins from the slab for one gate's inputs. The window's
+// capacity ends at its length, so appending to a gate's In copies it
+// rather than overwriting the next gate's inputs.
+func (n *Netlist) carve(k int) []NetID {
+	if cap(n.pins)-len(n.pins) < k {
+		n.pins = make([]NetID, 0, max(k, 2*cap(n.pins), minPinSlab))
+	}
+	start := len(n.pins)
+	n.pins = n.pins[:start+k]
+	return n.pins[start : start+k : start+k]
 }
 
 // AddNet creates an undriven net. Internal nets become driven when a gate
@@ -133,6 +187,13 @@ func (n *Netlist) AddGate(k Kind, outName string, in ...NetID) NetID {
 // double drivers — structural errors that would otherwise surface as
 // silent X values.
 func (n *Netlist) AddGateTo(k Kind, out NetID, in ...NetID) {
+	pins := n.carve(len(in))
+	copy(pins, in)
+	n.addGate(k, out, pins)
+}
+
+// addGate is AddGateTo over inputs already carved from the slab.
+func (n *Netlist) addGate(k Kind, out NetID, in []NetID) {
 	n.checkNet(out)
 	if k < Buf || k > Xnor {
 		panic(fmt.Sprintf("gate: gate %q has unknown kind %v", n.nets[out].name, k))
@@ -151,9 +212,8 @@ func (n *Netlist) AddGateTo(k Kind, out NetID, in ...NetID) {
 		n.checkNet(i)
 		n.nets[i].fanout++
 	}
-	g := Gate{Kind: k, Name: n.nets[out].name, In: append([]NetID(nil), in...), Out: out}
-	n.nets[out].driver = len(n.gates)
-	n.gates = append(n.gates, g)
+	n.nets[out].driver = int32(len(n.gates))
+	n.gates = append(n.gates, Gate{Kind: k, Name: n.nets[out].name, In: in, Out: out})
 	n.ordered = false
 }
 
@@ -195,7 +255,7 @@ func (n *Netlist) Gates() []Gate { return n.gates }
 // Fanout returns the number of gate inputs a net feeds.
 func (n *Netlist) Fanout(id NetID) int {
 	n.checkNet(id)
-	return n.nets[id].fanout
+	return int(n.nets[id].fanout)
 }
 
 // IsInput reports whether the net is a primary input.
@@ -210,12 +270,15 @@ func (n *Netlist) build() error {
 	if n.ordered {
 		return nil
 	}
-	// Kahn's algorithm over gates.
-	indeg := make([]int, len(n.gates))
-	consumers := make([][]int, len(n.nets)) // net -> gate indices reading it
+	// Kahn's algorithm over gates. consumers lists, net by net, the
+	// gates reading each net in gate order: net i's readers are
+	// consumers[first[i]:first[i+1]]. A gate reading a net twice is
+	// listed twice, and its in-degree counts both reads.
+	indeg := make([]int32, len(n.gates))
+	first := make([]int32, len(n.nets)+1)
 	for gi, g := range n.gates {
 		for _, in := range g.In {
-			ni := n.nets[in]
+			ni := &n.nets[in]
 			if ni.driver == -1 && !ni.isPI {
 				return fmt.Errorf("gate: %s: net %q feeds gate %q but has no driver",
 					n.Name, ni.name, g.Name)
@@ -223,24 +286,38 @@ func (n *Netlist) build() error {
 			if ni.driver != -1 {
 				indeg[gi]++
 			}
-			consumers[in] = append(consumers[in], gi)
+			first[in+1]++
 		}
 	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	consumers := make([]int32, first[len(n.nets)])
+	fill := first[:len(n.nets)] // fill[i]: net i's next free slot
+	for gi, g := range n.gates {
+		for _, in := range g.In {
+			consumers[fill[in]] = int32(gi)
+			fill[in]++
+		}
+	}
+	// Filling advanced fill[i] to net i's end, which is first[i+1]; shift
+	// the starts back in.
+	copy(first[1:], first[:len(n.nets)])
+	first[0] = 0
+	// order doubles as the FIFO queue: gates are appended when their
+	// in-degree reaches zero and popped at head.
 	order := make([]int, 0, len(n.gates))
-	queue := make([]int, 0, len(n.gates))
 	for gi, d := range indeg {
 		if d == 0 {
-			queue = append(queue, gi)
+			order = append(order, gi)
 		}
 	}
-	for len(queue) > 0 {
-		gi := queue[0]
-		queue = queue[1:]
-		order = append(order, gi)
-		for _, ci := range consumers[n.gates[gi].Out] {
+	for head := 0; head < len(order); head++ {
+		out := n.gates[order[head]].Out
+		for _, ci := range consumers[first[out]:first[out+1]] {
 			indeg[ci]--
 			if indeg[ci] == 0 {
-				queue = append(queue, ci)
+				order = append(order, int(ci))
 			}
 		}
 	}

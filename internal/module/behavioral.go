@@ -2,6 +2,7 @@ package module
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/signal"
 	"repro/internal/sim"
@@ -31,10 +32,10 @@ func NewFuncBitModule(name string, fn func([]signal.Bit) []signal.Bit, ins, outs
 	m := &FuncBitModule{fn: fn, Delay: 1}
 	m.Skeleton = NewSkeleton(name, m)
 	for i, c := range ins {
-		m.ins = append(m.ins, m.AddPort(fmt.Sprintf("in%d", i), In, 1, c))
+		m.ins = append(m.ins, m.AddPort("in"+strconv.Itoa(i), In, 1, c))
 	}
 	for i, c := range outs {
-		m.outs = append(m.outs, m.AddPort(fmt.Sprintf("out%d", i), Out, 1, c))
+		m.outs = append(m.outs, m.AddPort("out"+strconv.Itoa(i), Out, 1, c))
 	}
 	return m
 }
@@ -93,10 +94,10 @@ func NewFuncWordModule(name string, fn func(in, out []signal.Word), inWidths, ou
 	m := &FuncWordModule{fn: fn, Delay: 1}
 	m.Skeleton = NewSkeleton(name, m)
 	for i, c := range ins {
-		m.ins = append(m.ins, m.AddPort(fmt.Sprintf("in%d", i), In, inWidths[i], c))
+		m.ins = append(m.ins, m.AddPort("in"+strconv.Itoa(i), In, inWidths[i], c))
 	}
 	for i, c := range outs {
-		m.outs = append(m.outs, m.AddPort(fmt.Sprintf("out%d", i), Out, outWidths[i], c))
+		m.outs = append(m.outs, m.AddPort("out"+strconv.Itoa(i), Out, outWidths[i], c))
 	}
 	return m
 }

@@ -148,6 +148,9 @@ type PrimaryOutput struct {
 
 	histMu  sync.Mutex
 	history map[sim.SchedulerID][]Observation
+	// spare holds emptied histories TakeLast released, reused by the
+	// next runs' first observations.
+	spare [][]Observation
 	// OnValue, when non-nil, is invoked for every observed value.
 	OnValue func(ctx *Ctx, obs Observation)
 }
@@ -163,8 +166,13 @@ func NewPrimaryOutput(name string, width int, in *Connector) *PrimaryOutput {
 // ProcessInputEvent records the observation.
 func (m *PrimaryOutput) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	obs := Observation{Time: ctx.Now(), Value: ev.Value}
+	id := ctx.Sim.SchedulerID()
 	m.histMu.Lock()
-	m.history[ctx.Sim.SchedulerID()] = append(m.history[ctx.Sim.SchedulerID()], obs)
+	h, ok := m.history[id]
+	if n := len(m.spare); !ok && n > 0 {
+		h, m.spare = m.spare[n-1], m.spare[:n-1]
+	}
+	m.history[id] = append(h, obs)
 	m.histMu.Unlock()
 	if m.OnValue != nil {
 		m.OnValue(ctx, obs)
@@ -200,6 +208,27 @@ func (m *PrimaryOutput) ReleaseHistory(id sim.SchedulerID) {
 	m.histMu.Lock()
 	defer m.histMu.Unlock()
 	delete(m.history, id)
+}
+
+// TakeLast returns the last observation recorded for one scheduler and
+// releases that scheduler's history, as ReleaseHistory does. ok is false
+// when the run observed nothing. The released storage is kept for a
+// later run's observations, so a caller that needs only each run's
+// settled value records its runs without allocating.
+func (m *PrimaryOutput) TakeLast(id sim.SchedulerID) (last Observation, ok bool) {
+	m.histMu.Lock()
+	defer m.histMu.Unlock()
+	h, found := m.history[id]
+	if !found {
+		return Observation{}, false
+	}
+	delete(m.history, id)
+	if len(h) > 0 {
+		last, ok = h[len(h)-1], true
+	}
+	clear(h)
+	m.spare = append(m.spare, h[:0])
+	return last, ok
 }
 
 // HistoryCount returns the number of schedulers with recorded

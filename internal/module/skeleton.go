@@ -71,7 +71,9 @@ type ResetBehavior interface {
 // is reused when that scheduler is recycled; run stamps the run it was
 // last initialized for.
 type runState struct {
-	run     sim.SchedulerID
+	run sim.SchedulerID
+	// vals backs in, prevIn, out and prevOut, one port-count window each.
+	vals    []signal.Value
 	in      []signal.Value
 	prevIn  []signal.Value
 	out     []signal.Value
@@ -102,6 +104,7 @@ type Skeleton struct {
 	// by the first controller listing the skeleton (sim.SlotIndex).
 	slot sim.SlotIndex
 
+	// estMu guards the estimator tables, made on first registration.
 	estMu      sync.RWMutex
 	candidates map[estim.Parameter][]estim.Estimator
 	selected   map[*estim.Setup]map[estim.Parameter]estim.Estimator
@@ -111,12 +114,7 @@ type Skeleton struct {
 // functionality is implemented by behavior. behavior may be nil for
 // purely passive components.
 func NewSkeleton(name string, behavior Behavior) *Skeleton {
-	return &Skeleton{
-		name:       name,
-		behavior:   behavior,
-		candidates: make(map[estim.Parameter][]estim.Estimator),
-		selected:   make(map[*estim.Setup]map[estim.Parameter]estim.Estimator),
-	}
+	return &Skeleton{name: name, behavior: behavior}
 }
 
 // AddPort creates a port on the module and ties it to the connector.
@@ -176,11 +174,13 @@ func (sk *Skeleton) stateFor(ctx *sim.Context) *runState {
 	rs, _ := (*slot).(*runState)
 	if rs == nil {
 		n := len(sk.ports)
+		vals := make([]signal.Value, 4*n)
 		rs = &runState{
-			in:      make([]signal.Value, n),
-			prevIn:  make([]signal.Value, n),
-			out:     make([]signal.Value, n),
-			prevOut: make([]signal.Value, n),
+			vals:    vals,
+			in:      vals[:n:n],
+			prevIn:  vals[n : 2*n : 2*n],
+			out:     vals[2*n : 3*n : 3*n],
+			prevOut: vals[3*n:],
 			run:     ctx.SchedulerID(),
 		}
 		*slot = rs
@@ -204,10 +204,7 @@ type recyclable interface {
 // rebuilt for every estimation round anyway.
 func (rs *runState) reset(run sim.SchedulerID) {
 	rs.run = run
-	clear(rs.in)
-	clear(rs.prevIn)
-	clear(rs.out)
-	clear(rs.prevOut)
+	clear(rs.vals)
 	if r, ok := rs.user.(recyclable); ok {
 		r.recycle()
 	} else {
@@ -319,6 +316,9 @@ func (sk *Skeleton) portValues(dst []signal.Value, vals []signal.Value, dir Dire
 func (sk *Skeleton) AddEstimator(e estim.Estimator) {
 	sk.estMu.Lock()
 	defer sk.estMu.Unlock()
+	if sk.candidates == nil {
+		sk.candidates = make(map[estim.Parameter][]estim.Estimator)
+	}
 	sk.candidates[e.Parameter()] = append(sk.candidates[e.Parameter()], e)
 }
 
@@ -337,6 +337,9 @@ func (sk *Skeleton) SelectEstimator(s *estim.Setup, p estim.Parameter, e estim.E
 	defer sk.estMu.Unlock()
 	m := sk.selected[s]
 	if m == nil {
+		if sk.selected == nil {
+			sk.selected = make(map[*estim.Setup]map[estim.Parameter]estim.Estimator)
+		}
 		m = make(map[estim.Parameter]estim.Estimator)
 		sk.selected[s] = m
 	}

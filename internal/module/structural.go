@@ -2,6 +2,7 @@ package module
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/gate"
 	"repro/internal/signal"
@@ -28,9 +29,11 @@ func NewFanout(name string, width int, in *Connector, outs []*Connector, delays 
 	}
 	m := &Fanout{delays: delays}
 	m.Skeleton = NewSkeleton(name, m)
+	m.ports = make([]*Port, 0, 1+len(outs))
+	m.outs = make([]*Port, 0, len(outs))
 	m.in = m.AddPort("in", In, width, in)
 	for i, c := range outs {
-		m.outs = append(m.outs, m.AddPort(fmt.Sprintf("out%d", i), Out, width, c))
+		m.outs = append(m.outs, m.AddPort("out"+strconv.Itoa(i), Out, width, c))
 	}
 	return m
 }
@@ -84,8 +87,10 @@ type GateModule struct {
 func NewGateModule(name string, kind gate.Kind, ins []*Connector, out *Connector) *GateModule {
 	m := &GateModule{kind: kind, Delay: 1}
 	m.Skeleton = NewSkeleton(name, m)
+	m.ports = make([]*Port, 0, len(ins)+1)
+	m.ins = make([]*Port, 0, len(ins))
 	for i, c := range ins {
-		m.ins = append(m.ins, m.AddPort(fmt.Sprintf("in%d", i), In, 1, c))
+		m.ins = append(m.ins, m.AddPort("in"+strconv.Itoa(i), In, 1, c))
 	}
 	m.out = m.AddPort("out", Out, 1, out)
 	return m
@@ -94,9 +99,10 @@ func NewGateModule(name string, kind gate.Kind, ins []*Connector, out *Connector
 // ProcessInputEvent re-evaluates the gate whenever an input changes, and
 // drives the output only on value changes (event-driven suppression).
 func (m *GateModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
-	bits := make([]signal.Bit, len(m.ins))
-	for i, p := range m.ins {
-		bits[i] = ctx.InputBitOn(p)
+	var buf [4]signal.Bit // gates of up to four inputs read into the stack
+	bits := buf[:0]
+	for _, p := range m.ins {
+		bits = append(bits, ctx.InputBitOn(p))
 	}
 	v := evalKind(m.kind, bits)
 	prev, _ := ctx.State().(signal.Bit)
@@ -177,11 +183,14 @@ func NewNetlistModule(name string, nl *gate.Netlist, ins, outs []*Connector) *Ne
 	}
 	m := &NetlistModule{nl: nl, Delay: 1}
 	m.Skeleton = NewSkeleton(name, m)
+	m.ports = make([]*Port, 0, len(ins)+len(outs))
+	m.ins = make([]*Port, 0, len(ins))
+	m.outs = make([]*Port, 0, len(outs))
 	for i, c := range ins {
-		m.ins = append(m.ins, m.AddPort(fmt.Sprintf("in%d", i), In, 1, c))
+		m.ins = append(m.ins, m.AddPort("in"+strconv.Itoa(i), In, 1, c))
 	}
 	for i, c := range outs {
-		m.outs = append(m.outs, m.AddPort(fmt.Sprintf("out%d", i), Out, 1, c))
+		m.outs = append(m.outs, m.AddPort("out"+strconv.Itoa(i), Out, 1, c))
 	}
 	return m
 }
@@ -242,7 +251,7 @@ func NewWordToBits(name string, width int, in *Connector, outs []*Connector) *Wo
 	m.Skeleton = NewSkeleton(name, m)
 	m.in = m.AddPort("in", In, width, in)
 	for i, c := range outs {
-		m.outs = append(m.outs, m.AddPort(fmt.Sprintf("bit%d", i), Out, 1, c))
+		m.outs = append(m.outs, m.AddPort("bit"+strconv.Itoa(i), Out, 1, c))
 	}
 	return m
 }
@@ -273,7 +282,7 @@ func NewBitsToWord(name string, width int, ins []*Connector, out *Connector) *Bi
 	m := &BitsToWord{}
 	m.Skeleton = NewSkeleton(name, m)
 	for i, c := range ins {
-		m.ins = append(m.ins, m.AddPort(fmt.Sprintf("bit%d", i), In, 1, c))
+		m.ins = append(m.ins, m.AddPort("bit"+strconv.Itoa(i), In, 1, c))
 	}
 	m.out = m.AddPort("out", Out, width, out)
 	return m

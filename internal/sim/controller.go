@@ -106,8 +106,8 @@ func (c *Controller) StartOn(sched *Scheduler, setup any, configure func(*Schedu
 	if configure != nil {
 		configure(sched)
 	}
-	ctx := sched.NewContext()
-	ctx.Setup = setup
+	ctx := &sched.runCtx
+	*ctx = Context{sched: sched, Setup: setup}
 	sched.Reset(ctx, c.handlers)
 	if c.Seed != nil {
 		c.Seed(ctx)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -57,11 +58,11 @@ func (p Pool) For(n int, fn func(i int) error) error {
 // The caller is worker 0: ForWorker starts Size()-1 helpers and claims
 // items on the calling goroutine too, so a fan-out whose items finish
 // quickly costs no hand-off to a parked caller. It returns as soon as
-// the n-th item finishes — whoever finishes it closes done — without
-// waiting for helpers to exit: a helper that finds the cursor exhausted
-// just returns, and no fn call starts after ForWorker returns. An item
-// that blocks (a remote table query) still overlaps with the others,
-// because helpers claim them while the caller waits.
+// the n-th item finishes — whoever finishes it releases the caller —
+// without waiting for helpers to exit: a helper that finds the cursor
+// exhausted just returns, and no fn call starts after ForWorker
+// returns. An item that blocks (a remote table query) still overlaps
+// with the others, because helpers claim them while the caller waits.
 func (p Pool) ForWorker(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -78,30 +79,44 @@ func (p Pool) ForWorker(n int, fn func(worker, i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	var cursor, finished atomic.Int64
-	done := make(chan struct{})
-	work := func(worker int) {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			errs[i] = fn(worker, i)
-			if finished.Add(1) == int64(n) {
-				close(done)
-			}
-		}
-	}
+	f := &fanOut{fn: fn, n: int64(n), errAt: n}
+	f.pending.Add(n)
 	for w := 1; w < workers; w++ {
-		go work(w)
+		go f.work(w)
 	}
-	work(0)
-	<-done
-	for _, err := range errs {
-		if err != nil {
-			return err
+	f.work(0)
+	f.pending.Wait()
+	return f.err
+}
+
+// fanOut is one ForWorker batch with more than one worker, in a single
+// allocation: the claim cursor, the count of items still running, and
+// the error of the lowest failing index so far.
+type fanOut struct {
+	fn      func(worker, i int) error
+	n       int64
+	cursor  atomic.Int64
+	pending sync.WaitGroup
+
+	mu    sync.Mutex
+	errAt int // index of err; n while no item has failed
+	err   error
+}
+
+// work claims and runs items until the cursor is exhausted.
+func (f *fanOut) work(worker int) {
+	for {
+		i := f.cursor.Add(1) - 1
+		if i >= f.n {
+			return
 		}
+		if err := f.fn(worker, int(i)); err != nil {
+			f.mu.Lock()
+			if int(i) < f.errAt {
+				f.errAt, f.err = int(i), err
+			}
+			f.mu.Unlock()
+		}
+		f.pending.Done()
 	}
-	return nil
 }

@@ -118,6 +118,9 @@ type Scheduler struct {
 	id  SchedulerID
 	seq uint64
 	now Time
+	// runCtx is the context of the run Controller.StartOn last started
+	// on this scheduler, rewritten for each run.
+	runCtx Context
 
 	// sig is the calendar: bucket i holds the signal tokens of the unique
 	// time t in [now, now+sigWindow) with t%64 == i, decomposed into flat
