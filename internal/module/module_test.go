@@ -128,6 +128,36 @@ func TestPatternInputToPrimaryOutput(t *testing.T) {
 	}
 }
 
+// TestPrimaryOutputTakeLast: TakeLast returns a run's last observation
+// and releases its history, a run that observed nothing reports !ok,
+// and the next run records into the released storage and still sees
+// only its own observations.
+func TestPrimaryOutputTakeLast(t *testing.T) {
+	conn := NewWordConnector("c", 4)
+	in := NewPatternInput("in", 4, []signal.Value{word(1, 4), word(2, 4), word(3, 4)}, 10, conn)
+	out := NewPrimaryOutput("out", 4, conn)
+	s := NewSimulation(NewCircuit("top", in, out))
+	for run := 0; run < 2; run++ {
+		st := s.Start(nil)
+		if st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		if n := len(out.History(st.Scheduler)); n != 3 {
+			t.Fatalf("run %d observed %d values, want 3", run, n)
+		}
+		last, ok := out.TakeLast(st.Scheduler)
+		if v, _ := last.Value.(signal.WordValue).W.Uint64(); !ok || v != 3 || last.Time != 30 {
+			t.Errorf("run %d: TakeLast = %v at %d (ok %v), want 3 at 30", run, last.Value, last.Time, ok)
+		}
+		if n := out.HistoryCount(); n != 0 {
+			t.Errorf("run %d: %d histories left after TakeLast", run, n)
+		}
+		if _, ok := out.TakeLast(st.Scheduler); ok {
+			t.Errorf("run %d: a released history still has a last value", run)
+		}
+	}
+}
+
 func TestRegisterDelaysValue(t *testing.T) {
 	c1 := NewWordConnector("c1", 4)
 	c2 := NewWordConnector("c2", 4)
