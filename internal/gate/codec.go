@@ -8,8 +8,9 @@ import (
 
 // The netlist snapshot is the portable on-disk/on-wire form of a
 // netlist, built from the internal/wire primitives: the name, then the
-// nets in ID order (name, primary-input flag, primary-output flag), then
-// the gates in insertion order (kind, input net IDs, output net ID). The
+// nets in ID order (name, primary-input flag), then the gates in
+// insertion order (kind, input net IDs, output net ID), then the primary
+// outputs as net IDs in output order — which need not be ID order. The
 // codec exists for provider-side persistence and for the
 // model-encryption baseline (internal/sealed), which ships an encrypted
 // snapshot to the user — it is NOT part of the virtual-simulation
@@ -22,7 +23,6 @@ func (n *Netlist) MarshalBinary() ([]byte, error) {
 	for _, ni := range n.nets {
 		b = wire.AppendString(b, ni.name)
 		b = wire.AppendBool(b, ni.isPI)
-		b = wire.AppendBool(b, ni.isPO)
 	}
 	b = wire.AppendUvarint(b, uint64(len(n.gates)))
 	for _, g := range n.gates {
@@ -32,6 +32,10 @@ func (n *Netlist) MarshalBinary() ([]byte, error) {
 			b = wire.AppendUvarint(b, uint64(in))
 		}
 		b = wire.AppendUvarint(b, uint64(g.Out))
+	}
+	b = wire.AppendUvarint(b, uint64(len(n.outputs)))
+	for _, id := range n.outputs {
+		b = wire.AppendUvarint(b, uint64(id))
 	}
 	return b, nil
 }
@@ -67,30 +71,23 @@ func (n *Netlist) unmarshalBinary(b []byte) error {
 	if count, b, err = wire.Uvarint(b); err != nil {
 		return err
 	}
-	if count > uint64(len(b)) { // each net takes at least three bytes
+	if count > uint64(len(b)) { // each net takes at least two bytes
 		return fmt.Errorf("%d nets, %d bytes left: %w", count, len(b), wire.ErrTruncated)
 	}
 	n.Reserve(int(count), 0)
-	var outputs []NetID
-	for id := NetID(0); uint64(id) < count; id++ {
+	for ; count > 0; count-- {
 		var name string
-		var isPI, isPO bool
+		var isPI bool
 		if name, b, err = wire.String(b); err != nil {
 			return err
 		}
 		if isPI, b, err = wire.Bool(b); err != nil {
 			return err
 		}
-		if isPO, b, err = wire.Bool(b); err != nil {
-			return err
-		}
 		if isPI {
 			n.AddInput(name)
 		} else {
 			n.AddNet(name)
-		}
-		if isPO {
-			outputs = append(outputs, id)
 		}
 	}
 	if count, b, err = wire.Uvarint(b); err != nil {
@@ -126,11 +123,24 @@ func (n *Netlist) unmarshalBinary(b []byte) error {
 		}
 		n.addGate(Kind(kind), out, in)
 	}
+	if count, b, err = wire.Uvarint(b); err != nil {
+		return err
+	}
+	if count > uint64(len(b)) { // each output takes at least one byte
+		return fmt.Errorf("%d outputs, %d bytes left: %w", count, len(b), wire.ErrTruncated)
+	}
+	for ; count > 0; count-- {
+		var id NetID
+		if id, b, err = n.netRef(b); err != nil {
+			return err
+		}
+		if n.nets[id].isPO {
+			return fmt.Errorf("net %d listed twice as an output", id)
+		}
+		n.MarkOutput(id)
+	}
 	if len(b) != 0 {
 		return fmt.Errorf("%d trailing bytes", len(b))
-	}
-	for _, id := range outputs {
-		n.MarkOutput(id)
 	}
 	return n.Build()
 }

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/signal"
@@ -82,7 +83,9 @@ func TestUnmarshalHostileCountsRejected(t *testing.T) {
 		"net count":  {0, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"gate count": {0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"gate kind":  {0, 0, 1, 42, 0, 0},
-		"net ref":    {0, 1, 1, 'a', 1, 0, 1, byte(Not), 1, 0, 7},
+		"net ref":    {0, 1, 1, 'a', 1, 1, byte(Not), 1, 0, 7},
+		"output ref": {0, 1, 1, 'a', 1, 0, 1, 7},
+		"output dup": {0, 1, 1, 'a', 1, 0, 2, 0, 0},
 	} {
 		if err := NewNetlist("").UnmarshalBinary(blob); err == nil {
 			t.Errorf("%s: hostile snapshot accepted", name)
@@ -121,7 +124,8 @@ func FuzzNetlistSnapshot(f *testing.F) {
 	wide.MarkOutput(wide.AddGate(Nor, "y", a, a))
 	embedded := NewNetlist("top")
 	embedded.MarkOutput(embedded.Embed(HalfAdderIP(), []NetID{embedded.AddInput("p"), embedded.AddInput("q")}, "IP.")[1])
-	for _, nl := range []*Netlist{NewNetlist(""), C17(), RippleAdder(2), wide, embedded, RandomCombinational(3, 20, 2, 9)} {
+	// RandomCombinational(3, 20, 2, 1) marks its outputs out of ID order.
+	for _, nl := range []*Netlist{NewNetlist(""), C17(), RippleAdder(2), wide, embedded, RandomCombinational(3, 20, 2, 9), RandomCombinational(3, 20, 2, 1)} {
 		blob, err := nl.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
@@ -161,4 +165,18 @@ func FuzzNetlistSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestSnapshotKeepsOutputOrder checks that a snapshot round trip keeps
+// the order in which outputs were marked, not the nets' ID order, so a
+// clone evaluates each output in the same position as the original.
+func TestSnapshotKeepsOutputOrder(t *testing.T) {
+	orig := RandomCombinational(3, 20, 2, 1)
+	want := orig.Outputs()
+	if slices.IsSorted(want) {
+		t.Fatalf("outputs %v are in ID order; the check needs a netlist whose are not", want)
+	}
+	if got := orig.Clone().Outputs(); !slices.Equal(got, want) {
+		t.Errorf("Clone outputs %v, want %v", got, want)
+	}
 }
