@@ -28,8 +28,8 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis: the gocad-lint suite machine-checks
-# the kernel's determinism, history-release, RMI-safety, capability-
-# sandbox, wire-codec-symmetry and no-alloc invariants (DESIGN.md §8 and
+# the kernel's determinism, RMI-safety, capability-sandbox,
+# wire-codec-symmetry and no-alloc invariants (DESIGN.md §8 and
 # §13). Zero findings is a hard CI gate; -timings surfaces the load and
 # per-analyzer wall time. GOFLAGS matches `make bench` so the noalloc
 # escape analysis sees benchmark conditions.

@@ -472,7 +472,7 @@ func BenchmarkFigure2Simulation(b *testing.B) {
 // delivered events per run and the time per event.
 func BenchmarkGeneratedDesign(b *testing.B) {
 	spec := core.GenSpec{Inputs: 8, Layers: 5, LayerOps: 8, Width: 16, Patterns: 200}
-	c, outs := core.GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
+	c, _ := core.GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
 	simu := module.NewSimulation(c)
 	var events uint64
 	b.ReportAllocs()
@@ -481,9 +481,6 @@ func BenchmarkGeneratedDesign(b *testing.B) {
 		st := simu.Start(nil)
 		if st.Err != nil {
 			b.Fatal(st.Err)
-		}
-		for _, out := range outs {
-			out.ReleaseHistory(st.Scheduler)
 		}
 		events = st.Delivered
 	}
@@ -510,7 +507,6 @@ func BenchmarkConcurrentSetups(b *testing.B) {
 						b.Fatal(st.Err)
 					}
 				}
-				out.ClearHistory()
 			}
 		})
 	}

@@ -12,7 +12,7 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> make lint (DESIGN.md §8 + §13 invariants, 8 analyzers, plus the repo-clean and golden gates)"
+echo "==> make lint (DESIGN.md §8 + §13 invariants, 6 analyzers, plus the repo-clean and golden gates)"
 # GOFLAGS is BENCH_GOFLAGS, the flags `make bench` and `make profile`
 # use, so the noalloc analyzer's `go build -gcflags=-m` matches
 # benchmark conditions (empty by default; export BENCH_GOFLAGS to

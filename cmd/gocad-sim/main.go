@@ -239,6 +239,7 @@ func main() {
 	if *remote {
 		mode = "MR"
 	}
+	// The products are the output history the run left on its scheduler.
 	fmt.Printf("\nsimulated %d patterns (%s): %d products observed\n",
 		*patterns, mode, len(out.History(stats.Scheduler)))
 	fmt.Printf("  remote power: %d samples, avg %.1f µW, peak %.1f µW\n",

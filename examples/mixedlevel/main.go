@@ -101,11 +101,12 @@ func main() {
 	}
 
 	// Results: counter+3 must appear at the output on every clock cycle.
+	// Each run's history is read from that run's own scheduler.
 	fmt.Println("mixed-level simulation over 12 clock cycles:")
 	for _, run := range stats {
 		h := out.History(run.Scheduler)
 		fmt.Printf("  scheduler %d: %d output events, %d tokens delivered\n",
-			run.Scheduler, len(h), run.Delivered)
+			run.Scheduler.ID(), len(h), run.Delivered)
 		if len(h) > 0 {
 			last := h[len(h)-1].Value.(signal.WordValue).W
 			v, _ := last.Uint64()

@@ -120,7 +120,7 @@ var (
 type (
 	// Time is the discrete simulation time.
 	Time = sim.Time
-	// SchedulerID identifies one scheduler instance.
+	// SchedulerID identifies one scheduler run (Stats.Scheduler.ID()).
 	SchedulerID = sim.SchedulerID
 	// Stats summarizes a completed run.
 	Stats = sim.Stats

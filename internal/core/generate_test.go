@@ -63,16 +63,13 @@ func TestGenerateCircuitShape(t *testing.T) {
 // by value, so what remains is about one boxed WordValue per driven word.
 func TestGeneratedDesignAllocationBudget(t *testing.T) {
 	spec := GenSpec{Inputs: 8, Layers: 5, LayerOps: 8, Width: 16, Patterns: 200}
-	c, outs := GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
+	c, _ := GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
 	simu := module.NewSimulation(c)
 	var events uint64
 	run := func() {
 		st := simu.Start(nil)
 		if st.Err != nil {
 			t.Fatal(st.Err)
-		}
-		for _, out := range outs {
-			out.ReleaseHistory(st.Scheduler)
 		}
 		events = st.Delivered
 	}

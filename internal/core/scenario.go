@@ -343,7 +343,6 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 	wall := end.Sub(start)
 
 	products := len(out.History(stats.Scheduler))
-	out.ReleaseHistory(stats.Scheduler)
 	res := &Result{
 		Scenario:  s,
 		Host:      cfg.Profile.Name,

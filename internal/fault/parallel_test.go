@@ -92,12 +92,10 @@ func TestVirtualDeterministicWithBogusProvider(t *testing.T) {
 }
 
 // TestVirtualRunReleasesAllState is the state-release regression test.
-// Module state cannot outlive a Run — it lives in the Run's recycled
-// schedulers — but every simulation records primary-output history in
-// the design under its own SchedulerID. Each of the Run's hundreds of
-// simulations must observe under a fresh ID (recycling renews it) and
-// release that history, or histories grow without bound across a long
-// fault-simulation campaign.
+// Module state cannot outlive a Run: it lives in the Run's recycled
+// schedulers, primary-output histories included. Each of the Run's
+// hundreds of simulations must still observe under a fresh SchedulerID
+// (recycling renews it), or a run could read state an earlier one left.
 func TestVirtualRunReleasesAllState(t *testing.T) {
 	d, err := Figure4Design()
 	if err != nil {
@@ -118,18 +116,6 @@ func TestVirtualRunReleasesAllState(t *testing.T) {
 	if want := vs.Stats.FaultFreeRuns + vs.Stats.InjectionRuns; len(runs) != want {
 		t.Errorf("outputs observed %d distinct run IDs, want one per simulation (%d)", len(runs), want)
 	}
-	requireNoHistories(t, d, "after Run")
-}
-
-// requireNoHistories fails if any output of the design still holds a
-// scheduler's observation history.
-func requireNoHistories(t *testing.T, d *IPDesign, when string) {
-	t.Helper()
-	for _, po := range d.Outputs {
-		if n := po.HistoryCount(); n != 0 {
-			t.Errorf("output %s still holds %d scheduler histories %s", po.ModuleName(), n, when)
-		}
-	}
 }
 
 // failingService errors on every detection-table query, driving Run down
@@ -141,11 +127,10 @@ func (failingService) DetectionTable([]signal.Bit) (*DetectionTable, error) {
 	return nil, errors.New("provider down")
 }
 
-// TestVirtualRunReleasesHistoriesOnError: a Run abandoned on an error
-// path must still release the histories of every simulation it ran —
-// whether the provider fails after the fault-free run recorded its
-// outputs, or a simulation itself fails (event limit).
-func TestVirtualRunReleasesHistoriesOnError(t *testing.T) {
+// TestVirtualRunErrorPaths: a Run abandoned mid-pattern reports the
+// error — whether the provider fails after the fault-free run recorded
+// its outputs, or a simulation itself fails (event limit).
+func TestVirtualRunErrorPaths(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		prep func(*IPDesign) *VirtualSimulator
@@ -169,7 +154,6 @@ func TestVirtualRunReleasesHistoriesOnError(t *testing.T) {
 			if _, err := vs.Run(exhaustivePatterns(4)); err == nil {
 				t.Fatal("error not reported")
 			}
-			requireNoHistories(t, d, "on the error path")
 		})
 	}
 }
@@ -198,8 +182,8 @@ func TestSerialSimulateWorkersEquivalence(t *testing.T) {
 
 // TestConcurrentRunsShareDesign: VirtualSimulators over ONE design,
 // running at the same time, must each reach their serial Result. Each
-// Run owns only the primary-output histories of its own schedulers, so a
-// short Run finishing must not wipe the histories a long one is still
+// Run reads primary-output histories only from its own schedulers, so a
+// short Run finishing cannot touch the histories a long one is still
 // reading.
 func TestConcurrentRunsShareDesign(t *testing.T) {
 	d, err := RandomTwoIPDesign(120, 1999)
@@ -242,7 +226,6 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 			}
 		}
 	}
-	requireNoHistories(t, d, "after the concurrent Runs")
 }
 
 // TestVirtualRunBesideReorderedController: virtual fault simulation on
@@ -311,7 +294,6 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 					}
 					for j, po := range d.Outputs {
 						h := po.History(st.Scheduler)
-						po.ReleaseHistory(st.Scheduler)
 						if len(h) == 0 || h[len(h)-1].Value != wantOut[i][j] {
 							t.Errorf("iteration %d pattern %d run %d: output %s settled to %v, want %v", iter, i, k, po.ModuleName(), h, wantOut[i][j])
 						}
@@ -320,6 +302,5 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-		requireNoHistories(t, d, "after the concurrent runs")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // it, including the remote IP proxies in internal/core.
 type HostModule interface {
 	module.Module
-	PortValues(ctx *sim.Context, dir module.Direction) []signal.Value
+	AppendPortValues(dst []signal.Value, ctx *sim.Context, dir module.Direction) []signal.Value
 	InputPorts() []*module.Port
 	OutputPorts() []*module.Port
 }
@@ -163,10 +163,11 @@ type virtualRun struct {
 	// Per-pattern scratch. ctx reads worker 0's scheduler, which runs
 	// every fault-free simulation. live lists the hosts (by index) with
 	// live faults and tables their detection tables; hostIn holds each
-	// host's captured input configuration. golden and faulty (one per
-	// worker) hold primary-output snapshots.
+	// host's captured input configuration, read through vals. golden and
+	// faulty (one per worker) hold primary-output snapshots.
 	ctx    *sim.Context
 	live   []int
+	vals   []signal.Value
 	hostIn [][]signal.Bit
 	tables []*DetectionTable
 	jobs   []injectionJob
@@ -233,15 +234,15 @@ func (vs *VirtualSimulator) pool() sim.Pool { return sim.Pool{Workers: vs.Worker
 
 // simulate runs one simulation on sched and stores the settled value of
 // every primary output in out (nil entries mean the output was never
-// driven). Taking each output's last value releases the run's output
-// history, error included: the run's outputs are consumed exactly once,
-// and the histories of other runs — this Run's other workers, or
-// another Run over the same design — are not this run's to touch.
+// driven): the last observation of the run's history, read from sched
+// before it runs again.
 func (vs *VirtualSimulator) simulate(ctrl *sim.Controller, sched *sim.Scheduler, configure func(*sim.Scheduler), out []signal.Value) error {
 	st := ctrl.StartOn(sched, nil, configure)
 	for i, po := range vs.outputs {
-		last, _ := po.TakeLast(st.Scheduler)
-		out[i] = last.Value
+		out[i] = nil
+		if h := po.History(sched); len(h) > 0 {
+			out[i] = h[len(h)-1].Value
+		}
 	}
 	return st.Err
 }
@@ -450,12 +451,12 @@ func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, qualified, detecti
 		if len(r.alive[hi]) == 0 {
 			continue
 		}
-		var vals []signal.Value
+		r.vals = r.vals[:0]
 		if sched.Delivered() > 0 {
-			vals = h.Module.PortValues(r.ctx, module.In)
+			r.vals = h.Module.AppendPortValues(r.vals, r.ctx, module.In)
 		}
 		r.live = append(r.live, hi)
-		r.hostIn[hi] = captureInputs(r.hostIn[hi], vals)
+		r.hostIn[hi] = captureInputs(r.hostIn[hi], r.vals)
 	}
 
 	// Phase A: fetch the detection tables of every live host

@@ -8,7 +8,6 @@ package registry
 import (
 	"repro/internal/lint"
 	"repro/internal/lint/capability"
-	"repro/internal/lint/histrelease"
 	"repro/internal/lint/lockheldrmi"
 	"repro/internal/lint/noalloc"
 	"repro/internal/lint/remoteerr"
@@ -20,7 +19,6 @@ import (
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		simdeterminism.Analyzer,
-		histrelease.Analyzer,
 		lockheldrmi.Analyzer,
 		remoteerr.Analyzer,
 		capability.Analyzer,

@@ -62,8 +62,8 @@ func TestNoGobImports(t *testing.T) {
 // fails loudly instead of silently weakening CI.
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
-		"simdeterminism", "histrelease", "lockheld-rmi",
-		"remote-err", "capability", "wiresym", "noalloc",
+		"simdeterminism", "lockheld-rmi", "remote-err",
+		"capability", "wiresym", "noalloc",
 	}
 	all := registry.All()
 	if len(all) != len(want) {

@@ -88,7 +88,7 @@ func TestCustomConnectorVideoPipeline(t *testing.T) {
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	h := out.LastHistory()
+	h := out.History(st.Scheduler)
 	if len(h) != 2 {
 		t.Fatalf("frames observed = %d", len(h))
 	}

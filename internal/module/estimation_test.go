@@ -35,7 +35,7 @@ func TestFigure2SimulationProducesProducts(t *testing.T) {
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	h := out.LastHistory()
+	h := out.History(st.Scheduler)
 	if len(h) == 0 {
 		t.Fatal("no products observed")
 	}
@@ -90,7 +90,7 @@ func TestNullEstimatorKeepsSimulationAlive(t *testing.T) {
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	if len(out.LastHistory()) == 0 {
+	if len(out.History(st.Scheduler)) == 0 {
 		t.Error("simulation with null estimators produced no output")
 	}
 	// All estimates are nulls.

@@ -2,7 +2,6 @@ package module
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/signal"
 	"repro/internal/sim"
@@ -139,25 +138,31 @@ type Observation struct {
 	Value signal.Value
 }
 
-// PrimaryOutput records every value arriving on its input, per scheduler.
-// Histories survive the end of a run (they are the simulation's product)
-// until ClearHistory is called.
+// PrimaryOutput records every value arriving on its input. A run's
+// observations are the output's run state on the run's scheduler, like
+// any module's per-run state: History reads them after the run, until
+// that scheduler runs again.
 type PrimaryOutput struct {
 	*Skeleton
 	in *Port
-
-	histMu  sync.Mutex
-	history map[sim.SchedulerID][]Observation
-	// spare holds emptied histories TakeLast released, reused by the
-	// next runs' first observations.
-	spare [][]Observation
 	// OnValue, when non-nil, is invoked for every observed value.
 	OnValue func(ctx *Ctx, obs Observation)
 }
 
+// outputHistory is a PrimaryOutput's per-run state. A recycled
+// scheduler's next run empties it and keeps its storage.
+type outputHistory struct{ obs []Observation }
+
+// recycle empties the history for a new run, releasing the values the
+// storage still references.
+func (h *outputHistory) recycle() {
+	clear(h.obs[:cap(h.obs)])
+	h.obs = h.obs[:0]
+}
+
 // NewPrimaryOutput returns an output monitor on in.
 func NewPrimaryOutput(name string, width int, in *Connector) *PrimaryOutput {
-	m := &PrimaryOutput{history: make(map[sim.SchedulerID][]Observation)}
+	m := &PrimaryOutput{}
 	m.Skeleton = NewSkeleton(name, m)
 	m.in = m.AddPort("in", In, width, in)
 	return m
@@ -166,82 +171,32 @@ func NewPrimaryOutput(name string, width int, in *Connector) *PrimaryOutput {
 // ProcessInputEvent records the observation.
 func (m *PrimaryOutput) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	obs := Observation{Time: ctx.Now(), Value: ev.Value}
-	id := ctx.Sim.SchedulerID()
-	m.histMu.Lock()
-	h, ok := m.history[id]
-	if n := len(m.spare); !ok && n > 0 {
-		h, m.spare = m.spare[n-1], m.spare[:n-1]
+	h, _ := ctx.State().(*outputHistory)
+	if h == nil {
+		h = &outputHistory{}
+		ctx.SetState(h)
 	}
-	m.history[id] = append(h, obs)
-	m.histMu.Unlock()
+	h.obs = append(h.obs, obs)
 	if m.OnValue != nil {
 		m.OnValue(ctx, obs)
 	}
 }
 
-// History returns the observations recorded for one scheduler.
-func (m *PrimaryOutput) History(id sim.SchedulerID) []Observation {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	return append([]Observation(nil), m.history[id]...)
-}
-
-// LastHistory returns the observations of the most recent run when only
-// one history is present; it returns nil when zero or several runs have
-// recorded output (use History with an explicit scheduler ID then).
-func (m *PrimaryOutput) LastHistory() []Observation {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	if len(m.history) != 1 {
-		return nil
-	}
-	for _, h := range m.history {
-		return append([]Observation(nil), h...)
+// History returns the observations recorded in s's last run, in order;
+// it is empty when that run never reached the output. The slice is s's
+// storage, not a copy: it is valid until s runs again, and read-only.
+func (m *PrimaryOutput) History(s *sim.Scheduler) []Observation {
+	if h, ok := m.stateOn(s).(*outputHistory); ok {
+		return h.obs
 	}
 	return nil
 }
 
-// ReleaseHistory discards the observations of one scheduler once its run's
-// outputs have been consumed, so long-running fault simulations (one fresh
-// scheduler per injection) do not accumulate histories across injections.
-func (m *PrimaryOutput) ReleaseHistory(id sim.SchedulerID) {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	delete(m.history, id)
-}
-
-// TakeLast returns the last observation recorded for one scheduler and
-// releases that scheduler's history, as ReleaseHistory does. ok is false
-// when the run observed nothing. The released storage is kept for a
-// later run's observations, so a caller that needs only each run's
-// settled value records its runs without allocating.
-func (m *PrimaryOutput) TakeLast(id sim.SchedulerID) (last Observation, ok bool) {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	h, found := m.history[id]
-	if !found {
-		return Observation{}, false
+// ReleaseHistory empties the history of s's last run before s runs
+// again. It is optional — the next run empties it anyway — and a slice
+// History already returned stays readable.
+func (m *PrimaryOutput) ReleaseHistory(s *sim.Scheduler) {
+	if h, ok := m.stateOn(s).(*outputHistory); ok {
+		h.obs = h.obs[:0]
 	}
-	delete(m.history, id)
-	if len(h) > 0 {
-		last, ok = h[len(h)-1], true
-	}
-	clear(h)
-	m.spare = append(m.spare, h[:0])
-	return last, ok
-}
-
-// HistoryCount returns the number of schedulers with recorded
-// observations — the leak metric regression tests watch.
-func (m *PrimaryOutput) HistoryCount() int {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	return len(m.history)
-}
-
-// ClearHistory discards all recorded observations.
-func (m *PrimaryOutput) ClearHistory() {
-	m.histMu.Lock()
-	defer m.histMu.Unlock()
-	m.history = make(map[sim.SchedulerID][]Observation)
 }

@@ -3,6 +3,7 @@ package module
 import (
 	"testing"
 
+	"repro/internal/estim"
 	"repro/internal/signal"
 	"repro/internal/sim"
 )
@@ -112,8 +113,8 @@ func TestPatternInputToPrimaryOutput(t *testing.T) {
 	conn := NewWordConnector("c", 4)
 	in := NewPatternInput("in", 4, []signal.Value{word(1, 4), word(2, 4), word(3, 4)}, 10, conn)
 	out := NewPrimaryOutput("out", 4, conn)
-	runCircuit(t, NewCircuit("top", in, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", in, out))
+	h := out.History(st.Scheduler)
 	if len(h) != 3 {
 		t.Fatalf("observed %d values, want 3", len(h))
 	}
@@ -128,32 +129,82 @@ func TestPatternInputToPrimaryOutput(t *testing.T) {
 	}
 }
 
-// TestPrimaryOutputTakeLast: TakeLast returns a run's last observation
-// and releases its history, a run that observed nothing reports !ok,
-// and the next run records into the released storage and still sees
-// only its own observations.
-func TestPrimaryOutputTakeLast(t *testing.T) {
+// TestPrimaryOutputHistoryRecycled: a recycled scheduler's next run
+// records into the storage of its last one and reads back only its own
+// observations. ReleaseHistory empties a run's history early and leaves
+// a slice History already returned readable.
+func TestPrimaryOutputHistoryRecycled(t *testing.T) {
 	conn := NewWordConnector("c", 4)
 	in := NewPatternInput("in", 4, []signal.Value{word(1, 4), word(2, 4), word(3, 4)}, 10, conn)
 	out := NewPrimaryOutput("out", 4, conn)
-	s := NewSimulation(NewCircuit("top", in, out))
+	ctrl := sim.NewController(NewCircuit("top", in, out).Handlers()...)
+	sched := sim.NewScheduler()
+	var storage *Observation
 	for run := 0; run < 2; run++ {
-		st := s.Start(nil)
+		if st := ctrl.StartOn(sched, nil, nil); st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		h := out.History(sched)
+		if len(h) != 3 {
+			t.Fatalf("run %d observed %d values, want 3", run, len(h))
+		}
+		if run == 0 {
+			storage = &h[0]
+		} else if &h[0] != storage {
+			t.Errorf("run %d recorded into new storage, want the recycled run's", run)
+		}
+		out.ReleaseHistory(sched)
+		if n := len(out.History(sched)); n != 0 {
+			t.Errorf("run %d: %d observations left after ReleaseHistory", run, n)
+		}
+		if v, _ := h[2].Value.(signal.WordValue).W.Uint64(); v != 3 || h[2].Time != 30 {
+			t.Errorf("run %d: released history ends with %v at %d, want 3 at 30", run, h[2].Value, h[2].Time)
+		}
+	}
+}
+
+// setupInput drives its output once per instant, for as many instants as
+// its run's setup name has bytes, with that count as the value: runs with
+// different setups observe different histories.
+type setupInput struct {
+	*Skeleton
+	out *Port
+}
+
+func (m *setupInput) ProcessInputEvent(*Ctx, *PortEvent) {}
+func (m *setupInput) Reset(ctx *Ctx)                     { ctx.ScheduleSelf(1, "emit", nil) }
+func (m *setupInput) ProcessSelfEvent(ctx *Ctx, _ *sim.SelfToken) {
+	n := len(ctx.Sim.Setup.(*estim.Setup).Name())
+	ctx.Drive(m.out, word(uint64(n), 8), 0)
+	if ctx.Now() < sim.Time(n) {
+		ctx.ScheduleSelf(1, "emit", nil)
+	}
+}
+
+// TestPrimaryOutputHistoryPerConcurrentRun: concurrent runs of one
+// Simulation each read back only their own observations.
+func TestPrimaryOutputHistoryPerConcurrentRun(t *testing.T) {
+	c := NewWordConnector("c", 8)
+	in := &setupInput{}
+	in.Skeleton = NewSkeleton("in", in)
+	in.out = in.AddPort("out", Out, 8, c)
+	out := NewPrimaryOutput("out", 8, c)
+	s := NewSimulation(NewCircuit("top", in, out))
+	names := []string{"a", "bcd"}
+	stats := s.StartConcurrent([]*estim.Setup{estim.NewSetup(names[0]), estim.NewSetup(names[1])})
+	for i, st := range stats {
 		if st.Err != nil {
 			t.Fatal(st.Err)
 		}
-		if n := len(out.History(st.Scheduler)); n != 3 {
-			t.Fatalf("run %d observed %d values, want 3", run, n)
+		want := len(names[i])
+		h := out.History(st.Scheduler)
+		if len(h) != want {
+			t.Errorf("run %d observed %d values, want its own %d", i, len(h), want)
 		}
-		last, ok := out.TakeLast(st.Scheduler)
-		if v, _ := last.Value.(signal.WordValue).W.Uint64(); !ok || v != 3 || last.Time != 30 {
-			t.Errorf("run %d: TakeLast = %v at %d (ok %v), want 3 at 30", run, last.Value, last.Time, ok)
-		}
-		if n := out.HistoryCount(); n != 0 {
-			t.Errorf("run %d: %d histories left after TakeLast", run, n)
-		}
-		if _, ok := out.TakeLast(st.Scheduler); ok {
-			t.Errorf("run %d: a released history still has a last value", run)
+		for _, obs := range h {
+			if obs.Value != word(uint64(want), 8) {
+				t.Errorf("run %d observed %v, want only %d", i, obs.Value, want)
+			}
 		}
 	}
 }
@@ -164,8 +215,8 @@ func TestRegisterDelaysValue(t *testing.T) {
 	in := NewPatternInput("in", 4, []signal.Value{word(9, 4)}, 5, c1)
 	reg := NewRegister("reg", 4, c1, c2)
 	out := NewPrimaryOutput("out", 4, c2)
-	runCircuit(t, NewCircuit("top", in, reg, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", in, reg, out))
+	h := out.History(st.Scheduler)
 	if len(h) != 1 || h[0].Time != 6 {
 		t.Fatalf("register output = %+v, want value at t=6", h)
 	}
@@ -179,8 +230,8 @@ func TestMultComputesProduct(t *testing.T) {
 	inb := NewPatternInput("inb", 8, []signal.Value{word(11, 8)}, 1, b)
 	mult := NewMult("mult", 8, a, b, o)
 	out := NewPrimaryOutput("out", 16, o)
-	runCircuit(t, NewCircuit("top", ina, inb, mult, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", ina, inb, mult, out))
+	h := out.History(st.Scheduler)
 	if len(h) == 0 {
 		t.Fatal("no product observed")
 	}
@@ -207,8 +258,8 @@ func TestAdderAndSub(t *testing.T) {
 	inb := NewPatternInput("inb", 4, []signal.Value{word(8, 4)}, 1, b)
 	add := NewAdder("add", 4, a, b, o)
 	out := NewPrimaryOutput("out", 5, o)
-	runCircuit(t, NewCircuit("top", ina, inb, add, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", ina, inb, add, out))
+	h := out.History(st.Scheduler)
 	v, _ := h[len(h)-1].Value.(signal.WordValue).W.Uint64()
 	if v != 17 {
 		t.Errorf("sum = %d, want 17", v)
@@ -221,8 +272,8 @@ func TestAdderAndSub(t *testing.T) {
 	inb2 := NewPatternInput("inb2", 4, []signal.Value{word(5, 4)}, 1, b2)
 	sub := NewSub("sub", 4, a2, b2, o2)
 	out2 := NewPrimaryOutput("out2", 4, o2)
-	runCircuit(t, NewCircuit("top2", ina2, inb2, sub, out2))
-	h2 := out2.LastHistory()
+	st2 := runCircuit(t, NewCircuit("top2", ina2, inb2, sub, out2))
+	h2 := out2.History(st2.Scheduler)
 	v2, _ := h2[len(h2)-1].Value.(signal.WordValue).W.Uint64()
 	if v2 != (3-5)&0xF {
 		t.Errorf("difference = %d, want %d", v2, (3-5)&0xF)
@@ -237,8 +288,8 @@ func TestComparator(t *testing.T) {
 	inb := NewPatternInput("inb", 4, []signal.Value{word(7, 4)}, 1, b)
 	cmp := NewComparator("cmp", 4, a, b, o)
 	out := NewPrimaryOutput("out", 1, o)
-	runCircuit(t, NewCircuit("top", ina, inb, cmp, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", ina, inb, cmp, out))
+	h := out.History(st.Scheduler)
 	if len(h) == 0 || h[len(h)-1].Value.(signal.BitValue).B != signal.B1 {
 		t.Error("comparator did not report equality")
 	}
@@ -254,8 +305,8 @@ func TestMux2SelectsInputs(t *testing.T) {
 	sel := NewPatternInput("sel", 1, []signal.Value{signal.BitValue{B: signal.B1}}, 2, s)
 	mux := NewMux2("mux", 4, a, b, s, o)
 	out := NewPrimaryOutput("out", 4, o)
-	runCircuit(t, NewCircuit("top", ina, inb, sel, mux, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", ina, inb, sel, mux, out))
+	h := out.History(st.Scheduler)
 	v, _ := h[len(h)-1].Value.(signal.WordValue).W.Uint64()
 	if v != 2 {
 		t.Errorf("mux selected %d, want 2 (sel=1)", v)
@@ -268,8 +319,8 @@ func TestClockGenAndCounter(t *testing.T) {
 	gen := NewClockGen("gen", 5, 4, clk)
 	cnt := NewCounter("cnt", 8, clk, q)
 	out := NewPrimaryOutput("out", 8, q)
-	runCircuit(t, NewCircuit("top", gen, cnt, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", gen, cnt, out))
+	h := out.History(st.Scheduler)
 	if len(h) != 4 {
 		t.Fatalf("counter emitted %d values over 4 clock cycles, want 4", len(h))
 	}
@@ -287,8 +338,8 @@ func TestFanoutPerBranchDelays(t *testing.T) {
 	fo := NewFanout("fo", 4, src, []*Connector{b1, b2}, []sim.Time{0, 7})
 	o1 := NewPrimaryOutput("o1", 4, b1)
 	o2 := NewPrimaryOutput("o2", 4, b2)
-	runCircuit(t, NewCircuit("top", in, fo, o1, o2))
-	h1, h2 := o1.LastHistory(), o2.LastHistory()
+	st := runCircuit(t, NewCircuit("top", in, fo, o1, o2))
+	h1, h2 := o1.History(st.Scheduler), o2.History(st.Scheduler)
 	if len(h1) != 1 || len(h2) != 1 {
 		t.Fatal("fanout branch missing event")
 	}
@@ -312,8 +363,8 @@ func TestDelayModule(t *testing.T) {
 	in := NewPatternInput("in", 4, []signal.Value{word(3, 4)}, 1, a)
 	d := NewDelay("d", 4, 9, a, b)
 	out := NewPrimaryOutput("out", 4, b)
-	runCircuit(t, NewCircuit("top", in, d, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", in, d, out))
+	h := out.History(st.Scheduler)
 	if len(h) != 1 || h[0].Time != 10 {
 		t.Errorf("delayed event at %v, want t=10", h)
 	}
@@ -323,8 +374,8 @@ func TestConstInput(t *testing.T) {
 	c := NewWordConnector("c", 4)
 	in := NewConstInput("k", 4, word(13, 4), c)
 	out := NewPrimaryOutput("out", 4, c)
-	runCircuit(t, NewCircuit("top", in, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", in, out))
+	h := out.History(st.Scheduler)
 	if len(h) != 1 {
 		t.Fatal("constant not observed")
 	}
@@ -339,9 +390,9 @@ func TestRandomPrimaryInputDeterministic(t *testing.T) {
 		c := NewWordConnector("c", 16)
 		in := NewRandomPrimaryInput("in", 16, 42, 10, 3, c)
 		out := NewPrimaryOutput("out", 16, c)
-		runCircuit(t, NewCircuit("top", in, out))
+		st := runCircuit(t, NewCircuit("top", in, out))
 		var vals []uint64
-		for _, obs := range out.LastHistory() {
+		for _, obs := range out.History(st.Scheduler) {
 			v, _ := obs.Value.(signal.WordValue).W.Uint64()
 			vals = append(vals, v)
 		}

@@ -190,10 +190,21 @@ func (sk *Skeleton) stateFor(ctx *sim.Context) *runState {
 	return rs
 }
 
+// stateOn returns the behavior-private state s's last run left for the
+// module, or nil when that run never reached it. It reads the slot
+// between runs of s, without interning the module.
+func (sk *Skeleton) stateOn(s *sim.Scheduler) any {
+	if rs, _ := s.SlotValue(sk, sk.slot.Load()).(*runState); rs != nil && rs.run == s.ID() {
+		return rs.user
+	}
+	return nil
+}
+
 // recyclable is behavior-private state that resets in place when its
 // run state is reused, instead of being dropped. Only this package's
-// behaviors implement it (NetlistModule keeps its evaluator); any other
-// behavior's state is dropped.
+// behaviors implement it (NetlistModule keeps its evaluator,
+// PrimaryOutput its history's storage); any other behavior's state is
+// dropped.
 type recyclable interface {
 	recycle()
 }
@@ -355,29 +366,23 @@ func (sk *Skeleton) SelectedEstimator(s *estim.Setup, p estim.Parameter) (estim.
 	return e, ok
 }
 
-// PortValues snapshots the current values held by the module's ports of
-// the given direction in ctx's run, in port-index order. Fault
-// simulation uses this to capture the signal configuration at an IP
-// component's inputs — the only design information forwarded to the
-// provider.
-func (sk *Skeleton) PortValues(ctx *sim.Context, dir Direction) []signal.Value {
+// AppendPortValues appends to dst the current values held by the
+// module's ports of the given direction in ctx's run, in port-index
+// order. Fault simulation uses this to capture the signal configuration
+// at an IP component's inputs — the only design information forwarded
+// to the provider — into storage it reuses across patterns.
+func (sk *Skeleton) AppendPortValues(dst []signal.Value, ctx *sim.Context, dir Direction) []signal.Value {
 	rs := sk.stateFor(ctx)
-	n := 0
-	for _, p := range sk.ports {
-		if p.Dir == dir || p.Dir == InOut {
-			n++
-		}
-	}
-	out := make([]signal.Value, 0, n)
 	for i, p := range sk.ports {
 		if p.Dir == dir || p.Dir == InOut {
-			out = append(out, rs.in[i])
+			v := rs.in[i]
 			if p.Dir == Out {
-				out[len(out)-1] = rs.out[i]
+				v = rs.out[i]
 			}
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }
 
 // OutputPorts returns the module's output ports in index order.

@@ -3,6 +3,7 @@ package module
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestControlTokenDispatch(t *testing.T) {
 	if len(m.controls) != 2 || m.controls[0] != "emit" {
 		t.Errorf("controls = %v", m.controls)
 	}
-	if len(out.LastHistory()) != 1 {
+	if len(out.History(st.Scheduler)) != 1 {
 		t.Error("control-driven emission missing")
 	}
 }
@@ -68,8 +69,8 @@ func TestPortValuesSnapshots(t *testing.T) {
 	var lastIn, lastOut []signal.Value
 	st := s.StartConfigured(nil, func(sched *sim.Scheduler) {
 		sched.AddInstantHook(func(ctx *sim.Context, _ sim.Time) {
-			lastIn = reg.PortValues(ctx, In)
-			lastOut = reg.PortValues(ctx, Out)
+			lastIn = reg.AppendPortValues(lastIn[:0], ctx, In)
+			lastOut = reg.AppendPortValues(lastOut[:0], ctx, Out)
 		})
 	})
 	if st.Err != nil {
@@ -165,28 +166,61 @@ func TestMuxWithUnknownSelectHolds(t *testing.T) {
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	if len(out.LastHistory()) != 0 {
+	if len(out.History(st.Scheduler)) != 0 {
 		t.Error("mux drove output with X select")
 	}
 }
 
-func TestLastHistoryAmbiguousAfterTwoRuns(t *testing.T) {
+// TestHistoryEmptyWhenRunMissesOutput: a recycled scheduler whose next
+// run never reaches the output reports an empty history, not the last
+// run's — whether that run resets the output and stops before its first
+// value, or runs a controller that does not list the output, leaving its
+// slot as the last run stamped it.
+func TestHistoryEmptyWhenRunMissesOutput(t *testing.T) {
 	c := NewWordConnector("c", 4)
-	in := NewPatternInput("in", 4, []signal.Value{word(1, 4)}, 1, c)
+	in := NewPatternInput("in", 4, []signal.Value{word(1, 4)}, 10, c)
 	out := NewPrimaryOutput("out", 4, c)
-	s := NewSimulation(NewCircuit("t", in, out))
-	if st := s.Start(nil); st.Err != nil {
-		t.Fatal(st.Err)
+	full := sim.NewController(in.Skeleton, out.Skeleton)
+	early := sim.NewController(in.Skeleton, out.Skeleton)
+	unlisted := sim.NewController(in.Skeleton)
+	early.Options.Until, unlisted.Options.Until = 5, 5
+	for _, second := range []struct {
+		name string
+		ctrl *sim.Controller
+	}{{"stopped before the output", early}, {"output not listed", unlisted}} {
+		sched := sim.NewScheduler()
+		if st := full.StartOn(sched, nil, nil); st.Err != nil || len(out.History(sched)) != 1 {
+			t.Fatalf("%s: first run observed %v (err %v), want one value", second.name, out.History(sched), st.Err)
+		}
+		if st := second.ctrl.StartOn(sched, nil, nil); st.Err != nil {
+			t.Fatal(st.Err)
+		}
+		if h := out.History(sched); len(h) != 0 {
+			t.Errorf("%s: the second run reports %v, want nothing", second.name, h)
+		}
 	}
-	if st := s.Start(nil); st.Err != nil {
-		t.Fatal(st.Err)
+}
+
+// schedSink makes the schedulers an allocation test builds escape alike.
+var schedSink *sim.Scheduler
+
+// TestHistoryOnSchedulerThatNeverRanOutput: History on a scheduler that
+// never met the output is empty, and reads without interning the output:
+// it allocates nothing beyond the scheduler itself, where interning would
+// build the handler table.
+func TestHistoryOnSchedulerThatNeverRanOutput(t *testing.T) {
+	out := NewPrimaryOutput("out", 4, NewWordConnector("c", 4))
+	if h := out.History(sim.NewScheduler()); len(h) != 0 {
+		t.Fatalf("a scheduler that never ran the output reports %v", h)
 	}
-	if out.LastHistory() != nil {
-		t.Error("LastHistory must refuse when two runs recorded")
-	}
-	out.ClearHistory()
-	if out.LastHistory() != nil {
-		t.Error("LastHistory after clear must be nil")
+	fresh := func() { schedSink = sim.NewScheduler() }
+	base := testing.AllocsPerRun(20, fresh)
+	read := testing.AllocsPerRun(20, func() {
+		fresh()
+		out.History(schedSink)
+	})
+	if read != base {
+		t.Errorf("History on a fresh scheduler allocates %.0f, want none beyond the scheduler's %.0f", read-base, base)
 	}
 }
 
@@ -211,7 +245,7 @@ func TestFuncBitModuleBehavioral(t *testing.T) {
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	h := out.LastHistory()
+	h := out.History(st.Scheduler)
 	if len(h) == 0 {
 		t.Fatal("no majority output")
 	}
@@ -233,7 +267,7 @@ func TestFuncWordModuleBehavioral(t *testing.T) {
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
-	h := out.LastHistory()
+	h := out.History(st.Scheduler)
 	if len(h) != 1 {
 		t.Fatal("no output")
 	}
@@ -317,12 +351,11 @@ func TestRecycledSchedulerResetsUnlistedModules(t *testing.T) {
 			t.Fatal(st.Err)
 		}
 		h := po.History(st.Scheduler)
-		po.ReleaseHistory(st.Scheduler)
 		if n := len(h); n == 0 || h[n-1].Value != (signal.BitValue{B: signal.B1}) {
 			t.Fatalf("run %d observed %v, want it to settle at 1", run, h)
 		}
 		if run == 0 {
-			first = h
+			first = slices.Clone(h) // h is sched's storage, reused by the next run
 		} else if !reflect.DeepEqual(h, first) {
 			t.Fatalf("recycled run observed %v, first run %v", h, first)
 		}

@@ -3,6 +3,7 @@ package module
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gate"
@@ -18,8 +19,8 @@ func TestGateModuleEval(t *testing.T) {
 	inb := NewPatternInput("inb", 1, []signal.Value{signal.BitValue{B: signal.B1}}, 1, b)
 	g := NewGateModule("g", gate.Nand, []*Connector{a, b}, o)
 	out := NewPrimaryOutput("out", 1, o)
-	runCircuit(t, NewCircuit("top", ina, inb, g, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", ina, inb, g, out))
+	h := out.History(st.Scheduler)
 	if len(h) == 0 {
 		t.Fatal("no gate output")
 	}
@@ -41,8 +42,8 @@ func TestGateModuleSuppressesUnchangedOutput(t *testing.T) {
 	in := NewPatternInput("in", 1, seq, 1, a)
 	g := NewGateModule("g", gate.Buf, []*Connector{a}, o)
 	out := NewPrimaryOutput("out", 1, o)
-	runCircuit(t, NewCircuit("top", in, g, out))
-	if got := len(out.LastHistory()); got != 2 {
+	st := runCircuit(t, NewCircuit("top", in, g, out))
+	if got := len(out.History(st.Scheduler)); got != 2 {
 		t.Errorf("gate fired %d times, want 2 (event-driven suppression)", got)
 	}
 }
@@ -76,9 +77,9 @@ func TestNetlistModuleMatchesDirectEval(t *testing.T) {
 	nm := NewNetlistModule("rca", nl, bitConns, outBits)
 	join := NewBitsToWord("join", 4, outBits, oconn)
 	out := NewPrimaryOutput("out", 4, oconn)
-	runCircuit(t, NewCircuit("top", in, split, nm, join, out))
+	st := runCircuit(t, NewCircuit("top", in, split, nm, join, out))
 
-	h := out.LastHistory()
+	h := out.History(st.Scheduler)
 	if len(h) == 0 {
 		t.Fatal("no outputs")
 	}
@@ -140,8 +141,8 @@ func TestBitsToWordAssembly(t *testing.T) {
 	p1 := NewPatternInput("p1", 1, []signal.Value{signal.BitValue{B: signal.B0}}, 2, ins[1])
 	j := NewBitsToWord("j", 2, ins, o)
 	out := NewPrimaryOutput("out", 2, o)
-	runCircuit(t, NewCircuit("top", p0, p1, j, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", p0, p1, j, out))
+	h := out.History(st.Scheduler)
 	if len(h) == 0 {
 		t.Fatal("no assembled word")
 	}
@@ -157,8 +158,8 @@ func TestBitsToWordUnknownBitsAreX(t *testing.T) {
 	p0 := NewPatternInput("p0", 1, []signal.Value{signal.BitValue{B: signal.B1}}, 1, ins[0])
 	j := NewBitsToWord("j", 2, ins, o)
 	out := NewPrimaryOutput("out", 2, o)
-	runCircuit(t, NewCircuit("top", p0, j, out))
-	h := out.LastHistory()
+	st := runCircuit(t, NewCircuit("top", p0, j, out))
+	h := out.History(st.Scheduler)
 	if len(h) == 0 {
 		t.Fatal("no word")
 	}
@@ -239,8 +240,8 @@ func TestNetlistModuleRecycledRunMatchesFresh(t *testing.T) {
 		if st.Err != nil {
 			t.Fatal(st.Err)
 		}
-		h := out.History(st.Scheduler)
-		out.ReleaseHistory(st.Scheduler)
+		// The history is sched's storage: copy it before sched runs again.
+		h := slices.Clone(out.History(st.Scheduler))
 		ns, _ := nm.stateFor(sched.NewContext()).user.(*netlistState)
 		if ns == nil {
 			t.Fatal("the netlist module kept no state")

@@ -7,7 +7,10 @@ import (
 
 // Stats summarizes one completed simulation run.
 type Stats struct {
-	Scheduler SchedulerID
+	// Scheduler is the scheduler the run used. Its state slots hold what
+	// the run left (primary-output histories, Scheduler.SlotValue) until
+	// it runs again.
+	Scheduler *Scheduler
 	EndTime   Time
 	Delivered uint64
 	MaxQueue  int
@@ -114,7 +117,7 @@ func (c *Controller) StartOn(sched *Scheduler, setup any, configure func(*Schedu
 	}
 	err := sched.Run(ctx, c.Options)
 	return Stats{
-		Scheduler: sched.ID(),
+		Scheduler: sched,
 		EndTime:   sched.Now(),
 		Delivered: sched.Delivered(),
 		MaxQueue:  sched.MaxQueueLen(),

@@ -87,7 +87,7 @@ func TestControllerConcurrentSchedulersDoNotInterfere(t *testing.T) {
 			t.Fatal(st.Err)
 		}
 		if st.Delivered != 1000 {
-			t.Errorf("scheduler %d delivered %d tokens, want 1000", st.Scheduler, st.Delivered)
+			t.Errorf("scheduler %d delivered %d tokens, want 1000", st.Scheduler.ID(), st.Delivered)
 		}
 		// Each scheduler's slot counted its own run's deliveries only.
 		if n := m.countOn(scheds[i]); n != 1000 {

@@ -165,9 +165,8 @@ func checkRing(t *testing.T, s *Scheduler, nodes []*ringNode, bad *atomic.Int64)
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d signals reached the wrong handler", n)
 	}
-	ctx := s.NewContext()
 	for _, nd := range nodes {
-		if got := *ctx.Slot(nd); got != ringSteps {
+		if got := s.SlotValue(nd, nd.slot.Load()); got != ringSteps {
 			t.Errorf("%s: slot counted %v signals, want %d", nd.HandlerName(), got, ringSteps)
 		}
 	}
@@ -244,6 +243,29 @@ func TestSlotIndexWithoutController(t *testing.T) {
 		t.Fatalf("table index 0 holds %s, want ring3", s.interned[0].HandlerName())
 	}
 	checkRing(t, s, nodes, bad)
+}
+
+// TestSlotValueDoesNotIntern: SlotValue returns nil for a handler the
+// scheduler never met, by claimed index or by NoSlot, and leaves the
+// handler table as the run left it.
+func TestSlotValueDoesNotIntern(t *testing.T) {
+	nodes, bad := newRing(3)
+	c := ringController(nodes, []int{0, 1, 2})
+	s := NewScheduler()
+	if st := c.StartOn(s, nil, nil); st.Err != nil {
+		t.Fatal(st.Err)
+	}
+	checkRing(t, s, nodes, bad)
+	stranger := &ringNode{id: 9}
+	NewController(stranger) // claims index 0, which names nodes[0] on s
+	for _, idx := range []uint32{stranger.slot.Load(), NoSlot} {
+		if got := s.SlotValue(stranger, idx); got != nil {
+			t.Errorf("index %d: a handler s never met has slot %v, want nil", idx, got)
+		}
+	}
+	if _, interned := s.internIdx[stranger]; interned || len(s.interned) != len(nodes) {
+		t.Errorf("table grew to %d handlers (stranger interned: %v), want the run's %d", len(s.interned), interned, len(nodes))
+	}
 }
 
 // TestSlotIndexConcurrentControllers: controllers over one handler set

@@ -11,10 +11,9 @@ import (
 
 // SchedulerID uniquely identifies one scheduler run for the lifetime of
 // the process: NewScheduler draws one, and recycling a scheduler for its
-// next run draws another. Observers that outlive a run (primary-output
-// histories) key what they record by it, so two runs — concurrent, or
-// consecutive on one recycled scheduler — never see each other's
-// results.
+// next run draws another. Handlers stamp the state they keep in a slot
+// with it, so state an earlier run of a recycled scheduler left behind
+// is told apart from the current run's (Context.Slot).
 type SchedulerID uint64
 
 var schedulerIDs atomic.Uint64
@@ -281,8 +280,8 @@ func (c *Context) SchedulerID() SchedulerID { return c.sched.id }
 // handler keeps its mutable per-run state (the paper's per-scheduler
 // lookup table, keyed here by handler inside the scheduler instead of by
 // scheduler inside the module). A slot starts nil and is reachable only
-// through this scheduler's contexts, so runs on different schedulers
-// cannot see each other's state.
+// through this scheduler — its contexts during a run, SlotValue between
+// runs — so runs on different schedulers cannot see each other's state.
 //
 // Slots survive recycling (Controller.StartOn) so their contents can be
 // reused; a handler that reuses them must re-initialize them when
@@ -306,6 +305,23 @@ func (c *Context) Slot(h Handler) *any {
 func (c *Context) SlotAt(h Handler, idx uint32) *any {
 	s := c.sched
 	return &s.slots[s.slotIndex(h, idx)]
+}
+
+// SlotValue returns what handler h's state slot on s holds — after a
+// run, what the run left there — or nil when s never met h. idx is h's
+// SlotIndex.Load, or NoSlot, as for Context.SlotAt. Unlike Slot it never
+// interns h, so a read leaves the handler table as it was. Like every
+// slot, it belongs to the goroutine running s: read it between runs.
+//
+//gocad:noalloc
+func (s *Scheduler) SlotValue(h Handler, idx uint32) any {
+	if idx < uint32(len(s.interned)) && s.interned[idx] == h {
+		return s.slots[idx]
+	}
+	if i, ok := s.internIdx[h]; ok {
+		return s.slots[i]
+	}
+	return nil
 }
 
 // Now returns the current simulation time.

@@ -153,9 +153,10 @@ type observationEvent struct {
 	seq int
 }
 
-// DumpOutputs writes a complete VCD from the recorded histories of
-// primary-output monitors for one scheduler's run.
-func DumpOutputs(w io.Writer, timescale string, run sim.SchedulerID, outs []*module.PrimaryOutput) error {
+// DumpOutputs writes a complete VCD from the histories the primary-output
+// monitors recorded in run's last run (Stats.Scheduler); call it before
+// that scheduler runs again.
+func DumpOutputs(w io.Writer, timescale string, run *sim.Scheduler, outs []*module.PrimaryOutput) error {
 	v := NewVCD(w, timescale, "design")
 	var events []observationEvent
 	for _, po := range outs {
