@@ -154,9 +154,9 @@ type observationEvent struct {
 }
 
 // DumpOutputs writes a complete VCD from the histories the primary-output
-// monitors recorded in run's last run (Stats.Scheduler); call it before
-// that scheduler runs again.
-func DumpOutputs(w io.Writer, timescale string, run *sim.Scheduler, outs []*module.PrimaryOutput) error {
+// monitors recorded in sched's last run (a run's Stats.Scheduler); call
+// it before sched runs again.
+func DumpOutputs(w io.Writer, timescale string, sched *sim.Scheduler, outs []*module.PrimaryOutput) error {
 	v := NewVCD(w, timescale, "design")
 	var events []observationEvent
 	for _, po := range outs {
@@ -168,7 +168,7 @@ func DumpOutputs(w io.Writer, timescale string, run *sim.Scheduler, outs []*modu
 		if err != nil {
 			return err
 		}
-		for i, obs := range po.History(run) {
+		for i, obs := range po.History(sched) {
 			events = append(events, observationEvent{id: id, obs: obs, seq: i})
 		}
 	}
