@@ -127,10 +127,12 @@ func (failingService) DetectionTable([]signal.Bit) (*DetectionTable, error) {
 	return nil, errors.New("provider down")
 }
 
-// TestVirtualRunErrorPaths: a Run abandoned mid-pattern reports the
-// error — whether the provider fails after the fault-free run recorded
-// its outputs, or a simulation itself fails (event limit).
-func TestVirtualRunErrorPaths(t *testing.T) {
+// TestVirtualRunReleasesHistoriesOnError: a Run abandoned mid-pattern
+// reports the error — whether the provider fails after the fault-free
+// run recorded its outputs, or a simulation itself fails (event limit).
+// The histories are run state of the Run's schedulers, so they go with
+// them on that path too.
+func TestVirtualRunReleasesHistoriesOnError(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		prep func(*IPDesign) *VirtualSimulator
