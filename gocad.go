@@ -77,7 +77,8 @@ type (
 	Circuit = module.Circuit
 	// Skeleton is the embeddable base of every component.
 	Skeleton = module.Skeleton
-	// SimulationController runs event-driven simulations over a design.
+	// SimulationController runs event-driven simulations over a design,
+	// one or several concurrently, each lane on a scheduler it recycles.
 	SimulationController = module.Simulation
 )
 

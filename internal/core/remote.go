@@ -38,7 +38,7 @@ func wordsToBits(dst []signal.Bit, words ...signal.Word) []signal.Bit {
 // eval path: the pattern only lives for the duration of one remote
 // Eval call (the wire layer copies it into the outbound payload and the
 // bound instance does not retain it), while a RemoteMult may be driven
-// by several concurrent schedulers (StartConcurrent), so the
+// by several concurrent schedulers (Simulation.StartConcurrent), so the
 // scratch is pooled rather than hung off the module.
 var patternPool = sync.Pool{New: func() any { return new([]signal.Bit) }}
 

@@ -231,8 +231,9 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 }
 
 // TestVirtualRunBesideReorderedController: virtual fault simulation on
-// two workers races a StartConcurrent fan-out over the same design
-// whose controllers, one per pattern, list the handlers in reverse. The design is fresh
+// two workers races a two-run Pool fan-out of StartOn over the same
+// design whose controllers, one per pattern, list the handlers in
+// reverse. The design is fresh
 // every iteration, so either side may claim the handlers' slot indices
 // first and the other must fall back to the map. Every Run must match
 // its serial Result, and every reversed-order run must settle to the
@@ -290,7 +291,12 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 				ctrl := sim.NewController(reversed...)
 				ctrl.Seed = r.seed
 				r.pattern = p
-				for k, st := range ctrl.StartConcurrent(2, nil, nil) {
+				stats := make([]sim.Stats, 2)
+				sim.Pool{Workers: 2}.For(2, func(k int) error {
+					stats[k] = ctrl.StartOn(sim.NewScheduler(), nil, nil)
+					return nil
+				})
+				for k, st := range stats {
 					if st.Err != nil {
 						t.Errorf("iteration %d pattern %d run %d: %v", iter, i, k, st.Err)
 					}

@@ -81,9 +81,18 @@ func ApplySetup(s *estim.Setup, root Module) {
 // runs event-driven simulations over it, optionally estimating cost
 // metrics under a setup. Multiple setups for the same design and multiple
 // simulations performed concurrently are both supported.
+//
+// A Simulation keeps one scheduler per concurrent lane and recycles it
+// on every run, so the lanes' storage (calendar lanes, state slots,
+// module run state) stays alive between runs. A returned Stats, and
+// every History it reaches, is valid until the next Start or
+// StartConcurrent on the same Simulation. A Simulation is not safe for
+// concurrent Start calls.
 type Simulation struct {
 	circuit *Circuit
+	leaves  []Module
 	ctrl    *sim.Controller
+	scheds  []*sim.Scheduler // one per lane, grown on demand
 	// Until bounds the simulated time; zero runs until the queue drains.
 	Until sim.Time
 	// EventLimit overrides the kernel's default event budget when nonzero.
@@ -92,54 +101,23 @@ type Simulation struct {
 
 // NewSimulation returns a simulation controller over the circuit.
 func NewSimulation(c *Circuit) *Simulation {
-	return &Simulation{circuit: c, ctrl: sim.NewController(c.Handlers()...)}
+	return &Simulation{circuit: c, leaves: c.Leaves(), ctrl: sim.NewController(c.Handlers()...)}
 }
 
 // Circuit returns the design under simulation.
 func (s *Simulation) Circuit() *Circuit { return s.circuit }
 
 // Start runs one simulation with the given setup (nil to simulate without
-// estimation). When a setup is supplied it is first applied hierarchically
-// to the whole design, and every leaf module receives an estimation token
-// at the end of each simulation time instant.
+// estimation) on lane 0. When a setup is supplied it is first applied
+// hierarchically to the whole design, and every leaf module receives an
+// estimation token at the end of each simulation time instant.
 func (s *Simulation) Start(setup *estim.Setup) sim.Stats {
-	return s.start(setup, nil)
+	return s.StartConcurrent([]*estim.Setup{setup})[0]
 }
 
-// StartConfigured is Start with access to the scheduler before the run
-// begins — used by fault simulation to install handler overrides.
-func (s *Simulation) StartConfigured(setup *estim.Setup, configure func(*sim.Scheduler)) sim.Stats {
-	return s.start(setup, configure)
-}
-
-func (s *Simulation) start(setup *estim.Setup, configure func(*sim.Scheduler)) sim.Stats {
-	if setup != nil {
-		ApplySetup(setup, s.circuit)
-	}
-	s.ctrl.Options = sim.RunOptions{Until: s.Until}
-	s.ctrl.EventLimit = s.EventLimit
-	leaves := s.circuit.Leaves()
-	return s.ctrl.Start(setup, func(sched *sim.Scheduler) {
-		if setup != nil {
-			// One token per scheduler, reused across instants and leaves:
-			// the hook dispatches it synchronously on the scheduler's own
-			// goroutine and HandleToken only reads its fields.
-			tok := &sim.EstimationToken{Setup: setup}
-			sched.AddInstantHook(func(ctx *sim.Context, completed sim.Time) {
-				for _, m := range leaves {
-					tok.T, tok.Dst = completed, m
-					m.HandleToken(ctx, tok)
-				}
-			})
-		}
-		if configure != nil {
-			configure(sched)
-		}
-	})
-}
-
-// StartConcurrent runs n independent simulations of the design
-// concurrently, one scheduler each, with per-run setups. The kernel's
+// StartConcurrent runs len(setups) independent simulations of the design
+// concurrently, lane i under setups[i] (nil entries simulate without
+// estimation), and returns their statistics in lane order. The kernel's
 // state isolation guarantees the runs cannot interfere.
 func (s *Simulation) StartConcurrent(setups []*estim.Setup) []sim.Stats {
 	for _, st := range setups {
@@ -149,25 +127,35 @@ func (s *Simulation) StartConcurrent(setups []*estim.Setup) []sim.Stats {
 	}
 	s.ctrl.Options = sim.RunOptions{Until: s.Until}
 	s.ctrl.EventLimit = s.EventLimit
-	leaves := s.circuit.Leaves()
-	return s.ctrl.StartConcurrent(len(setups),
-		func(i int) any {
-			if setups[i] == nil {
-				return nil
+	for len(s.scheds) < len(setups) {
+		s.scheds = append(s.scheds, sim.NewScheduler())
+	}
+	stats := make([]sim.Stats, len(setups))
+	sim.Pool{Workers: len(setups)}.For(len(setups), func(i int) error {
+		if setups[i] == nil {
+			// An untyped nil, so handlers see ctx.Setup == nil.
+			stats[i] = s.ctrl.StartOn(s.scheds[i], nil, nil)
+		} else {
+			stats[i] = s.ctrl.StartOn(s.scheds[i], setups[i], s.estimationHook(setups[i]))
+		}
+		return nil
+	})
+	return stats
+}
+
+// estimationHook returns the configure step of a run under setup: an
+// instant hook that sends every leaf an estimation token at the end of
+// each instant. The token is one per run, reused across instants and
+// leaves: the hook dispatches it synchronously on the scheduler's own
+// goroutine and HandleToken only reads its fields.
+func (s *Simulation) estimationHook(setup *estim.Setup) func(*sim.Scheduler) {
+	return func(sched *sim.Scheduler) {
+		tok := &sim.EstimationToken{Setup: setup}
+		sched.AddInstantHook(func(ctx *sim.Context, completed sim.Time) {
+			for _, m := range s.leaves {
+				tok.T, tok.Dst = completed, m
+				m.HandleToken(ctx, tok)
 			}
-			return setups[i]
-		},
-		func(i int, sched *sim.Scheduler) {
-			setup := setups[i]
-			if setup == nil {
-				return
-			}
-			tok := &sim.EstimationToken{Setup: setup}
-			sched.AddInstantHook(func(ctx *sim.Context, completed sim.Time) {
-				for _, m := range leaves {
-					tok.T, tok.Dst = completed, m
-					m.HandleToken(ctx, tok)
-				}
-			})
 		})
+	}
 }

@@ -185,6 +185,8 @@ func (m *PrimaryOutput) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 // History returns the observations recorded in s's last run, in order;
 // it is empty when that run never reached the output. The slice is s's
 // storage, not a copy: it is valid until s runs again, and read-only.
+// For a run of a Simulation that is until the next Start or
+// StartConcurrent on it, which reruns its lane schedulers.
 func (m *PrimaryOutput) History(s *sim.Scheduler) []Observation {
 	if h, ok := m.stateOn(s).(*outputHistory); ok {
 		return h.obs

@@ -1,6 +1,7 @@
 package module
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/estim"
@@ -181,17 +182,21 @@ func (m *setupInput) ProcessSelfEvent(ctx *Ctx, _ *sim.SelfToken) {
 	}
 }
 
-// TestPrimaryOutputHistoryPerConcurrentRun: concurrent runs of one
-// Simulation each read back only their own observations.
-func TestPrimaryOutputHistoryPerConcurrentRun(t *testing.T) {
+// setupDesign returns a Simulation over a setupInput feeding a primary
+// output, and the output.
+func setupDesign() (*Simulation, *PrimaryOutput) {
 	c := NewWordConnector("c", 8)
 	in := &setupInput{}
 	in.Skeleton = NewSkeleton("in", in)
 	in.out = in.AddPort("out", Out, 8, c)
 	out := NewPrimaryOutput("out", 8, c)
-	s := NewSimulation(NewCircuit("top", in, out))
-	names := []string{"a", "bcd"}
-	stats := s.StartConcurrent([]*estim.Setup{estim.NewSetup(names[0]), estim.NewSetup(names[1])})
+	return NewSimulation(NewCircuit("top", in, out)), out
+}
+
+// checkOwnHistories requires run i of stats, made under a setup named
+// names[i], to have observed only its own len(names[i]) values.
+func checkOwnHistories(t *testing.T, out *PrimaryOutput, stats []sim.Stats, names []string) {
+	t.Helper()
 	for i, st := range stats {
 		if st.Err != nil {
 			t.Fatal(st.Err)
@@ -206,6 +211,82 @@ func TestPrimaryOutputHistoryPerConcurrentRun(t *testing.T) {
 				t.Errorf("run %d observed %v, want only %d", i, obs.Value, want)
 			}
 		}
+	}
+}
+
+// TestPrimaryOutputHistoryPerConcurrentRun: concurrent runs of one
+// Simulation each read back only their own observations.
+func TestPrimaryOutputHistoryPerConcurrentRun(t *testing.T) {
+	s, out := setupDesign()
+	names := []string{"a", "bcd"}
+	stats := s.StartConcurrent([]*estim.Setup{estim.NewSetup(names[0]), estim.NewSetup(names[1])})
+	checkOwnHistories(t, out, stats, names)
+}
+
+// TestSimulationRecyclesLaneSchedulers: a Simulation runs every lane on
+// the scheduler it kept from that lane's last run, recycled (a fresh
+// ID), and grows lanes on demand; each lane's history holds only its
+// latest run.
+func TestSimulationRecyclesLaneSchedulers(t *testing.T) {
+	s, out := setupDesign()
+	first := s.Start(estim.NewSetup("abcd"))
+	lane0, firstID := first.Scheduler, first.Scheduler.ID()
+	second := s.Start(estim.NewSetup("ab"))
+	if second.Scheduler != lane0 {
+		t.Error("second Start ran on a new scheduler, want lane 0's")
+	}
+	if second.Scheduler.ID() == firstID {
+		t.Errorf("second Start kept scheduler ID %d, want a fresh one", firstID)
+	}
+	checkOwnHistories(t, out, []sim.Stats{second}, []string{"ab"})
+
+	names := []string{"a", "abc", "abcde"}
+	stats := s.StartConcurrent([]*estim.Setup{estim.NewSetup(names[0]), estim.NewSetup(names[1]), estim.NewSetup(names[2])})
+	if stats[0].Scheduler != lane0 {
+		t.Error("StartConcurrent did not reuse lane 0's scheduler")
+	}
+	if stats[1].Scheduler == lane0 || stats[2].Scheduler == lane0 || stats[1].Scheduler == stats[2].Scheduler {
+		t.Error("StartConcurrent did not add two new lanes")
+	}
+	checkOwnHistories(t, out, stats, names)
+}
+
+// setupProbe records, once per run, whether the run's context carries a
+// setup.
+type setupProbe struct {
+	*Skeleton
+	mu      sync.Mutex
+	nilRuns int
+	setRuns int
+}
+
+func (m *setupProbe) ProcessInputEvent(*Ctx, *PortEvent) {}
+func (m *setupProbe) Reset(ctx *Ctx)                     { ctx.ScheduleSelf(1, "probe", nil) }
+func (m *setupProbe) ProcessSelfEvent(ctx *Ctx, _ *sim.SelfToken) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ctx.Sim.Setup == nil {
+		m.nilRuns++
+	} else {
+		m.setRuns++
+	}
+}
+
+// TestNilSetupReachesHandlersAsNil: a run without a setup, through Start
+// or a nil entry of StartConcurrent, gives its handlers a nil
+// Context.Setup rather than a typed nil *estim.Setup.
+func TestNilSetupReachesHandlersAsNil(t *testing.T) {
+	p := &setupProbe{}
+	p.Skeleton = NewSkeleton("probe", p)
+	s := NewSimulation(NewCircuit("top", p))
+	s.Start(nil)
+	if p.nilRuns != 1 || p.setRuns != 0 {
+		t.Errorf("Start(nil): %d runs saw a nil setup and %d a non-nil one, want 1 and 0", p.nilRuns, p.setRuns)
+	}
+	p.nilRuns, p.setRuns = 0, 0
+	s.StartConcurrent([]*estim.Setup{nil, estim.NewSetup("s")})
+	if p.nilRuns != 1 || p.setRuns != 1 {
+		t.Errorf("StartConcurrent(nil, setup): %d runs saw a nil setup and %d a non-nil one, want 1 and 1", p.nilRuns, p.setRuns)
 	}
 }
 

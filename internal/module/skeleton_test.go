@@ -46,7 +46,7 @@ func TestControlTokenDispatch(t *testing.T) {
 		ctx.Post(&sim.ControlToken{T: 1, Dst: m.Skeleton, Command: "emit"})
 		ctx.Post(&sim.ControlToken{T: 2, Dst: m.Skeleton, Command: "noop"})
 	}
-	st := ctrl.Start(nil, nil)
+	st := ctrl.StartOn(sim.NewScheduler(), nil, nil)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -67,7 +67,7 @@ func TestPortValuesSnapshots(t *testing.T) {
 	s := NewSimulation(NewCircuit("t", in, reg, out))
 	// Capture port values during the run via an instant hook.
 	var lastIn, lastOut []signal.Value
-	st := s.StartConfigured(nil, func(sched *sim.Scheduler) {
+	st := s.ctrl.StartOn(sim.NewScheduler(), nil, func(sched *sim.Scheduler) {
 		sched.AddInstantHook(func(ctx *sim.Context, _ sim.Time) {
 			lastIn = reg.AppendPortValues(lastIn[:0], ctx, In)
 			lastOut = reg.AppendPortValues(lastOut[:0], ctx, Out)

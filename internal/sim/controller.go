@@ -87,21 +87,15 @@ func (c *Controller) AddHandlers(hs ...Handler) {
 	c.handlers = append(c.handlers, hs...)
 }
 
-// Start runs one simulation to completion on a new scheduler and returns
-// its statistics; see StartOn.
-func (c *Controller) Start(setup any, configure func(*Scheduler)) Stats {
-	return c.StartOn(NewScheduler(), setup, configure)
-}
-
 // StartOn runs one simulation to completion on sched, recycling it first
 // so the run is observationally one on a new scheduler (fresh
 // SchedulerID, empty event store, no overrides or hooks) while reusing
-// its storage. A caller running many short simulations — virtual fault
-// simulation's injections — keeps one scheduler per goroutine and passes
-// it to every run. setup is attached to the run's context and travels
-// with every token delivery (nil for estimation-free runs); configure,
-// if non-nil, may register instant hooks or overrides on the scheduler
-// before the run starts.
+// its storage. It is the controller's one run method: a caller keeps one
+// scheduler per goroutine and passes it to every run, and fans
+// concurrent runs out with a Pool. setup is attached to the run's
+// context and travels with every token delivery (nil for
+// estimation-free runs); configure, if non-nil, may register instant
+// hooks or overrides on the scheduler before the run starts.
 func (c *Controller) StartOn(sched *Scheduler, setup any, configure func(*Scheduler)) Stats {
 	sched.recycle()
 	sched.layout(c.handlers)
@@ -123,37 +117,6 @@ func (c *Controller) StartOn(sched *Scheduler, setup any, configure func(*Schedu
 		MaxQueue:  sched.MaxQueueLen(),
 		Err:       err,
 	}
-}
-
-// StartConcurrent launches n independent simulations of the same design,
-// one scheduler each, on a pool of n workers (the calling goroutine is
-// worker 0, see Pool.ForWorker), and waits for all of them. setups
-// supplies the per-run setup (may return nil); configure may adjust each
-// scheduler. The kernel guarantees the runs cannot interfere.
-func (c *Controller) StartConcurrent(n int, setups func(i int) any, configure func(i int, s *Scheduler)) []Stats {
-	return c.StartPool(Pool{Workers: n}, n, setups, configure)
-}
-
-// StartPool is StartConcurrent with a bounded worker pool: the n runs are
-// executed on at most pool.Size() goroutines, and the returned Stats
-// slice is ordered by run index regardless of how the pool interleaved
-// the runs. This is the primitive every fan-out site in the system builds
-// on (injection runs, scenario grids, parameter sweeps).
-func (c *Controller) StartPool(pool Pool, n int, setups func(i int) any, configure func(i int, s *Scheduler)) []Stats {
-	stats := make([]Stats, n)
-	pool.For(n, func(i int) error {
-		var setup any
-		if setups != nil {
-			setup = setups(i)
-		}
-		var cfg func(*Scheduler)
-		if configure != nil {
-			cfg = func(s *Scheduler) { configure(i, s) }
-		}
-		stats[i] = c.Start(setup, cfg)
-		return nil
-	})
-	return stats
 }
 
 // layout fixes the front of the scheduler's handler table to hs, so

@@ -12,7 +12,7 @@ func TestControllerStartRunsSeedAndReset(t *testing.T) {
 	c.Seed = func(ctx *Context) {
 		ctx.Post(&SelfToken{T: 1, Dst: r})
 	}
-	st := c.Start(nil, nil)
+	st := c.StartOn(NewScheduler(), nil, nil)
 	if st.Err != nil {
 		t.Fatal(st.Err)
 	}
@@ -34,7 +34,7 @@ func TestControllerSetupTravelsWithContext(t *testing.T) {
 	r.onToken = func(ctx *Context, tok Token) { seen = ctx.Setup }
 	c := NewController(r)
 	c.Seed = func(ctx *Context) { ctx.Post(&SelfToken{T: 1, Dst: r}) }
-	c.Start(&mySetup{tag: "s1"}, nil)
+	c.StartOn(NewScheduler(), &mySetup{tag: "s1"}, nil)
 	got, ok := seen.(*mySetup)
 	if !ok || got.tag != "s1" {
 		t.Errorf("setup in context = %#v", seen)
@@ -74,15 +74,29 @@ func (m *counterModule) countOn(s *Scheduler) int {
 	return st.n
 }
 
+// startPool runs n simulations of c concurrently, each on its own
+// goroutine and new scheduler, through Pool.For and StartOn; setup, if
+// non-nil, supplies run i's setup.
+func startPool(c *Controller, n int, setup func(i int) any) []Stats {
+	stats := make([]Stats, n)
+	Pool{Workers: n}.For(n, func(i int) error {
+		var s any
+		if setup != nil {
+			s = setup(i)
+		}
+		stats[i] = c.StartOn(NewScheduler(), s, nil)
+		return nil
+	})
+	return stats
+}
+
 func TestControllerConcurrentSchedulersDoNotInterfere(t *testing.T) {
 	m := &counterModule{name: "m", limit: 1000}
 	c := NewController(m)
 	c.Seed = func(ctx *Context) { ctx.Post(&SelfToken{T: 1, Dst: m}) }
 
 	const runs = 8
-	scheds := make([]*Scheduler, runs)
-	stats := c.StartConcurrent(runs, nil, func(i int, s *Scheduler) { scheds[i] = s })
-	for i, st := range stats {
+	for i, st := range startPool(c, runs, nil) {
 		if st.Err != nil {
 			t.Fatal(st.Err)
 		}
@@ -90,7 +104,7 @@ func TestControllerConcurrentSchedulersDoNotInterfere(t *testing.T) {
 			t.Errorf("scheduler %d delivered %d tokens, want 1000", st.Scheduler.ID(), st.Delivered)
 		}
 		// Each scheduler's slot counted its own run's deliveries only.
-		if n := m.countOn(scheds[i]); n != 1000 {
+		if n := m.countOn(st.Scheduler); n != 1000 {
 			t.Errorf("run %d: slot counted %d deliveries, want 1000", i, n)
 		}
 	}
@@ -168,7 +182,7 @@ func TestControllerStartConcurrentSetups(t *testing.T) {
 		ctx.Post(&SelfToken{T: 1, Dst: r})
 		ctx.Post(&SelfToken{T: 2, Dst: r})
 	}
-	c.StartConcurrent(4, func(i int) any { return &setup{idx: i} }, nil)
+	startPool(c, 4, func(i int) any { return &setup{idx: i} })
 	for i := 0; i < 4; i++ {
 		if seen[i] != 2 {
 			t.Errorf("setup %d saw %d deliveries, want 2", i, seen[i])

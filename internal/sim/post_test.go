@@ -270,7 +270,7 @@ func TestSlotValueDoesNotIntern(t *testing.T) {
 
 // TestSlotIndexConcurrentControllers: controllers over one handler set
 // are built while runs of others are under way, and each controller
-// fans its runs out with StartConcurrent. Every run must deliver to the
+// fans its runs out with Pool.For and StartOn. Every run must deliver to the
 // right handler and count in the right slot (run under -race in CI).
 func TestSlotIndexConcurrentControllers(t *testing.T) {
 	nodes, bad := newRing(5)
@@ -281,14 +281,12 @@ func TestSlotIndexConcurrentControllers(t *testing.T) {
 		go func(order []int) {
 			defer wg.Done()
 			c := ringController(nodes, order)
-			scheds := make([]*Scheduler, 4)
-			stats := c.StartConcurrent(len(scheds), nil, func(i int, s *Scheduler) { scheds[i] = s })
-			for i, st := range stats {
+			for _, st := range startPool(c, 4, nil) {
 				if st.Err != nil {
 					t.Error(st.Err)
 					return
 				}
-				checkRing(t, scheds[i], nodes, bad)
+				checkRing(t, st.Scheduler, nodes, bad)
 			}
 		}(order)
 	}

@@ -102,7 +102,7 @@ func signalSpilled(s *Scheduler) int {
 func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 	var want []string
 	ctrl, _, _ := relayDesign(&want)
-	fresh := ctrl.Start(nil, nil)
+	fresh := ctrl.StartOn(NewScheduler(), nil, nil)
 	if fresh.Err != nil {
 		t.Fatal(fresh.Err)
 	}
