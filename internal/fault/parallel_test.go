@@ -233,9 +233,9 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 // TestVirtualRunBesideReorderedController: virtual fault simulation on
 // two workers races a two-run Pool fan-out of StartOn over the same
 // design whose controllers, one per pattern, list the handlers in
-// reverse. The design is fresh
-// every iteration, so either side may claim the handlers' slot indices
-// first and the other must fall back to the map. Every Run must match
+// reverse. The design is fresh every iteration, so either side may
+// claim the handlers' slot indices first and the other must fall back
+// to the map. Every Run must match
 // its serial Result, and every reversed-order run must settle to the
 // fault-free outputs of a reference design built from the same seed.
 func TestVirtualRunBesideReorderedController(t *testing.T) {

@@ -270,8 +270,9 @@ func TestSlotValueDoesNotIntern(t *testing.T) {
 
 // TestSlotIndexConcurrentControllers: controllers over one handler set
 // are built while runs of others are under way, and each controller
-// fans its runs out with Pool.For and StartOn. Every run must deliver to the
-// right handler and count in the right slot (run under -race in CI).
+// fans its runs out with Pool.For and StartOn. Every run must deliver
+// to the right handler and count in the right slot (run under -race in
+// CI).
 func TestSlotIndexConcurrentControllers(t *testing.T) {
 	nodes, bad := newRing(5)
 	orders := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}, {1, 2, 3, 4, 0}}
