@@ -57,13 +57,14 @@ func TestGenerateCircuitShape(t *testing.T) {
 
 // TestGeneratedDesignAllocationBudget pins the allocation cost of the
 // word-level kernel path on a reused Simulation of a generated design
-// shaped like the gen-al benchmark workload: at most 0.46 allocations
-// per delivered event, the measured level (17,015 to 17,017 for 37,077
-// events, 0.459) rounded up by about 40 allocations. The Simulation
+// shaped like the gen-al benchmark workload: at most 0.416 allocations
+// per delivered event, the measured level (15,399 to 15,400 for 37,077
+// events, 0.415) rounded up by about 25 allocations. The Simulation
 // recycles its lane's scheduler, so the calendar lanes, state slots and
-// module run state are reused; word values are packed, operator scratch
-// is per-run and signals post by value, so what remains is about one
-// boxed WordValue per driven word.
+// module run state are reused; the stimulus words are drawn when the
+// design is built, word values are packed, operator scratch is per-run
+// and signals post by value, so what remains is about one boxed
+// WordValue per word an operator drives.
 func TestGeneratedDesignAllocationBudget(t *testing.T) {
 	spec := GenSpec{Inputs: 8, Layers: 5, LayerOps: 8, Width: 16, Patterns: 200}
 	c, _ := GenerateCircuitRand(rand.New(rand.NewSource(1999)), spec)
@@ -78,8 +79,8 @@ func TestGeneratedDesignAllocationBudget(t *testing.T) {
 	}
 	run() // warm the recycled scheduler and the per-run module state
 	allocs := testing.AllocsPerRun(5, run)
-	if per := allocs / float64(events); per > 0.46 {
-		t.Errorf("%.0f allocations for %d events: %.3f per event, budget 0.46", allocs, events, per)
+	if per := allocs / float64(events); per > 0.416 {
+		t.Errorf("%.0f allocations for %d events: %.3f per event, budget 0.416", allocs, events, per)
 	} else {
 		t.Logf("%.0f allocations for %d events: %.3f per event", allocs, events, per)
 	}

@@ -185,15 +185,19 @@ func (lt *LocalTestability) DetectionTable(inputs []signal.Bit) (*DetectionTable
 	}
 	dt := &DetectionTable{Input: key}
 	clear(lt.rowIdx)
+	// The sweep visits only the faults that change the outputs; every
+	// other fault is not excited by this input.
+	for i := range lt.rowOf {
+		lt.rowOf[i] = -1
+	}
 	err := lt.ev.SweepStuckAt(inputs, lt.list.faults, func(i int, out []signal.Bit) {
 		bad := signal.WordFromBits(out)
 		if i < 0 {
 			dt.FaultFree = bad
 			return
 		}
-		lt.rowOf[i] = -1
-		if bad == dt.FaultFree || !bad.Known() {
-			return // fault not excited (or unresolvable) by this input
+		if !bad.Known() {
+			return // unresolvable by this input
 		}
 		r, ok := lt.rowIdx[bad]
 		if !ok {

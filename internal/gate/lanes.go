@@ -120,16 +120,55 @@ func (n *Netlist) lanePass(planes []Plane, forces []force) {
 	}
 }
 
+// Lane decodes the plane's level in one lane.
+func (p Plane) Lane(lane int) signal.Bit {
+	k := p.Known >> lane & 1
+	v := p.Value >> lane & 1
+	return signal.Bit((k^1)<<1 | v)
+}
+
 // readLane decodes one lane of the primary outputs into out.
 //
 //gocad:noalloc
 func (n *Netlist) readLane(planes []Plane, out []signal.Bit, lane int) {
 	for j, id := range n.outputs {
-		p := planes[id]
-		k := p.Known >> lane & 1
-		v := p.Value >> lane & 1
-		out[j] = signal.Bit((k^1)<<1 | v)
+		out[j] = planes[id].Lane(lane)
 	}
+}
+
+// TableInputs is the most primary inputs TruthTable takes: one lane per
+// four-valued input combination, 4^TableInputs = Lanes.
+const TableInputs = 3
+
+// TruthTable returns the primary outputs' planes, in Outputs() order,
+// of one lane pass over every four-valued input combination: lane c
+// carries combination c, input i at level c>>2i&3, so output j's level
+// for combination c is table[j].Lane(c). Lanes past 4^len(Inputs())
+// repeat earlier combinations. A netlist with more than TableInputs
+// inputs is an error.
+func (n *Netlist) TruthTable() ([]Plane, error) {
+	if len(n.inputs) > TableInputs {
+		return nil, fmt.Errorf("gate: %s: truth table of %d inputs, want at most %d", n.Name, len(n.inputs), TableInputs)
+	}
+	if err := n.build(); err != nil {
+		return nil, err
+	}
+	planes := make([]Plane, n.slots)
+	for i, id := range n.inputs {
+		var p Plane
+		for c := 0; c < Lanes; c++ {
+			level := uint64(c >> (2 * i) & 3)
+			p.Known |= (level>>1 ^ 1) << c
+			p.Value |= (level & 1) << c
+		}
+		planes[id] = p
+	}
+	n.lanePass(planes, nil)
+	table := make([]Plane, len(n.outputs))
+	for j, id := range n.outputs {
+		table[j] = planes[id]
+	}
+	return table, nil
 }
 
 // LaneEvaluator evaluates up to Lanes input patterns per levelized pass

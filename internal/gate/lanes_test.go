@@ -42,8 +42,7 @@ func checkEvalBatch(t *testing.T, nl *Netlist, patterns [][]signal.Bit, size int
 
 // laneValue decodes one lane of a net's plane after the last pass.
 func laneValue(le *LaneEvaluator, id NetID, lane int) signal.Bit {
-	p := le.Planes()[id]
-	return signal.Bit((p.Known>>lane&1^1)<<1 | p.Value>>lane&1)
+	return le.Planes()[id].Lane(lane)
 }
 
 // allLevels returns every four-valued assignment of n inputs.
@@ -135,5 +134,39 @@ func TestEvalBatchAllocationFree(t *testing.T) {
 		le.ReadOutputs(out, Lanes-1)
 	}); n != 0 {
 		t.Errorf("%v allocs per batch, want 0", n)
+	}
+}
+
+// TestTruthTableMatchesEvalBatch: lane c of a truth table holds what a
+// batch of every four-valued input combination computes in lane c, for
+// a netlist that also reads a primary input straight back (so Z reaches
+// an output) and has an undriven output; a fourth input is refused.
+func TestTruthTableMatchesEvalBatch(t *testing.T) {
+	nl := RandomCombinational(3, 30, 2, 4)
+	nl.MarkOutput(nl.Inputs()[2])
+	nl.MarkOutput(nl.AddNet("dangling"))
+	table, err := nl.TruthTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	le, err := nl.NewLaneEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	combos := allLevels(3)
+	if err := le.EvalBatch(combos); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]signal.Bit, len(nl.Outputs()))
+	for c, p := range combos {
+		le.ReadOutputs(want, c)
+		for j, w := range want {
+			if got := table[j].Lane(c); got != w {
+				t.Fatalf("inputs %s output %d: table %v, batch %v", signal.WordFromBits(p), j, got, w)
+			}
+		}
+	}
+	if _, err := RandomCombinational(4, 10, 1, 1).TruthTable(); err == nil {
+		t.Error("truth table of four inputs accepted")
 	}
 }

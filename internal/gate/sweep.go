@@ -2,6 +2,7 @@ package gate
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/signal"
 )
@@ -101,11 +102,13 @@ func (le *LaneEvaluator) ClearStuckAt() {
 // SweepStuckAt evaluates one input pattern on the fault-free machine and
 // on one machine per single stuck-at fault in faults, faultsPerPass
 // faulty machines per lane pass. It calls visit(-1, good) once with the
-// fault-free outputs, then visit(i, out) for every fault in order with
-// the outputs of the machine carrying faults[i] alone. good stays valid
-// until SweepStuckAt returns; out is overwritten by the next call. The
-// sweep overwrites the planes of the last batch, and refuses to run
-// while a fault is injected.
+// fault-free outputs, then visit(i, out), in increasing i, only for the
+// faults whose machine's outputs differ from good in some output's
+// four-valued level: out holds the outputs of the machine carrying
+// faults[i] alone. Every fault not visited leaves the outputs exactly
+// at good. good stays valid until SweepStuckAt returns; out is
+// overwritten by the next call. The sweep overwrites the planes of the
+// last batch, and refuses to run while a fault is injected.
 func (le *LaneEvaluator) SweepStuckAt(inputs []signal.Bit, faults []Fault, visit func(i int, out []signal.Bit)) error {
 	n := le.n
 	if len(inputs) != len(n.inputs) {
@@ -130,7 +133,9 @@ func (le *LaneEvaluator) SweepStuckAt(inputs []signal.Bit, faults []Fault, visit
 
 // sweep runs the passes of SweepStuckAt over validated arguments: each
 // pass broadcasts the inputs into all 64 lanes and forces fault l of the
-// batch into lane l+1 alone.
+// batch into lane l+1 alone. Lane 0 is the fault-free machine in every
+// pass, so a pass's changed machines are the lanes where some output
+// plane differs from lane 0's level broadcast, in either rail.
 //
 //gocad:noalloc
 func (le *LaneEvaluator) sweep(inputs []signal.Bit, faults []Fault, visit func(i int, out []signal.Bit)) {
@@ -158,9 +163,16 @@ func (le *LaneEvaluator) sweep(inputs []signal.Bit, faults []Fault, visit func(i
 			n.readLane(planes, le.good, 0)
 			visit(-1, le.good)
 		}
-		for l := range batch {
-			n.readLane(planes, le.out, l+1)
-			visit(start+l, le.out)
+		var changed uint64
+		for _, id := range n.outputs {
+			p := planes[id]
+			changed |= (p.Known ^ -(p.Known & 1)) | (p.Value ^ -(p.Value & 1))
+		}
+		changed &= (uint64(1)<<len(batch) - 1) << 1
+		for ; changed != 0; changed &= changed - 1 {
+			l := bits.TrailingZeros64(changed)
+			n.readLane(planes, le.out, l)
+			visit(start+l-1, le.out)
 		}
 		if end == len(faults) {
 			return

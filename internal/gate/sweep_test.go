@@ -2,6 +2,7 @@ package gate
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/signal"
@@ -18,8 +19,11 @@ func allStuckAt(nl *Netlist) []Fault {
 	return faults
 }
 
-// checkSweep compares every machine of one sweep against scalar
-// SetFault + Eval, and that each is visited once in order.
+// checkSweep compares one sweep against scalar SetFault + Eval: the
+// fault-free machine is visited first, the other visited machines come
+// in increasing order, each matches the scalar oracle and differs from
+// the fault-free outputs, and every machine not visited evaluates to
+// the fault-free outputs under the oracle.
 func checkSweep(t *testing.T, nl *Netlist, inputs []signal.Bit, faults []Fault) {
 	t.Helper()
 	sw, err := nl.NewLaneEvaluator()
@@ -30,32 +34,53 @@ func checkSweep(t *testing.T, nl *Netlist, inputs []signal.Bit, faults []Fault) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := -1
-	err = sw.SweepStuckAt(inputs, faults, func(i int, out []signal.Bit) {
-		if i != next {
-			t.Fatalf("%s: visited machine %d, want %d", nl.Name, i, next)
-		}
-		next++
+	scalar := func(i int) signal.Word {
 		ref.ClearFaults()
-		name := "fault-free"
 		if i >= 0 {
 			ref.SetFault(faults[i])
-			name = faults[i].Symbol(nl)
 		}
 		want, err := ref.Eval(inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := signal.WordFromBits(out); !got.Equal(signal.WordFromBits(want)) {
+		return signal.WordFromBits(want)
+	}
+	good := scalar(-1)
+	visited := make([]bool, len(faults))
+	last := -2
+	err = sw.SweepStuckAt(inputs, faults, func(i int, out []signal.Bit) {
+		if i <= last || i >= len(faults) || last == -2 && i != -1 {
+			t.Fatalf("%s: visited machine %d after %d", nl.Name, i, last)
+		}
+		last = i
+		name := "fault-free"
+		if i >= 0 {
+			visited[i] = true
+			name = faults[i].Symbol(nl)
+		}
+		got, want := signal.WordFromBits(out), scalar(i)
+		if !got.Equal(want) {
 			t.Fatalf("%s inputs %s machine %s: sweep %s, scalar %s",
-				nl.Name, signal.WordFromBits(inputs), name, got, signal.WordFromBits(want))
+				nl.Name, signal.WordFromBits(inputs), name, got, want)
+		}
+		if i >= 0 && got.Equal(good) {
+			t.Fatalf("%s inputs %s machine %s: visited with the fault-free outputs %s",
+				nl.Name, signal.WordFromBits(inputs), name, got)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next != len(faults) {
-		t.Fatalf("%s: visited %d faulty machines, want %d", nl.Name, next, len(faults))
+	if last == -2 {
+		t.Fatalf("%s: the fault-free machine was not visited", nl.Name)
+	}
+	for i, v := range visited {
+		if !v {
+			if got := scalar(i); !got.Equal(good) {
+				t.Fatalf("%s inputs %s machine %s: not visited, scalar %s differs from the fault-free %s",
+					nl.Name, signal.WordFromBits(inputs), faults[i].Symbol(nl), got, good)
+			}
+		}
 	}
 }
 
@@ -101,20 +126,19 @@ func TestSweepStuckAtZRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	err = ev.SweepStuckAt([]signal.Bit{signal.BZ, signal.B0}, faults, func(_ int, out []signal.Bit) {
-		w := signal.WordFromBits(out)
-		got = append(got, w.String())
+	got := map[int]string{}
+	err = ev.SweepStuckAt([]signal.Bit{signal.BZ, signal.B0}, faults, func(i int, out []signal.Bit) {
+		got[i] = signal.WordFromBits(out).String()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Word strings are MSB-first: dangling, or, buf, a.
-	want := []string{"XXXZ", "X111", "X000", "X1XZ", "XXXX", "XXXZ", "XXXZ"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("machine %d: got %s, want %s", i-1, got[i], want[i])
-		}
+	// Word strings are MSB-first: dangling, or, buf, a. Machines 4 (a
+	// stuck at Z) and 5 (the undriven net stuck at 1) keep the
+	// fault-free XXXZ, so the sweep does not visit them.
+	want := map[int]string{-1: "XXXZ", 0: "X111", 1: "X000", 2: "X1XZ", 3: "XXXX"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("visited %v, want %v", got, want)
 	}
 	checkSweep(t, nl, []signal.Bit{signal.BZ, signal.B0}, faults)
 }

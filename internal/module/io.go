@@ -10,55 +10,23 @@ import (
 // RandomPrimaryInput drives a connector with a fresh pseudo-random word
 // every period, for a configurable number of patterns — the stimulus
 // generator of the paper's Figure 2 example. The sequence is a pure
-// function of the seed, so concurrent schedulers over the same design see
-// identical stimuli.
+// function of the seed, drawn once at construction and kept (about 40 B
+// per pattern). Every scheduler replays the same immutable words through
+// the embedded PatternInput, whose per-run state is a cursor.
 type RandomPrimaryInput struct {
-	*Skeleton
-	out    *Port
-	width  int
-	seed   int64
-	count  int
-	period sim.Time
-}
-
-// randState is the generator's per-scheduler state.
-type randState struct {
-	rng  *rand.Rand
-	sent int
+	*PatternInput
 }
 
 // NewRandomPrimaryInput returns a generator named name producing count
 // width-bit random words on out, one every period time units starting at
 // time period.
 func NewRandomPrimaryInput(name string, width int, seed int64, count int, period sim.Time, out *Connector) *RandomPrimaryInput {
-	m := &RandomPrimaryInput{width: width, seed: seed, count: count, period: period}
-	m.Skeleton = NewSkeleton(name, m)
-	m.out = m.AddPort("out", Out, width, out)
-	return m
-}
-
-// ProcessInputEvent implements Behavior; the generator has no inputs.
-func (m *RandomPrimaryInput) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {}
-
-// Reset seeds the per-scheduler generator and the first self-trigger.
-func (m *RandomPrimaryInput) Reset(ctx *Ctx) {
-	ctx.SetState(&randState{rng: rand.New(rand.NewSource(m.seed))})
-	if m.count > 0 {
-		ctx.ScheduleSelf(m.period, "pattern", nil)
+	rng := rand.New(rand.NewSource(seed))
+	words := make([]signal.Value, max(count, 0))
+	for i := range words {
+		words[i] = signal.WordValue{W: signal.WordFromUint64(rng.Uint64(), width)}
 	}
-}
-
-// ProcessSelfEvent emits the next random word and reschedules.
-func (m *RandomPrimaryInput) ProcessSelfEvent(ctx *Ctx, tok *sim.SelfToken) {
-	st := ctx.State().(*randState)
-	if st.sent >= m.count {
-		return
-	}
-	st.sent++
-	ctx.Drive(m.out, signal.WordValue{W: signal.WordFromUint64(st.rng.Uint64(), m.width)}, 0)
-	if st.sent < m.count {
-		ctx.ScheduleSelf(m.period, "pattern", nil)
-	}
+	return &RandomPrimaryInput{NewPatternInput(name, width, words, period, out)}
 }
 
 // PatternInput drives a connector with a fixed sequence of values, one

@@ -202,9 +202,9 @@ func (sk *Skeleton) stateOn(s *sim.Scheduler) any {
 
 // recyclable is behavior-private state that resets in place when its
 // run state is reused, instead of being dropped. Only this package's
-// behaviors implement it (NetlistModule keeps its evaluator,
-// PrimaryOutput its history's storage); any other behavior's state is
-// dropped.
+// behaviors implement it (a NetlistModule on the lane path keeps its
+// evaluator, PrimaryOutput its history's storage); any other behavior's
+// state is dropped.
 type recyclable interface {
 	recycle()
 }

@@ -3,6 +3,7 @@ package module
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/gate"
 	"repro/internal/signal"
@@ -144,12 +145,22 @@ func evalKind(k gate.Kind, in []signal.Bit) signal.Bit {
 // packages a gate-level implementation behind the module interface — and
 // the mixed-level bridge, since a NetlistModule instantiates seamlessly
 // next to RTL modules.
+//
+// A netlist of at most gate.TableInputs inputs is tabulated: its truth
+// table over every four-valued input combination comes from one lane
+// pass at the module's first evaluation, and each input event is a
+// table lookup. A wider netlist runs a lane pass per input event on a
+// per-scheduler evaluator.
 type NetlistModule struct {
 	*Skeleton
 	nl    *gate.Netlist
 	ins   []*Port
 	outs  []*Port
 	Delay sim.Time
+	// tableOnce builds table, a tabulated module's truth table, once;
+	// every scheduler running the module reads it.
+	tableOnce sync.Once
+	table     []gate.Plane
 }
 
 // netlistState holds the per-scheduler evaluator (evaluators are not
@@ -170,6 +181,12 @@ func (st *netlistState) recycle() {
 		st.last[i] = signal.BZ // sentinel: never driven
 	}
 }
+
+// tableIndex is a tabulated module's per-run state: the input
+// combination of its last evaluation, whose table entries are the last
+// driven outputs. A run starts without one, as if every output had last
+// been driven to Z. Boxing a one-byte value allocates nothing.
+type tableIndex uint8
 
 // NewNetlistModule returns a module evaluating nl. ins and outs must
 // match the netlist's primary input and output counts.
@@ -202,6 +219,10 @@ func (m *NetlistModule) Netlist() *gate.Netlist { return m.nl }
 // ProcessInputEvent re-evaluates the netlist over the current port values
 // and drives outputs that changed.
 func (m *NetlistModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
+	if len(m.ins) <= gate.TableInputs {
+		m.lookUp(ctx)
+		return
+	}
 	st, _ := ctx.State().(*netlistState)
 	if st == nil {
 		e, err := m.nl.NewLaneEvaluator()
@@ -230,6 +251,37 @@ func (m *NetlistModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 		}
 		st.last[i] = st.out[i]
 		ctx.Drive(p, signal.BitValue{B: st.out[i]}, m.Delay)
+	}
+}
+
+// lookUp is ProcessInputEvent of a tabulated module: it reads the
+// outputs of the current input combination from the truth table and
+// drives those that differ from the last evaluation's.
+func (m *NetlistModule) lookUp(ctx *Ctx) {
+	m.tableOnce.Do(func() {
+		t, err := m.nl.TruthTable()
+		if err != nil {
+			panic(err)
+		}
+		m.table = t
+	})
+	var c int
+	for i, p := range m.ins {
+		c |= int(ctx.InputBitOn(p)&3) << (2 * i)
+	}
+	last, evaluated := ctx.State().(tableIndex)
+	if evaluated && int(last) == c {
+		return
+	}
+	ctx.SetState(tableIndex(c))
+	for j, p := range m.outs {
+		b, prev := m.table[j].Lane(c), signal.BZ
+		if evaluated {
+			prev = m.table[j].Lane(int(last))
+		}
+		if b != prev {
+			ctx.Drive(p, signal.BitValue{B: b}, m.Delay)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/gate"
@@ -169,36 +170,136 @@ func TestBitsToWordUnknownBitsAreX(t *testing.T) {
 	}
 }
 
+// netlistModuleCtx returns a NetlistModule over nl with unconnected
+// ports, so the drives end at the module, and a context delivering to it
+// on a new scheduler.
+func netlistModuleCtx(nl *gate.Netlist) (*NetlistModule, *Ctx) {
+	m := NewNetlistModule("nl", nl, make([]*Connector, len(nl.Inputs())), make([]*Connector, len(nl.Outputs())))
+	return m, &Ctx{Sim: sim.NewScheduler().NewContext(), sk: m.Skeleton}
+}
+
 // TestNetlistModuleEventAllocationFree: once a NetlistModule's run state
 // exists, an input event evaluates the netlist and drives its changed
-// outputs without allocating. The ports are unconnected, so the drives
-// end at the module.
+// outputs without allocating, on the lane path (six inputs) and from a
+// truth table (three inputs).
 func TestNetlistModuleEventAllocationFree(t *testing.T) {
-	nl := gate.RandomCombinational(6, 120, 4, 3)
-	m := NewNetlistModule("nl", nl, make([]*Connector, 6), make([]*Connector, 4))
-	ctx := &Ctx{Sim: sim.NewScheduler().NewContext(), sk: m.Skeleton}
-	ev := &PortEvent{Port: m.ins[0]}
-	levels := [...]signal.Value{signal.BitValue{B: signal.B0}, signal.BitValue{B: signal.B1}}
-	in, toggles := ctx.state().in, 0
-	event := func() {
-		toggles++
-		for i := range m.ins {
-			in[i] = levels[toggles>>i&1]
+	for _, nl := range []*gate.Netlist{gate.RandomCombinational(6, 120, 4, 3), gate.RandomCombinational(3, 40, 2, 3)} {
+		m, ctx := netlistModuleCtx(nl)
+		ev := &PortEvent{Port: m.ins[0]}
+		levels := [...]signal.Value{signal.BitValue{B: signal.B0}, signal.BitValue{B: signal.B1}}
+		in, outs := ctx.state().in, ctx.state().out[len(m.ins):]
+		var before [4]signal.Value
+		toggles, changed := 0, false
+		event := func() {
+			toggles++
+			for i := range m.ins {
+				in[i] = levels[toggles>>i&1]
+			}
+			copy(before[:], outs)
+			m.ProcessInputEvent(ctx, ev)
+			for i := range outs {
+				changed = changed || outs[i] != before[i]
+			}
 		}
-		m.ProcessInputEvent(ctx, ev)
+		event()
+		changed = false
+		if n := testing.AllocsPerRun(100, event); n != 0 {
+			t.Errorf("%s: %v allocs per input event, want 0", nl.Name, n)
+		}
+		if !changed {
+			t.Errorf("%s: no output changed; the drive path went unmeasured", nl.Name)
+		}
 	}
-	event()
-	outs := ctx.state().out[len(m.ins):]
-	before := append([]signal.Value(nil), outs...)
-	if n := testing.AllocsPerRun(100, event); n != 0 {
-		t.Errorf("%v allocs per input event, want 0", n)
+}
+
+// TestTabulatedNetlistModuleMatchesLaneEvaluator: a NetlistModule of at
+// most three inputs answers from its truth table, and after every input
+// event, in a shuffled order over every four-valued input combination
+// with repeats, its last driven outputs are the ones a fresh lane
+// evaluator computes for the combination. An output never driven reads
+// Z, the sentinel the lane path starts from.
+func TestTabulatedNetlistModuleMatchesLaneEvaluator(t *testing.T) {
+	nls := []*gate.Netlist{gate.HalfAdderIP()}
+	for seed := int64(1); seed <= 4; seed++ {
+		nls = append(nls, gate.RandomCombinational(3, 40, 2, seed), gate.RandomCombinational(2, 12, 1, seed))
 	}
-	changed := false
-	for i := range outs {
-		changed = changed || outs[i] != before[i]
+	for _, nl := range nls {
+		n := len(nl.Inputs())
+		combos := make([][]signal.Bit, 1<<(2*n))
+		for c := range combos {
+			combos[c] = make([]signal.Bit, n)
+			for i := range combos[c] {
+				combos[c][i] = signal.Bit(c >> (2 * i) & 3)
+			}
+		}
+		le, err := nl.NewLaneEvaluator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := le.EvalBatch(combos); err != nil {
+			t.Fatal(err)
+		}
+		m, ctx := netlistModuleCtx(nl)
+		in, outs := ctx.state().in, ctx.state().out[n:]
+		want := make([]signal.Bit, len(nl.Outputs()))
+		r := rand.New(rand.NewSource(int64(len(nl.Name))))
+		order := append(r.Perm(len(combos)), r.Perm(len(combos))...)
+		for _, c := range order {
+			for i, b := range combos[c] {
+				in[i] = signal.BitValue{B: b}
+			}
+			m.ProcessInputEvent(ctx, &PortEvent{Port: m.ins[0]})
+			if _, ok := ctx.State().(tableIndex); !ok {
+				t.Fatalf("%s: input event left state %T, want a tableIndex", nl.Name, ctx.State())
+			}
+			le.ReadOutputs(want, c)
+			for j, v := range outs {
+				got := signal.BZ
+				if v != nil {
+					got = v.(signal.BitValue).B
+				}
+				if got != want[j] {
+					t.Fatalf("%s inputs %s: output %d is %v, lane evaluator %v",
+						nl.Name, signal.WordFromBits(combos[c]), j, got, want[j])
+				}
+			}
+		}
 	}
-	if !changed {
-		t.Error("no output changed; the drive path went unmeasured")
+}
+
+// runNetlistModule returns a NetlistModule over nl fed the given words
+// (one input bit each) and a function that runs the circuit on a
+// scheduler and returns a copy of the observed outputs. The function
+// may run on several goroutines at once, each on its own scheduler.
+func runNetlistModule(t *testing.T, nl *gate.Netlist, vals []signal.Value) (*NetlistModule, func(*sim.Scheduler) []Observation) {
+	width, nOut := len(nl.Inputs()), len(nl.Outputs())
+	wconn := NewWordConnector("w", width)
+	bitConns := make([]*Connector, width)
+	for i := range bitConns {
+		bitConns[i] = NewBitConnector("b" + string(rune('0'+i)))
+	}
+	outBits := make([]*Connector, nOut)
+	for i := range outBits {
+		outBits[i] = NewBitConnector("ob" + string(rune('0'+i)))
+	}
+	oconn := NewWordConnector("o", nOut)
+	nm := NewNetlistModule("nl", nl, bitConns, outBits)
+	out := NewPrimaryOutput("out", nOut, oconn)
+	c := NewCircuit("top",
+		NewPatternInput("in", width, vals, 10, wconn),
+		NewWordToBits("split", width, wconn, bitConns),
+		nm,
+		NewBitsToWord("join", nOut, outBits, oconn),
+		out)
+	ctrl := sim.NewController(c.Handlers()...)
+	return nm, func(sched *sim.Scheduler) []Observation {
+		st := ctrl.StartOn(sched, nil, nil)
+		if st.Err != nil {
+			t.Error(st.Err)
+			return nil
+		}
+		// The history is sched's storage: copy it before sched runs again.
+		return slices.Clone(out.History(st.Scheduler))
 	}
 }
 
@@ -211,59 +312,88 @@ func TestNetlistModuleEventAllocationFree(t *testing.T) {
 // run's first drive.
 func TestNetlistModuleRecycledRunMatchesFresh(t *testing.T) {
 	const width = 6
-	wconn := NewWordConnector("w", width)
-	bitConns := make([]*Connector, width)
-	for i := range bitConns {
-		bitConns[i] = NewBitConnector("b" + string(rune('0'+i)))
-	}
-	outBits := make([]*Connector, 4)
-	for i := range outBits {
-		outBits[i] = NewBitConnector("ob" + string(rune('0'+i)))
-	}
-	oconn := NewWordConnector("o", 4)
 	var vals []signal.Value
 	for _, v := range []uint64{0o25, 0o07, 0o70, 0o33} {
 		vals = append(vals, word(v, width))
 	}
 	vals = append(vals, signal.WordValue{W: signal.UnknownWord(width)})
-	nm := NewNetlistModule("rca", gate.RippleAdder(3), bitConns, outBits)
-	out := NewPrimaryOutput("out", 4, oconn)
-	c := NewCircuit("top",
-		NewPatternInput("in", width, vals, 10, wconn),
-		NewWordToBits("split", width, wconn, bitConns),
-		nm,
-		NewBitsToWord("join", 4, outBits, oconn),
-		out)
-	ctrl := sim.NewController(c.Handlers()...)
-	run := func(sched *sim.Scheduler) ([]Observation, *gate.LaneEvaluator) {
-		st := ctrl.StartOn(sched, nil, nil)
-		if st.Err != nil {
-			t.Fatal(st.Err)
-		}
-		// The history is sched's storage: copy it before sched runs again.
-		h := slices.Clone(out.History(st.Scheduler))
+	nm, run := runNetlistModule(t, gate.RippleAdder(3), vals)
+	evaluator := func(sched *sim.Scheduler) *gate.LaneEvaluator {
 		ns, _ := nm.stateFor(sched.NewContext()).user.(*netlistState)
 		if ns == nil {
 			t.Fatal("the netlist module kept no state")
 		}
-		return h, ns.ev
+		return ns.ev
 	}
-	fresh, _ := run(sim.NewScheduler())
+	fresh := run(sim.NewScheduler())
 	if len(fresh) == 0 {
 		t.Fatal("no outputs observed")
 	}
 	sched := sim.NewScheduler()
-	first, ev := run(sched)
+	first := run(sched)
+	ev := evaluator(sched)
 	for i := 0; i < 2; i++ {
-		again, evAgain := run(sched)
+		again := run(sched)
 		if !reflect.DeepEqual(again, fresh) {
 			t.Fatalf("recycled run %d observed %v, a new scheduler %v", i+1, again, fresh)
 		}
-		if evAgain != ev {
+		if evaluator(sched) != ev {
 			t.Fatalf("recycled run %d built a new evaluator", i+1)
 		}
 	}
 	if !reflect.DeepEqual(first, fresh) {
 		t.Fatalf("first run observed %v, a new scheduler %v", first, fresh)
+	}
+}
+
+// TestTabulatedNetlistModuleRecycledRunMatchesFresh is the recycling
+// check of a tabulated module (a 1-bit adder, two inputs), whose run
+// state is only the input combination of its last evaluation: a run
+// ending on all-X inputs must not suppress the next run's first drive of
+// all-X outputs.
+func TestTabulatedNetlistModuleRecycledRunMatchesFresh(t *testing.T) {
+	vals := []signal.Value{word(1, 2), word(3, 2), word(0, 2), signal.WordValue{W: signal.UnknownWord(2)}}
+	nm, run := runNetlistModule(t, gate.RippleAdder(1), vals)
+	fresh := run(sim.NewScheduler())
+	if len(fresh) == 0 {
+		t.Fatal("no outputs observed")
+	}
+	sched := sim.NewScheduler()
+	for i := 0; i < 3; i++ {
+		got := run(sched)
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("run %d on one scheduler observed %v, a new scheduler %v", i+1, got, fresh)
+		}
+		if _, ok := nm.stateOn(sched).(tableIndex); !ok {
+			t.Fatalf("run %d left state %T, want a tableIndex", i+1, nm.stateOn(sched))
+		}
+	}
+}
+
+// TestTabulatedNetlistModuleConcurrentFirstEvaluation: schedulers on
+// several goroutines evaluate a tabulated module for the first time at
+// once; the table is built once and every run observes what a serial
+// run does.
+func TestTabulatedNetlistModuleConcurrentFirstEvaluation(t *testing.T) {
+	vals := []signal.Value{word(5, 3), word(2, 3), word(7, 3), signal.WordValue{W: signal.UnknownWord(3)}}
+	_, run := runNetlistModule(t, gate.RandomCombinational(3, 40, 2, 5), vals)
+	got := make([][]Observation, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run(sim.NewScheduler())
+		}(i)
+	}
+	wg.Wait()
+	want := run(sim.NewScheduler())
+	if len(want) == 0 {
+		t.Fatal("no outputs observed")
+	}
+	for i, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Errorf("concurrent run %d observed %v, a serial run %v", i, g, want)
+		}
 	}
 }
