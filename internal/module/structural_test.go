@@ -188,14 +188,14 @@ func TestNetlistModuleEventAllocationFree(t *testing.T) {
 		ev := &PortEvent{Port: m.ins[0]}
 		levels := [...]signal.Value{signal.BitValue{B: signal.B0}, signal.BitValue{B: signal.B1}}
 		in, outs := ctx.state().in, ctx.state().out[len(m.ins):]
-		var before [4]signal.Value
+		before := make([]signal.Value, len(outs))
 		toggles, changed := 0, false
 		event := func() {
 			toggles++
 			for i := range m.ins {
 				in[i] = levels[toggles>>i&1]
 			}
-			copy(before[:], outs)
+			copy(before, outs)
 			m.ProcessInputEvent(ctx, ev)
 			for i := range outs {
 				changed = changed || outs[i] != before[i]
