@@ -108,11 +108,12 @@ bench:
 	@echo "benchmark records appended to .bench_build/bench-$(BENCHDATE).jsonl"
 
 # Quick CI smoke: the kernel, fault-simulation (with the provider's
-# detection-table sweep and the fault-2ip design build) and Simulation
-# (single and concurrent runs) benchmarks, one short iteration each —
-# catches crashes and gross regressions, not noise.
+# detection-table sweep and the fault-2ip design build), Simulation
+# (single and concurrent runs) and RMI call-path (serial and pipelined)
+# benchmarks, one short iteration each — catches crashes and gross
+# regressions, not noise.
 smoke-bench:
-	$(GO) test -run='^$$' -bench='SchedulerThroughput|VirtualVsSerialFaultSim|Figure4VirtualFaultSim|DetectionTable|RandomTwoIPDesign|GeneratedDesign|ConcurrentSetups' -benchmem -benchtime=100x .
+	$(GO) test -run='^$$' -bench='SchedulerThroughput|VirtualVsSerialFaultSim|Figure4VirtualFaultSim|DetectionTable|RandomTwoIPDesign|GeneratedDesign|ConcurrentSetups|RMIRoundTrip|RMIPipeline' -benchmem -benchtime=100x .
 
 # Gateway load smoke: gocad-loadgen storms an in-process gateway at 4x
 # MaxSessions and asserts the admission-control contract end to end —

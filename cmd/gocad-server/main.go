@@ -42,8 +42,6 @@ func main() {
 		name    = flag.String("name", "provider1", "provider display name")
 		idle    = flag.Duration("idle-timeout", gateway.DefaultIdleTimeout,
 			"drop sessions idle longer than this (negative disables)")
-		workers = flag.Int("session-workers", provider.DefaultSessionWorkers,
-			"concurrent request dispatch per session (1 = serial, matches pre-pipelining behavior)")
 		drain = flag.Duration("drain-timeout", 5*time.Second,
 			"on SIGTERM/interrupt, let in-flight requests finish for up to this long before force-closing")
 		maxSessions = flag.Int("max-sessions", gateway.DefaultMaxSessions,
@@ -65,7 +63,6 @@ func main() {
 	flag.Parse()
 
 	p := provider.New(*name)
-	p.Server.SessionWorkers = *workers
 	if err := p.Register(provider.MultFastLowPower()); err != nil {
 		fatal(err)
 	}

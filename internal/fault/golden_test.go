@@ -198,7 +198,9 @@ func netlistCorpus(t *testing.T) []byte {
 		render(fmt.Sprintf("twoip%d/flat", seed), d.Flat)
 	}
 	render("c17", gate.C17())
-	render("mult16", gate.ArrayMultiplier(16))
+	for _, w := range []int{16, 3, 32} {
+		render(fmt.Sprintf("mult%d", w), gate.ArrayMultiplier(w))
+	}
 	for _, c := range []struct {
 		nIn, nGates, nOut int
 		seed              int64

@@ -12,19 +12,33 @@ import (
 // AddHalfAdder appends a half adder computing sum = a XOR b and
 // carry = a AND b, with nets named with the given prefix.
 func (n *Netlist) AddHalfAdder(prefix string, a, b NetID) (sum, carry NetID) {
-	sum = n.AddGate(Xor, prefix+".s", a, b)
-	carry = n.AddGate(And, prefix+".c", a, b)
+	var names nameBuf
+	names.Grow(2*len(prefix) + len(".s.c"))
+	return n.addHalfAdder(&names, prefix, a, b)
+}
+
+// addHalfAdder is AddHalfAdder with the net names carved from names.
+func (n *Netlist) addHalfAdder(names *nameBuf, prefix string, a, b NetID) (sum, carry NetID) {
+	sum = n.AddGate(Xor, names.concat(prefix, ".s"), a, b)
+	carry = n.AddGate(And, names.concat(prefix, ".c"), a, b)
 	return sum, carry
 }
 
 // AddFullAdder appends a full adder over a, b and cin, with nets named
 // with the given prefix.
 func (n *Netlist) AddFullAdder(prefix string, a, b, cin NetID) (sum, cout NetID) {
-	ab := n.AddGate(Xor, prefix+".ab", a, b)
-	sum = n.AddGate(Xor, prefix+".s", ab, cin)
-	c1 := n.AddGate(And, prefix+".c1", a, b)
-	c2 := n.AddGate(And, prefix+".c2", ab, cin)
-	cout = n.AddGate(Or, prefix+".co", c1, c2)
+	var names nameBuf
+	names.Grow(5*len(prefix) + len(".ab.s.c1.c2.co"))
+	return n.addFullAdder(&names, prefix, a, b, cin)
+}
+
+// addFullAdder is AddFullAdder with the net names carved from names.
+func (n *Netlist) addFullAdder(names *nameBuf, prefix string, a, b, cin NetID) (sum, cout NetID) {
+	ab := n.AddGate(Xor, names.concat(prefix, ".ab"), a, b)
+	sum = n.AddGate(Xor, names.concat(prefix, ".s"), ab, cin)
+	c1 := n.AddGate(And, names.concat(prefix, ".c1"), a, b)
+	c2 := n.AddGate(And, names.concat(prefix, ".c2"), ab, cin)
+	cout = n.AddGate(Or, names.concat(prefix, ".co"), c1, c2)
 	return sum, cout
 }
 
@@ -63,20 +77,32 @@ func ArrayMultiplier(width int) *Netlist {
 		panic("gate: ArrayMultiplier needs width >= 2")
 	}
 	nl := NewNetlist("mult" + strconv.Itoa(width))
+	// The width² partial products, then row 1's two half adders around
+	// width−2 full adders, then a half adder and width−1 full adders in
+	// each later row: 6·width² − 8·width gates, one net each.
+	gates := 6*width*width - 8*width
+	nl.Reserve(2*width+gates, gates)
+	// Names are at most d digits per index: inputs carry one index; the
+	// partial products, the row prefixes (one per row cell and carry
+	// step) and the adder outputs carry two.
+	d := len(strconv.Itoa(2 * width))
+	var names nameBuf
+	names.Grow(2*width*(1+d) + (3*width*width-width)*(3+2*d) + (gates-width*width)*(6+2*d))
 	a := make([]NetID, width)
 	b := make([]NetID, width)
 	for i := 0; i < width; i++ {
-		a[i] = nl.AddInput("a" + strconv.Itoa(i))
+		a[i] = nl.AddInput(names.indexed("a", i))
 	}
 	for i := 0; i < width; i++ {
-		b[i] = nl.AddInput("b" + strconv.Itoa(i))
+		b[i] = nl.AddInput(names.indexed("b", i))
 	}
 	// Partial products pp[i][j] = a[j] AND b[i], weight i+j.
 	pp := make([][]NetID, width)
+	ppNets := make([]NetID, width*width)
 	for i := 0; i < width; i++ {
-		pp[i] = make([]NetID, width)
+		pp[i] = ppNets[i*width : (i+1)*width]
 		for j := 0; j < width; j++ {
-			pp[i][j] = nl.AddGate(And, "pp"+strconv.Itoa(i)+"_"+strconv.Itoa(j), a[j], b[i])
+			pp[i][j] = nl.AddGate(And, names.pair("pp", i, "_", j), a[j], b[i])
 		}
 	}
 	// Carry-save reduction: acc holds the running sum bits of the first
@@ -92,27 +118,27 @@ func ArrayMultiplier(width int) *Netlist {
 		var carry NetID = InvalidNet
 		for j := 0; j < width; j++ {
 			k := i + j
-			prefix := "r" + strconv.Itoa(i) + "_" + strconv.Itoa(j)
+			prefix := names.pair("r", i, "_", j)
 			switch {
 			case acc[k] == InvalidNet && carry == InvalidNet:
 				acc[k] = pp[i][j]
 			case acc[k] == InvalidNet:
-				acc[k], carry = nl.AddHalfAdder(prefix, pp[i][j], carry)
+				acc[k], carry = nl.addHalfAdder(&names, prefix, pp[i][j], carry)
 			case carry == InvalidNet:
-				acc[k], carry = nl.AddHalfAdder(prefix, acc[k], pp[i][j])
+				acc[k], carry = nl.addHalfAdder(&names, prefix, acc[k], pp[i][j])
 			default:
-				acc[k], carry = nl.AddFullAdder(prefix, acc[k], pp[i][j], carry)
+				acc[k], carry = nl.addFullAdder(&names, prefix, acc[k], pp[i][j], carry)
 			}
 		}
 		// Propagate the final carry of the row into the accumulator.
 		k := i + width
 		for carry != InvalidNet && k < 2*width {
-			prefix := "r" + strconv.Itoa(i) + "_c" + strconv.Itoa(k)
+			prefix := names.pair("r", i, "_c", k)
 			if acc[k] == InvalidNet {
 				acc[k] = carry
 				carry = InvalidNet
 			} else {
-				acc[k], carry = nl.AddHalfAdder(prefix, acc[k], carry)
+				acc[k], carry = nl.addHalfAdder(&names, prefix, acc[k], carry)
 				k++
 			}
 		}
@@ -308,6 +334,17 @@ func (b *nameBuf) indexed(prefix string, i int) string {
 	b.WriteString(prefix)
 	var digits [20]byte
 	b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	return b.String()[start:]
+}
+
+// pair returns prefix, i, sep and j, with i and j in decimal.
+func (b *nameBuf) pair(prefix string, i int, sep string, j int) string {
+	start := b.Len()
+	b.WriteString(prefix)
+	var digits [20]byte
+	b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	b.WriteString(sep)
+	b.Write(strconv.AppendInt(digits[:0], int64(j), 10))
 	return b.String()[start:]
 }
 

@@ -86,6 +86,19 @@ func TestArrayMultiplierProperty16(t *testing.T) {
 	}
 }
 
+// TestArrayMultiplierReservesExactly: the builder reserves its net,
+// gate and pin stores from the width, exactly — no growth past the
+// reservation, no slack left in it.
+func TestArrayMultiplierReservesExactly(t *testing.T) {
+	for _, w := range []int{2, 3, 16, 32} {
+		nl := ArrayMultiplier(w)
+		if len(nl.nets) != cap(nl.nets) || len(nl.gates) != cap(nl.gates) || len(nl.pins) != cap(nl.pins) {
+			t.Errorf("width %d: nets %d/%d, gates %d/%d, pins %d/%d (len/cap)", w,
+				len(nl.nets), cap(nl.nets), len(nl.gates), cap(nl.gates), len(nl.pins), cap(nl.pins))
+		}
+	}
+}
+
 func TestArrayMultiplierWidthGuard(t *testing.T) {
 	defer func() {
 		if recover() == nil {

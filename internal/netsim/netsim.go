@@ -14,7 +14,6 @@
 package netsim
 
 import (
-	"math/rand"
 	mrand "math/rand/v2"
 	"runtime"
 	"sync/atomic"
@@ -60,18 +59,9 @@ func ProfileByName(name string) Profile {
 }
 
 // Delay returns the emulated one-way transfer time for a message of the
-// given size. r supplies jitter; a nil r means no jitter.
-func (p Profile) Delay(bytes int, r *rand.Rand) time.Duration {
-	d := p.OneWay + time.Duration(int64(p.PerKB)*int64(bytes)/1024)
-	if p.Jitter > 0 && r != nil {
-		d += time.Duration(r.Int63n(int64(p.Jitter)))
-	}
-	return d
-}
-
-// RoundTrip returns the emulated request+response delay.
-func (p Profile) RoundTrip(reqBytes, respBytes int, r *rand.Rand) time.Duration {
-	return p.Delay(reqBytes, r) + p.Delay(respBytes, r)
+// given size, without jitter.
+func (p Profile) Delay(bytes int) time.Duration {
+	return p.OneWay + time.Duration(int64(p.PerKB)*int64(bytes)/1024)
 }
 
 // EmulatedRoundTrip is the injected client-side delay for one completed
@@ -86,7 +76,7 @@ func (p Profile) EmulatedRoundTrip(sent, recvd int, jr *mrand.Rand) time.Duratio
 	if p.OneWay == 0 && p.PerKB == 0 && p.Jitter == 0 {
 		return 0
 	}
-	d := p.Delay(sent, nil) + p.Delay(recvd, nil)
+	d := p.Delay(sent) + p.Delay(recvd)
 	if p.Jitter > 0 && jr != nil {
 		d += time.Duration(jr.Int64N(int64(p.Jitter)))
 		d += time.Duration(jr.Int64N(int64(p.Jitter)))

@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"math/rand"
+	mrand "math/rand/v2"
 	"testing"
 	"time"
 )
@@ -9,40 +9,42 @@ import (
 func TestProfileOrdering(t *testing.T) {
 	// The environments must be strictly ordered in cost for any message.
 	for _, bytes := range []int{16, 1024, 65536} {
-		dl := Local.Delay(bytes, nil)
-		dn := LAN.Delay(bytes, nil)
-		dw := WAN.Delay(bytes, nil)
+		dl := Local.Delay(bytes)
+		dn := LAN.Delay(bytes)
+		dw := WAN.Delay(bytes)
 		if !(dl < dn && dn < dw) {
 			t.Errorf("%d bytes: local=%v lan=%v wan=%v not ordered", bytes, dl, dn, dw)
 		}
 	}
-	if InProcess.Delay(1024, nil) != 0 {
+	if InProcess.Delay(1024) != 0 {
 		t.Error("in-process delay must be zero")
 	}
 }
 
 func TestDelayGrowsWithSize(t *testing.T) {
-	small := WAN.Delay(100, nil)
-	big := WAN.Delay(100_000, nil)
+	small := WAN.Delay(100)
+	big := WAN.Delay(100_000)
 	if big <= small {
 		t.Errorf("delay not size-dependent: %v vs %v", small, big)
 	}
 }
 
+// TestDelayJitterBounded: each direction of a round trip draws at most
+// one Jitter, so a jittered round trip lies in [base, base + 2·Jitter].
 func TestDelayJitterBounded(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	base := WAN.Delay(1000, nil)
+	r := mrand.New(mrand.NewPCG(1, 2))
+	base := WAN.EmulatedRoundTrip(1000, 1000, nil)
 	for i := 0; i < 100; i++ {
-		d := WAN.Delay(1000, r)
-		if d < base || d > base+WAN.Jitter {
-			t.Fatalf("jittered delay %v outside [%v, %v]", d, base, base+WAN.Jitter)
+		d := WAN.EmulatedRoundTrip(1000, 1000, r)
+		if d < base || d > base+2*WAN.Jitter {
+			t.Fatalf("jittered round trip %v outside [%v, %v]", d, base, base+2*WAN.Jitter)
 		}
 	}
 }
 
 func TestRoundTripIsTwoDelays(t *testing.T) {
-	rt := LAN.RoundTrip(1000, 2000, nil)
-	if rt != LAN.Delay(1000, nil)+LAN.Delay(2000, nil) {
+	rt := LAN.EmulatedRoundTrip(1000, 2000, nil)
+	if rt != LAN.Delay(1000)+LAN.Delay(2000) {
 		t.Error("round trip not additive")
 	}
 }
@@ -102,7 +104,7 @@ func TestProfileDelayTable(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.profile.Delay(tc.bytes, nil); got != tc.want {
+			if got := tc.profile.Delay(tc.bytes); got != tc.want {
 				t.Errorf("%s.Delay(%d) = %v, want %v", tc.profile.Name, tc.bytes, got, tc.want)
 			}
 		})

@@ -52,7 +52,6 @@ type instance struct {
 	lanes  *gate.LaneEvaluator
 	power  *ppp.Simulator
 	timing *ppp.TimingSimulator // built on the first TimingBatch
-	test   *fault.LocalTestability
 	lib    *ppp.Library
 }
 
@@ -105,25 +104,17 @@ type testKey struct {
 	naming fault.Naming
 }
 
-// DefaultSessionWorkers is the per-session dispatch concurrency a fresh
-// provider allows: enough that a pipelined client's stateless calls
-// (detection tables, static metrics, eval) overlap, bounded so one
-// session cannot monopolize the provider host.
-const DefaultSessionWorkers = 4
-
 // New returns a provider server with the full protocol installed.
-// Per-session dispatch is concurrent (DefaultSessionWorkers deep) for
-// stateless methods; the power and timing batch methods drive stateful
-// per-instance simulators whose values depend on pattern history, so
-// they are registered ordered — they execute in request arrival order
-// even when the client pipelines, keeping results bit-identical to a
-// stop-and-wait transport.
+// Per-session dispatch is concurrent for stateless methods; the power
+// and timing batch methods drive stateful per-instance simulators whose
+// values depend on pattern history, so they are registered ordered —
+// they execute in request arrival order even when the client pipelines,
+// keeping results bit-identical to a stop-and-wait transport.
 func New(name string) *Provider {
 	p := &Provider{
 		Server:     rmi.NewServer(name),
 		components: make(map[string]*Component),
 	}
-	p.Server.SessionWorkers = DefaultSessionWorkers
 	p.Server.Handle(iplib.MethodCatalogue, p.handleCatalogue)
 	p.Server.Handle(iplib.MethodBind, p.handleBind)
 	p.Server.Handle(iplib.MethodEval, p.handleEval)
@@ -299,13 +290,6 @@ func (p *Provider) handleBind(sess *rmi.Session, payload []byte) (any, error) {
 		return nil, err
 	}
 	inst := &instance{comp: comp, width: req.Width, nl: nl, lanes: lanes, power: power, lib: lib}
-	if comp.Spec.Testability {
-		test, err := p.testabilityFor(nl)
-		if err != nil {
-			return nil, err
-		}
-		inst.test = test
-	}
 	// Negotiate the enabled models.
 	enabled := comp.Spec.Estimators
 	if len(req.Models) > 0 {
@@ -362,9 +346,11 @@ func (p *Provider) netlistFor(comp *Component, component string, width int) (*ga
 }
 
 // testabilityFor returns the shared testability service for one
-// canonical netlist, building it on first use (see testabilityCache).
-// Concurrent first binds may build twice; LoadOrStore keeps the first
-// insert so later binds converge on one instance.
+// canonical netlist, building it on the shape's first fault query (see
+// testabilityCache) rather than at bind, so sessions that never ask for
+// fault data never pay for it. Concurrent first queries may build
+// twice; LoadOrStore keeps the first insert so later ones converge on
+// one instance.
 func (p *Provider) testabilityFor(nl *gate.Netlist) (*fault.LocalTestability, error) {
 	key := testKey{nl: nl, naming: p.FaultNaming}
 	if t, ok := testabilityCache.Load(key); ok {
@@ -376,6 +362,15 @@ func (p *Provider) testabilityFor(nl *gate.Netlist) (*fault.LocalTestability, er
 	}
 	t, _ := testabilityCache.LoadOrStore(key, test)
 	return t.(*fault.LocalTestability), nil
+}
+
+// instanceTestability returns the testability service of a bound
+// instance whose component offers one.
+func (p *Provider) instanceTestability(inst *instance) (*fault.LocalTestability, error) {
+	if !inst.comp.Spec.Testability {
+		return nil, fmt.Errorf("provider: %s offers no testability service", inst.comp.Spec.Name)
+	}
+	return p.testabilityFor(inst.nl)
 }
 
 // nextInstanceID allocates a session-unique instance handle; the caller
@@ -507,10 +502,11 @@ func (p *Provider) handleFaultList(sess *rmi.Session, payload []byte) (any, erro
 	if err != nil {
 		return nil, err
 	}
-	if inst.test == nil {
-		return nil, fmt.Errorf("provider: %s offers no testability service", inst.comp.Spec.Name)
+	test, err := p.instanceTestability(inst)
+	if err != nil {
+		return nil, err
 	}
-	names, err := inst.test.FaultList()
+	names, err := test.FaultList()
 	if err != nil {
 		return nil, err
 	}
@@ -526,12 +522,13 @@ func (p *Provider) handleFaultTable(sess *rmi.Session, payload []byte) (any, err
 	if err != nil {
 		return nil, err
 	}
-	if inst.test == nil {
-		return nil, fmt.Errorf("provider: %s offers no testability service", inst.comp.Spec.Name)
+	test, err := p.instanceTestability(inst)
+	if err != nil {
+		return nil, err
 	}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	dt, err := inst.test.DetectionTable(req.Inputs)
+	dt, err := test.DetectionTable(req.Inputs)
 	if err != nil {
 		return nil, err
 	}

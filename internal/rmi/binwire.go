@@ -44,10 +44,11 @@ const (
 
 // binFrameWriter encodes frames into one reusable buffer and writes each
 // frame with a single Write call. Steady-state framing allocates nothing:
-// the buffer grows to the largest frame seen and stays. Exactly one
-// goroutine owns each direction of a connection after the mux pumps
-// start, which is what lets the writer and binFrameReader keep their
-// buffers without locks.
+// the buffer grows to the largest frame seen and stays. The writer does
+// no locking of its own: once a connection carries concurrent calls, its
+// owner's write lock guards the buffer (the mux's for requests, the
+// session's for responses), while the decoding side keeps one reader
+// goroutine per connection, so binFrameReader's buffers need no lock.
 type binFrameWriter struct {
 	w   io.Writer
 	buf []byte
@@ -62,8 +63,8 @@ func (bw *binFrameWriter) writeFrame(f *frame) error {
 }
 
 // encode replaces the buffer's contents with the wire form of f; flush
-// writes them. The mux writer splits the two so it can record a request's
-// size before the request reaches the peer.
+// writes them. A mux caller splits the two to record its request's size
+// from the buffer while it holds the write lock.
 //
 //gocad:noalloc
 func (bw *binFrameWriter) encode(f *frame) error {
@@ -117,9 +118,9 @@ func frameTooLarge(body int) error {
 // speaks one session and a handful of methods, so the steady state
 // re-decodes known strings without allocating). When aliasPayload is
 // set, the decoded Payload aliases the reader's buffer and is valid only
-// until the next readFrame — the mux reader and the serial server loop
-// both consume it synchronously; the concurrent server loop, which hands
-// frames to worker goroutines, must leave it unset.
+// until the next readFrame — the mux reader consumes it synchronously;
+// the server's request loop, which hands frames to worker goroutines,
+// must leave it unset.
 type binFrameReader struct {
 	r            io.Reader
 	aliasPayload bool

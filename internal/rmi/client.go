@@ -32,7 +32,7 @@ func (e *HandshakeError) Error() string { return e.Msg }
 
 // countingConn wraps a net.Conn and counts the bytes read, so the
 // client can compute per-call response sizes for the network emulator
-// (request sizes come from the encoded frames). After the pumps start,
+// (request sizes come from the encoded frames). After the handshake,
 // read is touched only by the reader goroutine, so the per-frame deltas
 // need no further synchronization.
 type countingConn struct {
@@ -75,7 +75,7 @@ type Client struct {
 	Meter *netsim.Meter
 	// Policy vets outbound payloads; nil uses security.DefaultPolicy.
 	Policy *security.MarshalPolicy
-	// Timeout bounds each call attempt's transport wait (send-queue wait,
+	// Timeout bounds each call attempt's transport wait (write-lock wait,
 	// write, and response read) and each reconnect handshake. Zero means
 	// no deadline. A timed-out connection is in an undefined protocol
 	// state and is abandoned — every call in flight on it fails; a
@@ -112,7 +112,7 @@ type Client struct {
 	// locks held; it must not call back into the Client.
 	OnEpochFail func(err error)
 	// OnAttempt, when non-nil, observes every completed wire attempt:
-	// the method, its measured round-trip time (send-queue wait through
+	// the method, its measured round-trip time (write-lock wait through
 	// response decode, before any emulated-profile padding), and the
 	// outcome. Retried calls report once per attempt. The replica layer
 	// uses it to feed per-replica EWMA latency.
@@ -156,7 +156,7 @@ func Dial(addr, clientName string, key security.Key) (*Client, error) {
 
 // NewClient runs the handshake over an existing connection (net.Pipe for
 // in-process loopback deployments, or any emulated transport) and starts
-// the transport pumps.
+// the transport's reader pump.
 //
 // NewClient honours a deadline already set on conn: Client.Timeout is
 // still zero during this handshake, so that deadline is the only bound
@@ -176,16 +176,14 @@ func NewClient(conn net.Conn, clientName string, key security.Key) (*Client, err
 	if err != nil {
 		return nil, err
 	}
-	m.start()
 	c.tr = m
 	c.session = m.session
 	return c, nil
 }
 
 // attach runs the authentication handshake over conn and returns the new
-// transport epoch, pumps not yet started (reconnect interposes session
-// replay first). On failure conn is closed and the previous transport
-// state is untouched.
+// transport epoch with its reader running. On failure conn is closed and
+// the previous transport state is untouched.
 func (c *Client) attach(conn net.Conn) (*mux, error) {
 	cc := &countingConn{Conn: conn}
 	// The reader may alias payloads into its reusable buffer: the mux
@@ -416,7 +414,7 @@ func (c *Client) transport(method string) (*mux, error) {
 	return c.tr, nil
 }
 
-// exchange performs one wire attempt: acquire an in-flight slot, enqueue
+// exchange performs one wire attempt: acquire an in-flight slot, write
 // the request, wait for the correlated response, then sleep the emulated
 // transfer delay for the call's actual byte volume. Concurrent in-flight
 // calls each sleep their own delay — the emulation overlaps like a real
@@ -430,18 +428,13 @@ func (c *Client) exchange(method string, payload []byte, reply any, ack func()) 
 		return 0, 0, fmt.Errorf("rmi: %s: %w", method, err)
 	}
 	defer m.release()
-	pc, err := m.enqueue(method, payload, reply, ack)
-	if err != nil {
-		return 0, 0, err
-	}
 	wireStart := time.Now()
-	<-pc.done
-	sent, recvd = int(pc.sent.Load()), int(pc.recvd.Load())
+	sent, recvd, err = m.call(method, payload, reply, ack)
 	if h := c.OnAttempt; h != nil {
-		h(method, time.Since(wireStart), pc.err)
+		h(method, time.Since(wireStart), err)
 	}
-	if pc.err != nil {
-		return sent, recvd, pc.err
+	if err != nil {
+		return sent, recvd, err
 	}
 	// The slot is held through the emulated delay: at depth 1 queued
 	// calls wait out the full round trip behind this one (the serialized
@@ -473,8 +466,8 @@ func (c *Client) emulatedDelay(sent, recvd int) time.Duration {
 
 // reconnectLocked redials the transport, re-runs the authentication
 // handshake (opening a fresh provider session), and replays application
-// session state through OnReconnect — serially, on the bare connection,
-// before the new epoch accepts pipelined traffic. The caller holds c.mu.
+// session state through OnReconnect — serially, before the new epoch
+// accepts pipelined traffic. The caller holds c.mu.
 func (c *Client) reconnectLocked() error {
 	if c.Redial == nil {
 		return errors.New("rmi: connection broken")
@@ -500,12 +493,11 @@ func (c *Client) reconnectLocked() error {
 	c.reconnects++
 	c.session = m.session
 	if c.OnReconnect != nil {
-		if err := c.OnReconnect(m.directCall); err != nil {
+		if err := c.OnReconnect(m.replay); err != nil {
 			_ = m.fail(errors.New("rmi: session replay failed"))
 			return fmt.Errorf("session replay: %w", err)
 		}
 	}
-	m.start()
 	c.tr = m
 	return nil
 }
@@ -532,9 +524,4 @@ func (c *Client) Go(method string, args PortData, reply any) *Pending {
 		p.err = c.Invoke(method, args, reply, false, nil)
 	}()
 	return p
-}
-
-// emulatedRoundTrip computes the injected delay; split out for testing.
-func emulatedRoundTrip(profile netsim.Profile, sent, recvd int, jr *mrand.Rand) time.Duration {
-	return profile.EmulatedRoundTrip(sent, recvd, jr)
 }

@@ -15,10 +15,9 @@ import (
 // entry and then blocks until released (or for its sleep), plus the
 // standard echo; it returns the server, a connected client, and the
 // bound address for post-drain dial probes.
-func newDrainPair(t *testing.T, workers int, entered chan struct{}, hold time.Duration) (*Server, *Client, string) {
+func newDrainPair(t *testing.T, entered chan struct{}, hold time.Duration) (*Server, *Client, string) {
 	t.Helper()
 	srv := NewServer("prov")
-	srv.SessionWorkers = workers
 	key, err := security.NewKey()
 	if err != nil {
 		t.Fatal(err)
@@ -57,36 +56,28 @@ func newDrainPair(t *testing.T, workers int, entered chan struct{}, hold time.Du
 // client — the epoch is never poisoned mid-batch — while the listener
 // refuses new sessions.
 func TestDrainFinishesInFlightBatch(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		name := "serial"
-		if workers > 1 {
-			name = "concurrent"
-		}
-		t.Run(name, func(t *testing.T) {
-			leakcheck.Check(t)
-			entered := make(chan struct{}, 1)
-			srv, cli, addr := newDrainPair(t, workers, entered, 100*time.Millisecond)
+	leakcheck.Check(t)
+	entered := make(chan struct{}, 1)
+	srv, cli, addr := newDrainPair(t, entered, 100*time.Millisecond)
 
-			pending := cli.Go("slow", echoReq{}, &echoResp{})
-			select {
-			case <-entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("slow handler never entered")
-			}
+	pending := cli.Go("slow", echoReq{}, &echoResp{})
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slow handler never entered")
+	}
 
-			if err := srv.Drain(5 * time.Second); err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-			<-pending.Done
-			if err := pending.Err(); err != nil {
-				t.Fatalf("in-flight batch poisoned by drain: %v", err)
-			}
+	if err := srv.Drain(5 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	<-pending.Done
+	if err := pending.Err(); err != nil {
+		t.Fatalf("in-flight batch poisoned by drain: %v", err)
+	}
 
-			// The listener is down: no new sessions.
-			if _, err := Dial(addr, "user", security.Key("k")); err == nil {
-				t.Fatal("draining server accepted a new session")
-			}
-		})
+	// The listener is down: no new sessions.
+	if _, err := Dial(addr, "user", security.Key("k")); err == nil {
+		t.Fatal("draining server accepted a new session")
 	}
 }
 
@@ -96,7 +87,7 @@ func TestDrainFinishesInFlightBatch(t *testing.T) {
 func TestDrainTimeoutForceCloses(t *testing.T) {
 	leakcheck.Check(t)
 	entered := make(chan struct{}, 1)
-	srv, cli, _ := newDrainPair(t, 1, entered, 400*time.Millisecond)
+	srv, cli, _ := newDrainPair(t, entered, 400*time.Millisecond)
 
 	pending := cli.Go("slow", echoReq{}, &echoResp{})
 	select {
@@ -120,7 +111,7 @@ func TestDrainTimeoutForceCloses(t *testing.T) {
 func TestDrainIdleServer(t *testing.T) {
 	leakcheck.Check(t)
 	entered := make(chan struct{}, 1)
-	srv, cli, _ := newDrainPair(t, 1, entered, 0)
+	srv, cli, _ := newDrainPair(t, entered, 0)
 	// One completed call leaves the connection idle.
 	if err := cli.Call("echo", echoReq{Note: "x"}, &echoResp{}); err != nil {
 		t.Fatal(err)
@@ -141,7 +132,7 @@ func TestDrainIdleServer(t *testing.T) {
 func TestAttemptAndEpochFailHooks(t *testing.T) {
 	leakcheck.Check(t)
 	entered := make(chan struct{}, 1)
-	_, cli, _ := newDrainPair(t, 1, entered, 300*time.Millisecond)
+	_, cli, _ := newDrainPair(t, entered, 300*time.Millisecond)
 
 	var mu sync.Mutex
 	var attempts []error

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,33 +14,28 @@ import (
 // reproduces the stop-and-wait transport exactly.
 const DefaultInFlight = 8
 
-// pendingCall is one in-flight request on a mux: the encoded frame
-// waiting in (or drained from) the send queue, and the completion state
+// pendingCall is one in-flight request on a mux: the completion state
 // the reader fills in when the matching response frame arrives.
 type pendingCall struct {
-	id     uint64
 	method string
-	frame  frame // request frame, embedded so a call costs one allocation
 	reply  any
 	ack    func() // run by the reader on success, before done closes
 
 	timer *time.Timer // per-call deadline; fires into mux.fail
 
-	// sent/recvd are the call's wire byte volumes. They are written by the
-	// writer and reader pumps respectively and read by the caller after
-	// done closes; atomics give the cross-goroutine edge the race detector
-	// wants without sharing the mux lock.
-	sent, recvd atomic.Int64
+	// recvd is the response's wire byte volume, written by the reader
+	// before it closes done.
+	recvd int
 
 	err  error
 	done chan struct{}
 }
 
 // mux is one transport epoch of a Client: a single authenticated
-// connection with a dedicated writer pump draining a FIFO send queue, a
-// reader pump correlating response frames to pending calls by frame.ID,
-// and an in-flight bound so N calls can pipeline on the one framed
-// stream.
+// connection that callers write their own request frames onto, one at a
+// time under a write lock, a reader pump correlating response frames to
+// pending calls by frame.ID, and an in-flight bound so N calls can
+// pipeline on the one framed stream.
 //
 // A mux never heals: any transport fault (send/receive error, per-call
 // deadline, an unknown response ID) fails the whole epoch, resolving
@@ -50,27 +44,25 @@ type pendingCall struct {
 type mux struct {
 	c       *Client
 	conn    *countingConn
-	fw      *binFrameWriter
 	fr      *binFrameReader
 	session string
 
+	wmu sync.Mutex // serializes request frames; guards fw
+	fw  *binFrameWriter
+
 	mu       sync.Mutex
 	slotFree *sync.Cond // waits for the in-flight bound
-	sendRdy  *sync.Cond // wakes the writer pump
-	queue    []*pendingCall
 	pending  map[uint64]*pendingCall
 	active   int // calls holding an in-flight slot
 	peak     int // high-water mark of active (observability/tests)
 	failed   bool
 	failErr  error
 
-	done       chan struct{} // closed on fail; read by slot waiters and pumps
 	readerDone chan struct{} // closed when the reader pump returns
 }
 
-// newMux wraps a freshly handshaken connection. The pumps are not
-// started: reconnect runs the session replay serially on the bare
-// frame codec first (see Client.reconnectLocked), then calls start.
+// newMux wraps a freshly handshaken connection and starts its reader
+// pump.
 func newMux(c *Client, conn *countingConn, fw *binFrameWriter, fr *binFrameReader, session string) *mux {
 	m := &mux{
 		c:          c,
@@ -79,18 +71,11 @@ func newMux(c *Client, conn *countingConn, fw *binFrameWriter, fr *binFrameReade
 		fr:         fr,
 		session:    session,
 		pending:    make(map[uint64]*pendingCall),
-		done:       make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
 	m.slotFree = sync.NewCond(&m.mu)
-	m.sendRdy = sync.NewCond(&m.mu)
-	return m
-}
-
-// start launches the writer and reader pumps.
-func (m *mux) start() {
-	go m.writer()
 	go m.reader()
+	return m
 }
 
 // broken reports whether the epoch has failed.
@@ -129,10 +114,11 @@ func (m *mux) release() {
 	m.mu.Unlock()
 }
 
-// enqueue registers a call in the pending table and appends its frame to
-// the send queue. The caller already holds an in-flight slot. Queue
-// position is the call's wire order.
-func (m *mux) enqueue(method string, payload []byte, reply any, ack func()) (*pendingCall, error) {
+// call runs one request on the epoch: it registers the call in the
+// pending table, writes the request frame under the write lock, and
+// waits for the reader (or a fault) to resolve it. It returns the
+// request and response wire sizes.
+func (m *mux) call(method string, payload []byte, reply any, ack func()) (sent, recvd int, err error) {
 	pc := &pendingCall{
 		method: method,
 		reply:  reply,
@@ -143,66 +129,58 @@ func (m *mux) enqueue(method string, payload []byte, reply any, ack func()) (*pe
 	if m.failed {
 		err := m.failErr
 		m.mu.Unlock()
-		return nil, fmt.Errorf("rmi: %s: %w", method, err)
+		return 0, 0, fmt.Errorf("rmi: %s: %w", method, err)
 	}
-	pc.id = m.c.nextCallID()
-	pc.frame = frame{Kind: kindRequest, ID: pc.id, Session: m.session, Method: method, Payload: payload}
+	id := m.c.nextCallID()
 	if d := m.c.Timeout; d > 0 {
-		// The per-call deadline spans queue wait, transmission, and the
-		// response. A deadline expiry abandons the whole epoch: the
-		// stream is in an undefined state (the response may yet arrive),
-		// so the connection cannot be reused — same contract as the
-		// stop-and-wait transport. Armed before the call becomes visible
-		// to the pumps, so the reader's timer.Stop is ordered after it.
+		// The per-call deadline spans the write-lock wait, transmission,
+		// and the response. A deadline expiry abandons the whole epoch:
+		// the stream is in an undefined state (the response may yet
+		// arrive), so the connection cannot be reused — same contract as
+		// the stop-and-wait transport. Armed before the call becomes
+		// visible to the reader, so the reader's timer.Stop is ordered
+		// after it.
 		pc.timer = time.AfterFunc(d, func() {
 			m.fail(fmt.Errorf("rmi: %s: no response within %v (transport abandoned)", method, d))
 		})
 	}
-	m.pending[pc.id] = pc
-	m.queue = append(m.queue, pc)
-	m.sendRdy.Signal()
+	m.pending[id] = pc
 	m.mu.Unlock()
-	return pc, nil
-}
 
-// writer is the send pump: the sole goroutine touching the frame
-// encoder after start, draining the queue FIFO so wire order equals
-// enqueue order.
-func (m *mux) writer() {
-	for {
-		m.mu.Lock()
-		for len(m.queue) == 0 && !m.failed {
-			m.sendRdy.Wait()
-		}
-		if m.failed {
-			m.mu.Unlock()
-			return
-		}
-		pc := m.queue[0]
-		m.queue = m.queue[1:]
-		m.mu.Unlock()
-
-		if err := m.fw.encode(&pc.frame); err != nil {
-			m.fail(fmt.Errorf("rmi: send %s: %w", pc.method, err))
-			return
-		}
-		// Recorded before the write: once the request is on the wire
-		// the response can complete the call, and the caller reads sent
-		// as soon as done closes.
-		pc.sent.Store(int64(len(m.fw.buf)))
-		if err := m.fw.flush(); err != nil {
-			m.fail(fmt.Errorf("rmi: send %s: %w", pc.method, err))
-			return
-		}
+	req := frame{Kind: kindRequest, ID: id, Session: m.session, Method: method, Payload: payload}
+	m.wmu.Lock()
+	err = m.fw.encode(&req)
+	if err == nil {
+		sent = len(m.fw.buf)
+		err = m.fw.flush()
 	}
+	m.wmu.Unlock()
+	if err != nil {
+		m.fail(fmt.Errorf("rmi: send %s: %w", method, err))
+	}
+	<-pc.done
+	return sent, pc.recvd, pc.err
 }
 
-// reader is the receive pump: the sole goroutine touching the frame
-// decoder after start. It correlates each response frame to its pending call by ID —
-// responses may complete in any order. A frame that matches no pending
-// call means the stream is desynchronized (e.g. a stale response from a
-// confused peer): the epoch is poisoned so no caller can be handed
-// another call's data.
+// replay is the call surface OnReconnect receives: one round trip on an
+// epoch no other caller can see yet. No in-flight slot, emulation or
+// metering applies — recovery overhead is not part of the workload's
+// traffic accounting.
+func (m *mux) replay(method string, args PortData, reply any) error {
+	payload, err := EncodePayload(args)
+	if err != nil {
+		return err
+	}
+	_, _, err = m.call(method, payload, reply, nil)
+	return err
+}
+
+// reader is the receive pump, the epoch's only goroutine: the sole user
+// of the frame decoder once the handshake is done. It correlates each
+// response frame to its pending call by ID — responses may complete in
+// any order. A frame that matches no pending call means the stream is
+// desynchronized (e.g. a stale response from a confused peer): the
+// epoch is poisoned so no caller can be handed another call's data.
 func (m *mux) reader() {
 	defer close(m.readerDone)
 	// One response frame for the life of the pump: readFrame resets it,
@@ -235,7 +213,7 @@ func (m *mux) reader() {
 		if pc.timer != nil {
 			pc.timer.Stop()
 		}
-		pc.recvd.Store(recvd)
+		pc.recvd = int(recvd)
 		m.complete(pc, &resp)
 	}
 }
@@ -262,8 +240,8 @@ func (m *mux) complete(pc *pendingCall, resp *frame) {
 }
 
 // fail poisons the epoch: the first fault wins, the connection closes
-// (unblocking both pumps), and every pending call — queued or on the
-// wire — resolves with the fault.
+// (unblocking the reader and any caller mid-write), and every pending
+// call resolves with the fault.
 func (m *mux) fail(err error) error {
 	m.mu.Lock()
 	if m.failed {
@@ -274,10 +252,7 @@ func (m *mux) fail(err error) error {
 	m.failErr = err
 	orphans := m.pending
 	m.pending = make(map[uint64]*pendingCall)
-	m.queue = nil
-	close(m.done)
 	m.slotFree.Broadcast()
-	m.sendRdy.Broadcast()
 	m.mu.Unlock()
 	// Report the epoch death to the failover layer exactly once, before
 	// resolving the orphans: by the time any caller retries (and the
@@ -296,43 +271,4 @@ func (m *mux) fail(err error) error {
 		close(pc.done)
 	}
 	return closeErr
-}
-
-// directCall runs one serial request/response round trip on the bare
-// connection, before the pumps have started — the restricted surface
-// session replay uses. No emulation or metering applies:
-// recovery overhead is not part of the workload's traffic accounting.
-func (m *mux) directCall(method string, args PortData, reply any) error {
-	payload, err := EncodePayload(args)
-	if err != nil {
-		return err
-	}
-	id := m.c.nextCallID()
-	req := frame{Kind: kindRequest, ID: id, Session: m.session, Method: method, Payload: payload}
-	if m.c.Timeout > 0 {
-		_ = m.conn.SetDeadline(time.Now().Add(m.c.Timeout))
-	}
-	if err := m.fw.writeFrame(&req); err != nil {
-		return fmt.Errorf("rmi: send %s: %w", method, err)
-	}
-	var resp frame
-	if err := m.fr.readFrame(&resp); err != nil {
-		return fmt.Errorf("rmi: receive %s: %w", method, err)
-	}
-	if m.c.Timeout > 0 {
-		_ = m.conn.SetDeadline(time.Time{})
-	}
-	if resp.ID != id {
-		return fmt.Errorf("rmi: %s: response id %d for request %d (stream desynchronized)", method, resp.ID, id)
-	}
-	if resp.Err != "" {
-		return &RemoteError{Method: method, Msg: resp.Err}
-	}
-	if reply == nil {
-		return nil
-	}
-	if err := Decode(resp.Payload, reply); err != nil {
-		return &permanentError{err: err}
-	}
-	return nil
 }

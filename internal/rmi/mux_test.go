@@ -14,13 +14,12 @@ import (
 	"repro/internal/signal"
 )
 
-// newPipelinePair starts an echo server with per-session concurrent
-// dispatch and a handler that holds each request briefly, so pipelined
-// requests genuinely overlap at the provider.
-func newPipelinePair(t *testing.T, workers int, hold time.Duration) *Client {
+// newPipelinePair starts an echo server with a handler that holds each
+// request briefly, so pipelined requests genuinely overlap at the
+// provider's session workers.
+func newPipelinePair(t *testing.T, hold time.Duration) *Client {
 	t.Helper()
 	_, cli := newTestPair(t, func(srv *Server) {
-		srv.SessionWorkers = workers
 		srv.Handle("hold", func(sess *Session, payload []byte) (any, error) {
 			var req echoReq
 			if err := Decode(payload, &req); err != nil {
@@ -42,8 +41,8 @@ func TestPipelinedCallsAtDepths(t *testing.T) {
 	for _, depth := range []int{1, 4, 32} {
 		depth := depth
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
-			leakcheck.Check(t) // the mux pumps must all unwind on close
-			cli := newPipelinePair(t, 8, 10*time.Millisecond)
+			leakcheck.Check(t) // the mux readers must all unwind on close
+			cli := newPipelinePair(t, 10*time.Millisecond)
 			cli.MaxInFlight = depth
 			const calls = 32
 			var wg sync.WaitGroup
@@ -86,7 +85,6 @@ func TestPipelinedCallsAtDepths(t *testing.T) {
 // own payload via ID correlation, not wire order.
 func TestPipelineCorrelatesOutOfOrderResponses(t *testing.T) {
 	_, cli := newTestPair(t, func(srv *Server) {
-		srv.SessionWorkers = 4
 		srv.Handle("vardelay", func(sess *Session, payload []byte) (any, error) {
 			var req echoReq
 			if err := Decode(payload, &req); err != nil {
@@ -188,7 +186,7 @@ func TestUnknownResponseIDFailsAllInFlight(t *testing.T) {
 // the retry/reconnect ladder and ultimately succeeds on the replacement
 // connection.
 func TestMidPipelineDisconnectHealsEveryCall(t *testing.T) {
-	leakcheck.Check(t) // reconnect must not orphan the dead epoch's pumps
+	leakcheck.Check(t) // reconnect must not orphan the dead epoch's reader
 	cli, dialer, calls := newFaultServer(t, []*netsim.FaultPlan{netsim.ResetAfterWrites(9), nil})
 	cli.MaxInFlight = 8
 	const n = 16

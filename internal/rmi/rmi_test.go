@@ -3,11 +3,14 @@ package rmi
 import (
 	"errors"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/netsim"
 	"repro/internal/security"
 	"repro/internal/signal"
@@ -90,15 +93,15 @@ func newTestPair(t *testing.T, configure func(*Server)) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	srv.Authorize("user", key)
-	calls := 0
+	var calls atomic.Int64 // echo handlers run on concurrent session workers
 	srv.Handle("echo", func(sess *Session, payload []byte) (any, error) {
 		var req echoReq
 		if err := Decode(payload, &req); err != nil {
 			return nil, err
 		}
-		calls++
+		n := calls.Add(1)
 		sess.Charge(0.1)
-		return echoResp{Bits: req.Bits, Calls: calls}, nil
+		return echoResp{Bits: req.Bits, Calls: int(n)}, nil
 	})
 	srv.Handle("leak", func(sess *Session, payload []byte) (any, error) {
 		return leakResp{Secret: map[string]int{"netlist": 1}}, nil
@@ -292,6 +295,121 @@ func TestConcurrentCallsSerialized(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("call %d: %v", i, err)
+		}
+	}
+}
+
+// TestServerOverlapsHandleKeepsOrdered pins the dispatch contract of a
+// server with no configuration: two calls to a blocking Handle method
+// run at once, while HandleOrdered calls execute in the order their
+// frames arrived. It speaks raw frames so the arrival order is the
+// order written here.
+func TestServerOverlapsHandleKeepsOrdered(t *testing.T) {
+	leakcheck.Check(t)
+	srv := NewServer("prov")
+	key := testKey(t)
+	srv.Authorize("user", key)
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	srv.Handle("block", func(sess *Session, payload []byte) (any, error) {
+		entered <- struct{}{}
+		<-release
+		return echoResp{}, nil
+	})
+	const ordered = 6
+	var mu sync.Mutex
+	var order []string
+	srv.HandleOrdered("seq", func(sess *Session, payload []byte) (any, error) {
+		var req echoReq
+		if err := Decode(payload, &req); err != nil {
+			return nil, err
+		}
+		// Earlier calls sleep longer, so calls that overlapped would
+		// finish out of order.
+		n, _ := strconv.Atoi(req.Note)
+		time.Sleep(time.Duration(ordered-n) * time.Millisecond)
+		mu.Lock()
+		order = append(order, req.Note)
+		mu.Unlock()
+		return echoResp{}, nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	t.Cleanup(unblock) // runs first: a failed test must not strand the handlers
+
+	fw, fr := &binFrameWriter{w: conn}, &binFrameReader{r: conn}
+	nonce := []byte("0123456789abcdef")
+	hello := frame{Kind: kindHello, Client: "user", Nonce: nonce,
+		Tag: key.Tag(append(append([]byte(nil), nonce...), "user"...))}
+	var welcome frame
+	if err := fw.writeFrame(&hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.readFrame(&welcome); err != nil || welcome.Err != "" {
+		t.Fatalf("handshake: %v %q", err, welcome.Err)
+	}
+	responses := make(chan frame, 2+ordered)
+	go func() {
+		defer close(responses)
+		for {
+			var resp frame
+			if fr.readFrame(&resp) != nil {
+				return
+			}
+			responses <- resp
+		}
+	}()
+	send := func(id uint64, method string, note string) {
+		payload, err := EncodePayload(echoReq{Note: note})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := frame{Kind: kindRequest, ID: id, Session: welcome.Session, Method: method, Payload: payload}
+		if err := fw.writeFrame(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send(1, "block", "")
+	send(2, "block", "")
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 2 blocking calls entered their handler; Handle calls did not overlap", i)
+		}
+	}
+	unblock()
+	for i := 0; i < ordered; i++ {
+		send(uint64(10+i), "seq", strconv.Itoa(i))
+	}
+	for i := 0; i < 2+ordered; i++ {
+		select {
+		case resp, ok := <-responses:
+			if !ok {
+				t.Fatalf("connection closed after %d responses", i)
+			}
+			if resp.Err != "" {
+				t.Fatalf("request %d: %s", resp.ID, resp.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d responses arrived", i, 2+ordered)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, note := range order {
+		if note != strconv.Itoa(i) {
+			t.Fatalf("ordered calls ran as %v, want arrival order", order)
 		}
 	}
 }

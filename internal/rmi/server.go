@@ -29,6 +29,12 @@ const DefaultHandshakeTimeout = 15 * time.Second
 // before sampling kicks in (see Server.LogBurst).
 const DefaultLogBurst = 50
 
+// sessionWorkers bounds concurrent handler execution per session: a
+// pipelined client's stateless calls (detection tables, static metrics,
+// eval) overlap instead of re-serializing at the provider, and one
+// session cannot monopolize the provider host.
+const sessionWorkers = 4
+
 // ServerHooks lets a front end (internal/gateway) observe and vet the
 // server's connection lifecycle without owning the protocol. All fields
 // are optional; install the struct before Serve — it is read without
@@ -133,15 +139,6 @@ type Server struct {
 	// limit. Suppressed lines are counted and reported in a summary
 	// line when the next window opens.
 	LogBurst int
-	// SessionWorkers bounds concurrent handler execution per client
-	// connection. With a pipelined client, N requests can be on the wire
-	// at once; a value above 1 dispatches them to a per-session worker
-	// pool so they don't re-serialize at the provider, with responses
-	// written back (in completion order) through a single response
-	// writer. 0 or 1 keeps the legacy serial request/response loop.
-	// Methods registered through HandleOrdered always execute in arrival
-	// order relative to one another, regardless of this setting.
-	SessionWorkers int
 
 	mu       sync.Mutex
 	methods  map[string]Handler
@@ -206,7 +203,9 @@ func NewServer(name string) *Server {
 	}
 }
 
-// Handle registers a method handler.
+// Handle registers a method handler. Handlers may run concurrently with
+// each other on one session (up to sessionWorkers at once); a handler
+// whose calls must not overlap registers with HandleOrdered instead.
 func (s *Server) Handle(method string, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -416,9 +415,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 		_ = conn.SetDeadline(time.Now().Add(d))
 	}
 	fw := &binFrameWriter{w: conn}
-	// Payloads may alias the reader buffer only on the serial loop,
-	// where dispatch completes before the next frame is read.
-	fr := &binFrameReader{r: conn, aliasPayload: s.SessionWorkers <= 1}
+	// Requests go to worker goroutines while the next frame is read, so
+	// their payloads must not alias the reader's buffer.
+	fr := &binFrameReader{r: conn}
 
 	// Handshake.
 	var hello frame
@@ -445,34 +444,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// duty to the per-frame IdleTimeout / WriteTimeout arming below.
 	_ = conn.SetDeadline(time.Time{})
 
-	if s.SessionWorkers > 1 {
-		s.serveConcurrent(conn, st, fr, fw, sess)
-		return
-	}
-	req := getFrame()
-	defer putFrame(req)
-	for {
-		if s.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-		}
-		if err := fr.readFrame(req); err != nil {
-			if !errors.Is(err, io.EOF) {
-				s.logf("rmi server %s: %v", s.Name, err)
-			}
-			return
-		}
-		st.inflight.Add(1)
-		resp := s.dispatch(sess, req)
-		if s.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		err := fw.writeFrame(resp)
-		putFrame(resp)
-		st.inflight.Add(-1)
-		if err != nil {
-			return
-		}
-	}
+	s.serveSession(conn, st, fr, fw, sess)
 }
 
 // handshakeTimeout resolves the effective pre-session deadline.
@@ -487,62 +459,48 @@ func (s *Server) handshakeTimeout() time.Duration {
 	}
 }
 
-// serveConcurrent runs the post-handshake request loop with per-session
-// concurrent dispatch: this goroutine decodes requests and routes them,
-// a bounded worker pool executes unordered handlers in parallel, a
-// single ordered lane executes HandleOrdered methods in arrival order,
-// and one response writer serializes all responses back onto the framed
-// stream in completion order (the pipelined client correlates them by
-// frame ID, so response order is free).
-func (s *Server) serveConcurrent(conn net.Conn, st *connState, fr *binFrameReader, fw *binFrameWriter, sess *Session) {
-	workers := s.SessionWorkers
-	respCh := make(chan *frame, workers+1)
-	workCh := make(chan *frame)
-	orderCh := make(chan *frame, workers)
-	writerDone := make(chan struct{})
-
-	go func() { // response writer: sole owner of the frame encoder
-		defer close(writerDone)
-		for resp := range respCh {
+// serveSession runs the post-handshake request loop: this goroutine
+// decodes requests and routes them, a bounded worker pool executes
+// unordered handlers in parallel, and a single ordered lane executes
+// HandleOrdered methods in arrival order. Each worker writes its own
+// response under the session's write lock, in completion order (the
+// pipelined client correlates responses by frame ID, so response order
+// is free).
+func (s *Server) serveSession(conn net.Conn, st *connState, fr *binFrameReader, fw *binFrameWriter, sess *Session) {
+	var wmu sync.Mutex // serializes response frames; guards fw
+	serve := func(reqs <-chan *frame) {
+		for req := range reqs {
+			resp := s.dispatch(sess, req)
+			putFrame(req)
+			wmu.Lock()
 			if s.WriteTimeout > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 			}
 			err := fw.writeFrame(resp)
+			wmu.Unlock()
 			putFrame(resp)
 			st.inflight.Add(-1) // answered (or abandoned): no longer drain-relevant
 			if err != nil {
-				// The write side is gone; close the conn so the request
-				// loop stops, then drain so no handler blocks on respCh.
+				// The write side is gone: closing the conn stops the
+				// request loop, and later writes fail fast, so every
+				// decoded request still releases its in-flight count.
 				conn.Close()
-				for resp := range respCh {
-					putFrame(resp)
-					st.inflight.Add(-1)
-				}
-				return
 			}
 		}
-	}()
-
+	}
+	workCh := make(chan *frame)
+	orderCh := make(chan *frame, sessionWorkers)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
+	wg.Add(sessionWorkers + 1)
+	for i := 0; i < sessionWorkers; i++ {
 		go func() {
 			defer wg.Done()
-			for req := range workCh {
-				resp := s.dispatch(sess, req)
-				putFrame(req)
-				respCh <- resp
-			}
+			serve(workCh)
 		}()
 	}
-	wg.Add(1)
 	go func() { // ordered lane: arrival-order execution for stateful methods
 		defer wg.Done()
-		for req := range orderCh {
-			resp := s.dispatch(sess, req)
-			putFrame(req)
-			respCh <- resp
-		}
+		serve(orderCh)
 	}()
 
 	for {
@@ -567,8 +525,6 @@ func (s *Server) serveConcurrent(conn net.Conn, st *connState, fr *binFrameReade
 	close(workCh)
 	close(orderCh)
 	wg.Wait()
-	close(respCh)
-	<-writerDone
 }
 
 // handshake authenticates the hello frame and opens a session. The
@@ -650,10 +606,10 @@ func RespondReject(conn net.Conn, timeout time.Duration, msg string) {
 }
 
 // framePool recycles request and response frames (and their payload
-// buffers) across the serve loops. A frame returns to the pool only
-// once its single owner is done with it: requests after dispatch
-// returns, responses after writeFrame — both loops are strictly
-// sequential per frame, so no pooled frame is ever aliased.
+// buffers) across sessions. A frame returns to the pool only once its
+// single owner is done with it: requests after dispatch returns,
+// responses after writeFrame — each frame belongs to one goroutine at a
+// time, so no pooled frame is ever aliased.
 var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 func getFrame() *frame { return framePool.Get().(*frame) }
