@@ -54,31 +54,34 @@ func newDrainPair(t *testing.T, entered chan struct{}, hold time.Duration) (*Ser
 // TestDrainFinishesInFlightBatch is the drain contract: a batch already
 // executing when drain starts completes and its response reaches the
 // client — the epoch is never poisoned mid-batch — while the listener
-// refuses new sessions.
+// refuses new sessions. Its one case keeps the name "concurrent": every
+// session runs the concurrent request loop.
 func TestDrainFinishesInFlightBatch(t *testing.T) {
-	leakcheck.Check(t)
-	entered := make(chan struct{}, 1)
-	srv, cli, addr := newDrainPair(t, entered, 100*time.Millisecond)
+	t.Run("concurrent", func(t *testing.T) {
+		leakcheck.Check(t)
+		entered := make(chan struct{}, 1)
+		srv, cli, addr := newDrainPair(t, entered, 100*time.Millisecond)
 
-	pending := cli.Go("slow", echoReq{}, &echoResp{})
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("slow handler never entered")
-	}
+		pending := cli.Go("slow", echoReq{}, &echoResp{})
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("slow handler never entered")
+		}
 
-	if err := srv.Drain(5 * time.Second); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	<-pending.Done
-	if err := pending.Err(); err != nil {
-		t.Fatalf("in-flight batch poisoned by drain: %v", err)
-	}
+		if err := srv.Drain(5 * time.Second); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		<-pending.Done
+		if err := pending.Err(); err != nil {
+			t.Fatalf("in-flight batch poisoned by drain: %v", err)
+		}
 
-	// The listener is down: no new sessions.
-	if _, err := Dial(addr, "user", security.Key("k")); err == nil {
-		t.Fatal("draining server accepted a new session")
-	}
+		// The listener is down: no new sessions.
+		if _, err := Dial(addr, "user", security.Key("k")); err == nil {
+			t.Fatal("draining server accepted a new session")
+		}
+	})
 }
 
 // TestDrainTimeoutForceCloses bounds the wait: a handler that outlives
