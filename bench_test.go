@@ -91,33 +91,24 @@ func BenchmarkFigure3BufferSweep(b *testing.B) {
 }
 
 // BenchmarkFigure4VirtualFaultSim regenerates the Figure 4/5 worked
-// example: two-phase virtual fault simulation of the half-adder design,
-// at the legacy serial worker count and with the full worker pool.
+// example: two-phase virtual fault simulation of the half-adder design.
 func BenchmarkFigure4VirtualFaultSim(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"workers1", 1}, {"workersNumCPU", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := core.RunFigure4(bc.workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rep.FaultList) == 0 {
-					b.Fatal("empty fault list")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		rep, err := core.RunFigure4()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.FaultList) == 0 {
+			b.Fatal("empty fault list")
+		}
 	}
 }
 
 // BenchmarkVirtualVsSerialFaultSim is the protocol-cost ablation: virtual
-// fault simulation (per-pattern tables + injections) versus flat serial
-// simulation of the same flattened design (pattern-parallel on the lane
-// kernel), each at worker counts 1 and NumCPU. The two-IP design
-// exercises the full fan-out: concurrent detection-table queries to both
-// providers plus the per-row injection pool.
+// fault simulation (per-pattern tables + injections, on the calling
+// goroutine) versus flat serial simulation of the same flattened design
+// (pattern-parallel on the lane kernel) at worker counts 1 and NumCPU.
+// The two-IP design queries two providers' detection tables per pattern.
 func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 	d, err := fault.RandomTwoIPDesign(60, 11)
 	if err != nil {
@@ -133,27 +124,22 @@ func BenchmarkVirtualVsSerialFaultSim(b *testing.B) {
 		}
 		patterns = append(patterns, p)
 	}
-	workerCounts := []struct {
+	b.Run("virtual", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d, err := fault.RandomTwoIPDesign(60, 11)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.NewVirtual().Run(patterns); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, bc := range []struct {
 		name    string
 		workers int
-	}{{"workers1", 1}, {"workersNumCPU", 0}}
-	for _, bc := range workerCounts {
-		b.Run("virtual/"+bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d, err := fault.RandomTwoIPDesign(60, 11)
-				if err != nil {
-					b.Fatal(err)
-				}
-				vs := d.NewVirtual()
-				vs.Workers = bc.workers
-				if _, err := vs.Run(patterns); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, bc := range workerCounts {
+	}{{"workers1", 1}, {"workersNumCPU", 0}} {
 		b.Run("serial-flat/"+bc.name, func(b *testing.B) {
 			faults := fault.Collapse(d.Flat)
 			b.ReportAllocs()

@@ -12,8 +12,8 @@
 # first on odd pairs:
 #
 #   gen-al     event kernel and module evaluation, no RMI;
-#   fault-2ip  virtual fault simulation: detection-table queries, the
-#              worker pool's per-pattern fan-outs and recycled schedulers.
+#   fault-2ip  virtual fault simulation: detection-table queries and
+#              injection runs on one recycled scheduler per Run.
 #
 # Each workload is judged by `benchmark/run.sh compare`, which applies
 # the bounds in BENCHMARK.json: 1 on a REGRESSION, 2 when the two sides

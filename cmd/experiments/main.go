@@ -65,7 +65,7 @@ func main() {
 		runFigure3(*width, *patterns, *workers, *inflight, cache)
 	}
 	if *figure4 {
-		runFigure4(*workers)
+		runFigure4()
 	}
 }
 
@@ -169,8 +169,8 @@ func runFigure3(width, patterns, workers, inflight int, cache *core.EstimationCa
 	fmt.Println()
 }
 
-func runFigure4(workers int) {
-	rep, err := core.RunFigure4(workers)
+func runFigure4() {
+	rep, err := core.RunFigure4()
 	if err != nil {
 		fatal(err)
 	}

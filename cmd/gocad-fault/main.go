@@ -31,7 +31,7 @@ func main() {
 		count      = flag.Int("count", 32, "number of random patterns")
 		check      = flag.Bool("check", false, "cross-check against the flattened full-disclosure reference")
 		vcurve     = flag.Bool("curve", true, "print the cumulative coverage curve")
-		workers    = flag.Int("workers", 0, "worker pool size for injection fan-out (0 = one per CPU, 1 = serial)")
+		workers    = flag.Int("workers", 0, "worker pool size for the -check flat reference (0 = one per CPU, 1 = serial)")
 		quorum     = flag.Int("quorum", 1, "testability replicas per IP host: each query is answered by majority vote over K equivalent services, divergent replicas reported")
 	)
 	flag.Parse()
@@ -103,7 +103,6 @@ func main() {
 	}
 
 	vs := d.NewVirtual()
-	vs.Workers = *workers
 	list, err := vs.BuildFaultList()
 	if err != nil {
 		fatal(err)

@@ -286,9 +286,8 @@ type Figure4Report struct {
 }
 
 // RunFigure4 regenerates the Figure 4 narrative using the module-level
-// design and the virtual fault simulation protocol. workers bounds the
-// virtual simulator's injection fan-out (0 = one per CPU, 1 = serial).
-func RunFigure4(workers int) (*Figure4Report, error) {
+// design and the virtual fault simulation protocol.
+func RunFigure4() (*Figure4Report, error) {
 	d, err := fault.Figure4Design()
 	if err != nil {
 		return nil, err
@@ -299,7 +298,6 @@ func RunFigure4(workers int) (*Figure4Report, error) {
 		return nil, err
 	}
 	vs := d.NewVirtual()
-	vs.Workers = workers
 	list, err := vs.BuildFaultList()
 	if err != nil {
 		return nil, err

@@ -121,7 +121,7 @@ func TestFigure3MonotoneShape(t *testing.T) {
 }
 
 func TestFigure4Report(t *testing.T) {
-	rep, err := RunFigure4(0)
+	rep, err := RunFigure4()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,40 +104,35 @@ func orderedPatterns(n int, seed int64) [][]signal.Bit {
 // virtualCorpus renders the virtual fault simulator's full answer —
 // Result.Total, Detected, the ordered PerPattern lists and the protocol
 // VirtualStats — for Figure 4 over exhaustive patterns and for four
-// seeded two-IP designs under two seeded pattern orders, each at one and
-// two workers.
+// seeded two-IP designs under two seeded pattern orders.
 func virtualCorpus(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	render := func(label string, build func() (*IPDesign, error), patterns [][]signal.Bit) {
-		for _, workers := range []int{1, 2} {
-			d, err := build()
-			if err != nil {
-				t.Fatal(err)
+		d, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := d.NewVirtual()
+		res, err := vs.Run(patterns)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		fmt.Fprintf(&buf, "%s total=%d detected=%d stats=%+v\n", label, res.Total, len(res.Detected), vs.Stats)
+		names := make([]string, 0, len(res.Detected))
+		for n := range res.Detected {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			fmt.Fprintf(&buf, "%s detected %s=%d\n", label, n, res.Detected[n])
+		}
+		for pi, fs := range res.PerPattern {
+			fmt.Fprintf(&buf, "%s pattern %d %s:", label, pi, signal.WordFromBits(patterns[pi]))
+			for _, f := range fs {
+				buf.WriteString(" " + f)
 			}
-			vs := d.NewVirtual()
-			vs.Workers = workers
-			res, err := vs.Run(patterns)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", label, workers, err)
-			}
-			tag := fmt.Sprintf("%s workers=%d", label, workers)
-			fmt.Fprintf(&buf, "%s total=%d detected=%d stats=%+v\n", tag, res.Total, len(res.Detected), vs.Stats)
-			names := make([]string, 0, len(res.Detected))
-			for n := range res.Detected {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				fmt.Fprintf(&buf, "%s detected %s=%d\n", tag, n, res.Detected[n])
-			}
-			for pi, fs := range res.PerPattern {
-				fmt.Fprintf(&buf, "%s pattern %d %s:", tag, pi, signal.WordFromBits(patterns[pi]))
-				for _, f := range fs {
-					buf.WriteString(" " + f)
-				}
-				buf.WriteByte('\n')
-			}
+			buf.WriteByte('\n')
 		}
 	}
 	render("fig4 exhaustive", Figure4Design, exhaustivePatterns(4))

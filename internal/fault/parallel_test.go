@@ -12,23 +12,6 @@ import (
 	"repro/internal/sim"
 )
 
-// runWithWorkers builds a fresh instance of the design via build and runs
-// virtual fault simulation with the given worker count.
-func runWithWorkers(t *testing.T, build func() (*IPDesign, error), patterns [][]signal.Bit, workers int) *Result {
-	t.Helper()
-	d, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := d.NewVirtual()
-	vs.Workers = workers
-	res, err := vs.Run(patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // requireIdenticalResults asserts two Results are byte-identical: total,
 // the detection map (fault → first pattern), and the ORDER of every
 // per-pattern detection list.
@@ -45,55 +28,9 @@ func requireIdenticalResults(t *testing.T, serial, parallel *Result) {
 	}
 }
 
-// TestVirtualDeterministicAcrossWorkerCounts is the parallel engine's
-// headline contract: the Result of a virtual fault simulation — including
-// the order of every per-pattern fault list — must be byte-identical for
-// any worker count. Runs under -race in CI, so it also shakes out data
-// races in the concurrent detection-table and injection fan-outs.
-func TestVirtualDeterministicAcrossWorkerCounts(t *testing.T) {
-	designs := []struct {
-		name  string
-		build func() (*IPDesign, error)
-		nIn   int
-	}{
-		{"figure4", Figure4Design, 4},
-		{"oneIP", func() (*IPDesign, error) { return RandomIPDesign(15, 3) }, 5},
-		{"twoIP", func() (*IPDesign, error) { return RandomTwoIPDesign(12, 2) }, 4},
-	}
-	for _, dc := range designs {
-		t.Run(dc.name, func(t *testing.T) {
-			patterns := exhaustivePatterns(dc.nIn)
-			serial := runWithWorkers(t, dc.build, patterns, 1)
-			for _, workers := range []int{2, 8} {
-				parallel := runWithWorkers(t, dc.build, patterns, workers)
-				requireIdenticalResults(t, serial, parallel)
-			}
-		})
-	}
-}
-
-// TestVirtualDeterministicWithBogusProvider covers the adversarial case:
-// a provider whose detection-table rows overlap and name unpublished
-// faults. The merge step re-filters each row's original fault list in
-// serial order, so even here the Result must not depend on worker count.
-func TestVirtualDeterministicWithBogusProvider(t *testing.T) {
-	build := func() (*IPDesign, error) {
-		d, err := Figure4Design()
-		if err != nil {
-			return nil, err
-		}
-		d.Hosts[0].Service = bogusService{}
-		return d, nil
-	}
-	patterns := exhaustivePatterns(4)
-	serial := runWithWorkers(t, build, patterns, 1)
-	parallel := runWithWorkers(t, build, patterns, 8)
-	requireIdenticalResults(t, serial, parallel)
-}
-
 // TestVirtualRunReleasesAllState is the state-release regression test.
 // Module state cannot outlive a Run: it lives in the Run's recycled
-// schedulers, primary-output histories included. Each of the Run's
+// scheduler, primary-output histories included. Each of the Run's
 // hundreds of simulations must still observe under a fresh SchedulerID
 // (recycling renews it), or a run could read state an earlier one left.
 func TestVirtualRunReleasesAllState(t *testing.T) {
@@ -109,7 +46,6 @@ func TestVirtualRunReleasesAllState(t *testing.T) {
 		mu.Unlock()
 	}
 	vs := d.NewVirtual()
-	vs.Workers = 4
 	if _, err := vs.Run(exhaustivePatterns(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +97,7 @@ func TestVirtualRunReleasesHistoriesOnError(t *testing.T) {
 }
 
 // TestSerialSimulateWorkersEquivalence: the flat reference simulator must
-// also return byte-identical Results at any worker count.
+// return byte-identical Results at any worker count.
 func TestSerialSimulateWorkersEquivalence(t *testing.T) {
 	d, err := RandomTwoIPDesign(12, 5)
 	if err != nil {
@@ -183,8 +119,8 @@ func TestSerialSimulateWorkersEquivalence(t *testing.T) {
 }
 
 // TestConcurrentRunsShareDesign: VirtualSimulators over ONE design,
-// running at the same time, must each reach their serial Result. Each
-// Run reads primary-output histories only from its own schedulers, so a
+// running at the same time, must each reach the Result of a Run alone.
+// Each Run reads primary-output histories only from its own scheduler, so a
 // short Run finishing cannot touch the histories a long one is still
 // reading.
 func TestConcurrentRunsShareDesign(t *testing.T) {
@@ -194,16 +130,15 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 	}
 	long := exhaustivePatterns(4)
 	short := long[:2]
-	serial := func(patterns [][]signal.Bit) *Result {
+	alone := func(patterns [][]signal.Bit) *Result {
 		vs := d.NewVirtual()
-		vs.Workers = 1
 		res, err := vs.Run(patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	want := [2]*Result{serial(long), serial(short)}
+	want := [2]*Result{alone(long), alone(short)}
 	for iter := 0; iter < 50; iter++ {
 		var got [2]*Result
 		var errs [2]error
@@ -213,7 +148,6 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 			go func(k int, patterns [][]signal.Bit) {
 				defer wg.Done()
 				vs := d.NewVirtual()
-				vs.Workers = 2
 				got[k], errs[k] = vs.Run(patterns)
 			}(k, patterns)
 		}
@@ -223,20 +157,20 @@ func TestConcurrentRunsShareDesign(t *testing.T) {
 				t.Fatalf("iteration %d run %d: %v", iter, k, errs[k])
 			}
 			if !reflect.DeepEqual(want[k].Detected, got[k].Detected) || !reflect.DeepEqual(want[k].PerPattern, got[k].PerPattern) {
-				t.Fatalf("iteration %d run %d diverged from its serial Result:\n  serial: %v\n  got:    %v",
+				t.Fatalf("iteration %d run %d diverged from its Result alone:\n  alone: %v\n  got:   %v",
 					iter, k, want[k].PerPattern, got[k].PerPattern)
 			}
 		}
 	}
 }
 
-// TestVirtualRunBesideReorderedController: virtual fault simulation on
-// two workers races a two-run Pool fan-out of StartOn over the same
+// TestVirtualRunBesideReorderedController: virtual fault simulation
+// races a two-run Pool fan-out of StartOn over the same
 // design whose controllers, one per pattern, list the handlers in
 // reverse. The design is fresh every iteration, so either side may
 // claim the handlers' slot indices first and the other must fall back
 // to the map. Every Run must match
-// its serial Result, and every reversed-order run must settle to the
+// the Result of a Run alone, and every reversed-order run must settle to the
 // fault-free outputs of a reference design built from the same seed.
 func TestVirtualRunBesideReorderedController(t *testing.T) {
 	patterns := exhaustivePatterns(4)
@@ -245,7 +179,6 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 		t.Fatal(err)
 	}
 	refVS := ref.NewVirtual()
-	refVS.Workers = 1
 	want, err := refVS.Run(patterns)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +188,7 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 	for i, p := range patterns {
 		refRun.pattern = p
 		wantOut[i] = make([]signal.Value, len(ref.Outputs))
-		if err := refVS.simulate(refRun.ctrl, refRun.sched(0), nil, wantOut[i]); err != nil {
+		if err := refRun.simulate(nil, wantOut[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,14 +203,13 @@ func TestVirtualRunBesideReorderedController(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			vs := d.NewVirtual()
-			vs.Workers = 2
 			got, err := vs.Run(patterns)
 			if err != nil {
 				t.Errorf("iteration %d: %v", iter, err)
 				return
 			}
 			if !reflect.DeepEqual(want.Detected, got.Detected) || !reflect.DeepEqual(want.PerPattern, got.PerPattern) {
-				t.Errorf("iteration %d: Run diverged from the serial Result:\n  serial: %v\n  got:    %v", iter, want.PerPattern, got.PerPattern)
+				t.Errorf("iteration %d: Run diverged from its Result alone:\n  alone: %v\n  got:   %v", iter, want.PerPattern, got.PerPattern)
 			}
 		}()
 		go func() {

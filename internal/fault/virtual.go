@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/module"
 	"repro/internal/signal"
@@ -54,10 +53,15 @@ type VirtualStats struct {
 //     fault-free remainder of the design, and if any primary output
 //     differs every fault associated with s is detected and dropped from
 //     the fault list. No save/restore of the fault-free run is needed:
-//     every injection runs on its own recycled scheduler, which is
-//     observationally a new one (fresh SchedulerID, empty event store,
-//     module state re-initialized), so scheduler state isolation
-//     guarantees non-interference.
+//     every simulation of a Run starts on the Run's one scheduler,
+//     recycled in between, which is observationally a new one (fresh
+//     SchedulerID, empty event store, module state re-initialized on
+//     first use), so scheduler state isolation guarantees
+//     non-interference.
+//
+// Run does all its work on the calling goroutine: the table queries go
+// to the hosts one after another, in host order, and the injection runs
+// follow one another on the one scheduler.
 type VirtualSimulator struct {
 	circuit *module.Circuit
 	inputs  []*module.Connector
@@ -68,14 +72,6 @@ type VirtualSimulator struct {
 	Stats VirtualStats
 	// EventLimit bounds each internal simulation run (0 = kernel default).
 	EventLimit uint64
-	// Workers bounds the concurrency of the per-pattern fan-out: the
-	// detection-table queries to all hosts and the per-row injection runs.
-	// 0 uses one worker per CPU, 1 reproduces the serial legacy path.
-	// Each worker keeps one scheduler for the whole Run and recycles it
-	// for every simulation it performs, so state isolation — not
-	// save/restore — guarantees non-interference, and results are merged
-	// in host/row order, making Result bit-identical across worker counts.
-	Workers int
 }
 
 // NewVirtualSimulator returns a virtual fault simulator over the design.
@@ -143,16 +139,15 @@ func (vs *VirtualSimulator) buildFaultList() (*faultList, error) {
 
 // virtualRun is the working set of one Run: a kernel controller over
 // the design's leaves and each host's forcing targets, built once, one
-// scheduler per pool worker, recycled for every simulation that worker
-// performs, and the per-pattern scratch, reused by every pattern.
+// scheduler, recycled for every simulation of the Run, and the
+// per-pattern scratch, reused by every pattern.
 type virtualRun struct {
 	*VirtualSimulator
 	ctrl    *sim.Controller
 	targets []*forceTargets // per host, in vs.hosts order
-	scheds  []*sim.Scheduler
+	sched   *sim.Scheduler
 	// pattern is the input pattern every run seeds at time 1. It changes
-	// only between patterns, when no run is under way, so the controller
-	// is read-only while runs start and every run of a pattern shares it.
+	// only between patterns, so every run of a pattern shares it.
 	pattern []signal.Bit
 
 	// alive maps, per host, each still-undetected symbolic fault to its
@@ -160,11 +155,11 @@ type virtualRun struct {
 	alive     []map[string]int
 	remaining int
 
-	// Per-pattern scratch. ctx reads worker 0's scheduler, which runs
-	// every fault-free simulation. live lists the hosts (by index) with
-	// live faults and tables their detection tables; hostIn holds each
-	// host's captured input configuration, read through vals. golden and
-	// faulty (one per worker) hold primary-output snapshots.
+	// Per-pattern scratch. ctx reads the scheduler between runs. live
+	// lists the hosts (by index) with live faults and tables their
+	// detection tables; hostIn holds each host's captured input
+	// configuration, read through vals. golden and faulty hold
+	// primary-output snapshots.
 	ctx    *sim.Context
 	live   []int
 	vals   []signal.Value
@@ -172,50 +167,30 @@ type virtualRun struct {
 	tables []*DetectionTable
 	jobs   []injectionJob
 	golden []signal.Value
-	faulty [][]signal.Value
-
-	// fetch and inject are the bodies of the two per-pattern fan-outs,
-	// bound once per Run; tableCalls and injections count the items they
-	// complete.
-	fetch, inject          func(worker, i int) error
-	tableCalls, injections atomic.Int64
+	faulty []signal.Value
 }
 
-// newRun builds the controller, the hosts' forcing targets and the
-// per-pattern scratch for a Run.
+// newRun builds the controller, the scheduler, the hosts' forcing
+// targets and the per-pattern scratch for a Run.
 func (vs *VirtualSimulator) newRun() *virtualRun {
-	workers := vs.pool().Size()
 	r := &virtualRun{
 		VirtualSimulator: vs,
 		ctrl:             sim.NewController(vs.circuit.Handlers()...),
 		targets:          make([]*forceTargets, len(vs.hosts)),
-		scheds:           make([]*sim.Scheduler, workers),
+		sched:            sim.NewScheduler(),
 		live:             make([]int, 0, len(vs.hosts)),
 		hostIn:           make([][]signal.Bit, len(vs.hosts)),
 		tables:           make([]*DetectionTable, 0, len(vs.hosts)),
 		golden:           make([]signal.Value, len(vs.outputs)),
-		faulty:           make([][]signal.Value, workers),
+		faulty:           make([]signal.Value, len(vs.outputs)),
 	}
 	r.ctrl.EventLimit = vs.EventLimit
 	r.ctrl.Seed = r.seed
-	r.fetch, r.inject = r.fetchTable, r.injectRow
-	r.ctx = r.sched(0).NewContext()
+	r.ctx = r.sched.NewContext()
 	for hi, h := range vs.hosts {
 		r.targets[hi] = newForceTargets(h)
 	}
-	for w := range r.faulty {
-		r.faulty[w] = make([]signal.Value, len(vs.outputs))
-	}
 	return r
-}
-
-// sched returns pool worker w's scheduler. The fault-free run uses
-// worker 0's, between fan-outs, so no two goroutines share one.
-func (r *virtualRun) sched(w int) *sim.Scheduler {
-	if r.scheds[w] == nil {
-		r.scheds[w] = sim.NewScheduler()
-	}
-	return r.scheds[w]
 }
 
 // seed posts the current pattern at the primary inputs at time 1.
@@ -229,18 +204,15 @@ func (r *virtualRun) seed(ctx *sim.Context) {
 	}
 }
 
-// pool returns the worker pool bounding this simulator's fan-outs.
-func (vs *VirtualSimulator) pool() sim.Pool { return sim.Pool{Workers: vs.Workers} }
-
-// simulate runs one simulation on sched and stores the settled value of
-// every primary output in out (nil entries mean the output was never
-// driven): the last observation of the run's history, read from sched
-// before it runs again.
-func (vs *VirtualSimulator) simulate(ctrl *sim.Controller, sched *sim.Scheduler, configure func(*sim.Scheduler), out []signal.Value) error {
-	st := ctrl.StartOn(sched, nil, configure)
-	for i, po := range vs.outputs {
+// simulate runs one simulation on the Run's scheduler and stores the
+// settled value of every primary output in out (nil entries mean the
+// output was never driven): the last observation of the run's history,
+// read before the scheduler runs again.
+func (r *virtualRun) simulate(configure func(*sim.Scheduler), out []signal.Value) error {
+	st := r.ctrl.StartOn(r.sched, nil, configure)
+	for i, po := range r.outputs {
 		out[i] = nil
-		if h := po.History(sched); len(h) > 0 {
+		if h := po.History(r.sched); len(h) > 0 {
 			out[i] = h[len(h)-1].Value
 		}
 	}
@@ -305,38 +277,6 @@ func (f *forcer) HandleToken(ctx *sim.Context, tok sim.Token) {
 		}
 		ctx.PostSignal(ctx.Now()+1, peer.Owner(), peer.Owner().SlotIndex().Load(), peer.Index, signal.BitValue{B: f.pattern.Bit(i)}, f.name)
 	}
-}
-
-// fetchTable queries the detection table of live host i for its
-// captured input configuration.
-func (r *virtualRun) fetchTable(_, i int) error {
-	hi := r.live[i]
-	h := r.hosts[hi]
-	dt, err := h.Service.DetectionTable(r.hostIn[hi])
-	if err != nil {
-		return fmt.Errorf("fault: detection table of %s: %w", h.Module.ModuleName(), err)
-	}
-	r.tableCalls.Add(1)
-	r.tables[i] = dt
-	return nil
-}
-
-// injectRow runs injection job i on worker w's scheduler: it overrides
-// the host's event handling to force the row's erroneous output
-// configuration, replays the pattern at the primary inputs, and compares
-// the primary outputs against the fault-free run.
-func (r *virtualRun) injectRow(w, i int) error {
-	job := &r.jobs[i]
-	faulty := r.faulty[w]
-	err := r.simulate(r.ctrl, r.sched(w), func(sched *sim.Scheduler) {
-		sched.Override(r.hosts[job.host].Module.Base(), &job.force)
-	}, faulty)
-	if err != nil {
-		return err
-	}
-	r.injections.Add(1)
-	job.detected = outputsDiffer(r.golden, faulty)
-	return nil
 }
 
 // captureInputs converts a host's captured input port values to bits in
@@ -416,9 +356,8 @@ func (vs *VirtualSimulator) Run(patterns [][]signal.Bit) (*Result, error) {
 // injectionJob is one row of one host's detection table scheduled for an
 // injection run, with the forcer that injects it. rowFaults keeps the
 // provider's ORIGINAL fault list for the row: the merge step re-filters
-// it against the live set in serial order, so the recorded detections
-// are bit-identical to the serial path even for degenerate providers
-// whose rows overlap.
+// it against the live set in host/row order, so the recorded detections
+// stay well defined even for degenerate providers whose rows overlap.
 type injectionJob struct {
 	host      int // index in vs.hosts
 	force     forcer
@@ -428,16 +367,13 @@ type injectionJob struct {
 
 // runPattern performs the fault-free simulation, detection-table
 // exchange, and injection runs for one test pattern, and appends the
-// qualified names of the faults it detects to detections. The
-// detection-table queries (one RMI round trip per host) and the
-// injection runs (one per erroneous row, each on its worker's recycled
-// scheduler) are independent, so both fan out over the simulator's
-// worker pool; detections are then merged in the serial host/row order.
+// qualified names of the faults it detects to detections. Every
+// simulation runs on the Run's recycled scheduler; detections are merged
+// in host/row order once every injection has run.
 func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, qualified, detections []string, res *Result) ([]string, error) {
 	// Fault-free simulation.
 	r.pattern = pattern
-	sched := r.sched(0)
-	if err := r.simulate(r.ctrl, sched, nil, r.golden); err != nil {
+	if err := r.simulate(nil, r.golden); err != nil {
 		return detections, err
 	}
 	r.Stats.FaultFreeRuns++
@@ -452,26 +388,31 @@ func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, qualified, detecti
 			continue
 		}
 		r.vals = r.vals[:0]
-		if sched.Delivered() > 0 {
+		if r.sched.Delivered() > 0 {
 			r.vals = h.Module.AppendPortValues(r.vals, r.ctx, module.In)
 		}
 		r.live = append(r.live, hi)
 		r.hostIn[hi] = captureInputs(r.hostIn[hi], r.vals)
 	}
 
-	// Phase A: fetch the detection tables of every live host
-	// concurrently — each query goes to a different provider.
-	r.tables = r.tables[:len(r.live)]
-	err := r.pool().ForWorker(len(r.live), r.fetch)
-	r.Stats.DetectionTableCalls += int(r.tableCalls.Swap(0))
-	if err != nil {
-		return detections, err
+	// Phase A: fetch the detection table of every live host, in host
+	// order.
+	r.tables = r.tables[:0]
+	for _, hi := range r.live {
+		h := r.hosts[hi]
+		dt, err := h.Service.DetectionTable(r.hostIn[hi])
+		if err != nil {
+			return detections, fmt.Errorf("fault: detection table of %s: %w", h.Module.ModuleName(), err)
+		}
+		r.Stats.DetectionTableCalls++
+		r.tables = append(r.tables, dt)
 	}
 
 	// Phase B: schedule one injection per row still carrying live faults.
-	// The live check is a snapshot — for well-formed providers the rows of
-	// a table partition the host's faults, so the snapshot agrees exactly
-	// with the serial one-row-at-a-time filter.
+	// The live check is a snapshot taken before any injection runs — for
+	// well-formed providers the rows of a table partition the host's
+	// faults, so the snapshot agrees exactly with a one-row-at-a-time
+	// filter.
 	r.jobs = r.jobs[:0]
 	for i, hi := range r.live {
 		alive := r.alive[hi]
@@ -488,16 +429,25 @@ func (r *virtualRun) runPattern(pi int, pattern []signal.Bit, qualified, detecti
 			}
 		}
 	}
-	// Each injection runs on its worker's recycled scheduler (injectRow).
-	err = r.pool().ForWorker(len(r.jobs), r.inject)
-	r.Stats.InjectionRuns += int(r.injections.Swap(0))
-	if err != nil {
-		return detections, err
+	// Each injection overrides the host's event handling to force the
+	// row's erroneous output configuration, replays the pattern at the
+	// primary inputs, and compares the primary outputs against the
+	// fault-free run.
+	for i := range r.jobs {
+		job := &r.jobs[i]
+		err := r.simulate(func(sched *sim.Scheduler) {
+			sched.Override(r.hosts[job.host].Module.Base(), &job.force)
+		}, r.faulty)
+		if err != nil {
+			return detections, err
+		}
+		r.Stats.InjectionRuns++
+		job.detected = outputsDiffer(r.golden, r.faulty)
 	}
 
-	// Merge in serial host/row order, re-filtering each row against the
-	// live set as of this point in the order — exactly what the serial
-	// loop saw — so Result is byte-identical for any worker count.
+	// Merge in host/row order, re-filtering each row against the live set
+	// as of this point in the order, so a fault named by two rows is
+	// recorded once, under the first.
 	for _, job := range r.jobs {
 		if !job.detected {
 			continue

@@ -1,6 +1,7 @@
 package iplib
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -134,6 +135,31 @@ func TestBinaryPayloadTrailingBytesError(t *testing.T) {
 		dec := p.out.(rmi.BinaryDecoder)
 		if err := dec.DecodeFrom(append(append([]byte(nil), raw[1:]...), 0xEE)); err == nil {
 			t.Errorf("%s: decode with a trailing byte succeeded", p.name)
+		}
+	}
+}
+
+// TestFaultListRespDecodeAllocations: a fault-list reply decodes into at
+// most two allocations — the name slice and one copy of the names'
+// bytes — however many names it carries.
+func TestFaultListRespDecodeAllocations(t *testing.T) {
+	for _, n := range []int{1, 10, 5000} {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("g%d/sa%d", i, i%2)
+		}
+		body := FaultListResp{Names: names}.AppendTo(nil)
+		var r FaultListResp
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := r.DecodeFrom(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%d names: %.0f allocations per decode, want at most 2", n, allocs)
+		}
+		if !reflect.DeepEqual(r.Names, names) {
+			t.Fatalf("%d names: decoded %d names that differ from the encoded ones", n, len(r.Names))
 		}
 	}
 }

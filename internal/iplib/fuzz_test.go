@@ -38,6 +38,16 @@ func FuzzDecodeResponses(f *testing.F) {
 			f.Add(uint8(i), p.in.(rmi.BinaryAppender).AppendTo(nil))
 		}
 	}
+	// Fault-list replies of empty names only and of many names, which
+	// wire.Strings carves from one copied buffer.
+	list := index[reflect.TypeOf(&FaultListResp{})]
+	f.Add(uint8(list), FaultListResp{Names: []string{"", "", ""}}.AppendTo(nil))
+	many := make([]string, 300)
+	for i := range many {
+		many[i] = fmt.Sprintf("g%d/sa%d", i, i%2)
+	}
+	many[150] = ""
+	f.Add(uint8(list), FaultListResp{Names: many}.AppendTo(nil))
 	// A detection table whose input word is one bit too wide.
 	wide := wire.AppendBits(nil, make([]signal.Bit, signal.MaxWordWidth+1))
 	wide = wire.AppendWord(wide, signal.NewWord(2))

@@ -226,15 +226,19 @@ func (rs *runState) reset(run sim.SchedulerID) {
 	rs.pev = PortEvent{}
 }
 
-// ResetState implements sim.Resettable: it re-initializes the module's
-// run state in ctx's scheduler slot and runs the behavior's Reset hook.
+// ResetState implements sim.Resettable: it runs the behavior's Reset
+// hook, if it has one, on the module's run state for ctx's run. It does
+// nothing for any other module: stateFor re-initializes a run state the
+// first time a run uses it, and stateOn reads a module the run never
+// reached as empty.
 func (sk *Skeleton) ResetState(ctx *sim.Context) {
-	rs := sk.stateFor(ctx)
-	rs.reset(ctx.SchedulerID())
-	if rb, ok := sk.behavior.(ResetBehavior); ok {
-		rs.mctx = Ctx{Sim: ctx, sk: sk, rs: rs}
-		rb.Reset(&rs.mctx)
+	rb, ok := sk.behavior.(ResetBehavior)
+	if !ok {
+		return
 	}
+	rs := sk.stateFor(ctx)
+	rs.mctx = Ctx{Sim: ctx, sk: sk, rs: rs}
+	rb.Reset(&rs.mctx)
 }
 
 // HandleToken implements sim.Handler: it dispatches signal tokens to the

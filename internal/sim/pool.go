@@ -53,7 +53,7 @@ func (p Pool) For(n int, fn func(i int) error) error {
 // ForWorker is For with the claiming worker's identity (in [0, Size()))
 // passed alongside the item index, so callers can maintain per-worker
 // scratch state — e.g. one non-concurrency-safe netlist evaluator per
-// worker — without locking.
+// worker in the flat reference fault simulator — without locking.
 //
 // The caller is worker 0: ForWorker starts Size()-1 helpers and claims
 // items on the calling goroutine too, so a fan-out whose items finish
@@ -61,8 +61,10 @@ func (p Pool) For(n int, fn func(i int) error) error {
 // the n-th item finishes — whoever finishes it releases the caller —
 // without waiting for helpers to exit: a helper that finds the cursor
 // exhausted just returns, and no fn call starts after ForWorker
-// returns. An item that blocks (a remote table query) still overlaps
-// with the others, because helpers claim them while the caller waits.
+// returns. An item that blocks still overlaps with the others, because
+// helpers claim them while the caller waits. A batch of more than one
+// item starts its helpers however short its items are, so an item must
+// carry more work than a goroutine start costs.
 func (p Pool) ForWorker(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil

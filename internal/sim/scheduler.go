@@ -408,8 +408,7 @@ type RunOptions struct {
 	// this time. Zero means no time bound.
 	Until Time
 	// MaxInstants stops the run after this many distinct time instants
-	// have completed. Zero means no instant bound. Virtual fault
-	// simulation uses MaxInstants=1 for its single-instant injection runs.
+	// have completed. Zero means no instant bound.
 	MaxInstants int
 }
 

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/signal"
 )
@@ -145,7 +146,10 @@ func AppendStrings(b []byte, ss []string) []byte {
 
 // Strings consumes a length-prefixed vector of strings. The element
 // count is bounds-checked against the remaining input (each element
-// needs at least its one-byte length prefix) before allocating.
+// needs at least its one-byte length prefix) before allocating. The
+// strings are carved from one copy of their bytes, so a vector costs two
+// allocations whatever its length, and any one string keeps the whole
+// copy alive.
 func Strings(b []byte) ([]string, []byte, error) {
 	n, b, err := Uvarint(b)
 	if err != nil {
@@ -157,14 +161,25 @@ func Strings(b []byte) ([]string, []byte, error) {
 	if n == 0 {
 		return nil, b, nil
 	}
-	out := make([]string, n)
-	for i := range out {
-		out[i], b, err = String(b)
-		if err != nil {
+	// The first pass validates every section and sizes the copy.
+	rest, size := b, 0
+	for i := uint64(0); i < n; i++ {
+		var sec []byte
+		if sec, rest, err = Bytes(rest); err != nil {
 			return nil, nil, err
 		}
+		size += len(sec)
 	}
-	return out, b, nil
+	var text strings.Builder
+	text.Grow(size)
+	out := make([]string, n)
+	for i := range out {
+		sec, next, _ := Bytes(b) // validated by the first pass
+		start := text.Len()
+		text.Write(sec)
+		out[i], b = text.String()[start:], next
+	}
+	return out, rest, nil
 }
 
 // Bits are packed four per byte: the four-valued logic (0,1,X,Z) needs
