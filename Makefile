@@ -84,7 +84,7 @@ fuzz:
 # bit-identically. Seeded and bounded — a red run is a real regression,
 # never flake.
 chaos:
-	$(GO) test -race -count=1 -run='Chaos|Hedged|Failover|Quorum|Faulted' ./internal/core/ ./internal/netsim/ ./internal/fault/
+	$(GO) test -race -count=1 -run='Chaos|CatchUp|Failover|Quorum|Faulted' ./internal/core/ ./internal/netsim/ ./internal/fault/
 	$(GO) test -race -count=1 ./internal/replica/
 
 # CPU and heap profiles of the hottest Table 2 scenario (MR on the

@@ -20,13 +20,11 @@
 // estimation batches client-side with a content-addressed cache, skipping
 // the round trip entirely. Neither changes any estimate value.
 //
-// The replication knobs (both -local only): -replicas N runs the design
-// against N equivalent in-process providers behind health-gated circuit
-// breakers — a connection loss fails over to the next healthy replica
-// with the session replayed there — and -hedge-after D re-issues
-// a batch still unanswered after D to a second replica, first answer
-// wins. Replica estimators are deterministic, so neither changes any
-// estimate value either.
+// The replication knob (-local only): -replicas N runs the design against
+// N equivalent in-process providers behind health-gated circuit breakers —
+// a connection loss fails over to the next healthy replica with the
+// session replayed there. Replica estimators are deterministic, so it
+// changes no estimate value either.
 package main
 
 import (
@@ -68,14 +66,10 @@ func main() {
 		inflight = flag.Int("inflight", 0, "max pipelined RMI calls in flight (0 = default, 1 = stop-and-wait)")
 		estcache = flag.Bool("est-cache", false, "short-circuit repeated estimation batches with a content-addressed cache")
 		replicas = flag.Int("replicas", 1, "equivalent in-process provider replicas behind health-gated failover (requires -local)")
-		hedge    = flag.Duration("hedge-after", 0, "re-issue a still-unanswered estimation batch to a second replica after this long (0 disables; requires -local -replicas ≥ 2)")
 	)
 	flag.Parse()
 	if *replicas > 1 && !*local {
 		fatal(errors.New("-replicas needs -local: a live deployment has one server address per process"))
-	}
-	if *hedge > 0 && (*replicas < 2 || !*local) {
-		fatal(errors.New("-hedge-after needs -local and -replicas ≥ 2 (the hedge runs on a second replica)"))
 	}
 
 	retry := rmi.DefaultRetry
@@ -83,10 +77,9 @@ func main() {
 	netProfile := netsim.ProfileByName(*profile)
 
 	var (
-		ip        *iplib.IPClient
-		meter     *netsim.Meter
-		rset      *replica.Set
-		hedgeProv *provider.Provider
+		ip    *iplib.IPClient
+		meter *netsim.Meter
+		rset  *replica.Set
 	)
 	if *local {
 		if *replicas > 1 {
@@ -108,7 +101,6 @@ func main() {
 			conn.Harden(core.Resilience{Timeout: *timeout, Retry: retry, Recover: *recover_})
 			conn.Client.RPC.MaxInFlight = *inflight
 			ip, meter, rset = conn.Client, conn.Meter, set
-			hedgeProv = ps[len(ps)-1]
 		} else {
 			p := provider.New("provider1")
 			if err := p.Register(provider.MultFastLowPower()); err != nil {
@@ -188,18 +180,6 @@ func main() {
 	if *estcache {
 		est.EnableCache(core.NewEstimationCache())
 	}
-	if *hedge > 0 && hedgeProv != nil {
-		hconn, err := core.ConnectVia(hedgeProv, *client+"-hedge", netProfile, core.PipeDialer(hedgeProv))
-		if err != nil {
-			fatal(err)
-		}
-		defer hconn.Close()
-		hinst, err := hconn.Client.Bind("MultFastLowPower", *width, nil)
-		if err != nil {
-			fatal(err)
-		}
-		est.EnableHedge(hinst, *hedge)
-	}
 	var mult module.Module
 	if *remote {
 		rm, err := core.NewRemoteMult("MULT", *width, ar, br, o, inst)
@@ -252,8 +232,7 @@ func main() {
 			rep.CacheHits, rep.CacheMisses, rep.CacheBytesSaved)
 	}
 	if rset != nil {
-		fmt.Printf("  replicas: %d failovers, %d hedged batches (%d hedge wins)\n",
-			meter.Failovers(), meter.HedgedBatches(), meter.HedgeWins())
+		fmt.Printf("  replicas: %d failovers\n", meter.Failovers())
 		for i, st := range rset.Statuses() {
 			fmt.Printf("    replica %d %-8s %d ok / %d failed, ewma latency %v\n",
 				i, st.State, st.Successes, st.Failures, st.EWMALatency.Round(time.Microsecond))

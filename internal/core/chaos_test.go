@@ -223,65 +223,3 @@ func TestChaosAllReplicasDead(t *testing.T) {
 		t.Errorf("degraded run reports %d samples, baseline %d; partial results must be visible", len(res.Power.Samples), len(base.Power.Samples))
 	}
 }
-
-// TestHedgedRunBitIdentical arms hedging against a primary whose early
-// batch responses are scripted slow: the hedge replica answers first for
-// at least one batch, and the recorded values are still bit-identical to
-// the clean baseline (replicas are deterministic — whoever answers,
-// the values match). The warm cell first warms a shared cache with a
-// half-length run, so the run opens on cache hits: the primary and the
-// hedge both lag the pattern stream, and each send must catch its own
-// instance up.
-func TestHedgedRunBitIdentical(t *testing.T) {
-	leakcheck.Check(t)
-	base, err := Run(EstimatorRemote, chaosCfg(1, 1))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	for _, warm := range []bool{false, true} {
-		t.Run(map[bool]string{false: "cache=none", true: "cache=warm"}[warm], func(t *testing.T) {
-			cfg := chaosCfg(2, 8)
-			cfg.HedgeAfter = 2 * time.Millisecond
-			if warm {
-				cfg.Cache = NewEstimationCache()
-				warmCfg := chaosCfg(1, 1)
-				warmCfg.Patterns /= 2
-				warmCfg.Cache = cfg.Cache
-				if _, err := Run(EstimatorRemote, warmCfg); err != nil {
-					t.Fatalf("warm-up: %v", err)
-				}
-			}
-			cfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
-				// Stall a swath of the primary's responses well past HedgeAfter so
-				// some batch responses certainly arrive late.
-				var rules []netsim.FaultRule
-				for n := 3; n <= 14; n++ {
-					rules = append(rules, netsim.FaultRule{Op: netsim.OnRead, Nth: n, Kind: netsim.FaultDelay, Delay: 30 * time.Millisecond})
-				}
-				slow := &netsim.FaultPlan{Rules: rules}
-				cs := netsim.ScriptedSchedule(1,
-					netsim.ReplicaScript{Kind: netsim.ChaosSlowDrip, Plan: slow, RefuseFrom: -1},
-					netsim.ReplicaScript{Kind: netsim.ChaosNone, RefuseFrom: -1},
-				)
-				return []func() (net.Conn, error){
-					cs.Dialer(0, PipeDialer(provs[0])),
-					cs.Dialer(1, PipeDialer(provs[1])),
-				}
-			}
-			res, err := Run(EstimatorRemote, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRun(t, base, res)
-			if warm && (res.CacheHits != 3 || res.CacheMisses != 3) {
-				t.Errorf("cache hits %d, misses %d; want 3 and 3 (the warm-up covers half the stream)", res.CacheHits, res.CacheMisses)
-			}
-			if res.HedgedBatches < 1 {
-				t.Errorf("hedged batches = %d, want ≥ 1 (the scripted delays never tripped the hedge)", res.HedgedBatches)
-			}
-			if res.HedgeWins < 1 {
-				t.Errorf("hedge wins = %d, want ≥ 1", res.HedgeWins)
-			}
-		})
-	}
-}

@@ -44,7 +44,7 @@ func TestEstimationCacheChainKeys(t *testing.T) {
 // TestEstimationCacheHitAndReplayDebt walks the miss→commit→hit cycle:
 // a committed batch is served locally by a later session with the same
 // history. The served patterns are replay debt the next miss transmits;
-// the estimator's pattern log keeps it (TestHedgedCatchUpLogAfterClose).
+// the estimator's pattern log keeps it (TestCatchUpLogAfterClose).
 func TestEstimationCacheHitAndReplayDebt(t *testing.T) {
 	c := NewEstimationCache()
 	batch := [][]signal.Bit{pat(signal.B0, signal.B1), pat(signal.B1, signal.B1)}

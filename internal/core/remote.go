@@ -110,37 +110,20 @@ type RemotePowerEstimator struct {
 	cacheMiss  atomic.Int64
 	cacheSaved atomic.Int64
 
-	// Hedged estimation (EnableHedge): a second bound instance on its own
-	// clean session. A primary batch unanswered after hedgeAfter is
-	// re-issued there and the first answer is recorded. A hedge error
-	// retires the hedge for the rest of the run, never failing the batch.
-	hedgeInst  *iplib.BoundInstance
-	hedgeAfter time.Duration
-
-	// The pattern log, kept while a cache, a hedge or session recovery
-	// is armed: estimates depend on history, so an instance that skipped
-	// patterns (cache hits, unhedged batches, a reconnect's fresh
-	// session) must execute them before its next answer is right. log
-	// holds the stream from logBase, the lowest position a live instance
-	// has not executed; primaryPos and hedgePos (−1 when no hedge is
-	// live) are the instances' cursors. With recovering (fixed at
-	// construction) the log is kept from position 0, since a reconnect
-	// resets the primary to nothing, and acked, the log end of the last
-	// primary reply, bounds the history a reconnect replays. logMu also
-	// guards pendingPrimary.
+	// The pattern log, kept while a cache or session recovery is armed:
+	// estimates depend on history, so an instance that skipped patterns
+	// (cache hits, a reconnect's fresh session) must execute them before
+	// its next answer is right. cursor is the stream position the bound
+	// instance has executed up to, and log holds the stream from
+	// logBase: cursor, or 0 while recovering (fixed at construction),
+	// since a reconnect resets the instance to nothing. acked, the log
+	// end of the last reply, bounds the history a reconnect replays.
 	logMu      sync.Mutex
 	log        [][]signal.Bit
 	logBase    int
-	primaryPos int
-	hedgePos   int
+	cursor     int
 	acked      int
 	recovering bool
-	// pendingPrimary holds the in-flight outcome of a primary batch the
-	// hedge outran. At most one primary is ever outstanding: the next
-	// hedged batch (and Close) consumes it before enqueueing another, so
-	// batches stay strictly serialized on the wire — the property acked
-	// and the reconnect replay depend on.
-	pendingPrimary chan outcome
 
 	// Nonblocking batches flow through a single ordered dispatcher
 	// goroutine: batches reach the wire — and their results are recorded
@@ -180,16 +163,8 @@ type batchJob struct {
 	// straddle the failure.
 	epoch uint64
 	// end is the log position just past the batch (0 when no log is
-	// kept); a hedged send catches the hedge up to it, and a primary
-	// reply acknowledges the log up to it.
+	// kept); a reply acknowledges the log up to it.
 	end int
-}
-
-// outcome is the result of one remote batch call, handed across
-// goroutines.
-type outcome struct {
-	vals []float64
-	err  error
 }
 
 // NewRemotePowerEstimator builds the estimator from a provider offer.
@@ -216,13 +191,12 @@ func newRemoteEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, b
 		BufferSize:  bufferSize,
 		Nonblocking: nonblocking,
 		method:      method,
-		hedgePos:    -1,
 	}
 	e.recovering = inst.OnReplay(method, e.history)
 	return e
 }
 
-// history returns the patterns the primary instance has acknowledged:
+// history returns the patterns the bound instance has acknowledged:
 // what a reconnect's fresh session must re-drive before the retried
 // in-flight batch, which starts exactly at acked.
 func (e *RemotePowerEstimator) history() [][]signal.Bit {
@@ -254,23 +228,6 @@ func (e *RemotePowerEstimator) EnableCache(store *EstimationCache) {
 	e.cacheStore = store
 	fp := fmt.Sprintf("%s|%s|%s|%d", e.method, e.inst.Component(), e.Name, e.inst.Width())
 	e.cache = store.newSession(fp)
-}
-
-// EnableHedge arms hedged estimation batches: a primary batch still
-// unanswered after the given duration is re-issued to inst — a bound
-// instance of the SAME component on a second replica, reached over its
-// own clean session — and the first answer wins. Replica estimators are
-// deterministic, so results are bit-identical whichever side answers.
-// Call before the first Estimate; a nil instance or non-positive
-// duration leaves hedging disabled. Hedging is skipped for SkipCompute
-// runs (there is no latency worth hiding in an acknowledgement).
-func (e *RemotePowerEstimator) EnableHedge(inst *iplib.BoundInstance, after time.Duration) {
-	if inst == nil || after <= 0 {
-		return
-	}
-	e.hedgeInst = inst
-	e.hedgeAfter = after
-	e.hedgePos = 0
 }
 
 // Estimate implements estim.Estimator: it snapshots the component's input
@@ -361,12 +318,11 @@ func (e *RemotePowerEstimator) dispatchTaken(batch [][]signal.Bit) {
 // prepareJob consults the estimation cache for one batch. On a full hit
 // the job carries the locally resolved values and nothing goes on the
 // wire; otherwise it transmits the batch led by the cache hits the
-// primary has not executed, so the provider's stateful simulator sees the
-// complete pattern history. With no cache, hedge or recovery, no log is
-// kept.
+// instance has not executed, so the provider's stateful simulator sees the
+// complete pattern history. With no cache or recovery, no log is kept.
 func (e *RemotePowerEstimator) prepareJob(batch [][]signal.Bit) batchJob {
 	j := batchJob{send: batch, n: len(batch), epoch: e.cacheEpoch.Load()}
-	if e.SkipCompute || (e.cache == nil && e.hedgeInst == nil && !e.recovering) {
+	if e.SkipCompute || (e.cache == nil && !e.recovering) {
 		return j
 	}
 	e.logMu.Lock()
@@ -384,7 +340,7 @@ func (e *RemotePowerEstimator) prepareJob(batch [][]signal.Bit) batchJob {
 			if m := e.inst.Meter(); m != nil {
 				m.AddCacheHit(saved)
 			}
-			return batchJob{vals: vals} // primaryPos stays behind the hit
+			return batchJob{vals: vals} // cursor stays behind the hit
 		}
 		e.cacheMiss.Add(1)
 		e.cacheStore.misses.Add(1)
@@ -393,39 +349,25 @@ func (e *RemotePowerEstimator) prepareJob(batch [][]signal.Bit) batchJob {
 		}
 		j.keys = keys
 	}
-	j.send = e.catchUp(&e.primaryPos, j.end)
+	j.send = e.catchUp(j.end)
 	return j
 }
 
-// catchUp builds every catch-up send, a primary miss's and a hedged
-// batch's alike: it returns log[*cursor:end], moves the cursor to end and
-// trims the log. A retired cursor (−1) yields nil.
-func (e *RemotePowerEstimator) catchUp(cursor *int, end int) [][]signal.Bit {
+// catchUp builds a miss's send: it returns log[cursor:end] and moves
+// the cursor to end. Unless recovering, it then trims the executed
+// patterns off the log's front. Sends and histories handed out stay
+// intact: the log never rewrites a slot, it only reslices its front and
+// appends at its end.
+func (e *RemotePowerEstimator) catchUp(end int) [][]signal.Bit {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
-	if *cursor < 0 {
-		return nil
+	send := e.log[e.cursor-e.logBase : end-e.logBase : end-e.logBase]
+	e.cursor = end
+	if !e.recovering {
+		e.log = e.log[end-e.logBase:]
+		e.logBase = end
 	}
-	send := e.log[*cursor-e.logBase : end-e.logBase : end-e.logBase]
-	*cursor = end
-	e.trimLogLocked()
 	return send
-}
-
-// trimLogLocked drops the patterns every live instance has executed; the
-// caller holds logMu. Sends and histories handed out stay intact: the log
-// never rewrites a slot, it only reslices its front and appends at its
-// end. A recovering estimator never trims.
-func (e *RemotePowerEstimator) trimLogLocked() {
-	if e.recovering {
-		return
-	}
-	low := e.primaryPos
-	if e.hedgePos >= 0 {
-		low = min(low, e.hedgePos)
-	}
-	e.log = e.log[low-e.logBase:]
-	e.logBase = low
 }
 
 // startDispatcher lazily launches the single ordered-dispatch goroutine.
@@ -449,7 +391,7 @@ func (e *RemotePowerEstimator) runJob(j batchJob) {
 		e.recordBatch(j.vals, nil)
 		return
 	}
-	vals, err := e.execBatchMaybeHedged(j)
+	vals, err := e.execBatch(j)
 	if err != nil {
 		// The provider's simulator state is now unknown relative to our
 		// history chain; later cache hits against it would be unsound —
@@ -471,93 +413,6 @@ func (e *RemotePowerEstimator) runJob(j batchJob) {
 	e.recordBatch(vals, nil)
 }
 
-// execBatchMaybeHedged runs one job's pattern sequence, racing a hedge
-// replica against a slow primary when hedging is armed. It returns the
-// winning reply, catch-up values included.
-func (e *RemotePowerEstimator) execBatchMaybeHedged(j batchJob) ([]float64, error) {
-	if e.hedgeInst == nil || e.SkipCompute {
-		return e.execBatch(j)
-	}
-	// Serialize primary batches: a primary the previous hedge outran may
-	// still be on the wire, and the provider's ordered batch methods —
-	// and the acked cursor the reconnect replay reads — require one
-	// outstanding primary batch at a time.
-	e.drainPendingPrimary()
-	prim := make(chan outcome, 1)
-	go func() {
-		vals, err := e.execBatch(j)
-		prim <- outcome{vals: vals, err: err}
-	}()
-	timer := time.NewTimer(e.hedgeAfter)
-	select {
-	case r := <-prim:
-		timer.Stop()
-		return r.vals, r.err
-	case <-timer.C:
-	}
-	// With no usable hedge (retired, or it failed), wait out the primary.
-	// If the primary answered while the hedge ran, prefer it — that keeps
-	// the pending-primary handoff empty. Identical values either way:
-	// replicas are deterministic.
-	hvals, ok := e.runHedge(j)
-	var r outcome
-	won := false
-	if !ok {
-		r = <-prim
-	} else {
-		select {
-		case r = <-prim:
-			won = r.err != nil
-		default:
-			won = true
-			e.logMu.Lock()
-			e.pendingPrimary = prim
-			e.logMu.Unlock()
-		}
-	}
-	if m := e.inst.Meter(); m != nil {
-		m.AddHedgedBatch(won)
-	}
-	if won {
-		return hvals, nil
-	}
-	return r.vals, r.err
-}
-
-// drainPendingPrimary waits out a primary batch a previous hedge outran.
-// Its values were superseded by the hedge's recorded answer; an error is
-// equally moot — the epoch poison it caused heals through the normal
-// reconnect path on the next call.
-func (e *RemotePowerEstimator) drainPendingPrimary() {
-	e.logMu.Lock()
-	prim := e.pendingPrimary
-	e.pendingPrimary = nil
-	e.logMu.Unlock()
-	if prim != nil {
-		<-prim
-	}
-}
-
-// runHedge issues one hedged batch: everything the hedge instance has
-// not executed up to the batch's end, catch-up prefix included. Failure
-// retires the hedge's cursor for the rest of the run — hedging is a
-// latency optimization, never a correctness dependency.
-func (e *RemotePowerEstimator) runHedge(j batchJob) ([]float64, bool) {
-	seq := e.catchUp(&e.hedgePos, j.end)
-	if seq == nil {
-		return nil, false
-	}
-	vals, err := e.hedgeInst.PowerBatch(seq, false)
-	if err != nil || len(vals) != len(seq) {
-		e.logMu.Lock()
-		e.hedgePos = -1
-		e.trimLogLocked()
-		e.logMu.Unlock()
-		return nil, false
-	}
-	return vals, true
-}
-
 // recordBatch takes the lock and records one completed batch.
 func (e *RemotePowerEstimator) recordBatch(vals []float64, err error) {
 	e.mu.Lock()
@@ -566,7 +421,7 @@ func (e *RemotePowerEstimator) recordBatch(vals []float64, err error) {
 }
 
 // execBatch runs one job's pattern sequence through the configured remote
-// method on the primary instance. In nonblocking mode the call runs on an
+// method on the bound instance. In nonblocking mode the call runs on an
 // RPC worker and is waited on here, on the dispatcher goroutine — the
 // wait is pipelining headroom, not caller-visible blocked time, so it
 // stays out of the meter's blocked-time accounting. While recovering,
@@ -652,9 +507,6 @@ func (e *RemotePowerEstimator) Close() error {
 	//lint:ignore simdeterminism the drain is metered wall time for the CPU/real report split; it never feeds signal values.
 	start := time.Now()
 	e.wg.Wait()
-	// A final hedge win may have left its slow primary on the wire; its
-	// outcome is superseded but the goroutine must retire with the run.
-	e.drainPendingPrimary()
 	if m := e.inst.Meter(); m != nil {
 		m.AddBlocked(time.Since(start))
 	}

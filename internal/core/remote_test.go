@@ -3,7 +3,6 @@ package core
 import (
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -475,35 +474,28 @@ func TestRemoteEstimatorRejectsMiscountedReply(t *testing.T) {
 	}
 }
 
-// TestHedgedCatchUpLogAfterClose reads the pattern log after Close: it
-// holds exactly the patterns past the lowest live cursor — nothing
-// without cache or hedge, the hits since the last miss with a cache, the
-// patterns a lagging hedge never executed, and only the primary's debt
-// once the hedge has errored — and, under session recovery, the whole
-// stream, all of it acknowledged history. Six patterns go out in batches
-// of two; warmFrom caches the stream from a given pattern on, so the
-// batches before it miss and the rest hit.
-func TestHedgedCatchUpLogAfterClose(t *testing.T) {
+// TestCatchUpLogAfterClose reads the pattern log after Close: it holds
+// exactly the patterns past the instance's cursor — nothing without a
+// cache, the hits since the last miss with one — and, under session
+// recovery, the whole stream, all of it acknowledged history. Six
+// patterns go out in batches of two; warmFrom caches the stream from a
+// given pattern on, so the batches before it miss and the rest hit.
+func TestCatchUpLogAfterClose(t *testing.T) {
 	leakcheck.Check(t)
 	stream := make([][]signal.Bit, 6)
 	for i := range stream {
 		stream[i] = wordsToBits(nil, signal.WordFromUint64(uint64(i), 4), signal.WordFromUint64(15-uint64(i), 4))
 	}
 	for _, c := range []struct {
-		name      string
-		warmFrom  int // -1: no cache
-		hedge     string
-		slowFirst bool // the first primary call outlasts the hedge delay
-		recover   bool // session recovery armed before the bind
-		want      int
-		history   int
+		name     string
+		warmFrom int  // -1: no cache
+		recover  bool // session recovery armed before the bind
+		want     int
+		history  int
 	}{
-		{"none", -1, "", false, false, 0, 0},
-		{"cache", 2, "", false, false, 4, 0},
-		{"cache+hedge/lagging", 4, "live", false, false, 6, 0},
-		{"cache+hedge/hedged", 4, "live", true, false, 4, 0},
-		{"cache+hedge/errored", 4, "dead", true, false, 2, 0},
-		{"recover", -1, "", false, true, 6, 6},
+		{"none", -1, false, 0, 0},
+		{"cache", 2, false, 4, 0},
+		{"recover", -1, true, 6, 6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inst, conn := bindMult(t, 4)
@@ -522,25 +514,7 @@ func TestHedgedCatchUpLogAfterClose(t *testing.T) {
 				_, keys, _ := probe.lookup(stream)
 				store.commit(keys[c.warmFrom:], make([]float64, len(stream)-c.warmFrom))
 			}
-			if c.hedge != "" {
-				hinst, hconn := bindMult(t, 4)
-				if c.hedge == "dead" {
-					_ = hconn.Close()
-				}
-				e.EnableHedge(hinst, 100*time.Millisecond)
-			}
-			hedgeFired := func() bool {
-				e.logMu.Lock()
-				defer e.logMu.Unlock()
-				return e.hedgePos != 0
-			}
-			var calls atomic.Int32
 			e.dispatch = func(batch [][]signal.Bit, _ bool) ([]float64, error) {
-				if calls.Add(1) == 1 && c.slowFirst {
-					for !hedgeFired() {
-						time.Sleep(time.Millisecond)
-					}
-				}
 				return make([]float64, len(batch)), nil
 			}
 			for i := uint64(0); i < 6; i++ {
@@ -555,7 +529,7 @@ func TestHedgedCatchUpLogAfterClose(t *testing.T) {
 				t.Fatalf("recorded %d samples, want 6", n)
 			}
 			if got := len(e.log); got != c.want {
-				t.Errorf("log holds %d patterns after Close, want %d (primary at %d, hedge at %d)", got, c.want, e.primaryPos, e.hedgePos)
+				t.Errorf("log holds %d patterns after Close, want %d (cursor at %d)", got, c.want, e.cursor)
 			}
 			if got := len(e.history()); got != c.history {
 				t.Errorf("history holds %d patterns after Close, want %d", got, c.history)

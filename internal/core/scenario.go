@@ -104,10 +104,6 @@ type Config struct {
 	// BreakerClock injects the breakers' time source for deterministic
 	// tests; nil uses the wall clock.
 	BreakerClock replica.Clock
-	// HedgeAfter arms hedged estimation batches when Replicas >= 2: a
-	// batch unanswered after this duration is re-issued to a second
-	// replica and the first answer wins. 0 disables hedging.
-	HedgeAfter time.Duration
 }
 
 // DefaultConfig returns the paper's experimental parameters.
@@ -149,13 +145,9 @@ type Result struct {
 	CacheHits       int64
 	CacheMisses     int64
 	CacheBytesSaved int64
-	// Failovers counts replica failovers during the measured window;
-	// HedgedBatches/HedgeWins count estimation batches re-issued to a
-	// second replica and those the hedge answered first (all zero for
-	// single-provider runs).
-	Failovers     int64
-	HedgedBatches int64
-	HedgeWins     int64
+	// Failovers counts replica failovers during the measured window (zero
+	// for single-provider runs).
+	Failovers int64
 	// ReplicaStatuses snapshots per-replica health after the run (nil for
 	// single-provider runs).
 	ReplicaStatuses []replica.Status
@@ -212,7 +204,6 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 		})
 		mult = m
 	} else {
-		var hedgeProv *provider.Provider
 		if cfg.Replicas > 1 {
 			// Replicated deployment: N equivalent providers behind
 			// health-gated failover.
@@ -239,7 +230,6 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			hedgeProv = provs[len(provs)-1]
 		} else {
 			prov := provider.New("provider1")
 			if err := prov.Register(provider.MultFastLowPower()); err != nil {
@@ -278,22 +268,6 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 		remote = NewRemotePowerEstimator(inst, offer, cfg.BufferSize, cfg.Nonblocking)
 		remote.SkipCompute = cfg.SkipCompute
 		remote.EnableCache(cfg.Cache)
-		if cfg.HedgeAfter > 0 && hedgeProv != nil {
-			// The hedge rides its own clean session to one replica — a
-			// plain pipe, never the failover transport (which chaos tests
-			// script) — so a hedge can answer even while the primary path
-			// is mid-reconnect.
-			hconn, err := ConnectVia(hedgeProv, "designer-hedge", cfg.Profile, PipeDialer(hedgeProv))
-			if err != nil {
-				return nil, err
-			}
-			defer hconn.Close()
-			hinst, err := hconn.Client.Bind("MultFastLowPower", cfg.Width, nil)
-			if err != nil {
-				return nil, err
-			}
-			remote.EnableHedge(hinst, cfg.HedgeAfter)
-		}
 		switch s {
 		case EstimatorRemote:
 			m := module.NewMult("MULT", cfg.Width, ar, br, o)
@@ -363,8 +337,6 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 		res.CacheMisses = conn.Meter.CacheMisses()
 		res.CacheBytesSaved = conn.Meter.CacheBytesSaved()
 		res.Failovers = conn.Meter.Failovers()
-		res.HedgedBatches = conn.Meter.HedgedBatches()
-		res.HedgeWins = conn.Meter.HedgeWins()
 		if rset != nil {
 			res.ReplicaStatuses = rset.Statuses()
 		}

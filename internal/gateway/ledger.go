@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -25,11 +26,17 @@ type LedgerEntry struct {
 // line per entry (O_APPEND, so restarts extend rather than truncate);
 // with an empty path it keeps the running sums in memory only.
 type Ledger struct {
-	mu   sync.Mutex
-	f    *os.File
-	sums map[string]float64
-	n    int64
+	mu     sync.Mutex
+	f      *os.File
+	closed bool   // a file-backed ledger after Close
+	line   []byte // scratch for one persisted line
+	sums   map[string]float64
+	n      int64
 }
+
+// errLedgerClosed is Append's answer once a file-backed ledger is
+// closed: the entry could not be persisted, so it is not counted either.
+var errLedgerClosed = errors.New("gateway: ledger append: ledger closed")
 
 // OpenLedger opens (creating if needed) the billing ledger at path;
 // an empty path yields an in-memory ledger.
@@ -46,17 +53,26 @@ func OpenLedger(path string) (*Ledger, error) {
 	return l, nil
 }
 
-// Append records one fee delta.
+// Append records one fee delta. A persisted line reads
+// "when\ttenant\tsession\tcents\n": the UTC time in RFC 3339 with
+// nanoseconds, the amount with six decimals.
 func (l *Ledger) Append(when time.Time, tenant, session string, cents float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return errLedgerClosed
+	}
 	l.sums[tenant] += cents
 	l.n++
 	if l.f == nil {
 		return nil
 	}
-	line := fmt.Sprintf("%s\t%s\t%s\t%.6f\n", when.UTC().Format(time.RFC3339Nano), tenant, session, cents)
-	if _, err := l.f.WriteString(line); err != nil {
+	b := when.UTC().AppendFormat(l.line[:0], time.RFC3339Nano)
+	b = append(append(append(b, '\t'), tenant...), '\t')
+	b = append(append(b, session...), '\t')
+	b = append(strconv.AppendFloat(b, cents, 'f', 6, 64), '\n')
+	l.line = b
+	if _, err := l.f.Write(b); err != nil {
 		return fmt.Errorf("gateway: ledger append: %w", err)
 	}
 	return nil
@@ -85,6 +101,7 @@ func (l *Ledger) Close() error {
 	}
 	err := l.f.Close()
 	l.f = nil
+	l.closed = true
 	return err
 }
 

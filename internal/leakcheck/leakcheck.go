@@ -1,7 +1,7 @@
 // Package leakcheck is a stdlib-only goroutine-leak gate for tests: it
 // snapshots the goroutine count when armed and, at cleanup, retries for
 // a grace period waiting for the count to return to the baseline. The
-// failover paths this repo grew — mux readers, pool workers, hedge losers,
+// failover paths this repo grew — mux readers, pool workers, dispatchers,
 // drain waiters — all end in goroutines that are easy to orphan; wrapping
 // their tests in Check makes an orphan a test failure with a full stack
 // dump instead of a slow background rot.

@@ -128,11 +128,8 @@ type Meter struct {
 	cacheMisses atomic.Int64
 	cacheSaved  atomic.Int64 // bytes that did not cross the wire
 
-	// Replication accounting: failovers to another replica, hedged
-	// estimation batches issued, and hedges that answered first.
+	// Replication accounting: failovers to another replica.
 	failovers atomic.Int64
-	hedged    atomic.Int64
-	hedgeWins atomic.Int64
 }
 
 // AddBlocked records time spent blocked on the network.
@@ -154,16 +151,6 @@ func (m *Meter) AddCacheMiss() { m.cacheMisses.Add(1) }
 // AddFailover records one replica failover (the session adopted a new
 // provider endpoint after the current one died).
 func (m *Meter) AddFailover() { m.failovers.Add(1) }
-
-// AddHedgedBatch records one estimation batch re-issued to a second
-// replica after the slow threshold; win reports whether the hedge
-// answered before the primary.
-func (m *Meter) AddHedgedBatch(win bool) {
-	m.hedged.Add(1)
-	if win {
-		m.hedgeWins.Add(1)
-	}
-}
 
 // Blocked returns the total time spent blocked.
 func (m *Meter) Blocked() time.Duration { return time.Duration(m.blocked.Load()) }
@@ -187,12 +174,6 @@ func (m *Meter) CacheBytesSaved() int64 { return m.cacheSaved.Load() }
 // Failovers returns the number of replica failovers.
 func (m *Meter) Failovers() int64 { return m.failovers.Load() }
 
-// HedgedBatches returns the number of hedged estimation batches.
-func (m *Meter) HedgedBatches() int64 { return m.hedged.Load() }
-
-// HedgeWins returns the number of hedges that answered first.
-func (m *Meter) HedgeWins() int64 { return m.hedgeWins.Load() }
-
 // Reset zeroes the meter.
 func (m *Meter) Reset() {
 	m.blocked.Store(0)
@@ -202,8 +183,6 @@ func (m *Meter) Reset() {
 	m.cacheMisses.Store(0)
 	m.cacheSaved.Store(0)
 	m.failovers.Store(0)
-	m.hedged.Store(0)
-	m.hedgeWins.Store(0)
 }
 
 // Split decomposes a measured wall-clock duration into the Table 2

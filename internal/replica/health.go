@@ -12,8 +12,8 @@ const ewmaAlpha = 0.2
 
 // Health is one replica's latency and failure accounting, fed by the
 // rmi per-attempt hook. It is observability state only — routing
-// decisions belong to the Breaker — but the EWMA is what a hedging
-// policy or an operator dashboard reads.
+// decisions belong to the Breaker — and Set.Statuses reports the EWMA
+// to operators.
 type Health struct {
 	mu          sync.Mutex
 	ewma        float64 // smoothed round-trip time, in nanoseconds

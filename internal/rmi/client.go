@@ -512,11 +512,12 @@ type Pending struct {
 // Err returns the call's outcome; it must be read after Done closes.
 func (p *Pending) Err() error { return p.err }
 
-// Go invokes a remote method asynchronously — the nonblocking estimation
-// of the paper ("gate-level simulation runs are nonblocking; they use a
-// new thread"). The reply must not be touched until Done closes.
-// Concurrent Go calls pipeline on the shared connection up to
-// MaxInFlight deep.
+// Go invokes a remote method asynchronously on a new goroutine. The
+// reply must not be touched until Done closes. Concurrent Go calls
+// pipeline on the shared connection up to MaxInFlight deep. The paper's
+// nonblocking estimation does not use it: core's estimator issues its
+// batches through Invoke on one ordered dispatcher goroutine, and only
+// the transport's own tests call Go.
 func (c *Client) Go(method string, args PortData, reply any) *Pending {
 	p := &Pending{Done: make(chan struct{})}
 	go func() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,10 +15,11 @@ import (
 // newDrainPair starts a TCP server with a "slow" handler that signals
 // entry and then blocks until released (or for its sleep), plus the
 // standard echo; it returns the server, a connected client, and the
-// bound address for post-drain dial probes.
-func newDrainPair(t *testing.T, entered chan struct{}, hold time.Duration) (*Server, *Client, string) {
+// bound address for post-drain dial probes. hooks may be nil.
+func newDrainPair(t *testing.T, entered chan struct{}, hold time.Duration, hooks *ServerHooks) (*Server, *Client, string) {
 	t.Helper()
 	srv := NewServer("prov")
+	srv.Hooks = hooks
 	key, err := security.NewKey()
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +62,7 @@ func TestDrainFinishesInFlightBatch(t *testing.T) {
 	t.Run("concurrent", func(t *testing.T) {
 		leakcheck.Check(t)
 		entered := make(chan struct{}, 1)
-		srv, cli, addr := newDrainPair(t, entered, 100*time.Millisecond)
+		srv, cli, addr := newDrainPair(t, entered, 100*time.Millisecond, nil)
 
 		pending := cli.Go("slow", echoReq{}, &echoResp{})
 		select {
@@ -90,7 +92,7 @@ func TestDrainFinishesInFlightBatch(t *testing.T) {
 func TestDrainTimeoutForceCloses(t *testing.T) {
 	leakcheck.Check(t)
 	entered := make(chan struct{}, 1)
-	srv, cli, _ := newDrainPair(t, entered, 400*time.Millisecond)
+	srv, cli, _ := newDrainPair(t, entered, 400*time.Millisecond, nil)
 
 	pending := cli.Go("slow", echoReq{}, &echoResp{})
 	select {
@@ -109,12 +111,54 @@ func TestDrainTimeoutForceCloses(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForSessionClose pins what a caller may do once Drain
+// returns: release what the SessionClose hooks use (the gateway closes
+// its billing ledger). Drain waits for the serve goroutine of every
+// connection it closed, its hook included; one still running at the
+// deadline is reported in the error.
+func TestDrainWaitsForSessionClose(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		hook    time.Duration
+		timeout time.Duration
+		want    int32  // hook runs finished when Drain returns
+		wantErr string // "" for a clean drain
+	}{
+		{"within-deadline", 20 * time.Millisecond, 5 * time.Second, 1, ""},
+		{"past-deadline", 300 * time.Millisecond, 20 * time.Millisecond, 0, "1 serve goroutine(s) still running"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			var closed atomic.Int32
+			hooks := &ServerHooks{SessionClose: func(*Session) {
+				time.Sleep(c.hook)
+				closed.Add(1)
+			}}
+			srv, cli, _ := newDrainPair(t, make(chan struct{}, 1), 0, hooks)
+			// One completed call leaves the connection idle.
+			if err := cli.Call("echo", echoReq{Note: "x"}, &echoResp{}); err != nil {
+				t.Fatal(err)
+			}
+			err := srv.Drain(c.timeout)
+			if n := closed.Load(); n != c.want {
+				t.Errorf("SessionClose finished %d times when Drain returned, want %d", n, c.want)
+			}
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Errorf("drain: %v", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Errorf("drain err = %v, want it to report %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 // TestDrainIdleServer drains instantly with no connections or only idle
 // ones.
 func TestDrainIdleServer(t *testing.T) {
 	leakcheck.Check(t)
 	entered := make(chan struct{}, 1)
-	srv, cli, _ := newDrainPair(t, entered, 0)
+	srv, cli, _ := newDrainPair(t, entered, 0, nil)
 	// One completed call leaves the connection idle.
 	if err := cli.Call("echo", echoReq{Note: "x"}, &echoResp{}); err != nil {
 		t.Fatal(err)
@@ -135,7 +179,7 @@ func TestDrainIdleServer(t *testing.T) {
 func TestAttemptAndEpochFailHooks(t *testing.T) {
 	leakcheck.Check(t)
 	entered := make(chan struct{}, 1)
-	_, cli, _ := newDrainPair(t, entered, 300*time.Millisecond)
+	_, cli, _ := newDrainPair(t, entered, 300*time.Millisecond, nil)
 
 	var mu sync.Mutex
 	var attempts []error

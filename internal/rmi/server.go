@@ -186,9 +186,11 @@ func (l *logLimiter) allow(now time.Time, burst int) (ok bool, suppressed uint64
 
 // connState tracks one live connection's in-flight request count, the
 // unit graceful drain waits on: a request is in flight from the moment
-// it is decoded until its response has been written back.
+// it is decoded until its response has been written back. done closes
+// when the connection's ServeConn returns, after its SessionClose hook.
 type connState struct {
 	inflight atomic.Int64
+	done     chan struct{}
 }
 
 // NewServer returns an empty server.
@@ -314,7 +316,7 @@ func (s *Server) register(conn net.Conn) *connState {
 	if s.closed {
 		return nil
 	}
-	st := &connState{}
+	st := &connState{done: make(chan struct{})}
 	s.conns[conn] = st
 	return st
 }
@@ -332,8 +334,12 @@ func (s *Server) unregister(conn net.Conn) {
 // is closed the moment it goes idle. A connection still mid-request at
 // the timeout is force-closed, which a resilient client experiences as
 // a poisoned epoch; within the timeout, a draining server never cuts a
-// batch mid-flight. Drain returns nil when every connection finished
-// cleanly, and an error naming the force-closed count otherwise.
+// batch mid-flight. Drain then waits, up to the same deadline, for the
+// serve goroutine of every connection it closed, SessionClose hook
+// included, so the caller may release what those hooks use. Drain
+// returns nil when every connection finished cleanly, and an error
+// naming the force-closed connections and the serve goroutines still
+// running at the deadline otherwise.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	s.closed = true
@@ -343,32 +349,51 @@ func (s *Server) Drain(timeout time.Duration) error {
 		_ = ln.Close()
 	}
 	deadline := time.Now().Add(timeout)
+	var serving []chan struct{}
+	forced := 0
 	for {
 		s.mu.Lock()
+		late := time.Now().After(deadline)
 		for conn, st := range s.conns {
-			if st.inflight.Load() == 0 {
-				conn.Close()
-				delete(s.conns, conn)
+			if st.inflight.Load() != 0 {
+				if !late {
+					continue
+				}
+				forced++
 			}
+			conn.Close()
+			delete(s.conns, conn)
+			serving = append(serving, st.done)
 		}
-		busy := len(s.conns)
+		left := len(s.conns)
 		s.mu.Unlock()
-		if busy == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
+		if left == 0 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	s.mu.Lock()
-	forced := len(s.conns)
-	for conn := range s.conns {
-		conn.Close()
-		delete(s.conns, conn)
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	running, expired := 0, false
+	for _, done := range serving {
+		if !expired {
+			select {
+			case <-done:
+				continue
+			case <-timer.C:
+				expired = true
+			}
+		}
+		select {
+		case <-done:
+		default:
+			running++
+		}
 	}
-	s.mu.Unlock()
-	return fmt.Errorf("rmi: drain timed out after %v: force-closed %d busy connection(s)", timeout, forced)
+	if forced == 0 && running == 0 {
+		return nil
+	}
+	return fmt.Errorf("rmi: drain timed out after %v: force-closed %d busy connection(s), %d serve goroutine(s) still running", timeout, forced, running)
 }
 
 // logf logs through Logf; the default is silence. Output is
@@ -406,6 +431,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	if st == nil {
 		return // closed or draining: no new sessions
 	}
+	defer close(st.done)
 	defer s.unregister(conn)
 
 	// The whole pre-session phase — hello frame, welcome write — runs
