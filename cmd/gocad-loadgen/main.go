@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/gateway/sidecar"
 	"repro/internal/iplib"
 	"repro/internal/provider"
 	"repro/internal/rmi"
@@ -388,11 +389,12 @@ func runSelftest(calls, width int) int {
 	if err != nil {
 		fatal(err)
 	}
-	maddr, err := g.ServeMetrics("127.0.0.1:0")
+	side, err := sidecar.Listen(g, "127.0.0.1:0")
 	if err != nil {
 		fatal(err)
 	}
-	metricsURL := "http://" + maddr + "/metrics"
+	defer side.Close()
+	metricsURL := "http://" + side.Addr() + "/metrics"
 
 	user := func(i int) (string, security.Key) {
 		name := tenants[i%len(tenants)]

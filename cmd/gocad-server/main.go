@@ -16,7 +16,8 @@
 //	    -metrics-addr 127.0.0.1:9090 -ledger fees.tsv
 //
 // With -metrics-addr set, /healthz, /metrics (Prometheus text), and
-// /debug/pprof are served on that address.
+// /debug/pprof are served on that address. On SIGTERM the sidecar stays
+// up, /healthz reading 503, until the drain returns.
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/gateway/sidecar"
 	"repro/internal/provider"
 	"repro/internal/security"
 )
@@ -117,12 +119,13 @@ func main() {
 	fmt.Printf("  admission: max %d sessions, %d/tenant, accept queue %d\n",
 		*maxSessions, *tenantConns, *acceptQueue)
 	fmt.Println("  catalogue: MultFastLowPower, IP1-HalfAdder")
+	var side *sidecar.Sidecar
 	if *metricsAddr != "" {
-		maddr, err := g.ServeMetrics(*metricsAddr)
+		side, err = sidecar.Listen(g, *metricsAddr)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("  metrics: http://%s/metrics (healthz, pprof)\n", maddr)
+		fmt.Printf("  metrics: http://%s/metrics (healthz, pprof)\n", side.Addr())
 	}
 
 	ch := make(chan os.Signal, 1)
@@ -131,6 +134,11 @@ func main() {
 	fmt.Printf("draining (timeout %v)\n", *drain)
 	if err := g.Drain(*drain); err != nil {
 		fmt.Fprintln(os.Stderr, "gocad-server: drain:", err)
+	}
+	if side != nil {
+		if err := side.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "gocad-server: metrics sidecar:", err)
+		}
 	}
 	if err := p.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "gocad-server: shutdown:", err)

@@ -20,15 +20,15 @@
 //   - Slow-client protection: handshake, per-frame read (idle), and
 //     per-frame write deadlines on every connection, composing with
 //     the server's graceful Drain.
-//   - Observability: a Prometheus /metrics endpoint, /healthz, and
-//     /debug/pprof on an HTTP sidecar (see http.go).
+//   - Observability: WriteMetrics renders Prometheus text; package
+//     gateway/sidecar serves it with /healthz and /debug/pprof over
+//     HTTP, so only programs that serve those endpoints link net/http.
 package gateway
 
 import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -121,15 +121,13 @@ type Gateway struct {
 
 	mu       sync.Mutex
 	tenants  map[string]*tenantState
-	admitted int // reserved + open sessions (the MaxSessions gauge)
-	draining bool
-	closed   bool
+	admitted int  // reserved + open sessions (the MaxSessions gauge)
+	draining bool // set by Drain and Close; admission stops for good
+	settled  chan struct{}
 	ln       net.Listener
 
 	conns     chan struct{} // occupancy tokens: MaxSessions+AcceptQueue
 	rejecting chan struct{} // bounds concurrent fast-reject writers
-
-	httpSrv *http.Server // metrics sidecar, nil until ServeMetrics
 
 	logmu      sync.Mutex
 	logWindow  int64
@@ -151,6 +149,7 @@ func New(srv *rmi.Server, cfg Config) (*Gateway, error) {
 		now:     time.Now,
 		sleep:   time.Sleep,
 		tenants: make(map[string]*tenantState),
+		settled: make(chan struct{}),
 		conns:   make(chan struct{}, cfg.MaxSessions+cfg.AcceptQueue),
 		// The fast-reject lane costs one goroutine writing one frame per
 		// connection, so it is sized well past the serving capacity: a
@@ -264,7 +263,7 @@ func (g *Gateway) admit(client string, remote net.Addr) error {
 	if g.admitted >= g.cfg.MaxSessions {
 		g.mu.Unlock()
 		g.metrics.rejectedCap.Add(1)
-		g.logfSampled("gateway: rejected %s from %v: at MaxSessions=%d", client, remote, g.cfg.MaxSessions)
+		g.Logf("gateway: rejected %s from %v: at MaxSessions=%d", client, remote, g.cfg.MaxSessions)
 		return refusal(ReasonOverCapacity, "session limit %d reached, try again later", g.cfg.MaxSessions)
 	}
 	ts := g.tenantLocked(client)
@@ -274,7 +273,7 @@ func (g *Gateway) admit(client string, remote net.Addr) error {
 		ts.mu.Unlock()
 		g.mu.Unlock()
 		g.metrics.rejectedTen.Add(1)
-		g.logfSampled("gateway: rejected %s from %v: tenant at %d conns", client, remote, ts.maxConns)
+		g.Logf("gateway: rejected %s from %v: tenant at %d conns", client, remote, ts.maxConns)
 		return refusal(ReasonTenantConns, "tenant %q connection limit %d reached", client, ts.maxConns)
 	}
 	ts.conns++
@@ -305,6 +304,7 @@ func (g *Gateway) sessionClose(sess *rmi.Session) {
 	ts.mu.Unlock()
 	g.mu.Lock()
 	g.admitted--
+	g.signalSettledLocked()
 	g.mu.Unlock()
 }
 
@@ -325,7 +325,7 @@ func (g *Gateway) settleFees(ts *tenantState, sess *rmi.Session) {
 	ts.mu.Unlock()
 	if err := g.ledger.Append(g.now(), ts.spec.Name, sess.ID, delta); err != nil {
 		g.metrics.ledgerErrs.Add(1)
-		g.logfSampled("gateway: %v", err)
+		g.Logf("gateway: %v", err)
 	}
 }
 
@@ -387,7 +387,7 @@ func (g *Gateway) afterCall(sess *rmi.Session, method string, payloadBytes int, 
 // the gateway never does is hang a client silently.
 func (g *Gateway) Serve(ln net.Listener) error {
 	g.mu.Lock()
-	if g.closed {
+	if g.draining {
 		g.mu.Unlock()
 		ln.Close()
 		return errors.New("gateway: closed")
@@ -398,7 +398,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 		conn, err := ln.Accept()
 		if err != nil {
 			g.mu.Lock()
-			stopped := g.closed || g.draining
+			stopped := g.draining
 			g.mu.Unlock()
 			if stopped {
 				return nil
@@ -413,7 +413,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 			}(conn)
 		default:
 			g.metrics.rejectedFull.Add(1)
-			g.logfSampled("gateway: accept queue full, fast-failing %v", conn.RemoteAddr())
+			g.Logf("gateway: accept queue full, fast-failing %v", conn.RemoteAddr())
 			select {
 			case g.rejecting <- struct{}{}:
 				go func(c net.Conn) {
@@ -437,64 +437,94 @@ func (g *Gateway) Listen(addr string) (string, error) {
 	}
 	go func() {
 		if err := g.Serve(ln); err != nil {
-			g.logfSampled("gateway: serve: %v", err)
+			g.Logf("gateway: serve: %v", err)
 		}
 	}()
 	return ln.Addr().String(), nil
 }
 
+// settleWait bounds how long Drain and Close wait, once the wrapped
+// server has cut its sessions, for the SessionClose hooks that settle
+// their final fees before the ledger closes. A cut session's hook runs
+// after its in-flight handlers return, so this is the time a handler
+// may take to finish.
+const settleWait = 5 * time.Second
+
 // Drain shuts the gateway down gracefully: the listener closes and new
 // admissions are refused with a typed draining rejection, in-flight
-// requests run to completion under the wrapped server's Drain, final
-// fee deltas settle into the ledger as sessions close, and the metrics
-// sidecar (if any) stops last so the drain itself is observable.
+// requests run to completion under the wrapped server's Drain, and
+// final fee deltas settle into the ledger as sessions close. Sessions
+// still busy at the timeout are cut; Drain waits up to settleWait more
+// for their fees to settle, then closes the ledger. A metrics sidecar
+// (package gateway/sidecar) keeps serving, /healthz reading 503, until
+// its owner closes it after Drain returns.
+//
+// A zero timeout cuts busy sessions by design, so the wrapped server's
+// report of them is not an error then; what is still reported is a
+// session that did not settle in time (its final fees miss the ledger)
+// and a ledger that failed to close.
 func (g *Gateway) Drain(timeout time.Duration) error {
 	g.mu.Lock()
 	g.draining = true
+	g.signalSettledLocked()
 	ln := g.ln
 	g.mu.Unlock()
 	if ln != nil {
 		_ = ln.Close()
 	}
 	err := g.Server.Drain(timeout)
-	g.shutdownHTTP()
-	if cerr := g.ledger.Close(); err == nil {
-		err = cerr
+	if timeout <= 0 {
+		err = nil
 	}
-	return err
+	wait := time.NewTimer(settleWait)
+	select {
+	case <-g.settled:
+	case <-wait.C:
+		active, _ := g.occupancy()
+		err = errors.Join(err, fmt.Errorf("gateway: %d session(s) unsettled %v after the cut; their final fees miss the ledger", active, settleWait))
+	}
+	wait.Stop()
+	return errors.Join(err, g.ledger.Close())
 }
 
-// Close stops the gateway immediately (no drain).
+// Close stops the gateway at once: it is Drain with a zero timeout.
+// Every live session is cut, busy or not, no session serves another
+// call, and Close waits up to settleWait for the cut sessions' fees to
+// settle before it closes the ledger, so the ledger file still sums to
+// the meters.
 func (g *Gateway) Close() error {
-	g.mu.Lock()
-	g.closed = true
-	ln := g.ln
-	g.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	err := g.Server.Close()
-	g.shutdownHTTP()
-	if cerr := g.ledger.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return g.Drain(0)
 }
 
-// Draining reports whether a graceful drain has begun.
+// signalSettledLocked closes g.settled, once, when the gateway is
+// stopping and every admitted session has run its SessionClose hook.
+// Admission stops for good when draining is set, so the gauge does not
+// rise again. Callers hold g.mu.
+func (g *Gateway) signalSettledLocked() {
+	if !g.draining || g.admitted != 0 {
+		return
+	}
+	select {
+	case <-g.settled:
+	default:
+		close(g.settled)
+	}
+}
+
+// Draining reports whether Drain or Close has begun.
 func (g *Gateway) Draining() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.draining
 }
 
-// logfSampled logs through Config.Logf at most logBurstPerSec lines
-// per second — a reject storm must not turn the gateway's own log into
-// the bottleneck (the wrapped rmi.Server samples its log the same
-// way).
+// Logf logs through Config.Logf at most logBurstPerSec lines per
+// second — a reject storm must not turn the gateway's own log into the
+// bottleneck (the wrapped rmi.Server samples its log the same way).
+// Companions such as the metrics sidecar log through it too.
 const logBurstPerSec = 20
 
-func (g *Gateway) logfSampled(format string, args ...any) {
+func (g *Gateway) Logf(format string, args ...any) {
 	if g.cfg.Logf == nil {
 		return
 	}

@@ -4,12 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"net"
-	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -271,18 +267,14 @@ func TestQuotaExhaustionMidPipeline(t *testing.T) {
 	}
 }
 
-// TestMetricsLedgerReconcile: after real traffic, the in-memory meter,
-// the persisted ledger file, and the exported metrics all agree on
-// every tenant's fees, and the sidecar serves healthz/metrics/pprof.
+// TestMetricsLedgerReconcile: after real traffic, the in-memory meter
+// and the persisted ledger file agree on every tenant's fees. The HTTP
+// half (healthz, /metrics, pprof) is sidecar.TestSidecarEndpoints.
 func TestMetricsLedgerReconcile(t *testing.T) {
 	leakcheck.Check(t)
 	ledgerPath := t.TempDir() + "/ledger.tsv"
 	g, addr, keys := startGateway(t, Config{MaxSessions: 8, LedgerPath: ledgerPath},
 		TenantSpec{Name: "alpha"}, TenantSpec{Name: "beta"})
-	maddr, err := g.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, tenant := range []string{"alpha", "beta", "alpha"} {
 		cli := dial(t, addr, tenant, keys[tenant])
@@ -319,35 +311,52 @@ func TestMetricsLedgerReconcile(t *testing.T) {
 			t.Fatalf("tenant %s: ledger sum %.9f != meter %.9f", tenant, g.Ledger().Sum(tenant), m.FeeCents)
 		}
 	}
+}
 
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + maddr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+// TestCloseSettlesLedger: Close cuts a live session, so it serves no
+// further call, and waits for the session's final fees to settle before
+// it closes the ledger: the ledger file sums to the meter and no append
+// failed.
+func TestCloseSettlesLedger(t *testing.T) {
+	leakcheck.Check(t)
+	ledgerPath := t.TempDir() + "/ledger.tsv"
+	g, addr, keys := startGateway(t, Config{MaxSessions: 4, LedgerPath: ledgerPath},
+		TenantSpec{Name: "alpha"})
+	const width = 4
+	inst, err := iplib.NewIPClient(dial(t, addr, "alpha", keys["alpha"])).Bind("MultFastLowPower", width, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]signal.Bit, 2*width)
+	if _, err := inst.Eval(in); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := inst.Eval(in); err == nil {
+			t.Fatalf("eval %d after Close succeeded", i)
 		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
 	}
-	if code, body := get("/healthz"); code != http.StatusOK || !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz = %d %q", code, body)
+
+	entries, err := ReadLedger(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	code, body := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics = %d", code)
+	var sum float64
+	for _, e := range entries {
+		sum += e.Cents
 	}
-	for _, want := range []string{
-		"gocad_gateway_admissions_total 3",
-		fmt.Sprintf("gocad_gateway_ledger_entries_total %d", len(entries)),
-		`gocad_gateway_tenant_fee_cents_total{tenant="alpha"}`,
-		"gocad_gateway_frame_latency_seconds_count",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	m, _ := g.MeterFor("alpha")
+	if m.FeeCents <= 0 {
+		t.Fatal("tenant metered no fees")
 	}
-	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
-		t.Errorf("/debug/pprof/cmdline = %d", code)
+	if math.Abs(sum-m.FeeCents) > 1e-9 {
+		t.Fatalf("ledger file %.9f != meter %.9f", sum, m.FeeCents)
+	}
+	if n := g.metrics.ledgerErrs.Load(); n != 0 {
+		t.Fatalf("%d ledger append(s) failed", n)
 	}
 }
 

@@ -58,6 +58,33 @@ func TestNoGobImports(t *testing.T) {
 	}
 }
 
+// TestNoHTTPInServingCore keeps the HTTP stack out of the packages a
+// provider or a benchmark embeds: only gateway/sidecar serves HTTP, so a
+// program that links the gateway without it does not link and
+// initialise net/http, TLS or pprof (DESIGN.md §15.5). Test files are
+// not checked.
+func TestNoHTTPInServingCore(t *testing.T) {
+	forbidden := map[string]bool{"net/http": true, "net/http/pprof": true, "crypto/tls": true}
+	for _, pkg := range []string{
+		"repro/internal/gateway", "repro/internal/core", "repro/internal/fault",
+		"repro/internal/provider", "repro/internal/rmi",
+	} {
+		out, err := exec.Command("go", "list", "-deps", pkg).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", pkg, err)
+		}
+		deps := strings.Fields(string(out))
+		if len(deps) < 10 {
+			t.Fatalf("%s: suspiciously few dependencies listed: %d", pkg, len(deps))
+		}
+		for _, dep := range deps {
+			if forbidden[dep] {
+				t.Errorf("%s depends on %s", pkg, dep)
+			}
+		}
+	}
+}
+
 // TestSuiteComplete pins the analyzer roster so a dropped registration
 // fails loudly instead of silently weakening CI.
 func TestSuiteComplete(t *testing.T) {
