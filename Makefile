@@ -10,7 +10,7 @@ BENCHDATE := $(shell date +%Y-%m-%d)
 # sees identical to the conditions the benchmarks measure.
 BENCH_GOFLAGS ?=
 
-.PHONY: all build test race fuzz vet lint vuln bench benchgate smoke-bench loadgen profile chaos ci clean
+.PHONY: all build test race fuzz vet lint loc vuln bench benchgate smoke-bench loadgen profile chaos ci clean
 
 all: build test
 
@@ -36,6 +36,13 @@ vet:
 lint:
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) run ./cmd/gocad-lint -timings ./...
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestNoHTTPInServingCore|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/ ./internal/ppp/ ./internal/wire/
+
+# Non-test Go lines, testdata/ and .bench_build/ excluded: the one
+# reproducible size count for changes that delete code. Information
+# only, never a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 cat | wc -l | awk '{print "non-test Go lines:", $$1}'
 
 # Non-blocking dependency-vulnerability advisory; skipped silently when
 # govulncheck is not installed (it is not vendored).
@@ -77,7 +84,7 @@ fuzz:
 
 # Deterministic chaos sweep under the race detector: seeded replica
 # fault schedules (kill, partition, slow-drip, flap) across replica
-# counts, pipeline depths and cache settings, every cell asserting
+# counts and pipeline depths, every cell asserting
 # bit-identical results while one replica stays healthy and explicit
 # degradation when none does. The Faulted tests kill one provider
 # connection at scripted writes and assert the session replay heals it
@@ -124,7 +131,7 @@ smoke-bench:
 loadgen:
 	$(GO) run ./cmd/gocad-loadgen -selftest
 
-ci: build vet lint test race chaos fuzz smoke-bench loadgen benchgate vuln
+ci: build vet loc lint test race chaos fuzz smoke-bench loadgen benchgate vuln
 
 clean:
 	$(GO) clean ./...

@@ -388,46 +388,6 @@ func BenchmarkRMIPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimationCacheRepeatedRuns quantifies the content-addressed
-// estimation cache on the repeated-stimulus workload it targets (same
-// seed, same design — the Table 2 grid re-running a cell): with a shared
-// warm cache every batch is served locally. The hit-rate metric is the
-// fraction of batch lookups that stayed off the wire.
-func BenchmarkEstimationCacheRepeatedRuns(b *testing.B) {
-	base := core.DefaultConfig()
-	base.Width = 8
-	base.Patterns = 20
-	base.Profile = netsim.Profile{Name: "bench-wan", OneWay: 2 * time.Millisecond}
-	b.Run("cache=off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(core.EstimatorRemote, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cache=shared", func(b *testing.B) {
-		cfg := base
-		cfg.Cache = core.NewEstimationCache()
-		if _, err := core.Run(core.EstimatorRemote, cfg); err != nil { // warm the cache
-			b.Fatal(err)
-		}
-		var hits, lookups int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := core.Run(core.EstimatorRemote, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hits += res.CacheHits
-			lookups += res.CacheHits + res.CacheMisses
-		}
-		b.StopTimer()
-		if lookups > 0 {
-			b.ReportMetric(float64(hits)/float64(lookups), "hit-rate")
-		}
-	})
-}
-
 // BenchmarkFigure2Simulation measures the AL design end to end per
 // pattern (the kernel + module-library cost under Table 2's AL row).
 func BenchmarkFigure2Simulation(b *testing.B) {

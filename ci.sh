@@ -12,6 +12,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> make loc (information, not a gate)"
+make loc
+
 echo "==> make lint (DESIGN.md §8 + §13 invariants, 6 analyzers, plus the repo-clean and golden gates)"
 # GOFLAGS is BENCH_GOFLAGS, the flags `make bench` and `make profile`
 # use, so the noalloc analyzer's `go build -gcflags=-m` matches

@@ -9,10 +9,8 @@
 //
 // Scale flags (-width, -patterns, -buffer) default to the paper's
 // parameters (16-bit multiplier, 100 random patterns, buffer 5).
-// Transport knobs: -inflight bounds RMI pipelining (1 = stop-and-wait
-// baseline) and -est-cache shares a content-addressed estimation cache
-// across Table 2 rows and Figure 3 sweep points so repeat batches skip
-// the wire; results are bit-identical either way.
+// Transport knob: -inflight bounds RMI pipelining (1 = stop-and-wait
+// baseline); results are bit-identical at any depth.
 package main
 
 import (
@@ -38,7 +36,6 @@ func main() {
 		buffer   = flag.Int("buffer", 5, "remote-estimation pattern buffer size")
 		workers  = flag.Int("workers", 0, "worker pool size for experiment fan-out (0 = one per CPU, 1 = serial)")
 		inflight = flag.Int("inflight", 0, "max pipelined RMI calls in flight (0 = default, 1 = stop-and-wait)")
-		estcache = flag.Bool("est-cache", false, "share a content-addressed estimation cache across runs (quantifies repeat-batch savings)")
 	)
 	flag.Parse()
 	if !(*table1 || *table2 || *figure3 || *figure4 || *all) {
@@ -48,21 +45,14 @@ func main() {
 	if *all {
 		*table1, *table2, *figure3, *figure4 = true, true, true, true
 	}
-	var cache *core.EstimationCache
-	if *estcache {
-		// One cache across every run: later rows and sweep points replay
-		// the pattern histories of earlier ones, so the shared cache
-		// shows the steady-state hit rate a long session would see.
-		cache = core.NewEstimationCache()
-	}
 	if *table1 {
 		runTable1(*width)
 	}
 	if *table2 {
-		runTable2(*width, *patterns, *buffer, *workers, *inflight, cache)
+		runTable2(*width, *patterns, *buffer, *workers, *inflight)
 	}
 	if *figure3 {
-		runFigure3(*width, *patterns, *workers, *inflight, cache)
+		runFigure3(*width, *patterns, *workers, *inflight)
 	}
 	if *figure4 {
 		runFigure4()
@@ -93,14 +83,13 @@ func runTable1(width int) {
 	fmt.Println()
 }
 
-func runTable2(width, patterns, buffer, workers, inflight int, cache *core.EstimationCache) {
+func runTable2(width, patterns, buffer, workers, inflight int) {
 	cfg := core.DefaultConfig()
 	cfg.Width = width
 	cfg.Patterns = patterns
 	cfg.BufferSize = buffer
 	cfg.Workers = workers
 	cfg.InFlight = inflight
-	cfg.Cache = cache
 	rows, err := core.RunTable2(cfg)
 	if err != nil {
 		fatal(err)
@@ -117,22 +106,7 @@ func runTable2(width, patterns, buffer, workers, inflight int, cache *core.Estim
 			scenarioName(r), host, r.CPUTime.Round(10e3), r.RealTime.Round(10e3), r.Calls, r.Bytes, r.FeesCents)
 	}
 	w.Flush()
-	printCache(cache)
 	fmt.Println()
-}
-
-// printCache summarizes a shared estimation cache after an experiment.
-func printCache(cache *core.EstimationCache) {
-	if cache == nil {
-		return
-	}
-	hits, misses := cache.Hits(), cache.Misses()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	fmt.Printf("estimation cache: %d hits / %d lookups (%.0f%% hit rate), %d request bytes saved\n",
-		hits, hits+misses, 100*rate, cache.BytesSaved())
 }
 
 func scenarioName(r *core.Result) string {
@@ -147,13 +121,12 @@ func scenarioName(r *core.Result) string {
 	return r.Scenario.String()
 }
 
-func runFigure3(width, patterns, workers, inflight int, cache *core.EstimationCache) {
+func runFigure3(width, patterns, workers, inflight int) {
 	cfg := core.DefaultConfig()
 	cfg.Width = width
 	cfg.Patterns = patterns
 	cfg.Workers = workers
 	cfg.InFlight = inflight
-	cfg.Cache = cache
 	points, err := core.RunFigure3(cfg, nil)
 	if err != nil {
 		fatal(err)
@@ -165,7 +138,6 @@ func runFigure3(width, patterns, workers, inflight int, cache *core.EstimationCa
 		fmt.Fprintf(w, "%d\t%v\t%v\t%d\n", p.BufferPct, p.CPUTime.Round(10e3), p.RealTime.Round(10e3), p.Calls)
 	}
 	w.Flush()
-	printCache(cache)
 	fmt.Println()
 }
 

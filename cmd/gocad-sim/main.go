@@ -14,11 +14,9 @@
 // session is re-established and replayed after a reconnect, and if the
 // provider stays dead the run completes with degraded estimates.
 //
-// The performance knobs: -inflight bounds how many RMI calls pipeline on
+// The performance knob: -inflight bounds how many RMI calls pipeline on
 // the one connection (1 reproduces the stop-and-wait wire schedule, 0
-// picks the transport default), and -est-cache short-circuits repeated
-// estimation batches client-side with a content-addressed cache, skipping
-// the round trip entirely. Neither changes any estimate value.
+// picks the transport default). It changes no estimate value.
 //
 // The replication knob (-local only): -replicas N runs the design against
 // N equivalent in-process providers behind health-gated circuit breakers —
@@ -49,6 +47,7 @@ import (
 )
 
 func main() {
+	def := core.DefaultResilience()
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7999", "gocad-server address")
 		keyfile  = flag.String("keyfile", "gocad-key.hex", "hex session key file")
@@ -60,11 +59,10 @@ func main() {
 		remote   = flag.Bool("mr", false, "run the multiplier fully remote (MR) instead of ER")
 		local    = flag.Bool("local", false, "use an in-process provider instead of a server (reference run)")
 		blocking = flag.Bool("blocking", false, "block on each estimation batch (deterministic sample order)")
-		timeout  = flag.Duration("timeout", 2*time.Second, "per-call deadline (0 disables)")
-		retries  = flag.Int("retries", 4, "max attempts per idempotent call (1 disables retry)")
-		recover_ = flag.Bool("recover", true, "replay the session after an automatic reconnect")
+		timeout  = flag.Duration("timeout", def.Timeout, "per-call deadline (0 disables)")
+		retries  = flag.Int("retries", def.Retry.MaxAttempts, "max attempts per idempotent call (1 disables retry)")
+		recover_ = flag.Bool("recover", def.Recover, "replay the session after an automatic reconnect")
 		inflight = flag.Int("inflight", 0, "max pipelined RMI calls in flight (0 = default, 1 = stop-and-wait)")
-		estcache = flag.Bool("est-cache", false, "short-circuit repeated estimation batches with a content-addressed cache")
 		replicas = flag.Int("replicas", 1, "equivalent in-process provider replicas behind health-gated failover (requires -local)")
 	)
 	flag.Parse()
@@ -72,7 +70,7 @@ func main() {
 		fatal(errors.New("-replicas needs -local: a live deployment has one server address per process"))
 	}
 
-	retry := rmi.DefaultRetry
+	retry := def.Retry
 	retry.MaxAttempts = *retries
 	netProfile := netsim.ProfileByName(*profile)
 
@@ -177,9 +175,6 @@ func main() {
 	out := module.NewPrimaryOutput("OUT", 2**width, o)
 
 	est := core.NewRemotePowerEstimator(inst, offer, *buffer, !*blocking)
-	if *estcache {
-		est.EnableCache(core.NewEstimationCache())
-	}
 	var mult module.Module
 	if *remote {
 		rm, err := core.NewRemoteMult("MULT", *width, ar, br, o, inst)
@@ -227,10 +222,6 @@ func main() {
 	fmt.Printf("  CPU time %v, real time %v (blocked on network %v, %d calls, %d bytes)\n",
 		cpu.Round(time.Microsecond), real.Round(time.Microsecond),
 		meter.Blocked().Round(time.Microsecond), meter.Calls(), meter.Bytes())
-	if *estcache {
-		fmt.Printf("  estimation cache: %d hits, %d misses, %d request bytes saved\n",
-			rep.CacheHits, rep.CacheMisses, rep.CacheBytesSaved)
-	}
 	if rset != nil {
 		fmt.Printf("  replicas: %d failovers\n", meter.Failovers())
 		for i, st := range rset.Statuses() {

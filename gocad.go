@@ -221,9 +221,6 @@ type (
 	RemoteMult = core.RemoteMult
 	// RemotePowerEstimator is the buffered nonblocking remote estimator.
 	RemotePowerEstimator = core.RemotePowerEstimator
-	// EstimationCache is the client-side content-addressed cache remote
-	// estimators share via EnableCache.
-	EstimationCache = core.EstimationCache
 	// Connection is one authenticated client-provider session.
 	Connection = core.Connection
 	// NetworkProfile characterizes an emulated network environment.
@@ -242,7 +239,6 @@ var (
 	NewRemoteMult            = core.NewRemoteMult
 	NewRemoteEstimator       = core.NewRemotePowerEstimator
 	NewRemoteTimingEstimator = core.NewRemoteTimingEstimator
-	NewEstimationCache       = core.NewEstimationCache
 )
 
 // Emulated network environments.

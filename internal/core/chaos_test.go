@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -69,9 +70,10 @@ func assertSameRun(t *testing.T, base, got *Result) {
 
 // TestChaosSweepBitIdentical is the tentpole's acceptance sweep: seeded
 // fault schedules (kill, partition, slow-drip, flap) across replica
-// counts, pipeline depths, and cache settings, every cell asserting the
-// run heals through failover with results bit-identical to the clean
-// single-provider baseline.
+// counts and pipeline depths, every cell asserting the run heals through
+// failover with results bit-identical to the clean single-provider
+// baseline. The "nocache" leaf in the cell names dates from a swept
+// estimation cache and keeps each cell's name stable.
 func TestChaosSweepBitIdentical(t *testing.T) {
 	leakcheck.Check(t)
 	base, err := Run(EstimatorRemote, chaosCfg(1, 1))
@@ -84,30 +86,58 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, replicas := range []int{2, 3} {
 			for _, inflight := range []int{1, 8} {
-				for _, cached := range []bool{false, true} {
-					name := map[bool]string{false: "nocache", true: "cache"}[cached]
-					t.Run(map[int]string{1: "depth1", 8: "depth8"}[inflight]+"/"+name, func(t *testing.T) {
-						cfg := chaosCfg(replicas, inflight)
-						cfg.Seed = int64(seed) // vary the stimulus with the schedule
-						cfg.ReplicaDialers = chaosDialers(seed)
-						if cached {
-							cfg.Cache = NewEstimationCache()
-						}
-						baseCfg := chaosCfg(1, 1)
-						baseCfg.Seed = int64(seed)
-						b, err := Run(EstimatorRemote, baseCfg)
-						if err != nil {
-							t.Fatalf("seeded baseline: %v", err)
-						}
-						res, err := Run(EstimatorRemote, cfg)
-						if err != nil {
-							t.Fatalf("chaos run (seed %d, %d replicas): %v", seed, replicas, err)
-						}
-						assertSameRun(t, b, res)
-					})
-				}
+				t.Run(map[int]string{1: "depth1", 8: "depth8"}[inflight]+"/nocache", func(t *testing.T) {
+					cfg := chaosCfg(replicas, inflight)
+					cfg.Seed = int64(seed) // vary the stimulus with the schedule
+					cfg.ReplicaDialers = chaosDialers(seed)
+					baseCfg := chaosCfg(1, 1)
+					baseCfg.Seed = int64(seed)
+					b, err := Run(EstimatorRemote, baseCfg)
+					if err != nil {
+						t.Fatalf("seeded baseline: %v", err)
+					}
+					res, err := Run(EstimatorRemote, cfg)
+					if err != nil {
+						t.Fatalf("chaos run (seed %d, %d replicas): %v", seed, replicas, err)
+					}
+					assertSameRun(t, b, res)
+				})
 			}
 		}
+	}
+}
+
+// TestPatternLogReplaysAcrossHealedFailover kills the first of two
+// replicas mid-run (connection reset after five writes, redials
+// refused). The rmi layer heals the loss by failing over and replaying
+// the session there, the estimator's pattern log included, so the run
+// must not degrade and its values must match a clean run bit for bit.
+func TestPatternLogReplaysAcrossHealedFailover(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Width = 8
+	cfg.Patterns = 30
+	_, plainSamples := scenarioSamples(t, cfg)
+
+	failCfg := chaosCfg(2, 8)
+	failCfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
+		cs := netsim.ScriptedSchedule(1,
+			netsim.ReplicaScript{Kind: netsim.ChaosKill, Plan: netsim.ResetAfterWrites(5), RefuseFrom: 1},
+			netsim.ReplicaScript{Kind: netsim.ChaosNone, RefuseFrom: -1},
+		)
+		return []func() (net.Conn, error){
+			cs.Dialer(0, PipeDialer(provs[0])),
+			cs.Dialer(1, PipeDialer(provs[1])),
+		}
+	}
+	res, samples := scenarioSamples(t, failCfg)
+	if res.Failovers < 1 {
+		t.Fatalf("failovers = %d; the scripted kill never forced one", res.Failovers)
+	}
+	if res.Power.Degraded {
+		t.Fatal("healed failover degraded the run")
+	}
+	if !reflect.DeepEqual(plainSamples, samples) {
+		t.Error("failover run's values diverged from the clean run")
 	}
 }
 

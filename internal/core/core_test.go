@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -257,6 +258,66 @@ func TestNonblockingHidesLatency(t *testing.T) {
 	}
 	if nonblocking.DrainTime == 0 {
 		t.Error("nonblocking run recorded no drain phase")
+	}
+}
+
+// TestBackpressureCountsAsBlocked: once the ordered dispatcher's queue
+// is full, each further batch stalls the simulation thread until a slot
+// frees, which is a wait on the network. CPUTime must leave that wait
+// out. Forty single-pattern batches over a 2 ms round trip overfill the
+// 16-deep queue, so the event-processing phase lasts tens of
+// milliseconds while its computation takes a few.
+func TestBackpressureCountsAsBlocked(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Patterns = 40
+	cfg.BufferSize = 1
+	cfg.SkipCompute = true
+	cfg.Profile = netsim.Profile{Name: "test-1ms", OneWay: time.Millisecond}
+	res, err := Run(EstimatorRemote, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimTime < 20*time.Millisecond {
+		t.Fatalf("sim phase %v: the queue never filled, test premise broken", res.SimTime)
+	}
+	if res.CPUTime*2 >= res.SimTime {
+		t.Errorf("CPU time %v within a factor 2 of the %v sim phase: the waits on the full queue counted as CPU",
+			res.CPUTime, res.SimTime)
+	}
+}
+
+// scenarioSamples runs one ER scenario and returns its power samples.
+func scenarioSamples(t *testing.T, cfg Config) (*Result, []float64) {
+	t.Helper()
+	res, err := Run(EstimatorRemote, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Power == nil || len(res.Power.Samples) == 0 {
+		t.Fatal("scenario produced no power samples")
+	}
+	return res, res.Power.Samples
+}
+
+// TestScenarioDeterministicAcrossDepths is the pipelining half of the
+// determinism contract: the ER scenario's power values and product count
+// must be bit-identical whether the transport runs stop-and-wait
+// (depth 1) or deeply pipelined.
+func TestScenarioDeterministicAcrossDepths(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Width = 8
+	cfg.Patterns = 20
+	cfg.InFlight = 1
+	ref, refSamples := scenarioSamples(t, cfg)
+	for _, depth := range []int{8, 32} {
+		cfg.InFlight = depth
+		res, samples := scenarioSamples(t, cfg)
+		if !reflect.DeepEqual(refSamples, samples) {
+			t.Errorf("depth %d: samples diverged from depth 1", depth)
+		}
+		if res.Products != ref.Products {
+			t.Errorf("depth %d: products = %d, want %d", depth, res.Products, ref.Products)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -212,5 +213,46 @@ func TestTable2GridComplete(t *testing.T) {
 	}
 	if count[EstimatorRemote] != 3 || count[MultiplierRemote] != 3 {
 		t.Errorf("grid coverage = %v", count)
+	}
+}
+
+// TestTable2DeterministicAcrossWorkersAndDepth extends the parallel
+// experiment driver's determinism contract to the transport depth: the
+// full Table 2 grid must produce identical per-cell power values and
+// product counts whether run serially at depth 1 or on 4 workers with a
+// deep pipeline.
+func TestTable2DeterministicAcrossWorkersAndDepth(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Width = 8
+	cfg.Patterns = 10
+	cfg.Workers = 1
+	cfg.InFlight = 1
+	serial, err := RunTable2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 4
+	cfg.InFlight = 16
+	deep, err := RunTable2(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) != len(deep) {
+		t.Fatalf("row counts differ: %d vs %d", len(serial), len(deep))
+	}
+	for i := range serial {
+		if serial[i].Products != deep[i].Products {
+			t.Errorf("row %d: products %d vs %d", i, serial[i].Products, deep[i].Products)
+		}
+		var a, b []float64
+		if serial[i].Power != nil {
+			a = serial[i].Power.Samples
+		}
+		if deep[i].Power != nil {
+			b = deep[i].Power.Samples
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("row %d: power samples diverged across workers/depth", i)
+		}
 	}
 }

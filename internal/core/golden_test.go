@@ -20,11 +20,11 @@ const goldenFingerprints = "testdata/golden/fingerprints.txt"
 
 // fingerprintCorpus renders Result.Fingerprint for a fixed set of runs:
 // the three local-host Table 2 rows at DefaultConfig, AL at smallConfig,
-// then ER and MR at smallConfig across pipeline depth {1, 8} and
-// estimation cache {none, cold, warm} — the knobs that reshape wire
-// traffic. A warm run reuses the cache its cold twin just filled. Any
-// change to the wire protocol or the remote estimation path must leave
-// this text unchanged.
+// then ER and MR at smallConfig across pipeline depth {1, 8}, the knob
+// that reshapes wire traffic. The "/cache=none" suffix of those labels
+// dates from a swept estimation cache; it stays so every row keeps its
+// name. Any change to the wire protocol or the remote estimation path
+// must leave this text unchanged.
 func fingerprintCorpus(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -54,13 +54,9 @@ func fingerprintCorpus(t *testing.T) []byte {
 		scenario Scenario
 	}{{"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
 		for _, depth := range []int{1, 8} {
-			label := fmt.Sprintf("small/%s/inflight=%d", sc.name, depth)
 			cfg := smallConfig()
 			cfg.InFlight = depth
-			emit(label+"/cache=none", sc.scenario, cfg)
-			cfg.Cache = NewEstimationCache()
-			emit(label+"/cache=cold", sc.scenario, cfg)
-			emit(label+"/cache=warm", sc.scenario, cfg)
+			emit(smallRowLabel(sc.name, depth), sc.scenario, cfg)
 		}
 	}
 	return buf.Bytes()
@@ -75,13 +71,11 @@ func TestGoldenFingerprints(t *testing.T) {
 }
 
 // TestCodecParityMatrix keeps the cell names of the parity matrix that
-// once varied the wire codec and the shard engine. Both are gone, so
-// each (scenario, depth, cache) point names four sequential repeat runs
-// of one configuration; every run must reproduce its pinned row of
-// testdata/golden/fingerprints.txt (all AL cells the small/AL row, the
-// ER and MR cells small/<scenario>/inflight=<depth>/cache={none,cold}).
-// A cached cell gets a fresh cache, so it covers the cold path; the warm
-// path is TestCodecParityWarmCache.
+// once varied the wire codec, the shard engine and an estimation cache.
+// All three are gone, so each (scenario, depth) point names four
+// sequential repeat runs of one configuration; every run must reproduce
+// its pinned row of testdata/golden/fingerprints.txt (all AL cells the
+// small/AL row, the ER and MR cells small/<scenario>/inflight=<depth>/cache=none).
 func TestCodecParityMatrix(t *testing.T) {
 	want := readGoldenPrints(t, goldenFingerprints)
 	for _, sc := range []struct {
@@ -89,68 +83,38 @@ func TestCodecParityMatrix(t *testing.T) {
 		scenario Scenario
 	}{{"AL", AllLocal}, {"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
 		for _, depth := range []int{1, 8} {
-			for _, cached := range []bool{false, true} {
-				for _, shards := range []int{1, 4} {
-					for _, workers := range []int{1, 0} {
-						name := fmt.Sprintf("%s/depth=%d/cache=%v/shards=%d/workers=%d",
-							sc.name, depth, cached, shards, workers)
-						t.Run(name, func(t *testing.T) {
-							cfg := smallConfig()
-							cfg.InFlight = depth
-							if cached {
-								cfg.Cache = NewEstimationCache()
-							}
-							res, err := Run(sc.scenario, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							checkGoldenPrint(t, want, smallRowLabel(sc.name, depth, cached), res.Fingerprint())
-						})
-					}
+			for _, shards := range []int{1, 4} {
+				for _, workers := range []int{1, 0} {
+					name := fmt.Sprintf("%s/depth=%d/cache=false/shards=%d/workers=%d",
+						sc.name, depth, shards, workers)
+					t.Run(name, func(t *testing.T) {
+						cfg := smallConfig()
+						cfg.InFlight = depth
+						res, err := Run(sc.scenario, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkGoldenPrint(t, want, smallRowLabel(sc.name, depth), res.Fingerprint())
+					})
 				}
 			}
 		}
 	}
 }
 
-// smallRowLabel names the fingerprints.txt row of a smallConfig run
-// without a warm cache.
-func smallRowLabel(scenario string, depth int, cached bool) string {
+// smallRowLabel names the fingerprints.txt row of a smallConfig run.
+func smallRowLabel(scenario string, depth int) string {
 	if scenario == "AL" {
 		return "small/AL"
 	}
-	cache := "none"
-	if cached {
-		cache = "cold"
-	}
-	return fmt.Sprintf("small/%s/inflight=%d/cache=%s", scenario, depth, cache)
-}
-
-// TestCodecParityWarmCache covers the warm-cache wire path: a second run
-// against an already-warmed shared cache serves estimation batches off
-// the cache instead of the provider, and that reshaped traffic must
-// still reproduce the pinned small/ER/inflight=1/cache=warm row.
-func TestCodecParityWarmCache(t *testing.T) {
-	want := readGoldenPrints(t, goldenFingerprints)
-	cfg := smallConfig()
-	cfg.InFlight = 1
-	cfg.Cache = NewEstimationCache()
-	if _, err := Run(EstimatorRemote, cfg); err != nil {
-		t.Fatalf("warmup: %v", err)
-	}
-	res, err := Run(EstimatorRemote, cfg)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	checkGoldenPrint(t, want, "small/ER/inflight=1/cache=warm", res.Fingerprint())
+	return fmt.Sprintf("small/%s/inflight=%d/cache=none", scenario, depth)
 }
 
 // TestGoldenRepeatRuns runs each small ER and MR row of
-// testdata/golden/fingerprints.txt without a warm cache — pipeline depth
-// {1, 8}, estimation cache {none, cold} — four times concurrently, and
-// requires every run to reproduce its pinned row. Each run builds its
-// own providers and, for a cold row, its own cache, so the runs share
-// nothing. The sequential repeats are the TestCodecParityMatrix cells.
+// testdata/golden/fingerprints.txt (pipeline depth {1, 8}) four times
+// concurrently, and requires every run to reproduce its pinned row. Each
+// run builds its own providers, so the runs share nothing. The
+// sequential repeats are the TestCodecParityMatrix cells.
 func TestGoldenRepeatRuns(t *testing.T) {
 	want := readGoldenPrints(t, goldenFingerprints)
 	for _, sc := range []struct {
@@ -158,34 +122,29 @@ func TestGoldenRepeatRuns(t *testing.T) {
 		scenario Scenario
 	}{{"ER", EstimatorRemote}, {"MR", MultiplierRemote}} {
 		for _, depth := range []int{1, 8} {
-			for _, cached := range []bool{false, true} {
-				label := smallRowLabel(sc.name, depth, cached)
-				t.Run(label, func(t *testing.T) {
-					prints := make([]string, 4)
-					var wg sync.WaitGroup
-					for i := range prints {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							cfg := smallConfig()
-							cfg.InFlight = depth
-							if cached {
-								cfg.Cache = NewEstimationCache()
-							}
-							res, err := Run(sc.scenario, cfg)
-							if err != nil {
-								t.Errorf("run %d: %v", i, err)
-								return
-							}
-							prints[i] = res.Fingerprint()
-						}()
-					}
-					wg.Wait()
-					for _, fp := range prints {
-						checkGoldenPrint(t, want, label, fp)
-					}
-				})
-			}
+			label := smallRowLabel(sc.name, depth)
+			t.Run(label, func(t *testing.T) {
+				prints := make([]string, 4)
+				var wg sync.WaitGroup
+				for i := range prints {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						cfg := smallConfig()
+						cfg.InFlight = depth
+						res, err := Run(sc.scenario, cfg)
+						if err != nil {
+							t.Errorf("run %d: %v", i, err)
+							return
+						}
+						prints[i] = res.Fingerprint()
+					}()
+				}
+				wg.Wait()
+				for _, fp := range prints {
+					checkGoldenPrint(t, want, label, fp)
+				}
+			})
 		}
 	}
 }

@@ -83,52 +83,23 @@ type RemotePowerEstimator struct {
 	dispatch func(batch [][]signal.Bit, skip bool) ([]float64, error)
 
 	// method names the remote batch method, power or timing; it selects
-	// the call execBatch makes and seeds the cache fingerprint. reqBuf is
-	// the scratch for the cache's bytes-saved accounting, reused under
-	// reqMu.
+	// the call execBatch makes.
 	method string
-	reqMu  sync.Mutex
-	reqBuf []byte
 
-	// Content-addressed estimation cache (EnableCache). The session
-	// carries this estimator's rolling history chain; cacheOff latches
-	// when a remote error leaves the provider's simulator state unknown —
-	// serving further hits against a diverged history would be unsound,
-	// and the latch is PERMANENT for the session: once a transmitted
-	// batch is lost, the provider-side history chain has irrecoverably
-	// diverged from ours, so no later provider state can be trusted to
-	// match our keys again. (Transport faults the rmi layer heals —
-	// retry, reconnect, session replay, replica failover — never surface
-	// here as errors and leave the cache armed.) cacheEpoch guards the
-	// window between a batch's preparation and its commit: a job prepared
-	// before a failure must not commit values computed after it.
-	cacheStore *EstimationCache
-	cache      *cacheSession
-	cacheOff   atomic.Bool
-	cacheEpoch atomic.Uint64
-	cacheHits  atomic.Int64
-	cacheMiss  atomic.Int64
-	cacheSaved atomic.Int64
-
-	// The pattern log, kept while a cache or session recovery is armed:
-	// estimates depend on history, so an instance that skipped patterns
-	// (cache hits, a reconnect's fresh session) must execute them before
-	// its next answer is right. cursor is the stream position the bound
-	// instance has executed up to, and log holds the stream from
-	// logBase: cursor, or 0 while recovering (fixed at construction),
-	// since a reconnect resets the instance to nothing. acked, the log
-	// end of the last reply, bounds the history a reconnect replays.
+	// The pattern log, kept only while session recovery is armed (fixed
+	// at construction): estimates depend on history, and a reconnect
+	// resets the bound instance to nothing, so its fresh session must
+	// re-drive the stream before the retried batch. acked, the log end of
+	// the last reply, bounds the history a reconnect replays.
 	logMu      sync.Mutex
 	log        [][]signal.Bit
-	logBase    int
-	cursor     int
 	acked      int
 	recovering bool
 
 	// Nonblocking batches flow through a single ordered dispatcher
 	// goroutine: batches reach the wire — and their results are recorded
 	// — in exactly the order the simulation produced them, so pipelined
-	// and cached runs are bit-identical to blocking stop-and-wait ones.
+	// runs are bit-identical to blocking stop-and-wait ones.
 	jobsOnce  sync.Once
 	jobsClose sync.Once
 	jobs      chan batchJob
@@ -145,23 +116,11 @@ type RemotePowerEstimator struct {
 }
 
 // batchJob is one unit of estimator dispatch work, prepared serially (so
-// the cache chain advances in simulation order) and executed either
-// inline (blocking mode) or by the ordered dispatcher (nonblocking).
+// the pattern log grows in simulation order) and executed either inline
+// (blocking mode) or by the ordered dispatcher (nonblocking).
 type batchJob struct {
-	// send is the pattern sequence to transmit — the batch, led by any
-	// catch-up prefix; nil for a pure cache hit.
-	send [][]signal.Bit
-	// vals are the locally resolved values of a cache hit.
-	vals []float64
-	// n is the batch's own pattern count: every reply keeps its trailing
-	// n values.
-	n int
-	// keys address the batch's values for cache commit.
-	keys []cacheKey
-	// epoch is the cache-consistency epoch the job was prepared under; a
-	// failed batch bumps the epoch, invalidating commits from jobs that
-	// straddle the failure.
-	epoch uint64
+	// batch is the pattern sequence to transmit.
+	batch [][]signal.Bit
 	// end is the log position just past the batch (0 when no log is
 	// kept); a reply acknowledges the log up to it.
 	end int
@@ -203,31 +162,6 @@ func (e *RemotePowerEstimator) history() [][]signal.Bit {
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
 	return e.log[:e.acked:e.acked]
-}
-
-// reqBytes returns the size of one batch's request payload in the binary
-// wire format: the payload tag byte plus the envelope's AppendTo
-// encoding. A cache hit counts these bytes as saved.
-func (e *RemotePowerEstimator) reqBytes(batch [][]signal.Bit) int {
-	req := iplib.BatchReq(e.method, e.inst.ID(), batch, false)
-	e.reqMu.Lock()
-	defer e.reqMu.Unlock()
-	e.reqBuf = req.AppendTo(e.reqBuf[:0])
-	return 1 + len(e.reqBuf)
-}
-
-// EnableCache attaches a shared content-addressed estimation cache. The
-// session chain is seeded with this estimator's setup fingerprint —
-// remote method, component, estimator offer, and width — so only runs
-// driving the same stimulus into the same setup share entries. Call
-// before the first Estimate; a nil store leaves caching disabled.
-func (e *RemotePowerEstimator) EnableCache(store *EstimationCache) {
-	if store == nil {
-		return
-	}
-	e.cacheStore = store
-	fp := fmt.Sprintf("%s|%s|%s|%d", e.method, e.inst.Component(), e.Name, e.inst.Width())
-	e.cache = store.newSession(fp)
 }
 
 // Estimate implements estim.Estimator: it snapshots the component's input
@@ -296,12 +230,12 @@ const dispatchQueueDepth = 16
 // holding the lock across it would stall every Estimate call — the
 // lockheld-rmi invariant. A nil batch is a no-op.
 //
-// The cache consult happens here, on the caller's goroutine, because
-// Estimate calls arrive in simulation order and the cache chain must
-// advance in that same order. The resulting job then executes inline
-// (blocking mode) or on the ordered dispatcher (nonblocking mode), which
-// preserves batch order end to end: values are recorded exactly as a
-// stop-and-wait run would record them.
+// The job is prepared here, on the caller's goroutine, because Estimate
+// calls arrive in simulation order and the pattern log must grow in that
+// same order. The job then executes inline (blocking mode) or on the
+// ordered dispatcher (nonblocking mode), which preserves batch order end
+// to end: values are recorded exactly as a stop-and-wait run would
+// record them.
 func (e *RemotePowerEstimator) dispatchTaken(batch [][]signal.Bit) {
 	if batch == nil {
 		return
@@ -312,62 +246,33 @@ func (e *RemotePowerEstimator) dispatchTaken(batch [][]signal.Bit) {
 		return
 	}
 	e.startDispatcher()
-	e.jobs <- job
+	select {
+	case e.jobs <- job:
+	default:
+		// The queue is full: the simulation thread now waits on the
+		// network like the drain does, so meter the wait as blocked time.
+		//lint:ignore simdeterminism backpressure is metered wall time for the CPU/real report split; it never feeds signal values.
+		start := time.Now()
+		e.jobs <- job
+		if m := e.inst.Meter(); m != nil {
+			m.AddBlocked(time.Since(start))
+		}
+	}
 }
 
-// prepareJob consults the estimation cache for one batch. On a full hit
-// the job carries the locally resolved values and nothing goes on the
-// wire; otherwise it transmits the batch led by the cache hits the
-// instance has not executed, so the provider's stateful simulator sees the
-// complete pattern history. With no cache or recovery, no log is kept.
+// prepareJob wraps one batch as a job. While recovering it first logs
+// the batch, so a reconnect can replay the history its reply
+// acknowledges; otherwise no log is kept.
 func (e *RemotePowerEstimator) prepareJob(batch [][]signal.Bit) batchJob {
-	j := batchJob{send: batch, n: len(batch), epoch: e.cacheEpoch.Load()}
-	if e.SkipCompute || (e.cache == nil && !e.recovering) {
+	j := batchJob{batch: batch}
+	if e.SkipCompute || !e.recovering {
 		return j
 	}
 	e.logMu.Lock()
 	e.log = append(e.log, batch...)
-	j.end = e.logBase + len(e.log)
+	j.end = len(e.log)
 	e.logMu.Unlock()
-	if e.cache != nil && !e.cacheOff.Load() {
-		vals, keys, hit := e.cache.lookup(batch)
-		if hit {
-			saved := e.reqBytes(batch)
-			e.cacheHits.Add(1)
-			e.cacheSaved.Add(int64(saved))
-			e.cacheStore.hits.Add(1)
-			e.cacheStore.saved.Add(int64(saved))
-			if m := e.inst.Meter(); m != nil {
-				m.AddCacheHit(saved)
-			}
-			return batchJob{vals: vals} // cursor stays behind the hit
-		}
-		e.cacheMiss.Add(1)
-		e.cacheStore.misses.Add(1)
-		if m := e.inst.Meter(); m != nil {
-			m.AddCacheMiss()
-		}
-		j.keys = keys
-	}
-	j.send = e.catchUp(j.end)
 	return j
-}
-
-// catchUp builds a miss's send: it returns log[cursor:end] and moves
-// the cursor to end. Unless recovering, it then trims the executed
-// patterns off the log's front. Sends and histories handed out stay
-// intact: the log never rewrites a slot, it only reslices its front and
-// appends at its end.
-func (e *RemotePowerEstimator) catchUp(end int) [][]signal.Bit {
-	e.logMu.Lock()
-	defer e.logMu.Unlock()
-	send := e.log[e.cursor-e.logBase : end-e.logBase : end-e.logBase]
-	e.cursor = end
-	if !e.recovering {
-		e.log = e.log[end-e.logBase:]
-		e.logBase = end
-	}
-	return send
 }
 
 // startDispatcher lazily launches the single ordered-dispatch goroutine.
@@ -387,30 +292,7 @@ func (e *RemotePowerEstimator) startDispatcher() {
 // the single dispatcher goroutine), so results append in batch order.
 func (e *RemotePowerEstimator) runJob(j batchJob) {
 	defer e.wg.Done()
-	if j.send == nil {
-		e.recordBatch(j.vals, nil)
-		return
-	}
-	vals, err := e.execBatch(j)
-	if err != nil {
-		// The provider's simulator state is now unknown relative to our
-		// history chain; later cache hits against it would be unsound —
-		// permanently, since a lost batch means the provider-side history
-		// can never re-converge with ours. The epoch bump additionally
-		// invalidates commits from already-prepared jobs that straddle
-		// this failure.
-		e.cacheOff.Store(true)
-		e.cacheEpoch.Add(1)
-		e.recordBatch(nil, err)
-		return
-	}
-	if k := len(vals) - j.n; k > 0 {
-		vals = vals[k:] // drop the catch-up values: they were served already
-	}
-	if e.cache != nil && len(j.keys) > 0 && !e.cacheOff.Load() && j.epoch == e.cacheEpoch.Load() {
-		e.cacheStore.commit(j.keys, vals)
-	}
-	e.recordBatch(vals, nil)
+	e.recordBatch(e.execBatch(j))
 }
 
 // recordBatch takes the lock and records one completed batch.
@@ -429,7 +311,7 @@ func (e *RemotePowerEstimator) recordBatch(vals []float64, err error) {
 // receive path, before this call returns and before any reconnect can
 // read history.
 func (e *RemotePowerEstimator) execBatch(j batchJob) ([]float64, error) {
-	batch := j.send
+	batch := j.batch
 	var ack func()
 	if e.recovering {
 		ack = func() {
@@ -537,13 +419,6 @@ type PowerReport struct {
 	// fell back; LostBatches counts the batches whose values were lost.
 	Degraded    bool
 	LostBatches int
-	// CacheHits/CacheMisses count batch lookups served locally versus sent
-	// remote when an estimation cache is enabled (both zero otherwise);
-	// CacheBytesSaved counts the request payload bytes the hits kept off
-	// the wire, sized in the wire-format-v1 payload encoding.
-	CacheHits       int64
-	CacheMisses     int64
-	CacheBytesSaved int64
 }
 
 // Report returns the accumulated remote estimates.
@@ -553,9 +428,6 @@ func (e *RemotePowerEstimator) Report() PowerReport {
 	r := PowerReport{
 		Samples: append([]float64(nil), e.results...), Sent: e.sent,
 		Degraded: e.degraded, LostBatches: e.lostBatches,
-		CacheHits:       e.cacheHits.Load(),
-		CacheMisses:     e.cacheMiss.Load(),
-		CacheBytesSaved: e.cacheSaved.Load(),
 	}
 	if len(r.Samples) > 1 {
 		sum := 0.0

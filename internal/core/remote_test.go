@@ -12,7 +12,6 @@ import (
 	"repro/internal/module"
 	"repro/internal/netsim"
 	"repro/internal/provider"
-	"repro/internal/rmi"
 	"repro/internal/signal"
 )
 
@@ -378,70 +377,10 @@ func TestFaultedBindReplaysAcrossConcurrentReconnect(t *testing.T) {
 	}
 }
 
-// TestCacheBytesSavedIsBinaryPayloadLength pins the bytes a cache hit
-// reports as saved to the length of the request payload the wire
-// would have carried: one tag byte plus the envelope's AppendTo
-// encoding.
-func TestCacheBytesSavedIsBinaryPayloadLength(t *testing.T) {
-	inst, _ := bindMult(t, 4)
-	for _, c := range []struct {
-		name  string
-		build func() *RemotePowerEstimator
-		req   func(batch [][]signal.Bit) any
-	}{
-		{"power", func() *RemotePowerEstimator {
-			return NewRemotePowerEstimator(inst, remoteOffer(t, inst), 2, false)
-		}, func(batch [][]signal.Bit) any {
-			return iplib.PowerBatchReq{Instance: inst.ID(), Patterns: batch}
-		}},
-		{"timing", func() *RemotePowerEstimator {
-			return NewRemoteTimingEstimator(inst, timingOffer(t, inst), 2, false)
-		}, func(batch [][]signal.Bit) any {
-			return iplib.TimingBatchReq{Instance: inst.ID(), Patterns: batch}
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			store := NewEstimationCache()
-			run := func() PowerReport {
-				e := c.build()
-				e.EnableCache(store)
-				for i := uint64(0); i < 6; i++ {
-					if _, err := e.Estimate(evalCtx(4, i, 15-i)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := e.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return e.Report()
-			}
-			if cold := run(); cold.CacheHits != 0 || cold.CacheBytesSaved != 0 {
-				t.Fatalf("cold run: %d hits, %d bytes saved", cold.CacheHits, cold.CacheBytesSaved)
-			}
-			warm := run()
-			want := 0
-			for i := uint64(0); i < 6; i += 2 {
-				batch := [][]signal.Bit{
-					wordsToBits(nil, signal.WordFromUint64(i, 4), signal.WordFromUint64(15-i, 4)),
-					wordsToBits(nil, signal.WordFromUint64(i+1, 4), signal.WordFromUint64(14-i, 4)),
-				}
-				payload, err := rmi.EncodePayload(c.req(batch))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want += len(payload)
-			}
-			if warm.CacheHits != 3 || warm.CacheBytesSaved != int64(want) {
-				t.Errorf("warm run: %d hits saving %d bytes, want 3 hits saving %d", warm.CacheHits, warm.CacheBytesSaved, want)
-			}
-		})
-	}
-}
-
 // TestRemoteEstimatorRejectsMiscountedReply: a batch reply whose value
-// count differs from the patterns sent fails the batch — it latches the
-// cache off and counts in Close's error — instead of recording samples
-// that shift every later one.
+// count differs from the patterns sent fails the batch — it counts in
+// Close's error — instead of recording samples that shift every later
+// one.
 func TestRemoteEstimatorRejectsMiscountedReply(t *testing.T) {
 	inst, _ := bindMult(t, 4)
 	for _, c := range []struct {
@@ -449,9 +388,7 @@ func TestRemoteEstimatorRejectsMiscountedReply(t *testing.T) {
 		delta int
 	}{{"short", -1}, {"long", 1}} {
 		t.Run(c.name, func(t *testing.T) {
-			store := NewEstimationCache()
 			e := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 2, false)
-			e.EnableCache(store)
 			e.dispatch = func(batch [][]signal.Bit, _ bool) ([]float64, error) {
 				return make([]float64, len(batch)+c.delta), nil
 			}
@@ -467,35 +404,24 @@ func TestRemoteEstimatorRejectsMiscountedReply(t *testing.T) {
 			if r := e.Report(); r.Sent != 6 || len(r.Samples) != 0 {
 				t.Errorf("sent %d, recorded %d samples; want 6 sent, none recorded", r.Sent, len(r.Samples))
 			}
-			if !e.cacheOff.Load() || store.Size() != 0 {
-				t.Errorf("cache armed=%v holding %d values after a miscounted reply", !e.cacheOff.Load(), store.Size())
-			}
 		})
 	}
 }
 
-// TestCatchUpLogAfterClose reads the pattern log after Close: it holds
-// exactly the patterns past the instance's cursor — nothing without a
-// cache, the hits since the last miss with one — and, under session
-// recovery, the whole stream, all of it acknowledged history. Six
-// patterns go out in batches of two; warmFrom caches the stream from a
-// given pattern on, so the batches before it miss and the rest hit.
+// TestCatchUpLogAfterClose reads the pattern log after Close. Session
+// recovery is its only user: without it the log stays empty, and with it
+// the log holds the whole stream, all of it acknowledged history. Six
+// patterns go out in batches of two.
 func TestCatchUpLogAfterClose(t *testing.T) {
 	leakcheck.Check(t)
-	stream := make([][]signal.Bit, 6)
-	for i := range stream {
-		stream[i] = wordsToBits(nil, signal.WordFromUint64(uint64(i), 4), signal.WordFromUint64(15-uint64(i), 4))
-	}
 	for _, c := range []struct {
-		name     string
-		warmFrom int  // -1: no cache
-		recover  bool // session recovery armed before the bind
-		want     int
-		history  int
+		name    string
+		recover bool // session recovery armed before the bind
+		want    int
+		history int
 	}{
-		{"none", -1, false, 0, 0},
-		{"cache", 2, false, 4, 0},
-		{"recover", -1, true, 6, 6},
+		{"none", false, 0, 0},
+		{"recover", true, 6, 6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inst, conn := bindMult(t, 4)
@@ -507,13 +433,6 @@ func TestCatchUpLogAfterClose(t *testing.T) {
 				}
 			}
 			e := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 2, false)
-			if c.warmFrom >= 0 {
-				store := NewEstimationCache()
-				e.EnableCache(store)
-				probe := *e.cache
-				_, keys, _ := probe.lookup(stream)
-				store.commit(keys[c.warmFrom:], make([]float64, len(stream)-c.warmFrom))
-			}
 			e.dispatch = func(batch [][]signal.Bit, _ bool) ([]float64, error) {
 				return make([]float64, len(batch)), nil
 			}
@@ -529,7 +448,7 @@ func TestCatchUpLogAfterClose(t *testing.T) {
 				t.Fatalf("recorded %d samples, want 6", n)
 			}
 			if got := len(e.log); got != c.want {
-				t.Errorf("log holds %d patterns after Close, want %d (cursor at %d)", got, c.want, e.cursor)
+				t.Errorf("log holds %d patterns after Close, want %d", got, c.want)
 			}
 			if got := len(e.history()); got != c.history {
 				t.Errorf("history holds %d patterns after Close, want %d", got, c.history)

@@ -122,12 +122,6 @@ type Meter struct {
 	calls   atomic.Int64
 	bytes   atomic.Int64
 
-	// Estimation-cache accounting: calls served locally from the
-	// content-addressed cache instead of crossing the wire.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	cacheSaved  atomic.Int64 // bytes that did not cross the wire
-
 	// Replication accounting: failovers to another replica.
 	failovers atomic.Int64
 }
@@ -137,16 +131,6 @@ func (m *Meter) AddBlocked(d time.Duration) { m.blocked.Add(int64(d)) }
 
 // AddCall records one completed call moving n bytes.
 func (m *Meter) AddCall(n int) { m.calls.Add(1); m.bytes.Add(int64(n)) }
-
-// AddCacheHit records one remote call avoided by the estimation cache,
-// with the approximate request bytes that stayed local.
-func (m *Meter) AddCacheHit(savedBytes int) {
-	m.cacheHits.Add(1)
-	m.cacheSaved.Add(int64(savedBytes))
-}
-
-// AddCacheMiss records one estimation-cache lookup that went remote.
-func (m *Meter) AddCacheMiss() { m.cacheMisses.Add(1) }
 
 // AddFailover records one replica failover (the session adopted a new
 // provider endpoint after the current one died).
@@ -161,16 +145,6 @@ func (m *Meter) Calls() int64 { return m.calls.Load() }
 // Bytes returns the total bytes transferred.
 func (m *Meter) Bytes() int64 { return m.bytes.Load() }
 
-// CacheHits returns the number of batches served from the cache.
-func (m *Meter) CacheHits() int64 { return m.cacheHits.Load() }
-
-// CacheMisses returns the number of batch lookups that went remote.
-func (m *Meter) CacheMisses() int64 { return m.cacheMisses.Load() }
-
-// CacheBytesSaved returns the approximate request bytes kept off the
-// wire by cache hits.
-func (m *Meter) CacheBytesSaved() int64 { return m.cacheSaved.Load() }
-
 // Failovers returns the number of replica failovers.
 func (m *Meter) Failovers() int64 { return m.failovers.Load() }
 
@@ -179,9 +153,6 @@ func (m *Meter) Reset() {
 	m.blocked.Store(0)
 	m.calls.Store(0)
 	m.bytes.Store(0)
-	m.cacheHits.Store(0)
-	m.cacheMisses.Store(0)
-	m.cacheSaved.Store(0)
 	m.failovers.Store(0)
 }
 
