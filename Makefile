@@ -89,10 +89,13 @@ fuzz:
 # degradation when none does. The Faulted tests kill one provider
 # connection at scripted writes and assert the session replay heals it
 # bit-identically. Seeded and bounded — a red run is a real regression,
-# never flake.
+# never flake. The stop-path sweep repeats every Drain, Close and Serve
+# test ten times: stop paths are where goroutine leaks and ordering
+# races hide, and one race-detector pass rarely catches them.
 chaos:
 	$(GO) test -race -count=1 -run='Chaos|CatchUp|Failover|Quorum|Faulted' ./internal/core/ ./internal/netsim/ ./internal/fault/
 	$(GO) test -race -count=1 ./internal/replica/
+	$(GO) test -race -count=10 -run='Drain|Close|Serve' ./internal/rmi/ ./internal/gateway/... ./internal/provider/
 
 # CPU and heap profiles of the hottest Table 2 scenario (MR on the
 # emulated-local profile: full simulator client, real RMI marshalling,

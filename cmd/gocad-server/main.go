@@ -140,9 +140,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gocad-server: metrics sidecar:", err)
 		}
 	}
-	if err := p.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "gocad-server: shutdown:", err)
-	}
 	fmt.Println("drained, exiting")
 }
 

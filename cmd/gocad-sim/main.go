@@ -198,6 +198,7 @@ func main() {
 		setup.MarkDegraded("MULT", est.Param, reason)
 	}
 
+	meter.Reset() // the catalogue and bind calls are not the run's traffic
 	start := time.Now()
 	stats := simu.Start(setup)
 	if stats.Err != nil {

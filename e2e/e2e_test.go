@@ -106,7 +106,9 @@ func runSim(t *testing.T, simBin string, args ...string) string {
 // gocad-server over localhost TCP, in both ER and MR configurations, and
 // asserts the reported simulation results are identical to a local-only
 // (in-process provider) run of the same design. -blocking keeps the
-// estimation batch order deterministic so the comparison is exact.
+// estimation batch order deterministic so the comparison is exact. The
+// ER local run's traffic line counts the measured window only: its 6
+// power batches, not the catalogue and bind calls before it.
 func TestDistributedRunMatchesLocal(t *testing.T) {
 	serverBin, simBin := buildTools(t)
 	addr, keyfile := startServer(t, serverBin)
@@ -133,6 +135,9 @@ func TestDistributedRunMatchesLocal(t *testing.T) {
 			}
 			if strings.Contains(remoteOut, "DEGRADED") {
 				t.Errorf("distributed run degraded:\n%s", remoteOut)
+			}
+			if mode.name == "ER" && !strings.Contains(localOut, ", 6 calls,") {
+				t.Errorf("local ER run should count its 6 batches as calls:\n%s", localOut)
 			}
 		})
 	}

@@ -235,7 +235,6 @@ var (
 	NewIPClient              = iplib.NewIPClient
 	NewFactoryRegistry       = iplib.NewFactoryRegistry
 	ConnectInProcess         = core.ConnectInProcess
-	ConnectTCP               = core.ConnectTCP
 	NewRemoteMult            = core.NewRemoteMult
 	NewRemoteEstimator       = core.NewRemotePowerEstimator
 	NewRemoteTimingEstimator = core.NewRemoteTimingEstimator

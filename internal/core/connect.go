@@ -167,29 +167,3 @@ func ConnectReplicated(ps []*provider.Provider, clientName string, profile netsi
 		close:  rpc.Close,
 	}, set, nil
 }
-
-// ConnectTCP wires a client to a provider over real loopback TCP — used
-// by the cmd/ tools when client and server run as separate processes.
-func ConnectTCP(p *provider.Provider, clientName string, profile netsim.Profile) (*Connection, error) {
-	key, err := security.NewKey()
-	if err != nil {
-		return nil, err
-	}
-	p.Authorize(clientName, key)
-	addr, err := p.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	rpc, err := rmi.Dial(addr, clientName, key)
-	if err != nil {
-		return nil, err
-	}
-	meter := &netsim.Meter{}
-	rpc.Profile = profile
-	rpc.Meter = meter
-	return &Connection{
-		Client: iplib.NewIPClient(rpc),
-		Meter:  meter,
-		close:  rpc.Close,
-	}, nil
-}

@@ -123,7 +123,6 @@ type Gateway struct {
 	tenants  map[string]*tenantState
 	admitted int  // reserved + open sessions (the MaxSessions gauge)
 	draining bool // set by Drain and Close; admission stops for good
-	settled  chan struct{}
 	ln       net.Listener
 
 	conns     chan struct{} // occupancy tokens: MaxSessions+AcceptQueue
@@ -149,7 +148,6 @@ func New(srv *rmi.Server, cfg Config) (*Gateway, error) {
 		now:     time.Now,
 		sleep:   time.Sleep,
 		tenants: make(map[string]*tenantState),
-		settled: make(chan struct{}),
 		conns:   make(chan struct{}, cfg.MaxSessions+cfg.AcceptQueue),
 		// The fast-reject lane costs one goroutine writing one frame per
 		// connection, so it is sized well past the serving capacity: a
@@ -304,7 +302,6 @@ func (g *Gateway) sessionClose(sess *rmi.Session) {
 	ts.mu.Unlock()
 	g.mu.Lock()
 	g.admitted--
-	g.signalSettledLocked()
 	g.mu.Unlock()
 }
 
@@ -443,72 +440,32 @@ func (g *Gateway) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// settleWait bounds how long Drain and Close wait, once the wrapped
-// server has cut its sessions, for the SessionClose hooks that settle
-// their final fees before the ledger closes. A cut session's hook runs
-// after its in-flight handlers return, so this is the time a handler
-// may take to finish.
-const settleWait = 5 * time.Second
-
 // Drain shuts the gateway down gracefully: the listener closes and new
 // admissions are refused with a typed draining rejection, in-flight
 // requests run to completion under the wrapped server's Drain, and
-// final fee deltas settle into the ledger as sessions close. Sessions
-// still busy at the timeout are cut; Drain waits up to settleWait more
-// for their fees to settle, then closes the ledger. A metrics sidecar
+// final fee deltas settle into the ledger as sessions close. The
+// wrapped server's Drain returns only once every session it cut has run
+// its SessionClose hook, or reports the ones that have not, so the
+// ledger closes after the last fee it can settle. A metrics sidecar
 // (package gateway/sidecar) keeps serving, /healthz reading 503, until
 // its owner closes it after Drain returns.
-//
-// A zero timeout cuts busy sessions by design, so the wrapped server's
-// report of them is not an error then; what is still reported is a
-// session that did not settle in time (its final fees miss the ledger)
-// and a ledger that failed to close.
 func (g *Gateway) Drain(timeout time.Duration) error {
 	g.mu.Lock()
 	g.draining = true
-	g.signalSettledLocked()
 	ln := g.ln
 	g.mu.Unlock()
 	if ln != nil {
 		_ = ln.Close()
 	}
-	err := g.Server.Drain(timeout)
-	if timeout <= 0 {
-		err = nil
-	}
-	wait := time.NewTimer(settleWait)
-	select {
-	case <-g.settled:
-	case <-wait.C:
-		active, _ := g.occupancy()
-		err = errors.Join(err, fmt.Errorf("gateway: %d session(s) unsettled %v after the cut; their final fees miss the ledger", active, settleWait))
-	}
-	wait.Stop()
-	return errors.Join(err, g.ledger.Close())
+	return errors.Join(g.Server.Drain(timeout), g.ledger.Close())
 }
 
 // Close stops the gateway at once: it is Drain with a zero timeout.
 // Every live session is cut, busy or not, no session serves another
-// call, and Close waits up to settleWait for the cut sessions' fees to
-// settle before it closes the ledger, so the ledger file still sums to
-// the meters.
+// call, and the cut sessions' fees settle before the ledger closes, so
+// the ledger file still sums to the meters.
 func (g *Gateway) Close() error {
 	return g.Drain(0)
-}
-
-// signalSettledLocked closes g.settled, once, when the gateway is
-// stopping and every admitted session has run its SessionClose hook.
-// Admission stops for good when draining is set, so the gauge does not
-// rise again. Callers hold g.mu.
-func (g *Gateway) signalSettledLocked() {
-	if !g.draining || g.admitted != 0 {
-		return
-	}
-	select {
-	case <-g.settled:
-	default:
-		close(g.settled)
-	}
 }
 
 // Draining reports whether Drain or Close has begun.

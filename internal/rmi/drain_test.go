@@ -2,6 +2,8 @@ package rmi
 
 import (
 	"errors"
+	"net"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,6 +174,60 @@ func TestDrainIdleServer(t *testing.T) {
 	}
 }
 
+// TestCloseStopsLiveSessions: Close is Drain with a zero timeout. It
+// cuts a live session, and when it returns the session's SessionClose
+// hook has run and the client's next call fails.
+func TestCloseStopsLiveSessions(t *testing.T) {
+	leakcheck.Check(t)
+	var closed atomic.Int32
+	hooks := &ServerHooks{SessionClose: func(*Session) {
+		time.Sleep(20 * time.Millisecond)
+		closed.Add(1)
+	}}
+	srv, cli, _ := newDrainPair(t, make(chan struct{}, 1), 0, hooks)
+	if err := cli.Call("echo", echoReq{Note: "x"}, &echoResp{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if n := closed.Load(); n != 1 {
+		t.Errorf("SessionClose finished %d times when Close returned, want 1", n)
+	}
+	if err := cli.Call("echo", echoReq{Note: "y"}, &echoResp{}); err == nil {
+		t.Error("call after Close succeeded")
+	}
+}
+
+// TestServeAfterClose: a Serve that starts after Close — Listen's
+// goroutine can lose that race — closes its listener and returns
+// instead of accepting forever.
+func TestServeAfterClose(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srv := NewServer("prov")
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln)
+	}()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve on a closed server did not return")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Accept after Serve returned: %v, want net.ErrClosed", err)
+	}
+}
+
 // TestAttemptAndEpochFailHooks pins the failover layer's two rmi seams:
 // OnAttempt sees every completed wire attempt with its outcome, and
 // OnEpochFail fires once per poisoned epoch — but never for the
@@ -235,4 +291,55 @@ func TestAttemptAndEpochFailHooks(t *testing.T) {
 	if len(epochFails) != 1 {
 		t.Fatalf("Close fired the epoch-fail hook: %v", epochFails)
 	}
+}
+
+// BenchmarkDrainAfterLastResponse measures how long Drain takes to
+// return once the last in-flight request of its one busy connection is
+// answered. Each iteration parks one call in its handler, starts Drain,
+// releases the handler, and times Drain's return from the moment the
+// handler returned. It reports the p50 and p99 of that latency.
+func BenchmarkDrainAfterLastResponse(b *testing.B) {
+	key, err := security.NewKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lat := make([]time.Duration, 0, b.N)
+	for i := 0; i < b.N; i++ {
+		srv := NewServer("prov")
+		srv.Authorize("user", key)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var answered atomic.Int64 // unix nanoseconds at the handler's return
+		srv.HandleOrdered("slow", func(*Session, []byte) (any, error) {
+			entered <- struct{}{}
+			<-release
+			answered.Store(time.Now().UnixNano())
+			return echoResp{}, nil
+		})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cli, err := Dial(addr, "user", key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pending := cli.Go("slow", echoReq{}, &echoResp{})
+		<-entered
+		returned := make(chan time.Time)
+		go func() {
+			if err := srv.Drain(5 * time.Second); err != nil {
+				b.Error(err)
+			}
+			returned <- time.Now()
+		}()
+		time.Sleep(time.Millisecond) // let Drain find the connection busy
+		close(release)
+		lat = append(lat, (<-returned).Sub(time.Unix(0, answered.Load())))
+		<-pending.Done
+		cli.Close()
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	us := func(q float64) float64 { return float64(lat[int(q*float64(len(lat)-1))].Nanoseconds()) / 1e3 }
+	b.ReportMetric(us(0.50), "p50_us")
+	b.ReportMetric(us(0.99), "p99_us")
 }

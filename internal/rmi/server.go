@@ -149,6 +149,10 @@ type Server struct {
 	nextSess uint64
 	closed   bool
 	ln       net.Listener
+	// idle holds one token, sent when a connection's in-flight count
+	// reaches zero or a connection unregisters: Drain waits on it
+	// instead of polling.
+	idle chan struct{}
 
 	loglim logLimiter
 }
@@ -193,6 +197,13 @@ type connState struct {
 	done     chan struct{}
 }
 
+// settleWait bounds how long Drain waits for the serve goroutine of a
+// connection it closed at or past its deadline: a cut connection's
+// SessionClose hook runs only after its in-flight handlers return, so
+// this is the time a handler may take to finish. Close, a drain with
+// no time to spare, waits this long for every connection.
+const settleWait = 5 * time.Second
+
 // NewServer returns an empty server.
 func NewServer(name string) *Server {
 	return &Server{
@@ -202,6 +213,7 @@ func NewServer(name string) *Server {
 		keys:     make(map[string]security.Key),
 		sessions: make(map[string]*Session),
 		conns:    make(map[net.Conn]*connState),
+		idle:     make(chan struct{}, 1),
 	}
 }
 
@@ -257,9 +269,15 @@ func (s *Server) Sessions() []*Session {
 }
 
 // Serve accepts connections until the listener closes. It is typically
-// run on its own goroutine.
+// run on its own goroutine. On a server already closed or draining it
+// closes ln and returns at once.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		ln.Close()
+		return errors.New("rmi: server closed")
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	for {
@@ -292,19 +310,11 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops accepting connections.
+// Close stops the server at once: it is Drain with a zero timeout.
+// Every connection is cut, busy or not, and Close waits up to
+// settleWait for their serve goroutines, SessionClose hooks included.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.ln != nil {
-		// Drain already closed the listener on the graceful path; a
-		// second close is a clean no-op, not a shutdown failure.
-		if err := s.ln.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			return err
-		}
-	}
-	return nil
+	return s.Drain(0)
 }
 
 // register enrolls a live connection in the drain ledger; it returns
@@ -324,8 +334,18 @@ func (s *Server) register(conn net.Conn) *connState {
 // unregister removes a connection from the drain ledger.
 func (s *Server) unregister(conn net.Conn) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.conns, conn)
+	s.mu.Unlock()
+	s.signalIdle()
+}
+
+// signalIdle wakes a Drain waiting for a connection to go idle. A send
+// that finds the token already there is a no-op.
+func (s *Server) signalIdle() {
+	select {
+	case s.idle <- struct{}{}:
+	default:
+	}
 }
 
 // Drain shuts the server down gracefully: the listener closes (no new
@@ -334,12 +354,14 @@ func (s *Server) unregister(conn net.Conn) {
 // is closed the moment it goes idle. A connection still mid-request at
 // the timeout is force-closed, which a resilient client experiences as
 // a poisoned epoch; within the timeout, a draining server never cuts a
-// batch mid-flight. Drain then waits, up to the same deadline, for the
-// serve goroutine of every connection it closed, SessionClose hook
-// included, so the caller may release what those hooks use. Drain
-// returns nil when every connection finished cleanly, and an error
-// naming the force-closed connections and the serve goroutines still
-// running at the deadline otherwise.
+// batch mid-flight. Drain then waits for the serve goroutine of every
+// connection it closed, SessionClose hook included, so the caller may
+// release what those hooks use: one closed before the deadline up to
+// the deadline, one closed at or past it up to settleWait longer.
+// Drain returns nil when every connection finished cleanly. Otherwise
+// its error counts the serve goroutines still running when the wait
+// ended and, when timeout is positive, the busy connections it cut; a
+// zero timeout cuts them by design.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	s.closed = true
@@ -349,11 +371,21 @@ func (s *Server) Drain(timeout time.Duration) error {
 		_ = ln.Close()
 	}
 	deadline := time.Now().Add(timeout)
-	var serving []chan struct{}
+	expired := time.NewTimer(timeout)
+	defer expired.Stop()
+	type cutConn struct {
+		done  chan struct{}
+		until time.Time
+	}
+	var cut []cutConn
 	forced := 0
 	for {
 		s.mu.Lock()
-		late := time.Now().After(deadline)
+		now := time.Now()
+		late, until := !now.Before(deadline), deadline
+		if late {
+			until = now.Add(settleWait)
+		}
 		for conn, st := range s.conns {
 			if st.inflight.Load() != 0 {
 				if !late {
@@ -363,32 +395,33 @@ func (s *Server) Drain(timeout time.Duration) error {
 			}
 			conn.Close()
 			delete(s.conns, conn)
-			serving = append(serving, st.done)
+			cut = append(cut, cutConn{st.done, until})
 		}
 		left := len(s.conns)
 		s.mu.Unlock()
 		if left == 0 {
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	running, expired := 0, false
-	for _, done := range serving {
-		if !expired {
-			select {
-			case <-done:
-				continue
-			case <-timer.C:
-				expired = true
-			}
-		}
 		select {
-		case <-done:
+		case <-s.idle:
+		case <-expired.C:
+		}
+	}
+	running := 0
+	for _, c := range cut {
+		select {
+		case <-c.done:
+			continue
+		case <-time.After(time.Until(c.until)):
+		}
+		select { // the timer may win a tie with done
+		case <-c.done:
 		default:
 			running++
 		}
+	}
+	if timeout <= 0 {
+		forced = 0
 	}
 	if forced == 0 && running == 0 {
 		return nil
@@ -505,7 +538,9 @@ func (s *Server) serveSession(conn net.Conn, st *connState, fr *binFrameReader, 
 			err := fw.writeFrame(resp)
 			wmu.Unlock()
 			putFrame(resp)
-			st.inflight.Add(-1) // answered (or abandoned): no longer drain-relevant
+			if st.inflight.Add(-1) == 0 { // answered (or abandoned): no longer drain-relevant
+				s.signalIdle()
+			}
 			if err != nil {
 				// The write side is gone: closing the conn stops the
 				// request loop, and later writes fail fast, so every
