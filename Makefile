@@ -32,10 +32,12 @@ vet:
 # wire-codec-symmetry and no-alloc invariants (DESIGN.md §8 and
 # §13). Zero findings is a hard CI gate; -timings surfaces the load and
 # per-analyzer wall time. GOFLAGS matches `make bench` so the noalloc
-# escape analysis sees benchmark conditions.
+# escape analysis sees benchmark conditions. The test run adds the
+# repo-wide gates, among them that every exported function in
+# internal/ has a non-test caller or a "Used only by tests:" doc line.
 lint:
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) run ./cmd/gocad-lint -timings ./...
-	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestNoHTTPInServingCore|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/ ./internal/ppp/ ./internal/wire/
+	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestNoHTTPInServingCore|TestEveryExportHasACaller|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/ ./internal/ppp/ ./internal/wire/
 
 # Non-test Go lines, testdata/ and .bench_build/ excluded: the one
 # reproducible size count for changes that delete code. Information

@@ -2,8 +2,10 @@ package e2e
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -40,7 +42,11 @@ func TestMultiTenantDrainOnSIGTERM(t *testing.T) {
 		specs = append(specs, gateway.TenantSpec{Name: name, Key: hex.EncodeToString(key)})
 	}
 	cfgPath := filepath.Join(dir, "tenants.json")
-	if err := gateway.WriteTenantConfig(cfgPath, specs); err != nil {
+	cfg, err := json.Marshal(map[string][]gateway.TenantSpec{"tenants": specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfgPath, cfg, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	ledgerPath := filepath.Join(dir, "ledger.tsv")

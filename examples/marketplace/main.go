@@ -1,10 +1,10 @@
 // Marketplace demonstrates the paper's Figure 1 topology: one IP user
 // evaluating components from TWO independent providers, each with its
-// own server, catalogue, model offers and prices. The user negotiates a
-// different estimator setup with each provider (trading accuracy against
-// cost and speed — the Table 1 trade-off), runs concurrent simulations
-// of the same design under both setups, and compares estimates and
-// bills before deciding what to buy.
+// own server, catalogue, model offers and prices. The user reads both
+// catalogues and binds a different estimator setup at each provider
+// (trading accuracy against cost and speed — the Table 1 trade-off),
+// runs concurrent simulations of the same design under both setups, and
+// compares estimates and bills before deciding what to buy.
 package main
 
 import (
@@ -83,8 +83,8 @@ func main() {
 		}
 	}
 
-	// Negotiate: accurate (and billed) models from provider 1, the free
-	// constant model from provider 2.
+	// Bind the chosen estimators: accurate (and billed) models from
+	// provider 1, the free constant model from provider 2.
 	inst1, err := conn1.Client.Bind("MultFastLowPower", width, []string{"gate-level-toggle-count"})
 	if err != nil {
 		log.Fatal(err)

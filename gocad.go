@@ -368,9 +368,6 @@ var (
 	DumpVCDOutputs = trace.DumpOutputs
 )
 
-// ModelConstraint is one negotiation demand (see IPClient.Negotiate).
-type ModelConstraint = iplib.ModelConstraint
-
 // Design-rule checking and test generation.
 type (
 	// DesignIssue is one finding from ValidateDesign.

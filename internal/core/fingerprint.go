@@ -41,7 +41,10 @@ func (r *Result) Fingerprint() string {
 // CircuitFingerprint simulates an arbitrary circuit and digests the
 // observation history of every given primary output (time and value, in
 // order). The digest is the bit-identity witness for runs of generated
-// designs.
+// designs, pinned in testdata/golden/generated.txt.
+//
+// Used only by tests: TestGoldenGeneratedDesigns,
+// TestGenerateCircuitDeterministic.
 func CircuitFingerprint(c *module.Circuit, outs []*module.PrimaryOutput, until sim.Time) (string, error) {
 	simu := module.NewSimulation(c)
 	simu.Until = until

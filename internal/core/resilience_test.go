@@ -143,14 +143,15 @@ func TestSetupMarkDegraded(t *testing.T) {
 	if !s.Degraded() {
 		t.Fatal("setup not degraded after MarkDegraded")
 	}
-	reason, ok := s.DegradedFor("MULT", estim.ParamAvgPower)
-	if !ok || reason != "provider dead" {
-		t.Errorf("DegradedFor = %q, %v; want first reason kept", reason, ok)
+	s.MarkDegraded("OTHER", estim.ParamArea, "other reason")
+	w := s.Warnings()
+	if len(w) != 2 {
+		t.Fatalf("warnings = %d, want 2 (duplicate reports dedupe)", len(w))
 	}
-	if _, ok := s.DegradedFor("OTHER", estim.ParamAvgPower); ok {
-		t.Error("unrelated module reported degraded")
+	if w[0].Module != "MULT" || w[0].Param != estim.ParamAvgPower || w[0].Reason != "provider dead" {
+		t.Errorf("first warning = %+v; want MULT's first reason kept", w[0])
 	}
-	if n := len(s.Warnings()); n != 1 {
-		t.Errorf("warnings = %d, want 1 (duplicate reports dedupe)", n)
+	if w[1].Module != "OTHER" || w[1].Param != estim.ParamArea {
+		t.Errorf("second warning = %+v; want OTHER's own entry", w[1])
 	}
 }

@@ -27,10 +27,6 @@ const (
 	ParamAvgPower   Parameter = "power.avg"   // average power per pattern, in µW
 	ParamPeakPower  Parameter = "power.peak"  // peak power, in µW
 	ParamIOActivity Parameter = "io.activity" // port toggle activity per pattern
-	// ParamDetection is the fault package's detection-table parameter:
-	// the local, IP-sensitive testability value a provider evaluates for
-	// a given input pattern.
-	ParamDetection Parameter = "fault.detection"
 )
 
 // ParamValue is the value an estimator produces. The common case is a

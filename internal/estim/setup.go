@@ -3,7 +3,6 @@ package estim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -126,9 +125,8 @@ type Setup struct {
 	mu       sync.Mutex
 	samples  []Sample
 	agg      map[aggKey]*Aggregate
-	fees     map[string]float64 // estimator name -> total cents
 	warnings []Warning
-	degraded map[aggKey]string // degradation reason per (module, param)
+	degraded map[aggKey]bool // (module, param) pairs that degraded
 }
 
 type aggKey struct {
@@ -159,7 +157,6 @@ func NewSetup(name string) *Setup {
 		name:     name,
 		criteria: make(map[Parameter]Criteria),
 		agg:      make(map[aggKey]*Aggregate),
-		fees:     make(map[string]float64),
 	}
 }
 
@@ -169,16 +166,6 @@ func (s *Setup) Name() string { return s.name }
 // Set specifies the criteria for choosing the estimator for a parameter —
 // the paper's set(<param>, <criteria>).
 func (s *Setup) Set(p Parameter, c Criteria) { s.criteria[p] = c }
-
-// Parameters returns the parameters this setup requests, sorted.
-func (s *Setup) Parameters() []Parameter {
-	ps := make([]Parameter, 0, len(s.criteria))
-	for p := range s.criteria {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	return ps
-}
 
 // Criteria returns the criteria registered for p, if any.
 func (s *Setup) Criteria(p Parameter) (Criteria, bool) {
@@ -239,22 +226,13 @@ func (s *Setup) MarkDegraded(module string, p Parameter, reason string) {
 	defer s.mu.Unlock()
 	k := aggKey{module: module, param: p}
 	if s.degraded == nil {
-		s.degraded = make(map[aggKey]string)
+		s.degraded = make(map[aggKey]bool)
 	}
-	if _, dup := s.degraded[k]; dup {
+	if s.degraded[k] {
 		return
 	}
-	s.degraded[k] = reason
+	s.degraded[k] = true
 	s.warnings = append(s.warnings, Warning{Module: module, Param: p, Reason: reason})
-}
-
-// DegradedFor returns the degradation reason recorded for one
-// (module, parameter), if any.
-func (s *Setup) DegradedFor(module string, p Parameter) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reason, ok := s.degraded[aggKey{module: module, param: p}]
-	return reason, ok
 }
 
 // Degraded reports whether any component's estimation degraded during
@@ -270,14 +248,10 @@ func (s *Setup) Degraded() bool {
 func (s *Setup) Record(module string, p Parameter, now int64, v ParamValue, e Estimator) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fee := e.CostPerCall()
 	s.samples = append(s.samples, Sample{
 		Module: module, Param: p, Time: now, Value: v,
-		Estimator: e.EstimatorName(), Fee: fee,
+		Estimator: e.EstimatorName(), Fee: e.CostPerCall(),
 	})
-	if fee != 0 {
-		s.fees[e.EstimatorName()] += fee
-	}
 	k := aggKey{module: module, param: p}
 	a := s.agg[k]
 	if a == nil {
@@ -316,17 +290,6 @@ func (s *Setup) AggregateFor(module string, p Parameter) (Aggregate, bool) {
 		return Aggregate{}, false
 	}
 	return *a, true
-}
-
-// TotalFees returns the total cents charged, per estimator name.
-func (s *Setup) TotalFees() map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]float64, len(s.fees))
-	for k, v := range s.fees {
-		out[k] = v
-	}
-	return out
 }
 
 // DesignTotal sums the mean values of a parameter across all modules —

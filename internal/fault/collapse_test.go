@@ -210,10 +210,7 @@ func TestCollapseMatchesMapOracle(t *testing.T) {
 					names = append(names, name)
 					want[name] = rep
 				}
-				sl := NewSymbolicList(nl, policy)
-				if internalOnly {
-					sl = NewInternalSymbolicList(nl, policy)
-				}
+				sl := buildSymbolicList(nl, policy, internalOnly)
 				if got := sl.Names(); !reflect.DeepEqual(got, names) {
 					t.Fatalf("seed %d internal=%v policy %d: names %v, oracle %v", seed, internalOnly, policy, got, names)
 				}

@@ -51,29 +51,6 @@ func (dt *DetectionTable) ParamString() string {
 // IsNull reports false.
 func (dt *DetectionTable) IsNull() bool { return false }
 
-// Row returns the row for an erroneous output pattern, if present.
-func (dt *DetectionTable) Row(out signal.Word) (DetectionRow, bool) {
-	for _, r := range dt.Rows {
-		if r.Output.Equal(out) {
-			return r, true
-		}
-	}
-	return DetectionRow{}, false
-}
-
-// OutputFor returns the erroneous output pattern associated with a
-// symbolic fault, if the fault is excited by this input configuration.
-func (dt *DetectionTable) OutputFor(fault string) (signal.Word, bool) {
-	for _, r := range dt.Rows {
-		for _, f := range r.Faults {
-			if f == fault {
-				return r.Output, true
-			}
-		}
-	}
-	return signal.Word{}, false
-}
-
 // Faults returns all symbolic faults excited by this input configuration.
 func (dt *DetectionTable) Faults() []string {
 	var out []string
@@ -158,9 +135,6 @@ func NewLocalTestability(nl *gate.Netlist, policy Naming, internalOnly bool) (*L
 		cache:  make(map[signal.Word]*DetectionTable),
 	}, nil
 }
-
-// Symbolic returns the underlying symbolic list (provider-side use).
-func (lt *LocalTestability) Symbolic() *SymbolicList { return lt.list }
 
 // FaultList implements TestabilityService.
 func (lt *LocalTestability) FaultList() ([]string, error) { return lt.list.Names(), nil }

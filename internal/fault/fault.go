@@ -11,7 +11,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -20,7 +19,12 @@ import (
 )
 
 // Enumerate returns the full single-stuck-at fault universe of a netlist:
-// stuck-at-0 and stuck-at-1 on every net.
+// stuck-at-0 and stuck-at-1 on every net. It is the uncollapsed oracle
+// Collapse is checked against.
+//
+// Used only by tests: TestCollapsedCoverageEqualsFullCoverage,
+// TestC17ExhaustiveCoverage, TestCollapseReducesFaultCount,
+// TestEnumerateCountsTwoPerNet.
 func Enumerate(nl *gate.Netlist) []gate.Fault {
 	faults := make([]gate.Fault, 0, 2*nl.NumNets())
 	for id := 0; id < nl.NumNets(); id++ {
@@ -141,7 +145,13 @@ func Collapse(nl *gate.Netlist) []gate.Fault {
 
 // EquivalenceClasses returns, for each collapsed representative, every
 // fault merged into it (including itself). Coverage numbers over the full
-// universe are derived from class sizes.
+// universe are derived from class sizes. It is the class oracle Collapse
+// and the symbolic lists are checked against.
+//
+// Used only by tests: TestCollapseMatchesMapOracle,
+// TestCollapsedCoverageEqualsFullCoverage,
+// TestEquivalenceClassesAreFunctionallyEquivalent,
+// TestCollapseRespectsFanout, TestEquivalenceClassesCoverUniverse.
 func EquivalenceClasses(nl *gate.Netlist) map[gate.Fault][]gate.Fault {
 	uf := collapseUnion(nl)
 	// One enumeration pass: the first fault reaching a root (in
@@ -187,23 +197,15 @@ type SymbolicList struct {
 	faults []gate.Fault
 }
 
-// NewSymbolicList builds the symbolic fault list for a netlist under the
-// naming policy, over the collapsed fault set.
-func NewSymbolicList(nl *gate.Netlist, policy Naming) *SymbolicList {
-	return buildSymbolicList(nl, policy, false)
-}
-
-// NewInternalSymbolicList is NewSymbolicList restricted to the
-// component's INTERNAL faults: equivalence classes consisting solely of
-// primary-input or primary-output net faults are omitted, because — as
-// the paper specifies — "the user directly handles faults affecting input
-// or output signals" (a port fault belongs to the shared net between user
-// and component, not to the provider's IP). A class mixing port and
-// internal faults keeps an internal representative.
-func NewInternalSymbolicList(nl *gate.Netlist, policy Naming) *SymbolicList {
-	return buildSymbolicList(nl, policy, true)
-}
-
+// buildSymbolicList builds the symbolic fault list for a netlist under
+// the naming policy, over the collapsed fault set. With internalOnly it
+// keeps only the component's INTERNAL faults: equivalence classes
+// consisting solely of primary-input or primary-output net faults are
+// omitted, because — as the paper specifies — "the user directly
+// handles faults affecting input or output signals" (a port fault
+// belongs to the shared net between user and component, not to the
+// provider's IP). A class mixing port and internal faults keeps an
+// internal representative.
 func buildSymbolicList(nl *gate.Netlist, policy Naming, internalOnly bool) *SymbolicList {
 	uf := collapseUnion(nl)
 	// One enumeration pass replaces the Collapse + EquivalenceClasses
@@ -286,10 +288,3 @@ func (sl *SymbolicList) Fault(name string) (gate.Fault, bool) {
 
 // Len returns the number of symbolic faults.
 func (sl *SymbolicList) Len() int { return len(sl.names) }
-
-// SortedNames returns the names sorted lexicographically (for reports).
-func (sl *SymbolicList) SortedNames() []string {
-	out := sl.Names()
-	sort.Strings(out)
-	return out
-}

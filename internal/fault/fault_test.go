@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestEquivalenceClassesCoverUniverse(t *testing.T) {
 
 func TestSymbolicListNetNames(t *testing.T) {
 	nl := gate.HalfAdderIP()
-	sl := NewSymbolicList(nl, NetNames)
+	sl := buildSymbolicList(nl, NetNames, false)
 	names := sl.Names()
 	if len(names) == 0 {
 		t.Fatal("empty symbolic list")
@@ -111,17 +112,11 @@ func TestSymbolicListNetNames(t *testing.T) {
 	if sl.Len() != len(names) {
 		t.Error("Len mismatch")
 	}
-	sorted := sl.SortedNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
-			t.Fatal("SortedNames not sorted")
-		}
-	}
 }
 
 func TestSymbolicListAnonymous(t *testing.T) {
 	nl := gate.HalfAdderIP()
-	sl := NewSymbolicList(nl, Anonymous)
+	sl := buildSymbolicList(nl, Anonymous, false)
 	for _, n := range sl.Names() {
 		if !strings.HasPrefix(n, "f") {
 			t.Errorf("anonymous name %q leaks structure", n)
@@ -134,7 +129,7 @@ func TestSymbolicListAnonymous(t *testing.T) {
 
 func TestInternalSymbolicListExcludesPortFaults(t *testing.T) {
 	nl := gate.HalfAdderIP()
-	sl := NewInternalSymbolicList(nl, NetNames)
+	sl := buildSymbolicList(nl, NetNames, true)
 	for _, n := range sl.Names() {
 		f, _ := sl.Fault(n)
 		if nl.IsInput(f.Net) || nl.IsOutput(f.Net) {
@@ -176,7 +171,7 @@ func TestDetectionTableFigure4InputConfig(t *testing.T) {
 			t.Error("row equals fault-free output")
 		}
 		for _, name := range row.Faults {
-			f, ok := lt.Symbolic().Fault(name)
+			f, ok := lt.list.Fault(name)
 			if !ok {
 				t.Fatalf("row fault %q unresolvable", name)
 			}
@@ -194,7 +189,7 @@ func TestDetectionTableFigure4InputConfig(t *testing.T) {
 	}
 	// An erroneous-sum row (0,_) must exist: the faults the paper's
 	// narrative propagates through O1.
-	if _, ok := dt.OutputFor("I4sa0"); !ok {
+	if !slices.Contains(dt.Faults(), "I4sa0") {
 		t.Error("I4sa0 not excited by input (1,0)")
 	}
 }
@@ -302,18 +297,6 @@ func TestDetectionTableAccessors(t *testing.T) {
 	}
 	if len(dt.Faults()) == 0 {
 		t.Error("Faults() empty")
-	}
-	if _, ok := dt.Row(signal.WordFromBits([]signal.Bit{signal.BX, signal.BX})); ok {
-		t.Error("Row matched nonexistent output")
-	}
-	for _, row := range dt.Rows {
-		got, ok := dt.Row(row.Output)
-		if !ok || len(got.Faults) != len(row.Faults) {
-			t.Error("Row lookup inconsistent")
-		}
-	}
-	if _, ok := dt.OutputFor("no-such-fault"); ok {
-		t.Error("OutputFor matched nonexistent fault")
 	}
 }
 

@@ -68,8 +68,13 @@ func TestFigure4PropagationNarrative(t *testing.T) {
 	}
 	// The sum-flip row: fault-free (sum,carry)=(1,0); erroneous (0,0).
 	badSum, _ := signal.ParseWord("00")
-	row, ok := dt.Row(badSum)
-	if !ok {
+	var row DetectionRow
+	for _, r := range dt.Rows {
+		if r.Output.Equal(badSum) {
+			row = r
+		}
+	}
+	if row.Faults == nil {
 		t.Fatal("no erroneous-sum row in detection table for (1,0)")
 	}
 	if len(row.Faults) < 2 {

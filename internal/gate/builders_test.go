@@ -300,3 +300,31 @@ func TestC17Structure(t *testing.T) {
 		t.Errorf("c17(11111) = %v%v, want 1 0", out[0], out[1])
 	}
 }
+
+// Figure4Design builds the complete example circuit of Figure 4 as a flat
+// netlist (the full-disclosure reference): four primary inputs A..D, the
+// AND gate producing E, the embedded IP1 half adder, and the output logic
+// O1 = OIP1·D, O2 = OIP2+F with F = C·D.
+func Figure4Design() *Netlist {
+	nl := NewNetlist("fig4")
+	a := nl.AddInput("A")
+	b := nl.AddInput("B")
+	c := nl.AddInput("C")
+	d := nl.AddInput("D")
+	e := nl.AddGate(And, "E", a, b)
+	// IP1 flattened with its internal net names preserved.
+	i1 := nl.AddGate(Nand, "I1", e, c)
+	i2 := nl.AddGate(Nand, "I2", e, i1)
+	i3 := nl.AddGate(Nand, "I3", c, i1)
+	i4 := nl.AddGate(Nand, "I4", i2, i3)
+	i5 := nl.AddGate(Not, "I5", i1)
+	i6 := nl.AddGate(Buf, "I6", i4)
+	oip1 := nl.AddGate(Buf, "OIP1", i6)
+	oip2 := nl.AddGate(Buf, "OIP2", i5)
+	f := nl.AddGate(And, "F", c, d)
+	o1 := nl.AddGate(And, "O1", oip1, d)
+	o2 := nl.AddGate(Or, "O2", oip2, f)
+	nl.MarkOutput(o1)
+	nl.MarkOutput(o2)
+	return nl
+}

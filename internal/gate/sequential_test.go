@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/signal"
@@ -88,4 +89,58 @@ func TestSeqEvaluatorArityAndStateChecks(t *testing.T) {
 	if err := ev.SetState([]signal.Bit{signal.B1}); err == nil {
 		t.Error("wrong state width accepted")
 	}
+}
+
+// SeqEvaluator steps a Sequential cycle by cycle: the reference the
+// tests check NewSequential's split of the core against.
+type SeqEvaluator struct {
+	seq   *Sequential
+	ev    *LaneEvaluator
+	state []signal.Bit
+}
+
+// NewEvaluator returns a fresh sequential evaluator starting from the
+// reset (all-zero) state.
+func (s *Sequential) NewEvaluator() (*SeqEvaluator, error) {
+	ev, err := s.Comb.NewLaneEvaluator()
+	if err != nil {
+		return nil, err
+	}
+	return &SeqEvaluator{seq: s, ev: ev, state: s.ResetState()}, nil
+}
+
+// State returns the current register contents.
+func (se *SeqEvaluator) State() []signal.Bit { return append([]signal.Bit(nil), se.state...) }
+
+// SetState loads the register (the scan-in operation of a full-scan
+// design).
+func (se *SeqEvaluator) SetState(state []signal.Bit) error {
+	if len(state) != len(se.seq.StateIn) {
+		return fmt.Errorf("gate: state width %d, want %d", len(state), len(se.seq.StateIn))
+	}
+	copy(se.state, state)
+	return nil
+}
+
+// Step applies one clock cycle: the core evaluates over (inputs, state)
+// as a one-lane batch, the primary outputs are returned, and the
+// register latches next state.
+func (se *SeqEvaluator) Step(inputs []signal.Bit) ([]signal.Bit, error) {
+	full, err := se.seq.CoreInputs(se.state, inputs)
+	if err != nil {
+		return nil, err
+	}
+	coreOut, err := se.ev.Eval(full)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]signal.Bit, len(se.seq.primaryOut))
+	for i, k := range se.seq.outTo {
+		if k >= 0 {
+			outs[k] = coreOut[i]
+		} else {
+			se.state[-1-k] = coreOut[i]
+		}
+	}
+	return outs, nil
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,8 +12,8 @@ import (
 
 // FuzzLoadTenantConfig feeds arbitrary file contents to
 // LoadTenantConfig. A config it accepts must name every tenant once
-// with a usable key, survive a WriteTenantConfig round trip unchanged,
-// and register on a gateway tenant by tenant.
+// with a usable key, survive a round trip through its own JSON encoding
+// unchanged, and register on a gateway tenant by tenant.
 func FuzzLoadTenantConfig(f *testing.F) {
 	f.Add([]byte(`{"tenants":[{"name":"acme","key":"00112233"}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"a","key":"0a","maxConns":2,"callsPerSec":50,"bytesPerSec":1e6,"feeCeilingCents":12.5},{"name":"b","key":"ff"}]}`))
@@ -44,7 +45,11 @@ func FuzzLoadTenantConfig(f *testing.F) {
 				t.Fatalf("accepted an unusable key: %v", err)
 			}
 		}
-		if err := WriteTenantConfig(again, tenants); err != nil {
+		out, err := json.Marshal(tenantConfig{Tenants: tenants})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(again, out, 0o600); err != nil {
 			t.Fatal(err)
 		}
 		reloaded, err := LoadTenantConfig(again)

@@ -252,8 +252,10 @@ func TestQuotaExhaustionMidPipeline(t *testing.T) {
 	if got := ReasonOf(cappedErr); got != ReasonOverQuota {
 		t.Fatalf("capped tenant error reason = %q (err: %v), want %q", got, cappedErr, ReasonOverQuota)
 	}
-	if cappedCli.Dead() {
-		t.Fatal("over-quota refusals killed the session transport")
+	// The session transport survives the refusals: one more call gets an
+	// answer from the gateway, a result or a remote error.
+	if _, err := iplib.NewIPClient(cappedCli).Fees(); err != nil && !errors.As(err, &re) {
+		t.Fatalf("over-quota refusals killed the session transport: %v", err)
 	}
 	if freeErr != nil {
 		t.Fatalf("free tenant workload failed during capped tenant's quota exhaustion: %v", freeErr)

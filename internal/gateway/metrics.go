@@ -53,11 +53,6 @@ type metrics struct {
 	latency      histogram
 }
 
-// rejectedTotal sums every admission rejection.
-func (m *metrics) rejectedTotal() int64 {
-	return m.rejectedCap.Load() + m.rejectedTen.Load() + m.rejectedFull.Load() + m.rejectedDrn.Load()
-}
-
 // WriteMetrics renders the gateway's state in Prometheus text
 // exposition format — the /metrics endpoint body. Tenants render in
 // sorted order so scrapes are deterministic.

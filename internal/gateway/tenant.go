@@ -83,15 +83,6 @@ func LoadTenantConfig(path string) ([]TenantSpec, error) {
 	return cfg.Tenants, nil
 }
 
-// WriteTenantConfig writes a tenant config file (0600 — it holds keys).
-func WriteTenantConfig(path string, tenants []TenantSpec) error {
-	data, err := json.MarshalIndent(tenantConfig{Tenants: tenants}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o600)
-}
-
 // Meter is a snapshot of one tenant's usage accounting. FeeCents
 // reconciles exactly with the billing ledger: every cent in the meter
 // was appended to the ledger as a session fee delta, and vice versa.

@@ -9,7 +9,7 @@ import (
 // Hand-written wire-format-v1 payload codecs (DESIGN.md §12) for every
 // protocol envelope: the batch traffic Table 2 measures (power/timing
 // pattern batches), per-call evaluation, the fault-protocol envelopes,
-// and the setup envelopes (catalogue, bind, negotiate). Each AppendTo
+// and the setup envelopes (catalogue, bind). Each AppendTo
 // appends the struct's fields in declaration order using the primitives
 // of internal/wire; each DecodeFrom consumes its input exactly and
 // validates every length prefix — payload bytes come off the network.
@@ -319,7 +319,7 @@ func (r *FeesResp) DecodeFrom(buf []byte) error {
 }
 
 // appendOffer / decodeOffer are the shared EstimatorOffer sub-codec
-// (used by the negotiate, bind and catalogue envelopes).
+// (used by the bind and catalogue envelopes).
 func appendOffer(b []byte, o EstimatorOffer) []byte {
 	b = wire.AppendString(b, o.Name)
 	b = wire.AppendString(b, o.Param)
@@ -381,72 +381,6 @@ func decodeOffers(buf []byte) ([]EstimatorOffer, []byte, error) {
 		out = append(out, o)
 	}
 	return out, buf, nil
-}
-
-// AppendTo implements rmi.BinaryAppender.
-func (r NegotiateReq) AppendTo(b []byte) []byte {
-	b = wire.AppendString(b, r.Component)
-	b = wire.AppendUvarint(b, uint64(len(r.Constraints)))
-	for _, c := range r.Constraints {
-		b = wire.AppendString(b, c.Param)
-		b = wire.AppendFloat64(b, c.MaxErrPct)
-		b = wire.AppendFloat64(b, c.MaxCostCents)
-		b = wire.AppendBool(b, c.ForbidRemote)
-	}
-	return b
-}
-
-// DecodeFrom implements rmi.BinaryDecoder.
-func (r *NegotiateReq) DecodeFrom(buf []byte) error {
-	var err error
-	*r = NegotiateReq{}
-	if r.Component, buf, err = wire.String(buf); err != nil {
-		return fmt.Errorf("iplib: NegotiateReq component: %w", err)
-	}
-	var n uint64
-	if n, buf, err = wire.Uvarint(buf); err != nil {
-		return fmt.Errorf("iplib: NegotiateReq count: %w", err)
-	}
-	// A constraint spans ≥ 18 bytes (prefix, two floats, a bool).
-	if n > uint64(len(buf)/18)+1 {
-		return fmt.Errorf("iplib: NegotiateReq constraint count %d exceeds buffer", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var c ModelConstraint
-		if c.Param, buf, err = wire.String(buf); err != nil {
-			return fmt.Errorf("iplib: NegotiateReq constraint param: %w", err)
-		}
-		if c.MaxErrPct, buf, err = wire.Float64(buf); err != nil {
-			return fmt.Errorf("iplib: NegotiateReq constraint err: %w", err)
-		}
-		if c.MaxCostCents, buf, err = wire.Float64(buf); err != nil {
-			return fmt.Errorf("iplib: NegotiateReq constraint cost: %w", err)
-		}
-		if c.ForbidRemote, buf, err = wire.Bool(buf); err != nil {
-			return fmt.Errorf("iplib: NegotiateReq constraint remote: %w", err)
-		}
-		r.Constraints = append(r.Constraints, c)
-	}
-	return trailing("NegotiateReq", buf)
-}
-
-// AppendTo implements rmi.BinaryAppender.
-func (r NegotiateResp) AppendTo(b []byte) []byte {
-	b = appendOffers(b, r.Offers)
-	return wire.AppendStrings(b, r.Rejections)
-}
-
-// DecodeFrom implements rmi.BinaryDecoder.
-func (r *NegotiateResp) DecodeFrom(buf []byte) error {
-	var err error
-	*r = NegotiateResp{}
-	if r.Offers, buf, err = decodeOffers(buf); err != nil {
-		return fmt.Errorf("iplib: NegotiateResp offers: %w", err)
-	}
-	if r.Rejections, buf, err = wire.Strings(buf); err != nil {
-		return fmt.Errorf("iplib: NegotiateResp rejections: %w", err)
-	}
-	return trailing("NegotiateResp", buf)
 }
 
 // AppendTo implements rmi.BinaryAppender.

@@ -49,14 +49,6 @@ func binaryPairs() []pair {
 		{"TestSetResp", TestSetResp{Patterns: patterns, Coverage: 0.75, FeeCents: 3}, &TestSetResp{}},
 		{"FeesReq", FeesReq{}, &FeesReq{}},
 		{"FeesResp", FeesResp{TotalCents: 99.75}, &FeesResp{}},
-		{"NegotiateReq", NegotiateReq{Component: "Mult", Constraints: []ModelConstraint{
-			{Param: "power", MaxErrPct: 5, MaxCostCents: 0.25, ForbidRemote: true},
-			{Param: "", MaxErrPct: -1, MaxCostCents: 0, ForbidRemote: false},
-		}}, &NegotiateReq{}},
-		{"NegotiateReq/empty", NegotiateReq{}, &NegotiateReq{}},
-		{"NegotiateResp", NegotiateResp{Offers: []EstimatorOffer{
-			{Name: "pw-fast", Param: "power", ErrPct: 8, CostCents: 0.1, CPUTimeMS: 2.5, Remote: true},
-		}, Rejections: []string{"", "too pricey"}}, &NegotiateResp{}},
 		{"CatalogueReq", CatalogueReq{}, &CatalogueReq{}},
 		{"CatalogueResp", CatalogueResp{Specs: []ComponentSpec{
 			{Name: "Mult", Description: "fast\x00multiplier", MinWidth: 2, MaxWidth: 64,

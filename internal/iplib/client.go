@@ -52,18 +52,6 @@ func (c *IPClient) Bind(component string, width int, models []string) (*BoundIns
 	return &BoundInstance{client: c, id: resp.Instance, component: component, width: width, enabled: resp.Enabled}, nil
 }
 
-// Negotiate asks the provider for its best admissible offer per
-// constraint before binding. Offers[i]/Rejections[i] align with
-// constraints[i]; an empty rejection means the offer stands.
-func (c *IPClient) Negotiate(component string, constraints []ModelConstraint) (*NegotiateResp, error) {
-	var resp NegotiateResp
-	req := NegotiateReq{Component: component, Constraints: constraints}
-	if err := c.RPC.Call(MethodNegotiate, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Fees returns the session's accumulated bill in cents.
 func (c *IPClient) Fees() (float64, error) {
 	var resp FeesResp
@@ -85,7 +73,7 @@ type BoundInstance struct {
 // ID returns the provider-side instance handle.
 func (b *BoundInstance) ID() uint64 { return b.id }
 
-// Width returns the negotiated instantiation width.
+// Width returns the instantiation width.
 func (b *BoundInstance) Width() int { return b.width }
 
 // Component returns the catalogue name.
@@ -148,12 +136,6 @@ func (b *BoundInstance) EstimateBatch(method string, patterns [][]signal.Bit, sk
 // buffered pattern sequence, returning per-pattern power.
 func (b *BoundInstance) PowerBatch(patterns [][]signal.Bit, skipCompute bool) ([]float64, error) {
 	return b.EstimateBatch(MethodPowerBatch, patterns, skipCompute, false, nil)
-}
-
-// TimingBatch runs the provider's input-dependent timing analysis over a
-// buffered pattern sequence, returning per-pattern switching delay (ps).
-func (b *BoundInstance) TimingBatch(patterns [][]signal.Bit) ([]float64, error) {
-	return b.EstimateBatch(MethodTimingBatch, patterns, false, false, nil)
 }
 
 // Static returns a static metric computed from the private implementation

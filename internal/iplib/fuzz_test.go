@@ -17,7 +17,7 @@ func responseTypes() []rmi.BinaryDecoder {
 	return []rmi.BinaryDecoder{
 		&EvalResp{}, &PowerBatchResp{}, &TimingBatchResp{}, &StaticResp{},
 		&FaultListResp{}, &FaultTableResp{}, &TestSetResp{}, &FeesResp{},
-		&NegotiateResp{}, &CatalogueResp{}, &BindResp{},
+		&CatalogueResp{}, &BindResp{},
 	}
 }
 
@@ -50,7 +50,7 @@ func FuzzDecodeResponses(f *testing.F) {
 	f.Add(uint8(list), FaultListResp{Names: many}.AppendTo(nil))
 	// A detection table whose input word is one bit too wide.
 	wide := wire.AppendBits(nil, make([]signal.Bit, signal.MaxWordWidth+1))
-	wide = wire.AppendWord(wide, signal.NewWord(2))
+	wide = wire.AppendWord(wide, signal.WordFromUint64(0, 2))
 	f.Add(uint8(index[reflect.TypeOf(&FaultTableResp{})]), wire.AppendUvarint(wide, 0))
 
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {

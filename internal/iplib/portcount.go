@@ -24,14 +24,6 @@ func patternsValueCount(patterns [][]signal.Bit) int {
 func offersValueCount(offers []EstimatorOffer) int { return 6 * len(offers) }
 
 // PortValueCount implements rmi.PortCounter.
-func (r NegotiateReq) PortValueCount() int { return 1 + 4*len(r.Constraints) }
-
-// PortValueCount implements rmi.PortCounter.
-func (r NegotiateResp) PortValueCount() int {
-	return len(r.Rejections) + offersValueCount(r.Offers)
-}
-
-// PortValueCount implements rmi.PortCounter.
 func (CatalogueReq) PortValueCount() int { return 0 }
 
 // PortValueCount implements rmi.PortCounter.

@@ -10,8 +10,8 @@ import (
 // Every protocol envelope must take the policy's self-counting fast
 // path.
 var _ = []rmi.PortCounter{
-	NegotiateReq{}, NegotiateResp{}, CatalogueReq{}, CatalogueResp{},
-	ComponentSpec{}, BindReq{}, BindResp{}, EvalReq{}, EvalResp{},
+	CatalogueReq{}, CatalogueResp{}, ComponentSpec{}, BindReq{}, BindResp{},
+	EvalReq{}, EvalResp{},
 	PowerBatchReq{}, PowerBatchResp{}, TimingBatchReq{}, TimingBatchResp{},
 	StaticReq{}, StaticResp{}, FaultListReq{}, FaultListResp{},
 	FaultTableReq{}, FaultTableResp{}, TestSetReq{}, TestSetResp{},

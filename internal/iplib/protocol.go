@@ -9,8 +9,9 @@ import (
 const (
 	// MethodCatalogue lists the provider's component specs.
 	MethodCatalogue = "ip.catalogue"
-	// MethodBind instantiates a component for this session (negotiating
-	// width and enabled models) and returns an instance handle.
+	// MethodBind instantiates a component for this session at the
+	// requested width with the chosen models enabled, and returns an
+	// instance handle.
 	MethodBind = "ip.bind"
 	// MethodEval evaluates the component's functionality remotely — the
 	// fully-remote-module (MR) path.
@@ -36,56 +37,7 @@ const (
 	// test sequence is IP that might need protection", so it is served
 	// (and billed) rather than derivable by the user.
 	MethodTestSet = "ip.testset"
-	// MethodNegotiate implements the paper's future-work item
-	// ("flexible simulation setup with interactive client-server
-	// negotiation of simulation parameters"): the client states
-	// per-parameter accuracy/cost constraints, the provider answers with
-	// the best admissible offer for each, or the reason none fits.
-	MethodNegotiate = "ip.negotiate"
 )
-
-// ModelConstraint is one negotiation demand: the client's bounds for one
-// parameter's estimator. Zero-valued bounds are unconstrained; a negative
-// MaxCostCents demands a free model.
-type ModelConstraint struct {
-	Param        string
-	MaxErrPct    float64
-	MaxCostCents float64
-	ForbidRemote bool
-}
-
-// NegotiateReq opens a negotiation round for one component.
-type NegotiateReq struct {
-	Component   string
-	Constraints []ModelConstraint
-}
-
-// PortData implements rmi.PortData.
-func (r NegotiateReq) PortData() []any {
-	out := []any{r.Component}
-	for _, c := range r.Constraints {
-		out = append(out, c.Param, c.MaxErrPct, c.MaxCostCents, c.ForbidRemote)
-	}
-	return out
-}
-
-// NegotiateResp answers constraint by constraint: Offers[i] is the best
-// admissible offer for Constraints[i] when Rejections[i] is empty;
-// otherwise Rejections[i] explains why nothing fits (the client would
-// fall back to the null estimator, or relax and retry).
-type NegotiateResp struct {
-	Offers     []EstimatorOffer
-	Rejections []string
-}
-
-// PortData implements rmi.PortData.
-func (r NegotiateResp) PortData() []any {
-	out := []any{r.Rejections}
-	for _, e := range r.Offers {
-		out = append(out, e.Name, e.Param, e.ErrPct, e.CostCents, e.CPUTimeMS, e.Remote)
-	}
-	return out
-}
 
 // CatalogueReq asks for the provider's catalogue.
 type CatalogueReq struct{}
@@ -116,7 +68,8 @@ type BindReq struct {
 // PortData implements rmi.PortData.
 func (r BindReq) PortData() []any { return []any{r.Component, r.Width, r.Models} }
 
-// BindResp returns the instance handle and the negotiated terms.
+// BindResp returns the instance handle, the license fee and the
+// enabled models.
 type BindResp struct {
 	Instance     uint64
 	LicenseCents float64

@@ -14,7 +14,7 @@ import (
 // be re-invoked after an ambiguous transport failure (the request may or
 // may not have executed server-side). The rules per method:
 //
-//   - Pure reads (catalogue, fees, negotiate, static, fault.list) are
+//   - Pure reads (catalogue, fees, static, fault.list) are
 //     idempotent.
 //   - Deterministic computations (eval, power.batch, timing.batch,
 //     fault.table) are idempotent for results; a duplicate execution can
@@ -25,7 +25,7 @@ import (
 //     blindly; bind is re-established only by deliberate session replay.
 func Idempotent(method string) bool {
 	switch method {
-	case MethodCatalogue, MethodFees, MethodNegotiate, MethodStatic,
+	case MethodCatalogue, MethodFees, MethodStatic,
 		MethodFaultList, MethodFaultTable, MethodEval,
 		MethodPowerBatch, MethodTimingBatch:
 		return true

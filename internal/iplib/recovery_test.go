@@ -16,7 +16,6 @@ func TestIdempotencyTable(t *testing.T) {
 	}{
 		{MethodCatalogue, true},
 		{MethodFees, true},
-		{MethodNegotiate, true},
 		{MethodStatic, true},
 		{MethodFaultList, true},
 		{MethodFaultTable, true},

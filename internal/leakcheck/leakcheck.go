@@ -22,6 +22,10 @@ const grace = 2 * time.Second
 // registers a cleanup that fails the test if, after the grace period,
 // more goroutines are running than at the snapshot. Call it first in
 // the test, before spawning anything.
+//
+// Used only by tests: TestCloseStopsLiveSessions,
+// TestProviderCloseStopsSessions and the other stop-path, failover and
+// pool tests of core, gateway, provider, replica, rmi and sim.
 func Check(t *testing.T) {
 	t.Helper()
 	base := runtime.NumGoroutine()

@@ -38,6 +38,10 @@ type expectation struct {
 
 // Run loads dir as importPath and applies the analyzer, failing t on any
 // mismatch between reported diagnostics and // want expectations.
+//
+// Used only by tests: TestSandboxedFixture, TestOutOfScopeFixture,
+// TestLockHeldRMI, TestRemoteErrors, TestKernelScope, TestOutOfScope,
+// TestReplicaScope, TestCodecFixture, TestHotFixture.
 func Run(t *testing.T, dir, importPath string, a *lint.Analyzer) {
 	t.Helper()
 	pkg, err := lint.LoadDir(dir, importPath, ".")

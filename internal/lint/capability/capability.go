@@ -1,15 +1,14 @@
-// Package capability statically enforces the paper's downloaded-part
-// sandbox (PAPER.md: Java-security-manager confinement of IP parts).
-// The runtime half lives in internal/security — a Sandbox granting only
-// CapProviderChannel by default — but a runtime check only fires on the
-// paths a test happens to execute. This analyzer closes the gap
-// statically: over the sandboxed package set (public-part skeletons in
-// internal/module, the sealed-evaluation path in internal/sealed, and
-// the kernel packages a downloaded behavior runs inside), it enforces
+// Package capability enforces the paper's downloaded-part sandbox
+// (PAPER.md: Java-security-manager confinement of IP parts). It is the
+// whole sandbox: there is no run-time half, so the confinement holds on
+// every path, not only on the ones a test executes, and a user cannot
+// relax it at run time. Over the sandboxed package set (public-part
+// skeletons in internal/module, the sealed-evaluation path in
+// internal/sealed, and the kernel packages a downloaded behavior runs
+// inside), it enforces
 //
-//  1. an import gate — sandboxed packages may import only each other,
-//     the blessed provider-channel seam repro/internal/security, and
-//     capability-free stdlib; os, os/exec, net, syscall, unsafe,
+//  1. an import gate — sandboxed packages may import only each other
+//     and capability-free stdlib; os, os/exec, net, syscall, unsafe,
 //     reflect and friends are forbidden outright; and
 //  2. a call-graph reachability check — starting from the entry points
 //     a downloaded part is invoked through (exported functions and
@@ -40,8 +39,7 @@ import (
 
 // SandboxPackages is the sandboxed set: code that runs on behalf of a
 // downloaded part. The set is import-closed over repro packages (each
-// member may import only other members plus the blessed seam), which the
-// import gate enforces.
+// member may import only other members), which the import gate enforces.
 var SandboxPackages = []string{
 	"repro/internal/module",
 	"repro/internal/sealed",
@@ -50,13 +48,6 @@ var SandboxPackages = []string{
 	"repro/internal/estim",
 	"repro/internal/sim",
 	"repro/internal/wire",
-}
-
-// BlessedImports is the single sanctioned capability seam: the
-// provider-channel policy and sandbox types of internal/security. All
-// outside-world traffic from a downloaded part must flow through it.
-var BlessedImports = []string{
-	"repro/internal/security",
 }
 
 // forbiddenPrefixes are import-path prefixes a sandboxed package may
@@ -90,8 +81,8 @@ var wallClockFuncs = map[string]bool{
 var Analyzer = &lint.Analyzer{
 	Name: "capability",
 	Doc: "statically enforce the downloaded-part sandbox: packages reachable from " +
-		"public-part skeletons may not import or call os/net/exec/unsafe/reflect or " +
-		"wall-clock APIs except through the internal/security provider-channel seam; " +
+		"public-part skeletons may not import or call os/net/exec/unsafe/reflect, " +
+		"wall-clock APIs or repro packages outside the sandbox; " +
 		"violations name the full call chain",
 	Run: run,
 }
@@ -115,15 +106,14 @@ func checkImports(pass *lint.Pass) {
 			}
 			switch {
 			case strings.HasPrefix(path, "repro/"):
-				if !lint.PathMatchesAny(path, SandboxPackages) &&
-					!lint.PathMatchesAny(path, BlessedImports) {
+				if !lint.PathMatchesAny(path, SandboxPackages) {
 					pass.Reportf(spec.Pos(),
-						"sandboxed package %s imports %s: downloaded-part code may only depend on other sandboxed packages and the provider-channel seam (repro/internal/security)",
+						"sandboxed package %s imports %s: downloaded-part code may only depend on other sandboxed packages",
 						pass.Pkg.Path(), path)
 				}
 			case lint.PathMatchesAny(path, forbiddenPrefixes):
 				pass.Reportf(spec.Pos(),
-					"sandboxed package %s imports %s: forbidden capability for downloaded-part code (paper's sandbox allows outside-world access only through the internal/security provider channel)",
+					"sandboxed package %s imports %s: forbidden capability for downloaded-part code (the paper's sandbox denies it the file system, the network and other processes)",
 					pass.Pkg.Path(), path)
 			}
 		}
@@ -201,7 +191,7 @@ func checkReachability(pass *lint.Pass) {
 			}
 			reported[fc.pos] = true
 			pass.Reportf(fc.pos,
-				"sandboxed code reaches %s (chain: %s -> %s): downloaded parts may touch the outside world only through the provider-channel seam (repro/internal/security)",
+				"sandboxed code reaches %s (chain: %s -> %s): downloaded parts may not touch the outside world",
 				fc.what, chain(parent, fn), fc.what)
 		}
 		for _, callee := range node.callees {

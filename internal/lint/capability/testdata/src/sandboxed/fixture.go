@@ -1,9 +1,9 @@
 // Package fixture stands in for a sandboxed public-part skeleton
 // package (loaded as repro/internal/module/fixture): the import gate
 // must reject the os import, the reachability walk must flag the
-// wall-clock read behind the exported entry point with its chain, and
-// the blessed security seam plus genuinely unreachable code must stay
-// silent.
+// wall-clock read behind the exported entry point with its chain, the
+// gate must reject internal/security like any other repro package
+// outside the sandbox, and genuinely unreachable code must stay silent.
 package fixture
 
 import (
@@ -16,14 +16,15 @@ import (
 	// never reach it.
 	_ "repro/internal/gateway" // want `may only depend on other sandboxed packages`
 
-	"repro/internal/security"
+	// There is no run-time sandbox to consult: the security package is
+	// provider and transport machinery, outside the sandbox like the
+	// gateway.
+	_ "repro/internal/security" // want `may only depend on other sandboxed packages`
 )
 
 // Part is a downloaded-part skeleton; its exported methods are the
 // surface a user design invokes.
-type Part struct {
-	sb *security.Sandbox
-}
+type Part struct{}
 
 // HandleEvent is an entry point that reaches the wall clock two hops
 // down — the finding must name the full chain.
@@ -43,12 +44,6 @@ func stamp() {
 // time is legal, observing it is not.
 func (p *Part) Wait(d time.Duration) time.Duration {
 	return d * 2
-}
-
-// CheckRead goes through the blessed provider-channel seam; the runtime
-// sandbox decides, the analyzer stays silent.
-func (p *Part) CheckRead() error {
-	return p.sb.Require(security.CapFileRead)
 }
 
 // orphan is unexported and never called from any entry point, so its

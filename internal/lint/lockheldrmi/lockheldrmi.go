@@ -7,8 +7,8 @@
 // RMI completion path takes the same lock, a deadlock.
 //
 // Two call surfaces count as RMI: internal/rmi's client side
-// (rmi.Client and rmi.Pending methods, plus Dial/NewClient, which
-// perform the handshake) and all of internal/iplib, whose typed stubs
+// (rmi.Client methods, plus Dial/NewClient, which perform the
+// handshake) and all of internal/iplib, whose typed stubs
 // are documented as thin envelopes around internal/rmi — each method is
 // a round trip. internal/rmi's server-side types (Session, Server) and
 // the EncodePayload/Decode helpers are local and exempt.
@@ -41,26 +41,9 @@ var rmiPackages = []string{
 // network.
 const rmiPkg = "repro/internal/rmi"
 
-// rmiClientTypes are the internal/rmi receiver types whose methods are
-// round trips (or block on one, as Pending.Err does).
-var rmiClientTypes = map[string]bool{"Client": true, "Pending": true}
-
 // rmiClientFuncs are the package-level internal/rmi functions that
 // perform a network handshake.
 var rmiClientFuncs = map[string]bool{"Dial": true, "NewClient": true}
-
-// rmiNonBlockingClient are rmi.Client methods that only read local,
-// mutex-guarded state — never the wire. With the multiplexed transport
-// these are the sanctioned observability accessors (session identity,
-// liveness, reconnect count, pipeline high-water mark); holding a caller
-// lock across them is fine, and callers legitimately consult them inside
-// their own critical sections.
-var rmiNonBlockingClient = map[string]bool{
-	"Session":      true,
-	"Dead":         true,
-	"Reconnects":   true,
-	"PeakInFlight": true,
-}
 
 // isRMICall reports whether fn blocks on a network round trip.
 func isRMICall(fn *types.Func) bool {
@@ -72,10 +55,10 @@ func isRMICall(fn *types.Func) bool {
 		return false
 	}
 	if _, typeName := lint.ReceiverNamed(fn); typeName != "" {
-		if typeName == "Client" && rmiNonBlockingClient[fn.Name()] {
-			return false
-		}
-		return rmiClientTypes[typeName]
+		// rmi.Client is the one receiver whose methods are round trips,
+		// except Session, which reads the client's local session
+		// identity and may be consulted inside a critical section.
+		return typeName == "Client" && fn.Name() != "Session"
 	}
 	return rmiClientFuncs[fn.Name()]
 }

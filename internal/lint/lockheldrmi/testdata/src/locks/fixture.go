@@ -52,12 +52,12 @@ func rwLockHeld(mu *sync.RWMutex, c *rmi.Client) error {
 	return c.Call("m", nil, nil) // want "while mutex mu is held"
 }
 
-// Non-blocking client accessors read local mux state, never the wire;
-// consulting them inside a critical section is sanctioned.
-func accessorsOK(mu *sync.Mutex, c *rmi.Client) (string, bool, int) {
+// Session reads the client's local session identity, never the wire;
+// consulting it inside a critical section is sanctioned.
+func sessionOK(mu *sync.Mutex, c *rmi.Client) string {
 	mu.Lock()
 	defer mu.Unlock()
-	return c.Session(), c.Dead() || c.Reconnects() > 0, c.PeakInFlight()
+	return c.Session()
 }
 
 func serverSideOK(sess *rmi.Session, mu *sync.Mutex) {

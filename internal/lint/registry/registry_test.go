@@ -1,7 +1,12 @@
 package registry_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,6 +87,79 @@ func TestNoHTTPInServingCore(t *testing.T) {
 				t.Errorf("%s depends on %s", pkg, dep)
 			}
 		}
+	}
+}
+
+// TestEveryExportHasACaller keeps API that only tests reach from
+// growing back: every exported function or method declared in a
+// non-test file under internal/ must be named by some non-test file of
+// the module or of benchmark/, or carry a "Used only by tests:" line in
+// its doc comment naming the tests it serves. The match is by name, so
+// a method shares its callers with every method of the same name.
+// Methods the standard library calls through an interface are exempt.
+func TestEveryExportHasACaller(t *testing.T) {
+	stdlibCalled := map[string]bool{"Error": true, "String": true, "Unwrap": true, "Import": true}
+	root := filepath.Join("..", "..", "..")
+	fset := token.NewFileSet()
+	type export struct {
+		decl *ast.FuncDecl
+		pos  token.Position
+	}
+	var exports []export
+	named := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		declared := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			declared[fn.Name] = true
+			if strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
+				pos := fset.Position(fn.Pos())
+				pos.Filename = filepath.ToSlash(rel)
+				exports = append(exports, export{fn, pos})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				named[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exports) < 100 {
+		t.Fatalf("suspiciously few exported functions found: %d", len(exports))
+	}
+	for _, e := range exports {
+		name := e.decl.Name.Name
+		if named[name] || e.decl.Recv != nil && stdlibCalled[name] ||
+			strings.Contains(e.decl.Doc.Text(), "Used only by tests:") {
+			continue
+		}
+		t.Errorf("%s: %s has no caller outside tests", e.pos, name)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestApplySetupHierarchical(t *testing.T) {
 	setup := estim.NewSetup("s")
 	setup.Set(estim.ParamArea, estim.Criteria{})
 	ApplySetup(setup, top)
-	if e, ok := r.SelectedEstimator(setup, estim.ParamArea); !ok || e.EstimatorName() != "area-r" {
+	if e, ok := r.selected[setup][estim.ParamArea]; !ok || e.EstimatorName() != "area-r" {
 		t.Error("setup did not reach nested module")
 	}
 }

@@ -26,8 +26,7 @@ func TestConnectorPointToPoint(t *testing.T) {
 	_ = m1
 	m2 := NewRegister("r2", 4, nil, c)
 	_ = m2
-	a, b := c.Ends()
-	if a == nil || b == nil {
+	if c.a == nil || c.b == nil {
 		t.Fatal("connector ends not attached")
 	}
 	defer func() {

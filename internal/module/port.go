@@ -151,9 +151,6 @@ func (c *Connector) peer(p *Port) *Port {
 	return nil
 }
 
-// Ends returns the two attached ports (either may be nil).
-func (c *Connector) Ends() (*Port, *Port) { return c.a, c.b }
-
 // Peer returns the port on the other end of the connector, or nil when p
 // is not attached to it or the far end is dangling.
 func (c *Connector) Peer(p *Port) *Port { return c.peer(p) }

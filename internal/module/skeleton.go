@@ -67,7 +67,7 @@ type ResetBehavior interface {
 
 // runState is a module's per-run mutable state: current and previous
 // values on every port, plus behavior-private state. It lives in the
-// running scheduler's state slot for the module (sim.Context.Slot) and
+// running scheduler's state slot for the module (sim.Context.SlotAt) and
 // is reused when that scheduler is recycled; run stamps the run it was
 // last initialized for.
 type runState struct {
@@ -359,15 +359,6 @@ func (sk *Skeleton) SelectEstimator(s *estim.Setup, p estim.Parameter, e estim.E
 		sk.selected[s] = m
 	}
 	m[p] = e
-}
-
-// SelectedEstimator returns the estimator a setup selected for a
-// parameter, if any.
-func (sk *Skeleton) SelectedEstimator(s *estim.Setup, p estim.Parameter) (estim.Estimator, bool) {
-	sk.estMu.RLock()
-	defer sk.estMu.RUnlock()
-	e, ok := sk.selected[s][p]
-	return e, ok
 }
 
 // AppendPortValues appends to dst the current values held by the

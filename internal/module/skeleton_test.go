@@ -125,12 +125,12 @@ func TestSelectedEstimatorLookup(t *testing.T) {
 	s := estim.NewSetup("s")
 	s.Set(estim.ParamArea, estim.Criteria{})
 	s.SelectFor(r)
-	got, ok := r.SelectedEstimator(s, estim.ParamArea)
+	got, ok := r.selected[s][estim.ParamArea]
 	if !ok || got.EstimatorName() != "a" {
 		t.Errorf("selected = %v, %v", got, ok)
 	}
 	other := estim.NewSetup("other")
-	if _, ok := r.SelectedEstimator(other, estim.ParamArea); ok {
+	if _, ok := r.selected[other][estim.ParamArea]; ok {
 		t.Error("selection leaked across setups")
 	}
 }

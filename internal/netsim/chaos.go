@@ -151,13 +151,6 @@ func (cs *ChaosSchedule) Dialer(i int, base func() (net.Conn, error)) func() (ne
 	}
 }
 
-// Dials returns how many dial attempts replica i has absorbed.
-func (cs *ChaosSchedule) Dials(i int) int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.dials[i]
-}
-
 // AllDeadSchedule scripts every replica dead — kills the first
 // connection of each and refuses all redials — for the degradation half
 // of the invariant: the run must end in explicit, reported degradation,

@@ -14,7 +14,7 @@ import (
 // and later writes go through.
 func TestFaultPartialLeavesConnOpen(t *testing.T) {
 	msg := []byte("0123456789")
-	fc, peer := pipePair(t, PartialWrite(1, 4))
+	fc, peer := pipePair(t, planOf(FaultRule{Op: OnWrite, Nth: 1, Kind: FaultPartial, Keep: 4}))
 	got := readChunks(peer)
 
 	n, err := fc.Write(msg)
@@ -40,7 +40,7 @@ func TestFaultPartialLeavesConnOpen(t *testing.T) {
 
 // TestFaultPartialKeepClamp bounds Keep at the buffer length.
 func TestFaultPartialKeepClamp(t *testing.T) {
-	fc, peer := pipePair(t, PartialWrite(1, 99))
+	fc, peer := pipePair(t, planOf(FaultRule{Op: OnWrite, Nth: 1, Kind: FaultPartial, Keep: 99}))
 	got := readChunks(peer)
 	n, err := fc.Write([]byte("xy"))
 	if !errors.Is(err, ErrInjectedPartial) || n != 2 {
@@ -86,7 +86,7 @@ func TestFaultSlowDripDeliversEverything(t *testing.T) {
 // returns exactly one byte after the delay — a legal short read that
 // must not confuse a length-prefixed codec.
 func TestFaultSlowDripShortRead(t *testing.T) {
-	fc, peer := pipePair(t, SlowDripRead(1, 0))
+	fc, peer := pipePair(t, planOf(FaultRule{Op: OnRead, Nth: 1, Kind: FaultSlowDrip}))
 	go peer.Write([]byte("hello"))
 
 	buf := make([]byte, 16)
@@ -198,8 +198,11 @@ func TestChaosDialerRefusesFromIndex(t *testing.T) {
 	}
 
 	for i, want := range []int{1, 2, 3} {
-		if got := cs.Dials(i); got != want {
-			t.Fatalf("Dials(%d) = %d, want %d", i, got, want)
+		cs.mu.Lock()
+		got := cs.dials[i]
+		cs.mu.Unlock()
+		if got != want {
+			t.Fatalf("replica %d absorbed %d dials, want %d", i, got, want)
 		}
 	}
 }

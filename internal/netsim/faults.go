@@ -114,6 +114,9 @@ type FaultPlan struct {
 }
 
 // DropWrite returns a plan swallowing the nth write.
+//
+// Used only by tests: TestNewClientHonoursConnDeadline,
+// TestDroppedRequestTimesOutAndRetries, TestFaultPlansTable.
 func DropWrite(n int) *FaultPlan {
 	return &FaultPlan{Rules: []FaultRule{{Op: OnWrite, Nth: n, Kind: FaultDrop}}}
 }
@@ -123,38 +126,18 @@ func ResetAfterWrites(n int) *FaultPlan {
 	return &FaultPlan{Rules: []FaultRule{{Op: OnWrite, Nth: n, Kind: FaultReset}}}
 }
 
-// ResetAfterReads returns a plan killing the connection at the nth read.
-func ResetAfterReads(n int) *FaultPlan {
-	return &FaultPlan{Rules: []FaultRule{{Op: OnRead, Nth: n, Kind: FaultReset}}}
-}
-
 // TruncateWrite returns a plan cutting the nth write after keep bytes and
 // resetting — a reset mid-frame.
+//
+// Used only by tests: TestTruncatedFrameRecovered, TestFaultPlansTable.
 func TruncateWrite(n, keep int) *FaultPlan {
 	return &FaultPlan{Rules: []FaultRule{{Op: OnWrite, Nth: n, Kind: FaultTruncate, Keep: keep}}}
-}
-
-// DelayRead returns a plan stalling the nth read by d — a delay spike.
-func DelayRead(n int, d time.Duration) *FaultPlan {
-	return &FaultPlan{Rules: []FaultRule{{Op: OnRead, Nth: n, Kind: FaultDelay, Delay: d}}}
-}
-
-// PartialWrite returns a plan tearing the nth write after keep bytes
-// while leaving the connection open.
-func PartialWrite(n, keep int) *FaultPlan {
-	return &FaultPlan{Rules: []FaultRule{{Op: OnWrite, Nth: n, Kind: FaultPartial, Keep: keep}}}
 }
 
 // SlowDripWrite returns a plan dripping the nth write byte-at-a-time
 // with perByte between bytes.
 func SlowDripWrite(n int, perByte time.Duration) *FaultPlan {
 	return &FaultPlan{Rules: []FaultRule{{Op: OnWrite, Nth: n, Kind: FaultSlowDrip, Delay: perByte}}}
-}
-
-// SlowDripRead returns a plan turning the nth read into a delayed
-// single-byte read.
-func SlowDripRead(n int, perByte time.Duration) *FaultPlan {
-	return &FaultPlan{Rules: []FaultRule{{Op: OnRead, Nth: n, Kind: FaultSlowDrip, Delay: perByte}}}
 }
 
 // Wrap returns conn with the plan applied. A nil plan returns a
@@ -181,6 +164,11 @@ type FaultyConn struct {
 }
 
 // Fired returns the rules that have triggered so far, in firing order.
+//
+// Used only by tests: TestFaultedRunMatchesFaultFree,
+// TestFaultedTimingRunMatchesFaultFree, TestRetryHealsConnectionReset,
+// TestMidPipelineDisconnectHealsEveryCall,
+// TestNewClientHonoursConnDeadline, TestFaultPlansTable.
 func (c *FaultyConn) Fired() []FaultRule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -317,6 +305,12 @@ func (d *FaultyDialer) Dial() (net.Conn, error) {
 }
 
 // Dials returns how many connections have been opened.
+//
+// Used only by tests: TestFaultedRunMatchesFaultFree,
+// TestFaultedTimingRunMatchesFaultFree,
+// TestFaultedBindReplaysAcrossConcurrentReconnect,
+// TestRetryHealsConnectionReset, TestAckRunsBeforeConcurrentReconnect,
+// TestFaultyDialerSequencesPlans.
 func (d *FaultyDialer) Dials() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -114,7 +114,7 @@ func TestFaultPlansTable(t *testing.T) {
 		},
 		{
 			name: "delay-spike",
-			plan: DelayRead(1, 30*time.Millisecond),
+			plan: planOf(FaultRule{Op: OnRead, Nth: 1, Kind: FaultDelay, Delay: 30 * time.Millisecond}),
 			check: func(t *testing.T, fc *FaultyConn, peer net.Conn) {
 				go peer.Write(msg)
 				buf := make([]byte, len(msg))
@@ -129,7 +129,7 @@ func TestFaultPlansTable(t *testing.T) {
 		},
 		{
 			name: "reset-at-read",
-			plan: ResetAfterReads(1),
+			plan: planOf(FaultRule{Op: OnRead, Nth: 1, Kind: FaultReset}),
 			check: func(t *testing.T, fc *FaultyConn, peer net.Conn) {
 				go peer.Write(msg)
 				buf := make([]byte, len(msg))
@@ -226,3 +226,6 @@ func TestFaultyDialerSequencesPlans(t *testing.T) {
 		t.Error("conn 1 should exist with no fired rules")
 	}
 }
+
+// planOf returns a plan of the one rule r.
+func planOf(r FaultRule) *FaultPlan { return &FaultPlan{Rules: []FaultRule{r}} }

@@ -156,7 +156,7 @@ func FuzzStepBatch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := NewTimingSimulator(nl, nil)
+		ts, err := newTimingSimulator(nl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,7 +100,7 @@ func oracleRun(t *testing.T, nl *gate.Netlist, stream [][]signal.Bit, chunk int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := NewTimingSimulator(nl, nil)
+	ts, err := newTimingSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,15 +340,6 @@ type TimingSimulator struct {
 	delays  [gate.Lanes]float64 // per-lane scratch of one batch
 }
 
-// NewTimingSimulator builds a timing simulator over the netlist.
-func NewTimingSimulator(nl *gate.Netlist, lib *Library) (*TimingSimulator, error) {
-	lanes, err := nl.NewLaneEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	return NewTimingSimulatorOn(lanes, lib)
-}
-
 // NewTimingSimulatorOn builds a timing simulator that evaluates on
 // lanes, which it may share with other users whose calls are serialized
 // with its own.

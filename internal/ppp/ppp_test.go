@@ -199,7 +199,7 @@ func TestXInputsDissipateNothing(t *testing.T) {
 
 func TestTimingSimulatorBasics(t *testing.T) {
 	nl := gate.RippleAdder(8)
-	ts, err := NewTimingSimulator(nl, nil)
+	ts, err := newTimingSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestTimingSimulatorBasics(t *testing.T) {
 
 func TestTimingSimulatorNeverExceedsStatic(t *testing.T) {
 	nl := gate.ArrayMultiplier(6)
-	ts, err := NewTimingSimulator(nl, nil)
+	ts, err := newTimingSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestStepBatchAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := NewTimingSimulator(nl, nil)
+	ts, err := newTimingSimulator(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +309,21 @@ func TestStepBatchRejectsWholeBatch(t *testing.T) {
 	if rep := s.Report(); rep.Patterns != 0 {
 		t.Errorf("failed batch applied %d patterns", rep.Patterns)
 	}
-	ts, _ := NewTimingSimulator(nl, nil)
+	ts, _ := newTimingSimulator(nl)
 	if _, err := ts.StepBatch(bad, nil); err == nil {
 		t.Fatal("short pattern accepted by timing")
 	}
 	if d, _ := ts.Step(nl.InputWord(0xF)); d != 0 {
 		t.Errorf("first applied pattern after a failed batch has delay %v, want 0", d)
 	}
+}
+
+// newTimingSimulator builds a timing simulator with the default library
+// on lanes of its own.
+func newTimingSimulator(nl *gate.Netlist) (*TimingSimulator, error) {
+	lanes, err := nl.NewLaneEvaluator()
+	if err != nil {
+		return nil, err
+	}
+	return NewTimingSimulatorOn(lanes, nil)
 }

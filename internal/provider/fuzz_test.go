@@ -28,7 +28,7 @@ func (*rawReply) DecodeFrom([]byte) error { return nil }
 var dispatchMethods = []string{
 	iplib.MethodCatalogue, iplib.MethodBind, iplib.MethodEval, iplib.MethodPowerBatch,
 	iplib.MethodStatic, iplib.MethodFaultList, iplib.MethodFaultTable, iplib.MethodFees,
-	iplib.MethodNegotiate, iplib.MethodTestSet, iplib.MethodTimingBatch,
+	iplib.MethodTestSet, iplib.MethodTimingBatch,
 }
 
 // FuzzProviderDispatch sends fuzzed payload bytes to every method the
@@ -71,9 +71,6 @@ func FuzzProviderDispatch(f *testing.F) {
 		iplib.FaultListReq{Instance: 2},
 		iplib.FaultTableReq{Instance: 1, Inputs: in},
 		iplib.TestSetReq{Instance: 2, MaxCandidates: 20, Seed: 1},
-		iplib.NegotiateReq{Component: "MultFastLowPower", Constraints: []iplib.ModelConstraint{
-			{Param: "power.avg", MaxErrPct: 15}, {Param: "delay", ForbidRemote: true},
-		}},
 	} {
 		f.Add(req.AppendTo(nil))
 	}

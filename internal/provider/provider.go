@@ -24,7 +24,7 @@ import (
 )
 
 // Component couples a catalogue spec with the private implementation
-// generator. Build runs at bind time with the negotiated width.
+// generator. Build runs at bind time with the width the client binds.
 type Component struct {
 	Spec iplib.ComponentSpec
 	// Build generates the private gate-level implementation.
@@ -123,7 +123,6 @@ func New(name string) *Provider {
 	p.Server.Handle(iplib.MethodFaultList, p.handleFaultList)
 	p.Server.Handle(iplib.MethodFaultTable, p.handleFaultTable)
 	p.Server.Handle(iplib.MethodFees, p.handleFees)
-	p.Server.Handle(iplib.MethodNegotiate, p.handleNegotiate)
 	p.Server.Handle(iplib.MethodTestSet, p.handleTestSet)
 	p.Server.HandleOrdered(iplib.MethodTimingBatch, p.handleTimingBatch)
 	return p
@@ -155,56 +154,6 @@ func (p *Provider) handleTestSet(sess *rmi.Session, payload []byte) (any, error)
 	fee := inst.comp.TestSetFeeCents
 	sess.Charge(fee)
 	return iplib.TestSetResp{Patterns: ts.Patterns, Coverage: ts.Coverage, FeeCents: fee}, nil
-}
-
-// handleNegotiate answers a negotiation round: for each constraint, the
-// most accurate offered estimator that satisfies the client's bounds.
-func (p *Provider) handleNegotiate(sess *rmi.Session, payload []byte) (any, error) {
-	var req iplib.NegotiateReq
-	if err := rmi.Decode(payload, &req); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	comp, ok := p.components[req.Component]
-	p.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("provider: unknown component %q", req.Component)
-	}
-	resp := iplib.NegotiateResp{
-		Offers:     make([]iplib.EstimatorOffer, len(req.Constraints)),
-		Rejections: make([]string, len(req.Constraints)),
-	}
-	for i, c := range req.Constraints {
-		var best *iplib.EstimatorOffer
-		for j := range comp.Spec.Estimators {
-			o := &comp.Spec.Estimators[j]
-			if o.Param != c.Param {
-				continue
-			}
-			if c.MaxErrPct > 0 && o.ErrPct > c.MaxErrPct {
-				continue
-			}
-			if c.MaxCostCents < 0 && o.CostCents > 0 {
-				continue
-			}
-			if c.MaxCostCents > 0 && o.CostCents > c.MaxCostCents {
-				continue
-			}
-			if c.ForbidRemote && o.Remote {
-				continue
-			}
-			if best == nil || o.ErrPct < best.ErrPct {
-				best = o
-			}
-		}
-		if best == nil {
-			resp.Rejections[i] = fmt.Sprintf("no %s model within err<=%.1f%% cost<=%.2f remote-ok=%v",
-				c.Param, c.MaxErrPct, c.MaxCostCents, !c.ForbidRemote)
-			continue
-		}
-		resp.Offers[i] = *best
-	}
-	return resp, nil
 }
 
 // Register adds a component to the catalogue.
@@ -290,7 +239,7 @@ func (p *Provider) handleBind(sess *rmi.Session, payload []byte) (any, error) {
 		return nil, err
 	}
 	inst := &instance{comp: comp, width: req.Width, nl: nl, lanes: lanes, power: power, lib: lib}
-	// Negotiate the enabled models.
+	// Enable the requested models (all offered ones when none named).
 	enabled := comp.Spec.Estimators
 	if len(req.Models) > 0 {
 		enabled = nil

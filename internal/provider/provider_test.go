@@ -3,10 +3,12 @@ package provider
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gate"
 	"repro/internal/iplib"
+	"repro/internal/leakcheck"
 	"repro/internal/ppp"
 	"repro/internal/rmi"
 	"repro/internal/security"
@@ -40,6 +42,35 @@ func startProvider(t *testing.T) (*Provider, *iplib.IPClient) {
 	}
 	t.Cleanup(func() { rpc.Close() })
 	return p, iplib.NewIPClient(rpc)
+}
+
+// TestProviderCloseStopsSessions: Close is a full stop. With a live
+// session bound to an instance, Close returns, the session's next call
+// fails, and no serve goroutine outlives it.
+func TestProviderCloseStopsSessions(t *testing.T) {
+	leakcheck.Check(t)
+	p, c := startProvider(t)
+	b, err := c.Bind("MultFastLowPower", 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := gate.ArrayMultiplier(4).InputWord(3 | 5<<4)
+	if _, err := b.Eval(in); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return with a live session")
+	}
+	if _, err := b.Eval(in); err == nil {
+		t.Error("call after Close succeeded")
+	}
 }
 
 func TestCatalogueListsComponents(t *testing.T) {
@@ -431,9 +462,9 @@ func TestRemoteTimingBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl := gate.ArrayMultiplier(4)
-	delays, err := b.TimingBatch([][]signal.Bit{
+	delays, err := b.EstimateBatch(iplib.MethodTimingBatch, [][]signal.Bit{
 		nl.InputWord(0x00), nl.InputWord(0xFF), nl.InputWord(0xFF), nl.InputWord(0x5A),
-	})
+	}, false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

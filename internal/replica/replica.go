@@ -146,13 +146,6 @@ func (s *Set) ObserveEpochFail(err error) {
 	s.health[i].Observe(0, err)
 }
 
-// Current returns the index of the replica currently serving.
-func (s *Set) Current() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.current
-}
-
 // Failovers returns how many times the current replica changed.
 func (s *Set) Failovers() int {
 	s.mu.Lock()

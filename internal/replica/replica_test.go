@@ -167,8 +167,11 @@ func TestSetFailsOverInRingOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
-	if s.Current() != 2 || s.Failovers() != 1 {
-		t.Fatalf("current %d failovers %d, want replica 2 after one failover", s.Current(), s.Failovers())
+	s.mu.Lock()
+	current := s.current
+	s.mu.Unlock()
+	if current != 2 || s.Failovers() != 1 {
+		t.Fatalf("current %d failovers %d, want replica 2 after one failover", current, s.Failovers())
 	}
 	if len(hops) != 1 || hops[0] != [2]int{0, 2} {
 		t.Fatalf("failover hops = %v, want one hop 0→2", hops)

@@ -238,36 +238,6 @@ func (c *Client) Session() string {
 	return c.session
 }
 
-// Dead reports whether the provider has been declared dead (every retry
-// and reconnect attempt exhausted).
-func (c *Client) Dead() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dead
-}
-
-// Reconnects returns how many automatic reconnects have succeeded.
-func (c *Client) Reconnects() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
-}
-
-// PeakInFlight returns the high-water mark of concurrently in-flight
-// calls on the current transport epoch — observability for tests and
-// tuning (it resets on reconnect).
-func (c *Client) PeakInFlight() int {
-	c.mu.Lock()
-	tr := c.tr
-	c.mu.Unlock()
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.peak
-}
-
 // terminate signals terminal state (close or dead) to backoff sleepers.
 func (c *Client) terminate() {
 	c.termOnce.Do(func() { close(c.term) })
@@ -500,29 +470,4 @@ func (c *Client) reconnectLocked() error {
 	}
 	c.tr = m
 	return nil
-}
-
-// Pending is an in-flight asynchronous call.
-type Pending struct {
-	// Done is closed when the call completes.
-	Done chan struct{}
-	err  error
-}
-
-// Err returns the call's outcome; it must be read after Done closes.
-func (p *Pending) Err() error { return p.err }
-
-// Go invokes a remote method asynchronously on a new goroutine. The
-// reply must not be touched until Done closes. Concurrent Go calls
-// pipeline on the shared connection up to MaxInFlight deep. The paper's
-// nonblocking estimation does not use it: core's estimator issues its
-// batches through Invoke on one ordered dispatcher goroutine, and only
-// the transport's own tests call Go.
-func (c *Client) Go(method string, args PortData, reply any) *Pending {
-	p := &Pending{Done: make(chan struct{})}
-	go func() {
-		defer close(p.Done)
-		p.err = c.Invoke(method, args, reply, false, nil)
-	}()
-	return p
 }

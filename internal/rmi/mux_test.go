@@ -65,7 +65,7 @@ func TestPipelinedCallsAtDepths(t *testing.T) {
 					t.Errorf("call %d: response %v correlated to the wrong request", i, got[i].Bits)
 				}
 			}
-			peak := cli.PeakInFlight()
+			peak := peakInFlight(cli)
 			if peak > depth {
 				t.Errorf("peak in-flight %d exceeds configured depth %d", peak, depth)
 			}
@@ -176,7 +176,7 @@ func TestUnknownResponseIDFailsAllInFlight(t *testing.T) {
 	if failed < 2 {
 		t.Errorf("failed=%d ok=%d; the poisoned epoch let in-flight calls succeed", failed, ok)
 	}
-	if cli.Dead() {
+	if isDead(cli) {
 		t.Error("single desync must not declare the provider dead")
 	}
 }
@@ -209,10 +209,10 @@ func TestMidPipelineDisconnectHealsEveryCall(t *testing.T) {
 	if fired := dialer.Conn(0).Fired(); len(fired) != 1 {
 		t.Fatalf("scripted mid-pipeline reset did not fire: %v", fired)
 	}
-	if got := cli.Reconnects(); got < 1 {
+	if got := reconnectCount(cli); got < 1 {
 		t.Errorf("reconnects = %d, want ≥ 1", got)
 	}
-	if cli.Dead() {
+	if isDead(cli) {
 		t.Error("client wrongly declared dead")
 	}
 	if calls.Load() < n {

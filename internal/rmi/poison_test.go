@@ -71,10 +71,10 @@ func TestMuxPoisonMatrix(t *testing.T) {
 			if err := cli.Call("m", echoReq{Note: "poison"}, nil); err != nil {
 				t.Fatalf("%v not healed: %v", fault.name, err)
 			}
-			if got := cli.Reconnects(); got != 1 {
+			if got := reconnectCount(cli); got != 1 {
 				t.Errorf("reconnects = %d, want 1 (fault must poison the epoch exactly once)", got)
 			}
-			if cli.Dead() {
+			if isDead(cli) {
 				t.Error("healed client declared dead")
 			}
 			for i := 0; i < 5; i++ {

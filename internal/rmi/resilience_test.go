@@ -76,7 +76,7 @@ func TestRetryHealsConnectionReset(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := cli.Reconnects(); got != 1 {
+	if got := reconnectCount(cli); got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 	if dialer.Dials() != 2 {
@@ -88,7 +88,7 @@ func TestRetryHealsConnectionReset(t *testing.T) {
 	if cli.Session() == oldSession {
 		t.Error("session unchanged after reconnect; re-handshake did not happen")
 	}
-	if cli.Dead() {
+	if isDead(cli) {
 		t.Error("client wrongly declared dead")
 	}
 }
@@ -105,7 +105,7 @@ func TestDroppedRequestTimesOutAndRetries(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := cli.Reconnects(); got < 1 {
+	if got := reconnectCount(cli); got < 1 {
 		t.Errorf("reconnects = %d, want ≥ 1", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestTruncatedFrameRecovered(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := cli.Reconnects(); got != 1 {
+	if got := reconnectCount(cli); got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 }
@@ -155,7 +155,7 @@ func TestRemoteErrorNotRetried(t *testing.T) {
 	if n.Load() != 1 {
 		t.Errorf("handler executed %d times, want exactly 1 (no retry)", n.Load())
 	}
-	if cli.Dead() {
+	if isDead(cli) {
 		t.Error("application error must not declare the provider dead")
 	}
 }
@@ -305,7 +305,7 @@ func TestStaleResponseDesyncBreaksAndHeals(t *testing.T) {
 	if err := cli.Call("m", echoReq{}, nil); err != nil {
 		t.Fatalf("desync not healed: %v", err)
 	}
-	if got := cli.Reconnects(); got != 1 {
+	if got := reconnectCount(cli); got != 1 {
 		t.Errorf("reconnects = %d, want 1 (stale frame must poison the connection)", got)
 	}
 	// Counters stay aligned afterwards: a burst of calls all match.
@@ -331,7 +331,7 @@ func TestStaleResponseWithoutRetrySurfacesAndIsolates(t *testing.T) {
 	if err := cli.Call("m", echoReq{}, nil); err != nil {
 		t.Fatalf("follow-up call: %v", err)
 	}
-	if got := cli.Reconnects(); got != 1 {
+	if got := reconnectCount(cli); got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 }
@@ -378,7 +378,7 @@ func TestProviderDeclaredDead(t *testing.T) {
 	if !errors.Is(firstErr, ErrProviderDead) {
 		t.Fatalf("err = %v, want ErrProviderDead", firstErr)
 	}
-	if !cli.Dead() {
+	if !isDead(cli) {
 		t.Error("client not marked dead")
 	}
 	// Fail-fast path: no backoff walk, immediate dead error.
@@ -428,7 +428,7 @@ func TestZeroPolicyKeepsLegacyBehavior(t *testing.T) {
 	if err := cli.Call("m", echoReq{}, nil); err == nil {
 		t.Fatal("transport failure hidden without a retry policy")
 	}
-	if cli.Dead() {
+	if isDead(cli) {
 		t.Error("single-attempt failure must not declare the provider dead")
 	}
 	if errors.Is(cli.Call("m", echoReq{}, nil), ErrProviderDead) {

@@ -67,8 +67,6 @@ func Seal(nl *gate.Netlist, key []byte) (*Model, error) {
 // accurate power estimation or detection tables.
 type Evaluator struct {
 	ev   *gate.LaneEvaluator
-	nIn  int
-	nOut int
 	name string
 }
 
@@ -94,17 +92,11 @@ func Open(m *Model, key []byte) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{ev: ev, nIn: len(nl.Inputs()), nOut: len(nl.Outputs()), name: m.ComponentName}, nil
+	return &Evaluator{ev: ev, name: m.ComponentName}, nil
 }
 
 // Name returns the component's catalogue name.
 func (e *Evaluator) Name() string { return e.name }
-
-// NumInputs returns the input count of the sealed model.
-func (e *Evaluator) NumInputs() int { return e.nIn }
-
-// NumOutputs returns the output count of the sealed model.
-func (e *Evaluator) NumOutputs() int { return e.nOut }
 
 // Eval evaluates the model functionally, one pattern per one-lane
 // batch.

@@ -20,8 +20,8 @@ func TestSealOpenFunctionalParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Name() != nl.Name || ev.NumInputs() != 12 || ev.NumOutputs() != 12 {
-		t.Errorf("metadata wrong: %s %d/%d", ev.Name(), ev.NumInputs(), ev.NumOutputs())
+	if ev.Name() != nl.Name {
+		t.Errorf("name = %s, want %s", ev.Name(), nl.Name)
 	}
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 50; i++ {

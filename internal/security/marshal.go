@@ -65,7 +65,9 @@ func (p MarshalPolicy) CheckCount(n int) error {
 
 // ValueCount exposes the policy's value metric for one port-data
 // element, so self-counting envelopes can be cross-checked against the
-// canonical walk in tests.
+// canonical walk.
+//
+// Used only by tests: TestPortValueCountMatchesCanonicalWalk.
 func ValueCount(v any) (int, error) { return countValues(v) }
 
 // countValues walks a payload counting scalar values and rejecting

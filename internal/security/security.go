@@ -1,10 +1,11 @@
-// Package security implements gocad's IP-protection mechanisms: the
+// Package security holds gocad's run-time IP-protection mechanisms: the
 // marshalling policy that bounds what may cross the user/provider
-// boundary (only information available at a component's own ports), the
-// sandbox that confines downloaded public parts (the Java-2 security
-// manager of the paper: downloaded classes can neither touch the file
-// system nor open connections except back to their provider), session
-// authentication keys, and an audit log of denied operations.
+// boundary (only information available at a component's own ports) and
+// the session authentication keys. The confinement of downloaded public
+// parts (the Java-2 security manager of the paper) is static: the
+// capability analyzer in internal/lint/capability rejects any sandboxed
+// package that imports or reaches the file system, the network or the
+// wall clock, and nothing relaxes it at run time.
 package security
 
 import (
@@ -12,148 +13,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sync"
-	"time"
 )
-
-// Capability is a privilege a piece of code may hold.
-type Capability int
-
-// The capabilities the sandbox distinguishes.
-const (
-	// CapProviderChannel allows communication with the component's own
-	// provider server — the only capability downloaded parts receive by
-	// default.
-	CapProviderChannel Capability = iota
-	// CapFileRead allows reading the user's file system.
-	CapFileRead
-	// CapFileWrite allows writing or deleting user files.
-	CapFileWrite
-	// CapOtherNetwork allows connections to hosts other than the
-	// component's provider.
-	CapOtherNetwork
-)
-
-var capNames = map[Capability]string{
-	CapProviderChannel: "provider-channel",
-	CapFileRead:        "file-read",
-	CapFileWrite:       "file-write",
-	CapOtherNetwork:    "other-network",
-}
-
-// String names the capability.
-func (c Capability) String() string {
-	if n, ok := capNames[c]; ok {
-		return n
-	}
-	return fmt.Sprintf("Capability(%d)", int(c))
-}
-
-// Denied is the error returned when a sandboxed operation lacks its
-// capability.
-type Denied struct {
-	Principal string
-	Cap       Capability
-}
-
-// Error implements error.
-func (d *Denied) Error() string {
-	return fmt.Sprintf("security: %s denied capability %s", d.Principal, d.Cap)
-}
-
-// AuditEntry records one sandbox decision.
-type AuditEntry struct {
-	When      time.Time
-	Principal string
-	Cap       Capability
-	Allowed   bool
-}
-
-// AuditLog is an append-only record of sandbox decisions.
-type AuditLog struct {
-	mu      sync.Mutex
-	entries []AuditEntry
-}
-
-// Append records one decision.
-func (l *AuditLog) Append(e AuditEntry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = append(l.entries, e)
-}
-
-// Entries returns a copy of the log.
-func (l *AuditLog) Entries() []AuditEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]AuditEntry(nil), l.entries...)
-}
-
-// Denials returns only the denied entries.
-func (l *AuditLog) Denials() []AuditEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []AuditEntry
-	for _, e := range l.entries {
-		if !e.Allowed {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Sandbox confines one principal (a downloaded public part or stub) to a
-// set of capabilities. The zero value denies everything.
-type Sandbox struct {
-	Principal string
-	Audit     *AuditLog
-
-	mu      sync.RWMutex
-	allowed map[Capability]bool
-}
-
-// NewSandbox returns a sandbox for the principal with the paper's default
-// policy for downloaded code: only the provider channel is allowed.
-func NewSandbox(principal string, audit *AuditLog) *Sandbox {
-	s := &Sandbox{Principal: principal, Audit: audit, allowed: make(map[Capability]bool)}
-	s.allowed[CapProviderChannel] = true
-	return s
-}
-
-// Grant relaxes the sandbox — "the user can choose to relax security
-// requirements". Granting on a zero-value Sandbox (which denies
-// everything) lazily creates the capability set.
-func (s *Sandbox) Grant(c Capability) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.allowed == nil {
-		s.allowed = make(map[Capability]bool)
-	}
-	s.allowed[c] = true
-}
-
-// Revoke removes a capability.
-func (s *Sandbox) Revoke(c Capability) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.allowed, c)
-}
-
-// Require checks a capability, logging the decision; it returns *Denied
-// when the capability is missing.
-func (s *Sandbox) Require(c Capability) error {
-	s.mu.RLock()
-	ok := s.allowed[c]
-	s.mu.RUnlock()
-	if s.Audit != nil {
-		s.Audit.Append(AuditEntry{When: time.Now(), Principal: s.Principal, Cap: c, Allowed: ok})
-	}
-	if !ok {
-		return &Denied{Principal: s.Principal, Cap: c}
-	}
-	return nil
-}
 
 // Key is a shared session secret between an IP user and an IP provider.
 type Key []byte

@@ -1,64 +1,10 @@
 package security
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/signal"
 )
-
-func TestSandboxDefaultPolicy(t *testing.T) {
-	var log AuditLog
-	s := NewSandbox("MULT.stub", &log)
-	if err := s.Require(CapProviderChannel); err != nil {
-		t.Errorf("provider channel denied: %v", err)
-	}
-	for _, c := range []Capability{CapFileRead, CapFileWrite, CapOtherNetwork} {
-		err := s.Require(c)
-		var d *Denied
-		if !errors.As(err, &d) {
-			t.Errorf("capability %v not denied", c)
-			continue
-		}
-		if d.Principal != "MULT.stub" || d.Cap != c {
-			t.Errorf("denial fields wrong: %+v", d)
-		}
-		if !strings.Contains(d.Error(), c.String()) {
-			t.Errorf("denial message %q lacks capability name", d.Error())
-		}
-	}
-	if len(log.Entries()) != 4 {
-		t.Errorf("audit entries = %d, want 4", len(log.Entries()))
-	}
-	if len(log.Denials()) != 3 {
-		t.Errorf("denials = %d, want 3", len(log.Denials()))
-	}
-}
-
-func TestSandboxGrantRevoke(t *testing.T) {
-	s := NewSandbox("p", nil)
-	if err := s.Require(CapFileRead); err == nil {
-		t.Fatal("file read allowed by default")
-	}
-	s.Grant(CapFileRead)
-	if err := s.Require(CapFileRead); err != nil {
-		t.Fatalf("granted capability denied: %v", err)
-	}
-	s.Revoke(CapFileRead)
-	if err := s.Require(CapFileRead); err == nil {
-		t.Fatal("revoked capability allowed")
-	}
-}
-
-func TestCapabilityString(t *testing.T) {
-	if CapFileWrite.String() != "file-write" {
-		t.Error("capability name wrong")
-	}
-	if Capability(99).String() == "" {
-		t.Error("unknown capability name empty")
-	}
-}
 
 func TestKeyTagVerify(t *testing.T) {
 	k, err := NewKey()

@@ -39,9 +39,6 @@ func (b Bit) String() string {
 	return fmt.Sprintf("Bit(%d)", uint8(b))
 }
 
-// Valid reports whether b is one of the four defined levels.
-func (b Bit) Valid() bool { return b < nBits }
-
 // Known reports whether b carries a definite binary value (0 or 1).
 func (b Bit) Known() bool { return b == B0 || b == B1 }
 
@@ -160,19 +157,3 @@ func (b Bit) Nor(o Bit) Bit { return b.Or(o).Not() }
 
 // Xnor returns NOT(b XOR o).
 func (b Bit) Xnor(o Bit) Bit { return b.Xor(o).Not() }
-
-// Resolve merges two drivers of the same net, as a tristate bus would:
-// Z yields to the other driver, equal values agree, and conflicting or
-// unknown strong drivers resolve to X.
-func (b Bit) Resolve(o Bit) Bit {
-	switch {
-	case b == BZ:
-		return o
-	case o == BZ:
-		return b
-	case b == o:
-		return b
-	default:
-		return BX
-	}
-}

@@ -18,17 +18,6 @@ func TestBitString(t *testing.T) {
 	}
 }
 
-func TestBitValid(t *testing.T) {
-	for b := Bit(0); b < 4; b++ {
-		if !b.Valid() {
-			t.Errorf("Bit(%d).Valid() = false", b)
-		}
-	}
-	if Bit(4).Valid() {
-		t.Error("Bit(4).Valid() = true")
-	}
-}
-
 func TestBitKnownBool(t *testing.T) {
 	if !B0.Known() || !B1.Known() {
 		t.Error("0/1 must be Known")
@@ -144,21 +133,6 @@ func TestBitDerivedGates(t *testing.T) {
 				t.Errorf("XNOR(%v,%v) inconsistent", a, b)
 			}
 		}
-	}
-}
-
-func TestBitResolve(t *testing.T) {
-	if BZ.Resolve(B1) != B1 || B1.Resolve(BZ) != B1 {
-		t.Error("Z must yield to the other driver")
-	}
-	if BZ.Resolve(BZ) != BZ {
-		t.Error("Z resolve Z must remain Z")
-	}
-	if B0.Resolve(B1) != BX || B1.Resolve(B0) != BX {
-		t.Error("conflicting drivers must be X")
-	}
-	if B1.Resolve(B1) != B1 || B0.Resolve(B0) != B0 {
-		t.Error("agreeing drivers must keep their value")
 	}
 }
 

@@ -39,12 +39,6 @@ func badWidth(width int) {
 	panic(fmt.Sprintf("signal: word width %d outside 0..%d", width, MaxWordWidth))
 }
 
-// NewWord returns an all-zero word of the given width (0..64).
-func NewWord(width int) Word {
-	checkWidth(width)
-	return Word{n: uint8(width)}
-}
-
 // UnknownWord returns a word of the given width with every bit X —
 // the canonical "not yet driven" RTL value.
 func UnknownWord(width int) Word {
@@ -180,6 +174,9 @@ func badSlice(lo, hi, width int) {
 
 // Concat returns the word whose low bits are w and high bits are hi. It
 // panics if the result would be wider than MaxWordWidth.
+//
+// Used only by tests: TestGoldenWords, TestWordConcat,
+// TestWordSliceConcatInverseProperty.
 //
 //gocad:noalloc
 func (w Word) Concat(hi Word) Word {

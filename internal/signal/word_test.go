@@ -8,24 +8,13 @@ import (
 	"testing/quick"
 )
 
-func TestNewWordZero(t *testing.T) {
-	w := NewWord(8)
-	if w.Width() != 8 {
-		t.Fatalf("width = %d", w.Width())
-	}
-	v, ok := w.Uint64()
-	if !ok || v != 0 {
-		t.Errorf("zero word Uint64 = %d, %v", v, ok)
-	}
-}
-
-func TestNewWordNegativePanics(t *testing.T) {
+func TestWordNegativeWidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewWord(-1) did not panic")
+			t.Error("WordFromUint64(0, -1) did not panic")
 		}
 	}()
-	NewWord(-1)
+	WordFromUint64(0, -1)
 }
 
 func TestUnknownWord(t *testing.T) {
@@ -64,11 +53,10 @@ func TestWordFromUint64Truncates(t *testing.T) {
 
 func TestWordUint64TooWide(t *testing.T) {
 	for name, build := range map[string]func(){
-		"NewWord":        func() { NewWord(65) },
 		"UnknownWord":    func() { UnknownWord(65) },
 		"WordFromUint64": func() { WordFromUint64(1, 65) },
 		"WordFromBits":   func() { WordFromBits(make([]Bit, 65)) },
-		"Concat":         func() { NewWord(33).Concat(NewWord(32)) },
+		"Concat":         func() { WordFromUint64(0, 33).Concat(WordFromUint64(0, 32)) },
 	} {
 		func() {
 			defer func() {
@@ -112,7 +100,7 @@ func TestWordStringValueAgreement(t *testing.T) {
 }
 
 func TestWordBitOutOfRange(t *testing.T) {
-	w := NewWord(4)
+	w := WordFromUint64(0, 4)
 	if w.Bit(-1) != BX || w.Bit(4) != BX {
 		t.Error("out-of-range Bit() must return X")
 	}

@@ -114,7 +114,7 @@ func (s *Scheduler) internMiss(h Handler) uint32 {
 // enqueue routes one sequenced token into the event store: in-window
 // signal tokens are decomposed into the calendar's lanes (the token
 // itself is not kept), everything else spills to the heap. Both paths
-// update the pending count and its high-water mark, so Pending and
+// update the pending count and its high-water mark, so both it and
 // MaxQueueLen mean "tokens waiting, summed across lanes" exactly as
 // they meant "heap length" before.
 //

@@ -22,7 +22,7 @@ type Stats struct {
 // simulation, or many concurrent simulations of the same design — each on
 // its own scheduler and goroutine, each with its own setup — without any
 // interference, because module state lives in the running scheduler's
-// state slots (Context.Slot).
+// state slots (Context.SlotAt).
 type Controller struct {
 	handlers []Handler
 	// Seed populates the run's scheduler with initial stimuli before the

@@ -53,7 +53,7 @@ type counterState struct{ n int }
 func (m *counterModule) HandlerName() string { return m.name }
 
 func (m *counterModule) HandleToken(ctx *Context, tok Token) {
-	slot := ctx.Slot(m)
+	slot := ctx.SlotAt(m, NoSlot)
 	st, _ := (*slot).(*counterState)
 	if st == nil {
 		st = &counterState{}
@@ -67,7 +67,7 @@ func (m *counterModule) HandleToken(ctx *Context, tok Token) {
 
 // countOn reads the counter a scheduler's slot holds for m (-1 if none).
 func (m *counterModule) countOn(s *Scheduler) int {
-	st, ok := (*s.NewContext().Slot(m)).(*counterState)
+	st, ok := (*s.NewContext().SlotAt(m, NoSlot)).(*counterState)
 	if !ok {
 		return -1
 	}
@@ -117,23 +117,23 @@ func TestSchedulerSlotBasics(t *testing.T) {
 	a, b := &recorder{name: "a"}, &recorder{name: "b"}
 	s1, s2 := NewScheduler(), NewScheduler()
 	c1, c2 := s1.NewContext(), s2.NewContext()
-	if *c1.Slot(a) != nil {
+	if *c1.SlotAt(a, NoSlot) != nil {
 		t.Fatal("new slot not nil")
 	}
-	*c1.Slot(a) = "a1"
-	*c1.Slot(b) = "b1"
+	*c1.SlotAt(a, NoSlot) = "a1"
+	*c1.SlotAt(b, NoSlot) = "b1"
 	// Interning more handlers may move the slot storage; the stored
 	// values must follow.
 	for i := 0; i < 100; i++ {
-		c1.Slot(&recorder{name: "filler"})
+		c1.SlotAt(&recorder{name: "filler"}, NoSlot)
 	}
-	if got := *c1.Slot(a); got != "a1" {
+	if got := *c1.SlotAt(a, NoSlot); got != "a1" {
 		t.Errorf("slot a = %v, want a1", got)
 	}
-	if got := *c1.Slot(b); got != "b1" {
+	if got := *c1.SlotAt(b, NoSlot); got != "b1" {
 		t.Errorf("slot b = %v, want b1", got)
 	}
-	if got := *c2.Slot(a); got != nil {
+	if got := *c2.SlotAt(a, NoSlot); got != nil {
 		t.Errorf("other scheduler sees slot a = %v", got)
 	}
 }
@@ -152,14 +152,14 @@ func TestSchedulerSlotsConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			ctx := s.NewContext()
 			for j := 0; j < 100; j++ {
-				n, _ := (*ctx.Slot(h)).(int)
-				*ctx.Slot(h) = n + 1
+				n, _ := (*ctx.SlotAt(h, NoSlot)).(int)
+				*ctx.SlotAt(h, NoSlot) = n + 1
 			}
 		}(scheds[i])
 	}
 	wg.Wait()
 	for i, s := range scheds {
-		if n := *s.NewContext().Slot(h); n != 100 {
+		if n := *s.NewContext().SlotAt(h, NoSlot); n != 100 {
 			t.Errorf("scheduler %d slot = %v, want 100", i, n)
 		}
 	}

@@ -210,7 +210,7 @@ func TestSlotIndexTwoControllerOrders(t *testing.T) {
 			c = second
 		}
 		for _, nd := range nodes {
-			*s.NewContext().Slot(nd) = 0 // what a handler resets on ResetState
+			*s.NewContext().SlotAt(nd, NoSlot) = 0 // what a handler resets on ResetState
 		}
 		if st := c.StartOn(s, nil, nil); st.Err != nil {
 			t.Fatal(st.Err)

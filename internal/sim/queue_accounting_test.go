@@ -6,7 +6,7 @@ import (
 	"repro/internal/signal"
 )
 
-// TestQueueAccountingAcrossLanes pins Pending and MaxQueueLen on a
+// TestQueueAccountingAcrossLanes pins the pending count and MaxQueueLen on a
 // scripted post/drain sequence that spans both storage lanes: in-window
 // signal tokens land in calendar buckets, far-future signal tokens and
 // generic tokens land in the spill heap. The counters must reflect the
@@ -21,8 +21,8 @@ func TestQueueAccountingAcrossLanes(t *testing.T) {
 
 	assertCounts := func(step string, pending, maxQ int) {
 		t.Helper()
-		if got := s.Pending(); got != pending {
-			t.Fatalf("%s: Pending() = %d, want %d", step, got, pending)
+		if got := s.pending; got != pending {
+			t.Fatalf("%s: pending = %d, want %d", step, got, pending)
 		}
 		if got := s.MaxQueueLen(); got != maxQ {
 			t.Fatalf("%s: MaxQueueLen() = %d, want %d", step, got, maxQ)
@@ -51,7 +51,7 @@ func TestQueueAccountingAcrossLanes(t *testing.T) {
 	}
 	assertCounts("after draining t=3", 4, 6)
 
-	// Drain t=4 (spill lane) — Pending must drop across lanes, not just
+	// Drain t=4 (spill lane) — the pending count must drop across lanes, not just
 	// the bucketed one.
 	if err := s.Run(ctx, RunOptions{MaxInstants: 1}); err != nil {
 		t.Fatal(err)

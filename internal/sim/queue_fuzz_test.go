@@ -93,8 +93,8 @@ func fuzzDrain(t *testing.T, s *Scheduler, ctx *Context, r *fuzzRecorder, oracle
 				i, g.t, g.id, g.signal, w.t, w.id, w.signal, w.seq)
 		}
 	}
-	if s.Pending() != oracle.Len() {
-		t.Fatalf("Pending() = %d after drain, oracle holds %d", s.Pending(), oracle.Len())
+	if s.pending != oracle.Len() {
+		t.Fatalf("pending = %d after drain, oracle holds %d", s.pending, oracle.Len())
 	}
 }
 
@@ -145,8 +145,8 @@ func FuzzQueueOrdering(f *testing.F) {
 				}
 				seq++
 				heap.Push(oracle, oracleItem{t: tt, seq: seq, id: i, signal: isSignal})
-				if s.Pending() != oracle.Len() {
-					t.Fatalf("Pending() = %d after post, oracle holds %d", s.Pending(), oracle.Len())
+				if s.pending != oracle.Len() {
+					t.Fatalf("pending = %d after post, oracle holds %d", s.pending, oracle.Len())
 				}
 				// High bit interleaves a partial drain mid-script,
 				// advancing the clock so buckets recycle under the posts
@@ -159,14 +159,14 @@ func FuzzQueueOrdering(f *testing.F) {
 		}
 		run()
 		s.recycle()
-		if s.Pending() != 0 || s.Now() != 0 {
-			t.Fatalf("recycled scheduler: pending=%d now=%d", s.Pending(), s.Now())
+		if s.pending != 0 || s.Now() != 0 {
+			t.Fatalf("recycled scheduler: pending=%d now=%d", s.pending, s.Now())
 		}
 		if oracle := run(); oracle.Len() > 0 {
 			fuzzDrain(t, s, ctx, h, oracle, 0)
 		}
-		if s.Pending() != 0 {
-			t.Fatalf("scheduler still has %d pending after oracle drained", s.Pending())
+		if s.pending != 0 {
+			t.Fatalf("scheduler still has %d pending after oracle drained", s.pending)
 		}
 		if nt, ok := s.nextEventTime(); ok {
 			t.Fatalf("nextEventTime reports %d on an empty store", nt)

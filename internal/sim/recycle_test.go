@@ -135,9 +135,9 @@ func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 			if (st.Err != nil) != cut.errors {
 				t.Fatalf("cut run error = %v, want error %v", st.Err, cut.errors)
 			}
-			if sched.Pending() == 0 || sched.sigMask == 0 || signalSpilled(sched) == 0 {
+			if sched.pending == 0 || sched.sigMask == 0 || signalSpilled(sched) == 0 {
 				t.Fatalf("cut run left pending=%d calendar mask=%x signal spill=%d; want all nonzero",
-					sched.Pending(), sched.sigMask, signalSpilled(sched))
+					sched.pending, sched.sigMask, signalSpilled(sched))
 			}
 			cutID := sched.ID()
 			spilled := sched.spill[:cap(sched.spill)]
@@ -146,8 +146,8 @@ func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 			if sched.ID() == cutID {
 				t.Error("recycled scheduler kept its SchedulerID")
 			}
-			if _, ok := sched.nextEventTime(); ok || sched.Pending() != 0 || sched.Now() != 0 {
-				t.Errorf("recycled store not empty: pending=%d now=%d", sched.Pending(), sched.Now())
+			if _, ok := sched.nextEventTime(); ok || sched.pending != 0 || sched.Now() != 0 {
+				t.Errorf("recycled store not empty: pending=%d now=%d", sched.pending, sched.Now())
 			}
 			if len(sched.overrides) != 0 || len(sched.hooks) != 0 {
 				t.Error("recycled scheduler kept an override or hook")
@@ -189,8 +189,8 @@ func TestRecycledSchedulerMatchesFresh(t *testing.T) {
 				t.Errorf("stats (delivered %d, max queue %d, end %d), fresh (%d, %d, %d)",
 					st.Delivered, st.MaxQueue, st.EndTime, fresh.Delivered, fresh.MaxQueue, fresh.EndTime)
 			}
-			if sched.Pending() != 0 {
-				t.Errorf("%d tokens left after the full run", sched.Pending())
+			if sched.pending != 0 {
+				t.Errorf("%d tokens left after the full run", sched.pending)
 			}
 		})
 	}

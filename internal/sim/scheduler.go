@@ -13,7 +13,7 @@ import (
 // the process: NewScheduler draws one, and recycling a scheduler for its
 // next run draws another. Handlers stamp the state they keep in a slot
 // with it, so state an earlier run of a recycled scheduler left behind
-// is told apart from the current run's (Context.Slot).
+// is told apart from the current run's (Context.SlotAt).
 type SchedulerID uint64
 
 var schedulerIDs atomic.Uint64
@@ -148,7 +148,7 @@ type Scheduler struct {
 	internIdx map[Handler]uint32
 
 	// slots is the scheduler-owned state table: slots[i] holds the
-	// per-run state of handler interned[i] (Context.Slot). Indexed by the
+	// per-run state of handler interned[i] (Context.SlotAt). Indexed by the
 	// same dense handler index as the calendar lanes, so a lookup is a
 	// slice load, and only this scheduler's Context can reach it.
 	slots []any
@@ -253,10 +253,6 @@ func (s *Scheduler) nextEventTime() (Time, bool) {
 	return ct, true
 }
 
-// Pending returns the number of tokens waiting across both lanes of the
-// event store (calendar buckets plus the spill heap).
-func (s *Scheduler) Pending() int { return s.pending }
-
 // Context gives a handler controlled access to the scheduler that is
 // delivering a token to it. A module can schedule a new token only when
 // it receives one — i.e. only through the Context — and the new token is
@@ -276,12 +272,17 @@ type Context struct {
 // for.
 func (c *Context) SchedulerID() SchedulerID { return c.sched.id }
 
-// Slot returns the scheduler's state slot for handler h: the place a
+// SlotAt returns the scheduler's state slot for handler h: the place a
 // handler keeps its mutable per-run state (the paper's per-scheduler
 // lookup table, keyed here by handler inside the scheduler instead of by
 // scheduler inside the module). A slot starts nil and is reachable only
 // through this scheduler — its contexts during a run, SlotValue between
 // runs — so runs on different schedulers cannot see each other's state.
+//
+// idx is h's SlotIndex.Load, or NoSlot for a handler without one. When
+// the table holds h at idx — every run of a controller listing h where
+// h claimed its index — the lookup is one compare and a slice load;
+// otherwise it falls back to the scheduler's handler map.
 //
 // Slots survive recycling (Controller.StartOn) so their contents can be
 // reused; a handler that reuses them must re-initialize them when
@@ -291,17 +292,6 @@ func (c *Context) SchedulerID() SchedulerID { return c.sched.id }
 // no controller): load or store through it at once, never retain it.
 //
 //gocad:noalloc
-func (c *Context) Slot(h Handler) *any {
-	s := c.sched
-	return &s.slots[s.internHandler(h)]
-}
-
-// SlotAt is Slot for a handler that holds a SlotIndex: idx is its
-// SlotIndex.Load. When the table holds h at idx — every run of a
-// controller listing h where h claimed its index — the lookup is one
-// compare and a slice load; otherwise it falls back to Slot's map.
-//
-//gocad:noalloc
 func (c *Context) SlotAt(h Handler, idx uint32) *any {
 	s := c.sched
 	return &s.slots[s.slotIndex(h, idx)]
@@ -309,7 +299,7 @@ func (c *Context) SlotAt(h Handler, idx uint32) *any {
 
 // SlotValue returns what handler h's state slot on s holds — after a
 // run, what the run left there — or nil when s never met h. idx is h's
-// SlotIndex.Load, or NoSlot, as for Context.SlotAt. Unlike Slot it never
+// SlotIndex.Load, or NoSlot, as for Context.SlotAt. Unlike SlotAt it never
 // interns h, so a read leaves the handler table as it was. Like every
 // slot, it belongs to the goroutine running s: read it between runs.
 //
@@ -516,7 +506,7 @@ func (s *Scheduler) Reset(ctx *Context, handlers []Handler) {
 // hooks or event limit. Pending calendar entries and spill tokens are
 // zeroed. What it keeps is storage: calendar lanes and slab, the handler
 // intern table and the state slots (whose owners re-initialize them on
-// the ID change, see Context.Slot).
+// the ID change, see Context.SlotAt).
 func (s *Scheduler) recycle() {
 	s.id = SchedulerID(schedulerIDs.Add(1))
 	for m := s.sigMask; m != 0; m &= m - 1 {

@@ -107,8 +107,8 @@ func TestSchedulerUntilBound(t *testing.T) {
 	if r.count() != 3 {
 		t.Errorf("delivered %d tokens, want 3", r.count())
 	}
-	if s.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", s.Pending())
+	if s.pending != 2 {
+		t.Errorf("pending = %d, want 2", s.pending)
 	}
 }
 

@@ -5,7 +5,7 @@
 // and delivery of all tokens. Multiple schedulers can be instantiated and
 // run in concurrent goroutines over the same design without interference:
 // every module keeps its per-run state in a slot owned by the scheduler
-// running it (Context.Slot), and a module can schedule a new
+// running it (Context.SlotAt), and a module can schedule a new
 // token only while it is handling one — the newly created token is
 // automatically joined to the same scheduler. Tokens are not only
 // functional events (changes of signal values): they also implement a
@@ -26,7 +26,7 @@ type Time int64
 // Handler is anything that can receive tokens from a scheduler — in
 // practice, design modules. Handlers must be safe for concurrent use by
 // multiple schedulers: all mutable simulation state must live in the
-// delivering scheduler's state slot for the handler (Context.Slot),
+// delivering scheduler's state slot for the handler (Context.SlotAt),
 // never in the handler itself.
 type Handler interface {
 	// HandlerName identifies the handler in diagnostics and traces.
