@@ -28,16 +28,17 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis: the gocad-lint suite machine-checks
-# the kernel's determinism, RMI-safety, capability-sandbox,
-# wire-codec-symmetry and no-alloc invariants (DESIGN.md §8 and
-# §13). Zero findings is a hard CI gate; -timings surfaces the load and
-# per-analyzer wall time. GOFLAGS matches `make bench` so the noalloc
-# escape analysis sees benchmark conditions. The test run adds the
-# repo-wide gates, among them that every exported function in
-# internal/ has a non-test caller or a "Used only by tests:" doc line.
+# the kernel's determinism, RMI-safety, capability-sandbox and no-alloc
+# invariants (DESIGN.md §8 and §13). Zero findings is a hard CI gate;
+# -timings surfaces the load and per-analyzer wall time. GOFLAGS matches
+# `make bench` so the noalloc escape analysis sees benchmark conditions.
+# The test run adds the repo-wide gates, among them that every exported
+# function in internal/ has a non-test caller or a "Used only by tests:"
+# doc line, and the wire-codec tests that pin every envelope's symmetry,
+# trailing-byte rejection and count bounds (DESIGN.md §13).
 lint:
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) run ./cmd/gocad-lint -timings ./...
-	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestNoHTTPInServingCore|TestEveryExportHasACaller|TestGolden|TestCodecParity' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/ ./internal/ppp/ ./internal/wire/
+	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) test -count=1 -run='TestRepoIsClean|TestNoGobImports|TestNoHTTPInServingCore|TestEveryExportHasACaller|TestGolden|TestCodecParity|TestBinaryPayload|TestBinaryPairs' ./internal/lint/... ./internal/core/ ./internal/iplib/ ./internal/fault/ ./internal/ppp/ ./internal/wire/
 
 # Non-test Go lines, testdata/ and .bench_build/ excluded: the one
 # reproducible size count for changes that delete code. Information

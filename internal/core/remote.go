@@ -367,14 +367,6 @@ func (e *RemotePowerEstimator) degradeLocked(reason string) {
 	}
 }
 
-// Degraded reports whether the estimator has fallen back after its
-// provider was declared dead.
-func (e *RemotePowerEstimator) Degraded() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.degraded
-}
-
 // Close flushes the remaining partial buffer and waits for every
 // in-flight batch. It must be called after the simulation run so Report
 // sees all values ("real time" in the scenarios includes this drain).
@@ -490,9 +482,6 @@ func NewRemoteMult(name string, width int, a, b, o *module.Connector, inst *ipli
 	return m, nil
 }
 
-// Instance returns the bound provider instance.
-func (m *RemoteMult) Instance() *iplib.BoundInstance { return m.inst }
-
 // ProcessInputEvent computes the product — locally from the public part,
 // or remotely when FullyRemote. If the provider is declared dead
 // mid-simulation, functional evaluation degrades permanently to the
@@ -528,7 +517,3 @@ func (m *RemoteMult) ProcessInputEvent(ctx *module.Ctx, ev *module.PortEvent) {
 	bv, _ := bw.Uint64()
 	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(av*bv, 2*m.width)}, 1)
 }
-
-// Degraded reports whether remote evaluation has fallen back to the
-// local public part.
-func (m *RemoteMult) Degraded() bool { return m.degraded.Load() }

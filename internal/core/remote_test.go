@@ -456,3 +456,15 @@ func TestCatchUpLogAfterClose(t *testing.T) {
 		})
 	}
 }
+
+// Degraded reports whether the estimator has fallen back after its
+// provider was declared dead.
+func (e *RemotePowerEstimator) Degraded() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.degraded
+}
+
+// Degraded reports whether remote evaluation has fallen back to the
+// local public part.
+func (m *RemoteMult) Degraded() bool { return m.degraded.Load() }

@@ -72,6 +72,3 @@ func (p *PeakTracker) Estimate(ec *EvalContext) (ParamValue, error) {
 	}
 	return Float(p.peak), nil
 }
-
-// Reset clears the running maximum between runs.
-func (p *PeakTracker) Reset() { p.peak = 0; p.anySeen = false }

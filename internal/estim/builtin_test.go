@@ -79,3 +79,6 @@ func TestPeakTrackerNonScalarInner(t *testing.T) {
 		t.Errorf("non-scalar inner: %v, %v", v, err)
 	}
 }
+
+// Reset clears the running maximum between runs.
+func (p *PeakTracker) Reset() { p.peak = 0; p.anySeen = false }

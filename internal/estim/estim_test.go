@@ -343,3 +343,9 @@ func TestCriteriaSelectionIsDeterministicProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Criteria returns the criteria registered for p, if any.
+func (s *Setup) Criteria(p Parameter) (Criteria, bool) {
+	c, ok := s.criteria[p]
+	return c, ok
+}

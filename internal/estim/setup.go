@@ -93,9 +93,6 @@ type Component interface {
 	// SelectEstimator stores the setup's chosen estimator in the
 	// component's per-setup estimator table.
 	SelectEstimator(s *Setup, p Parameter, e Estimator)
-	// EstimationParams lists the parameters that have at least one
-	// candidate, so a setup can request "everything available".
-	EstimationParams() []Parameter
 }
 
 // Warning records a setup requirement that could not be satisfied for a
@@ -167,12 +164,6 @@ func (s *Setup) Name() string { return s.name }
 // the paper's set(<param>, <criteria>).
 func (s *Setup) Set(p Parameter, c Criteria) { s.criteria[p] = c }
 
-// Criteria returns the criteria registered for p, if any.
-func (s *Setup) Criteria(p Parameter) (Criteria, bool) {
-	c, ok := s.criteria[p]
-	return c, ok
-}
-
 // SelectFor chooses, for every requested parameter, the best admissible
 // candidate estimator of the component and stores the selection in the
 // component's per-setup table. When no candidate satisfies the criteria a
@@ -237,6 +228,7 @@ func (s *Setup) MarkDegraded(module string, p Parameter, reason string) {
 
 // Degraded reports whether any component's estimation degraded during
 // the run.
+// Used only by tests: TestSetupMarkDegraded.
 func (s *Setup) Degraded() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -275,6 +267,7 @@ func (s *Setup) Record(module string, p Parameter, now int64, v ParamValue, e Es
 }
 
 // Samples returns a copy of every recorded estimate, in recording order.
+// Used only by tests: TestSetupRecordAggregatesAndFees, TestEstimationDuringSimulation.
 func (s *Setup) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -51,16 +51,6 @@ func (dt *DetectionTable) ParamString() string {
 // IsNull reports false.
 func (dt *DetectionTable) IsNull() bool { return false }
 
-// Faults returns all symbolic faults excited by this input configuration.
-func (dt *DetectionTable) Faults() []string {
-	var out []string
-	for _, r := range dt.Rows {
-		out = append(out, r.Faults...)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestabilityService is the provider-side interface of virtual fault
 // simulation: phase one publishes the symbolic fault list; phase two
 // answers per-pattern detection-table queries. The local implementation

@@ -274,17 +274,3 @@ func buildSymbolicList(nl *gate.Netlist, policy Naming, internalOnly bool) *Symb
 // Names returns the symbolic names in publication order. This slice is
 // what crosses the IP boundary to the user.
 func (sl *SymbolicList) Names() []string { return append([]string(nil), sl.names...) }
-
-// Fault resolves a symbolic name to the internal fault. Provider-side
-// only: the mapping never leaves the provider. It scans the list.
-func (sl *SymbolicList) Fault(name string) (gate.Fault, bool) {
-	for i, n := range sl.names {
-		if n == name {
-			return sl.faults[i], true
-		}
-	}
-	return gate.Fault{}, false
-}
-
-// Len returns the number of symbolic faults.
-func (sl *SymbolicList) Len() int { return len(sl.names) }

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -381,3 +382,27 @@ func TestC17ExhaustiveCoverage(t *testing.T) {
 		t.Errorf("c17 exhaustive coverage = %.3f", res.Coverage())
 	}
 }
+
+// Faults returns all symbolic faults excited by this input configuration.
+func (dt *DetectionTable) Faults() []string {
+	var out []string
+	for _, r := range dt.Rows {
+		out = append(out, r.Faults...)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Fault resolves a symbolic name to the internal fault. Provider-side
+// only: the mapping never leaves the provider. It scans the list.
+func (sl *SymbolicList) Fault(name string) (gate.Fault, bool) {
+	for i, n := range sl.names {
+		if n == name {
+			return sl.faults[i], true
+		}
+	}
+	return gate.Fault{}, false
+}
+
+// Len returns the number of symbolic faults.
+func (sl *SymbolicList) Len() int { return len(sl.names) }

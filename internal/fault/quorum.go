@@ -61,9 +61,6 @@ func NewQuorumTestability(svcs ...TestabilityService) (*QuorumTestability, error
 	return &QuorumTestability{svcs: svcs}, nil
 }
 
-// Size returns the replica count.
-func (q *QuorumTestability) Size() int { return len(q.svcs) }
-
 // Divergences implements DivergenceSource: recorded disagreements in
 // detection order.
 func (q *QuorumTestability) Divergences() []ReplicaDivergence {

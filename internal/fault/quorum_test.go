@@ -194,3 +194,6 @@ func assertSameDetections(t *testing.T, ref, got *Result) {
 		}
 	}
 }
+
+// Size returns the replica count.
+func (q *QuorumTestability) Size() int { return len(q.svcs) }

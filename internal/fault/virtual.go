@@ -86,9 +86,6 @@ func (vs *VirtualSimulator) AddHost(m HostModule, svc TestabilityService) {
 	vs.hosts = append(vs.hosts, &Host{Module: m, Service: svc})
 }
 
-// Hosts returns the registered hosts.
-func (vs *VirtualSimulator) Hosts() []*Host { return vs.hosts }
-
 // BuildFaultList performs phase one: the union of the hosts' symbolic
 // fault lists, qualified by instance name.
 func (vs *VirtualSimulator) BuildFaultList() ([]string, error) {

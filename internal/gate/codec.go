@@ -156,16 +156,3 @@ func (n *Netlist) netRef(b []byte) (NetID, []byte, error) {
 	}
 	return NetID(id), rest, nil
 }
-
-// Clone returns an independent deep copy of the netlist.
-func (n *Netlist) Clone() *Netlist {
-	b, err := n.MarshalBinary()
-	if err != nil {
-		panic(err) // marshalling an in-memory netlist cannot fail
-	}
-	c := NewNetlist("")
-	if err := c.UnmarshalBinary(b); err != nil {
-		panic(err)
-	}
-	return c
-}

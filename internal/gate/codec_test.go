@@ -180,3 +180,16 @@ func TestSnapshotKeepsOutputOrder(t *testing.T) {
 		t.Errorf("Clone outputs %v, want %v", got, want)
 	}
 }
+
+// Clone returns an independent deep copy of the netlist.
+func (n *Netlist) Clone() *Netlist {
+	b, err := n.MarshalBinary()
+	if err != nil {
+		panic(err) // marshalling an in-memory netlist cannot fail
+	}
+	c := NewNetlist("")
+	if err := c.UnmarshalBinary(b); err != nil {
+		panic(err)
+	}
+	return c
+}

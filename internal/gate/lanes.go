@@ -202,6 +202,7 @@ func (n *Netlist) NewLaneEvaluator() (*LaneEvaluator, error) {
 // Eval computes the primary-output values for the given primary-input
 // values (in Inputs() order) in a one-lane batch. It allocates a fresh
 // evaluator; keep a LaneEvaluator for repeated evaluation.
+// Used only by tests: TestSealOpenFunctionalParity, TestWatermarkPreservesFunction.
 func (n *Netlist) Eval(inputs []signal.Bit) ([]signal.Bit, error) {
 	le, err := n.NewLaneEvaluator()
 	if err != nil {

@@ -23,11 +23,10 @@ type Sequential struct {
 	// StateOut are the core's next-state output nets (register inputs).
 	StateOut []NetID
 
-	primaryIn  []NetID
-	primaryOut []NetID
+	primaryIn []NetID
 	// inFrom[i] locates core input i: k ≥ 0 is primary input k and
-	// -1-k is state bit k. outTo locates the core outputs alike.
-	inFrom, outTo []int
+	// -1-k is state bit k.
+	inFrom []int
 }
 
 // NewSequential wraps a combinational core. stateIn must be core primary
@@ -51,9 +50,6 @@ func NewSequential(core *Netlist, stateIn, stateOut []NetID) (*Sequential, error
 	for _, id := range core.Inputs() {
 		s.inFrom = append(s.inFrom, locate(id, stateIn, &s.primaryIn))
 	}
-	for _, id := range core.Outputs() {
-		s.outTo = append(s.outTo, locate(id, stateOut, &s.primaryOut))
-	}
 	if err := core.Build(); err != nil {
 		return nil, err
 	}
@@ -75,9 +71,6 @@ func (s *Sequential) PrimaryInputs() []NetID { return s.primaryIn }
 
 // StateWidth returns the register width.
 func (s *Sequential) StateWidth() int { return len(s.StateIn) }
-
-// ResetState returns the all-zero state.
-func (s *Sequential) ResetState() []signal.Bit { return make([]signal.Bit, len(s.StateIn)) }
 
 // CoreInputs returns the core's input values, in Comb.Inputs() order,
 // for a present state and the primary-input values.

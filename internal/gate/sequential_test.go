@@ -2,6 +2,7 @@ package gate
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/signal"
@@ -134,13 +135,16 @@ func (se *SeqEvaluator) Step(inputs []signal.Bit) ([]signal.Bit, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]signal.Bit, len(se.seq.primaryOut))
-	for i, k := range se.seq.outTo {
-		if k >= 0 {
-			outs[k] = coreOut[i]
+	outs := make([]signal.Bit, 0, len(coreOut)-len(se.seq.StateOut))
+	for i, id := range se.seq.Comb.Outputs() {
+		if k := slices.Index(se.seq.StateOut, id); k >= 0 {
+			se.state[k] = coreOut[i]
 		} else {
-			se.state[-1-k] = coreOut[i]
+			outs = append(outs, coreOut[i])
 		}
 	}
 	return outs, nil
 }
+
+// ResetState returns the all-zero state.
+func (s *Sequential) ResetState() []signal.Bit { return make([]signal.Bit, len(s.StateIn)) }

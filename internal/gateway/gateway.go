@@ -464,6 +464,7 @@ func (g *Gateway) Drain(timeout time.Duration) error {
 // Every live session is cut, busy or not, no session serves another
 // call, and the cut sessions' fees settle before the ledger closes, so
 // the ledger file still sums to the meters.
+// Used only by tests: TestCloseSettlesLedger, TestSidecarEndpoints.
 func (g *Gateway) Close() error {
 	return g.Drain(0)
 }

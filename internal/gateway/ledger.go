@@ -79,6 +79,7 @@ func (l *Ledger) Append(when time.Time, tenant, session string, cents float64) e
 }
 
 // Sum returns the ledger's running total for one tenant, in cents.
+// Used only by tests: TestMetricsLedgerReconcile, TestSidecarEndpoints.
 func (l *Ledger) Sum(tenant string) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

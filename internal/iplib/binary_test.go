@@ -2,12 +2,21 @@ package iplib
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/rmi"
 	"repro/internal/signal"
+	"repro/internal/wire"
 )
 
 // pair couples one envelope value with the zero-valued pointer the
@@ -127,6 +136,151 @@ func TestBinaryPayloadTrailingBytesError(t *testing.T) {
 		dec := p.out.(rmi.BinaryDecoder)
 		if err := dec.DecodeFrom(append(append([]byte(nil), raw[1:]...), 0xEE)); err == nil {
 			t.Errorf("%s: decode with a trailing byte succeeded", p.name)
+		}
+	}
+}
+
+// TestBinaryPairsCoverEveryEnvelope keeps binaryPairs() the whole
+// codec surface, so the round-trip, truncation, trailing-byte and
+// hostile-count tests see every envelope and every field. Each type
+// with an AppendTo or a DecodeFrom in iplib or fault must declare both
+// and be reached from a case; each exported field of every reached
+// struct must be non-zero in at least one case, or a decoder that drops
+// or swaps it would round-trip the zero value unnoticed.
+func TestBinaryPairsCoverEveryEnvelope(t *testing.T) {
+	codec := map[string]map[string]bool{} // "iplib.EvalReq" -> method names
+	for _, dir := range []string{".", filepath.Join("..", "fault")} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Name.Name != "AppendTo" && fn.Name.Name != "DecodeFrom" {
+					continue
+				}
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				key := f.Name.Name + "." + recv.(*ast.Ident).Name
+				if codec[key] == nil {
+					codec[key] = map[string]bool{}
+				}
+				codec[key][fn.Name.Name] = true
+			}
+		}
+	}
+	if len(codec) < 20 {
+		t.Fatalf("suspiciously few codec types parsed: %d", len(codec))
+	}
+
+	typeKey := func(t reflect.Type) string { return path.Base(t.PkgPath()) + "." + t.Name() }
+	ours := func(t reflect.Type) bool {
+		return t.PkgPath() == "repro/internal/iplib" || t.PkgPath() == "repro/internal/fault"
+	}
+	reached := map[string]bool{}
+	nonZero := map[string]bool{} // "iplib.EstimatorOffer.CPUTimeMS" -> set in some case
+	var reach func(reflect.Type)
+	reach = func(t reflect.Type) {
+		switch t.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			reach(t.Elem())
+			return
+		}
+		if !ours(t) || reached[typeKey(t)] {
+			return
+		}
+		reached[typeKey(t)] = true
+		if t.Kind() == reflect.Struct {
+			for i := 0; i < t.NumField(); i++ {
+				if t.Field(i).IsExported() {
+					nonZero[typeKey(t)+"."+t.Field(i).Name] = false
+				}
+				reach(t.Field(i).Type)
+			}
+		}
+	}
+	var walk func(reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Struct:
+			if !ours(v.Type()) {
+				return
+			}
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Type().Field(i); f.IsExported() && !v.Field(i).IsZero() {
+					nonZero[typeKey(v.Type())+"."+f.Name] = true
+					walk(v.Field(i))
+				}
+			}
+		}
+	}
+	for _, p := range binaryPairs() {
+		reach(reflect.TypeOf(p.in))
+		walk(reflect.ValueOf(p.in))
+	}
+
+	for key, methods := range codec {
+		if !methods["AppendTo"] || !methods["DecodeFrom"] {
+			t.Errorf("%s declares only %v: a one-sided codec", key, methods)
+		}
+		if !reached[key] {
+			t.Errorf("%s has a codec but no binaryPairs() case reaches it", key)
+		}
+	}
+	for key, set := range nonZero {
+		if !set {
+			t.Errorf("%s is zero in every binaryPairs() case", key)
+		}
+	}
+}
+
+// TestBinaryPayloadHostileCounts splices a claimed count of 1<<20 into
+// every offset of every encoding, once inserted and once overwriting a
+// byte. Every count a decoder reads comes from an untrusted peer, so it
+// must be bounded by the bytes behind it: no decode may panic or
+// allocate a MiB for the claim. A larger claim would turn a missing
+// bound into a fatal out-of-memory error instead of a test failure.
+func TestBinaryPayloadHostileCounts(t *testing.T) {
+	claim := wire.AppendUvarint(nil, 1<<20)
+	var before, after runtime.MemStats
+	for _, p := range binaryPairs() {
+		raw, err := rmi.EncodePayload(p.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := raw[1:]
+		dec := p.out.(rmi.BinaryDecoder)
+		for off := 0; off <= len(body); off++ {
+			spliced := [][]byte{slices.Concat(body[:off], claim, body[off:])}
+			if off < len(body) {
+				spliced = append(spliced, slices.Concat(body[:off], claim, body[off+1:]))
+			}
+			for _, buf := range spliced {
+				runtime.ReadMemStats(&before)
+				_ = dec.DecodeFrom(buf)
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+					t.Errorf("%s: a count spliced at byte %d of % x allocated %d bytes", p.name, off, body, n)
+				}
+			}
 		}
 	}
 }

@@ -70,13 +70,11 @@ type BoundInstance struct {
 	enabled   []EstimatorOffer
 }
 
-// ID returns the provider-side instance handle.
-func (b *BoundInstance) ID() uint64 { return b.id }
-
 // Width returns the instantiation width.
 func (b *BoundInstance) Width() int { return b.width }
 
 // Component returns the catalogue name.
+// Used only by tests: TestBindNegotiatesModels.
 func (b *BoundInstance) Component() string { return b.component }
 
 // Enabled returns the estimator offers enabled at bind time.
@@ -149,6 +147,7 @@ func (b *BoundInstance) Static(param string) (float64, error) {
 }
 
 // TestSet purchases a compacted test sequence for the component.
+// Used only by tests: TestTestSetPurchase, TestClientTestSetStub.
 func (b *BoundInstance) TestSet(maxCandidates int, seed int64) (*fault.TestSet, error) {
 	var resp TestSetResp
 	req := TestSetReq{Instance: b.id, MaxCandidates: maxCandidates, Seed: seed}

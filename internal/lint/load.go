@@ -19,7 +19,7 @@ import (
 
 // Package is one loaded, fully type-checked package ready for analysis.
 // Only non-test files are loaded: the invariants the analyzers enforce
-// (determinism, history release, lock discipline) bind production code;
+// (determinism, sandboxing, lock discipline) bind production code;
 // tests are free to use wall clocks and global randomness.
 type Package struct {
 	ImportPath string

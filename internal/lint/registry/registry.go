@@ -12,7 +12,6 @@ import (
 	"repro/internal/lint/noalloc"
 	"repro/internal/lint/remoteerr"
 	"repro/internal/lint/simdeterminism"
-	"repro/internal/lint/wiresym"
 )
 
 // All returns the full analyzer suite in its canonical order.
@@ -22,7 +21,6 @@ func All() []*lint.Analyzer {
 		lockheldrmi.Analyzer,
 		remoteerr.Analyzer,
 		capability.Analyzer,
-		wiresym.Analyzer,
 		noalloc.Analyzer,
 	}
 }

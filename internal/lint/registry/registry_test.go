@@ -2,9 +2,7 @@ package registry_test
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"go/types"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -15,9 +13,9 @@ import (
 )
 
 // TestRepoIsClean is the CI acceptance gate in test form: the analyzer
-// suite must find nothing in the tree. Reverting the scenario.Run
-// history release, adding a time.Now() to the scheduler, or dispatching
-// RMI under a lock makes this test (and ci.sh) fail.
+// suite must find nothing in the tree. Adding a time.Now() to the
+// scheduler, importing os in a sandboxed package, or dispatching RMI
+// under a lock makes this test (and ci.sh) fail.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -92,74 +90,121 @@ func TestNoHTTPInServingCore(t *testing.T) {
 
 // TestEveryExportHasACaller keeps API that only tests reach from
 // growing back: every exported function or method declared in a
-// non-test file under internal/ must be named by some non-test file of
-// the module or of benchmark/, or carry a "Used only by tests:" line in
-// its doc comment naming the tests it serves. The match is by name, so
-// a method shares its callers with every method of the same name.
-// Methods the standard library calls through an interface are exempt.
+// non-test file under internal/ must be reached from some non-test file
+// of the module or of benchmark/, or carry a "Used only by tests:" line
+// in its doc comment naming the tests it serves. Callers are resolved by
+// type: a function or method is reached where code other than its own
+// body names it, and a method also where code calls a method of the same
+// name on an interface of this module that its type implements. Calls on
+// standard-library interfaces do not count, or resp.Body.Close() would
+// reach every Close() error; the methods the standard library itself
+// calls through its interfaces are exempt by name.
 func TestEveryExportHasACaller(t *testing.T) {
-	stdlibCalled := map[string]bool{"Error": true, "String": true, "Unwrap": true, "Import": true}
-	root := filepath.Join("..", "..", "..")
-	fset := token.NewFileSet()
-	type export struct {
-		decl *ast.FuncDecl
-		pos  token.Position
+	if testing.Short() {
+		t.Skip("loads and type-checks the module and benchmark/")
 	}
-	var exports []export
-	named := map[string]bool{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		declared := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			declared[fn.Name] = true
-			if strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
-				pos := fset.Position(fn.Pos())
-				pos.Filename = filepath.ToSlash(rel)
-				exports = append(exports, export{fn, pos})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				named[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
+	stdlibCalled := map[string]bool{"Error": true, "String": true, "Unwrap": true, "Import": true, "Read": true, "Write": true}
+	root := filepath.Join("..", "..", "..")
+	pkgs, err := lint.Load(root, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exports) < 100 {
-		t.Fatalf("suspiciously few exported functions found: %d", len(exports))
+	bench, err := lint.Load(filepath.Join(root, "benchmark"), "./...")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range exports {
-		name := e.decl.Name.Name
-		if named[name] || e.decl.Recv != nil && stdlibCalled[name] ||
-			strings.Contains(e.decl.Doc.Text(), "Used only by tests:") {
+	reached := map[string]bool{}         // (*pkg.T).M or pkg.F, as types.Func.FullName
+	viaIface := map[string]*types.Func{} // interface methods called, by type and name
+	var named []*types.Named             // every named type, for interface dispatch
+	for _, pkg := range append(pkgs, bench...) {
+		for _, name := range pkg.Types.Scope().Names() {
+			if tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				var self types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = pkg.Info.Defs[fd.Name]
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := pkg.Info.Uses[id].(*types.Func)
+					if !ok || fn == self {
+						return true
+					}
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						if fn.Pkg() != nil && strings.HasPrefix(fn.Pkg().Path(), "repro") {
+							viaIface[types.TypeString(recv.Type(), nil)+"."+fn.Name()] = fn
+						}
+					} else {
+						reached[fn.Origin().FullName()] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	// A call on an interface reaches the method of that name, promoted
+	// or declared, of every type that implements the interface. The
+	// comparison is by parameter and result types as strings: each Load
+	// type-checks against its own export data, so one type can appear as
+	// two distinct types.Type values.
+	shape := func(sig *types.Signature) string {
+		var b strings.Builder
+		for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+			for i := 0; i < tuple.Len(); i++ {
+				b.WriteString(types.TypeString(tuple.At(i).Type(), nil) + ",")
+			}
+			b.WriteString(";")
+		}
+		return b.String()
+	}
+	for _, n := range named {
+		ms := types.NewMethodSet(types.NewPointer(n))
+	calls:
+		for _, call := range viaIface {
+			iface := call.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				sel := ms.Lookup(m.Pkg(), m.Name())
+				if sel == nil || shape(sel.Obj().Type().(*types.Signature)) != shape(m.Type().(*types.Signature)) {
+					continue calls
+				}
+			}
+			reached[ms.Lookup(call.Pkg(), call.Name()).Obj().(*types.Func).Origin().FullName()] = true
+		}
+	}
+	exports := 0
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.ImportPath, "repro/internal/") {
 			continue
 		}
-		t.Errorf("%s: %s has no caller outside tests", e.pos, name)
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				exports++
+				fn := pkg.Info.Defs[fd.Name].(*types.Func)
+				recv := fn.Type().(*types.Signature).Recv()
+				if reached[fn.FullName()] || recv != nil && stdlibCalled[fn.Name()] ||
+					strings.Contains(fd.Doc.Text(), "Used only by tests:") {
+					continue
+				}
+				t.Errorf("%s: %s has no caller outside tests", pkg.Fset.Position(fd.Pos()), fn.FullName())
+			}
+		}
+	}
+	if exports < 100 {
+		t.Fatalf("suspiciously few exported functions found: %d", exports)
 	}
 }
 
@@ -168,7 +213,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
 		"simdeterminism", "lockheld-rmi", "remote-err",
-		"capability", "wiresym", "noalloc",
+		"capability", "noalloc",
 	}
 	all := registry.All()
 	if len(all) != len(want) {

@@ -104,9 +104,6 @@ func NewSimulation(c *Circuit) *Simulation {
 	return &Simulation{circuit: c, leaves: c.Leaves(), ctrl: sim.NewController(c.Handlers()...)}
 }
 
-// Circuit returns the design under simulation.
-func (s *Simulation) Circuit() *Circuit { return s.circuit }
-
 // Start runs one simulation with the given setup (nil to simulate without
 // estimation) on lane 0. When a setup is supplied it is first applied
 // hierarchically to the whole design, and every leaf module receives an

@@ -547,3 +547,6 @@ func TestCircuitHierarchyLeaves(t *testing.T) {
 		t.Errorf("leaf names = %v", names)
 	}
 }
+
+// Module returns the skeleton of the module being handled.
+func (c *Ctx) Module() *Skeleton { return c.sk }

@@ -151,16 +151,6 @@ func (sk *Skeleton) ModuleName() string { return sk.name }
 // Ports returns the module's ports in index order.
 func (sk *Skeleton) Ports() []*Port { return sk.ports }
 
-// Port returns the port with the given name, or nil.
-func (sk *Skeleton) Port(name string) *Port {
-	for _, p := range sk.ports {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // Children returns nil: skeletons are leaf modules. Hierarchical
 // containers (Circuit) override this.
 func (sk *Skeleton) Children() []Module { return nil }
@@ -380,18 +370,8 @@ func (sk *Skeleton) AppendPortValues(dst []signal.Value, ctx *sim.Context, dir D
 	return dst
 }
 
-// OutputPorts returns the module's output ports in index order.
-func (sk *Skeleton) OutputPorts() []*Port {
-	var out []*Port
-	for _, p := range sk.ports {
-		if p.Dir == Out || p.Dir == InOut {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // InputPorts returns the module's input ports in index order.
+// Used only by tests: TestGoldenProviderAnswers, TestInputAndOutputPortLists.
 func (sk *Skeleton) InputPorts() []*Port {
 	var out []*Port
 	for _, p := range sk.ports {
@@ -402,15 +382,15 @@ func (sk *Skeleton) InputPorts() []*Port {
 	return out
 }
 
-// EstimationParams implements estim.Component.
-func (sk *Skeleton) EstimationParams() []estim.Parameter {
-	sk.estMu.RLock()
-	defer sk.estMu.RUnlock()
-	ps := make([]estim.Parameter, 0, len(sk.candidates))
-	for p := range sk.candidates {
-		ps = append(ps, p)
+// OutputPorts returns the module's output ports in index order.
+func (sk *Skeleton) OutputPorts() []*Port {
+	var out []*Port
+	for _, p := range sk.ports {
+		if p.Dir == Out || p.Dir == InOut {
+			out = append(out, p)
+		}
 	}
-	return ps
+	return out
 }
 
 // Ctx bundles the kernel context with the module it is delivering to,
@@ -433,9 +413,6 @@ func (c *Ctx) state() *runState {
 
 // Now returns the current simulation time.
 func (c *Ctx) Now() sim.Time { return c.Sim.Now() }
-
-// Module returns the skeleton of the module being handled.
-func (c *Ctx) Module() *Skeleton { return c.sk }
 
 // Drive sends value from the module's output port across its connector,
 // delivering it to the peer module after delay time units. Driving an

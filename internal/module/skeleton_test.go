@@ -361,3 +361,24 @@ func TestRecycledSchedulerResetsUnlistedModules(t *testing.T) {
 		}
 	}
 }
+
+// Port returns the port with the given name, or nil.
+func (sk *Skeleton) Port(name string) *Port {
+	for _, p := range sk.ports {
+		if p.Name == name {
+			return p
+		}
+	}
+	return nil
+}
+
+// EstimationParams implements estim.Component.
+func (sk *Skeleton) EstimationParams() []estim.Parameter {
+	sk.estMu.RLock()
+	defer sk.estMu.RUnlock()
+	ps := make([]estim.Parameter, 0, len(sk.candidates))
+	for p := range sk.candidates {
+		ps = append(ps, p)
+	}
+	return ps
+}

@@ -130,6 +130,7 @@ func NewChaosSchedule(seed uint64, n int) *ChaosSchedule {
 // indexes fail with ErrChaosPartition, the first successful connection
 // carries the script's fault plan, later connections are clean (the
 // flap recovery path).
+// Used only by tests: TestChaosSweepBitIdentical, TestChaosFailoverObservable.
 func (cs *ChaosSchedule) Dialer(i int, base func() (net.Conn, error)) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
 		cs.mu.Lock()

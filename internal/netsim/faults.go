@@ -287,6 +287,7 @@ type FaultyDialer struct {
 }
 
 // Dial opens the next connection with its scripted plan applied.
+// Used only by tests: TestProviderDeclaredDead, TestFaultyDialerSequencesPlans.
 func (d *FaultyDialer) Dial() (net.Conn, error) {
 	conn, err := d.Base()
 	if err != nil {
@@ -319,6 +320,7 @@ func (d *FaultyDialer) Dials() int {
 
 // Conn returns the i-th opened connection (nil if not yet opened), so
 // tests can inspect which rules fired.
+// Used only by tests: TestRetryHealsConnectionReset, TestFaultedRunMatchesFaultFree.
 func (d *FaultyDialer) Conn(i int) *FaultyConn {
 	d.mu.Lock()
 	defer d.mu.Unlock()

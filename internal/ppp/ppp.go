@@ -262,16 +262,6 @@ func (s *Simulator) Report() Report {
 	return r
 }
 
-// Reset clears accumulated state so the simulator can be reused.
-func (s *Simulator) Reset() {
-	s.havePrev = false
-	s.patterns = 0
-	s.totalEnergy = 0
-	s.peak = 0
-	s.series = s.series[:0]
-	s.toggles = 0
-}
-
 // AreaOf returns the total cell area of the netlist in equivalent gates.
 func AreaOf(nl *gate.Netlist, lib *Library) float64 {
 	if lib == nil {
@@ -363,23 +353,10 @@ func NewTimingSimulatorOn(lanes *gate.LaneEvaluator, lib *Library) (*TimingSimul
 	return ts, nil
 }
 
-// Step applies one pattern and returns the pattern's propagation delay in
-// picoseconds: the latest arrival among nets that changed value (0 when
-// nothing switched, and for the first pattern, which only establishes
-// state). Step is a batch of one.
-func (t *TimingSimulator) Step(inputs []signal.Bit) (float64, error) {
-	one := [1][]signal.Bit{inputs}
-	var d [1]float64
-	out, err := t.StepBatch(one[:], d[:0])
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
 // StepBatch applies the patterns in order and appends each one's delay
-// (ps), as Step would return it, to delays. A malformed pattern fails
-// the whole batch before any pattern is applied.
+// in picoseconds to delays: the latest arrival among nets that changed
+// value, 0 when none did and for the first pattern, which only
+// establishes state. A malformed pattern fails the whole batch first.
 func (t *TimingSimulator) StepBatch(patterns [][]signal.Bit, delays []float64) ([]float64, error) {
 	if err := t.lanes.CheckPatterns(patterns); err != nil {
 		return delays, err

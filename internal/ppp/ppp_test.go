@@ -327,3 +327,27 @@ func newTimingSimulator(nl *gate.Netlist) (*TimingSimulator, error) {
 	}
 	return NewTimingSimulatorOn(lanes, nil)
 }
+
+// Reset clears accumulated state so the simulator can be reused.
+func (s *Simulator) Reset() {
+	s.havePrev = false
+	s.patterns = 0
+	s.totalEnergy = 0
+	s.peak = 0
+	s.series = s.series[:0]
+	s.toggles = 0
+}
+
+// Step applies one pattern and returns the pattern's propagation delay in
+// picoseconds: the latest arrival among nets that changed value (0 when
+// nothing switched, and for the first pattern, which only establishes
+// state). Step is a batch of one.
+func (t *TimingSimulator) Step(inputs []signal.Bit) (float64, error) {
+	one := [1][]signal.Bit{inputs}
+	var d [1]float64
+	out, err := t.StepBatch(one[:], d[:0])
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}

@@ -173,12 +173,6 @@ func (p *Provider) Register(c *Component) error {
 // Authorize grants a client access (delegates to the RPC server).
 func (p *Provider) Authorize(client string, key security.Key) { p.Server.Authorize(client, key) }
 
-// Listen starts serving on a TCP address.
-func (p *Provider) Listen(addr string) (string, error) { return p.Server.Listen(addr) }
-
-// Close stops the server.
-func (p *Provider) Close() error { return p.Server.Close() }
-
 func (p *Provider) handleCatalogue(sess *rmi.Session, payload []byte) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

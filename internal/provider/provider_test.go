@@ -487,3 +487,9 @@ func TestRemoteTimingBatch(t *testing.T) {
 		}
 	}
 }
+
+// Listen starts serving on a TCP address.
+func (p *Provider) Listen(addr string) (string, error) { return p.Server.Listen(addr) }
+
+// Close stops the server.
+func (p *Provider) Close() error { return p.Server.Close() }

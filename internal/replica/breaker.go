@@ -172,10 +172,3 @@ func (b *Breaker) State() BreakerState {
 	defer b.mu.Unlock()
 	return b.state
 }
-
-// ConsecutiveFailures returns the current consecutive-failure count.
-func (b *Breaker) ConsecutiveFailures() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fails
-}

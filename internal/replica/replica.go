@@ -146,13 +146,6 @@ func (s *Set) ObserveEpochFail(err error) {
 	s.health[i].Observe(0, err)
 }
 
-// Failovers returns how many times the current replica changed.
-func (s *Set) Failovers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failovers
-}
-
 // Size returns the replica count.
 func (s *Set) Size() int { return len(s.eps) }
 

@@ -278,3 +278,17 @@ func TestNewSetRejectsEmpty(t *testing.T) {
 		t.Fatal("empty set accepted")
 	}
 }
+
+// ConsecutiveFailures returns the current consecutive-failure count.
+func (b *Breaker) ConsecutiveFailures() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.fails
+}
+
+// Failovers returns how many times the current replica changed.
+func (s *Set) Failovers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failovers
+}

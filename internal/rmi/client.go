@@ -125,12 +125,11 @@ type Client struct {
 	jmu    sync.Mutex // guards jitter (shared by emulation and backoff)
 	jitter *mrand.Rand
 
-	mu         sync.Mutex
-	tr         *mux // current transport epoch; replaced whole on reconnect
-	session    string
-	closed     bool // Close was called; permanent
-	dead       bool // retries + reconnects exhausted; permanent
-	reconnects int
+	mu      sync.Mutex
+	tr      *mux // current transport epoch; replaced whole on reconnect
+	session string
+	closed  bool // Close was called; permanent
+	dead    bool // retries + reconnects exhausted; permanent
 
 	// term closes when the client reaches a terminal state (Close or
 	// provider declared dead), aborting any backoff sleep promptly.
@@ -460,7 +459,6 @@ func (c *Client) reconnectLocked() error {
 	if err != nil {
 		return err
 	}
-	c.reconnects++
 	c.session = m.session
 	if c.OnReconnect != nil {
 		if err := c.OnReconnect(m.replay); err != nil {

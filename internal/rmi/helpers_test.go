@@ -1,5 +1,7 @@
 package rmi
 
+import "sync/atomic"
+
 // Pending is an in-flight asynchronous call.
 type Pending struct {
 	// Done is closed when the call completes.
@@ -30,23 +32,29 @@ func isDead(c *Client) bool {
 	return c.dead
 }
 
-// reconnectCount returns how many automatic reconnects c completed.
-func reconnectCount(c *Client) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
+// countReconnects counts c's completed reconnects from outside: it wraps
+// c.OnReconnect, which runs once per reconnect that re-handshook, and
+// returns the count so far.
+func countReconnects(c *Client) func() int {
+	var n atomic.Int64
+	replay := c.OnReconnect
+	c.OnReconnect = func(do func(string, PortData, any) error) error {
+		n.Add(1)
+		if replay != nil {
+			return replay(do)
+		}
+		return nil
+	}
+	return func() int { return int(n.Load()) }
 }
 
-// peakInFlight returns the high-water mark of concurrently in-flight
-// calls on c's current transport epoch (it resets on reconnect).
-func peakInFlight(c *Client) int {
-	c.mu.Lock()
-	tr := c.tr
-	c.mu.Unlock()
-	if tr == nil {
-		return 0
+// Sessions returns a snapshot of the open sessions.
+func (s *Server) Sessions() []*Session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*Session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		out = append(out, sess)
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.peak
+	return out
 }

@@ -54,7 +54,6 @@ type mux struct {
 	slotFree *sync.Cond // waits for the in-flight bound
 	pending  map[uint64]*pendingCall
 	active   int // calls holding an in-flight slot
-	peak     int // high-water mark of active (observability/tests)
 	failed   bool
 	failErr  error
 
@@ -98,9 +97,6 @@ func (m *mux) acquire() error {
 		return m.failErr
 	}
 	m.active++
-	if m.active > m.peak {
-		m.peak = m.active
-	}
 	return nil
 }
 

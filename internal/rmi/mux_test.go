@@ -16,20 +16,36 @@ import (
 
 // newPipelinePair starts an echo server with a handler that holds each
 // request briefly, so pipelined requests genuinely overlap at the
-// provider's session workers.
-func newPipelinePair(t *testing.T, hold time.Duration) *Client {
+// provider's session workers. It also returns the high-water mark of
+// handlers running at once: a handler runs only while its call holds a
+// client in-flight slot, so the mark is the in-flight depth the
+// provider saw.
+func newPipelinePair(t *testing.T, hold time.Duration) (*Client, func() int) {
 	t.Helper()
+	var mu sync.Mutex
+	running, peak := 0, 0
 	_, cli := newTestPair(t, func(srv *Server) {
 		srv.Handle("hold", func(sess *Session, payload []byte) (any, error) {
 			var req echoReq
 			if err := Decode(payload, &req); err != nil {
 				return nil, err
 			}
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
 			time.Sleep(hold)
+			mu.Lock()
+			running--
+			mu.Unlock()
 			return echoResp{Bits: req.Bits}, nil
 		})
 	})
-	return cli
+	return cli, func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return peak
+	}
 }
 
 // TestPipelinedCallsAtDepths drives many concurrent calls through the
@@ -42,7 +58,7 @@ func TestPipelinedCallsAtDepths(t *testing.T) {
 		depth := depth
 		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
 			leakcheck.Check(t) // the mux readers must all unwind on close
-			cli := newPipelinePair(t, 10*time.Millisecond)
+			cli, peakInFlight := newPipelinePair(t, 10*time.Millisecond)
 			cli.MaxInFlight = depth
 			const calls = 32
 			var wg sync.WaitGroup
@@ -65,7 +81,7 @@ func TestPipelinedCallsAtDepths(t *testing.T) {
 					t.Errorf("call %d: response %v correlated to the wrong request", i, got[i].Bits)
 				}
 			}
-			peak := peakInFlight(cli)
+			peak := peakInFlight()
 			if peak > depth {
 				t.Errorf("peak in-flight %d exceeds configured depth %d", peak, depth)
 			}
@@ -188,6 +204,7 @@ func TestUnknownResponseIDFailsAllInFlight(t *testing.T) {
 func TestMidPipelineDisconnectHealsEveryCall(t *testing.T) {
 	leakcheck.Check(t) // reconnect must not orphan the dead epoch's reader
 	cli, dialer, calls := newFaultServer(t, []*netsim.FaultPlan{netsim.ResetAfterWrites(9), nil})
+	reconnects := countReconnects(cli)
 	cli.MaxInFlight = 8
 	const n = 16
 	var wg sync.WaitGroup
@@ -209,7 +226,7 @@ func TestMidPipelineDisconnectHealsEveryCall(t *testing.T) {
 	if fired := dialer.Conn(0).Fired(); len(fired) != 1 {
 		t.Fatalf("scripted mid-pipeline reset did not fire: %v", fired)
 	}
-	if got := reconnectCount(cli); got < 1 {
+	if got := reconnects(); got < 1 {
 		t.Errorf("reconnects = %d, want ≥ 1", got)
 	}
 	if isDead(cli) {

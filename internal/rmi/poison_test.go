@@ -67,11 +67,12 @@ func TestMuxPoisonMatrix(t *testing.T) {
 		t.Run(fault.name, func(t *testing.T) {
 			r := startRogue(t, fault.behave)
 			cli := rogueClient(t, r)
+			reconnects := countReconnects(cli)
 			cli.Retry = fastRetry
 			if err := cli.Call("m", echoReq{Note: "poison"}, nil); err != nil {
 				t.Fatalf("%v not healed: %v", fault.name, err)
 			}
-			if got := reconnectCount(cli); got != 1 {
+			if got := reconnects(); got != 1 {
 				t.Errorf("reconnects = %d, want 1 (fault must poison the epoch exactly once)", got)
 			}
 			if isDead(cli) {

@@ -69,6 +69,7 @@ func newFaultServer(t *testing.T, plans []*netsim.FaultPlan) (*Client, *netsim.F
 // write count mid-run; every call must still succeed through reconnect.
 func TestRetryHealsConnectionReset(t *testing.T) {
 	cli, dialer, _ := newFaultServer(t, []*netsim.FaultPlan{netsim.ResetAfterWrites(10), nil})
+	reconnects := countReconnects(cli)
 	oldSession := cli.Session()
 	for i := 0; i < 20; i++ {
 		var resp echoResp
@@ -76,7 +77,7 @@ func TestRetryHealsConnectionReset(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := reconnectCount(cli); got != 1 {
+	if got := reconnects(); got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 	if dialer.Dials() != 2 {
@@ -98,6 +99,7 @@ func TestRetryHealsConnectionReset(t *testing.T) {
 // loss, and the retry must replace the poisoned connection.
 func TestDroppedRequestTimesOutAndRetries(t *testing.T) {
 	cli, _, _ := newFaultServer(t, []*netsim.FaultPlan{netsim.DropWrite(10), nil})
+	reconnects := countReconnects(cli)
 	cli.Timeout = 200 * time.Millisecond
 	for i := 0; i < 20; i++ {
 		var resp echoResp
@@ -105,7 +107,7 @@ func TestDroppedRequestTimesOutAndRetries(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := reconnectCount(cli); got < 1 {
+	if got := reconnects(); got < 1 {
 		t.Errorf("reconnects = %d, want ≥ 1", got)
 	}
 }
@@ -114,13 +116,14 @@ func TestDroppedRequestTimesOutAndRetries(t *testing.T) {
 // mid-frame); the retry must succeed on a fresh connection.
 func TestTruncatedFrameRecovered(t *testing.T) {
 	cli, _, _ := newFaultServer(t, []*netsim.FaultPlan{netsim.TruncateWrite(10, 3), nil})
+	reconnects := countReconnects(cli)
 	for i := 0; i < 20; i++ {
 		var resp echoResp
 		if err := cli.Call("echo", echoReq{}, &resp); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if got := reconnectCount(cli); got != 1 {
+	if got := reconnects(); got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 }
@@ -301,11 +304,12 @@ func TestAmbiguousFailureRetriedOnlyWhenIdempotent(t *testing.T) {
 func TestStaleResponseDesyncBreaksAndHeals(t *testing.T) {
 	r := startRogue(t, rogueStaleID)
 	cli := rogueClient(t, r)
+	reconnects := countReconnects(cli)
 	cli.Retry = fastRetry
 	if err := cli.Call("m", echoReq{}, nil); err != nil {
 		t.Fatalf("desync not healed: %v", err)
 	}
-	if got := reconnectCount(cli); got != 1 {
+	if got := reconnects(); got != 1 {
 		t.Errorf("reconnects = %d, want 1 (stale frame must poison the connection)", got)
 	}
 	// Counters stay aligned afterwards: a burst of calls all match.
@@ -323,6 +327,7 @@ func TestStaleResponseDesyncBreaksAndHeals(t *testing.T) {
 func TestStaleResponseWithoutRetrySurfacesAndIsolates(t *testing.T) {
 	r := startRogue(t, rogueStaleID)
 	cli := rogueClient(t, r)
+	reconnects := countReconnects(cli)
 	err := cli.Call("m", echoReq{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "desynchronized") {
 		t.Fatalf("err = %v, want desynchronization error", err)
@@ -331,7 +336,7 @@ func TestStaleResponseWithoutRetrySurfacesAndIsolates(t *testing.T) {
 	if err := cli.Call("m", echoReq{}, nil); err != nil {
 		t.Fatalf("follow-up call: %v", err)
 	}
-	if got := reconnectCount(cli); got != 1 {
+	if got := reconnects(); got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 }

@@ -257,17 +257,6 @@ func (s *Server) Authorize(client string, key security.Key) {
 	s.keys[client] = key
 }
 
-// Sessions returns a snapshot of the open sessions.
-func (s *Server) Sessions() []*Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		out = append(out, sess)
-	}
-	return out
-}
-
 // Serve accepts connections until the listener closes. It is typically
 // run on its own goroutine. On a server already closed or draining it
 // closes ln and returns at once.
@@ -297,6 +286,7 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Listen starts the server on a TCP address and returns the bound
 // address; Serve runs on a background goroutine.
+// Used only by tests: the rmi and provider test helpers that serve on loopback TCP.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -313,6 +303,7 @@ func (s *Server) Listen(addr string) (string, error) {
 // Close stops the server at once: it is Drain with a zero timeout.
 // Every connection is cut, busy or not, and Close waits up to
 // settleWait for their serve goroutines, SessionClose hooks included.
+// Used only by tests: TestCloseStopsLiveSessions, TestServeAfterClose.
 func (s *Server) Close() error {
 	return s.Drain(0)
 }

@@ -148,12 +148,3 @@ func (b Bit) Xor(o Bit) Bit { return xorTable[b&3][o&3] }
 
 // Not returns the four-valued negation of b.
 func (b Bit) Not() Bit { return notTable[b&3] }
-
-// Nand returns NOT(b AND o).
-func (b Bit) Nand(o Bit) Bit { return b.And(o).Not() }
-
-// Nor returns NOT(b OR o).
-func (b Bit) Nor(o Bit) Bit { return b.Or(o).Not() }
-
-// Xnor returns NOT(b XOR o).
-func (b Bit) Xnor(o Bit) Bit { return b.Xor(o).Not() }

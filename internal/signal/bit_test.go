@@ -181,3 +181,12 @@ func TestBitMonotonicityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Nand returns NOT(b AND o).
+func (b Bit) Nand(o Bit) Bit { return b.And(o).Not() }
+
+// Nor returns NOT(b OR o).
+func (b Bit) Nor(o Bit) Bit { return b.Or(o).Not() }
+
+// Xnor returns NOT(b XOR o).
+func (b Bit) Xnor(o Bit) Bit { return b.Xor(o).Not() }

@@ -21,9 +21,11 @@ type Value interface {
 type BitValue struct{ B Bit }
 
 // ValueWidth returns 1.
+// Used only by tests: TestBitValueInterface.
 func (v BitValue) ValueWidth() int { return 1 }
 
 // EqualValue reports equality with another BitValue.
+// Used only by tests: TestBitValueInterface.
 func (v BitValue) EqualValue(o Value) bool {
 	ov, ok := o.(BitValue)
 	return ok && ov.B == v.B
@@ -38,9 +40,11 @@ func (v BitValue) String() string { return v.B.String() }
 type WordValue struct{ W Word }
 
 // ValueWidth returns the word width.
+// Used only by tests: TestWordValueInterface.
 func (v WordValue) ValueWidth() int { return v.W.Width() }
 
 // EqualValue reports equality with another WordValue.
+// Used only by tests: TestWordValueInterface.
 func (v WordValue) EqualValue(o Value) bool {
 	ov, ok := o.(WordValue)
 	return ok && ov.W.Equal(v.W)

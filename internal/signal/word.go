@@ -157,6 +157,7 @@ func (w Word) String() string {
 }
 
 // Slice returns bits [lo, hi) as a new word. It panics on an invalid range.
+// Used only by tests: TestGoldenWords, TestWordSlice.
 //
 //gocad:noalloc
 func (w Word) Slice(lo, hi int) Word {

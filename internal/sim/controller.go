@@ -72,9 +72,6 @@ func NewController(handlers ...Handler) *Controller {
 	return c
 }
 
-// Handlers returns the handler set the controller resets before each run.
-func (c *Controller) Handlers() []Handler { return c.handlers }
-
 // AddHandlers appends more handlers (e.g. after elaborating a hierarchy).
 // Each Indexed handler claims its list position as its SlotIndex unless
 // it already holds one.

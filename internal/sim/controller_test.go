@@ -224,3 +224,6 @@ func TestSchedulerDeterminismProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Handlers returns the handler set the controller resets before each run.
+func (c *Controller) Handlers() []Handler { return c.handlers }

@@ -350,10 +350,6 @@ func (s *Scheduler) spillSignal(t Time, dst Handler, port int, v signal.Value, s
 	s.enqueue(&SignalToken{T: t, Dst: dst, Port: port, Value: v, Src: src}, s.seq)
 }
 
-// Scheduler exposes the underlying scheduler, for controllers that need
-// override management during a run (fault injection).
-func (c *Context) Scheduler() *Scheduler { return c.sched }
-
 // deliver dispatches one token, honouring per-scheduler overrides.
 func (s *Scheduler) deliver(ctx *Context, tok Token) {
 	s.delivered++
