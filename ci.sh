@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI driver: the tier-1 gate (build + tests), the race pass, then the
-# Makefile's lint, chaos, fuzz, smoke and benchmark gates, each command
-# list kept once in the Makefile. Usage: ./ci.sh [fuzztime]
+# CI driver: the tier-1 gate (build + tests), the repeat and race
+# passes, then the Makefile's lint, chaos, fuzz, smoke and benchmark
+# gates, each command list kept once in the Makefile.
+# Usage: ./ci.sh [fuzztime]
 set -eu
 
 FUZZTIME="${1:-15s}"
@@ -25,10 +26,13 @@ make lint
 echo "==> go test ./..."
 go test ./...
 
+echo "==> make repeat (every test twice in one process: order and state dependence)"
+make repeat
+
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> make chaos (seeded replica fault schedules under -race)"
+echo "==> make chaos (seeded provider fault schedules under -race)"
 make chaos
 
 echo "==> make fuzz (${FUZZTIME} per target)"

@@ -32,7 +32,6 @@ func main() {
 		check      = flag.Bool("check", false, "cross-check against the flattened full-disclosure reference")
 		vcurve     = flag.Bool("curve", true, "print the cumulative coverage curve")
 		workers    = flag.Int("workers", 0, "worker pool size for the -check flat reference (0 = one per CPU, 1 = serial)")
-		quorum     = flag.Int("quorum", 1, "testability replicas per IP host: each query is answered by majority vote over K equivalent services, divergent replicas reported")
 	)
 	flag.Parse()
 
@@ -71,37 +70,6 @@ func main() {
 		fatal(fmt.Errorf("unknown pattern source %q", *patterns))
 	}
 
-	if *quorum > 1 {
-		// Build K-1 additional copies of the same design; each host's
-		// service is replaced by a majority vote over the K equivalent
-		// testability services.
-		replicas := make([]*fault.IPDesign, *quorum-1)
-		for i := range replicas {
-			var rd *fault.IPDesign
-			switch *designKind {
-			case "fig4":
-				rd, err = fault.Figure4Design()
-			case "random":
-				rd, err = fault.RandomIPDesign(*gates, *seed)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			replicas[i] = rd
-		}
-		for hi := range d.Hosts {
-			svcs := []fault.TestabilityService{d.Hosts[hi].Service}
-			for _, rd := range replicas {
-				svcs = append(svcs, rd.Hosts[hi].Service)
-			}
-			q, err := fault.NewQuorumTestability(svcs...)
-			if err != nil {
-				fatal(err)
-			}
-			d.Hosts[hi].Service = q
-		}
-	}
-
 	vs := d.NewVirtual()
 	list, err := vs.BuildFaultList()
 	if err != nil {
@@ -125,13 +93,6 @@ func main() {
 		100*res.Coverage(), len(res.Detected), res.Total, len(tests))
 	fmt.Printf("protocol work: %d fault-free runs, %d table queries, %d injections\n",
 		vs.Stats.FaultFreeRuns, vs.Stats.DetectionTableCalls, vs.Stats.InjectionRuns)
-	if *quorum > 1 {
-		fmt.Printf("quorum: %d replicas per host, %d divergent answers out-voted\n",
-			*quorum, len(res.Divergences))
-		for _, dv := range res.Divergences {
-			fmt.Printf("  DIVERGED %s replica %d: %s\n", dv.Module, dv.Replica, dv.Detail)
-		}
-	}
 	if *vcurve {
 		fmt.Print("coverage curve:")
 		for _, c := range res.CoverageCurve() {

@@ -17,12 +17,6 @@
 // The performance knob: -inflight bounds how many RMI calls pipeline on
 // the one connection (1 reproduces the stop-and-wait wire schedule, 0
 // picks the transport default). It changes no estimate value.
-//
-// The replication knob (-local only): -replicas N runs the design against
-// N equivalent in-process providers behind health-gated circuit breakers —
-// a connection loss fails over to the next healthy replica with the
-// session replayed there. Replica estimators are deterministic, so it
-// changes no estimate value either.
 package main
 
 import (
@@ -30,7 +24,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"time"
@@ -41,7 +34,6 @@ import (
 	"repro/internal/module"
 	"repro/internal/netsim"
 	"repro/internal/provider"
-	"repro/internal/replica"
 	"repro/internal/rmi"
 	"repro/internal/security"
 )
@@ -63,12 +55,8 @@ func main() {
 		retries  = flag.Int("retries", def.Retry.MaxAttempts, "max attempts per idempotent call (1 disables retry)")
 		recover_ = flag.Bool("recover", def.Recover, "replay the session after an automatic reconnect")
 		inflight = flag.Int("inflight", 0, "max pipelined RMI calls in flight (0 = default, 1 = stop-and-wait)")
-		replicas = flag.Int("replicas", 1, "equivalent in-process provider replicas behind health-gated failover (requires -local)")
 	)
 	flag.Parse()
-	if *replicas > 1 && !*local {
-		fatal(errors.New("-replicas needs -local: a live deployment has one server address per process"))
-	}
 
 	retry := def.Retry
 	retry.MaxAttempts = *retries
@@ -77,42 +65,20 @@ func main() {
 	var (
 		ip    *iplib.IPClient
 		meter *netsim.Meter
-		rset  *replica.Set
 	)
 	if *local {
-		if *replicas > 1 {
-			ps := make([]*provider.Provider, *replicas)
-			dials := make([]func() (net.Conn, error), *replicas)
-			for i := range ps {
-				p := provider.New(fmt.Sprintf("provider%d", i))
-				if err := p.Register(provider.MultFastLowPower()); err != nil {
-					fatal(err)
-				}
-				ps[i] = p
-				dials[i] = core.PipeDialer(p)
-			}
-			conn, set, err := core.ConnectReplicated(ps, *client, netProfile, dials, replica.BreakerConfig{}, nil)
-			if err != nil {
-				fatal(err)
-			}
-			defer conn.Close()
-			conn.Harden(core.Resilience{Timeout: *timeout, Retry: retry, Recover: *recover_})
-			conn.Client.RPC.MaxInFlight = *inflight
-			ip, meter, rset = conn.Client, conn.Meter, set
-		} else {
-			p := provider.New("provider1")
-			if err := p.Register(provider.MultFastLowPower()); err != nil {
-				fatal(err)
-			}
-			conn, err := core.ConnectInProcess(p, *client, netProfile)
-			if err != nil {
-				fatal(err)
-			}
-			defer conn.Close()
-			conn.Harden(core.Resilience{Timeout: *timeout, Retry: retry, Recover: *recover_})
-			conn.Client.RPC.MaxInFlight = *inflight
-			ip, meter = conn.Client, conn.Meter
+		p := provider.New("provider1")
+		if err := p.Register(provider.MultFastLowPower()); err != nil {
+			fatal(err)
 		}
+		conn, err := core.ConnectInProcess(p, *client, netProfile)
+		if err != nil {
+			fatal(err)
+		}
+		defer conn.Close()
+		conn.Harden(core.Resilience{Timeout: *timeout, Retry: retry, Recover: *recover_})
+		conn.Client.RPC.MaxInFlight = *inflight
+		ip, meter = conn.Client, conn.Meter
 	} else {
 		raw, err := os.ReadFile(*keyfile)
 		if err != nil {
@@ -223,13 +189,6 @@ func main() {
 	fmt.Printf("  CPU time %v, real time %v (blocked on network %v, %d calls, %d bytes)\n",
 		cpu.Round(time.Microsecond), real.Round(time.Microsecond),
 		meter.Blocked().Round(time.Microsecond), meter.Calls(), meter.Bytes())
-	if rset != nil {
-		fmt.Printf("  replicas: %d failovers\n", meter.Failovers())
-		for i, st := range rset.Statuses() {
-			fmt.Printf("    replica %d %-8s %d ok / %d failed, ewma latency %v\n",
-				i, st.State, st.Successes, st.Failures, st.EWMALatency.Round(time.Microsecond))
-		}
-	}
 	if rep.Degraded {
 		fmt.Printf("  DEGRADED: provider declared dead mid-run; %d batches lost, later estimates are fallback values\n",
 			rep.LostBatches)

@@ -31,7 +31,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/ppp"
 	"repro/internal/provider"
-	"repro/internal/replica"
 	"repro/internal/sealed"
 	"repro/internal/signal"
 	"repro/internal/sim"
@@ -246,41 +245,6 @@ var (
 	NetLocal     = netsim.Local
 	NetLAN       = netsim.LAN
 	NetWAN       = netsim.WAN
-)
-
-// Replication, failover & quorum (DESIGN.md §10).
-type (
-	// ReplicaSet holds equivalent provider endpoints behind health-gated
-	// circuit breakers; its Dialer is the failover policy.
-	ReplicaSet = replica.Set
-	// ReplicaEndpoint is one named, dialable replica.
-	ReplicaEndpoint = replica.Endpoint
-	// BreakerConfig tunes the per-replica circuit breakers.
-	BreakerConfig = replica.BreakerConfig
-	// ReplicaStatus is a point-in-time snapshot of one replica's breaker
-	// state and health record.
-	ReplicaStatus = replica.Status
-	// QuorumTestability answers testability queries by index-ordered
-	// majority vote over K equivalent services.
-	QuorumTestability = fault.QuorumTestability
-	// ReplicaDivergence is one out-voted (or erroring) replica answer,
-	// surfaced in fault-simulation results.
-	ReplicaDivergence = fault.ReplicaDivergence
-	// ChaosSchedule is a deterministic per-replica fault schedule for
-	// failover testing.
-	ChaosSchedule = netsim.ChaosSchedule
-	// ChaosReplicaScript is one replica's scripted failure behavior.
-	ChaosReplicaScript = netsim.ReplicaScript
-)
-
-// Replication constructors and the chaos harness.
-var (
-	ConnectReplicated    = core.ConnectReplicated
-	NewReplicaSet        = replica.NewSet
-	NewQuorumTestability = fault.NewQuorumTestability
-	NewChaosSchedule     = netsim.NewChaosSchedule
-	ScriptedChaos        = netsim.ScriptedSchedule
-	AllDeadChaos         = netsim.AllDeadSchedule
 )
 
 // Experiment harnesses (the paper's evaluation).

@@ -1,51 +1,43 @@
 package core
 
 import (
+	"errors"
 	"net"
-	"reflect"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/leakcheck"
 	"repro/internal/netsim"
 	"repro/internal/provider"
-	"repro/internal/replica"
 )
 
-// frozenClock is the deterministic breaker time source of the chaos
-// harness: time never advances, so an opened breaker stays open (the
-// last-resort probe pass is the only way back) and the failover ladder
-// is a pure function of the schedule.
-func frozenClock() time.Time { return time.Unix(1, 0) }
-
 // chaosCfg returns the chaos sweep's scenario configuration: small
-// enough to sweep, aggressive breakers (one strike opens, frozen clock),
-// full resilience so transient faults heal through reconnect + replay.
-func chaosCfg(replicas, inflight int) Config {
+// enough to sweep, full resilience so transient faults heal through
+// reconnect and session replay.
+func chaosCfg(seed uint64, inflight int) Config {
 	cfg := DefaultConfig()
 	cfg.Width = 8
 	cfg.Patterns = 30
+	cfg.Seed = int64(seed)
 	cfg.InFlight = inflight
 	r := DefaultResilience()
 	cfg.Resilience = &r
-	cfg.Replicas = replicas
-	cfg.Breaker = replica.BreakerConfig{FailThreshold: 1, OpenFor: time.Hour}
-	cfg.BreakerClock = frozenClock
 	return cfg
 }
 
-// chaosDialers wraps each provider's pipe transport with a fresh seeded
-// schedule — built inside the factory, so concurrent runs never share
-// schedule state.
-func chaosDialers(seed uint64) func(provs []*provider.Provider) []func() (net.Conn, error) {
-	return func(provs []*provider.Provider) []func() (net.Conn, error) {
-		cs := netsim.NewChaosSchedule(seed, len(provs))
-		dials := make([]func() (net.Conn, error), len(provs))
-		for i, p := range provs {
-			dials[i] = cs.Dialer(i, PipeDialer(p))
+// chaosRun runs scenario s with the provider's pipe transport behind the
+// schedule cs, and reports how many dials the run made.
+func chaosRun(s Scenario, cfg Config, cs *netsim.ChaosSchedule) (*Result, int64, error) {
+	var dials atomic.Int64
+	cfg.DialVia = func(p *provider.Provider) func() (net.Conn, error) {
+		dial := cs.Dialer(PipeDialer(p))
+		return func() (net.Conn, error) {
+			dials.Add(1)
+			return dial()
 		}
-		return dials
 	}
+	res, err := Run(s, cfg)
+	return res, dials.Load(), err
 }
 
 // assertSameRun compares the bit-exact outcome of a chaos run against
@@ -53,7 +45,7 @@ func chaosDialers(seed uint64) func(provs []*provider.Provider) []func() (net.Co
 func assertSameRun(t *testing.T, base, got *Result) {
 	t.Helper()
 	if got.Power.Degraded {
-		t.Fatal("run degraded despite a healthy replica in the schedule")
+		t.Fatal("run degraded although the provider came back")
 	}
 	if got.Products != base.Products {
 		t.Errorf("products %d, baseline %d", got.Products, base.Products)
@@ -68,188 +60,83 @@ func assertSameRun(t *testing.T, base, got *Result) {
 	}
 }
 
-// TestChaosSweepBitIdentical is the tentpole's acceptance sweep: seeded
-// fault schedules (kill, partition, slow-drip, flap) across replica
-// counts and pipeline depths, every cell asserting the run heals through
-// failover with results bit-identical to the clean single-provider
-// baseline. The "nocache" leaf in the cell names dates from a swept
-// estimation cache and keeps each cell's name stable.
+// assertDegraded checks the outcome of a provider that dies mid-run and
+// stays dead: the run completes, marked degraded with at least one lost
+// batch, the design keeps simulating, and the missing estimates show.
+func assertDegraded(t *testing.T, base, got *Result) {
+	t.Helper()
+	if !got.Power.Degraded {
+		t.Fatal("dead-provider run not marked degraded")
+	}
+	if got.Power.LostBatches < 1 {
+		t.Errorf("lost batches = %d, want ≥ 1", got.Power.LostBatches)
+	}
+	if got.Products != base.Products {
+		t.Errorf("products %d, baseline %d — the design must keep simulating", got.Products, base.Products)
+	}
+	if len(got.Power.Samples) >= len(base.Power.Samples) {
+		t.Errorf("degraded run reports %d samples, baseline %d; partial results must be visible", len(got.Power.Samples), len(base.Power.Samples))
+	}
+}
+
+// TestChaosSweepBitIdentical is the robustness contract of a provider
+// session: seeds 1–3 × {ER, MR} × pipeline depth {1, 8}, each cell
+// running every seeded fault kind against the one provider and
+// comparing with the seeded clean run at depth 1.
+//   - flap and slow-drip heal through reconnect and session replay,
+//     bit-identical to the clean run;
+//   - a kill mid-run ends in explicit degradation;
+//   - a partition, or a kill during the handshake, fails Run with the
+//     injected fault in its error chain.
+//
+// The "nocache" leaf in the cell names dates from a swept estimation
+// cache and keeps each cell's name stable.
 func TestChaosSweepBitIdentical(t *testing.T) {
-	leakcheck.Check(t)
-	base, err := Run(EstimatorRemote, chaosCfg(1, 1))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	if base.PowerSamples == 0 {
-		t.Fatal("baseline produced no power samples; test premise broken")
-	}
 	for _, seed := range []uint64{1, 2, 3} {
-		for _, replicas := range []int{2, 3} {
+		for _, s := range []Scenario{EstimatorRemote, MultiplierRemote} {
 			for _, inflight := range []int{1, 8} {
 				t.Run(map[int]string{1: "depth1", 8: "depth8"}[inflight]+"/nocache", func(t *testing.T) {
-					cfg := chaosCfg(replicas, inflight)
-					cfg.Seed = int64(seed) // vary the stimulus with the schedule
-					cfg.ReplicaDialers = chaosDialers(seed)
-					baseCfg := chaosCfg(1, 1)
-					baseCfg.Seed = int64(seed)
-					b, err := Run(EstimatorRemote, baseCfg)
+					leakcheck.Check(t)
+					base, err := Run(s, chaosCfg(seed, 1))
 					if err != nil {
-						t.Fatalf("seeded baseline: %v", err)
+						t.Fatalf("%v seed %d baseline: %v", s, seed, err)
 					}
-					res, err := Run(EstimatorRemote, cfg)
-					if err != nil {
-						t.Fatalf("chaos run (seed %d, %d replicas): %v", seed, replicas, err)
+					if base.PowerSamples == 0 {
+						t.Fatal("baseline produced no power samples; test premise broken")
 					}
-					assertSameRun(t, b, res)
+					for kind := netsim.ChaosKill; kind <= netsim.ChaosFlap; kind++ {
+						t.Run(kind.String(), func(t *testing.T) {
+							res, dials, err := chaosRun(s, chaosCfg(seed, inflight), netsim.NewChaosSchedule(seed, kind))
+							if kind == netsim.ChaosPartition {
+								if !errors.Is(err, netsim.ErrChaosPartition) {
+									t.Fatalf("%v seed %d: partitioned run err = %v, want ErrChaosPartition", s, seed, err)
+								}
+								return
+							}
+							if err != nil {
+								t.Fatalf("%v seed %d: %v", s, seed, err)
+							}
+							switch kind {
+							case netsim.ChaosKill:
+								assertDegraded(t, base, res)
+							case netsim.ChaosFlap:
+								if dials < 2 {
+									t.Fatalf("%v seed %d: flap run dialed %d times; the reset never forced a reconnect", s, seed, dials)
+								}
+								assertSameRun(t, base, res)
+							default:
+								assertSameRun(t, base, res)
+							}
+						})
+					}
+					t.Run("handshake-kill", func(t *testing.T) {
+						cs := &netsim.ChaosSchedule{Kind: netsim.ChaosKill, Plan: netsim.ResetAfterWrites(1)}
+						if _, _, err := chaosRun(s, chaosCfg(seed, inflight), cs); !errors.Is(err, netsim.ErrInjectedReset) {
+							t.Fatalf("%v seed %d: handshake-kill err = %v, want ErrInjectedReset", s, seed, err)
+						}
+					})
 				})
 			}
 		}
-	}
-}
-
-// TestPatternLogReplaysAcrossHealedFailover kills the first of two
-// replicas mid-run (connection reset after five writes, redials
-// refused). The rmi layer heals the loss by failing over and replaying
-// the session there, the estimator's pattern log included, so the run
-// must not degrade and its values must match a clean run bit for bit.
-func TestPatternLogReplaysAcrossHealedFailover(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Width = 8
-	cfg.Patterns = 30
-	_, plainSamples := scenarioSamples(t, cfg)
-
-	failCfg := chaosCfg(2, 8)
-	failCfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
-		cs := netsim.ScriptedSchedule(1,
-			netsim.ReplicaScript{Kind: netsim.ChaosKill, Plan: netsim.ResetAfterWrites(5), RefuseFrom: 1},
-			netsim.ReplicaScript{Kind: netsim.ChaosNone, RefuseFrom: -1},
-		)
-		return []func() (net.Conn, error){
-			cs.Dialer(0, PipeDialer(provs[0])),
-			cs.Dialer(1, PipeDialer(provs[1])),
-		}
-	}
-	res, samples := scenarioSamples(t, failCfg)
-	if res.Failovers < 1 {
-		t.Fatalf("failovers = %d; the scripted kill never forced one", res.Failovers)
-	}
-	if res.Power.Degraded {
-		t.Fatal("healed failover degraded the run")
-	}
-	if !reflect.DeepEqual(plainSamples, samples) {
-		t.Error("failover run's values diverged from the clean run")
-	}
-}
-
-// TestChaosMultiplierRemote runs one chaos cell through the MR scenario,
-// where every functional evaluation crosses the faulty transport too.
-func TestChaosMultiplierRemote(t *testing.T) {
-	leakcheck.Check(t)
-	base, err := Run(MultiplierRemote, chaosCfg(1, 1))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	cfg := chaosCfg(3, 8)
-	cfg.ReplicaDialers = chaosDialers(2)
-	res, err := Run(MultiplierRemote, cfg)
-	if err != nil {
-		t.Fatalf("chaos MR run: %v", err)
-	}
-	assertSameRun(t, base, res)
-}
-
-// TestChaosTable2Workers drives chaos cells through the parallel
-// experiment path shape: the same chaos cell at 1 and 4 workers'
-// worth of config must agree (each run builds its own providers and
-// schedules, so runs are independent by construction).
-func TestChaosTable2Workers(t *testing.T) {
-	leakcheck.Check(t)
-	var prev *Result
-	for _, workers := range []int{1, 4} {
-		cfg := chaosCfg(2, 8)
-		cfg.Workers = workers
-		cfg.ReplicaDialers = chaosDialers(3)
-		res, err := Run(EstimatorRemote, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if prev != nil {
-			assertSameRun(t, prev, res)
-		}
-		prev = res
-	}
-}
-
-// TestChaosFailoverObservable: a schedule that certainly kills the
-// first-adopted replica must surface a nonzero failover count and a
-// per-replica status snapshot.
-func TestChaosFailoverObservable(t *testing.T) {
-	leakcheck.Check(t)
-	cfg := chaosCfg(2, 8)
-	cfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
-		// Binary framing is one write per frame (hello + 8 requests in a
-		// clean ER run), so the kill at write 5 lands mid-run.
-		cs := netsim.ScriptedSchedule(1,
-			netsim.ReplicaScript{Kind: netsim.ChaosKill, Plan: netsim.ResetAfterWrites(5), RefuseFrom: 1},
-			netsim.ReplicaScript{Kind: netsim.ChaosNone, RefuseFrom: -1},
-		)
-		return []func() (net.Conn, error){
-			cs.Dialer(0, PipeDialer(provs[0])),
-			cs.Dialer(1, PipeDialer(provs[1])),
-		}
-	}
-	res, err := Run(EstimatorRemote, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failovers < 1 {
-		t.Errorf("failovers = %d, want ≥ 1", res.Failovers)
-	}
-	if len(res.ReplicaStatuses) != 2 {
-		t.Fatalf("replica statuses = %d entries, want 2", len(res.ReplicaStatuses))
-	}
-	if res.Power.Degraded {
-		t.Fatal("failover to the healthy replica must not degrade the run")
-	}
-}
-
-// TestChaosAllReplicasDead is the degradation half of the invariant:
-// with every replica scripted dead the run must end in explicit,
-// reported degradation — never a hang, an error, or silently full
-// results.
-func TestChaosAllReplicasDead(t *testing.T) {
-	leakcheck.Check(t)
-	base, err := Run(EstimatorRemote, chaosCfg(1, 1))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	cfg := chaosCfg(2, 8)
-	cfg.ReplicaDialers = func(provs []*provider.Provider) []func() (net.Conn, error) {
-		// Replica 0 accepts once then dies mid-run and refuses redials;
-		// replica 1 dies during any handshake and refuses redials.
-		cs := netsim.ScriptedSchedule(-1,
-			netsim.ReplicaScript{Kind: netsim.ChaosKill, Plan: netsim.ResetAfterWrites(5), RefuseFrom: 1},
-			netsim.ReplicaScript{Kind: netsim.ChaosKill, Plan: netsim.ResetAfterWrites(1), RefuseFrom: 1},
-		)
-		return []func() (net.Conn, error){
-			cs.Dialer(0, PipeDialer(provs[0])),
-			cs.Dialer(1, PipeDialer(provs[1])),
-		}
-	}
-	res, err := Run(EstimatorRemote, cfg)
-	if err != nil {
-		t.Fatalf("all-dead run must complete with degradation, got error: %v", err)
-	}
-	if !res.Power.Degraded {
-		t.Fatal("all-dead run not marked degraded")
-	}
-	if res.Power.LostBatches < 1 {
-		t.Errorf("lost batches = %d, want ≥ 1", res.Power.LostBatches)
-	}
-	if res.Products != base.Products {
-		t.Errorf("products %d, baseline %d — the design must keep simulating", res.Products, base.Products)
-	}
-	if len(res.Power.Samples) >= len(base.Power.Samples) {
-		t.Errorf("degraded run reports %d samples, baseline %d; partial results must be visible", len(res.Power.Samples), len(base.Power.Samples))
 	}
 }

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"net"
 	"time"
 
 	"repro/internal/iplib"
 	"repro/internal/netsim"
 	"repro/internal/provider"
-	"repro/internal/replica"
 	"repro/internal/rmi"
 	"repro/internal/security"
 )
@@ -107,63 +105,4 @@ func ConnectVia(p *provider.Provider, clientName string, profile netsim.Profile,
 		Meter:  meter,
 		close:  rpc.Close,
 	}, nil
-}
-
-// ConnectReplicated wires a client to a SET of equivalent providers
-// behind health-gated failover: one session key is authorized on every
-// replica, the replica set picks the endpoint (circuit breakers plus a
-// last-resort probe pass), and the rmi client's redial, per-attempt, and
-// epoch-failure seams are wired into the set so a poisoned epoch charges
-// the dead replica's breaker and the session replay lands on the next
-// healthy one. dials[i] is replica i's transport (chaos tests interpose
-// scripted fault dialers); brCfg and clock tune the breakers (zero
-// values and nil clock use production defaults).
-func ConnectReplicated(ps []*provider.Provider, clientName string, profile netsim.Profile, dials []func() (net.Conn, error), brCfg replica.BreakerConfig, clock replica.Clock) (*Connection, *replica.Set, error) {
-	if len(ps) == 0 || len(ps) != len(dials) {
-		return nil, nil, fmt.Errorf("core: %d providers with %d dialers", len(ps), len(dials))
-	}
-	key, err := security.NewKey()
-	if err != nil {
-		return nil, nil, err
-	}
-	eps := make([]replica.Endpoint, len(ps))
-	for i, p := range ps {
-		p.Authorize(clientName, key)
-		eps[i] = replica.Endpoint{Name: fmt.Sprintf("replica%d", i), Dial: dials[i]}
-	}
-	set, err := replica.NewSet(brCfg, clock, eps...)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The initial handshake gets one shot per replica: a replica whose
-	// transport dies mid-handshake is charged (opening its breaker at
-	// aggressive test settings) and the next one is tried.
-	dial := set.Dialer()
-	var rpc *rmi.Client
-	for attempt := 0; ; attempt++ {
-		conn, err := dial()
-		if err != nil {
-			return nil, nil, err
-		}
-		rpc, err = rmi.NewClient(conn, clientName, key)
-		if err == nil {
-			break
-		}
-		set.ObserveEpochFail(err)
-		if attempt >= set.Size() {
-			return nil, nil, err
-		}
-	}
-	rpc.Redial = dial
-	rpc.OnAttempt = set.ObserveAttempt
-	rpc.OnEpochFail = set.ObserveEpochFail
-	meter := &netsim.Meter{}
-	set.OnFailover = func(from, to int) { meter.AddFailover() }
-	rpc.Profile = profile
-	rpc.Meter = meter
-	return &Connection{
-		Client: iplib.NewIPClient(rpc),
-		Meter:  meter,
-		close:  rpc.Close,
-	}, set, nil
 }

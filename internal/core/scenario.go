@@ -10,7 +10,6 @@ import (
 	"repro/internal/module"
 	"repro/internal/netsim"
 	"repro/internal/provider"
-	"repro/internal/replica"
 	"repro/internal/rmi"
 	"repro/internal/sim"
 )
@@ -84,25 +83,6 @@ type Config struct {
 	// 0 uses rmi.DefaultInFlight, 1 reproduces the stop-and-wait wire
 	// behavior exactly. Values are bit-identical at any depth.
 	InFlight int
-	// Replicas is the provider replica count for the remote scenarios:
-	// 0 or 1 runs the classic single provider, N > 1 stands up N
-	// equivalent providers behind health-gated failover (ConnectReplicated)
-	// so a dying provider re-routes the session — its replay included —
-	// to the next healthy replica. Results are bit-identical at any count
-	// while at least one replica stays reachable.
-	Replicas int
-	// ReplicaDialers, when non-nil, maps the run's replica providers to
-	// their transport dialers — the chaos harness interposes scripted
-	// fault dialers here. It is called once per run with the freshly built
-	// providers, so concurrent grid cells never share schedule state. nil
-	// uses in-process pipes.
-	ReplicaDialers func(provs []*provider.Provider) []func() (net.Conn, error)
-	// Breaker tunes the per-replica circuit breakers (zero fields use
-	// production defaults).
-	Breaker replica.BreakerConfig
-	// BreakerClock injects the breakers' time source for deterministic
-	// tests; nil uses the wall clock.
-	BreakerClock replica.Clock
 }
 
 // DefaultConfig returns the paper's experimental parameters.
@@ -139,12 +119,6 @@ type Result struct {
 	// Calls and Bytes quantify the RMI traffic.
 	Calls int64
 	Bytes int64
-	// Failovers counts replica failovers during the measured window (zero
-	// for single-provider runs).
-	Failovers int64
-	// ReplicaStatuses snapshots per-replica health after the run (nil for
-	// single-provider runs).
-	ReplicaStatuses []replica.Status
 	// PowerSamples counts per-pattern power values received remotely.
 	PowerSamples int
 	// Power is the full remote estimation report (nil for AL), including
@@ -184,7 +158,6 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 		mult   module.Module
 		remote *RemotePowerEstimator
 		conn   *Connection
-		rset   *replica.Set
 	)
 	if s == AllLocal {
 		m := module.NewMult("MULT", cfg.Width, ar, br, o)
@@ -198,46 +171,18 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 		})
 		mult = m
 	} else {
-		if cfg.Replicas > 1 {
-			// Replicated deployment: N equivalent providers behind
-			// health-gated failover.
-			provs := make([]*provider.Provider, cfg.Replicas)
-			for i := range provs {
-				provs[i] = provider.New(fmt.Sprintf("provider%d", i+1))
-				if err := provs[i].Register(provider.MultFastLowPower()); err != nil {
-					return nil, err
-				}
-			}
-			dials := make([]func() (net.Conn, error), len(provs))
-			if cfg.ReplicaDialers != nil {
-				dials = cfg.ReplicaDialers(provs)
-				if len(dials) != len(provs) {
-					return nil, fmt.Errorf("core: ReplicaDialers returned %d dialers for %d providers", len(dials), len(provs))
-				}
-			} else {
-				for i, p := range provs {
-					dials[i] = PipeDialer(p)
-				}
-			}
-			var err error
-			conn, rset, err = ConnectReplicated(provs, "designer", cfg.Profile, dials, cfg.Breaker, cfg.BreakerClock)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			prov := provider.New("provider1")
-			if err := prov.Register(provider.MultFastLowPower()); err != nil {
-				return nil, err
-			}
-			dial := PipeDialer(prov)
-			if cfg.DialVia != nil {
-				dial = cfg.DialVia(prov)
-			}
-			var err error
-			conn, err = ConnectVia(prov, "designer", cfg.Profile, dial)
-			if err != nil {
-				return nil, err
-			}
+		prov := provider.New("provider1")
+		if err := prov.Register(provider.MultFastLowPower()); err != nil {
+			return nil, err
+		}
+		dial := PipeDialer(prov)
+		if cfg.DialVia != nil {
+			dial = cfg.DialVia(prov)
+		}
+		var err error
+		conn, err = ConnectVia(prov, "designer", cfg.Profile, dial)
+		if err != nil {
+			return nil, err
 		}
 		defer conn.Close()
 		conn.Client.RPC.MaxInFlight = cfg.InFlight
@@ -326,10 +271,6 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 		res.Blocked = conn.Meter.Blocked()
 		res.Calls = conn.Meter.Calls()
 		res.Bytes = conn.Meter.Bytes()
-		res.Failovers = conn.Meter.Failovers()
-		if rset != nil {
-			res.ReplicaStatuses = rset.Statuses()
-		}
 		fees, err := conn.Client.Fees()
 		switch {
 		case err == nil:

@@ -18,11 +18,6 @@ type Result struct {
 	Detected map[string]int
 	// PerPattern[i] lists the faults newly detected by pattern i.
 	PerPattern [][]string
-	// Divergences lists replica disagreements observed by quorum-mode
-	// testability services during the run (nil otherwise). Divergent
-	// answers were out-voted, not used; a non-empty list flags a replica
-	// answering differently from its peers.
-	Divergences []ReplicaDivergence
 }
 
 // Coverage returns detected/total in [0,1].

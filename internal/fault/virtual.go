@@ -335,18 +335,6 @@ func (vs *VirtualSimulator) Run(patterns [][]signal.Bit) (*Result, error) {
 			break
 		}
 	}
-	// Drain replica-disagreement records from quorum-mode services,
-	// stamped with the design instance they answer for.
-	for _, h := range vs.hosts {
-		src, ok := h.Service.(DivergenceSource)
-		if !ok {
-			continue
-		}
-		for _, d := range src.Divergences() {
-			d.Module = h.Module.ModuleName()
-			res.Divergences = append(res.Divergences, d)
-		}
-	}
 	return res, nil
 }
 

@@ -285,6 +285,20 @@ func TestBinaryPayloadHostileCounts(t *testing.T) {
 	}
 }
 
+// TestBinaryPayloadAppendAllocs: encoding an envelope into a buffer with
+// room to spare allocates nothing. It measures the encoder with every
+// callee included, which the noalloc lint cannot: that sees only
+// allocations inside the annotated body itself.
+func TestBinaryPayloadAppendAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64<<10)
+	for _, p := range binaryPairs() {
+		a := p.in.(rmi.BinaryAppender)
+		if allocs := testing.AllocsPerRun(20, func() { buf = a.AppendTo(buf[:0]) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per AppendTo into a buffer with spare room, want 0", p.name, allocs)
+		}
+	}
+}
+
 // TestFaultListRespDecodeAllocations: a fault-list reply decodes into at
 // most two allocations — the name slice and one copy of the names'
 // bytes — however many names it carries.

@@ -1,10 +1,10 @@
 // Package leakcheck is a stdlib-only goroutine-leak gate for tests: it
 // snapshots the goroutine count when armed and, at cleanup, retries for
 // a grace period waiting for the count to return to the baseline. The
-// failover paths this repo grew — mux readers, pool workers, dispatchers,
-// drain waiters — all end in goroutines that are easy to orphan; wrapping
-// their tests in Check makes an orphan a test failure with a full stack
-// dump instead of a slow background rot.
+// reconnect and stop paths this repo grew — mux readers, pool workers,
+// dispatchers, drain waiters — all end in goroutines that are easy to
+// orphan; wrapping their tests in Check makes an orphan a test failure
+// with a full stack dump instead of a slow background rot.
 package leakcheck
 
 import (
@@ -24,8 +24,8 @@ const grace = 2 * time.Second
 // the test, before spawning anything.
 //
 // Used only by tests: TestCloseStopsLiveSessions,
-// TestProviderCloseStopsSessions and the other stop-path, failover and
-// pool tests of core, gateway, provider, replica, rmi and sim.
+// TestProviderCloseStopsSessions and the other stop-path, chaos and pool
+// tests of core, gateway, provider, rmi and sim.
 func Check(t *testing.T) {
 	t.Helper()
 	base := runtime.NumGoroutine()

@@ -41,7 +41,7 @@ type expectation struct {
 //
 // Used only by tests: TestSandboxedFixture, TestOutOfScopeFixture,
 // TestLockHeldRMI, TestRemoteErrors, TestKernelScope, TestOutOfScope,
-// TestReplicaScope, TestCodecFixture, TestHotFixture.
+// TestHotFixture.
 func Run(t *testing.T, dir, importPath string, a *lint.Analyzer) {
 	t.Helper()
 	pkg, err := lint.LoadDir(dir, importPath, ".")

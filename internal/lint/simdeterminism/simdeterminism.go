@@ -13,12 +13,9 @@
 //     map range makes output order (and everything downstream, e.g.
 //     PR 2's index-ordered merges) differ run to run.
 //
-// The check applies to non-test code under internal/sim, internal/fault,
-// internal/core and internal/replica (circuit breakers must read time
-// through their injected Clock, never the wall clock directly — the
-// chaos harness's determinism depends on it). Wall-clock metering that
-// never feeds simulation results (scenario timing columns) is suppressed
-// case by case with
+// The check applies to non-test code under internal/sim, internal/fault
+// and internal/core. Wall-clock metering that never feeds simulation
+// results (scenario timing columns) is suppressed case by case with
 // //lint:ignore simdeterminism directives carrying the justification.
 package simdeterminism
 
@@ -34,7 +31,6 @@ var TargetPackages = []string{
 	"repro/internal/sim",
 	"repro/internal/fault",
 	"repro/internal/core",
-	"repro/internal/replica",
 }
 
 // randConstructors are the math/rand functions that build explicitly

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -123,100 +124,69 @@ func newPipeBase(t *testing.T) func() (net.Conn, error) {
 	}
 }
 
-// TestChaosScheduleDeterministic: the same seed derives byte-identical
-// scripts; different seeds (eventually) differ.
+// TestChaosScheduleDeterministic: the same seed derives the same script
+// for every kind; the seeded reset writes spread over their range.
 func TestChaosScheduleDeterministic(t *testing.T) {
+	resets := map[int]bool{}
 	for seed := uint64(1); seed <= 10; seed++ {
-		a := NewChaosSchedule(seed, 3)
-		b := NewChaosSchedule(seed, 3)
-		if a.Healthy != b.Healthy {
-			t.Fatalf("seed %d: healthy %d vs %d", seed, a.Healthy, b.Healthy)
-		}
-		for i := range a.Scripts {
-			if a.Scripts[i].Kind != b.Scripts[i].Kind || a.Scripts[i].RefuseFrom != b.Scripts[i].RefuseFrom {
-				t.Fatalf("seed %d replica %d: script mismatch %+v vs %+v", seed, i, a.Scripts[i], b.Scripts[i])
+		for kind := ChaosKill; kind <= ChaosFlap; kind++ {
+			a, b := NewChaosSchedule(seed, kind), NewChaosSchedule(seed, kind)
+			if a.Kind != kind || !reflect.DeepEqual(a.Plan, b.Plan) {
+				t.Fatalf("seed %d %v: scripts differ: %+v vs %+v", seed, kind, a.Plan, b.Plan)
+			}
+			if (a.Plan == nil) != (kind == ChaosPartition) {
+				t.Fatalf("seed %d %v: plan %+v", seed, kind, a.Plan)
+			}
+			if kind == ChaosKill {
+				resets[a.Plan.Rules[0].Nth] = true
 			}
 		}
 	}
-}
-
-// TestChaosScheduleKeepsOneHealthy: every seed leaves exactly the
-// designated replica unscripted.
-func TestChaosScheduleKeepsOneHealthy(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		cs := NewChaosSchedule(seed, 3)
-		if cs.Healthy < 0 || cs.Healthy >= 3 {
-			t.Fatalf("seed %d: healthy index %d out of range", seed, cs.Healthy)
-		}
-		for i, s := range cs.Scripts {
-			if i == cs.Healthy {
-				if s.Kind != ChaosNone || s.Plan != nil || s.RefuseFrom != -1 {
-					t.Fatalf("seed %d: healthy replica scripted: %+v", seed, s)
-				}
-			} else if s.Kind == ChaosNone {
-				t.Fatalf("seed %d replica %d: faulty slot left unscripted", seed, i)
-			}
-		}
+	if len(resets) < 2 {
+		t.Fatalf("ten seeds drew kill resets at writes %v only", resets)
 	}
 }
 
 // TestChaosDialerRefusesFromIndex: a partition refuses every dial; a
-// kill accepts the first and refuses redials; dial counts are tracked.
+// kill accepts the first and refuses redials; slow drips and flaps
+// refuse none.
 func TestChaosDialerRefusesFromIndex(t *testing.T) {
 	base := newPipeBase(t)
-	cs := &ChaosSchedule{
-		Scripts: []ReplicaScript{
-			{Kind: ChaosPartition, RefuseFrom: 0},
-			{Kind: ChaosKill, Plan: ResetAfterWrites(1), RefuseFrom: 1},
-			{Kind: ChaosNone, RefuseFrom: -1},
-		},
-		Healthy: 2,
-		dials:   make([]int, 3),
+
+	part := &ChaosSchedule{Kind: ChaosPartition}
+	if _, err := part.Dialer(base)(); !errors.Is(err, ErrChaosPartition) {
+		t.Fatalf("partitioned provider dial err = %v, want ErrChaosPartition", err)
 	}
 
-	if _, err := cs.Dialer(0, base)(); !errors.Is(err, ErrChaosPartition) {
-		t.Fatalf("partitioned replica dial err = %v, want ErrChaosPartition", err)
-	}
-
-	kill := cs.Dialer(1, base)
+	kill := (&ChaosSchedule{Kind: ChaosKill, Plan: ResetAfterWrites(1)}).Dialer(base)
 	conn, err := kill()
 	if err != nil {
-		t.Fatalf("killed replica first dial: %v", err)
+		t.Fatalf("killed provider first dial: %v", err)
 	}
 	if _, ok := conn.(*FaultyConn); !ok {
-		t.Fatalf("first connection of scripted replica is %T, want *FaultyConn", conn)
+		t.Fatalf("first connection of a scripted provider is %T, want *FaultyConn", conn)
 	}
 	if _, err := kill(); !errors.Is(err, ErrChaosPartition) {
-		t.Fatalf("killed replica redial err = %v, want ErrChaosPartition", err)
+		t.Fatalf("killed provider redial err = %v, want ErrChaosPartition", err)
 	}
 
-	healthy := cs.Dialer(2, base)
+	drip := &ChaosSchedule{Kind: ChaosSlowDrip, Plan: SlowDripWrite(1, time.Microsecond)}
+	dial := drip.Dialer(base)
 	for i := 0; i < 3; i++ {
-		if _, err := healthy(); err != nil {
-			t.Fatalf("healthy replica dial %d: %v", i, err)
+		if _, err := dial(); err != nil {
+			t.Fatalf("slow-drip provider dial %d: %v", i, err)
 		}
 	}
-
-	for i, want := range []int{1, 2, 3} {
-		cs.mu.Lock()
-		got := cs.dials[i]
-		cs.mu.Unlock()
-		if got != want {
-			t.Fatalf("replica %d absorbed %d dials, want %d", i, got, want)
-		}
+	if got := drip.dials.Load(); got != 3 {
+		t.Fatalf("slow-drip provider absorbed %d dials, want 3", got)
 	}
 }
 
-// TestChaosFlapRecovers: a flapping replica's second connection is
+// TestChaosFlapRecovers: a flapping provider's second connection is
 // clean — no fault plan attached.
 func TestChaosFlapRecovers(t *testing.T) {
 	base := newPipeBase(t)
-	cs := &ChaosSchedule{
-		Scripts: []ReplicaScript{{Kind: ChaosFlap, Plan: ResetAfterWrites(1), RefuseFrom: -1}},
-		Healthy: -1,
-		dials:   make([]int, 1),
-	}
-	dial := cs.Dialer(0, base)
+	dial := (&ChaosSchedule{Kind: ChaosFlap, Plan: ResetAfterWrites(1)}).Dialer(base)
 	first, err := dial()
 	if err != nil {
 		t.Fatal(err)
@@ -230,31 +200,5 @@ func TestChaosFlapRecovers(t *testing.T) {
 	}
 	if _, ok := second.(*FaultyConn); ok {
 		t.Fatal("flap recovery connection still fault-wrapped")
-	}
-}
-
-// TestChaosAllDeadScheduleKillsEveryone: no replica survives an
-// AllDeadSchedule — every script either refuses dials outright or kills
-// the first connection and refuses redials.
-func TestChaosAllDeadScheduleKillsEveryone(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		cs := AllDeadSchedule(seed, 3)
-		if cs.Healthy != -1 {
-			t.Fatalf("seed %d: all-dead schedule has healthy index %d", seed, cs.Healthy)
-		}
-		for i, s := range cs.Scripts {
-			switch s.Kind {
-			case ChaosPartition:
-				if s.RefuseFrom != 0 {
-					t.Fatalf("seed %d replica %d: partition refuses from %d", seed, i, s.RefuseFrom)
-				}
-			case ChaosKill:
-				if s.Plan == nil || s.RefuseFrom != 1 {
-					t.Fatalf("seed %d replica %d: kill script %+v lets redials through", seed, i, s)
-				}
-			default:
-				t.Fatalf("seed %d replica %d: survivable kind %v", seed, i, s.Kind)
-			}
-		}
 	}
 }

@@ -121,9 +121,6 @@ type Meter struct {
 	blocked atomic.Int64 // nanoseconds
 	calls   atomic.Int64
 	bytes   atomic.Int64
-
-	// Replication accounting: failovers to another replica.
-	failovers atomic.Int64
 }
 
 // AddBlocked records time spent blocked on the network.
@@ -131,10 +128,6 @@ func (m *Meter) AddBlocked(d time.Duration) { m.blocked.Add(int64(d)) }
 
 // AddCall records one completed call moving n bytes.
 func (m *Meter) AddCall(n int) { m.calls.Add(1); m.bytes.Add(int64(n)) }
-
-// AddFailover records one replica failover (the session adopted a new
-// provider endpoint after the current one died).
-func (m *Meter) AddFailover() { m.failovers.Add(1) }
 
 // Blocked returns the total time spent blocked.
 func (m *Meter) Blocked() time.Duration { return time.Duration(m.blocked.Load()) }
@@ -145,15 +138,11 @@ func (m *Meter) Calls() int64 { return m.calls.Load() }
 // Bytes returns the total bytes transferred.
 func (m *Meter) Bytes() int64 { return m.bytes.Load() }
 
-// Failovers returns the number of replica failovers.
-func (m *Meter) Failovers() int64 { return m.failovers.Load() }
-
 // Reset zeroes the meter.
 func (m *Meter) Reset() {
 	m.blocked.Store(0)
 	m.calls.Store(0)
 	m.bytes.Store(0)
-	m.failovers.Store(0)
 }
 
 // Split decomposes a measured wall-clock duration into the Table 2

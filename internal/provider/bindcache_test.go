@@ -22,6 +22,24 @@ func allocBytesDuring(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// forgetMultShape drops the MultFastLowPower netlist of width, and every
+// testability service built on it, from the process-wide caches, so a
+// test that measures a cold bind of that width gets one again when the
+// test binary runs it a second time (go test -count=2).
+func forgetMultShape(width int) {
+	key := catalogShape{component: "MultFastLowPower", width: width}
+	v, ok := canonicalNetlists.LoadAndDelete(key)
+	if !ok {
+		return
+	}
+	testabilityCache.Range(func(k, _ any) bool {
+		if k.(testKey).nl == v.(*gate.Netlist) {
+			testabilityCache.Delete(k)
+		}
+		return true
+	})
+}
+
 // TestBindShapeCacheAmortizesFaultPath asserts the bind-shape caches do
 // their job: the first Bind plus FaultList of a shape pays for netlist
 // construction, topological ordering and the fault service, and every
@@ -38,9 +56,11 @@ func allocBytesDuring(fn func()) uint64 {
 // The test must own its width: the caches are process-wide, so a width
 // another test binds would already be warm. Width 30 is reserved for
 // this test, width 29 for TestBindLeavesTestabilityUnbuilt; the rest of
-// the package binds widths 4 and 8.
+// the package binds widths 4 and 8. Each test forgets its width first,
+// so its own earlier run leaves nothing warm either.
 func TestBindShapeCacheAmortizesFaultPath(t *testing.T) {
 	const width = 30
+	forgetMultShape(width)
 	bindAndList := func(c *iplib.IPClient) *iplib.BoundInstance {
 		b, err := c.Bind("MultFastLowPower", width, nil)
 		if err != nil {
@@ -84,6 +104,7 @@ func TestBindShapeCacheAmortizesFaultPath(t *testing.T) {
 // shape's fault service; the first fault query does.
 func TestBindLeavesTestabilityUnbuilt(t *testing.T) {
 	const width = 29 // reserved; see TestBindShapeCacheAmortizesFaultPath
+	forgetMultShape(width)
 	p, c := startProvider(t)
 	b, err := c.Bind("MultFastLowPower", width, nil)
 	if err != nil {

@@ -14,11 +14,6 @@ import (
 	"repro/internal/security"
 )
 
-// errSuperseded marks the deliberate replacement of a transport epoch
-// during reconnect — an administrative teardown, not a replica failure,
-// so the OnEpochFail hook never sees it.
-var errSuperseded = errors.New("rmi: connection superseded")
-
 // HandshakeError is the server's explicit refusal of a connection
 // handshake: the welcome frame arrived but carried an error instead of
 // a session. Unlike a transport fault, the refusal text is the server
@@ -104,18 +99,10 @@ type Client struct {
 	// (the legacy stop-and-wait behavior, and the determinism baseline).
 	// Set it before issuing concurrent calls; it is read per call.
 	MaxInFlight int
-	// OnEpochFail, when non-nil, observes each genuine transport-epoch
-	// failure — deliberate supersession during reconnect and client
-	// Close are filtered out. It is the replica layer's breaker feed
-	// (one penalty per poisoned epoch, however many calls it took
-	// down). The hook runs on the failing goroutine with no client
-	// locks held; it must not call back into the Client.
-	OnEpochFail func(err error)
 	// OnAttempt, when non-nil, observes every completed wire attempt:
 	// the method, its measured round-trip time (write-lock wait through
 	// response decode, before any emulated-profile padding), and the
-	// outcome. Retried calls report once per attempt. The replica layer
-	// uses it to feed per-replica EWMA latency.
+	// outcome. Retried calls report once per attempt.
 	OnAttempt func(method string, rtt time.Duration, err error)
 
 	key security.Key // for session re-handshake on reconnect
@@ -443,12 +430,10 @@ func (c *Client) reconnectLocked() error {
 	}
 	if c.tr != nil {
 		// Idempotent if the epoch already failed; otherwise this fails
-		// any stragglers and closes the old conn. errSuperseded is
-		// filtered from the OnEpochFail hook: replacement is not a
-		// replica failure. Then wait out the old reader: a reply it has
-		// already taken off the wire completes, acknowledgement included,
-		// before the replay reads session state.
-		_ = c.tr.fail(errSuperseded)
+		// any stragglers and closes the old conn. Then wait out the old
+		// reader: a reply it has already taken off the wire completes,
+		// acknowledgement included, before the replay reads session state.
+		_ = c.tr.fail(errors.New("rmi: connection superseded"))
 		<-c.tr.readerDone
 	}
 	conn, err := c.Redial()

@@ -1,7 +1,6 @@
 package rmi
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -250,14 +249,6 @@ func (m *mux) fail(err error) error {
 	m.pending = make(map[uint64]*pendingCall)
 	m.slotFree.Broadcast()
 	m.mu.Unlock()
-	// Report the epoch death to the failover layer exactly once, before
-	// resolving the orphans: by the time any caller retries (and the
-	// client redials), the replica set has already charged the breaker.
-	// Administrative teardowns — client Close, epoch supersession during
-	// reconnect — are not replica failures and are filtered out.
-	if h := m.c.OnEpochFail; h != nil && !errors.Is(err, errClientClosed) && !errors.Is(err, errSuperseded) {
-		h(err)
-	}
 	closeErr := m.conn.Close()
 	for _, pc := range orphans {
 		if pc.timer != nil {

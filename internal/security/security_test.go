@@ -1,6 +1,7 @@
 package security
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/signal"
@@ -19,7 +20,12 @@ func TestKeyTagVerify(t *testing.T) {
 	if k.Verify([]byte("other"), tag) {
 		t.Error("tag accepted for wrong message")
 	}
-	if k.Verify(msg, tag[:len(tag)-2]+"ff") {
+	raw, err := hex.DecodeString(tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 1 // one flipped bit always differs from the real tag
+	if k.Verify(msg, hex.EncodeToString(raw)) {
 		t.Error("tampered tag accepted")
 	}
 	if k.Verify(msg, "not-hex!") {
