@@ -10,7 +10,7 @@ BENCHDATE := $(shell date +%Y-%m-%d)
 # sees identical to the conditions the benchmarks measure.
 BENCH_GOFLAGS ?=
 
-.PHONY: all build test race repeat fuzz vet lint loc vuln bench benchgate smoke-bench loadgen profile chaos ci clean
+.PHONY: all build test race repeat fuzz vet lint loc vuln bench benchgate bench-module smoke-bench loadgen profile chaos ci clean
 
 all: build test
 
@@ -34,7 +34,8 @@ vet:
 # `make bench` so the noalloc escape analysis sees benchmark conditions.
 # The test run adds the repo-wide gates, among them that every exported
 # function in internal/ has a non-test caller or a "Used only by tests:"
-# doc line, and the wire-codec tests that pin every envelope's symmetry,
+# doc line, that every name the root gocad facade exports is named by a
+# program, and the wire-codec tests that pin every envelope's symmetry,
 # trailing-byte rejection and count bounds (DESIGN.md §13).
 lint:
 	GOFLAGS="$(BENCH_GOFLAGS)" $(GO) run ./cmd/gocad-lint -timings ./...
@@ -64,6 +65,13 @@ vuln:
 # bound. Needs the base commit in the local history.
 benchgate:
 	bash benchgate.sh
+
+# The benchmark is a nested module, so `go test ./...` at the root never
+# reaches it: vet it and run its tests, among them TestSmoke, which runs
+# every workload once and checks its outputs and golden fingerprints.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Short deterministic fuzz smoke over the RMI wire codec, the event
 # queue, the bit-parallel stuck-at sweep, netlist snapshot decoding, the
@@ -144,7 +152,7 @@ smoke-bench:
 loadgen:
 	$(GO) run ./cmd/gocad-loadgen -selftest
 
-ci: build vet loc lint test repeat race chaos fuzz smoke-bench loadgen benchgate vuln
+ci: build vet loc lint test repeat race chaos bench-module fuzz smoke-bench loadgen benchgate vuln
 
 clean:
 	$(GO) clean ./...

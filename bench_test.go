@@ -653,7 +653,7 @@ func BenchmarkScanFaultSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	patterns := fault.RandomScanPatterns(seq, 32, 9)
+	patterns := fault.RandomScanPatternsRand(seq, 32, rand.New(rand.NewSource(9)))
 	for i := 0; i < b.N; i++ {
 		if _, err := fault.ScanSimulate(seq, patterns); err != nil {
 			b.Fatal(err)

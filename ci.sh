@@ -35,6 +35,9 @@ go test -race ./...
 echo "==> make chaos (seeded provider fault schedules under -race)"
 make chaos
 
+echo "==> make bench-module (vet and test the nested benchmark module: TestSmoke and the golden fingerprints)"
+make bench-module
+
 echo "==> make fuzz (${FUZZTIME} per target)"
 make fuzz FUZZTIME="${FUZZTIME}"
 

@@ -34,7 +34,6 @@ func main() {
 		width    = flag.Int("width", 16, "multiplier operand width")
 		patterns = flag.Int("patterns", 100, "number of random input patterns")
 		buffer   = flag.Int("buffer", 5, "remote-estimation pattern buffer size")
-		workers  = flag.Int("workers", 0, "worker pool size for experiment fan-out (0 = one per CPU, 1 = serial)")
 		inflight = flag.Int("inflight", 0, "max pipelined RMI calls in flight (0 = default, 1 = stop-and-wait)")
 	)
 	flag.Parse()
@@ -49,10 +48,10 @@ func main() {
 		runTable1(*width)
 	}
 	if *table2 {
-		runTable2(*width, *patterns, *buffer, *workers, *inflight)
+		runTable2(*width, *patterns, *buffer, *inflight)
 	}
 	if *figure3 {
-		runFigure3(*width, *patterns, *workers, *inflight)
+		runFigure3(*width, *patterns, *inflight)
 	}
 	if *figure4 {
 		runFigure4()
@@ -83,12 +82,11 @@ func runTable1(width int) {
 	fmt.Println()
 }
 
-func runTable2(width, patterns, buffer, workers, inflight int) {
+func runTable2(width, patterns, buffer, inflight int) {
 	cfg := core.DefaultConfig()
 	cfg.Width = width
 	cfg.Patterns = patterns
 	cfg.BufferSize = buffer
-	cfg.Workers = workers
 	cfg.InFlight = inflight
 	rows, err := core.RunTable2(cfg)
 	if err != nil {
@@ -121,11 +119,10 @@ func scenarioName(r *core.Result) string {
 	return r.Scenario.String()
 }
 
-func runFigure3(width, patterns, workers, inflight int) {
+func runFigure3(width, patterns, inflight int) {
 	cfg := core.DefaultConfig()
 	cfg.Width = width
 	cfg.Patterns = patterns
-	cfg.Workers = workers
 	cfg.InFlight = inflight
 	points, err := core.RunFigure3(cfg, nil)
 	if err != nil {

@@ -141,9 +141,12 @@ func main() {
 	out := module.NewPrimaryOutput("OUT", 2**width, o)
 
 	est := core.NewRemotePowerEstimator(inst, offer, *buffer, !*blocking)
-	var mult module.Module
+	var (
+		mult module.Module
+		rm   *core.RemoteMult
+	)
 	if *remote {
-		rm, err := core.NewRemoteMult("MULT", *width, ar, br, o, inst)
+		rm, err = core.NewRemoteMult("MULT", *width, ar, br, o, inst)
 		if err != nil {
 			fatal(err)
 		}
@@ -170,8 +173,12 @@ func main() {
 	if stats.Err != nil {
 		fatal(stats.Err)
 	}
-	if err := est.Close(); err != nil {
-		fatal(err)
+	drainErr := est.Close()
+	if rm != nil && rm.Err() != nil {
+		fatal(rm.Err())
+	}
+	if drainErr != nil {
+		fatal(drainErr)
 	}
 	wall := time.Since(start)
 	cpu, real := meter.Split(wall)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -138,5 +139,21 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestChaosMultEvalErrorFailsRun pins the MR failure path without
+// session recovery: a flap resets the connection at write 5, the clean
+// redial opens a new session that holds no bound instance, and the
+// multiplier's next remote eval fails with something other than a dead
+// provider. Run must return that error after the simulation, not panic.
+func TestChaosMultEvalErrorFailsRun(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := chaosCfg(1, 1)
+	cfg.Resilience.Recover = false
+	cs := &netsim.ChaosSchedule{Kind: netsim.ChaosFlap, Plan: netsim.ResetAfterWrites(5)}
+	res, _, err := chaosRun(MultiplierRemote, cfg, cs)
+	if err == nil || !strings.Contains(err.Error(), "no instance") {
+		t.Fatalf("MR flap without recovery: res %v, err %v; want an error naming the missing instance", res, err)
 	}
 }

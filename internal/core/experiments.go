@@ -11,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/ppp"
 	"repro/internal/signal"
-	"repro/internal/sim"
 )
 
 // Table1Row is one estimator of the paper's Table 1: the comparison of
@@ -203,25 +202,19 @@ func Table2Grid() []Table2Cell {
 // RunTable2 regenerates Table 2 with the given base configuration (use
 // DefaultConfig for the paper's 100 patterns, buffer 5). The grid's cells
 // are independent full scenario runs — each builds its own design and
-// provider — so they execute on cfg.Workers workers, with results in grid
-// order. The emulated network latencies dominate each cell's wall-clock,
-// so concurrent cells barely perturb each other's timings.
+// provider — run one at a time, so no cell's CPU and real-time columns
+// include another's work.
 func RunTable2(cfg Config) ([]*Result, error) {
 	grid := Table2Grid()
 	out := make([]*Result, len(grid))
-	err := sim.Pool{Workers: cfg.Workers}.For(len(grid), func(i int) error {
-		cell := grid[i]
+	for i, cell := range grid {
 		c := cfg
 		c.Profile = cell.Profile
 		res, err := Run(cell.Scenario, c)
 		if err != nil {
-			return fmt.Errorf("core: table2 %s/%s: %w", cell.Scenario, cell.Profile.Name, err)
+			return nil, fmt.Errorf("core: table2 %s/%s: %w", cell.Scenario, cell.Profile.Name, err)
 		}
 		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -246,8 +239,7 @@ func RunFigure3(cfg Config, percents []int) ([]Figure3Point, error) {
 		percents = []int{1, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	}
 	out := make([]Figure3Point, len(percents))
-	err := sim.Pool{Workers: cfg.Workers}.For(len(percents), func(i int) error {
-		pct := percents[i]
+	for i, pct := range percents {
 		c := cfg
 		c.Profile = netsim.WAN
 		c.SkipCompute = true
@@ -257,7 +249,7 @@ func RunFigure3(cfg Config, percents []int) ([]Figure3Point, error) {
 		}
 		res, err := Run(EstimatorRemote, c)
 		if err != nil {
-			return fmt.Errorf("core: figure3 at %d%%: %w", pct, err)
+			return nil, fmt.Errorf("core: figure3 at %d%%: %w", pct, err)
 		}
 		out[i] = Figure3Point{
 			BufferPct:   pct,
@@ -266,10 +258,6 @@ func RunFigure3(cfg Config, percents []int) ([]Figure3Point, error) {
 			Calls:       res.Calls,
 			Fingerprint: res.Fingerprint(),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -150,13 +150,12 @@ func TestFigure4Report(t *testing.T) {
 	}
 }
 
+// TestTable2ParallelPreservesGridOrder: the returned rows line up with
+// Table2Grid() positions.
 func TestTable2ParallelPreservesGridOrder(t *testing.T) {
-	// The grid cells run on a worker pool; the returned rows must still
-	// line up with Table2Grid() positions regardless of completion order.
 	cfg := DefaultConfig()
 	cfg.Width = 8
 	cfg.Patterns = 10
-	cfg.Workers = 4
 	rows, err := RunTable2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,11 +174,12 @@ func TestTable2ParallelPreservesGridOrder(t *testing.T) {
 	}
 }
 
+// TestFigure3ParallelPreservesSweepOrder: the points follow the
+// requested buffer percentages.
 func TestFigure3ParallelPreservesSweepOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Width = 8
 	cfg.Patterns = 20
-	cfg.Workers = 4
 	percents := []int{5, 25, 100}
 	points, err := RunFigure3(cfg, percents)
 	if err != nil {
@@ -216,22 +216,18 @@ func TestTable2GridComplete(t *testing.T) {
 	}
 }
 
-// TestTable2DeterministicAcrossWorkersAndDepth extends the parallel
-// experiment driver's determinism contract to the transport depth: the
-// full Table 2 grid must produce identical per-cell power values and
-// product counts whether run serially at depth 1 or on 4 workers with a
-// deep pipeline.
+// TestTable2DeterministicAcrossWorkersAndDepth: the full Table 2 grid
+// must produce identical per-cell power values and product counts at
+// pipeline depth 1 and 16.
 func TestTable2DeterministicAcrossWorkersAndDepth(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Width = 8
 	cfg.Patterns = 10
-	cfg.Workers = 1
 	cfg.InFlight = 1
 	serial, err := RunTable2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
 	cfg.InFlight = 16
 	deep, err := RunTable2(cfg)
 	if err != nil {
@@ -252,7 +248,7 @@ func TestTable2DeterministicAcrossWorkersAndDepth(t *testing.T) {
 			b = deep[i].Power.Samples
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("row %d: power samples diverged across workers/depth", i)
+			t.Errorf("row %d: power samples diverged across depths", i)
 		}
 	}
 }

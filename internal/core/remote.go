@@ -434,16 +434,6 @@ func (e *RemotePowerEstimator) Report() PowerReport {
 	return r
 }
 
-// NewRemoteTimingEstimator builds a buffered nonblocking estimator over
-// the provider's dynamic timing method: the "accurate output timing
-// information" the paper's example serves remotely because it needs the
-// gate-level structure. It shares the power estimator's buffering and
-// drain machinery; SkipCompute is not supported by the timing method and
-// is ignored.
-func NewRemoteTimingEstimator(inst *iplib.BoundInstance, offer iplib.EstimatorOffer, bufferSize int, nonblocking bool) *RemotePowerEstimator {
-	return newRemoteEstimator(inst, offer, bufferSize, nonblocking, iplib.MethodTimingBatch)
-}
-
 // RemoteMult is the paper's MULT as a remote module. The instantiation is
 // identical to any local module, but cites a bound provider instance. In
 // the ER configuration only IP-protected methods (accurate estimation)
@@ -466,6 +456,8 @@ type RemoteMult struct {
 	OnDegrade func(reason string)
 
 	degraded atomic.Bool
+	errMu    sync.Mutex
+	err      error // first remote eval failure other than a dead provider
 }
 
 // NewRemoteMult instantiates the remote multiplier over the connectors,
@@ -486,7 +478,9 @@ func NewRemoteMult(name string, width int, a, b, o *module.Connector, inst *ipli
 // or remotely when FullyRemote. If the provider is declared dead
 // mid-simulation, functional evaluation degrades permanently to the
 // local public part (the downloadable functional model remains
-// available, so the design keeps simulating with reduced fidelity).
+// available, so the design keeps simulating with reduced fidelity). Any
+// other eval failure is kept for Err and also ends remote evaluation:
+// the design finishes on the public part, but the run has failed.
 func (m *RemoteMult) ProcessInputEvent(ctx *module.Ctx, ev *module.PortEvent) {
 	aw, aok := ctx.InputWordOn(m.a)
 	bw, bok := ctx.InputWordOn(m.b)
@@ -507,13 +501,25 @@ func (m *RemoteMult) ProcessInputEvent(ctx *module.Ctx, ev *module.PortEvent) {
 			return
 		}
 		if !errors.Is(err, rmi.ErrProviderDead) {
-			panic(fmt.Sprintf("core: remote eval of %s: %v", m.ModuleName(), err))
-		}
-		if !m.degraded.Swap(true) && m.OnDegrade != nil {
+			m.errMu.Lock()
+			if m.err == nil {
+				m.err = fmt.Errorf("core: remote eval of %s: %w", m.ModuleName(), err)
+			}
+			m.errMu.Unlock()
+			m.degraded.Store(true)
+		} else if !m.degraded.Swap(true) && m.OnDegrade != nil {
 			m.OnDegrade(err.Error())
 		}
 	}
 	av, _ := aw.Uint64()
 	bv, _ := bw.Uint64()
 	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(av*bv, 2*m.width)}, 1)
+}
+
+// Err returns the first remote eval failure that was not a dead
+// provider, or nil.
+func (m *RemoteMult) Err() error {
+	m.errMu.Lock()
+	defer m.errMu.Unlock()
+	return m.err
 }

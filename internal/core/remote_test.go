@@ -136,7 +136,10 @@ func TestRemoteEstimatorMetadataFromOffer(t *testing.T) {
 	}
 }
 
-func TestRemoteMultPanicsOnDeadSession(t *testing.T) {
+// TestRemoteMultErrOnClosedSession: an eval failure other than a dead
+// provider neither panics nor vanishes. The multiplier keeps it for Err
+// and finishes the run on its public part.
+func TestRemoteMultErrOnClosedSession(t *testing.T) {
 	inst, conn := bindMult(t, 4)
 	a := module.NewWordConnector("a", 4)
 	b := module.NewWordConnector("b", 4)
@@ -152,13 +155,16 @@ func TestRemoteMultPanicsOnDeadSession(t *testing.T) {
 	inb := module.NewPatternInput("inb", 4, []signal.Value{
 		signal.WordValue{W: signal.WordFromUint64(5, 4)}}, 1, b)
 	out := module.NewPrimaryOutput("out", 8, o)
-	simu := module.NewSimulation(module.NewCircuit("c", ina, inb, rm, out))
-	defer func() {
-		if recover() == nil {
-			t.Error("remote eval on dead session did not panic")
-		}
-	}()
-	simu.Start(nil)
+	stats := module.NewSimulation(module.NewCircuit("c", ina, inb, rm, out)).Start(nil)
+	if stats.Err != nil {
+		t.Fatal(stats.Err)
+	}
+	if rm.Err() == nil {
+		t.Error("remote eval on a closed session left no error")
+	}
+	if got := len(out.History(stats.Scheduler)); got != 1 {
+		t.Errorf("%d products observed, want 1 from the public part", got)
+	}
 }
 
 func timingOffer(t *testing.T, inst *iplib.BoundInstance) iplib.EstimatorOffer {
@@ -178,7 +184,7 @@ func TestRemoteTimingEstimatorEndToEnd(t *testing.T) {
 	// ("Power model 2, Timing model 2") served from one session.
 	inst, conn := bindMult(t, 8)
 	power := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 4, true)
-	timing := NewRemoteTimingEstimator(inst, timingOffer(t, inst), 4, true)
+	timing := newRemoteEstimator(inst, timingOffer(t, inst), 4, true, iplib.MethodTimingBatch)
 
 	a := module.NewWordConnector("A", 8)
 	ar := module.NewWordConnector("AR", 8)
@@ -253,7 +259,7 @@ func runPowerAndTiming(t *testing.T, prov *provider.Provider, profile netsim.Pro
 		t.Fatal(err)
 	}
 	pe := NewRemotePowerEstimator(inst, remoteOffer(t, inst), 4, true)
-	te := NewRemoteTimingEstimator(inst, timingOffer(t, inst), 4, true)
+	te := newRemoteEstimator(inst, timingOffer(t, inst), 4, true, iplib.MethodTimingBatch)
 
 	a := module.NewWordConnector("A", 8)
 	ar := module.NewWordConnector("AR", 8)

@@ -70,15 +70,6 @@ type Config struct {
 	// fault-injection tests interpose netsim.FaultyDialer here. nil uses
 	// the in-process pipe.
 	DialVia func(p *provider.Provider) func() (net.Conn, error)
-	// Workers bounds the concurrency of the experiment drivers that fan
-	// out over independent scenario runs (the Table 2 grid, the Figure 3
-	// sweep): 0 uses one worker per CPU, 1 runs the cells one at a time.
-	// Each scenario run builds its own design and provider, so pooled runs
-	// compute the same results, returned in grid order. Their timing
-	// columns do interfere: pooled cells share the CPUs, and on a 2-vCPU
-	// host ER-local read 7.2 and 3.4 ms of real time pooled against
-	// 3.0–3.8 ms serial. Use 1 when the CPU and real-time columns matter.
-	Workers int
 	// InFlight bounds the RMI transport's pipelined in-flight calls:
 	// 0 uses rmi.DefaultInFlight, 1 reproduces the stop-and-wait wire
 	// behavior exactly. Values are bit-identical at any depth.
@@ -156,6 +147,7 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 
 	var (
 		mult   module.Module
+		rmult  *RemoteMult
 		remote *RemotePowerEstimator
 		conn   *Connection
 	)
@@ -218,7 +210,7 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 			}
 			m.FullyRemote = true
 			m.AddEstimator(remote)
-			mult = m
+			mult, rmult = m, m
 		}
 	}
 
@@ -245,10 +237,17 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 	}
 	//lint:ignore simdeterminism wall-clock metering for the RealTime/SimTime report columns only.
 	simDone := time.Now()
+	var drainErr error
 	if remote != nil {
-		if err := remote.Close(); err != nil {
-			return nil, err
+		drainErr = remote.Close()
+	}
+	if rmult != nil {
+		if err := rmult.Err(); err != nil {
+			return nil, fmt.Errorf("core: %v run: %w", s, err)
 		}
+	}
+	if drainErr != nil {
+		return nil, drainErr
 	}
 	//lint:ignore simdeterminism wall-clock metering for the RealTime/DrainTime report columns only.
 	end := time.Now()

@@ -6,6 +6,7 @@ import "time"
 // "I/O activity" parameter: known-bit transitions across the component's
 // ports per pattern, computed purely from port values (so always safe to
 // ship with any component).
+// Used only by tests: TestIOActivityEstimator.
 func NewIOActivity(name string) *Func {
 	return &Func{
 		Meta: Meta{Name: name, Param: ParamIOActivity, ErrPct: 0},
@@ -19,6 +20,7 @@ func NewIOActivity(name string) *Func {
 // activity: power = CoeffIn·(input toggles) + CoeffOut·(output toggles).
 // A step up from the plain linear-regression model when a provider has
 // characterized input and output capacitances separately.
+// Used only by tests: TestActivityPowerEstimator.
 func NewActivityPower(name string, coeffIn, coeffOut, errPct float64) *Func {
 	return &Func{
 		Meta: Meta{Name: name, Param: ParamAvgPower, ErrPct: errPct, CPUTime: time.Microsecond},
@@ -42,6 +44,7 @@ type PeakTracker struct {
 }
 
 // NewPeakTracker builds a peak estimator over an average-power model.
+// Used only by tests: TestPeakTrackerRunsMaximum.
 func NewPeakTracker(name string, inner Estimator) *PeakTracker {
 	return &PeakTracker{
 		Meta: Meta{

@@ -70,7 +70,7 @@ func TestCollapsedCoverageEqualsFullCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collapsed, err := SerialSimulate(nl, patterns)
+	collapsed, err := SerialSimulateFaults(nl, Collapse(nl), patterns)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,7 +309,7 @@ func TestSerialSimulateRippleAdderFullCoverage(t *testing.T) {
 	for v := uint64(0); v < 16; v++ {
 		patterns = append(patterns, nl.InputWord(v))
 	}
-	res, err := SerialSimulate(nl, patterns)
+	res, err := SerialSimulateFaults(nl, Collapse(nl), patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestSerialSimulateFaultDroppingFirstDetection(t *testing.T) {
 		patterns = append(patterns, nl.InputWord(v))
 		patterns = append(patterns, nl.InputWord(v)) // duplicates
 	}
-	res, err := SerialSimulate(nl, patterns)
+	res, err := SerialSimulateFaults(nl, Collapse(nl), patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestC17ExhaustiveCoverage(t *testing.T) {
 	for v := uint64(0); v < 32; v++ {
 		patterns = append(patterns, nl.InputWord(v))
 	}
-	res, err := SerialSimulate(nl, patterns)
+	res, err := SerialSimulateFaults(nl, Collapse(nl), patterns)
 	if err != nil {
 		t.Fatal(err)
 	}

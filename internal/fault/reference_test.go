@@ -98,7 +98,7 @@ func referenceCorpus(t *testing.T) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		patterns := RandomScanPatterns(seq, 80, int64(width))
+		patterns := RandomScanPatternsRand(seq, 80, rand.New(rand.NewSource(int64(width))))
 		words := make([]string, len(patterns))
 		for i, p := range patterns {
 			words[i] = signal.WordFromBits(p.State).String() + "/" + signal.WordFromBits(p.Inputs).String()

@@ -24,6 +24,7 @@ type ScanPattern struct {
 // outputs are exactly the primary outputs plus the captured next state,
 // both of which serve as observation points. The target fault list is
 // the collapsed universe of the combinational core.
+// Used only by tests: TestScanSimulateCounterFullCoverage.
 func ScanSimulate(seq *gate.Sequential, patterns []ScanPattern) (*Result, error) {
 	vectors := make([][]signal.Bit, len(patterns))
 	for pi, p := range patterns {
@@ -44,6 +45,7 @@ func ScanSimulate(seq *gate.Sequential, patterns []ScanPattern) (*Result, error)
 // detected by the first pattern producing a known primary-output
 // difference, and detected bridges are dropped. A bridge naming a net
 // outside nl is an error.
+// Used only by tests: TestSerialSimulateBridges.
 func SerialSimulateBridges(nl *gate.Netlist, bridges []gate.Bridge, patterns [][]signal.Bit) (*Result, error) {
 	ext := make([][]signal.Bit, len(patterns)) // plus the bridged netlist's X input
 	for i, p := range patterns {
@@ -65,6 +67,7 @@ func SerialSimulateBridges(nl *gate.Netlist, bridges []gate.Bridge, patterns [][
 // EnumerateBridges returns candidate wired-AND bridges between distinct
 // nets of similar circuit depth (a common realistic-bridge heuristic:
 // adjacent wires), bounded to at most max pairs.
+// Used only by tests: TestSerialSimulateBridgesDropping.
 func EnumerateBridges(nl *gate.Netlist, max int) []gate.Bridge {
 	var out []gate.Bridge
 	n := nl.NumNets()
@@ -87,17 +90,12 @@ func knownDiff(a, b []signal.Bit) bool {
 	return false
 }
 
-// RandomScanPatterns generates n pseudo-random full-scan tests for a
-// sequential circuit (deterministic in the seed). Callers that thread
-// one generator through several stages use RandomScanPatternsRand.
-func RandomScanPatterns(seq *gate.Sequential, n int, seed int64) []ScanPattern {
-	return RandomScanPatternsRand(seq, n, rand.New(rand.NewSource(seed)))
-}
-
 // RandomScanPatternsRand draws the scan-in states and capture inputs
 // from the given explicitly seeded generator — the sanctioned source of
 // randomness in kernel code (gocad-lint simdeterminism forbids the
 // global one).
+// Used only by tests: TestRandomScanPatternsDeterministic,
+// TestScanSimulateMatchesCombinationalCore.
 func RandomScanPatternsRand(seq *gate.Sequential, n int, r *rand.Rand) []ScanPattern {
 	out := make([]ScanPattern, n)
 	for i := range out {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/gate"
@@ -46,7 +47,7 @@ func TestScanSimulateMatchesCombinationalCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scans := RandomScanPatterns(seq, 12, 42)
+	scans := RandomScanPatternsRand(seq, 12, rand.New(rand.NewSource(42)))
 	res, err := ScanSimulate(seq, scans)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +59,7 @@ func TestScanSimulateMatchesCombinationalCore(t *testing.T) {
 		pat := append(append([]signal.Bit(nil), p.Inputs...), p.State...)
 		comb = append(comb, pat)
 	}
-	ref, err := SerialSimulate(seq.Comb, comb)
+	ref, err := SerialSimulateFaults(seq.Comb, Collapse(seq.Comb), comb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +75,8 @@ func TestScanSimulateMatchesCombinationalCore(t *testing.T) {
 
 func TestRandomScanPatternsDeterministic(t *testing.T) {
 	seq, _ := gate.SequentialCounter(4)
-	a := RandomScanPatterns(seq, 5, 7)
-	b := RandomScanPatterns(seq, 5, 7)
+	a := RandomScanPatternsRand(seq, 5, rand.New(rand.NewSource(7)))
+	b := RandomScanPatternsRand(seq, 5, rand.New(rand.NewSource(7)))
 	for i := range a {
 		for j := range a[i].State {
 			if a[i].State[j] != b[i].State[j] {
@@ -83,7 +84,7 @@ func TestRandomScanPatternsDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c := RandomScanPatterns(seq, 5, 8)
+	c := RandomScanPatternsRand(seq, 5, rand.New(rand.NewSource(8)))
 	same := true
 	for i := range a {
 		for j := range a[i].State {

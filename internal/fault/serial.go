@@ -41,22 +41,14 @@ func (r *Result) CoverageCurve() []float64 {
 	return out
 }
 
-// SerialSimulate runs classical serial stuck-at fault simulation with
-// fault dropping over a flat netlist: for each pattern, the fault-free
-// outputs are computed, then every still-undetected collapsed fault is
-// injected and the outputs compared. This is the reference an IP owner
-// with full disclosure could run — virtual fault simulation must detect
-// exactly the same fault set on the flattened equivalent design, which is
-// the central correctness property of the protocol.
-func SerialSimulate(nl *gate.Netlist, patterns [][]signal.Bit) (*Result, error) {
-	return SerialSimulateFaults(nl, Collapse(nl), patterns)
-}
-
-// SerialSimulateFaults is SerialSimulate over an explicit target fault
-// list instead of the netlist's own collapsed universe — used to compare
-// virtual fault simulation against the flattened reference on exactly the
-// component faults the provider published. Workers fan out over the
-// faults, one per CPU; call SerialSimulateFaultsWorkers to bound them.
+// SerialSimulateFaults runs serial stuck-at fault simulation with fault
+// dropping over a flat netlist and a target fault list (Collapse(nl) for
+// the netlist's whole collapsed universe, or exactly the component
+// faults a provider published). This is the reference an IP owner with
+// full disclosure could run: virtual fault simulation must detect
+// exactly the same fault set on the flattened equivalent design. Workers
+// fan out over the faults, one per CPU; call SerialSimulateFaultsWorkers
+// to bound them.
 func SerialSimulateFaults(nl *gate.Netlist, reps []gate.Fault, patterns [][]signal.Bit) (*Result, error) {
 	return SerialSimulateFaultsWorkers(nl, reps, patterns, 0)
 }

@@ -180,6 +180,7 @@ func HalfAdderIP() *Netlist {
 // C17 builds the ISCAS-85 c17 benchmark: 5 inputs, 6 NAND gates, 2
 // outputs — the canonical tiny test-generation benchmark, with net names
 // following the ISCAS numbering.
+// Used only by tests: TestC17Structure, TestC17ExhaustiveCoverage.
 func C17() *Netlist {
 	nl := NewNetlist("c17")
 	n1 := nl.AddInput("1")

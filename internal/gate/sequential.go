@@ -93,6 +93,7 @@ func (s *Sequential) CoreInputs(state, inputs []signal.Bit) ([]signal.Bit, error
 // SequentialCounter builds a width-bit synchronous counter with an
 // enable input: state' = state + en, output = state. A compact sequential
 // workload for tests and benchmarks.
+// Used only by tests: TestSequentialCounterCounts.
 func SequentialCounter(width int) (*Sequential, error) {
 	core := NewNetlist(fmt.Sprintf("ctr%d", width))
 	en := core.AddInput("en")

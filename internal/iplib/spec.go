@@ -119,6 +119,7 @@ type FactoryRegistry struct {
 
 // NewFactoryRegistry returns a registry preloaded with the standard
 // gocad functional models.
+// Used only by tests: TestFactoryRegistryBuiltins.
 func NewFactoryRegistry() *FactoryRegistry {
 	r := &FactoryRegistry{factories: make(map[string]Factory)}
 	r.Register("behavioral-mult", func(name string, width int, ins, outs []*module.Connector) (module.Module, error) {

@@ -12,5 +12,5 @@ func TestSandboxedFixture(t *testing.T) {
 }
 
 func TestOutOfScopeFixture(t *testing.T) {
-	analysistest.Run(t, "testdata/src/outofscope", "repro/internal/trace/fixture", capability.Analyzer)
+	analysistest.Run(t, "testdata/src/outofscope", "repro/internal/netsim/fixture", capability.Analyzer)
 }

@@ -1,5 +1,5 @@
 // Package fixture stands in for a package outside the sandboxed set
-// (loaded as repro/internal/trace/fixture): the same patterns the
+// (loaded as repro/internal/netsim/fixture): the same patterns the
 // sandboxed fixture flags must produce no findings here, because the
 // capability check binds downloaded-part code only.
 package fixture

@@ -99,6 +99,11 @@ func TestNoHTTPInServingCore(t *testing.T) {
 // standard-library interfaces do not count, or resp.Body.Close() would
 // reach every Close() error; the methods the standard library itself
 // calls through its interfaces are exempt by name.
+//
+// The root package, the gocad facade, is held to the same rule without
+// the doc-line exemption: every name it exports (function, type alias,
+// constant or variable) must be named by a non-test file of another
+// package, which in practice means a program under examples/.
 func TestEveryExportHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the module and benchmark/")
@@ -116,7 +121,15 @@ func TestEveryExportHasACaller(t *testing.T) {
 	reached := map[string]bool{}         // (*pkg.T).M or pkg.F, as types.Func.FullName
 	viaIface := map[string]*types.Func{} // interface methods called, by type and name
 	var named []*types.Named             // every named type, for interface dispatch
+	facadeUsed := map[string]bool{}      // root-package names used by other packages
 	for _, pkg := range append(pkgs, bench...) {
+		if pkg.ImportPath != "repro" {
+			for _, obj := range pkg.Info.Uses {
+				if obj.Pkg() != nil && obj.Pkg().Path() == "repro" {
+					facadeUsed[obj.Name()] = true
+				}
+			}
+		}
 		for _, name := range pkg.Types.Scope().Names() {
 			if tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
 				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
@@ -205,6 +218,25 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	if exports < 100 {
 		t.Fatalf("suspiciously few exported functions found: %d", exports)
+	}
+	facade := 0
+	for _, pkg := range pkgs {
+		if pkg.ImportPath != "repro" {
+			continue
+		}
+		for _, name := range pkg.Types.Scope().Names() {
+			obj := pkg.Types.Scope().Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			facade++
+			if !facadeUsed[name] {
+				t.Errorf("%s: gocad.%s is named by no program", pkg.Fset.Position(obj.Pos()), name)
+			}
+		}
+	}
+	if facade < 10 {
+		t.Fatalf("suspiciously few facade exports found: %d", facade)
 	}
 }
 

@@ -10,7 +10,9 @@
 // statement. Deferred calls (defer c.Close()) and goroutine launches are
 // exempt — their results are unusable by construction — and assigning
 // the error to blank (`_ = c.Close()`) is accepted as an explicit,
-// greppable acknowledgment.
+// greppable acknowledgment. A call into the caller's own package is
+// exempt as that package's plumbing; the remote packages are checked
+// like any other caller for the calls they make into one another.
 package remoteerr
 
 import (
@@ -40,11 +42,6 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	// The remote packages themselves are the implementation; internal
-	// plumbing calls are their own responsibility.
-	if lint.PathMatchesAny(pass.Pkg.Path(), remotePackages) {
-		return nil
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
@@ -59,7 +56,11 @@ func run(pass *lint.Pass) error {
 			if fn == nil || !lint.ReturnsError(fn) {
 				return true
 			}
-			if !lint.PathMatchesAny(lint.FuncPkgPath(fn), remotePackages) {
+			// A package's calls into itself are its own plumbing; a call
+			// across packages, even from one remote package into
+			// another, is a remote failure the caller must handle.
+			callee := lint.FuncPkgPath(fn)
+			if callee == pass.Pkg.Path() || !lint.PathMatchesAny(callee, remotePackages) {
 				return true
 			}
 			pass.Reportf(call.Pos(),

@@ -12,5 +12,5 @@ func TestKernelScope(t *testing.T) {
 }
 
 func TestOutOfScope(t *testing.T) {
-	analysistest.Run(t, "testdata/src/outofscope", "repro/internal/trace/fixture", simdeterminism.Analyzer)
+	analysistest.Run(t, "testdata/src/outofscope", "repro/internal/netsim/fixture", simdeterminism.Analyzer)
 }

@@ -1,7 +1,7 @@
 // Package fixture carries the same violations as the kernel fixture but
-// is loaded under repro/internal/trace/fixture — outside the analyzer's
-// scope — and must produce no findings: trace export and other one-shot
-// consumers may read the wall clock.
+// is loaded under repro/internal/netsim/fixture — outside the analyzer's
+// scope — and must produce no findings: the network emulator and other
+// host-side code may read the wall clock.
 package fixture
 
 import (

@@ -28,6 +28,7 @@ type funcState struct{ last []signal.Bit }
 
 // NewFuncBitModule returns a behavioral component with nIn bit inputs and
 // nOut bit outputs computing fn.
+// Used only by tests: TestFuncBitModuleBehavioral.
 func NewFuncBitModule(name string, fn func([]signal.Bit) []signal.Bit, ins, outs []*Connector) *FuncBitModule {
 	m := &FuncBitModule{fn: fn, Delay: 1}
 	m.Skeleton = NewSkeleton(name, m)

@@ -123,6 +123,7 @@ func NewWordConnector(name string, width int) *Connector {
 
 // NewCustomConnector returns a connector with caller-supplied semantics.
 // width may be 0 when not meaningful for the representation.
+// Used only by tests: TestCustomConnectorVideoPipeline.
 func NewCustomConnector(name string, width int, validate func(signal.Value) error) *Connector {
 	return &Connector{Name: name, Width: width, Validate: validate}
 }

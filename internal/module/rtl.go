@@ -96,6 +96,7 @@ func NewAdder(name string, width int, a, b, o *Connector) *Adder {
 type Sub struct{ *binaryOp }
 
 // NewSub returns a behavioral subtractor.
+// Used only by tests: TestAdderAndSub.
 func NewSub(name string, width int, a, b, o *Connector) *Sub {
 	return &Sub{newBinaryOp(name, width, width, a, b, o,
 		func(x, y uint64) uint64 { return x - y })}
@@ -109,6 +110,7 @@ type Comparator struct {
 }
 
 // NewComparator returns a word equality comparator.
+// Used only by tests: TestComparator.
 func NewComparator(name string, width int, a, b, o *Connector) *Comparator {
 	m := &Comparator{Delay: 1}
 	m.Skeleton = NewSkeleton(name, m)
@@ -136,6 +138,7 @@ type Mux2 struct {
 }
 
 // NewMux2 returns a 2-way word multiplexer (sel=0 selects a).
+// Used only by tests: TestMux2SelectsInputs.
 func NewMux2(name string, width int, a, b, sel, o *Connector) *Mux2 {
 	m := &Mux2{Delay: 1}
 	m.Skeleton = NewSkeleton(name, m)

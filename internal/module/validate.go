@@ -33,6 +33,7 @@ func (i Issue) String() string {
 // Validate is advisory: gocad simulates designs with warnings (the paper
 // allows partially-wired exploration), but errors indicate a structure
 // that cannot behave as intended.
+// Used only by tests: TestValidateCleanDesign, TestValidateDanglingInput.
 func Validate(c *Circuit) []Issue {
 	var issues []Issue
 	for _, m := range c.Leaves() {
@@ -74,15 +75,4 @@ func Validate(c *Circuit) []Issue {
 		}
 	}
 	return issues
-}
-
-// Errors filters Validate output down to hard errors.
-func Errors(issues []Issue) []Issue {
-	var out []Issue
-	for _, i := range issues {
-		if i.Severity == "error" {
-			out = append(out, i)
-		}
-	}
-	return out
 }

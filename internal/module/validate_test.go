@@ -23,7 +23,7 @@ func TestValidateCleanDesign(t *testing.T) {
 	reg := NewRegister("reg", 4, c1, c2)
 	out := NewPrimaryOutput("out", 4, c2)
 	issues := Validate(NewCircuit("clean", in, reg, out))
-	if len(Errors(issues)) != 0 {
+	if len(hardErrors(issues)) != 0 {
 		t.Errorf("clean design has errors: %v", issues)
 	}
 	if len(issues) != 0 {
@@ -58,7 +58,7 @@ func TestValidateDroppedOutput(t *testing.T) {
 		t.Errorf("dropped-output connector not reported: %v", issues)
 	}
 	// Warnings only — no hard errors.
-	if len(Errors(issues)) != 0 {
+	if len(hardErrors(issues)) != 0 {
 		t.Errorf("warnings misclassified: %v", issues)
 	}
 }
@@ -70,7 +70,7 @@ func TestValidateTwoProducers(t *testing.T) {
 	_ = a
 	_ = b
 	issues := Validate(NewCircuit("d", a, b))
-	errs := Errors(issues)
+	errs := hardErrors(issues)
 	if !issuesContain(errs, "ties two out ports") {
 		t.Errorf("double producer not reported as error: %v", issues)
 	}
@@ -85,4 +85,15 @@ func TestIssueString(t *testing.T) {
 	if !strings.HasPrefix(i2.String(), "warning: m:") {
 		t.Errorf("String = %q", i2.String())
 	}
+}
+
+// hardErrors filters Validate output down to hard errors.
+func hardErrors(issues []Issue) []Issue {
+	var out []Issue
+	for _, i := range issues {
+		if i.Severity == "error" {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -417,7 +417,8 @@ func TestTestSetPurchase(t *testing.T) {
 	// user can audit it through the provider's own detection tables via
 	// virtual fault simulation, or (here, with test omniscience) on the
 	// reference netlist.
-	ref, err := fault.SerialSimulate(gate.HalfAdderIP(), ts.Patterns)
+	ha := gate.HalfAdderIP()
+	ref, err := fault.SerialSimulateFaults(ha, fault.Collapse(ha), ts.Patterns)
 	if err != nil {
 		t.Fatal(err)
 	}

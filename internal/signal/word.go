@@ -68,6 +68,7 @@ func WordFromBits(bs []Bit) Word {
 }
 
 // ParseWord builds a word from its MSB-first string spelling, e.g. "1X0Z".
+// Used only by tests: TestParseWordAndString, TestWordSlice.
 func ParseWord(s string) (Word, error) {
 	if len(s) > MaxWordWidth {
 		return Word{}, fmt.Errorf("signal: %d-bit word exceeds %d bits", len(s), MaxWordWidth)

@@ -29,6 +29,7 @@ import (
 // Capacity returns the number of signature bits a netlist can carry: one
 // per re-encodable slot (an AND or OR gate, or an already re-encoded
 // complemented pair).
+// Used only by tests: TestCapacityPositive, TestCapacityExceededRejected.
 func Capacity(nl *gate.Netlist) int { return len(slots(nl)) }
 
 // slot is one embeddable position, identified by the name of the net the
