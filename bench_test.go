@@ -607,56 +607,3 @@ func BenchmarkAblationGateModuleVsNetlistModule(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationBridgeIteration measures the cost of the bounded
-// wired-AND resolution (one pass over the three-copy unrolled netlist)
-// versus plain stuck-at evaluation, one 64-pattern lane pass each.
-func BenchmarkAblationBridgeIteration(b *testing.B) {
-	nl := gate.ArrayMultiplier(8)
-	batch := make([][]signal.Bit, gate.Lanes)
-	for i := range batch {
-		batch[i] = nl.InputWord(0xBEEF + uint64(i))
-	}
-	run := func(b *testing.B, le *gate.LaneEvaluator, batch [][]signal.Bit) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := le.EvalBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("stuck-at", func(b *testing.B) {
-		le, _ := nl.NewLaneEvaluator()
-		if err := le.InjectStuckAt(gate.Fault{Net: 20, Stuck: signal.B0}); err != nil {
-			b.Fatal(err)
-		}
-		run(b, le, batch)
-	})
-	b.Run("bridge", func(b *testing.B) {
-		bn, err := nl.Bridged(gate.Bridge{A: 20, B: 21})
-		if err != nil {
-			b.Fatal(err)
-		}
-		le, _ := bn.NewLaneEvaluator()
-		ext := make([][]signal.Bit, len(batch))
-		for i, p := range batch {
-			ext[i] = append(append([]signal.Bit(nil), p...), signal.BX)
-		}
-		run(b, le, ext)
-	})
-}
-
-// BenchmarkScanFaultSim measures full-scan sequential fault simulation of
-// the counter workload (pattern-parallel on the core's lane kernel).
-func BenchmarkScanFaultSim(b *testing.B) {
-	seq, err := gate.SequentialCounter(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	patterns := fault.RandomScanPatternsRand(seq, 32, rand.New(rand.NewSource(9)))
-	for i := 0; i < b.N; i++ {
-		if _, err := fault.ScanSimulate(seq, patterns); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

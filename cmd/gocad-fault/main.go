@@ -31,7 +31,6 @@ func main() {
 		count      = flag.Int("count", 32, "number of random patterns")
 		check      = flag.Bool("check", false, "cross-check against the flattened full-disclosure reference")
 		vcurve     = flag.Bool("curve", true, "print the cumulative coverage curve")
-		workers    = flag.Int("workers", 0, "worker pool size for the -check flat reference (0 = one per CPU, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -110,7 +109,7 @@ func main() {
 			}
 			flatFaults = append(flatFaults, ff)
 		}
-		ref, err := fault.SerialSimulateFaultsWorkers(d.Flat, flatFaults, tests, *workers)
+		ref, err := fault.SerialSimulateFaults(d.Flat, flatFaults, tests)
 		if err != nil {
 			fatal(err)
 		}

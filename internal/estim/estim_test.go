@@ -46,9 +46,6 @@ func TestEvalContextToggles(t *testing.T) {
 	if got := ec.InputToggles(); got != 3 {
 		t.Errorf("InputToggles = %d, want 3", got)
 	}
-	if got := ec.OutputToggles(); got != 0 {
-		t.Errorf("OutputToggles = %d, want 0", got)
-	}
 }
 
 func TestEvalContextTogglesBitValues(t *testing.T) {

@@ -7,37 +7,28 @@ import (
 )
 
 // EvalContext is everything an estimator may look at when producing a
-// value: the component's identity and its CURRENT AND PREVIOUS port
-// values. This is deliberately the complete list — estimation is a local,
-// additive property evaluated from information available at the module's
-// own ports, which is exactly the IP-protection boundary the paper
-// enforces: a remote estimator never sees the other modules instantiated
-// in the design, their properties, or their mutual relationships.
+// value: the component's identity and its current and previous input
+// port values. This is deliberately the complete list — estimation is a
+// local, additive property evaluated from information available at the
+// module's own ports, which is exactly the IP-protection boundary the
+// paper enforces: a remote estimator never sees the other modules
+// instantiated in the design, their properties, or their mutual
+// relationships.
 //
 // The context and its slices are valid only for the duration of one
 // Estimate call: the module skeleton rebuilds them in place per
 // estimation round, so estimators must copy anything they keep.
 type EvalContext struct {
-	Module  string
-	Now     int64
-	Inputs  []signal.Value // current value on each input port (nil if never driven)
-	PrevIn  []signal.Value // previous value on each input port
-	Outputs []signal.Value // current value on each output port
-	PrevOut []signal.Value
+	Module string
+	Now    int64
+	Inputs []signal.Value // current value on each input port (nil if never driven)
+	PrevIn []signal.Value // previous value on each input port
 }
 
 // InputToggles counts known-bit transitions across all input ports — the
 // switching activity that drives dynamic power.
 func (ec *EvalContext) InputToggles() int {
-	return toggles(ec.Inputs, ec.PrevIn)
-}
-
-// OutputToggles counts known-bit transitions across all output ports.
-func (ec *EvalContext) OutputToggles() int {
-	return toggles(ec.Outputs, ec.PrevOut)
-}
-
-func toggles(cur, prev []signal.Value) int {
+	cur, prev := ec.Inputs, ec.PrevIn
 	n := 0
 	for i := range cur {
 		if i >= len(prev) || cur[i] == nil || prev[i] == nil {

@@ -16,17 +16,15 @@ import (
 )
 
 // Parameter names a cost or performance metric. The predefined names
-// cover the metrics the paper lists; components and providers may define
-// their own (e.g. the fault package's detection-table parameter).
+// cover the metrics the programs estimate; components and providers may
+// define their own (e.g. the fault package's detection-table parameter).
 type Parameter string
 
 // Predefined parameters.
 const (
-	ParamArea       Parameter = "area"        // silicon area, in equivalent gates
-	ParamDelay      Parameter = "delay"       // propagation delay, in time units
-	ParamAvgPower   Parameter = "power.avg"   // average power per pattern, in µW
-	ParamPeakPower  Parameter = "power.peak"  // peak power, in µW
-	ParamIOActivity Parameter = "io.activity" // port toggle activity per pattern
+	ParamArea     Parameter = "area"      // silicon area, in equivalent gates
+	ParamDelay    Parameter = "delay"     // propagation delay, in time units
+	ParamAvgPower Parameter = "power.avg" // average power per pattern, in µW
 )
 
 // ParamValue is the value an estimator produces. The common case is a

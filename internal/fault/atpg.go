@@ -139,3 +139,14 @@ func reverseCompact(nl *gate.Netlist, reps []gate.Fault, patterns [][]signal.Bit
 	}
 	return kept
 }
+
+// knownDiff reports whether two bit vectors differ at any position where
+// both hold known values.
+func knownDiff(a, b []signal.Bit) bool {
+	for i := range a {
+		if i < len(b) && a[i].Known() && b[i].Known() && a[i] != b[i] {
+			return true
+		}
+	}
+	return false
+}

@@ -406,3 +406,27 @@ func (sl *SymbolicList) Fault(name string) (gate.Fault, bool) {
 
 // Len returns the number of symbolic faults.
 func (sl *SymbolicList) Len() int { return len(sl.names) }
+
+// TestFlatSimulatorsRejectBadTargets: a target on a net outside the
+// netlist, or a pattern of the wrong width, is an error from the flat
+// reference simulator — never a silently undetected fault or a panic.
+func TestFlatSimulatorsRejectBadTargets(t *testing.T) {
+	nl := gate.C17()
+	good := [][]signal.Bit{nl.InputWord(0), nl.InputWord(31)}
+	short := [][]signal.Bit{nl.InputWord(0), {signal.B1}}
+	for _, tc := range []struct {
+		name     string
+		net      gate.NetID
+		patterns [][]signal.Bit
+	}{
+		{"past the last net", 9999, good},
+		{"on a negative net", -1, good},
+		{"without patterns", 9999, nil},
+		{"short pattern", 2, short},
+	} {
+		faults := []gate.Fault{{Net: 1, Stuck: signal.B0}, {Net: tc.net, Stuck: signal.B1}}
+		if _, err := SerialSimulateFaultsWorkers(nl, faults, tc.patterns, 2); err == nil {
+			t.Errorf("stuck-at %s: accepted", tc.name)
+		}
+	}
+}

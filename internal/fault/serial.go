@@ -72,23 +72,6 @@ func SerialSimulateFaultsWorkers(nl *gate.Netlist, reps []gate.Fault, patterns [
 		}
 		evs[w] = le
 	}
-	machine := func(w, i int) (*gate.LaneEvaluator, error) {
-		return evs[w], evs[w].InjectStuckAt(reps[i])
-	}
-	symbol := func(i int) string { return reps[i].Symbol(nl) }
-	return simulate(nl, patterns, patterns, len(reps), pool, machine, symbol)
-}
-
-// simulate is the pattern-parallel single-fault loop behind stuck-at
-// and bridging-fault simulation. For each of n faulty machines,
-// machine(worker, i) readies an evaluator that runs machine i over
-// faultyPatterns (patterns as that evaluator's netlist reads them); it
-// then evaluates 64-pattern batches until one shows a known output
-// difference against the fault-free batch of nl. Lanes past the last
-// pattern read all-X inputs, so the fault-free outputs there are X and
-// never differ.
-func simulate(nl *gate.Netlist, patterns, faultyPatterns [][]signal.Bit, n int, pool sim.Pool,
-	machine func(worker, i int) (*gate.LaneEvaluator, error), symbol func(i int) string) (*Result, error) {
 	good, err := nl.NewLaneEvaluator()
 	if err != nil {
 		return nil, err
@@ -98,6 +81,8 @@ func simulate(nl *gate.Netlist, patterns, faultyPatterns [][]signal.Bit, n int, 
 			return nil, fmt.Errorf("fault: pattern %d: got %d input values, want %d", pi, len(p), len(nl.Inputs()))
 		}
 	}
+	// Lanes past the last pattern read all-X inputs, so the fault-free
+	// outputs there are X and never differ.
 	var goodOut [][]gate.Plane // per batch
 	for start := 0; start < len(patterns); start += gate.Lanes {
 		if err := good.EvalBatch(patterns[start:min(start+gate.Lanes, len(patterns))]); err != nil {
@@ -105,16 +90,16 @@ func simulate(nl *gate.Netlist, patterns, faultyPatterns [][]signal.Bit, n int, 
 		}
 		goodOut = append(goodOut, good.OutputPlanes(nil))
 	}
-	first := make([]int, n) // first detecting pattern, or -1
-	err = pool.ForWorker(n, func(w, i int) error {
-		le, err := machine(w, i)
-		if err != nil {
+	first := make([]int, len(reps)) // first detecting pattern, or -1
+	err = pool.ForWorker(len(reps), func(w, i int) error {
+		le := evs[w]
+		if err := le.InjectStuckAt(reps[i]); err != nil {
 			return fmt.Errorf("fault: target %d: %w", i, err)
 		}
 		first[i] = -1
 		for b, out := range goodOut {
 			start := b * gate.Lanes
-			if err := le.EvalBatch(faultyPatterns[start:min(start+gate.Lanes, len(patterns))]); err != nil {
+			if err := le.EvalBatch(patterns[start:min(start+gate.Lanes, len(patterns))]); err != nil {
 				return err
 			}
 			if diff := le.DiffLanes(out); diff != 0 {
@@ -128,13 +113,13 @@ func simulate(nl *gate.Netlist, patterns, faultyPatterns [][]signal.Bit, n int, 
 		return nil, err
 	}
 	res := &Result{
-		Total:      n,
+		Total:      len(reps),
 		Detected:   make(map[string]int),
 		PerPattern: make([][]string, len(patterns)),
 	}
 	for i, pi := range first {
 		if pi >= 0 {
-			sym := symbol(i)
+			sym := reps[i].Symbol(nl)
 			res.Detected[sym] = pi
 			res.PerPattern[pi] = append(res.PerPattern[pi], sym)
 		}

@@ -2,10 +2,9 @@
 // level at which IP providers hold the accurate—and IP-protected—view of
 // their components. Netlists evaluate on one compiled lane kernel that
 // carries 64 four-valued patterns or faulty machines per levelized pass,
-// under injected stuck-at faults or an unrolled wired-AND bridge; they
-// are the substrate under the PPP-style power estimator (internal/ppp),
-// the fault machinery (internal/fault), and the gate-level design
-// modules (internal/module).
+// under injected stuck-at faults; they are the substrate under the
+// PPP-style power estimator (internal/ppp), the fault machinery
+// (internal/fault), and the gate-level design modules (internal/module).
 package gate
 
 import "fmt"

@@ -1,13 +1,11 @@
 package iplib
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/estim"
-	"repro/internal/module"
 )
 
 func validSpec() ComponentSpec {
@@ -79,54 +77,6 @@ func TestSpecPortDataCoversEverything(t *testing.T) {
 	}
 }
 
-func TestFactoryRegistryBuiltins(t *testing.T) {
-	r := NewFactoryRegistry()
-	a := module.NewWordConnector("a", 4)
-	b := module.NewWordConnector("b", 4)
-	o := module.NewWordConnector("o", 8)
-	m, err := r.Build("behavioral-mult", "M", 4, []*module.Connector{a, b}, []*module.Connector{o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ModuleName() != "M" {
-		t.Error("factory ignored instance name")
-	}
-	// Adder factory exists too.
-	a2 := module.NewWordConnector("a2", 4)
-	b2 := module.NewWordConnector("b2", 4)
-	o2 := module.NewWordConnector("o2", 5)
-	if _, err := r.Build("behavioral-adder", "A", 4, []*module.Connector{a2, b2}, []*module.Connector{o2}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFactoryRegistryErrors(t *testing.T) {
-	r := NewFactoryRegistry()
-	if _, err := r.Build("no-such", "X", 4, nil, nil); err == nil {
-		t.Error("unknown factory accepted")
-	}
-	if _, err := r.Build("behavioral-mult", "X", 4, nil, nil); err == nil {
-		t.Error("wrong connector shape accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	r.Register("behavioral-mult", nil)
-}
-
-func TestFactoryRegistryCustom(t *testing.T) {
-	r := NewFactoryRegistry()
-	r.Register("custom", func(name string, width int, ins, outs []*module.Connector) (module.Module, error) {
-		return module.NewRegister(name, width, nil, nil), nil
-	})
-	m, err := r.Build("custom", "R", 4, nil, nil)
-	if err != nil || m.ModuleName() != "R" {
-		t.Errorf("custom factory failed: %v, %v", m, err)
-	}
-}
-
 func TestMethodNamesDistinct(t *testing.T) {
 	names := []string{
 		MethodCatalogue, MethodBind, MethodEval, MethodPowerBatch,
@@ -142,13 +92,4 @@ func TestMethodNamesDistinct(t *testing.T) {
 		}
 		seen[n] = true
 	}
-}
-
-// Build instantiates a public part by name.
-func (r *FactoryRegistry) Build(factory, instance string, width int, ins, outs []*module.Connector) (module.Module, error) {
-	f, ok := r.factories[factory]
-	if !ok {
-		return nil, fmt.Errorf("iplib: unknown public part %q", factory)
-	}
-	return f(instance, width, ins, outs)
 }

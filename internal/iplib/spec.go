@@ -7,10 +7,11 @@
 //
 // A component splits into the paper's three parts:
 //
-//   - the PUBLIC PART: a functional model the user downloads and runs
-//     locally. Go cannot load code at runtime, so the spec names a
-//     factory in the client-side FactoryRegistry — the documented
-//     substitution for "loadable bytecode" (see DESIGN.md);
+//   - the PUBLIC PART: a functional model the user runs locally. Go
+//     cannot load code at runtime, so the public part is compiled into
+//     the client: core.RemoteMult computes the product itself in its
+//     ProcessInputEvent, and the spec's PublicFactory is only a
+//     catalogue label naming that model (see DESIGN.md);
 //   - the STUB: the typed client in this package, which invokes remote
 //     methods over internal/rmi without carrying any IP;
 //   - the PRIVATE PART: the gate-level netlist and accurate estimators,
@@ -23,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/estim"
-	"repro/internal/module"
 )
 
 // EstimatorOffer describes one estimator a provider makes available for a
@@ -54,8 +54,9 @@ type ComponentSpec struct {
 	Description string
 	// MinWidth and MaxWidth bound the parametric instantiation width.
 	MinWidth, MaxWidth int
-	// PublicFactory names the functional model in the client-side
-	// FactoryRegistry (the downloadable public part).
+	// PublicFactory labels the functional model (the public part) in
+	// the catalogue. No code is looked up by it: the client's public
+	// part is compiled in, e.g. core.RemoteMult's local product.
 	PublicFactory string
 	// Estimators are the offered cost-metric models.
 	Estimators []EstimatorOffer
@@ -105,42 +106,4 @@ func (s ComponentSpec) Offer(name string) (EstimatorOffer, bool) {
 		}
 	}
 	return EstimatorOffer{}, false
-}
-
-// Factory builds a local functional model (the public part) with the
-// given instance name and width over the given connectors.
-type Factory func(name string, width int, ins, outs []*module.Connector) (module.Module, error)
-
-// FactoryRegistry maps public-part names to local factories — the
-// client-side stand-in for bytecode download.
-type FactoryRegistry struct {
-	factories map[string]Factory
-}
-
-// NewFactoryRegistry returns a registry preloaded with the standard
-// gocad functional models.
-// Used only by tests: TestFactoryRegistryBuiltins.
-func NewFactoryRegistry() *FactoryRegistry {
-	r := &FactoryRegistry{factories: make(map[string]Factory)}
-	r.Register("behavioral-mult", func(name string, width int, ins, outs []*module.Connector) (module.Module, error) {
-		if len(ins) != 2 || len(outs) != 1 {
-			return nil, fmt.Errorf("iplib: behavioral-mult needs 2 inputs and 1 output")
-		}
-		return module.NewMult(name, width, ins[0], ins[1], outs[0]), nil
-	})
-	r.Register("behavioral-adder", func(name string, width int, ins, outs []*module.Connector) (module.Module, error) {
-		if len(ins) != 2 || len(outs) != 1 {
-			return nil, fmt.Errorf("iplib: behavioral-adder needs 2 inputs and 1 output")
-		}
-		return module.NewAdder(name, width, ins[0], ins[1], outs[0]), nil
-	})
-	return r
-}
-
-// Register adds a factory under a public-part name.
-func (r *FactoryRegistry) Register(name string, f Factory) {
-	if _, dup := r.factories[name]; dup {
-		panic(fmt.Sprintf("iplib: duplicate factory %q", name))
-	}
-	r.factories[name] = f
 }

@@ -2,9 +2,14 @@ package registry_test
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -92,13 +97,16 @@ func TestNoHTTPInServingCore(t *testing.T) {
 // growing back: every exported function or method declared in a
 // non-test file under internal/ must be reached from some non-test file
 // of the module or of benchmark/, or carry a "Used only by tests:" line
-// in its doc comment naming the tests it serves. Callers are resolved by
-// type: a function or method is reached where code other than its own
-// body names it, and a method also where code calls a method of the same
-// name on an interface of this module that its type implements. Calls on
-// standard-library interfaces do not count, or resp.Body.Close() would
-// reach every Close() error; the methods the standard library itself
-// calls through its interfaces are exempt by name.
+// in its doc comment naming the tests it serves: at least one Test, Fuzz
+// or Benchmark function, each declared in some _test.go file of the
+// module, so the line goes stale loudly when those tests are deleted.
+// Callers are resolved by type: a function or method is reached where
+// code other than its own body names it, and a method also where code
+// calls a method of the same name on an interface of this module that
+// its type implements. Calls on standard-library interfaces do not
+// count, or resp.Body.Close() would reach every Close() error; the
+// methods the standard library itself calls through its interfaces are
+// exempt by name.
 //
 // The root package, the gocad facade, is held to the same rule without
 // the doc-line exemption: every name it exports (function, type alias,
@@ -118,6 +126,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tests := testFuncs(t, root)
 	reached := map[string]bool{}         // (*pkg.T).M or pkg.F, as types.Func.FullName
 	viaIface := map[string]*types.Func{} // interface methods called, by type and name
 	var named []*types.Named             // every named type, for interface dispatch
@@ -208,11 +217,26 @@ func TestEveryExportHasACaller(t *testing.T) {
 				exports++
 				fn := pkg.Info.Defs[fd.Name].(*types.Func)
 				recv := fn.Type().(*types.Signature).Recv()
-				if reached[fn.FullName()] || recv != nil && stdlibCalled[fn.Name()] ||
-					strings.Contains(fd.Doc.Text(), "Used only by tests:") {
+				if reached[fn.FullName()] || recv != nil && stdlibCalled[fn.Name()] {
 					continue
 				}
-				t.Errorf("%s: %s has no caller outside tests", pkg.Fset.Position(fd.Pos()), fn.FullName())
+				pos := pkg.Fset.Position(fd.Pos())
+				doc := fd.Doc.Text()
+				i := strings.Index(doc, testsMarker)
+				if i < 0 {
+					t.Errorf("%s: %s has no caller outside tests", pos, fn.FullName())
+					continue
+				}
+				line, _, _ := strings.Cut(doc[i+len(testsMarker):], "\n\n")
+				names := testRef.FindAllString(line, -1)
+				if len(names) == 0 {
+					t.Errorf("%s: %s: %q names no Test, Fuzz or Benchmark function", pos, fn.FullName(), testsMarker)
+				}
+				for _, name := range names {
+					if !tests[name] {
+						t.Errorf("%s: %s: %q names %s, which no _test.go file declares", pos, fn.FullName(), testsMarker, name)
+					}
+				}
 			}
 		}
 	}
@@ -238,6 +262,57 @@ func TestEveryExportHasACaller(t *testing.T) {
 	if facade < 10 {
 		t.Fatalf("suspiciously few facade exports found: %d", facade)
 	}
+}
+
+const testsMarker = "Used only by tests:"
+
+// testRef matches a test function's name as go test recognises it.
+var testRef = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+
+// testFuncs returns the names of the Test, Fuzz and Benchmark functions
+// declared in the _test.go files of the module at root. Nested modules,
+// testdata and the directories the go tool ignores are skipped.
+func testFuncs(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && testRef.FindString(fd.Name.Name) == fd.Name.Name {
+				names[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) < 100 {
+		t.Fatalf("suspiciously few test functions found: %d", len(names))
+	}
+	return names
 }
 
 // TestSuiteComplete pins the analyzer roster so a dropped registration

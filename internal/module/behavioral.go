@@ -8,71 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// FuncBitModule is a behavioral-level component over bit connectors: its
-// functionality is an arbitrary Go function from input bits to output
-// bits. This is the behavioral abstraction level the paper lists as
-// devised ("we have devised an implementation at the behavioral level"),
-// and it is also the natural shape of a downloaded PUBLIC PART: an IP
-// provider ships the abstract function (a multiplication, a half-adder
-// truth function) while the gate-level structure stays on its server.
-type FuncBitModule struct {
-	*Skeleton
-	ins   []*Port
-	outs  []*Port
-	fn    func([]signal.Bit) []signal.Bit
-	Delay sim.Time
-}
-
-// funcState caches the last driven outputs for change suppression.
-type funcState struct{ last []signal.Bit }
-
-// NewFuncBitModule returns a behavioral component with nIn bit inputs and
-// nOut bit outputs computing fn.
-// Used only by tests: TestFuncBitModuleBehavioral.
-func NewFuncBitModule(name string, fn func([]signal.Bit) []signal.Bit, ins, outs []*Connector) *FuncBitModule {
-	m := &FuncBitModule{fn: fn, Delay: 1}
-	m.Skeleton = NewSkeleton(name, m)
-	for i, c := range ins {
-		m.ins = append(m.ins, m.AddPort("in"+strconv.Itoa(i), In, 1, c))
-	}
-	for i, c := range outs {
-		m.outs = append(m.outs, m.AddPort("out"+strconv.Itoa(i), Out, 1, c))
-	}
-	return m
-}
-
-// ProcessInputEvent recomputes the function and drives changed outputs.
-func (m *FuncBitModule) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
-	in := make([]signal.Bit, len(m.ins))
-	for i, p := range m.ins {
-		in[i] = ctx.InputBitOn(p)
-	}
-	out := m.fn(in)
-	if len(out) != len(m.outs) {
-		panic(fmt.Sprintf("module: %s function returned %d bits, want %d", m.ModuleName(), len(out), len(m.outs)))
-	}
-	st, _ := ctx.State().(*funcState)
-	if st == nil {
-		st = &funcState{last: make([]signal.Bit, len(m.outs))}
-		for i := range st.last {
-			st.last[i] = signal.BZ // sentinel: never driven
-		}
-		ctx.SetState(st)
-	}
-	for i, p := range m.outs {
-		if out[i] == st.last[i] {
-			continue
-		}
-		st.last[i] = out[i]
-		ctx.Drive(p, signal.BitValue{B: out[i]}, m.Delay)
-	}
-}
-
-// FuncWordModule is the word-level behavioral counterpart: a function
-// from input words to output words. fn reads in and writes every element
-// of out; both slices are per-run scratch that the module reuses across
-// events (so fn must not retain them), which keeps an operator event
-// free of slice allocations.
+// FuncWordModule is a behavioral-level component over word connectors:
+// its functionality is an arbitrary Go function from input words to
+// output words — the behavioral abstraction level the paper lists as
+// devised, and the natural shape of a public part. fn reads in and
+// writes every element of out; both slices are per-run scratch that the
+// module reuses across events (so fn must not retain them), which keeps
+// an operator event free of slice allocations.
 type FuncWordModule struct {
 	*Skeleton
 	ins   []*Port

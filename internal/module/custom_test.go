@@ -35,7 +35,7 @@ func (f videoFrame) String() string { return fmt.Sprintf("frame#%d(%dpx)", f.Seq
 // newVideoConnector enforces the custom semantics: only frames with the
 // configured resolution may cross.
 func newVideoConnector(name string, pixels int) *Connector {
-	return NewCustomConnector(name, 8*pixels, func(v signal.Value) error {
+	return &Connector{Name: name, Width: 8 * pixels, Validate: func(v signal.Value) error {
 		f, ok := v.(videoFrame)
 		if !ok {
 			return fmt.Errorf("connector %q carries video frames, got %T", name, v)
@@ -44,7 +44,7 @@ func newVideoConnector(name string, pixels int) *Connector {
 			return fmt.Errorf("connector %q carries %d-pixel frames, got %d", name, pixels, len(f.Pixels))
 		}
 		return nil
-	})
+	}}
 }
 
 // dspInvert is a toy DSP module: it inverts every pixel of each frame.

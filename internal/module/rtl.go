@@ -34,31 +34,35 @@ func (m *Register) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	ctx.Drive(m.out, ev.Value, m.Delay)
 }
 
-// binaryOp is the shared machinery of two-input word-level arithmetic
-// modules: when both inputs hold known words, compute and drive.
-type binaryOp struct {
+// Mult is the behavioral word-level multiplier: the abstract functional
+// model of the paper's MULT IP component (the public part an IP provider
+// would let users download). When both inputs hold known words, the
+// product of the two width-bit words appears on the 2·width-bit output.
+type Mult struct {
 	*Skeleton
 	a, b, o *Port
 	// Delay is the propagation delay in time units.
 	Delay sim.Time
-	fn    func(a, b uint64) uint64
-	outW  int
+	width int
 }
 
-func newBinaryOp(name string, widthIn, widthOut int, a, b, o *Connector, fn func(x, y uint64) uint64) *binaryOp {
-	if widthIn > 32 {
-		panic(fmt.Sprintf("module: behavioral arithmetic limited to 32-bit operands, got %d", widthIn))
+// NewMult returns a behavioral multiplier. Operand width is limited to 32
+// bits (the product must fit a uint64); wider datapaths use NetlistModule
+// over a gate.ArrayMultiplier.
+func NewMult(name string, width int, a, b, o *Connector) *Mult {
+	if width > 32 {
+		panic(fmt.Sprintf("module: behavioral arithmetic limited to 32-bit operands, got %d", width))
 	}
-	m := &binaryOp{Delay: 1, fn: fn, outW: widthOut}
+	m := &Mult{Delay: 1, width: width}
 	m.Skeleton = NewSkeleton(name, m)
-	m.a = m.AddPort("a", In, widthIn, a)
-	m.b = m.AddPort("b", In, widthIn, b)
-	m.o = m.AddPort("o", Out, widthOut, o)
+	m.a = m.AddPort("a", In, width, a)
+	m.b = m.AddPort("b", In, width, b)
+	m.o = m.AddPort("o", Out, 2*width, o)
 	return m
 }
 
-// ProcessInputEvent recomputes the operation when both operands are known.
-func (m *binaryOp) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
+// ProcessInputEvent recomputes the product when both operands are known.
+func (m *Mult) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	aw, aok := ctx.InputWordOn(m.a)
 	bw, bok := ctx.InputWordOn(m.b)
 	if !aok || !bok {
@@ -66,106 +70,7 @@ func (m *binaryOp) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
 	}
 	av, _ := aw.Uint64()
 	bv, _ := bw.Uint64()
-	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(m.fn(av, bv), m.outW)}, m.Delay)
-}
-
-// Mult is the behavioral word-level multiplier: the abstract functional
-// model of the paper's MULT IP component (the public part an IP provider
-// would let users download). The product of two width-bit words appears
-// on the 2·width-bit output.
-type Mult struct{ *binaryOp }
-
-// NewMult returns a behavioral multiplier. Operand width is limited to 32
-// bits (the product must fit a uint64); wider datapaths use NetlistModule
-// over a gate.ArrayMultiplier.
-func NewMult(name string, width int, a, b, o *Connector) *Mult {
-	return &Mult{newBinaryOp(name, width, 2*width, a, b, o,
-		func(x, y uint64) uint64 { return x * y })}
-}
-
-// Adder is a behavioral word-level adder with a width+1-bit sum.
-type Adder struct{ *binaryOp }
-
-// NewAdder returns a behavioral adder.
-func NewAdder(name string, width int, a, b, o *Connector) *Adder {
-	return &Adder{newBinaryOp(name, width, width+1, a, b, o,
-		func(x, y uint64) uint64 { return x + y })}
-}
-
-// Sub is a behavioral word-level subtractor (modulo 2^width).
-type Sub struct{ *binaryOp }
-
-// NewSub returns a behavioral subtractor.
-// Used only by tests: TestAdderAndSub.
-func NewSub(name string, width int, a, b, o *Connector) *Sub {
-	return &Sub{newBinaryOp(name, width, width, a, b, o,
-		func(x, y uint64) uint64 { return x - y })}
-}
-
-// Comparator drives 1 when a == b, else 0, on a bit connector.
-type Comparator struct {
-	*Skeleton
-	a, b, o *Port
-	Delay   sim.Time
-}
-
-// NewComparator returns a word equality comparator.
-// Used only by tests: TestComparator.
-func NewComparator(name string, width int, a, b, o *Connector) *Comparator {
-	m := &Comparator{Delay: 1}
-	m.Skeleton = NewSkeleton(name, m)
-	m.a = m.AddPort("a", In, width, a)
-	m.b = m.AddPort("b", In, width, b)
-	m.o = m.AddPort("eq", Out, 1, o)
-	return m
-}
-
-// ProcessInputEvent recompares when both operands are present.
-func (m *Comparator) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
-	av, aok := ctx.Input(m.a).(signal.WordValue)
-	bv, bok := ctx.Input(m.b).(signal.WordValue)
-	if !aok || !bok {
-		return
-	}
-	ctx.Drive(m.o, signal.BitValue{B: signal.FromBool(av.W.Equal(bv.W))}, m.Delay)
-}
-
-// Mux2 selects between two word inputs under a bit select.
-type Mux2 struct {
-	*Skeleton
-	a, b, sel, o *Port
-	Delay        sim.Time
-}
-
-// NewMux2 returns a 2-way word multiplexer (sel=0 selects a).
-// Used only by tests: TestMux2SelectsInputs.
-func NewMux2(name string, width int, a, b, sel, o *Connector) *Mux2 {
-	m := &Mux2{Delay: 1}
-	m.Skeleton = NewSkeleton(name, m)
-	m.a = m.AddPort("a", In, width, a)
-	m.b = m.AddPort("b", In, width, b)
-	m.sel = m.AddPort("sel", In, 1, sel)
-	m.o = m.AddPort("o", Out, width, o)
-	return m
-}
-
-// ProcessInputEvent re-selects whenever any input changes.
-func (m *Mux2) ProcessInputEvent(ctx *Ctx, ev *PortEvent) {
-	s := ctx.InputBitOn(m.sel)
-	var src *Port
-	switch s {
-	case signal.B0:
-		src = m.a
-	case signal.B1:
-		src = m.b
-	default:
-		return
-	}
-	v := ctx.Input(src)
-	if v == nil {
-		return
-	}
-	ctx.Drive(m.o, v, m.Delay)
+	ctx.Drive(m.o, signal.WordValue{W: signal.WordFromUint64(av*bv, 2*m.width)}, m.Delay)
 }
 
 // Counter emits an incrementing word every clock event on its bit input.

@@ -15,8 +15,6 @@ import (
 type Module interface {
 	sim.Handler
 	estim.Component
-	// Ports returns the component's connection points.
-	Ports() []*Port
 	// Children returns submodules for hierarchical designs; leaf modules
 	// return nil.
 	Children() []Module
@@ -72,13 +70,12 @@ type ResetBehavior interface {
 // last initialized for.
 type runState struct {
 	run sim.SchedulerID
-	// vals backs in, prevIn, out and prevOut, one port-count window each.
-	vals    []signal.Value
-	in      []signal.Value
-	prevIn  []signal.Value
-	out     []signal.Value
-	prevOut []signal.Value
-	user    any
+	// vals backs in, prevIn and out, one port-count window each.
+	vals   []signal.Value
+	in     []signal.Value
+	prevIn []signal.Value
+	out    []signal.Value
+	user   any
 	// dirty is set when an input event arrives and cleared once the
 	// module's estimators have run, so estimation happens once per
 	// stimulus (per pattern), not once per simulation instant.
@@ -148,9 +145,6 @@ func (sk *Skeleton) Base() *Skeleton { return sk }
 // ModuleName implements estim.Component.
 func (sk *Skeleton) ModuleName() string { return sk.name }
 
-// Ports returns the module's ports in index order.
-func (sk *Skeleton) Ports() []*Port { return sk.ports }
-
 // Children returns nil: skeletons are leaf modules. Hierarchical
 // containers (Circuit) override this.
 func (sk *Skeleton) Children() []Module { return nil }
@@ -164,14 +158,13 @@ func (sk *Skeleton) stateFor(ctx *sim.Context) *runState {
 	rs, _ := (*slot).(*runState)
 	if rs == nil {
 		n := len(sk.ports)
-		vals := make([]signal.Value, 4*n)
+		vals := make([]signal.Value, 3*n)
 		rs = &runState{
-			vals:    vals,
-			in:      vals[:n:n],
-			prevIn:  vals[n : 2*n : 2*n],
-			out:     vals[2*n : 3*n : 3*n],
-			prevOut: vals[3*n:],
-			run:     ctx.SchedulerID(),
+			vals:   vals,
+			in:     vals[:n:n],
+			prevIn: vals[n : 2*n : 2*n],
+			out:    vals[2*n:],
+			run:    ctx.SchedulerID(),
 		}
 		*slot = rs
 	} else if rs.run != ctx.SchedulerID() {
@@ -293,8 +286,6 @@ func (sk *Skeleton) runEstimators(ctx *sim.Context, setup *estim.Setup) {
 	ec.Now = int64(ctx.Now())
 	ec.Inputs = sk.portValues(ec.Inputs[:0], rs.in, In)
 	ec.PrevIn = sk.portValues(ec.PrevIn[:0], rs.prevIn, In)
-	ec.Outputs = sk.portValues(ec.Outputs[:0], rs.out, Out)
-	ec.PrevOut = sk.portValues(ec.PrevOut[:0], rs.prevOut, Out)
 	for param, e := range sel {
 		v, err := e.Estimate(ec)
 		if err != nil {
@@ -432,7 +423,6 @@ func (c *Ctx) Drive(port *Port, value signal.Value, delay sim.Time) {
 		}
 	}
 	rs := c.state()
-	rs.prevOut[port.Index] = rs.out[port.Index]
 	rs.out[port.Index] = value
 	if port.conn == nil {
 		return

@@ -152,25 +152,6 @@ func TestConnectorInputEnd(t *testing.T) {
 	}
 }
 
-func TestMuxWithUnknownSelectHolds(t *testing.T) {
-	a := NewWordConnector("a", 4)
-	b := NewWordConnector("b", 4)
-	s := NewBitConnector("s")
-	o := NewWordConnector("o", 4)
-	ina := NewPatternInput("ina", 4, []signal.Value{word(1, 4)}, 1, a)
-	inb := NewPatternInput("inb", 4, []signal.Value{word(2, 4)}, 1, b)
-	selIn := NewPatternInput("sel", 1, []signal.Value{signal.BitValue{B: signal.BX}}, 2, s)
-	mux := NewMux2("mux", 4, a, b, s, o)
-	out := NewPrimaryOutput("out", 4, o)
-	st := NewSimulation(NewCircuit("t", ina, inb, selIn, mux, out)).Start(nil)
-	if st.Err != nil {
-		t.Fatal(st.Err)
-	}
-	if len(out.History(st.Scheduler)) != 0 {
-		t.Error("mux drove output with X select")
-	}
-}
-
 // TestHistoryEmptyWhenRunMissesOutput: a recycled scheduler whose next
 // run never reaches the output reports an empty history, not the last
 // run's — whether that run resets the output and stops before its first
@@ -221,36 +202,6 @@ func TestHistoryOnSchedulerThatNeverRanOutput(t *testing.T) {
 	})
 	if read != base {
 		t.Errorf("History on a fresh scheduler allocates %.0f, want none beyond the scheduler's %.0f", read-base, base)
-	}
-}
-
-func TestFuncBitModuleBehavioral(t *testing.T) {
-	// A behavioral majority gate.
-	ins := []*Connector{NewBitConnector("i0"), NewBitConnector("i1"), NewBitConnector("i2")}
-	o := NewBitConnector("o")
-	maj := NewFuncBitModule("maj", func(in []signal.Bit) []signal.Bit {
-		n := 0
-		for _, b := range in {
-			if b == signal.B1 {
-				n++
-			}
-		}
-		return []signal.Bit{signal.FromBool(n >= 2)}
-	}, ins, []*Connector{o})
-	p0 := NewPatternInput("p0", 1, []signal.Value{signal.BitValue{B: signal.B1}}, 1, ins[0])
-	p1 := NewPatternInput("p1", 1, []signal.Value{signal.BitValue{B: signal.B1}}, 2, ins[1])
-	p2 := NewPatternInput("p2", 1, []signal.Value{signal.BitValue{B: signal.B0}}, 3, ins[2])
-	out := NewPrimaryOutput("out", 1, o)
-	st := NewSimulation(NewCircuit("t", maj, p0, p1, p2, out)).Start(nil)
-	if st.Err != nil {
-		t.Fatal(st.Err)
-	}
-	h := out.History(st.Scheduler)
-	if len(h) == 0 {
-		t.Fatal("no majority output")
-	}
-	if h[len(h)-1].Value.(signal.BitValue).B != signal.B1 {
-		t.Error("majority(1,1,0) != 1")
 	}
 }
 
@@ -307,22 +258,6 @@ func TestFuncWordModuleConcurrentRuns(t *testing.T) {
 			t.Errorf("concurrent run %d differs from the serial run:\n got  %.120s\n want %.120s", i, got, want)
 		}
 	}
-}
-
-func TestFuncBitModuleWrongArityPanics(t *testing.T) {
-	ins := []*Connector{NewBitConnector("i")}
-	o := NewBitConnector("o")
-	bad := NewFuncBitModule("bad", func(in []signal.Bit) []signal.Bit {
-		return nil // wrong output count
-	}, ins, []*Connector{o})
-	in := NewPatternInput("in", 1, []signal.Value{signal.BitValue{B: signal.B1}}, 1, ins[0])
-	s := NewSimulation(NewCircuit("t", bad, in))
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong function arity did not panic")
-		}
-	}()
-	s.Start(nil)
 }
 
 // TestRecycledSchedulerResetsUnlistedModules: a module reached by tokens

@@ -286,7 +286,8 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Listen starts the server on a TCP address and returns the bound
 // address; Serve runs on a background goroutine.
-// Used only by tests: the rmi and provider test helpers that serve on loopback TCP.
+// Used only by tests: TestHandshakeDeadlineStalledDialer and the rmi and
+// provider test helpers that serve on loopback TCP.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

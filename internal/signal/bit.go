@@ -54,6 +54,7 @@ func (b Bit) Bool() (v, ok bool) {
 }
 
 // FromBool converts a Go bool to a strong logic level.
+// Used only by tests: TestBitAndTruthTable, TestBitOrTruthTable.
 func FromBool(v bool) Bit {
 	if v {
 		return B1
